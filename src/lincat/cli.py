@@ -236,10 +236,10 @@ def _cmd_galois_check(args, report: Report) -> None:
 
 def _cmd_galois_quotient(args, report: Report) -> None:
     action = load_value(args.action, "action")
-    problems = check_action(action)
-    if problems:
-        raise InputError("invalid group action: " + "; ".join(problems))
-    res = quotient(action)
+    try:
+        res = quotient(action)
+    except ValueError as e:
+        raise InputError(str(e)) from e
     report.verdicts["objects"] = len(res.quotient.objects)
     report.verdicts["projection deck group"] = res.deck_group.label()
     report.witnesses["orbit representatives"] = dict(
@@ -261,7 +261,10 @@ def _cmd_galois_structure(args, report: Report) -> None:
 def _cmd_galois_homs(args, report: Report) -> None:
     u = _load_covering(args.functor)
     f = _load_covering(args.to)
-    homs = hom_coverings(u, f)
+    try:
+        homs = hom_coverings(u, f)
+    except ValueError as e:
+        raise InputError(str(e)) from e
     report.verdicts["morphisms"] = len(homs)
     report.witnesses["object maps"] = [
         _functor_witness(h)["object_map"] for h in homs]

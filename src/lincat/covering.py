@@ -5,7 +5,7 @@ isomorphisms between stars, block by block over each fibre.  Everything
 else here rides on one rigidity fact: a morphism of coverings is
 determined by its value on a single object, so deck transformation groups
 are found by seeding one object over a fibre and propagating through star
-isomorphisms.
+isomorphisms, and are multiplied by where they send that object.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Optional
 
 from .exactlinalg import Matrix, solve
 from .groups import Group
-from .kcat import (LinCat, LinFunctor, Violation, functor_compose,
+from .kcat import (LinCat, LinFunctor, functor_compose,
                    functor_equal, functor_is_isomorphism, identity_functor,
                    is_connected, validate_functor)
 
@@ -244,63 +244,50 @@ class CoveringGroup:
         return self.group.label()
 
     def name_of(self, h: LinFunctor) -> Optional[str]:
+        """The element equal to h, or None.  By rigidity only the element
+        sharing h's seed image can be equal to it."""
+        seed = h.object_map.get(self.seed_object)
         for n, cand in self.functors.items():
-            if functor_equal(cand, h):
-                return n
+            if cand.object_map[self.seed_object] == seed:
+                return n if functor_equal(cand, h) else None
         return None
 
 
 def aut1(f: LinFunctor) -> CoveringGroup:
-    """All deck transformations, found by seeding the first object over
-    its fibre; closure of the multiplication table is verified by exact
-    functor comparison, and freeness on objects is asserted."""
+    """All deck transformations of a covering with connected source,
+    found by seeding the first object x0 over its fibre.
+
+    The table rests on rigidity: a deck transformation is the unique
+    extension of its seed image h(x0), so
+    - h1∘h2 is the element whose seed image is h1(h2(x0));
+    - the extension of x0 ↦ x0 is the identity functor, named e;
+    - an element fixing any object y agrees with the identity at y, so it
+      is the identity: the action on objects is free.
+    No functor is composed or compared.
+    """
     c = f.source
     if not is_connected(c).connected:
         raise ValueError("covering source is not connected")
     x0 = c.objects[0]
     fib = tuple(fibre(f, f.object_map[x0]))
     j = identity_functor(f.target)
-    elements: list[LinFunctor] = []
-    for d0 in fib:
+    functors: dict[str, LinFunctor] = {}
+    for d0 in fib:  # x0 comes first: fibres keep declaration order
         h = extend_morphism(f, f, j, x0, d0)
+        if h is None and d0 == x0:
+            raise ValueError("identity extension failed; input is not a covering")
         if h is not None:
-            elements.append(h)
-    names = []
-    functors = {}
-    counter = 0
-    for h in elements:
-        if functor_equal(h, identity_functor(c)):
-            names.append("e")
-            functors["e"] = h
-        else:
-            counter += 1
-            names.append(f"g{counter}")
-            functors[f"g{counter}"] = h
-    if "e" not in functors:
-        raise ValueError("identity extension failed; input is not a covering")
-    for n, h in functors.items():
-        if n != "e" and any(h.object_map[x] == x for x in c.objects):
-            raise ValueError(f"deck transformation {n} fixes an object; "
-                             "the fibre action is not free")
+            functors[f"g{len(functors)}" if functors else "e"] = h
     by_seed = {h.object_map[x0]: n for n, h in functors.items()}
-    table = {}
-    for n1, h1 in functors.items():
-        for n2, h2 in functors.items():
-            prod = functor_compose(h1, h2)
-            k = by_seed.get(prod.object_map[x0])
-            if k is None or not functor_equal(prod, functors[k]):
-                raise ValueError("deck transformations do not close under "
-                                 "composition")
-            table[(n1, n2)] = k
-    group = Group(tuple(names), "e", table)
+    table = {(n1, n2): by_seed[h1.object_map[h2.object_map[x0]]]
+             for n1, h1 in functors.items() for n2, h2 in functors.items()}
+    group = Group(tuple(functors), "e", table)
     return CoveringGroup(f, group, functors, x0, fib)
 
 
 def galois_obstruction(f: LinFunctor, grp: CoveringGroup) -> Optional[str]:
-    """None if the deck group is transitive on the seed fibre and the
-    source is connected; otherwise a reason string."""
-    if not is_connected(f.source).connected:
-        return "source category is not connected"
+    """None if grp = aut1(f) is transitive on the seed fibre, otherwise a
+    reason string; aut1 has already refused a disconnected source."""
     if grp.order() != len(grp.seed_fibre):
         return (f"deck group of order {grp.order()} cannot be transitive on "
                 f"a fibre of size {len(grp.seed_fibre)}")
@@ -328,8 +315,13 @@ class LambdaResult:
 
 def lambda_map(m: CoveringMorphism, f: LinFunctor, g: LinFunctor) -> LambdaResult:
     """For each deck transformation h of F, the unique deck transformation
-    λ(h) of G with λ(h)∘H = H∘h, located by comparing on one object and
-    verified globally."""
+    λ(h) of G with λ(h)∘H = H∘h; F and G must be coverings.
+
+    By rigidity no composite is formed: H∘h is a morphism F -> G with
+    seed image H(h(x0)), and G being Galois, exactly one deck
+    transformation k of G sends H(x0) there; k∘H is a morphism with the
+    same seed image, so k∘H = H∘h and λ(h) = k.
+    """
     problems = validate_morphism(m, f, g)
     if problems:
         raise ValueError("invalid covering morphism: " + "; ".join(problems))
@@ -343,17 +335,10 @@ def lambda_map(m: CoveringMorphism, f: LinFunctor, g: LinFunctor) -> LambdaResul
         raise ValueError("H is not surjective on objects")
 
     x0 = f.source.objects[0]
-    by_seed = {h.object_map[m.h.object_map[x0]]: n
-               for n, h in gg.functors.items()}
-    mapping = {}
-    for n, h in gf.functors.items():
-        hf = functor_compose(m.h, h)
-        target_name = by_seed.get(hf.object_map[x0])
-        if target_name is None or not functor_equal(
-                functor_compose(gg.functors[target_name], m.h), hf):
-            raise ValueError(f"no deck transformation of the target matches "
-                             f"{n}; the morphism is not between Galois coverings")
-        mapping[n] = target_name
+    hx0 = m.h.object_map[x0]
+    by_seed = {k.object_map[hx0]: n for n, k in gg.functors.items()}
+    mapping = {n: by_seed[m.h.object_map[h.object_map[x0]]]
+               for n, h in gf.functors.items()}
     surjective = set(mapping.values()) == set(gg.group.elements)
     kernel = tuple(n for n, v in mapping.items() if v == "e")
 

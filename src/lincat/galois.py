@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .covering import (CoveringGroup, CoveringReport, aut1, check_covering,
-                       extend_morphism, fibre, galois_obstruction)
+from .covering import (CoveringGroup, aut1, check_covering, extend_morphism,
+                       fibre, galois_obstruction)
 from .exactlinalg import Matrix
-from .groups import Group, find_isomorphism
-from .kcat import (LinCat, LinComb, LinFunctor, functor_compose,
+from .groups import Group
+from .kcat import (LinCat, LinComb, LinFunctor, compose, functor_compose,
                    functor_equal, functor_is_isomorphism, identity_functor,
-                   is_connected, validate_category, validate_functor)
+                   is_connected, validate_functor)
 
 
 @dataclass
@@ -72,22 +72,31 @@ class QuotientResult:
     deck_group: CoveringGroup
 
 
-def quotient(a: GroupAction, verify: bool = True) -> QuotientResult:
+def quotient(a: GroupAction) -> QuotientResult:
     """The categorical quotient with its projection covering.
 
     Objects are orbits, named by their lexicographically least member,
     which also serves as the representative.  hom(α, β) is spanned by the
     source bases of hom(rep(α), y) over all y in β, inheriting names.
-    With verify=True the projection is checked to be a Galois covering
-    whose deck group is isomorphic to the acting group.
+
+    The action is checked once, before construction, and the acting
+    group and functors are returned as the deck group of the projection
+    P: each P∘s = P, so every s is a deck transformation; the images of
+    the first object run over its orbit, which is its whole fibre; and by
+    rigidity a deck transformation is fixed by that image, so there are
+    no others.  P is thus a Galois covering.
     """
     problems = check_action(a)
     if problems:
         raise ValueError("invalid group action: " + "; ".join(problems))
-    c = a.category
-    if not is_connected(c).connected:
+    if not is_connected(a.category).connected:
         raise ValueError("quotient requires a connected category")
+    return _quotient(a)
 
+
+def _quotient(a: GroupAction) -> QuotientResult:
+    """quotient() for a free action on a connected category."""
+    c = a.category
     orbit_of: dict[str, str] = {}
     reps: dict[str, str] = {}
     orbit_names: list[str] = []
@@ -122,7 +131,6 @@ def quotient(a: GroupAction, verify: bool = True) -> QuotientResult:
     identities = {alpha: c.identity(reps[alpha]) for alpha in orbit_names}
 
     comp: dict[tuple[str, str], LinComb] = {}
-    from .kcat import compose
     for alpha in orbit_names:
         x0 = reps[alpha]
         for beta in orbit_names:
@@ -150,24 +158,9 @@ def quotient(a: GroupAction, verify: bool = True) -> QuotientResult:
         mats[(x, y)] = Matrix.from_cols(c.field, cols, nrows=q.dim(alpha, beta))
     projection = LinFunctor(c, q, omap, mats)
 
-    if verify:
-        bad = validate_category(q)
-        if bad:
-            raise ValueError(f"quotient category violates axioms: {bad[0]}")
-        bad = validate_functor(projection)
-        if bad:
-            raise ValueError(f"projection is not functorial: {bad[0]}")
-        report = check_covering(projection)
-        if not report.ok:
-            raise ValueError(f"projection is not a covering: {report.message()}")
-        deck = aut1(projection)
-        if galois_obstruction(projection, deck) is not None:
-            raise ValueError("projection is not Galois")
-        if find_isomorphism(a.group, deck.group) is None:
-            raise ValueError("deck group of the projection is not isomorphic "
-                             "to the acting group")
-    else:
-        deck = aut1(projection)
+    seed = c.objects[0]
+    deck = CoveringGroup(projection, a.group, dict(a.functors), seed,
+                         tuple(fibre(projection, orbit_of[seed])))
     return QuotientResult(q, projection, reps, deck)
 
 
@@ -195,6 +188,14 @@ def is_galois(f: LinFunctor) -> GaloisResult:
     return GaloisResult(reason is None, grp, reason)
 
 
+def _galois_group(f: LinFunctor) -> CoveringGroup:
+    """The deck group of a Galois covering; ValueError otherwise."""
+    gal = is_galois(f)
+    if not gal.galois:
+        raise ValueError(f"covering is not Galois: {gal.reason}")
+    return gal.group
+
+
 @dataclass
 class StructureIsoResult:
     quotient_result: QuotientResult
@@ -207,12 +208,14 @@ class StructureIsoResult:
 
 def structure_iso(f: LinFunctor) -> StructureIsoResult:
     """Factor a Galois covering through the quotient by its deck group:
-    an isomorphism F' with F'∘P = F, built on orbit representatives."""
-    gal = is_galois(f)
-    if not gal.galois:
-        raise ValueError(f"covering is not Galois: {gal.reason}")
-    assert gal.group is not None
-    qres = quotient(action_from_deck(gal.group))
+    an isomorphism F' with F'∘P = F, built on orbit representatives.
+
+    The deck group from is_galois is used as the action without
+    check_action: its table came from seed images in aut1, so by
+    rigidity it matches composition, and it acts freely on the connected
+    source.  The factorization itself is verified.
+    """
+    qres = _quotient(action_from_deck(_galois_group(f)))
     q = qres.quotient
     omap = {alpha: f.object_map[rep] for alpha, rep in
             qres.orbit_representatives.items()}
@@ -237,12 +240,16 @@ def structure_iso(f: LinFunctor) -> StructureIsoResult:
 def hom_coverings(u: LinFunctor, f: LinFunctor) -> list[LinFunctor]:
     """All morphisms (H, 1) from one Galois covering to another over the
     same base, enumerated by seeding the first object across the fibre."""
+    return _hom_coverings(u, f)[0]
+
+
+def _hom_coverings(u: LinFunctor, f: LinFunctor
+                   ) -> tuple[list[LinFunctor], CoveringGroup]:
+    """hom_coverings(u, f) and the deck group of u."""
     if u.target != f.target:
         raise ValueError("coverings do not share a base")
-    for cover in (u, f):
-        gal = is_galois(cover)
-        if not gal.galois:
-            raise ValueError(f"covering is not Galois: {gal.reason}")
+    gu = _galois_group(u)
+    _galois_group(f)
     u0 = u.source.objects[0]
     j = identity_functor(u.target)
     out = []
@@ -250,7 +257,7 @@ def hom_coverings(u: LinFunctor, f: LinFunctor) -> list[LinFunctor]:
         h = extend_morphism(u, f, j, u0, c0)
         if h is not None:
             out.append(h)
-    return out
+    return out, gu
 
 
 @dataclass
@@ -260,27 +267,27 @@ class GSetReport:
     isotropy: tuple[str, ...]
     isotropy_normal: bool
     orbit_stabilizer_ok: bool  # |homs| · |isotropy| = |deck group|
+    action: dict[tuple[int, str], int]  # (hom index, deck element) -> index
 
 
 def gset_analysis(u: LinFunctor, f: LinFunctor) -> GSetReport:
     """The right action of the deck group of U on the morphisms U -> F by
     precomposition; transitivity and normality of the isotropy subgroup
-    are decided from the action table."""
-    homs = hom_coverings(u, f)
+    are decided from the action table.
+
+    The table is read from seed images: H∘h is a morphism U -> F sending
+    u0 to H(h(u0)), and by rigidity it is the listed morphism with that
+    seed image.
+    """
+    homs, gu = _hom_coverings(u, f)
     if not homs:
         raise ValueError("no morphisms between the coverings; "
                          "the action is empty")
-    gu = aut1(u)
     u0 = u.source.objects[0]
     by_seed = {h.object_map[u0]: i for i, h in enumerate(homs)}
-    action: dict[tuple[int, str], int] = {}
-    for i, h in enumerate(homs):
-        for name, deck in gu.functors.items():
-            composite = functor_compose(h, deck)
-            target = by_seed.get(composite.object_map[u0])
-            if target is None or not functor_equal(composite, homs[target]):
-                raise ValueError("the action does not close on the hom set")
-            action[(i, name)] = target
+    action = {(i, name): by_seed[h.object_map[deck.object_map[u0]]]
+              for i, h in enumerate(homs)
+              for name, deck in gu.functors.items()}
     orbit = {0}
     frontier = [0]
     while frontier:
@@ -295,7 +302,7 @@ def gset_analysis(u: LinFunctor, f: LinFunctor) -> GSetReport:
                      if action[(0, name)] == 0)
     normal = gu.group.is_normal(isotropy)
     os_ok = len(homs) * len(isotropy) == gu.order()
-    return GSetReport(homs, transitive, isotropy, normal, os_ok)
+    return GSetReport(homs, transitive, isotropy, normal, os_ok, action)
 
 
 @dataclass
@@ -310,9 +317,7 @@ def check_universal(u: LinFunctor, family: list[LinFunctor]) -> UniversalReport:
     compatible seed pair, a morphism (H, 1) out of u exists (uniqueness
     per seed is forced by rigidity).  No claim is made beyond the family.
     """
-    gal = is_galois(u)
-    if not gal.galois:
-        raise ValueError(f"covering is not Galois: {gal.reason}")
+    _galois_group(u)
     j = identity_functor(u.target)
     violations = []
     checked = 0

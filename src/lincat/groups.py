@@ -7,7 +7,7 @@ intended scale (orders well under a hundred).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 
@@ -22,6 +22,8 @@ class Group:
         problems = self.check()
         if problems:
             raise ValueError("not a group table: " + "; ".join(problems))
+        self._inv = {s: t for s in self.elements for t in self.elements
+                     if self.table[(s, t)] == self.identity}
 
     def check(self) -> list[str]:
         problems = []
@@ -55,10 +57,7 @@ class Group:
         return self.table[(s, t)]
 
     def inv(self, s: str) -> str:
-        for t in self.elements:
-            if self.mul(s, t) == self.identity:
-                return t
-        raise ValueError(f"no inverse for {s}")
+        return self._inv[s]
 
     def order(self) -> int:
         return len(self.elements)
@@ -95,12 +94,6 @@ class Group:
                 gens.append(s)
                 span = self.generated_subgroup(gens)
         return gens
-
-    def is_subgroup(self, subset: Sequence[str]) -> bool:
-        sset = set(subset)
-        if self.identity not in sset:
-            return False
-        return all(self.mul(a, b) in sset for a in sset for b in sset)
 
     def is_normal(self, subset: Sequence[str]) -> bool:
         sset = set(subset)
@@ -187,7 +180,3 @@ def find_isomorphism(g1: Group, g2: Group) -> Optional[dict[str, str]]:
     if not gens:
         return {g1.identity: g2.identity}
     return backtrack(0, [])
-
-
-def is_isomorphic(g1: Group, g2: Group) -> bool:
-    return find_isomorphism(g1, g2) is not None

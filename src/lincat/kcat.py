@@ -7,16 +7,15 @@ globally unique so a combination knows which hom space it lives in.  Zero
 hom spaces are stored as empty basis tuples, never as missing keys, so
 dimension counts are unambiguous.
 
-Also here: k-linear functors, walks and connectivity, and compilation of
+Also here: k-linear functors, connectivity, and compilation of
 quiver-with-relations presentations into categories with a certified
 path-monomial basis.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exactlinalg import (FieldSpec, Matrix, Scalar, column_space_basis,
                           inverse, quotient_basis, solve)
@@ -304,9 +303,6 @@ class LinFunctor:
             mats[(x, y)] = Matrix.from_cols(fld, cols, nrows=target.dim(fx, fy))
         return LinFunctor(source, target, dict(object_map), mats)
 
-    def apply_object(self, x: str) -> str:
-        return self.object_map[x]
-
     def apply(self, comb: LinComb) -> LinComb:
         """Image of a single-hom-pair combination."""
         pair = self.source.comb_pair(comb)
@@ -389,136 +385,37 @@ def validate_functor(f: LinFunctor) -> list[Violation]:
     return out
 
 
-# -- walks and connectivity -----------------------------------------------
-
-@dataclass(frozen=True)
-class WalkStep:
-    """One step along a morphism supported in hom(source, target); sign +1
-    traverses with the arrow, -1 against it."""
-    source: str
-    target: str
-    comb: tuple[tuple[str, Scalar], ...]  # frozen form of a LinComb
-    sign: int
-
-    def comb_dict(self) -> LinComb:
-        return dict(self.comb)
-
-    def start(self) -> str:
-        return self.source if self.sign == 1 else self.target
-
-    def end(self) -> str:
-        return self.target if self.sign == 1 else self.source
-
-    def reversed(self) -> "WalkStep":
-        return WalkStep(self.source, self.target, self.comb, -self.sign)
-
-
-def make_step(c: LinCat, comb: LinComb, sign: int) -> WalkStep:
-    pair = c.comb_pair(comb)
-    if pair is None:
-        raise ValueError("walk step morphism is zero")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    frozen = tuple(sorted(comb_normalize(comb).items()))
-    return WalkStep(pair[0], pair[1], frozen, sign)
-
-
-@dataclass(frozen=True)
-class Walk:
-    start: str
-    steps: tuple[WalkStep, ...]
-
-    def end(self) -> str:
-        cur = self.start
-        for st in self.steps:
-            if st.start() != cur:
-                raise ValueError(f"step from {st.start()} does not chain at {cur}")
-            cur = st.end()
-        return cur
-
-    def objects(self) -> list[str]:
-        out = [self.start]
-        for st in self.steps:
-            out.append(st.end())
-        return out
-
-    def reversed(self) -> "Walk":
-        return Walk(self.end(), tuple(st.reversed() for st in reversed(self.steps)))
-
-    def concat(self, other: "Walk") -> "Walk":
-        if self.end() != other.start:
-            raise ValueError("walks do not chain")
-        return Walk(self.start, self.steps + other.steps)
-
-    def validate(self, c: LinCat) -> list[str]:
-        problems = []
-        if self.start not in c.objects:
-            problems.append(f"unknown start {self.start}")
-            return problems
-        cur = self.start
-        for i, st in enumerate(self.steps):
-            comb = st.comb_dict()
-            if not comb_normalize(comb):
-                problems.append(f"step {i} is zero")
-                continue
-            try:
-                pair = c.comb_pair(comb)
-            except ValueError as e:
-                problems.append(f"step {i}: {e}")
-                continue
-            if pair != (st.source, st.target):
-                problems.append(f"step {i} declares hom({st.source},{st.target}) "
-                                f"but is supported in hom{pair}")
-            if st.start() != cur:
-                problems.append(f"step {i} starts at {st.start()}, walk is at {cur}")
-            cur = st.end()
-        return problems
-
+# -- connectivity -----------------------------------------------------------
 
 @dataclass
 class ConnectivityReport:
     connected: bool
     components: list[list[str]]
-    walks_from_root: dict[str, Walk]  # root of each component -> per-object walk
-
-    def walk_between(self, x: str, y: str) -> Optional[Walk]:
-        wx = self.walks_from_root.get(x)
-        wy = self.walks_from_root.get(y)
-        if wx is None or wy is None or wx.start != wy.start:
-            return None
-        return wx.reversed().concat(wy)
 
 
 def is_connected(c: LinCat) -> ConnectivityReport:
-    """Walk-connectivity of the object graph whose edges are nonzero hom
-    spaces; BFS yields a witness walk forest."""
-    edges: dict[str, list[WalkStep]] = {x: [] for x in c.objects}
-    one = c.field.one()
+    """Components of the object graph whose edges are the nonzero hom
+    spaces, traversed in either direction; breadth first from each root
+    in declaration order."""
+    neighbours: dict[str, list[str]] = {x: [] for x in c.objects}
     for (x, y), names in c.hom.items():
-        for n in names:
-            step = make_step(c, {n: one}, 1)
-            edges[x].append(step)            # traverse x -> y
-            edges[y].append(step.reversed()) # traverse y -> x
-            if x == y:
-                break  # one loop edge is enough for connectivity
-    seen: dict[str, Walk] = {}
+        if names:
+            neighbours[x].append(y)
+            neighbours[y].append(x)
+    seen: set[str] = set()
     components: list[list[str]] = []
     for root in c.objects:
         if root in seen:
             continue
+        seen.add(root)
         comp = [root]
-        seen[root] = Walk(root, ())
-        queue = [root]
-        while queue:
-            cur = queue.pop(0)
-            for st in edges[cur]:
-                nxt = st.end()
-                if st.start() == cur and nxt not in seen:
-                    seen[nxt] = seen[cur].concat(Walk(cur, (st,)))
+        for cur in comp:  # comp grows while it is read: a BFS queue
+            for nxt in neighbours[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
                     comp.append(nxt)
-                    queue.append(nxt)
         components.append(comp)
-    return ConnectivityReport(len(components) <= 1, components, seen)
+    return ConnectivityReport(len(components) <= 1, components)
 
 
 # -- quiver presentations ---------------------------------------------------

@@ -1,18 +1,22 @@
 import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from lincat import cli, registry
 
+FIXTURE_SETS = ("kronecker", "kronecker-double", "F0", "F1", "F2",
+                "gdlp-base", "gdlp-C1", "smash-demo", "corrupted", "empty",
+                "cyclic-cover-2", "cyclic-cover-4")
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli-fixtures")
-    for name in ("kronecker", "kronecker-double", "F0", "F1", "F2",
-                 "gdlp-base", "gdlp-C1", "smash-demo", "corrupted", "empty",
-                 "cyclic-cover-2", "cyclic-cover-4"):
+    for name in FIXTURE_SETS:
         registry.write_fixture(name, d)
     return d
 
@@ -101,6 +105,26 @@ def test_exit_code_matches_boolean_verdicts(workdir, argv):
     assert doc is not None
     bools = [v for v in doc["verdicts"].values() if isinstance(v, bool)]
     assert code == (0 if all(bools) else 1)
+
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+
+
+def golden_output(workdir, argv) -> dict:
+    """Exit code and `--json` output of one command, with the timing line
+    dropped and the fixture directory written as {dir}."""
+    code, out, _ = run(workdir, "--json", *argv)
+    out = re.sub(r'\n  "elapsed_ms": [0-9.e+-]+,', "", out)
+    return {"exit": code, "stdout": out.replace(str(workdir), "{dir}")}
+
+
+@pytest.mark.parametrize("argv", MATRIX, ids=lambda a: " ".join(a))
+def test_json_output_matches_golden(workdir, argv):
+    # verdicts, witnesses (aut1 element names and tables included) and
+    # exit codes are pinned byte for byte; rewrite the file with
+    # `PYTHONPATH=src python tests/test_cli.py` only on a deliberate change
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert golden_output(workdir, argv) == expected[" ".join(argv)]
 
 
 @pytest.mark.parametrize("argv", MATRIX, ids=lambda a: " ".join(a))
@@ -261,6 +285,53 @@ def test_delta_inj_disconnected_exit_2(workdir, tmp_path):
     assert "connected" in err
 
 
+def test_galois_homs_from_non_galois_exit_2(workdir):
+    code, out, err = run(workdir, "galois", "homs", "--functor", "F2.json",
+                         "--to", "F0.json")
+    assert code == 2
+    assert out == ""
+    assert "not Galois" in err
+
+
+def _write_action(path, category, functors):
+    from lincat.formats import action_to_doc, dump_path
+    from lincat.galois import GroupAction
+    from lincat.groups import cyclic_group
+    dump_path(path, action_to_doc(
+        GroupAction(cyclic_group(2), functors, category)))
+
+
+def test_quotient_invalid_action_exit_2(workdir, tmp_path):
+    from lincat.fixtures import kronecker
+    from lincat.kcat import identity_functor
+    k = kronecker().category
+    path = tmp_path / "unfree.json"
+    _write_action(path, k, {"e": identity_functor(k),
+                            "g": identity_functor(k)})
+    code, out, err = run(workdir, "galois", "quotient", "--action", str(path))
+    assert code == 2
+    assert out == ""
+    assert "invalid group action" in err and "not free" in err
+
+
+def test_quotient_disconnected_category_exit_2(workdir, tmp_path):
+    from lincat.fixtures import disconnected_double_kronecker
+    from lincat.kcat import LinFunctor, identity_functor
+    c = disconnected_double_kronecker().category
+    swap = LinFunctor.on_basis(
+        c, c, {"s": "s'", "t": "t'", "s'": "s", "t'": "t"},
+        {"a": {"a'": 1}, "b": {"b'": 1}, "a'": {"a": 1}, "b'": {"b": 1},
+         "1_s": {"1_s'": 1}, "1_t": {"1_t'": 1},
+         "1_s'": {"1_s": 1}, "1_t'": {"1_t": 1}})
+    path = tmp_path / "disconnected.json"
+    _write_action(path, c, {"e": identity_functor(c), "g": swap})
+    assert run(workdir, "validate", "--action", str(path))[0] == 0
+    code, out, err = run(workdir, "galois", "quotient", "--action", str(path))
+    assert code == 2
+    assert out == ""
+    assert "connected" in err
+
+
 def test_unknown_fixture_exit_2():
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(["fixtures", "nope"], stdout=out, stderr=err)
@@ -310,3 +381,15 @@ def test_report_carries_timing(workdir):
     assert doc["elapsed_ms"] >= 0
     _, out, _ = run(workdir, "h1", "--cat", "kronecker.json")
     assert re.search(r"elapsed: \d+\.\d ms", out)
+
+
+if __name__ == "__main__":
+    # record the golden outputs of the current code
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name in FIXTURE_SETS:
+            registry.write_fixture(name, d)
+        doc = {" ".join(argv): golden_output(d, argv) for argv in MATRIX}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                      encoding="utf-8")

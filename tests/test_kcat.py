@@ -1,4 +1,4 @@
-"""Category core: structure-constant axioms, functors, walks,
+"""Category core: structure-constant axioms, functors, connectivity,
 presentations.  Oracle values are hand-derived dimension and composition
 facts recorded next to each assertion."""
 from fractions import Fraction
@@ -13,11 +13,10 @@ from lincat.fixtures import (F2, Q, cover_f0, cover_f2, cyclic_cover,
                              kronecker, kronecker_double, loop_square_zero,
                              square_base, square_cover, swap_functor)
 from lincat.kcat import (Arrow, LinCat, QuiverPresentation, TruncationError,
-                         Walk, comb_eq, compose, functor_compose,
-                         functor_equal, functor_from_arrows,
-                         functor_is_isomorphism, identity_functor,
-                         inverse_functor, is_connected, make_step, present,
-                         validate_category, validate_functor)
+                         comb_eq, compose, functor_compose, functor_equal,
+                         functor_from_arrows, functor_is_isomorphism,
+                         identity_functor, inverse_functor, is_connected,
+                         present, validate_category, validate_functor)
 
 
 # -- validate_category -------------------------------------------------------
@@ -138,47 +137,18 @@ def test_inverse_functor():
     assert not functor_is_isomorphism(fix.functor)
 
 
-# -- connectivity and walks --------------------------------------------------
+# -- connectivity --------------------------------------------------------
 
 def test_kronecker_connected():
     rep = is_connected(kronecker().category)
     assert rep.connected and len(rep.components) == 1
+    assert is_connected(kronecker_double().category).connected
 
 
 def test_disjoint_union_disconnected():
     rep = is_connected(disconnected_double_kronecker().category)
     assert not rep.connected
     assert sorted(len(c) for c in rep.components) == [2, 2]
-
-
-def test_double_cover_connected_with_walk_witnesses():
-    c = kronecker_double().category
-    rep = is_connected(c)
-    assert rep.connected
-    w = rep.walk_between("t0", "t1")
-    assert w is not None and w.start == "t0" and w.end() == "t1"
-    assert w.validate(c) == []
-
-
-def test_walk_chaining_and_reverse():
-    c = kronecker_double().category
-    one = c.field.one()
-    up = make_step(c, {"a0": one}, 1)      # s0 -> t0
-    down = make_step(c, {"b1": one}, -1)   # t0 -> s1 against b1: s1 -> t0
-    w = Walk("s0", (up, down))
-    assert w.objects() == ["s0", "t0", "s1"]
-    assert w.validate(c) == []
-    r = w.reversed()
-    assert r.start == "s1" and r.end() == "s0"
-    assert w.concat(r).end() == "s0"
-
-
-def test_walk_bad_chaining_reported():
-    c = kronecker_double().category
-    one = c.field.one()
-    up = make_step(c, {"a0": one}, 1)
-    w = Walk("s1", (up,))
-    assert w.validate(c) != []
 
 
 # -- presentations -----------------------------------------------------------
