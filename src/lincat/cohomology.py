@@ -13,10 +13,10 @@ degree-s homogeneous morphism by χ(s).
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactlinalg import (FieldSpec, Matrix, Scalar, column_space_basis,
-                          inverse, kernel_basis, quotient_basis, rank, solve)
+from .exactlinalg import (EchelonBasis, FieldSpec, Matrix, Scalar, dense,
+                          inverse, kernel_basis)
 from .groups import Group
-from .kcat import LinCat, LinComb, comb_add, comb_eq, comb_sub, compose
+from .kcat import LinCat, LinComb, comb_add, comb_eq, compose
 from .grading import Grading, is_connected_grading, validate_grading
 
 
@@ -60,16 +60,6 @@ def _flatten(c: LinCat, mats: dict[tuple[str, str], Matrix]) -> list[Scalar]:
     return out
 
 
-def _unflatten(c: LinCat, vec: list[Scalar]) -> dict[tuple[str, str], Matrix]:
-    mats = {}
-    at = 0
-    for pair in _pair_order(c):
-        n = c.dim(*pair)
-        mats[pair] = Matrix(c.field, n, n, tuple(vec[at:at + n * n]))
-        at += n * n
-    return mats
-
-
 def validate_derivation(d: Derivation) -> list[str]:
     """Leibniz on every composable basis pair; shapes and key set."""
     c = d.category
@@ -98,59 +88,85 @@ def validate_derivation(d: Derivation) -> list[str]:
     return problems
 
 
+def _layout(c: LinCat) -> tuple[dict[tuple[str, str], int], int]:
+    """Offset of each nonzero hom pair's matrix in the flattened unknowns,
+    and their total count; entry (i, j) of hom(x,y)'s matrix sits at
+    offset + i * dim(x,y) + j."""
+    offset = {}
+    total = 0
+    for pair in _pair_order(c):
+        offset[pair] = total
+        total += c.dim(*pair) ** 2
+    return offset, total
+
+
+def _products(c: LinCat) -> dict[tuple[str, str], list[tuple[int, object]]]:
+    """g∘f for every nonzero basis product, as (coordinate, raw value)."""
+    pos = {n: i for names in c.hom.values() for i, n in enumerate(names)}
+    return {key: [(pos[n], s.value) for n, s in comb.items()]
+            for key, comb in c.comp.items()}
+
+
+def _sparse_derivation(c: LinCat, d: Derivation) -> dict:
+    out = {}
+    offset, _ = _layout(c)
+    for pair, at in offset.items():
+        for k, s in enumerate(d.matrices[pair].entries):
+            if s.value:
+                out[at + k] = s.value
+    return out
+
+
+def _derivation_of(c: LinCat, vec: dict) -> Derivation:
+    offset, total = _layout(c)
+    flat = dense(c.field, vec, total)
+    mats = {}
+    for pair, at in offset.items():
+        n = c.dim(*pair)
+        mats[pair] = Matrix(c.field, n, n, tuple(flat[at:at + n * n]))
+    return Derivation(c, mats)
+
+
 def derivation_space(c: LinCat) -> list[Derivation]:
     """Kernel basis of the Leibniz system over all composable basis
     pairs.  Unknowns are the entries of one square matrix per nonzero
-    hom pair."""
-    pairs = _pair_order(c)
-    offset = {}
-    total = 0
-    for pair in pairs:
-        offset[pair] = total
-        total += c.dim(*pair) ** 2
-
-    def entry_index(pair, i, j):
-        return offset[pair] + i * c.dim(*pair) + j
-
-    zero, one = c.field.zero(), c.field.one()
-    rows: list[list[Scalar]] = []
+    hom pair; the equations are sparse rows, one per output coordinate
+    of each composite, read off the structure constants."""
+    offset, total = _layout(c)
+    prod = _products(c)
+    leaving: dict[str, list[str]] = {x: [] for x in c.objects}
+    for g in c.basis_names():
+        leaving[c.source_of(g)].append(g)
+    system = EchelonBasis(c.field.characteristic)
     for f in c.basis_names():
         x, y = c.pair_of(f)
         jf = c.hom[(x, y)].index(f)
-        for g in c.basis_names():
-            y2, w = c.pair_of(g)
-            if y2 != y:
-                continue
-            jg = c.hom[(y, w)].index(g)
+        for g in leaving[y]:
+            w = c.target_of(g)
             nxw = c.dim(x, w)
             if nxw == 0:
                 # zero target space: both sides vanish identically
                 continue
-            gf = c.vector(c.comp_of(g, f), x, w)
-            # one equation per output coordinate of hom(x, w)
-            for r in range(nxw):
-                row = [zero] * total
-                for m in range(nxw):
-                    if not gf[m].is_zero():
-                        row[entry_index((x, w), r, m)] += gf[m]
-                for i, fi in enumerate(c.hom[(x, y)]):
-                    coef = c.vector(c.comp_of(g, fi), x, w)[r]
-                    if not coef.is_zero():
-                        row[entry_index((x, y), i, jf)] -= coef
-                for i, gi in enumerate(c.hom[(y, w)]):
-                    coef = c.vector(c.comp_of(gi, f), x, w)[r]
-                    if not coef.is_zero():
-                        row[entry_index((y, w), i, jg)] -= coef
-                if any(not a.is_zero() for a in row):
-                    rows.append(row)
-    if rows:
-        vecs = kernel_basis(Matrix.from_rows(c.field, rows))
-    else:
-        vecs = [[one if i == j else zero for i in range(total)]
-                for j in range(total)]
+            jg = c.hom[(y, w)].index(g)
+            # D(g∘f) - g∘D(f) - D(g)∘f = 0, one row per coordinate r
+            rows: list[dict] = [{} for _ in range(nxw)]
+            for m, a in prod.get((g, f), ()):
+                for r in range(nxw):
+                    k = offset[(x, w)] + r * nxw + m
+                    rows[r][k] = rows[r].get(k, 0) + a
+            for i, fi in enumerate(c.hom[(x, y)]):
+                k = offset[(x, y)] + i * c.dim(x, y) + jf
+                for r, a in prod.get((g, fi), ()):
+                    rows[r][k] = rows[r].get(k, 0) - a
+            for i, gi in enumerate(c.hom[(y, w)]):
+                k = offset[(y, w)] + i * c.dim(y, w) + jg
+                for r, a in prod.get((gi, f), ()):
+                    rows[r][k] = rows[r].get(k, 0) - a
+            for row in rows:
+                system.add(row)
     out = []
-    for v in vecs:
-        d = Derivation(c, _unflatten(c, v))
+    for v in system.kernel(total):
+        d = _derivation_of(c, v)
         for x in c.objects:
             if not all(a.is_zero() for a in
                        (d.apply(c.identity(x)) or {}).values()):
@@ -159,27 +175,43 @@ def derivation_space(c: LinCat) -> list[Derivation]:
     return out
 
 
-def inner_derivations(c: LinCat) -> list[Derivation]:
-    """Basis of the span of f ↦ α_y∘f − f∘α_x with α ranging over a
-    basis of the direct sum of all endomorphism spaces."""
-    one = c.field.one()
-    gens: list[list[Scalar]] = []
+def _inner_generators(c: LinCat) -> list[dict]:
+    """f ↦ u∘f − f∘u for each basis endomorphism u, flattened sparsely."""
+    offset, _ = _layout(c)
+    prod = _products(c)
+    gens = []
     for o in c.objects:
         for u in c.hom[(o, o)]:
-            mats = {}
-            for pair in _pair_order(c):
-                x, y = pair
-                cols = []
-                for f in c.hom[pair]:
-                    left = compose(c, {u: one}, {f: one}) if y == o else {}
-                    right = compose(c, {f: one}, {u: one}) if x == o else {}
-                    cols.append(c.vector(comb_sub(left, right), x, y))
-                mats[pair] = Matrix.from_cols(c.field, cols,
-                                              nrows=c.dim(x, y))
-            gens.append(_flatten(c, mats))
-    total = len(gens[0]) if gens else 0
-    basis_vecs = column_space_basis(c.field, gens, total)
-    return [Derivation(c, _unflatten(c, v)) for v in basis_vecs]
+            v: dict = {}
+            for x in c.objects:
+                n = c.dim(x, o)
+                for jf, f in enumerate(c.hom[(x, o)]):
+                    for i, a in prod.get((u, f), ()):
+                        k = offset[(x, o)] + i * n + jf
+                        v[k] = v.get(k, 0) + a
+                n = c.dim(o, x)
+                for jf, f in enumerate(c.hom[(o, x)]):
+                    for i, a in prod.get((f, u), ()):
+                        k = offset[(o, x)] + i * n + jf
+                        v[k] = v.get(k, 0) - a
+            gens.append(v)
+    return gens
+
+
+def _inner_span(c: LinCat) -> EchelonBasis:
+    e = EchelonBasis(c.field.characteristic)
+    for g in _inner_generators(c):
+        e.add(g)
+    return e
+
+
+def inner_derivations(c: LinCat) -> list[Derivation]:
+    """Basis of the span of f ↦ α_y∘f − f∘α_x with α ranging over a
+    basis of the direct sum of all endomorphism spaces: the generators
+    that raise the rank, in order."""
+    e = EchelonBasis(c.field.characteristic)
+    return [_derivation_of(c, e.normalize(g)) for g in _inner_generators(c)
+            if e.add(g)]
 
 
 @dataclass
@@ -192,43 +224,30 @@ class H1Result:
 
 def h1(c: LinCat) -> H1Result:
     """dim(derivations) − dim(inner), with coset representatives taken
-    from the derivation basis itself."""
+    from the derivation basis itself: the basis elements that raise the
+    rank over the inner span and the representatives before them."""
     ders = derivation_space(c)
-    inner = inner_derivations(c)
+    span = _inner_span(c)
+    inner_dim = len(span)
     if not ders:
-        return H1Result(0, 0, len(inner), [])
-    ambient = Matrix.from_cols(c.field,
-                               [_flatten(c, d.matrices) for d in ders])
-    coords = []
-    for d in inner:
-        sol = solve(ambient, _flatten(c, d.matrices))
-        if sol is None:
-            raise RuntimeError("inner derivation outside the derivation space")
-        coords.append(sol)
-    reps_idx, _ = quotient_basis(c.field, len(ders), coords)
-    reps = []
-    for v in reps_idx:
-        hit = [i for i, a in enumerate(v) if not a.is_zero()]
-        reps.append(ders[hit[0]])
-    return H1Result(len(ders) - len(inner), len(ders), len(inner), reps)
+        return H1Result(0, 0, inner_dim, [])
+    reps = [d for d in ders if span.add(_sparse_derivation(c, d))]
+    if len(span) != len(ders):
+        raise RuntimeError("inner derivation outside the derivation space")
+    return H1Result(len(ders) - inner_dim, len(ders), inner_dim, reps)
 
 
 def is_inner(d: Derivation) -> bool:
     c = d.category
-    inner = [_flatten(c, e.matrices) for e in inner_derivations(c)]
-    v = _flatten(c, d.matrices)
-    n = len(v)
-    base = rank(Matrix.from_cols(c.field, inner, nrows=n)) if inner else 0
-    return rank(Matrix.from_cols(c.field, inner + [v], nrows=n)) == base
+    return _sparse_derivation(c, d) in _inner_span(c)
 
 
 def in_derivation_space(d: Derivation) -> bool:
     c = d.category
-    space = [_flatten(c, e.matrices) for e in derivation_space(c)]
-    v = _flatten(c, d.matrices)
-    n = len(v)
-    base = rank(Matrix.from_cols(c.field, space, nrows=n)) if space else 0
-    return rank(Matrix.from_cols(c.field, space + [v], nrows=n)) == base
+    e = EchelonBasis(c.field.characteristic)
+    for v in derivation_space(c):
+        e.add(_sparse_derivation(c, v))
+    return _sparse_derivation(c, d) in e
 
 
 # -- characters ------------------------------------------------------------
@@ -337,14 +356,15 @@ def delta(c: LinCat, z: Grading, chi: Character) -> Derivation:
 def delta_injectivity_check(c: LinCat, z: Grading) -> bool:
     """True iff no nonzero character maps to an inner derivation.  Only
     defined for connected gradings; the embedding argument breaks
-    without connectivity, so disconnected input is refused."""
+    without connectivity, so disconnected input is refused.
+
+    δ is linear, so this holds iff δ of a character basis χ₁…χₘ is
+    independent modulo the inner span:
+    rank[inner | δ(χ₁)…δ(χₘ)] = rank(inner) + m."""
     _require_scalar_endos(c)
     rep = is_connected_grading(z)
     if not rep.connected:
         raise ValueError("grading is not connected; refusing the check")
-    for chi in characters(z.group, c.field):
-        if chi.is_zero():
-            continue
-        if is_inner(delta(c, z, chi)):
-            return False
-    return True
+    span = _inner_span(c)
+    return all(span.add(_sparse_derivation(c, delta(c, z, chi)))
+               for chi in characters(z.group, c.field))

@@ -255,97 +255,258 @@ class Matrix:
         return out
 
 
+# -- elimination on raw values ---------------------------------------------
+#
+# Sparse rows are dicts {column: raw value}: ints mod p over F_p, Fractions
+# over Q.  Scalars appear only at the public boundary below.
+
+
+def _field_ops(p: int):
+    """Raw-value operations of characteristic p, chosen once per basis:
+    (normalize, axpy, scale, inverse, one)."""
+    if p:
+        def normalize(vec):
+            return {c: a % p for c, a in vec.items() if a % p}
+
+        def axpy(v, f, row):
+            # v -= f * row in place; f and row's values are nonzero mod p,
+            # so a zero result means the column was present in v
+            for c, a in row.items():
+                w = (v.get(c, 0) - f * a) % p
+                if w:
+                    v[c] = w
+                else:
+                    del v[c]
+
+        def scale(row, s):
+            return {c: a * s % p for c, a in row.items()}
+
+        def inverse(a):
+            return pow(a, -1, p)
+
+        return normalize, axpy, scale, inverse, 1
+
+    def normalize(vec):
+        return {c: a for c, a in vec.items() if a}
+
+    def axpy(v, f, row):
+        for c, a in row.items():
+            w = v.get(c, 0) - f * a
+            if w:
+                v[c] = w
+            else:
+                del v[c]
+
+    def scale(row, s):
+        return {c: a * s for c, a in row.items()}
+
+    def inverse(a):
+        return Fraction(1) / a
+
+    return normalize, axpy, scale, inverse, Fraction(1)
+
+
+class EchelonBasis:
+    """Reduced row echelon basis of a growing subspace of k^n.
+
+    Vectors are sparse rows {column: raw value}; values may be any ints
+    (or Fractions over Q) and are reduced on entry.  Every stored row has
+    its smallest column as its pivot, value 1 there, and 0 at every other
+    row's pivot, so the rows sorted by pivot are the reduced row echelon
+    form of the span.  Adding a vector reduces it against the rows whose
+    pivots it touches, O(rank * n), and keeps a nonzero remainder.
+    """
+
+    def __init__(self, characteristic: int):
+        self.rows: dict[int, dict] = {}
+        (self.normalize, self._axpy, self._scale, self._inverse,
+         self.one) = _field_ops(characteristic)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: dict) -> dict:
+        """The remainder of `vec` modulo the span, as a new dict."""
+        v = self.normalize(vec)
+        rows = self.rows
+        # a pivot row is zero at every other pivot, so subtracting it adds
+        # no pivot column to v that the list below misses
+        for c in [c for c in v if c in rows]:
+            f = v.get(c)
+            if f:
+                self._axpy(v, f, rows[c])
+        return v
+
+    def add(self, vec: dict) -> bool:
+        """Insert `vec`; True iff it was outside the span."""
+        v = self.reduce(vec)
+        if not v:
+            return False
+        pivot = min(v)
+        v = self._scale(v, self._inverse(v[pivot]))
+        for row in self.rows.values():
+            f = row.get(pivot)
+            if f:
+                self._axpy(row, f, v)
+        self.rows[pivot] = v
+        return True
+
+    def __contains__(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+    def tail(self, pivot: int) -> dict:
+        """Minus the pivot row off its pivot: e_pivot is congruent to this
+        modulo the span, and its columns are free columns."""
+        row = self._scale(self.rows[pivot], -self.one)
+        del row[pivot]
+        return row
+
+    def kernel(self, ncols: int) -> list[dict]:
+        """Null space basis of the stored rows, one vector per free
+        column in increasing order: 1 there, the pivot rows' tails at
+        the pivots."""
+        free = {j: {j: self.one} for j in range(ncols) if j not in self.rows}
+        for pivot in self.rows:
+            for j, a in self.tail(pivot).items():
+                free[j][pivot] = a
+        return list(free.values())
+
+
+def _echelon(field: FieldSpec, rows: Iterable[dict]) -> EchelonBasis:
+    e = EchelonBasis(field.characteristic)
+    for r in rows:
+        e.add(r)
+    return e
+
+
+def _sparse_rows(m: Matrix) -> list[dict]:
+    c, ent = m.cols, m.entries
+    return [{j: s.value for j, s in enumerate(ent[i * c:(i + 1) * c])
+             if s.value} for i in range(m.rows)]
+
+
+def _sparse(field: FieldSpec, vec: Sequence) -> dict:
+    return {j: s.value for j, s in enumerate(map(field.scalar, vec))
+            if s.value}
+
+
+def dense(field: FieldSpec, row: dict, n: int) -> list[Scalar]:
+    """The length-n Scalar vector of a sparse raw row."""
+    out = [field.zero()] * n
+    for j, a in row.items():
+        out[j] = Scalar(field, a)
+    return out
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     """Reduced row echelon form.
 
-    Deterministic pivoting: leftmost unfinished column, first row with a
-    nonzero entry.  Returns (rref matrix, pivot column indices, rank).
+    Pivots are the leftmost columns the rows reach (the form is unique).
+    Returns (rref matrix, pivot column indices, rank).
     """
-    rows = m.row_lists()
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(m.rows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    flat = tuple(v for row in rows for v in row)
-    return Matrix(m.field, m.rows, m.cols, flat), pivots, len(pivots)
+    e = _echelon(m.field, _sparse_rows(m))
+    pivots = sorted(e.rows)
+    ent: list[Scalar] = []
+    for p in pivots:
+        ent.extend(dense(m.field, e.rows[p], m.cols))
+    ent.extend([m.field.zero()] * ((m.rows - len(pivots)) * m.cols))
+    return Matrix(m.field, m.rows, m.cols, tuple(ent)), pivots, len(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[2]
+    return len(_echelon(m.field, _sparse_rows(m)))
 
 
 def kernel_basis(m: Matrix) -> list[list[Scalar]]:
     """Basis of the null space, one column vector per free column of rref."""
-    red, pivots, _ = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    one = m.field.one()
-    zero = m.field.zero()
-    for f in free:
-        vec = [zero] * m.cols
-        vec[f] = one
-        for r_i, p in enumerate(pivots):
-            vec[p] = -red.entry(r_i, f)
-        basis.append(vec)
-    return basis
+    e = _echelon(m.field, _sparse_rows(m))
+    return [dense(m.field, v, m.cols) for v in e.kernel(m.cols)]
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar]) -> Optional[list[Scalar]]:
     """One solution of m x = rhs, or None if inconsistent."""
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
-    aug = m.hstack(Matrix.from_cols(m.field, [list(rhs)], nrows=m.rows))
-    red, pivots, rk = rref(aug)
-    if m.cols in pivots:
+    n = m.cols
+    rows = _sparse_rows(m)
+    for row, s in zip(rows, map(m.field.scalar, rhs)):
+        if s.value:
+            row[n] = s.value
+    e = _echelon(m.field, rows)
+    if n in e.rows:
         return None
-    x = [m.field.zero()] * m.cols
-    for r_i, p in enumerate(pivots):
-        x[p] = red.entry(r_i, m.cols)
-    return x
+    return dense(m.field, {p: row[n] for p, row in e.rows.items()
+                           if n in row}, n)
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
     """Inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:
         return None
-    aug = m.hstack(Matrix.identity(m.field, m.rows))
-    red, pivots, rk = rref(aug)
-    if rk != m.rows or any(p >= m.rows for p in pivots):
+    n = m.rows
+    rows = _sparse_rows(m)
+    one = m.field.one().value
+    for i, row in enumerate(rows):
+        row[n + i] = one
+    e = _echelon(m.field, rows)
+    if any(i not in e.rows for i in range(n)):
         return None
-    ent = tuple(red.entry(i, m.rows + j) for i in range(m.rows) for j in range(m.rows))
-    return Matrix(m.field, m.rows, m.rows, ent)
+    ent: list[Scalar] = []
+    for i in range(n):
+        row = e.rows[i]
+        ent.extend(dense(m.field, {j - n: a for j, a in row.items()
+                                   if j >= n}, n))
+    return Matrix(m.field, n, n, tuple(ent))
 
 
 def column_space_basis(field: FieldSpec, vectors: Iterable[Sequence[Scalar]],
                        dim: int) -> list[list[Scalar]]:
     """Greedy independent subset of `vectors` (ambient dimension `dim`),
     keeping the earliest vectors that raise the rank."""
+    e = EchelonBasis(field.characteristic)
     kept: list[list[Scalar]] = []
     for v in vectors:
         if len(v) != dim:
             raise ValueError("vector dimension mismatch")
-        cand = Matrix.from_cols(field, kept + [list(v)], nrows=dim)
-        if rank(cand) == len(kept) + 1:
+        if e.add(_sparse(field, v)):
             kept.append(list(v))
     return kept
+
+
+def complement(characteristic: int, dim: int, subspace: Iterable[dict],
+               preferred: Sequence[int]) -> tuple[list[int], list[dict]]:
+    """Greedy unit-vector complement of span(subspace) in k^dim, on raw
+    sparse rows.
+
+    Returns the chosen coordinates R, in `preferred` order, and the
+    projection k^dim -> k^R that kills the subspace, as the image of each
+    unit vector (a sparse row over positions in R).  The units are those
+    a greedy pass in `preferred` order would keep; they are the free
+    columns of the subspace's rref taken with the columns outside
+    `preferred` first and `preferred` reversed (the complement of a greedy
+    basis of a matroid is a greedy basis of its dual, in reverse order).
+    The pivot row of a non-chosen column j says e_j + sum c_r e_r lies in
+    the subspace, so e_j projects to -c.
+    """
+    order = list(dict.fromkeys(preferred))
+    taken = set(order)
+    elim = [j for j in range(dim) if j not in taken] + order[::-1]
+    label = {j: k for k, j in enumerate(elim)}
+    e = EchelonBasis(characteristic)
+    for v in subspace:
+        e.add({label[j]: a for j, a in v.items()})
+    chosen = [j for j in order if label[j] not in e.rows]
+    if len(chosen) + len(e) != dim:
+        raise ValueError("preferred order does not complete a basis")
+    at = {label[j]: i for i, j in enumerate(chosen)}
+    images = []
+    for j in range(dim):
+        k = label[j]
+        if k in at:
+            images.append({at[k]: e.one})
+        else:
+            images.append({at[c]: a for c, a in e.tail(k).items()})
+    return chosen, images
 
 
 def quotient_basis(field: FieldSpec, ambient_dim: int,
@@ -360,40 +521,20 @@ def quotient_basis(field: FieldSpec, ambient_dim: int,
     the subspace: project @ [representatives] = identity, project @ s = 0
     for s in the subspace.
     """
-    one, zero = field.one(), field.zero()
-    indep = column_space_basis(field, subspace, ambient_dim)
-    order = list(preferred) if preferred is not None else list(range(ambient_dim))
-    chosen: list[int] = []
-    cols = [list(v) for v in indep]
-    current_rank = len(indep)
-    for j in order:
-        if current_rank == ambient_dim:
-            break
-        unit = [zero] * ambient_dim
-        unit[j] = one
-        cand = Matrix.from_cols(field, cols + [unit], nrows=ambient_dim)
-        if rank(cand) == current_rank + 1:
-            cols.append(unit)
-            chosen.append(j)
-            current_rank += 1
-    if current_rank != ambient_dim:
-        raise ValueError("preferred order does not complete a basis")
-    # coordinates over (subspace part | representatives): invert and keep
-    # the representative rows
-    a = Matrix.from_cols(field, cols, nrows=ambient_dim)
-    a_inv = inverse(a)
-    assert a_inv is not None
-    k = len(chosen)
-    start = len(indep)
-    ent = tuple(a_inv.entry(start + i, j)
-                for i in range(k) for j in range(ambient_dim))
-    project = Matrix(field, k, ambient_dim, ent)
-    reps = []
-    for j in chosen:
-        unit = [zero] * ambient_dim
-        unit[j] = one
-        reps.append(unit)
-    return reps, project
+    rows = []
+    for v in subspace:
+        if len(v) != ambient_dim:
+            raise ValueError("vector dimension mismatch")
+        rows.append(_sparse(field, v))
+    order = preferred if preferred is not None else range(ambient_dim)
+    chosen, images = complement(field.characteristic, ambient_dim, rows,
+                                order)
+    one = field.one().value
+    reps = [dense(field, {j: one}, ambient_dim) for j in chosen]
+    cols = [dense(field, img, len(chosen)) for img in images]
+    ent = tuple(cols[j][i] for i in range(len(chosen))
+                for j in range(ambient_dim))
+    return reps, Matrix(field, len(chosen), ambient_dim, ent)
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> list[int]:

@@ -35,6 +35,20 @@ def _require(cond: bool, message: str) -> None:
         raise FormatError(message)
 
 
+def _names(value, what: str) -> tuple:
+    """A JSON array of strings, as a tuple; anything else is refused (a
+    string would otherwise read as a list of its characters)."""
+    _require(isinstance(value, list) and
+             all(isinstance(v, str) for v in value),
+             f"{what} must be a JSON array of strings")
+    return tuple(value)
+
+
+def _object(value, what: str) -> dict:
+    _require(isinstance(value, dict), f"{what} must be an object")
+    return value
+
+
 def _check_envelope(doc: dict, kind: str) -> None:
     _require(isinstance(doc, dict), "document is not a JSON object")
     _require(doc.get("kind") == kind,
@@ -122,19 +136,19 @@ def category_from_doc(doc) -> LinCat:
     for key in ("field", "objects", "hom", "comp", "identities"):
         _require(key in doc, f"category misses {key!r}")
     field = field_from_doc(doc["field"])
+    objects = _names(doc["objects"], "objects")
     hom = {}
-    for x, row in doc["hom"].items():
-        _require(isinstance(row, dict), f"hom[{x!r}] must be an object")
-        for y, names in row.items():
-            hom[(x, y)] = tuple(names)
+    for x, row in _object(doc["hom"], "hom").items():
+        for y, names in _object(row, f"hom[{x!r}]").items():
+            hom[(x, y)] = _names(names, f"hom[{x!r}][{y!r}]")
     comp = {}
-    for g, row in doc["comp"].items():
-        for f, comb in row.items():
+    for g, row in _object(doc["comp"], "comp").items():
+        for f, comb in _object(row, f"comp[{g!r}]").items():
             comp[(g, f)] = comb_from_doc(field, comb)
     idents = {x: comb_from_doc(field, v)
-              for x, v in doc["identities"].items()}
+              for x, v in _object(doc["identities"], "identities").items()}
     try:
-        return LinCat(field, tuple(doc["objects"]), hom, comp, idents)
+        return LinCat(field, objects, hom, comp, idents)
     except ValueError as e:
         raise FormatError(f"invalid category: {e}") from e
 
@@ -270,13 +284,15 @@ def presentation_from_doc(doc) -> QuiverPresentation:
     _check_envelope(doc, "presentation")
     for key in ("vertices", "arrows", "relations", "length_bound"):
         _require(key in doc, f"presentation misses {key!r}")
+    vertices = _names(doc["vertices"], "vertices")
     try:
         arrows = tuple(Arrow(a["name"], a["source"], a["target"])
                        for a in doc["arrows"])
-        rels = tuple(tuple((Fraction(t["coeff"]), tuple(t["path"]))
+        rels = tuple(tuple((Fraction(t["coeff"]),
+                            _names(t["path"], "relation path"))
                            for t in rel)
                      for rel in doc["relations"])
-        return QuiverPresentation(tuple(doc["vertices"]), arrows, rels,
+        return QuiverPresentation(vertices, arrows, rels,
                                   int(doc["length_bound"]))
     except (KeyError, TypeError) as e:
         raise FormatError(f"bad presentation: {e}") from e

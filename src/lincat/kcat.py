@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlinalg import (FieldSpec, Matrix, Scalar, column_space_basis,
-                          inverse, quotient_basis, solve)
+from .exactlinalg import FieldSpec, Matrix, Scalar, complement, inverse
 
 # morphism = finitely supported combination of basis names, zero coeffs dropped
 LinComb = dict[str, Scalar]
@@ -545,8 +544,10 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
     n = p.length_bound
     paths = _enumerate_paths(p, 2 * n)
     basis_paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-    projections: dict[tuple[str, str], Matrix] = {}
+    projections: dict[tuple[str, str], list[dict]] = {}
     index: dict[tuple[str, str], dict[tuple[str, ...], int]] = {}
+    relations = [[(field.scalar(coeff).value, path) for coeff, path in rel]
+                 for rel in p.relations]
 
     for pair, plist in paths.items():
         index[pair] = {t: i for i, t in enumerate(plist)}
@@ -554,67 +555,51 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
     for pair, plist in paths.items():
         dim = len(plist)
         idx = index[pair]
-        gens: list[list[Scalar]] = []
-        for rel in p.relations:
+        gens: list[dict] = []
+        for rel in relations:
             u = p.path_source(rel[0][1])
             v = p.path_target(rel[0][1])
-            rel_max = max(len(path) for _, path in rel)
-            for l_pair, l_list in paths.items():
-                if l_pair[0] != v or l_pair[1] != pair[1]:
-                    continue
-                for left in l_list:
-                    for m_pair, m_list in paths.items():
-                        if m_pair[1] != u or m_pair[0] != pair[0]:
-                            continue
-                        for mid in m_list:
-                            if len(left) + rel_max + len(mid) > 2 * n:
-                                continue
-                            vec = [field.zero()] * dim
-                            for coeff, path in rel:
-                                j = idx[left + path + mid]
-                                vec[j] = vec[j] + field.scalar(coeff)
-                            gens.append(vec)
-        span = column_space_basis(field, gens, dim)
-        span_matrix = Matrix.from_cols(field, span, nrows=dim)
+            room = 2 * n - max(len(path) for _, path in rel)
+            # path lists run by increasing length, so the first path too
+            # long for the room left ends each loop
+            for left in paths[(v, pair[1])]:
+                if len(left) > room:
+                    break
+                for mid in paths[(pair[0], u)]:
+                    if len(left) + len(mid) > room:
+                        break
+                    vec: dict = {}
+                    for coeff, path in rel:
+                        j = idx[left + path + mid]
+                        vec[j] = vec.get(j, 0) + coeff
+                    gens.append(vec)
+        # shortest paths first, then declaration order
+        reps, project = complement(field.characteristic, dim, gens,
+                                   range(dim))
         for t in plist:
-            if n < len(t) <= 2 * n:
-                unit = [field.zero()] * dim
-                unit[idx[t]] = field.one()
-                if solve(span_matrix, unit) is None:
-                    raise TruncationError(t, n)
-        reps, project = quotient_basis(field, dim, span, preferred=range(dim))
-        rep_paths = []
-        for r in reps:
-            j = next(i for i, s in enumerate(r) if s.is_one())
-            rep_paths.append(plist[j])
-        basis_paths[pair] = rep_paths
+            # a path lies in the span iff it projects to zero
+            if n < len(t) <= 2 * n and project[idx[t]]:
+                raise TruncationError(t, n)
+        basis_paths[pair] = [plist[j] for j in reps]
         projections[pair] = project
 
     hom = {pair: tuple(path_name(t, pair[0]) for t in rep_list)
            for pair, rep_list in basis_paths.items()}
-    identities = {}
-    comp: dict[tuple[str, str], LinComb] = {}
-    for x in p.vertices:
-        pair = (x, x)
-        vec = [field.zero()] * len(paths[pair])
-        vec[index[pair][()]] = field.one()
-        coords = projections[pair].apply(vec)
-        identities[x] = {hom[pair][i]: s for i, s in enumerate(coords)
-                         if not s.is_zero()}
 
+    def comb_of_path(t: tuple[str, ...], pair: tuple[str, str]) -> LinComb:
+        coords = projections[pair][index[pair][t]]
+        return {hom[pair][i]: Scalar(field, a)
+                for i, a in sorted(coords.items())}
+
+    identities = {x: comb_of_path((), (x, x)) for x in p.vertices}
+    comp: dict[tuple[str, str], LinComb] = {}
     for (x, y), f_list in basis_paths.items():
         for (y2, z), g_list in basis_paths.items():
             if y2 != y:
                 continue
             for ft in f_list:
                 for gt in g_list:
-                    whole = gt + ft
-                    pair = (x, z)
-                    vec = [field.zero()] * len(paths[pair])
-                    vec[index[pair][whole]] = field.one()
-                    coords = projections[pair].apply(vec)
-                    comb = {hom[pair][i]: s for i, s in enumerate(coords)
-                            if not s.is_zero()}
+                    comb = comb_of_path(gt + ft, (x, z))
                     if comb:
                         comp[(path_name(gt, y), path_name(ft, x))] = comb
 

@@ -285,6 +285,32 @@ def test_delta_inj_disconnected_exit_2(workdir, tmp_path):
     assert "connected" in err
 
 
+@pytest.mark.parametrize("command,kind,edit,fragment", [
+    (("h1", "--cat"), "category",
+     lambda d: d.update(objects=5), "objects"),
+    (("validate", "--cat"), "category",
+     lambda d: d["hom"]["s"].update(t="ab"), "hom"),
+    (("present", "--presentation"), "presentation",
+     lambda d: d["relations"][0][0].update(path="ga"), "path"),
+    (("pi1", "--base", "x", "--presentation"), "presentation",
+     lambda d: d.update(vertices="xyz"), "vertices"),
+])
+def test_mistyped_document_exit_2(workdir, tmp_path, command, kind, edit,
+                                  fragment):
+    from lincat.fixtures import kronecker, square_base_quiver
+    from lincat.formats import (category_to_doc, dump_path,
+                                presentation_to_doc)
+    doc = category_to_doc(kronecker().category) if kind == "category" \
+        else presentation_to_doc(square_base_quiver())
+    edit(doc)
+    path = tmp_path / "mistyped.json"
+    dump_path(path, doc)
+    code, out, err = run(workdir, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert fragment in err and "Traceback" not in err
+
+
 def test_galois_homs_from_non_galois_exit_2(workdir):
     code, out, err = run(workdir, "galois", "homs", "--functor", "F2.json",
                          "--to", "F0.json")

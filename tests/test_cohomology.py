@@ -1,4 +1,6 @@
 """Derivation spaces, H1, additive characters, and the Euler embedding."""
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,8 +16,10 @@ from lincat.fixtures import (F2, Q, cyclic_cover, discrete, kronecker,
                              loop_square_zero, square_cover)
 from lincat.grading import (grading_on_basis, induced_grading, regrade,
                             trivial_grading)
-from lincat.groups import cyclic_group
-from lincat.kcat import comb_add, comb_eq, comb_scale, compose
+from lincat.exactlinalg import FieldSpec
+from lincat.groups import Group, cyclic_group
+from lincat.kcat import (Arrow, QuiverPresentation, comb_add, comb_eq,
+                         comb_scale, compose, present)
 
 
 # -- derivation spaces -----------------------------------------------------
@@ -47,6 +51,13 @@ def test_inner_derivation_dimensions():
     assert len(inner_derivations(kronecker().category)) == 1
     assert len(inner_derivations(discrete().category)) == 0
     assert len(inner_derivations(loop_square_zero().category)) == 0
+
+
+def test_inner_derivations_have_reduced_residues():
+    for p in (3, 5):
+        for d in inner_derivations(kronecker(FieldSpec(p)).category):
+            assert all(0 <= s.value < p
+                       for m in d.matrices.values() for s in m.entries)
 
 
 def test_inner_contained_in_derivations(covering_matrix):
@@ -184,6 +195,61 @@ def test_injectivity_across_char_p_galois_fixtures():
         base = f.target
         z = induced_grading(f, {b: fibre(f, b)[0] for b in base.objects})
         assert delta_injectivity_check(base, z), fix.name
+
+
+def elementary_abelian(p):
+    """(Z/p)², elements named by their two coordinates."""
+    elems = [f"{i}{j}" for i in range(p) for j in range(p)]
+    table = {(s, t): f"{(int(s[0]) + int(t[0])) % p}"
+                     f"{(int(s[1]) + int(t[1])) % p}"
+             for s in elems for t in elems}
+    return Group(tuple(elems), "00", table)
+
+
+def three_arrow_kronecker_grading(p):
+    """Three arrows s -> t in degrees 0, (1,0), (0,1) of (Z/p)²: a
+    connected grading with a two-dimensional character space over F_p."""
+    q = QuiverPresentation(("s", "t"), (Arrow("a", "s", "t"),
+                                        Arrow("b", "s", "t"),
+                                        Arrow("c", "s", "t")), (), 1)
+    c = present(q, FieldSpec(p)).category
+    return c, grading_on_basis(c, elementary_abelian(p),
+                               {"a": "00", "b": "10", "c": "01"})
+
+
+def no_nonzero_character_is_inner(c, z):
+    """Oracle: δ of every nonzero combination of the character basis,
+    p^m - 1 of them, is outside the inner derivations."""
+    basis = characters(z.group, c.field)
+    field = c.field
+    for coeffs in itertools.product(range(field.characteristic),
+                                    repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        values = {s: field.zero() for s in z.group.elements}
+        for a, chi in zip(coeffs, basis):
+            for s in values:
+                values[s] = values[s] + field.scalar(a) * chi(s)
+        if is_inner(delta(c, z, Character(z.group, field, values))):
+            return False
+    return True
+
+
+def test_injectivity_check_agrees_with_exhaustive_combinations():
+    cases = [kf2_grading(), three_arrow_kronecker_grading(2),
+             three_arrow_kronecker_grading(3)]
+    for fix in (cyclic_cover(2, F2), cyclic_cover(4, F2), square_cover()):
+        f = fix.functor
+        cases.append((f.target, induced_grading(
+            f, {b: fibre(f, b)[0] for b in f.target.objects})))
+    for c, z in cases:
+        assert delta_injectivity_check(c, z) == \
+            no_nonzero_character_is_inner(c, z)
+    # in the (Z/p)² cases m = 2, so the oracle also tries combinations
+    # that are not basis characters
+    for p in (2, 3):
+        c, z = three_arrow_kronecker_grading(p)
+        assert len(characters(z.group, c.field)) == 2
 
 
 def test_delta_base_point_independence():

@@ -1,0 +1,224 @@
+"""Differential tests of exactlinalg against sympy (a dev-only oracle).
+
+Random small matrices over Q and F_p, p in {2, 3, 5, 7}: rref, rank,
+kernel, solve and inverse against sympy's DomainMatrix; the Smith form
+against sympy's invariant factors over ZZ; and the greedy bases against
+the greedy-by-rank definition kept here as the reference.
+"""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from lincat.exactlinalg import (  # noqa: E402
+    FieldSpec, Matrix, column_space_basis, inverse, kernel_basis,
+    quotient_basis, rank, rref, smith_normal_form, solve,
+)
+
+PRIMES = (0, 2, 3, 5, 7)
+
+
+def domain(p):
+    return sympy.QQ if p == 0 else sympy.GF(p)
+
+
+def to_sympy(field, rows, ncols):
+    p = field.characteristic
+    dom = domain(p)
+    if p == 0:
+        ent = [[dom(v.numerator, v.denominator) for v in row] for row in rows]
+    else:
+        ent = [[dom(v) for v in row] for row in rows]
+    return DomainMatrix(ent, (len(rows), ncols), dom)
+
+
+def raw(field, x):
+    """Our raw value of a sympy domain element."""
+    p = field.characteristic
+    if p == 0:
+        return Fraction(int(x.numerator), int(x.denominator))
+    return int(x) % p
+
+
+def values(seq):
+    return [s.value for s in seq]
+
+
+def matrix_values(m):
+    return [values(m.row(i)) for i in range(m.rows)]
+
+
+def sympy_values(field, dm):
+    return [[raw(field, x) for x in row] for row in dm.to_list()]
+
+
+@st.composite
+def field_and_rows(draw, rows=None, cols=None, square=False):
+    p = draw(st.sampled_from(PRIMES))
+    field = FieldSpec(p)
+    r = draw(st.integers(1, 5)) if rows is None else rows
+    c = r if square else (draw(st.integers(1, 5)) if cols is None else cols)
+    if p == 0:
+        entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    else:
+        # zeros are over-weighted so that rank deficiency is common
+        entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    ent = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                        min_size=r, max_size=r))
+    return field, [[field.scalar(v).value for v in row] for row in ent]
+
+
+def ours(field, rows):
+    return Matrix.from_rows(field, rows)
+
+
+@settings(max_examples=100)
+@given(field_and_rows())
+def test_rref_and_rank(case):
+    field, rows = case
+    m = ours(field, rows)
+    red, pivots, rk = rref(m)
+    ref, ref_pivots = to_sympy(field, rows, m.cols).rref()
+    assert pivots == list(ref_pivots)
+    assert matrix_values(red) == sympy_values(field, ref)
+    assert rk == rank(m) == to_sympy(field, rows, m.cols).rank()
+
+
+@settings(max_examples=100)
+@given(field_and_rows())
+def test_kernel_basis(case):
+    field, rows = case
+    m = ours(field, rows)
+    basis = kernel_basis(m)
+    sm = to_sympy(field, rows, m.cols)
+    ref, pivots = sm.rref()
+    ref = ref.to_list()
+    free = [j for j in range(m.cols) if j not in pivots]
+    assert len(basis) == len(free) == m.cols - sm.rank()
+    for f, vec in zip(free, basis):
+        # the free-column basis read off sympy's rref
+        want = [0] * m.cols
+        want[f] = 1
+        for i, p in enumerate(pivots):
+            want[p] = raw(field, -ref[i][f])
+        assert values(vec) == want
+        column = to_sympy(field, [[v] for v in values(vec)], 1)
+        assert (sm * column).is_zero_matrix
+
+
+@settings(max_examples=100)
+@given(field_and_rows(), st.data())
+def test_solve(case, data):
+    field, rows = case
+    m = ours(field, rows)
+    rhs = [field.scalar(v).value for v in data.draw(st.lists(
+        st.integers(-3, 3), min_size=m.rows, max_size=m.rows))]
+    x = solve(m, [field.scalar(v) for v in rhs])
+    aug = to_sympy(field, [r + [b] for r, b in zip(rows, rhs)], m.cols + 1)
+    ref, pivots = aug.rref()
+    if m.cols in pivots:
+        assert x is None
+        return
+    want = [0] * m.cols
+    for i, p in enumerate(pivots):
+        want[p] = raw(field, ref.to_list()[i][m.cols])
+    assert values(x) == want
+
+
+@settings(max_examples=100)
+@given(field_and_rows(square=True))
+def test_inverse(case):
+    field, rows = case
+    m = ours(field, rows)
+    sm = to_sympy(field, rows, m.cols)
+    inv = inverse(m)
+    if sm.det() == 0:
+        assert inv is None
+    else:
+        assert matrix_values(inv) == sympy_values(field, sm.inv())
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_smith_normal_form(nr, nc, data):
+    rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=nc,
+                                       max_size=nc),
+                              min_size=nr, max_size=nr))
+    want = [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows),
+                                                     domain=sympy.ZZ)]
+    want += [0] * (nc - len(want))
+    assert smith_normal_form(rows) == want
+
+
+# -- greedy bases against the greedy-by-rank definition -------------------
+
+def sympy_rank(field, vectors, dim):
+    if not vectors:
+        return 0
+    return to_sympy(field, [list(v) for v in vectors], dim).rank()
+
+
+def greedy_by_rank(field, vectors, dim):
+    """Reference: keep each vector that raises the rank of those kept."""
+    kept = []
+    for v in vectors:
+        if sympy_rank(field, kept + [v], dim) == len(kept) + 1:
+            kept.append(v)
+    return kept
+
+
+def reference_quotient(field, dim, subspace, preferred):
+    """Reference: greedy unit vectors by rank, then the projection as the
+    representative rows of the inverse of [independent part | units]."""
+    indep = greedy_by_rank(field, subspace, dim)
+    units, chosen = [], []
+    for j in preferred:
+        unit = [0] * dim
+        unit[j] = field.one().value
+        if sympy_rank(field, indep + units + [unit], dim) == \
+                len(indep) + len(units) + 1:
+            units.append(unit)
+            chosen.append(j)
+    if len(indep) + len(units) != dim:
+        return None
+    cols = indep + units
+    a = to_sympy(field, [[c[i] for c in cols] for i in range(dim)], dim)
+    proj = sympy_values(field, a.inv())[len(indep):]
+    return chosen, proj
+
+
+@settings(max_examples=100)
+@given(field_and_rows())
+def test_column_space_basis(case):
+    field, vectors = case
+    dim = len(vectors[0])
+    kept = column_space_basis(
+        field, [[field.scalar(v) for v in vec] for vec in vectors], dim)
+    assert [values(v) for v in kept] == greedy_by_rank(field, vectors, dim)
+
+
+@settings(max_examples=100)
+@given(field_and_rows(), st.randoms(use_true_random=False), st.booleans())
+def test_quotient_basis(case, rng, partial):
+    field, vectors = case
+    dim = len(vectors[0])
+    preferred = list(range(dim))
+    rng.shuffle(preferred)
+    if partial:
+        # an order that may not reach a complement
+        preferred = preferred[:rng.randint(0, dim)]
+    ref = reference_quotient(field, dim, vectors, preferred)
+    subspace = [[field.scalar(v) for v in vec] for vec in vectors]
+    if ref is None:
+        with pytest.raises(ValueError, match="complete a basis"):
+            quotient_basis(field, dim, subspace, preferred)
+        return
+    reps, proj = quotient_basis(field, dim, subspace, preferred)
+    chosen, want = ref
+    assert [values(r).index(1) for r in reps] == chosen
+    assert matrix_values(proj) == want

@@ -134,6 +134,38 @@ def test_json_syntax_error_carries_position(tmp_path):
         fm.load_value(p, "category")
 
 
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda d: d.update(objects=5), "objects"),
+    (lambda d: d.update(objects="st"), "objects"),
+    (lambda d: d.update(objects=["s", 1]), "objects"),
+    (lambda d: d["hom"]["s"].update(t="ab"), "hom"),
+    (lambda d: d.update(hom=["s"]), "hom"),
+    (lambda d: d["hom"].update(s=["t"]), "hom"),
+    (lambda d: d.update(comp=[]), "comp"),
+    (lambda d: d.update(identities="1_s"), "identities"),
+])
+def test_category_decoder_type_checks(edit, fragment):
+    # a string where a name list belongs would otherwise be read as a
+    # list of one-letter names
+    doc = fm.category_to_doc(kronecker().category)
+    edit(doc)
+    with pytest.raises(fm.FormatError, match=fragment):
+        fm.category_from_doc(doc)
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda d: d["relations"][0][0].update(path="ga"), "path"),
+    (lambda d: d["relations"][0][0].update(path=["g", 7]), "path"),
+    (lambda d: d.update(vertices="xyz"), "vertices"),
+    (lambda d: d.update(vertices=3), "vertices"),
+])
+def test_presentation_decoder_type_checks(edit, fragment):
+    doc = fm.presentation_to_doc(square_base_quiver())
+    edit(doc)
+    with pytest.raises(fm.FormatError, match=fragment):
+        fm.presentation_from_doc(doc)
+
+
 # -- presentation text form -------------------------------------------------------
 
 GDLP_TEXT = """

@@ -189,6 +189,23 @@ def test_present_rejects_unsound_truncation():
     assert exc.value.witness == ("u", "u")
 
 
+def test_present_commuting_cube_zero_pair_over_f3():
+    # k[u,v]/(uv - vu, u^3, v^3) with bound 4: the monomials v^j u^i,
+    # i, j < 3, shortest first; paths grow by arrows in declaration
+    # order, so v*u comes before u*v and is the one kept
+    q = QuiverPresentation(
+        ("x",), (Arrow("u", "x", "x"), Arrow("v", "x", "x")),
+        (((Fraction(1), ("u", "v")), (Fraction(-1), ("v", "u"))),
+         ((Fraction(1), ("u", "u", "u")),),
+         ((Fraction(1), ("v", "v", "v")),)), 4)
+    res = present(q, FieldSpec(3))
+    assert sum(res.hom_dims.values()) == 9
+    assert res.basis_paths[("x", "x")] == [
+        (), ("u",), ("v",), ("u", "u"), ("v", "u"), ("v", "v"),
+        ("v", "u", "u"), ("v", "v", "u"), ("v", "v", "u", "u")]
+    assert validate_category(res.category) == []
+
+
 def test_present_cube_zero_loop():
     q = QuiverPresentation(("x",), (Arrow("u", "x", "x"),),
                            (((Fraction(1), ("u", "u", "u")),),), 2)
