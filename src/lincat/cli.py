@@ -8,6 +8,7 @@ violating input.  LINCAT_COLOR ∈ {auto, always, never} controls ANSI
 color in the text rendering.
 """
 import argparse
+import functools
 import json
 import os
 import sys
@@ -146,6 +147,8 @@ def _cmd_present(args, report: Report) -> None:
         res = present(pres, field)
     except TruncationError as e:
         raise InputError(str(e)) from e
+    except ZeroDivisionError as e:
+        raise InputError(f"relation coefficient not in {field}: {e}") from e
     report.verdicts["objects"] = len(res.category.objects)
     report.verdicts["total dimension"] = sum(res.hom_dims.values())
     report.witnesses["hom dimensions"] = _pairs_to_nested(
@@ -165,12 +168,26 @@ def _cmd_cover_check(args, report: Report) -> None:
 
 def _cmd_cover_aut1(args, report: Report) -> None:
     f = _load_covering(args.functor)
-    grp = aut1(f)
+    try:
+        grp = aut1(f)
+    except ValueError as e:
+        raise InputError(str(e)) from e
     report.verdicts["order"] = grp.order()
     report.verdicts["isomorphism type"] = grp.label()
     report.witnesses["elements"] = list(grp.group.elements)
     report.witnesses["table"] = group_to_doc(grp.group)["table"]
     report.witnesses["seed fibre"] = list(grp.seed_fibre)
+
+
+def _extend(f: LinFunctor, g: LinFunctor, x0: str,
+            d0: str) -> Optional[LinFunctor]:
+    """extend_morphism over the identity of the base; its refusals (a
+    source that is not connected, a seed outside the fibre) are bad
+    input."""
+    try:
+        return extend_morphism(f, g, identity_functor(f.target), x0, d0)
+    except ValueError as e:
+        raise InputError(str(e)) from e
 
 
 def _cmd_cover_extend(args, report: Report) -> None:
@@ -188,7 +205,7 @@ def _cmd_cover_extend(args, report: Report) -> None:
                 f"{d0!r} is not in the fibre over {f.object_map[x0]!r}")
     else:
         d0 = fibre(g, f.object_map[x0])[0]
-    h = extend_morphism(f, g, identity_functor(f.target), x0, d0)
+    h = _extend(f, g, x0, d0)
     report.verdicts["extends"] = h is not None
     report.messages.append(f"seed {x0} -> {d0}")
     if h is not None:
@@ -203,7 +220,7 @@ def _cmd_cover_lambda(args, report: Report) -> None:
     x0 = f.source.objects[0]
     d0 = args.image if args.image is not None \
         else fibre(g, f.object_map[x0])[0]
-    h = extend_morphism(f, g, identity_functor(f.target), x0, d0)
+    h = _extend(f, g, x0, d0)
     if h is None:
         raise InputError("no morphism between the coverings from "
                          f"seed {x0} -> {d0}")
@@ -444,6 +461,7 @@ def _cmd_fixtures(args, report: Report) -> None:
 
 # -- wiring ---------------------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lincat",

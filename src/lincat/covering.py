@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactlinalg import Matrix, solve
+from .exactlinalg import Matrix, SparseMap, inverse
 from .groups import Group
 from .kcat import (LinCat, LinFunctor, functor_compose,
                    functor_equal, functor_is_isomorphism, identity_functor,
@@ -57,10 +57,9 @@ def _star_matrix(f: LinFunctor, x: str, b1: str, direction: str) -> Matrix:
     else:
         rows = f.target.dim(b1, b0)
         blocks = [f.matrices[(y, x)] for y in fibre(f, b1)]
-    m = Matrix.zeros(f.source.field, rows, 0)
-    for b in blocks:
-        m = m.hstack(b)
-    return m
+    ent = [a for i in range(rows) for b in blocks for a in b.row(i)]
+    return Matrix(f.source.field, rows, sum(b.cols for b in blocks),
+                  tuple(ent))
 
 
 @dataclass
@@ -131,96 +130,121 @@ def check_morphism(m: CoveringMorphism, f: LinFunctor, g: LinFunctor) -> bool:
     return not validate_morphism(m, f, g)
 
 
+class _Extension:
+    """What extending morphisms F -> G over J needs that no seed changes,
+    built once per (F, G, J) and shared by every seed: J∘F, with each
+    basis image as a raw sparse column, and the inverse of each star
+    block of G that propagation visits, built on first use.  G must be a
+    covering: a visited star block that is not bijective raises
+    ValueError."""
+
+    def __init__(self, f: LinFunctor, g: LinFunctor, j: LinFunctor):
+        base = f.target
+        if g.target != base or j.source != base or j.target != base:
+            raise ValueError("functors do not share the base category")
+        if any(j.object_map[x] != x for x in base.objects):
+            raise ValueError("J must fix objects")
+        if not functor_is_isomorphism(j):
+            raise ValueError("J must be an isomorphism")
+        self.f, self.g = f, g
+        self.jf = functor_compose(j, f)
+        self.image = {n: col for pair, names in f.source.hom.items()
+                      for n, col in zip(names,
+                                        self.jf.matrices[pair].sparse_cols())}
+        # (d, b, direction) -> (star inverse, block owning each position)
+        self._stars: dict[tuple[str, str, str],
+                          tuple[SparseMap, list[tuple[str, int, int]]]] = {}
+
+    def star(self, x: str, b: str, direction: str
+             ) -> tuple[SparseMap, list[tuple[str, int, int]]]:
+        """The inverse of G's star block at x towards the fibre of b, and
+        for each position of the block sum the fibre object it belongs to
+        with its block's first and last position."""
+        key = (x, b, direction)
+        if key not in self._stars:
+            m = _star_matrix(self.g, x, b, direction)
+            inv = inverse(m)
+            if inv is None:
+                raise ValueError(
+                    f"G is not a covering: star block at ({x}, {b}), "
+                    f"{'outgoing' if direction == 'out' else 'incoming'} "
+                    "half, is not bijective")
+            d = self.g.source
+            owner: list[tuple[str, int, int]] = []
+            for e in fibre(self.g, b):
+                width = d.dim(x, e) if direction == "out" else d.dim(e, x)
+                owner.extend([(e, len(owner), len(owner) + width - 1)]
+                             * width)
+            self._stars[key] = (SparseMap(inv), owner)
+        return self._stars[key]
+
+    def extend(self, x0: str, d0: str) -> Optional[LinFunctor]:
+        """extend_morphism(F, G, J, x0, d0) on the shared data."""
+        f, g = self.f, self.g
+        c, d = f.source, g.source
+        if x0 not in c.objects or d0 not in d.objects:
+            raise ValueError("unknown seed objects")
+        if g.object_map[d0] != f.object_map[x0]:
+            raise ValueError(f"seed mismatch: G({d0}) != F({x0}) on the base")
+        omap = {x0: d0}
+        cols: dict[str, dict] = {}  # basis name -> raw column of H(name)
+        queue = [x0]
+        for x in queue:  # the queue grows while it is read
+            for y in c.objects:
+                for direction, names in (("out", c.hom[(x, y)]),
+                                         ("in", c.hom[(y, x)])):
+                    for n in names:
+                        if n in cols:
+                            continue
+                        inv, owner = self.star(omap[x], f.object_map[y],
+                                               direction)
+                        cand = inv(self.image[n])
+                        if not cand:
+                            return None
+                        e, first, last = owner[min(cand)]
+                        if max(cand) > last:
+                            return None  # spread over several blocks
+                        if y not in omap:
+                            omap[y] = e
+                            queue.append(y)
+                        elif omap[y] != e:
+                            return None
+                        cols[n] = {i - first: a for i, a in cand.items()}
+        if len(omap) != len(c.objects):
+            raise ValueError("source category is not connected; "
+                             "the extension is not determined")
+        mats = {(x, y): Matrix.from_sparse_cols(
+                    c.field, [cols[n] for n in names],
+                    d.dim(omap[x], omap[y]))
+                for (x, y), names in c.hom.items() if names}
+        h = LinFunctor(c, d, omap, mats)  # fills in the zero-column blocks
+        if validate_functor(h):
+            return None
+        if not functor_equal(functor_compose(g, h), self.jf):
+            return None
+        return h
+
+
 def extend_morphism(f: LinFunctor, g: LinFunctor, j: LinFunctor,
                     x0: str, d0: str) -> Optional[LinFunctor]:
     """The unique H with H(x0) = d0 and G∘H = J∘F, or None.
 
-    Seeds the object map at x0 and propagates through star solves: the
-    image of a basis morphism out of a mapped object must lie in a single
-    fibre block, which pins down the image of the neighbouring object.
-    After propagation every matrix entry is recovered by solving inside
-    its block, then functoriality and G∘H = J∘F are verified globally
-    (propagation alone guarantees uniqueness, not existence).
+    G must be a covering (every caller checks this); a star block of G
+    that propagation needs and that is not bijective raises ValueError.
+
+    Rigidity: once H(x) is known, a basis morphism n out of or into x
+    has H(n) inside G's star block at H(x) towards the fibre of the
+    neighbour's image, and G maps that block bijectively, so H(n) is the
+    star inverse applied to JF(n).  It must lie in a single fibre block,
+    which names the neighbour's image; a spread or a conflict with an
+    earlier assignment means no H exists.  Propagation from x0 thus
+    fixes every object and every matrix column of the only candidate;
+    functoriality and G∘H = J∘F are then verified globally (propagation
+    guarantees uniqueness, not existence).  The star inverses and J∘F do
+    not depend on the seed: aut1, hom_coverings and check_universal
+    build them once and share them across their seeds.
     """
-    c, d, base = f.source, g.source, f.target
-    if g.target != base or j.source != base or j.target != base:
-        raise ValueError("functors do not share the base category")
-    if any(j.object_map[x] != x for x in base.objects):
-        raise ValueError("J must fix objects")
-    if not functor_is_isomorphism(j):
-        raise ValueError("J must be an isomorphism")
-    if x0 not in c.objects or d0 not in d.objects:
-        raise ValueError("unknown seed objects")
-    if g.object_map[d0] != f.object_map[x0]:
-        raise ValueError(f"seed mismatch: G({d0}) != F({x0}) on the base")
-
-    def jf_vector(name: str, x: str, y: str) -> list:
-        comb = j.apply(f.apply_name(name))
-        return base.vector(comb, f.object_map[x], f.object_map[y])
-
-    def locate_block(x: str, y: str, direction: str) -> Optional[str]:
-        """Which fibre object over F(y) receives hom(x, y) (or emits
-        hom(y, x)) given the image of x; None on a spread or a miss."""
-        names = c.hom[(x, y)] if direction == "out" else c.hom[(y, x)]
-        first = names[0]
-        if direction == "out":
-            vec = jf_vector(first, x, y)
-        else:
-            vec = jf_vector(first, y, x)
-        m = _star_matrix(g, omap[x], f.object_map[y], direction)
-        sol = solve(m, vec)
-        if sol is None:
-            return None
-        blocks = fibre(g, f.object_map[y])
-        found = None
-        pos = 0
-        for e in blocks:
-            width = d.dim(omap[x], e) if direction == "out" else d.dim(e, omap[x])
-            if any(not s.is_zero() for s in sol[pos:pos + width]):
-                if found is not None:
-                    return None
-                found = e
-            pos += width
-        return found
-
-    omap = {x0: d0}
-    queue = [x0]
-    while queue:
-        x = queue.pop(0)
-        for y in c.objects:
-            for direction in ("out", "in"):
-                names = c.hom[(x, y)] if direction == "out" else c.hom[(y, x)]
-                if not names:
-                    continue
-                e = locate_block(x, y, direction)
-                if e is None:
-                    return None
-                if y in omap:
-                    if omap[y] != e:
-                        return None
-                else:
-                    omap[y] = e
-                    queue.append(y)
-    if len(omap) != len(c.objects):
-        raise ValueError("source category is not connected; "
-                         "the extension is not determined")
-
-    mats = {}
-    for (x, y), names in c.hom.items():
-        block = g.matrices[(omap[x], omap[y])]
-        cols = []
-        for n in names:
-            sol = solve(block, jf_vector(n, x, y))
-            if sol is None:
-                return None
-            cols.append(sol)
-        mats[(x, y)] = Matrix.from_cols(c.field, cols, nrows=block.cols)
-    h = LinFunctor(c, d, omap, mats)
-    if validate_functor(h):
-        return None
-    if not functor_equal(functor_compose(g, h), functor_compose(j, f)):
-        return None
-    return h
+    return _Extension(f, g, j).extend(x0, d0)
 
 
 @dataclass
@@ -255,7 +279,9 @@ class CoveringGroup:
 
 def aut1(f: LinFunctor) -> CoveringGroup:
     """All deck transformations of a covering with connected source,
-    found by seeding the first object x0 over its fibre.
+    found by seeding the first object x0 over its fibre.  f must be a
+    covering (see extend_morphism); J∘F and the star inverses are built
+    once and shared by every seed.
 
     The table rests on rigidity: a deck transformation is the unique
     extension of its seed image h(x0), so
@@ -270,10 +296,10 @@ def aut1(f: LinFunctor) -> CoveringGroup:
         raise ValueError("covering source is not connected")
     x0 = c.objects[0]
     fib = tuple(fibre(f, f.object_map[x0]))
-    j = identity_functor(f.target)
+    ext = _Extension(f, f, identity_functor(f.target))
     functors: dict[str, LinFunctor] = {}
     for d0 in fib:  # x0 comes first: fibres keep declaration order
-        h = extend_morphism(f, f, j, x0, d0)
+        h = ext.extend(x0, d0)
         if h is None and d0 == x0:
             raise ValueError("identity extension failed; input is not a covering")
         if h is not None:

@@ -33,12 +33,16 @@ class FieldSpec:
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise ValueError(
                 f"characteristic must be 0 or a prime, got {self.characteristic}")
+        # Scalars are immutable, so every caller can share the constants
+        q = self.characteristic == 0
+        object.__setattr__(self, "_zero", Scalar(self, Fraction(0) if q else 0))
+        object.__setattr__(self, "_one", Scalar(self, Fraction(1) if q else 1))
 
     def zero(self) -> "Scalar":
-        return Scalar(self, Fraction(0) if self.characteristic == 0 else 0)
+        return self._zero
 
     def one(self) -> "Scalar":
-        return Scalar(self, Fraction(1) if self.characteristic == 0 else 1)
+        return self._one
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, or decimal string into this field."""
@@ -174,6 +178,18 @@ class Matrix:
         return Matrix(field, r, c, tuple(ent))
 
     @staticmethod
+    def from_sparse_cols(field: FieldSpec, cols: Sequence[dict],
+                         nrows: int) -> "Matrix":
+        """The nrows-row matrix with these sparse raw columns
+        {row: value}."""
+        c = len(cols)
+        ent = [field.zero()] * (nrows * c)
+        for j, col in enumerate(cols):
+            for i, a in col.items():
+                ent[i * c + j] = Scalar(field, a)
+        return Matrix(field, nrows, c, tuple(ent))
+
+    @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
         ent = [field.zero()] * (n * n)
         for i in range(n):
@@ -195,6 +211,12 @@ class Matrix:
 
     def row_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
+
+    def sparse_cols(self) -> list[dict]:
+        """The columns as sparse raw vectors {row: value}."""
+        c, ent = self.cols, self.entries
+        return [{i: ent[i * c + j].value for i in range(self.rows)
+                 if ent[i * c + j].value} for j in range(c)]
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -457,6 +479,21 @@ def inverse(m: Matrix) -> Optional[Matrix]:
         ent.extend(dense(m.field, {j - n: a for j, a in row.items()
                                    if j >= n}, n))
     return Matrix(m.field, n, n, tuple(ent))
+
+
+class SparseMap:
+    """A matrix kept as sparse raw columns, applied to sparse raw vectors
+    {index: value} with its field's operations chosen once."""
+
+    def __init__(self, m: Matrix):
+        self.cols = m.sparse_cols()
+        self._axpy = _field_ops(m.field.characteristic)[1]
+
+    def __call__(self, vec: dict) -> dict:
+        out: dict = {}
+        for k, a in vec.items():
+            self._axpy(out, -a, self.cols[k])
+        return out
 
 
 def column_space_basis(field: FieldSpec, vectors: Iterable[Sequence[Scalar]],

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .covering import (CoveringGroup, aut1, check_covering, extend_morphism,
+from .covering import (CoveringGroup, _Extension, aut1, check_covering,
                        fibre, galois_obstruction)
 from .exactlinalg import Matrix
 from .groups import Group
@@ -251,10 +251,10 @@ def _hom_coverings(u: LinFunctor, f: LinFunctor
     gu = _galois_group(u)
     _galois_group(f)
     u0 = u.source.objects[0]
-    j = identity_functor(u.target)
+    ext = _Extension(u, f, identity_functor(u.target))
     out = []
     for c0 in fibre(f, u.object_map[u0]):
-        h = extend_morphism(u, f, j, u0, c0)
+        h = ext.extend(u0, c0)
         if h is not None:
             out.append(h)
     return out, gu
@@ -316,6 +316,7 @@ def check_universal(u: LinFunctor, family: list[LinFunctor]) -> UniversalReport:
     """Relative universality: for every covering in the family and every
     compatible seed pair, a morphism (H, 1) out of u exists (uniqueness
     per seed is forced by rigidity).  No claim is made beyond the family.
+    Family members must be coverings (see extend_morphism).
     """
     _galois_group(u)
     j = identity_functor(u.target)
@@ -324,9 +325,10 @@ def check_universal(u: LinFunctor, family: list[LinFunctor]) -> UniversalReport:
     for idx, f in enumerate(family):
         if f.target != u.target:
             raise ValueError(f"family member {idx} has a different base")
+        ext = _Extension(u, f, j)
         for u0 in u.source.objects:
             for c0 in fibre(f, u.object_map[u0]):
                 checked += 1
-                if extend_morphism(u, f, j, u0, c0) is None:
+                if ext.extend(u0, c0) is None:
                     violations.append((idx, u0, c0))
     return UniversalReport(not violations, checked, violations)

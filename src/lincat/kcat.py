@@ -267,22 +267,24 @@ class LinFunctor:
             if self.object_map[x] not in self.target.objects:
                 raise ValueError(f"object_map sends {x} to undeclared {self.object_map[x]}")
         mats = {}
-        for x in self.source.objects:
-            for y in self.source.objects:
-                pair = (x, y)
-                want_rows = self.target.dim(self.object_map[x], self.object_map[y])
-                want_cols = self.source.dim(x, y)
-                m = self.matrices.get(pair)
-                if m is None:
-                    if want_cols == 0:
-                        m = Matrix.zeros(self.source.field, want_rows, 0)
-                    else:
-                        raise ValueError(f"no matrix for hom{pair}")
-                if (m.rows, m.cols) != (want_rows, want_cols):
-                    raise ValueError(
-                        f"matrix for hom{pair} is {m.rows}x{m.cols}, "
-                        f"expected {want_rows}x{want_cols}")
-                mats[pair] = m
+        empty: dict[int, Matrix] = {}  # Matrix is immutable: shared blocks
+        omap, target_hom = self.object_map, self.target.hom
+        for pair, names in self.source.hom.items():  # x-major, like objects
+            want_rows = len(target_hom[(omap[pair[0]], omap[pair[1]])])
+            want_cols = len(names)
+            m = self.matrices.get(pair)
+            if m is None:
+                if want_cols:
+                    raise ValueError(f"no matrix for hom{pair}")
+                if want_rows not in empty:
+                    empty[want_rows] = Matrix.zeros(self.source.field,
+                                                    want_rows, 0)
+                m = empty[want_rows]
+            if (m.rows, m.cols) != (want_rows, want_cols):
+                raise ValueError(
+                    f"matrix for hom{pair} is {m.rows}x{m.cols}, "
+                    f"expected {want_rows}x{want_cols}")
+            mats[pair] = m
         self.matrices = mats
 
     @staticmethod
@@ -328,9 +330,13 @@ def functor_compose(g: LinFunctor, f: LinFunctor) -> LinFunctor:
         raise ValueError("functors not composable: middle categories differ")
     omap = {x: g.object_map[f.object_map[x]] for x in f.source.objects}
     mats = {}
-    for pair in f.matrices:
-        mid = (f.object_map[pair[0]], f.object_map[pair[1]])
-        mats[pair] = g.matrices[mid] @ f.matrices[pair]
+    for pair, m in f.matrices.items():
+        if not m.cols:
+            continue  # LinFunctor fills in the zero-column blocks
+        gm = g.matrices[(f.object_map[pair[0]], f.object_map[pair[1]])]
+        # a block with a zero dimension is the zero matrix of its shape
+        mats[pair] = gm @ m if gm.rows and m.rows else \
+            Matrix.zeros(m.field, gm.rows, m.cols)
     return LinFunctor(f.source, g.target, omap, mats)
 
 
@@ -360,7 +366,8 @@ def inverse_functor(f: LinFunctor) -> LinFunctor:
 
 
 def validate_functor(f: LinFunctor) -> list[Violation]:
-    """Unit preservation and functoriality on all composable basis pairs."""
+    """Unit preservation and functoriality on all composable basis pairs,
+    with each basis image computed once."""
     out: list[Violation] = []
     src, tgt = f.source, f.target
     for x in src.objects:
@@ -369,14 +376,23 @@ def validate_functor(f: LinFunctor) -> list[Violation]:
         if not comb_eq(img, want):
             out.append(Violation("functor-unit", (x,),
                                  f"F(id_{x}) = {comb_str(img)} ≠ id_{f.object_map[x]}"))
-    one = src.field.one()
-    for fn in src.basis_names():
-        y = src.target_of(fn)
-        for gn in src.basis_names():
-            if src.source_of(gn) != y:
-                continue
-            lhs = f.apply(src.comp_of(gn, fn))
-            rhs = compose(tgt, f.apply_name(gn), f.apply_name(fn))
+    names = src.basis_names()
+    image: dict[str, LinComb] = {}  # f.apply_name(n), read off the columns
+    for (x, y), pair_names in src.hom.items():
+        m = f.matrices[(x, y)]
+        rows = tgt.hom[(f.object_map[x], f.object_map[y])]
+        for j, n in enumerate(pair_names):
+            image[n] = {t: a for t, a in zip(rows, m.entries[j::m.cols])
+                        if a}
+    leaving: dict[str, list[str]] = {x: [] for x in src.objects}
+    for n in names:
+        leaving[src.source_of(n)].append(n)
+    for fn in names:
+        for gn in leaving[src.target_of(fn)]:
+            lhs: LinComb = {}
+            for n, s in src.comp.get((gn, fn), {}).items():
+                lhs = comb_add(lhs, comb_scale(s, image[n]))
+            rhs = compose(tgt, image[gn], image[fn])
             if not comb_eq(lhs, rhs):
                 out.append(Violation("functor-comp", (gn, fn),
                                      f"F({gn}∘{fn}) = {comb_str(lhs)} but "
@@ -539,7 +555,8 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
     cut at N requires every path of length in (N, 2N] to lie in that span;
     this is checked and TruncationError reports the first witness.  The
     surviving basis is greedy path-monomial: shortest paths first, then
-    declaration order.
+    declaration order.  A relation coefficient whose denominator p
+    divides raises ZeroDivisionError naming it.
     """
     n = p.length_bound
     paths = _enumerate_paths(p, 2 * n)

@@ -379,6 +379,67 @@ def test_extend_bad_seed_exit_2(workdir):
     assert "fibre" in err
 
 
+def test_present_coefficient_not_in_field_exit_2(workdir, tmp_path):
+    path = tmp_path / "third.txt"
+    path.write_text("vertices x\narrow u: x -> x\nrel 1/3 u*u*u\nbound 3\n")
+    code, out, err = run(workdir, "present", "--presentation", str(path),
+                         "--field", "3")
+    assert code == 2
+    assert out == ""
+    assert "1/3" in err and "Traceback" not in err
+    assert run(workdir, "present", "--presentation", str(path),
+               "--field", "5")[0] == 0
+
+
+@pytest.mark.parametrize("command", [
+    ("cover", "aut1"),
+    ("cover", "extend", "--to", "disconnected.json"),
+    ("cover", "lambda", "--to", "disconnected.json"),
+])
+def test_cover_disconnected_source_exit_2(workdir, tmp_path, command):
+    from lincat.fixtures import disconnected_double_kronecker
+    from lincat.formats import dump_path, functor_to_doc
+    from lincat.kcat import identity_functor
+    ident = identity_functor(disconnected_double_kronecker().category)
+    dump_path(tmp_path / "disconnected.json", functor_to_doc(ident))
+    code, out, err = run(tmp_path, *command, "--functor", "disconnected.json")
+    assert code == 2
+    assert out == ""
+    assert "connected" in err and "Traceback" not in err
+    code, out, _ = run(tmp_path, "galois", "check",
+                       "--functor", "disconnected.json")
+    assert code == 1
+    assert "not connected" in out
+
+
+def test_repeated_runs_do_not_accumulate_options(workdir):
+    for _ in range(2):
+        code, doc, _ = run_json(workdir, "grade", "induce", "--functor",
+                                "F0.json", "--fibre", "s=s1")
+        assert code == 0
+        assert doc["witnesses"]["fibre choice"] == {"s": "s1", "t": "t0"}
+    code, doc, _ = run_json(workdir, "grade", "induce", "--functor",
+                            "F0.json")
+    assert doc["witnesses"]["fibre choice"] == {"s": "s0", "t": "t0"}
+
+
+def test_argparse_rejection_exits_2(workdir, capsys):
+    for argv in (["cover", "nope"], ["h1"], ["present", "--presentation",
+                                             "p.txt", "--field", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+def test_lambda_bad_seed_exit_2(workdir):
+    code, out, err = run(workdir, "cover", "lambda", "--functor", "F0.json",
+                         "--to", "F0.json", "--image", "t0")
+    assert code == 2
+    assert out == ""
+    assert "seed mismatch" in err
+
+
 def test_json_error_rendering(workdir):
     code, out, err = run(workdir, "--json", "h1", "--cat", "missing.json")
     assert code == 2

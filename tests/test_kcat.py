@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from lincat.exactlinalg import FieldSpec, Matrix
 from lincat.fixtures import (F2, Q, cover_f0, cover_f2, cyclic_cover,
-                             disconnected_double_kronecker, identity_cover,
+                             discrete, disconnected_double_kronecker, identity_cover,
                              kronecker, kronecker_double, loop_square_zero,
                              square_base, square_cover, swap_functor)
-from lincat.kcat import (Arrow, LinCat, QuiverPresentation, TruncationError,
-                         comb_eq, compose, functor_compose, functor_equal,
-                         functor_from_arrows, functor_is_isomorphism,
-                         identity_functor, inverse_functor, is_connected,
-                         present, validate_category, validate_functor)
+from lincat.kcat import (Arrow, LinCat, LinFunctor, QuiverPresentation,
+                         TruncationError, comb_eq, compose, functor_compose,
+                         functor_equal, functor_from_arrows,
+                         functor_is_isomorphism, identity_functor,
+                         inverse_functor, is_connected, present,
+                         validate_category, validate_functor)
 
 
 # -- validate_category -------------------------------------------------------
@@ -114,12 +115,77 @@ def test_functor_violation_detected():
     assert any(v.kind == "functor-unit" for v in validate_functor(bad))
 
 
+def reference_validate_functor(f):
+    """validate_functor as it was: one apply per composable basis pair,
+    found by scanning every basis name."""
+    out = []
+    src, tgt = f.source, f.target
+    for x in src.objects:
+        img = f.apply(src.identity(x))
+        if not comb_eq(img, tgt.identity(f.object_map[x])):
+            out.append(("functor-unit", (x,)))
+    for fn in src.basis_names():
+        for gn in src.basis_names():
+            if src.source_of(gn) != src.target_of(fn):
+                continue
+            lhs = f.apply(src.comp_of(gn, fn))
+            rhs = compose(tgt, f.apply_name(gn), f.apply_name(fn))
+            if not comb_eq(lhs, rhs):
+                out.append(("functor-comp", (gn, fn)))
+    return out
+
+
+def scaled_cube_zero_loop():
+    """k[u]/(u^3) on the basis 1_x, u, w = u∘u/2: u∘u = 2w."""
+    comp = {("1_x", n): {n: 1} for n in ("1_x", "u", "w")}
+    comp.update({(n, "1_x"): {n: 1} for n in ("u", "w")})
+    comp[("u", "u")] = {"w": 2}
+    return LinCat.make(Q, ["x"], {("x", "x"): ["1_x", "u", "w"]}, comp,
+                       {"x": {"1_x": 1}})
+
+
+@pytest.mark.parametrize("u,w,valid", [
+    ({"u": 3}, {"w": 9}, True),
+    ({"u": 1, "w": 1}, {"w": 1}, True),
+    ({"u": 3}, {"w": 3}, False),
+    ({"w": 1}, {"w": 1}, False),
+])
+def test_validate_functor_matches_pairwise_reference(u, w, valid):
+    c = scaled_cube_zero_loop()
+    assert validate_category(c) == []
+    f = LinFunctor.on_basis(c, c, {"x": "x"},
+                            {"1_x": {"1_x": 1}, "u": u, "w": w})
+    found = validate_functor(f)
+    assert [(v.kind, v.where) for v in found] == \
+        reference_validate_functor(f)
+    assert (found == []) == valid
+
+
 def test_functor_composition_matches_pointwise():
     fix = cover_f0()
     sw = swap_functor(fix.total)
     comp = functor_compose(fix.functor, sw)
     # the index swap is a deck transformation of this covering
     assert functor_equal(comp, fix.functor)
+
+
+def test_functor_compose_through_zero_hom_spaces():
+    k = kronecker().category
+    d = discrete(n=2).category
+    kill = LinFunctor.on_basis(k, d, {"s": "o0", "t": "o1"},
+                               {"1_s": {"1_o0": 1}, "1_t": {"1_o1": 1}})
+    embed = LinFunctor.on_basis(d, k, {"o0": "s", "o1": "t"},
+                                {"1_o0": {"1_s": 1}, "1_o1": {"1_t": 1}})
+    for g, f in ((embed, kill), (kill, embed), (kill, identity_functor(k)),
+                 (identity_functor(d), kill)):
+        gf = functor_compose(g, f)
+        assert validate_functor(gf) == []
+        for (x, y), m in f.matrices.items():
+            mid = (f.object_map[x], f.object_map[y])
+            assert gf.matrices[(x, y)] == g.matrices[mid] @ m
+    # the arrows of k die in d: 2x0 after 0x2 is the 2x2 zero block
+    assert functor_compose(embed, kill).matrices[("s", "t")] == \
+        Matrix.zeros(Q, 2, 2)
 
 
 def test_swap_is_not_deck_for_asymmetric_cover():
