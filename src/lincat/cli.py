@@ -4,8 +4,11 @@ Every subcommand loads JSON documents (see docs/formats.md), runs one
 library operation, and prints a Report.  The text and JSON renderings
 carry the same verdicts; the exit code is 0 when every boolean verdict
 is true, 1 when one is false, and 2 on malformed or precondition-
-violating input.  LINCAT_COLOR ∈ {auto, always, never} controls ANSI
-color in the text rendering.
+violating input or an output path that cannot be written: run() turns
+every ValueError and OSError a handler raises into a one-line diagnostic
+on stderr, and lets any other exception propagate as a bug.
+LINCAT_COLOR ∈ {auto, always, never} controls ANSI color in the text
+rendering.
 """
 import argparse
 import functools
@@ -22,13 +25,13 @@ from .cohomology import delta, delta_injectivity_check, h1, is_inner, \
 from .covering import CoveringMorphism, aut1, check_covering, \
     extend_morphism, fibre, lambda_map
 from .exactlinalg import FieldSpec
-from .formats import FormatError, canonical_dumps, category_to_doc, \
-    functor_to_doc, grading_to_doc, group_to_doc, hwalk_to_doc, load_value
+from .formats import canonical_dumps, category_to_doc, functor_to_doc, \
+    grading_to_doc, group_to_doc, hwalk_to_doc, load_value
 from .galois import check_action, gset_analysis, hom_coverings, is_galois, \
     quotient, structure_iso, check_universal
 from .grading import induced_grading, is_connected_grading, regrade, smash, \
     validate_grading, validate_hwalk, walk_degree
-from .kcat import LinFunctor, TruncationError, identity_functor, present, \
+from .kcat import LinFunctor, identity_functor, present, \
     validate_category, validate_functor
 from .pi1pres import abelianization, bounded_order, pi1_presentation
 
@@ -74,8 +77,8 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-class InputError(Exception):
-    """Bad input at the command level; rendered on stderr with exit 2."""
+class InputError(ValueError):
+    """Bad input found by a handler; run() reports it with exit 2."""
 
 
 def _functor_witness(f: LinFunctor) -> dict:
@@ -139,14 +142,9 @@ def _cmd_validate(args, report: Report) -> None:
 
 def _cmd_present(args, report: Report) -> None:
     pres = load_value(args.presentation, "presentation")
-    try:
-        field = FieldSpec(args.field)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    field = FieldSpec(args.field)
     try:
         res = present(pres, field)
-    except TruncationError as e:
-        raise InputError(str(e)) from e
     except ZeroDivisionError as e:
         raise InputError(f"relation coefficient not in {field}: {e}") from e
     report.verdicts["objects"] = len(res.category.objects)
@@ -168,26 +166,12 @@ def _cmd_cover_check(args, report: Report) -> None:
 
 def _cmd_cover_aut1(args, report: Report) -> None:
     f = _load_covering(args.functor)
-    try:
-        grp = aut1(f)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    grp = aut1(f)
     report.verdicts["order"] = grp.order()
     report.verdicts["isomorphism type"] = grp.label()
     report.witnesses["elements"] = list(grp.group.elements)
     report.witnesses["table"] = group_to_doc(grp.group)["table"]
     report.witnesses["seed fibre"] = list(grp.seed_fibre)
-
-
-def _extend(f: LinFunctor, g: LinFunctor, x0: str,
-            d0: str) -> Optional[LinFunctor]:
-    """extend_morphism over the identity of the base; its refusals (a
-    source that is not connected, a seed outside the fibre) are bad
-    input."""
-    try:
-        return extend_morphism(f, g, identity_functor(f.target), x0, d0)
-    except ValueError as e:
-        raise InputError(str(e)) from e
 
 
 def _cmd_cover_extend(args, report: Report) -> None:
@@ -205,7 +189,7 @@ def _cmd_cover_extend(args, report: Report) -> None:
                 f"{d0!r} is not in the fibre over {f.object_map[x0]!r}")
     else:
         d0 = fibre(g, f.object_map[x0])[0]
-    h = _extend(f, g, x0, d0)
+    h = extend_morphism(f, g, identity_functor(f.target), x0, d0)
     report.verdicts["extends"] = h is not None
     report.messages.append(f"seed {x0} -> {d0}")
     if h is not None:
@@ -220,15 +204,11 @@ def _cmd_cover_lambda(args, report: Report) -> None:
     x0 = f.source.objects[0]
     d0 = args.image if args.image is not None \
         else fibre(g, f.object_map[x0])[0]
-    h = _extend(f, g, x0, d0)
+    h = extend_morphism(f, g, identity_functor(f.target), x0, d0)
     if h is None:
         raise InputError("no morphism between the coverings from "
                          f"seed {x0} -> {d0}")
-    try:
-        res = lambda_map(CoveringMorphism(h, identity_functor(f.target)),
-                         f, g)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    res = lambda_map(CoveringMorphism(h, identity_functor(f.target)), f, g)
     report.verdicts["surjective"] = res.surjective
     report.verdicts["kernel matches deck group of the morphism"] = \
         res.kernel_matches_h_group
@@ -253,10 +233,7 @@ def _cmd_galois_check(args, report: Report) -> None:
 
 def _cmd_galois_quotient(args, report: Report) -> None:
     action = load_value(args.action, "action")
-    try:
-        res = quotient(action)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    res = quotient(action)
     report.verdicts["objects"] = len(res.quotient.objects)
     report.verdicts["projection deck group"] = res.deck_group.label()
     report.witnesses["orbit representatives"] = dict(
@@ -266,10 +243,7 @@ def _cmd_galois_quotient(args, report: Report) -> None:
 
 def _cmd_galois_structure(args, report: Report) -> None:
     f = _load_covering(args.functor)
-    try:
-        res = structure_iso(f)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    res = structure_iso(f)
     report.verdicts["factors through the quotient"] = res.ok()
     report.messages.extend(res.problems)
     report.witnesses["isomorphism"] = _functor_witness(res.iso)
@@ -278,10 +252,7 @@ def _cmd_galois_structure(args, report: Report) -> None:
 def _cmd_galois_homs(args, report: Report) -> None:
     u = _load_covering(args.functor)
     f = _load_covering(args.to)
-    try:
-        homs = hom_coverings(u, f)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    homs = hom_coverings(u, f)
     report.verdicts["morphisms"] = len(homs)
     report.witnesses["object maps"] = [
         _functor_witness(h)["object_map"] for h in homs]
@@ -290,10 +261,7 @@ def _cmd_galois_homs(args, report: Report) -> None:
 def _cmd_galois_universal(args, report: Report) -> None:
     u = _load_covering(args.functor)
     family = [_load_covering(p) for p in args.family]
-    try:
-        res = check_universal(u, family)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    res = check_universal(u, family)
     report.verdicts["universal for the family"] = res.ok
     report.verdicts["seed pairs checked"] = res.pairs_checked
     if res.violations:
@@ -303,10 +271,7 @@ def _cmd_galois_universal(args, report: Report) -> None:
 def _cmd_galois_gset(args, report: Report) -> None:
     u = _load_covering(args.functor)
     f = _load_covering(args.to)
-    try:
-        res = gset_analysis(u, f)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    res = gset_analysis(u, f)
     report.verdicts["transitive"] = res.transitive
     report.verdicts["isotropy normal"] = res.isotropy_normal
     report.verdicts["orbit-stabilizer count"] = res.orbit_stabilizer_ok
@@ -320,10 +285,7 @@ def _cmd_grade_induce(args, report: Report) -> None:
     for b in f.target.objects:
         if b not in choice:
             choice[b] = fibre(f, b)[0]
-    try:
-        z = induced_grading(f, choice)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    z = induced_grading(f, choice)
     report.verdicts["group order"] = z.group.order()
     report.verdicts["group"] = z.group.label()
     report.witnesses["fibre choice"] = dict(sorted(choice.items()))
@@ -343,10 +305,7 @@ def _cmd_grade_regrade(args, report: Report) -> None:
     shift = _parse_assignments(args.shift, "--shift")
     for x in z.category.objects:
         shift.setdefault(x, z.group.identity)
-    try:
-        z2 = regrade(z, shift)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    z2 = regrade(z, shift)
     report.verdicts["group"] = z2.group.label()
     report.witnesses["degrees"] = _pairs_to_nested(z2.degrees)
     _write_doc(args.out, grading_to_doc(z2), report)
@@ -354,10 +313,7 @@ def _cmd_grade_regrade(args, report: Report) -> None:
 
 def _cmd_grade_connected(args, report: Report) -> None:
     z = load_value(args.grading, "grading")
-    try:
-        res = is_connected_grading(z)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    res = is_connected_grading(z)
     report.verdicts["connected"] = res.connected
     if res.missing:
         report.witnesses["unreached"] = [list(p) for p in res.missing]
@@ -371,10 +327,7 @@ def _cmd_grade_connected(args, report: Report) -> None:
 
 def _cmd_grade_smash(args, report: Report) -> None:
     z = load_value(args.grading, "grading")
-    try:
-        res = smash(z.category, z)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    res = smash(z.category, z)
     report.verdicts["objects"] = len(res.category.objects)
     report.witnesses["object pairs"] = {
         name: list(pair) for name, pair in sorted(res.object_pairs.items())}
@@ -403,10 +356,7 @@ def _cmd_h1(args, report: Report) -> None:
 def _cmd_delta(args, report: Report) -> None:
     z = load_value(args.grading, "grading")
     chi = load_value(args.character, "character")
-    try:
-        d = delta(z.category, z, chi)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    d = delta(z.category, z, chi)
     inner = is_inner(d)
     report.verdicts["derivation"] = True
     report.verdicts["inner"] = "yes" if inner else "no"
@@ -417,19 +367,13 @@ def _cmd_delta(args, report: Report) -> None:
 
 def _cmd_delta_inj(args, report: Report) -> None:
     z = load_value(args.grading, "grading")
-    try:
-        ok = delta_injectivity_check(z.category, z)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    ok = delta_injectivity_check(z.category, z)
     report.verdicts["injective on characters"] = ok
 
 
 def _cmd_pi1(args, report: Report) -> None:
     pres = load_value(args.presentation, "presentation")
-    try:
-        res = pi1_presentation(pres, args.base)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    res = pi1_presentation(pres, args.base)
     grp = res.group
     report.verdicts["generators"] = len(grp.generators)
     report.verdicts["relators"] = len(grp.relators)
@@ -621,7 +565,7 @@ def run(argv: Optional[list[str]] = None,
     start = time.perf_counter()
     try:
         args.handler(args, report)
-    except (FormatError, InputError) as e:
+    except (ValueError, OSError) as e:
         if args.json:
             err.write(canonical_dumps({"error": str(e)}))
         else:

@@ -170,7 +170,8 @@ def derivation_space(c: LinCat) -> list[Derivation]:
         for x in c.objects:
             if not all(a.is_zero() for a in
                        (d.apply(c.identity(x)) or {}).values()):
-                raise RuntimeError(f"derivation does not kill identity of {x}")
+                raise ValueError("input is not a category: derivation does "
+                                 f"not kill identity of {x}")
         out.append(d)
     return out
 
@@ -229,11 +230,10 @@ def h1(c: LinCat) -> H1Result:
     ders = derivation_space(c)
     span = _inner_span(c)
     inner_dim = len(span)
-    if not ders:
-        return H1Result(0, 0, inner_dim, [])
     reps = [d for d in ders if span.add(_sparse_derivation(c, d))]
     if len(span) != len(ders):
-        raise RuntimeError("inner derivation outside the derivation space")
+        raise ValueError("input is not a category: inner derivation "
+                         "outside the derivation space")
     return H1Result(len(ders) - inner_dim, len(ders), inner_dim, reps)
 
 

@@ -209,9 +209,6 @@ class Matrix:
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def row_lists(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def sparse_cols(self) -> list[dict]:
         """The columns as sparse raw vectors {row: value}."""
         c, ent = self.cols, self.entries
@@ -245,14 +242,6 @@ class Matrix:
                         acc = acc + a * other.entries[k * other.cols + j]
                 ent.append(acc)
         return Matrix(self.field, self.rows, other.cols, tuple(ent))
-
-    def scale(self, s: Scalar) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(s * a for a in self.entries))
-
-    def transpose(self) -> "Matrix":
-        ent = tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows))
-        return Matrix(self.field, self.cols, self.rows, ent)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:

@@ -218,16 +218,6 @@ def square_cover(field: FieldSpec = F2,
     return CoverFixture("square-cover", total, base, f)
 
 
-def square_cover_swap(total: PresentResult) -> LinFunctor:
-    """Index-swap automorphism of the square double cover."""
-    omap = {f"{v}{i}": f"{v}{1 - i}" for v in "xyz" for i in range(2)}
-    images = {}
-    for name in "abgd":
-        for i in range(2):
-            images[f"{name}{i}"] = {f"{name}{1 - i}": 1}
-    return functor_from_arrows(total, total.category, omap, images)
-
-
 def loop_square_zero(field: FieldSpec = Q) -> PresentResult:
     """One object with a loop u and the relation u∘u = 0."""
     q = QuiverPresentation(

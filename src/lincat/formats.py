@@ -166,12 +166,13 @@ def _functor_core_to_doc(f: LinFunctor) -> dict:
 def _functor_core_from_doc(doc, source: LinCat, target: LinCat) -> LinFunctor:
     for key in ("object_map", "matrices"):
         _require(key in doc, f"functor misses {key!r}")
+    object_map = _object(doc["object_map"], "object_map")
     mats = {}
-    for x, row in doc["matrices"].items():
-        for y, m in row.items():
+    for x, row in _object(doc["matrices"], "matrices").items():
+        for y, m in _object(row, f"matrices[{x!r}]").items():
             mats[(x, y)] = matrix_from_doc(target.field, m)
     try:
-        return LinFunctor(source, target, dict(doc["object_map"]), mats)
+        return LinFunctor(source, target, dict(object_map), mats)
     except ValueError as e:
         raise FormatError(f"invalid functor: {e}") from e
 
@@ -206,10 +207,12 @@ def action_from_doc(doc) -> GroupAction:
         _require(key in doc, f"action misses {key!r}")
     cat = category_from_doc(doc["category"])
     grp = group_from_doc(doc["group"])
+    docs = _object(doc["functors"], "functors")
     functors = {}
     for s in grp.elements:
-        _require(s in doc["functors"], f"no functor for element {s!r}")
-        functors[s] = _functor_core_from_doc(doc["functors"][s], cat, cat)
+        _require(s in docs, f"no functor for element {s!r}")
+        functors[s] = _functor_core_from_doc(
+            _object(docs[s], f"functors[{s!r}]"), cat, cat)
     return GroupAction(grp, functors, cat)
 
 
@@ -233,13 +236,13 @@ def grading_from_doc(doc) -> Grading:
     cat = category_from_doc(doc["category"])
     grp = group_from_doc(doc["group"])
     basis = {}
-    for x, row in doc["basis"].items():
-        for y, m in row.items():
+    for x, row in _object(doc["basis"], "basis").items():
+        for y, m in _object(row, f"basis[{x!r}]").items():
             basis[(x, y)] = matrix_from_doc(cat.field, m)
     degrees = {}
-    for x, row in doc["degrees"].items():
-        for y, labels in row.items():
-            degrees[(x, y)] = tuple(labels)
+    for x, row in _object(doc["degrees"], "degrees").items():
+        for y, labels in _object(row, f"degrees[{x!r}]").items():
+            degrees[(x, y)] = _names(labels, f"degrees[{x!r}][{y!r}]")
     _require(set(basis) == set(degrees),
              "basis and degrees cover different hom pairs")
     return Grading(grp, cat, basis, degrees)
@@ -259,11 +262,12 @@ def character_from_doc(doc) -> Character:
         _require(key in doc, f"character misses {key!r}")
     field = field_from_doc(doc["field"])
     grp = group_from_doc(doc["group"])
-    _require(set(doc["values"]) == set(grp.elements),
+    values = _object(doc["values"], "values")
+    _require(set(values) == set(grp.elements),
              "value keys do not match the group elements")
     return Character(grp, field,
                      {s: scalar_from_doc(field, v)
-                      for s, v in doc["values"].items()})
+                      for s, v in values.items()})
 
 
 # -- presentations ------------------------------------------------------------------
@@ -296,7 +300,7 @@ def presentation_from_doc(doc) -> QuiverPresentation:
                                   int(doc["length_bound"]))
     except (KeyError, TypeError) as e:
         raise FormatError(f"bad presentation: {e}") from e
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise FormatError(f"invalid presentation: {e}") from e
 
 
@@ -347,8 +351,12 @@ def presentation_from_text(text: str) -> QuiverPresentation:
                 sign = -1 if m.group(1) == "-" else 1
                 if terms == [] and m.group(1) == "-":
                     sign = -1
-                coeff = Fraction(m.group(2).strip()) if m.group(2) \
-                    else Fraction(1)
+                try:
+                    coeff = Fraction(m.group(2).strip()) if m.group(2) \
+                        else Fraction(1)
+                except ZeroDivisionError as e:
+                    raise FormatError(f"line {ln}: zero denominator in "
+                                      f"{m.group(2).strip()!r}") from e
                 path = tuple(m.group(3).split("*"))
                 terms.append((sign * coeff, path))
                 pos += m.end()

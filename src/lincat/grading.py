@@ -41,29 +41,14 @@ class Grading:
         col = self.basis[(x, y)].col(j)
         return self.category.comb_of_vector(list(col), x, y)
 
-    def express(self, comb: LinComb, x: str, y: str) -> list:
-        """Coordinates of a declared-basis combination in the homogeneous
-        basis of hom(x,y)."""
-        inv = inverse(self.basis[(x, y)])
-        if inv is None:
-            raise ValueError(f"change of basis for hom({x},{y}) is singular")
-        return inv.apply(self.category.vector(comb, x, y))
-
     def component_columns(self, x: str, y: str, s: str) -> list[int]:
         return [j for j, d in enumerate(self.degrees[(x, y)]) if d == s]
 
 
 def trivial_grading(c: LinCat, group: Optional[Group] = None) -> Grading:
     """Everything in the identity component."""
-    grp = group if group is not None else trivial_group()
-    basis = {}
-    degrees = {}
-    for pair, names in c.hom.items():
-        if not names:
-            continue
-        basis[pair] = Matrix.identity(c.field, len(names))
-        degrees[pair] = tuple(grp.identity for _ in names)
-    return Grading(grp, c, basis, degrees)
+    return grading_on_basis(
+        c, group if group is not None else trivial_group(), {})
 
 
 def grading_on_basis(c: LinCat, group: Group,
@@ -190,6 +175,9 @@ def induced_grading(f: LinFunctor, fibre_choice: dict[str, str]) -> Grading:
 def regrade(z: Grading, t: dict[str, str]) -> Grading:
     """Same homogeneous basis; the label s of a (b -> c)-element becomes
     t_c·s·t_b⁻¹."""
+    problems = validate_grading(z)
+    if problems:
+        raise ValueError(problems[0])
     grp = z.group
     for x in z.category.objects:
         if t.get(x) not in grp.elements:

@@ -35,12 +35,6 @@ def comb_add(a: LinComb, b: LinComb) -> LinComb:
 def comb_scale(s: Scalar, a: LinComb) -> LinComb:
     return comb_normalize({n: s * v for n, v in a.items()})
 
-def comb_sub(a: LinComb, b: LinComb) -> LinComb:
-    out = dict(a)
-    for n, s in b.items():
-        out[n] = out[n] - s if n in out else -s
-    return comb_normalize(out)
-
 def comb_eq(a: LinComb, b: LinComb) -> bool:
     return comb_normalize(a) == comb_normalize(b)
 
@@ -478,6 +472,8 @@ class QuiverPresentation:
         for a in self.arrows:
             if a.source not in vset or a.target not in vset:
                 raise ValueError(f"arrow {a.name} references an undeclared vertex")
+            if not a.name:
+                raise ValueError("empty arrow name")
             if "*" in a.name or any(ch.isspace() for ch in a.name):
                 raise ValueError(f"arrow name {a.name!r} may not contain '*' or spaces")
             if a.name[0].isdigit() or a.name[0] in "+-":

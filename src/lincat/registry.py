@@ -116,6 +116,10 @@ def fixture_files(name: str) -> FixtureSet:
             raise KeyError(f"cyclic cover needs n >= 1, got {n}")
         fixture = fx.identity_cover() if n == 1 else fx.cyclic_cover(n)
         return _cover(fixture, f"{name}.json")
+    if name == "cyclic-cover-n":
+        raise KeyError("'cyclic-cover-n' is a template: pass "
+                       "cyclic-cover-<n> with n >= 1, for example "
+                       "cyclic-cover-4")
     if name not in _REGISTRY:
         raise KeyError(f"unknown fixture {name!r}; "
                        f"known: {', '.join(fixture_names())}")

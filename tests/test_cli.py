@@ -447,6 +447,91 @@ def test_json_error_rendering(workdir):
     assert json.loads(err)["error"]
 
 
+def _edited(workdir, tmp_path, name, edit):
+    doc = json.loads((workdir / name).read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / f"edited-{name}"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_h1_on_non_category_exit_2(workdir, tmp_path):
+    def break_unit(d):
+        d["comp"]["1_y"]["a"]["a"] = "0 mod 2"
+    path = _edited(workdir, tmp_path, "gdlp-base.json", break_unit)
+    code, out, _ = run(workdir, "validate", "--cat", path)
+    assert code == 1 and "unit-left" in out
+    code, out, err = run(workdir, "h1", "--cat", path)
+    assert code == 2
+    assert out == ""
+    assert "not a category" in err and "Traceback" not in err
+
+
+def test_library_refusal_exit_2(workdir, tmp_path):
+    # refusals raised past the handlers: a bad coset bound, and a
+    # composite outside the category that only validation reaches
+    code, out, err = run(workdir, "pi1", "--presentation", "gdlp-R.txt",
+                         "--base", "x", "--max-cosets", "0")
+    assert code == 2 and out == ""
+    assert err == "error: max_cosets must be at least 1\n"
+
+    def bad_comp(d):
+        d["category"]["comp"]["1_t"]["1_t"] = {"a": "1 mod 2"}
+    path = _edited(workdir, tmp_path, "smash-grading.json", bad_comp)
+    code, out, err = run(workdir, "grade", "validate", "--grading", path)
+    assert code == 2 and out == ""
+    assert err == "error: a is not in hom(t,t)\n"
+
+
+def test_unwritable_output_exit_2(workdir, tmp_path):
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run(workdir, "grade", "smash", "--grading",
+                         "smash-grading.json", "--out", str(missing))
+    assert code == 2 and out == ""
+    assert "No such file or directory" in err
+    assert len(err.splitlines()) == 1
+    code, out, err = run(workdir, "--json", "fixtures", "kronecker",
+                         "--dir", str(workdir / "F0.json"))
+    assert code == 2 and out == ""
+    assert "File exists" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command,name,edit,fragment", [
+    (("cover", "check", "--functor"), "F0.json",
+     lambda d: d["matrices"].update(t1=None), "matrices"),
+    (("cover", "aut1", "--functor"), "F0.json",
+     lambda d: d["matrices"].update(t1=None), "matrices"),
+    (("galois", "check", "--functor"), "F0.json",
+     lambda d: d["matrices"].update(t1=None), "matrices"),
+    (("grade", "induce", "--functor"), "F0.json",
+     lambda d: d["matrices"].update(t1=None), "matrices"),
+    (("validate", "--functor"), "F0.json",
+     lambda d: d["matrices"].update(t1=None), "matrices"),
+    (("grade", "validate", "--grading"), "smash-grading.json",
+     lambda d: d["degrees"].update(t=None), "degrees"),
+    (("delta", "--grading", "smash-grading.json", "--character"),
+     "smash-character.json", lambda d: d.update(values=5), "values"),
+    (("galois", "quotient", "--action"), "swap-action.json",
+     lambda d: d["functors"]["g"]["matrices"].update(s1=5), "matrices"),
+])
+def test_mistyped_functor_grading_character_action_exit_2(
+        workdir, tmp_path, command, name, edit, fragment):
+    path = _edited(workdir, tmp_path, name, edit)
+    code, out, err = run(workdir, *command, path)
+    assert code == 2
+    assert out == ""
+    assert fragment in err and "Traceback" not in err
+
+
+def test_fixture_template_name_exit_2():
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(["fixtures", "cyclic-cover-n"], stdout=out, stderr=err)
+    assert code == 2
+    assert "unknown fixture" not in err.getvalue()
+    assert "template" in err.getvalue()
+    assert "cyclic-cover-4" in err.getvalue()
+
+
 # -- rendering details ----------------------------------------------------------
 
 def test_color_modes(workdir, monkeypatch):

@@ -1,0 +1,251 @@
+"""Fuzz test of the command-line contract.
+
+Every emitted fixture document (text presentations converted to their
+JSON form) is mutated once: a string is replaced by another string, a
+subtree by a value of another JSON type, or a key is deleted.  Each
+subcommand that reads that kind of document then runs in process
+through cli.run(["--json", ...]).  Whatever the input, no exception
+escapes run(), the exit code is 0, 1 or 2, no traceback is printed, and
+exit 1 comes only with a false boolean verdict.  A second test fuzzes
+option values the same way.  The examples pin inputs that once escaped
+run() as tracebacks.
+"""
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from lincat import cli, registry
+from lincat.formats import presentation_from_text, presentation_to_doc
+
+
+def _fixture_documents() -> dict[str, dict]:
+    docs = {}
+    for name in registry.fixture_names():
+        if name == "cyclic-cover-n":
+            name = "cyclic-cover-2"
+        for filename, content in registry.fixture_files(name).items():
+            if isinstance(content, str):
+                content = presentation_to_doc(presentation_from_text(content))
+                filename = filename.replace(".txt", ".json")
+            docs[filename] = content
+    return docs
+
+
+DOCS = _fixture_documents()
+
+# P is the mutated document; the other files are the unmutated fixtures
+COMMANDS = {
+    "category": [["validate", "--cat", "P"], ["h1", "--cat", "P"]],
+    "functor": [
+        ["validate", "--functor", "P"],
+        ["cover", "check", "--functor", "P"],
+        ["cover", "aut1", "--functor", "P"],
+        ["cover", "extend", "--functor", "P", "--to", "P"],
+        ["cover", "lambda", "--functor", "P", "--to", "P"],
+        ["galois", "check", "--functor", "P"],
+        ["galois", "structure", "--functor", "P"],
+        ["galois", "homs", "--functor", "P", "--to", "P"],
+        ["galois", "universal", "--functor", "P", "--family", "P"],
+        ["galois", "gset", "--functor", "P", "--to", "P"],
+        ["grade", "induce", "--functor", "P"],
+    ],
+    "action": [["validate", "--action", "P"],
+               ["galois", "quotient", "--action", "P"]],
+    "grading": [
+        ["validate", "--grading", "P"],
+        ["grade", "validate", "--grading", "P"],
+        ["grade", "regrade", "--grading", "P"],
+        ["grade", "connected", "--grading", "P"],
+        ["grade", "smash", "--grading", "P"],
+        ["delta", "--grading", "P", "--character", "smash-character.json"],
+        ["delta-inj", "--grading", "P"],
+    ],
+    "character": [
+        ["validate", "--character", "P"],
+        ["delta", "--grading", "smash-grading.json", "--character", "P"],
+    ],
+    "presentation": [
+        ["validate", "--presentation", "P"],
+        ["present", "--presentation", "P"],
+        ["present", "--presentation", "P", "--field", "2"],
+        ["pi1", "--presentation", "P", "--base", "BASE"],
+    ],
+}
+
+# values of every JSON type; a replacement takes one of another type
+OTHER_VALUES = [None, True, 0, 7, -1, 2.5, "", "x", [], ["x"], [[]], {},
+                {"x": "1"}]
+ODD_STRINGS = ["", "0", "1/0", "2 mod 3", "-1", "zz", "1_zz"]
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for filename, doc in DOCS.items():
+        (d / filename).write_text(json.dumps(doc), encoding="utf-8")
+    return d
+
+
+def _json_type(v) -> str:
+    return "bool" if isinstance(v, bool) else \
+        "number" if isinstance(v, (int, float)) else type(v).__name__
+
+
+def _nodes(doc, path=()):
+    """(path, value) for every node below the root."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+def _strings(doc) -> list[str]:
+    return sorted({v for _, v in _nodes(doc) if isinstance(v, str)} |
+                  {k for p, _ in _nodes(doc) for k in p
+                   if isinstance(k, str)})
+
+
+@st.composite
+def mutations(draw):
+    filename = draw(st.sampled_from(sorted(DOCS)))
+    doc = DOCS[filename]
+    path, value = draw(st.sampled_from(list(_nodes(doc))))
+    ops = ["replace"]
+    if isinstance(value, str):
+        ops.append("string")
+    if isinstance(path[-1], str):
+        ops.append("delete")
+    op = draw(st.sampled_from(ops))
+    if op == "string":
+        return filename, path, "replace", draw(
+            st.sampled_from(ODD_STRINGS + _strings(doc)))
+    if op == "delete":
+        return filename, path, "delete", None
+    return filename, path, "replace", draw(st.sampled_from(
+        [v for v in OTHER_VALUES if _json_type(v) != _json_type(value)]))
+
+
+def _mutate(doc, path, op, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _check_contract(workdir, argv):
+    out, err = io.StringIO(), io.StringIO()
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    code = cli.run(["--json"] + argv, stdout=out, stderr=err)
+    shown = f"{argv}: exit {code}\n{out.getvalue()}{err.getvalue()}"
+    assert code in (0, 1, 2), shown
+    assert "Traceback" not in out.getvalue() + err.getvalue(), shown
+    if code == 2:
+        assert out.getvalue() == "", shown
+        assert json.loads(err.getvalue())["error"], shown
+        return
+    verdicts = json.loads(out.getvalue())["verdicts"]
+    assert (code == 1) == any(v is False for v in verdicts.values()), shown
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=mutations())
+# a unit axiom broken: h1 reached an internal consistency check
+@example(mutation=("gdlp-base.json", ("comp", "1_y", "a", "a"), "replace",
+                   "0 mod 2"))
+# a composite outside the category, found only while validating a grading
+@example(mutation=("smash-grading.json", ("category", "comp", "1_t", "1_t"),
+                   "replace", {"a": "1 mod 2"}))
+# mistyped functor, grading, character and action documents
+@example(mutation=("F0.json", ("matrices", "t1"), "replace", None))
+@example(mutation=("smash-grading.json", ("degrees", "t"), "replace", None))
+@example(mutation=("smash-character.json", ("values",), "replace", 5))
+@example(mutation=("swap-action.json", ("functors", "g", "matrices", "s1"),
+                   "replace", 5))
+# a zero denominator, an empty arrow name, a degree outside the group
+@example(mutation=("gdlp-R.json", ("relations", 1, 0, "coeff"), "replace",
+                   "1/0"))
+@example(mutation=("kronecker-quiver.json", ("arrows", 1, "name"), "replace",
+                   ""))
+@example(mutation=("smash-grading.json", ("degrees", "s", "t", 0), "replace",
+                   "zz"))
+def test_mutated_documents_keep_the_exit_code_contract(fuzzdir, mutation):
+    filename, path, op, value = mutation
+    original = DOCS[filename]
+    doc = _mutate(original, path, op, value)
+    target = fuzzdir / "mutated.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    base = (original.get("vertices") or ["x"])[0]
+    for argv in COMMANDS[original["kind"]]:
+        _check_contract(fuzzdir, [str(target) if a == "P" else
+                                  base if a == "BASE" else a for a in argv])
+
+
+# option values by name; OUT is a writable path, MISSING a path below a
+# directory that does not exist, FILE an existing file, DIR an existing
+# directory
+OPTION_VALUES = {
+    "--max-cosets": ["0", "-1", "1", "2"],
+    "--field": ["0", "1", "2", "4", "-3"],
+    "--base": ["x", "y", "zz", ""],
+    "--out": ["OUT", "MISSING", "DIR"],
+    "--dir": ["DIR", "FILE", "FILE/sub"],
+    "--fibre": ["s=s1", "s=t0", "zz=s0", "s=zz", "s", "=s0"],
+    "--shift": ["s=g", "s=zz", "zz=e", "s"],
+    "--object": ["s0", "t1", "zz"],
+    "--image": ["s0", "s1", "t0", "zz"],
+}
+OPTION_COMMANDS = [
+    ["pi1", "--presentation", "gdlp-R.json", "--base", "x",
+     "--max-cosets", "2"],
+    ["present", "--presentation", "gdlp-R.json", "--field", "0",
+     "--out", "OUT"],
+    ["galois", "quotient", "--action", "swap-action.json", "--out", "OUT"],
+    ["grade", "smash", "--grading", "smash-grading.json", "--out", "OUT"],
+    ["grade", "regrade", "--grading", "smash-grading.json", "--shift",
+     "s=g", "--out", "OUT"],
+    ["grade", "induce", "--functor", "F0.json", "--fibre", "s=s1",
+     "--out", "OUT"],
+    ["cover", "extend", "--functor", "F0.json", "--to", "F1.json",
+     "--object", "s0", "--image", "s1"],
+    ["cover", "lambda", "--functor", "cyclic-cover-2.json",
+     "--to", "cyclic-cover-2.json", "--image", "s1"],
+    ["fixtures", "kronecker", "--dir", "DIR"],
+]
+
+
+@st.composite
+def option_runs(draw):
+    argv = list(draw(st.sampled_from(OPTION_COMMANDS)))
+    flags = [i for i, a in enumerate(argv) if a in OPTION_VALUES]
+    for i in draw(st.lists(st.sampled_from(flags), min_size=1)):
+        argv[i + 1] = draw(st.sampled_from(OPTION_VALUES[argv[i]]))
+    return argv
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=option_runs())
+@example(argv=["pi1", "--presentation", "gdlp-R.json", "--base", "x",
+               "--max-cosets", "0"])
+@example(argv=["grade", "smash", "--grading", "smash-grading.json",
+               "--out", "MISSING"])
+@example(argv=["fixtures", "kronecker", "--dir", "FILE"])
+def test_option_values_keep_the_exit_code_contract(fuzzdir, tmp_path,
+                                                    argv):
+    where = {"OUT": str(tmp_path / "out.json"),
+             "MISSING": str(tmp_path / "missing" / "x.json"),
+             "FILE": str(fuzzdir / "F0.json"),
+             "FILE/sub": str(fuzzdir / "F0.json" / "sub"),
+             "DIR": str(tmp_path)}
+    _check_contract(fuzzdir, [where.get(a, a) for a in argv])

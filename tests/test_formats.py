@@ -158,12 +158,68 @@ def test_category_decoder_type_checks(edit, fragment):
     (lambda d: d["relations"][0][0].update(path=["g", 7]), "path"),
     (lambda d: d.update(vertices="xyz"), "vertices"),
     (lambda d: d.update(vertices=3), "vertices"),
+    (lambda d: d["relations"][0][0].update(coeff="1/0"),
+     "invalid presentation"),
+    (lambda d: d["arrows"][0].update(name=""), "empty arrow name"),
 ])
 def test_presentation_decoder_type_checks(edit, fragment):
     doc = fm.presentation_to_doc(square_base_quiver())
     edit(doc)
     with pytest.raises(fm.FormatError, match=fragment):
         fm.presentation_from_doc(doc)
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda d: d["matrices"].update(t1=None), r"matrices\['t1'\]"),
+    (lambda d: d["matrices"]["s1"].update(t1=5), "matrix"),
+    (lambda d: d.update(matrices=[]), "matrices"),
+    (lambda d: d.update(object_map="s0"), "object_map"),
+])
+def test_functor_decoder_type_checks(edit, fragment):
+    doc = reload(fm.functor_to_doc(cover_f0().functor))
+    edit(doc)
+    with pytest.raises(fm.FormatError, match=fragment):
+        fm.functor_from_doc(doc)
+
+
+def _smash_grading_doc():
+    return reload(fm.grading_to_doc(grading_on_basis(
+        kronecker(F2).category, cyclic_group(2), {"a": "e", "b": "g"})))
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda d: d["degrees"].update(t=None), r"degrees\['t'\]"),
+    (lambda d: d["degrees"]["s"].update(t="eg"), "degrees"),
+    (lambda d: d.update(degrees=[]), "degrees"),
+    (lambda d: d["basis"].update(s=5), r"basis\['s'\]"),
+    (lambda d: d.update(basis="s"), "basis"),
+])
+def test_grading_decoder_type_checks(edit, fragment):
+    doc = _smash_grading_doc()
+    edit(doc)
+    with pytest.raises(fm.FormatError, match=fragment):
+        fm.grading_from_doc(doc)
+
+
+@pytest.mark.parametrize("value", [5, None, ["e", "g"], "eg"])
+def test_character_decoder_type_checks(value):
+    doc = reload(fm.character_to_doc(characters(cyclic_group(2), F2)[0]))
+    doc["values"] = value
+    with pytest.raises(fm.FormatError, match="values"):
+        fm.character_from_doc(doc)
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda d: d["functors"]["g"]["matrices"].update(s1=5),
+     r"matrices\['s1'\]"),
+    (lambda d: d["functors"].update(g=None), r"functors\['g'\]"),
+    (lambda d: d.update(functors=["e", "g"]), "functors"),
+])
+def test_action_decoder_type_checks(edit, fragment):
+    doc = reload(fm.action_to_doc(swap_action()))
+    edit(doc)
+    with pytest.raises(fm.FormatError, match=fragment):
+        fm.action_from_doc(doc)
 
 
 # -- presentation text form -------------------------------------------------------
@@ -213,6 +269,8 @@ def test_text_form_comments_and_blank_lines():
     ("vertices x\narrow a: x -> x\nrel a @ a\nbound 1", "line 3"),
     ("vertices x\narrow a: x -> x\nrel a", "bound"),
     ("vertices x\narrow a: x -> x\nbound zero", "bound"),
+    ("vertices x\narrow a: x -> x\nrel 1/0 a*a\nbound 2",
+     "line 3: zero denominator"),
 ])
 def test_text_form_errors(text, fragment):
     with pytest.raises(fm.FormatError, match=fragment):
@@ -270,6 +328,14 @@ def test_unknown_fixture_rejected():
         registry.fixture_files("nope")
     with pytest.raises(KeyError, match="n >= 1"):
         registry.fixture_files("cyclic-cover-0")
+
+
+def test_cyclic_cover_template_name_explained():
+    # the listed name is a template; its refusal says how to fill it in
+    with pytest.raises(KeyError, match="template") as exc:
+        registry.fixture_files("cyclic-cover-n")
+    assert "unknown fixture" not in str(exc.value)
+    assert "cyclic-cover-4" in str(exc.value)
 
 
 def test_registry_names_cover_spectrum():

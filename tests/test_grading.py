@@ -145,6 +145,13 @@ def test_regrade_by_constant_family_conjugates():
     assert z2 == z
 
 
+def test_regrade_refuses_an_invalid_grading():
+    z = degree_grading()
+    z.degrees[("s", "t")] = ("zz",) + z.degrees[("s", "t")][1:]
+    with pytest.raises(ValueError, match="unknown degree labels"):
+        regrade(z, {"s": "e", "t": "e"})
+
+
 # -- walk degrees --------------------------------------------------------
 
 def test_walk_degree_examples():
