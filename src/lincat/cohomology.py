@@ -16,7 +16,8 @@ from typing import Optional
 from .exactlinalg import (EchelonBasis, FieldSpec, Matrix, Scalar, dense,
                           inverse, kernel_basis)
 from .groups import Group
-from .kcat import LinCat, LinComb, comb_add, comb_eq, compose
+from .kcat import (LinCat, LinComb, comb_add, comb_eq, compose,
+                   comp_range_violations)
 from .grading import Grading, is_connected_grading, validate_grading
 
 
@@ -101,7 +102,12 @@ def _layout(c: LinCat) -> tuple[dict[tuple[str, str], int], int]:
 
 
 def _products(c: LinCat) -> dict[tuple[str, str], list[tuple[int, object]]]:
-    """g∘f for every nonzero basis product, as (coordinate, raw value)."""
+    """g∘f for every nonzero basis product, as (coordinate, raw value).
+    A coordinate is a position in hom(source f, target g), so a term
+    outside that space is refused."""
+    bad = comp_range_violations(c)
+    if bad:
+        raise ValueError(f"input is not a category: {bad[0].detail}")
     pos = {n: i for names in c.hom.values() for i, n in enumerate(names)}
     return {key: [(pos[n], s.value) for n, s in comb.items()]
             for key, comb in c.comp.items()}

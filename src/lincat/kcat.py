@@ -190,9 +190,8 @@ def compose(c: LinCat, g: LinComb, f: LinComb) -> LinComb:
     return comb_normalize(out)
 
 
-def validate_category(c: LinCat) -> list[Violation]:
-    """Axiom check: composition lands in the right hom space, identities
-    are two-sided units, composition is associative on all basis triples."""
+def comp_range_violations(c: LinCat) -> list[Violation]:
+    """Basis products g∘f with a term outside hom(source f, target g)."""
     out: list[Violation] = []
     for (g, f), comb in c.comp.items():
         want = (c.source_of(f), c.target_of(g))
@@ -201,6 +200,13 @@ def validate_category(c: LinCat) -> list[Violation]:
                 out.append(Violation("comp-range", (g, f),
                                      f"{g}∘{f} has a term {n} outside hom{want}"))
                 break
+    return out
+
+
+def validate_category(c: LinCat) -> list[Violation]:
+    """Axiom check: composition lands in the right hom space, identities
+    are two-sided units, composition is associative on all basis triples."""
+    out = comp_range_violations(c)
     for x in c.objects:
         if not c.identities[x]:
             out.append(Violation("identity-zero", (x,), f"identity of {x} is zero"))

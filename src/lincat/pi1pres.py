@@ -5,17 +5,17 @@ killed, and every relation with at least two summand paths identifies
 those paths pairwise.  Words are tuples of signed 1-based generator
 indices read left to right.  Identification of the resulting finitely
 presented group goes through the integer abelianization and a bounded
-coset enumeration; neither claims infiniteness, only "exceeded".
+coset enumeration (HLT with relator-cycle marks).  Neither claims
+infiniteness: "exceeded" means only that the HLT definition order ran
+out of cosets.
 """
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .exactlinalg import FieldSpec, Matrix, rank, smith_normal_form
+from .exactlinalg import EchelonBasis, smith_normal_form
 from .kcat import QuiverPresentation
-
-_Q = FieldSpec(0)
 
 Word = tuple[int, ...]
 
@@ -101,17 +101,17 @@ def pi1_presentation(p: QuiverPresentation, b0: str) -> Pi1Result:
                 word_of_path(path))))
 
     warnings: list[str] = []
-    if p.relations:
-        paths = sorted({path for rel in p.relations for _, path in rel})
-        col = {path: j for j, path in enumerate(paths)}
-        rows = []
-        for rel in p.relations:
-            row = [_Q.scalar(Fraction(0))] * len(paths)
-            for coeff, path in rel:
-                row[col[path]] += _Q.scalar(coeff)
-            rows.append(row)
-        if rank(Matrix.from_rows(_Q, rows)) < len(p.relations):
-            warnings.append("supplied relations are k-linearly dependent")
+    col: dict[tuple[str, ...], int] = {}
+    span = EchelonBasis(0)
+    independent = True
+    for rel in p.relations:
+        row: dict[int, Fraction] = {}
+        for coeff, path in rel:
+            j = col.setdefault(path, len(col))
+            row[j] = row.get(j, 0) + coeff
+        independent &= span.add(row)
+    if not independent:
+        warnings.append("supplied relations are k-linearly dependent")
 
     grp = FPGroup(tuple(a.name for a in p.arrows), tuple(relators))
     return Pi1Result(grp, b0, tuple(tree), tuple(warnings))
@@ -137,18 +137,37 @@ class _Exceeded(Exception):
     pass
 
 
+def _root(w: Word) -> tuple[Word, int]:
+    """(u, k) with w = uᵏ and u as short as possible."""
+    n = len(w)
+    p = next(p for p in range(1, n + 1)
+             if n % p == 0 and w[:p] * (n // p) == w)
+    return w[:p], n // p
+
+
 def bounded_order(g: FPGroup, max_cosets: int) -> Union[int, str]:
-    """Coset enumeration over the trivial subgroup, HLT style: scan and
-    fill every relator at every live coset, then complete the row.
-    Returns the group order if the table closes within max_cosets live
-    rows, else "exceeded"."""
+    """Coset enumeration over the trivial subgroup, HLT style: at each
+    live coset in turn, scan and fill every relator, then complete the
+    row.  A relator w = uᵏ with k > 1 that scans closed at coset c also
+    traces closed at every c·uʲ, where its scan would define nothing and
+    find no coincidence; those (coset, relator) pairs are marked done
+    and skipped, so the definitions and coincidences are exactly those
+    of plain HLT.  Returns the group order if the table closes after at
+    most max_cosets coset definitions (dead cosets included), else
+    "exceeded": this definition order ran out of cosets, which says
+    nothing about finiteness."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    relators = [w for w in (free_reduce(r) for r in g.relators) if w]
+    relators = [(w, *_root(w)) for w in map(free_reduce, g.relators) if w]
     n = len(g.generators)
     letters = list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
+    # table[x][c] is c·x, 0 if undefined: one list per signed letter x,
+    # a negative x indexing from the end (table[0] is unused); coset 0
+    # is a placeholder, so coset c is entry c of every list
+    table: list[list[int]] = [[]] + [[0, 0] for _ in letters]
+    columns = table[1:]
     parent = [0, 1]
-    table: list[dict[int, int]] = [{}, {}]
+    done: set[tuple[int, int]] = set()
 
     def rep(c: int) -> int:
         root = c
@@ -158,15 +177,15 @@ def bounded_order(g: FPGroup, max_cosets: int) -> Union[int, str]:
             parent[c], c = root, parent[c]
         return root
 
-    def define(c: int, x: int) -> int:
-        if len(table) - 1 >= max_cosets:
+    def define(c: int, x: int) -> None:
+        d = len(parent)
+        if d > max_cosets:
             raise _Exceeded
-        d = len(table)
         parent.append(d)
-        table.append({})
-        table[c][x] = d
-        table[d][-x] = c
-        return d
+        for col in columns:
+            col.append(0)
+        table[x][c] = d
+        table[-x][d] = c
 
     def coincidence(a: int, b: int) -> None:
         queue: deque[int] = deque()
@@ -183,58 +202,80 @@ def bounded_order(g: FPGroup, max_cosets: int) -> Union[int, str]:
         merge(a, b)
         while queue:
             dead = queue.popleft()
-            entries = table[dead]
-            table[dead] = {}
-            for x, d in entries.items():
+            for x in letters:
+                col, inv = table[x], table[-x]
+                d = col[dead]
+                if not d:
+                    continue
+                col[dead] = 0
                 u, v = rep(dead), rep(d)
-                if x in table[u]:
-                    merge(table[u][x], v)
+                if col[u]:
+                    merge(col[u], v)
                 else:
-                    table[u][x] = v
+                    col[u] = v
                 u, v = rep(d), rep(dead)
-                if -x in table[u]:
-                    merge(table[u][-x], v)
+                if inv[u]:
+                    merge(inv[u], v)
                 else:
-                    table[u][-x] = v
+                    inv[u] = v
 
     def scan_and_fill(start: int, w: Word) -> None:
-        f = b = rep(start)
+        # entries may name dead cosets only after a coincidence, and a
+        # live coset is its own parent, so rep() runs only on dead ones
+        f = b = start
         i, j = 0, len(w) - 1
         while True:
-            while i <= j and w[i] in table[f]:
-                f = rep(table[f][w[i]])
+            while i <= j:
+                f2 = table[w[i]][f]
+                if not f2:
+                    break
+                f = f2 if parent[f2] == f2 else rep(f2)
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and -w[j] in table[b]:
-                b = rep(table[b][-w[j]])
+            while j >= i:
+                b2 = table[-w[j]][b]
+                if not b2:
+                    break
+                b = b2 if parent[b2] == b2 else rep(b2)
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
-                table[f][w[i]] = b
-                table[b][-w[i]] = f
+                table[w[i]][f] = b
+                table[-w[i]][b] = f
                 return
             define(f, w[i])
 
+    def mark_cycle(c: int, r: int, u: Word, k: int) -> None:
+        # w = uᵏ traces closed at the live coset c, hence at every c·uʲ
+        for _ in range(k - 1):
+            for x in u:
+                c = rep(table[x][c])
+            done.add((c, r))
+
     try:
         idx = 1
-        while idx < len(table):
-            if rep(idx) != idx:
+        while idx < len(parent):
+            if parent[idx] != idx:
                 idx += 1
                 continue
-            for w in relators:
+            for r, (w, u, k) in enumerate(relators):
+                if k > 1 and (idx, r) in done:
+                    continue
                 scan_and_fill(idx, w)
-                if rep(idx) != idx:
+                if parent[idx] != idx:
                     break
-            if rep(idx) == idx:
+                if k > 1:
+                    mark_cycle(idx, r, u, k)
+            else:
                 for x in letters:
-                    if x not in table[idx]:
+                    if not table[x][idx]:
                         define(idx, x)
             idx += 1
     except _Exceeded:
         return "exceeded"
-    return sum(1 for c in range(1, len(table)) if rep(c) == c)
+    return sum(1 for c in range(1, len(parent)) if parent[c] == c)

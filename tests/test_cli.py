@@ -467,6 +467,26 @@ def test_h1_on_non_category_exit_2(workdir, tmp_path):
     assert "not a category" in err and "Traceback" not in err
 
 
+def test_h1_refuses_a_composite_outside_its_hom_space(workdir, tmp_path):
+    # validate reports the broken axiom; h1 refuses the input before
+    # building the Leibniz system on it
+    def wrong_hom(d):
+        d["comp"]["1_s"]["1_s"] = {"b": "1"}
+    path = _edited(workdir, tmp_path, "kronecker.json", wrong_hom)
+    code, out, _ = run(workdir, "validate", "--cat", path)
+    assert code == 1 and "comp-range" in out
+    code, out, err = run(workdir, "h1", "--cat", path)
+    assert code == 2 and out == ""
+    assert err == ("error: input is not a category: 1_s∘1_s has a term b "
+                   "outside hom('s', 's')\n")
+
+
+def test_pi1_coset_bound_is_not_allocated(workdir):
+    code, out, _ = run(workdir, "pi1", "--presentation", "gdlp-R.txt",
+                       "--base", "x", "--max-cosets", str(10 ** 9))
+    assert code == 0 and "order = 2" in out
+
+
 def test_library_refusal_exit_2(workdir, tmp_path):
     # refusals raised past the handlers: a bad coset bound, and a
     # composite outside the category that only validation reaches

@@ -6,9 +6,10 @@ subtree by a value of another JSON type, or a key is deleted.  Each
 subcommand that reads that kind of document then runs in process
 through cli.run(["--json", ...]).  Whatever the input, no exception
 escapes run(), the exit code is 0, 1 or 2, no traceback is printed, and
-exit 1 comes only with a false boolean verdict.  A second test fuzzes
-option values the same way.  The examples pin inputs that once escaped
-run() as tracebacks.
+exit 1 comes only with a false boolean verdict.  A second test renames
+one key of a category document, and a third fuzzes option values, with
+the same checks.  The examples pin inputs that once escaped run() as
+tracebacks.
 """
 import copy
 import io
@@ -137,6 +138,10 @@ def _mutate(doc, path, op, value):
         parent = parent[key]
     if op == "delete":
         del parent[path[-1]]
+    elif op == "rename":
+        items = list(parent.items())
+        parent.clear()
+        parent.update((value if k == path[-1] else k, v) for k, v in items)
     else:
         parent[path[-1]] = value
     return doc
@@ -189,6 +194,36 @@ def test_mutated_documents_keep_the_exit_code_contract(fuzzdir, mutation):
     for argv in COMMANDS[original["kind"]]:
         _check_contract(fuzzdir, [str(target) if a == "P" else
                                   base if a == "BASE" else a for a in argv])
+
+
+CATEGORY_DOCS = sorted(f for f, d in DOCS.items() if d["kind"] == "category")
+
+
+@st.composite
+def renames(draw):
+    filename = draw(st.sampled_from(CATEGORY_DOCS))
+    doc = DOCS[filename]
+    path = draw(st.sampled_from([p for p, _ in _nodes(doc)
+                                 if isinstance(p[-1], str)]))
+    return filename, path, draw(st.sampled_from(ODD_STRINGS +
+                                                _strings(doc)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rename=renames())
+# a composite naming a basis element of another hom space
+@example(rename=("kronecker.json", ("comp", "1_s", "1_s", "1_s"), "b"))
+def test_renamed_keys_keep_the_exit_code_contract(fuzzdir, rename):
+    """A key of a category document renamed, for instance to another
+    name the document uses."""
+    filename, path, key = rename
+    target = fuzzdir / "renamed.json"
+    doc = _mutate(DOCS[filename], path, "rename", key)
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in COMMANDS["category"]:
+        _check_contract(fuzzdir, [str(target) if a == "P" else a
+                                  for a in argv])
 
 
 # option values by name; OUT is a writable path, MISSING a path below a

@@ -153,6 +153,12 @@ def test_bounded_order_handles_coincidences():
     assert bounded_order(q8, 50) == 8
 
 
+def test_coset_bound_allocates_nothing_up_front():
+    # ⟨a, b | a⁵, b², abab⁻¹⟩; no structure is sized by the bound
+    d5 = FPGroup(("a", "b"), ((1,) * 5, (2, 2), (1, 2, 1, -2)))
+    assert bounded_order(d5, 10 ** 9) == 10
+
+
 def test_bounded_order_rejects_silly_bound():
     with pytest.raises(ValueError):
         bounded_order(FPGroup(("a",), ()), 0)
