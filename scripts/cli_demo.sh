@@ -28,6 +28,8 @@ expect 0 cover check --functor F0.json
 expect 1 cover check --functor corrupted.json
 expect 0 galois check --functor F0.json
 expect 1 galois check --functor F2.json
+expect 2 galois check --functor corrupted.json
+expect 2 galois homs --functor F0.json --to corrupted.json
 expect 0 galois quotient --action swap-action.json --out quotient.json
 expect 0 h1 --cat quotient.json
 expect 0 cover lambda --functor cyclic-cover-4.json --to cyclic-cover-2.json

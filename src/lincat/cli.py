@@ -220,8 +220,7 @@ def _cmd_cover_lambda(args, report: Report) -> None:
 
 
 def _cmd_galois_check(args, report: Report) -> None:
-    f = _load_covering(args.functor)
-    res = is_galois(f)
+    res = is_galois(load_value(args.functor, "functor"))
     report.verdicts["galois"] = res.galois
     if res.group is not None:
         report.verdicts["deck group order"] = res.group.order()
@@ -242,8 +241,7 @@ def _cmd_galois_quotient(args, report: Report) -> None:
 
 
 def _cmd_galois_structure(args, report: Report) -> None:
-    f = _load_covering(args.functor)
-    res = structure_iso(f)
+    res = structure_iso(load_value(args.functor, "functor"))
     report.verdicts["factors through the quotient"] = res.ok()
     report.messages.extend(res.problems)
     report.witnesses["isomorphism"] = _functor_witness(res.iso)
@@ -280,11 +278,10 @@ def _cmd_galois_gset(args, report: Report) -> None:
 
 
 def _cmd_grade_induce(args, report: Report) -> None:
-    f = _load_covering(args.functor)
+    f = load_value(args.functor, "functor")
     choice = _parse_assignments(args.fibre, "--fibre")
-    for b in f.target.objects:
-        if b not in choice:
-            choice[b] = fibre(f, b)[0]
+    for b in f.target.objects:  # f may miss b; induced_grading then refuses f
+        choice.setdefault(b, (fibre(f, b) or [None])[0])
     z = induced_grading(f, choice)
     report.verdicts["group order"] = z.group.order()
     report.verdicts["group"] = z.group.label()

@@ -133,10 +133,10 @@ def check_morphism(m: CoveringMorphism, f: LinFunctor, g: LinFunctor) -> bool:
 class _Extension:
     """What extending morphisms F -> G over J needs that no seed changes,
     built once per (F, G, J) and shared by every seed: J∘F, with each
-    basis image as a raw sparse column, and the inverse of each star
-    block of G that propagation visits, built on first use.  G must be a
-    covering: a visited star block that is not bijective raises
-    ValueError."""
+    basis image as a raw sparse column, whether J∘F and G are functors
+    (see extend_morphism), and the inverse of each star block of G that
+    propagation visits, built on first use.  G must be a covering: a
+    visited star block that is not bijective raises ValueError."""
 
     def __init__(self, f: LinFunctor, g: LinFunctor, j: LinFunctor):
         base = f.target
@@ -147,10 +147,12 @@ class _Extension:
         if not functor_is_isomorphism(j):
             raise ValueError("J must be an isomorphism")
         self.f, self.g = f, g
-        self.jf = functor_compose(j, f)
+        jf = functor_compose(j, f)
+        self.functorial = not validate_functor(jf) and (
+            functor_equal(g, jf) or not validate_functor(g))
         self.image = {n: col for pair, names in f.source.hom.items()
                       for n, col in zip(names,
-                                        self.jf.matrices[pair].sparse_cols())}
+                                        jf.matrices[pair].sparse_cols())}
         # (d, b, direction) -> (star inverse, block owning each position)
         self._stars: dict[tuple[str, str, str],
                           tuple[SparseMap, list[tuple[str, int, int]]]] = {}
@@ -213,16 +215,13 @@ class _Extension:
         if len(omap) != len(c.objects):
             raise ValueError("source category is not connected; "
                              "the extension is not determined")
+        if not self.functorial:
+            return None
         mats = {(x, y): Matrix.from_sparse_cols(
                     c.field, [cols[n] for n in names],
                     d.dim(omap[x], omap[y]))
                 for (x, y), names in c.hom.items() if names}
-        h = LinFunctor(c, d, omap, mats)  # fills in the zero-column blocks
-        if validate_functor(h):
-            return None
-        if not functor_equal(functor_compose(g, h), self.jf):
-            return None
-        return h
+        return LinFunctor(c, d, omap, mats)  # fills in the zero-column blocks
 
 
 def extend_morphism(f: LinFunctor, g: LinFunctor, j: LinFunctor,
@@ -238,11 +237,13 @@ def extend_morphism(f: LinFunctor, g: LinFunctor, j: LinFunctor,
     star inverse applied to JF(n).  It must lie in a single fibre block,
     which names the neighbour's image; a spread or a conflict with an
     earlier assignment means no H exists.  Propagation from x0 thus
-    fixes every object and every matrix column of the only candidate;
-    functoriality and G∘H = J∘F are then verified globally (propagation
-    guarantees uniqueness, not existence).  The star inverses and J∘F do
-    not depend on the seed: aut1, hom_coverings and check_universal
-    build them once and share them across their seeds.
+    fixes every object and every matrix column of the only candidate.
+    When G and J∘F are functors it is a morphism: G∘H = J∘F holds column
+    by column, and G(H(g∘f)) = JF(g)∘JF(f) = G(H(g)∘H(f)), likewise for
+    units, with G injective on each hom space; otherwise no seed extends.
+    The star inverses and both functoriality verdicts do not depend on
+    the seed: aut1, hom_coverings and check_universal build them once and
+    share them across their seeds.
     """
     return _Extension(f, g, j).extend(x0, d0)
 
@@ -280,8 +281,9 @@ class CoveringGroup:
 def aut1(f: LinFunctor) -> CoveringGroup:
     """All deck transformations of a covering with connected source,
     found by seeding the first object x0 over its fibre.  f must be a
-    covering (see extend_morphism); J∘F and the star inverses are built
-    once and shared by every seed.
+    covering (see extend_morphism); J∘F, the star inverses and whether f
+    is a functor are decided once.  A star-bijective f that is not a
+    functor is not a covering: not even x0 ↦ x0 extends (ValueError).
 
     The table rests on rigidity: a deck transformation is the unique
     extension of its seed image h(x0), so

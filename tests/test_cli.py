@@ -265,11 +265,41 @@ def test_missing_file_exit_2(workdir):
     assert "missing.json" in err
 
 
-def test_not_a_covering_exit_2(workdir):
-    code, _, err = run(workdir, "galois", "check", "--functor",
-                       "corrupted.json")
+@pytest.mark.parametrize("argv,names_file", [
+    pytest.param(("galois", "check", "--functor", "corrupted.json"), False,
+                 id="galois-check"),
+    # the library check: is_galois runs the only check_covering
+    pytest.param(("galois", "structure", "--functor", "corrupted.json"),
+                 False, id="galois-structure"),
+    pytest.param(("grade", "induce", "--functor", "corrupted.json"), False,
+                 id="grade-induce"),
+    # the CLI pre-check names the file
+    pytest.param(("galois", "homs", "--functor", "F0.json",
+                  "--to", "corrupted.json"), True, id="galois-homs"),
+    pytest.param(("cover", "aut1", "--functor", "corrupted.json"), True,
+                 id="cover-aut1"),
+])
+def test_not_a_covering_exit_2(workdir, argv, names_file):
+    code, _, err = run(workdir, *argv)
     assert code == 2
     assert "not a covering" in err
+    if names_file:
+        assert "corrupted.json" in err
+
+
+def test_grade_induce_non_surjective_exit_2(workdir, tmp_path):
+    # no fibre over t to default to: the library refuses the functor
+    from lincat.fixtures import Q, kronecker
+    from lincat.formats import dump_path, functor_to_doc
+    from lincat.kcat import LinFunctor, QuiverPresentation, present
+    point = present(QuiverPresentation(("x",), (), (), 1), Q).category
+    f = LinFunctor.on_basis(point, kronecker().category, {"x": "s"},
+                            {point.hom[("x", "x")][0]: {"1_s": 1}})
+    path = tmp_path / "point.json"
+    dump_path(path, functor_to_doc(f))
+    code, _, err = run(workdir, "grade", "induce", "--functor", str(path))
+    assert code == 2
+    assert "not surjective" in err
 
 
 def test_delta_inj_disconnected_exit_2(workdir, tmp_path):

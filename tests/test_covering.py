@@ -158,6 +158,22 @@ def test_aut1_cyclic_covers(galois_matrix):
         assert g.group.label() == f"C{n}"
 
 
+def test_aut1_checks_functoriality_once_whatever_the_fibre(monkeypatch):
+    import lincat.covering as covering
+    calls = {}
+    for name in ("validate_functor", "functor_compose"):
+        def counted(*args, _name=name, _real=getattr(covering, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(covering, name, counted)
+    counts = []
+    for n in (2, 4, 8):
+        calls.clear()
+        assert aut1(cyclic_cover(n).functor).order() == n
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == counts[2], counts
+
+
 def test_aut1_elements_fix_no_object():
     g = aut1(cover_f0().functor)
     for name, h in g.functors.items():

@@ -188,23 +188,50 @@ def test_cyclic_reductions(n, m, field):
                      identity_functor(fix.base.category), j)
 
 
+ARROWS_F0 = {"a0": {"a": 1}, "a1": {"a": 1}, "b0": {"b": 1}, "b1": {"b": 1}}
+
+
+def unscaled_f0(fix):
+    """F0 with 1_s0 sent to 2·1_s: every star block is bijective, but it
+    is not a functor."""
+    f = functor_from_arrows(fix.total, fix.base.category,
+                            fix.functor.object_map, ARROWS_F0)
+    f.matrices[("s0", "s0")] = Matrix.from_rows(FieldSpec(0), [[2]])
+    assert check_covering(f).ok and validate_functor(f)
+    return f
+
+
 def test_inputs_only_the_global_checks_or_zero_images_refuse():
     fix = cover_f0()
     j = identity_functor(fix.base.category)
-    arrows = {"a0": {"a": 1}, "a1": {"a": 1}, "b0": {"b": 1}, "b1": {"b": 1}}
-    # star blocks bijective, but 1_s0 goes to 2·1_s: not a functor, so the
-    # only H with G∘H = J∘F sends an identity to half an identity, which
-    # the functoriality check refuses
-    unscaled = functor_from_arrows(fix.total, fix.base.category,
-                                   fix.functor.object_map, arrows)
-    unscaled.matrices[("s0", "s0")] = Matrix.from_rows(FieldSpec(0), [[2]])
-    assert check_covering(unscaled).ok and validate_functor(unscaled)
+    # G is not a functor, so the only H with G∘H = J∘F sends an identity
+    # to half an identity: no seed extends, and G has no deck group
+    unscaled = unscaled_f0(fix)
     assert assert_agree("F0->unscaled", fix.functor, unscaled, j) == 0
+    with pytest.raises(ValueError, match="not a covering"):
+        aut1(unscaled)
     # F sends a0 to zero: the candidate image of a0 names no block
     zero_a0 = functor_from_arrows(fix.total, fix.base.category,
                                   fix.functor.object_map,
-                                  dict(arrows, a0={}))
+                                  dict(ARROWS_F0, a0={}))
     assert assert_agree("zero a0->F0", zero_a0, fix.functor, j) == 0
+
+
+def test_non_functorial_f_or_j_extends_no_seed():
+    """J∘F is checked once per context: a star-bijective F or a
+    block-invertible J that is not a functor makes J∘F send 1_s to
+    2·1_s, so the candidate H is not a functor on any seed."""
+    fix = cover_f0()
+    base = fix.base.category
+    unscaled = unscaled_f0(fix)
+    assert assert_agree("unscaled->F0", unscaled, fix.functor,
+                        identity_functor(base)) == 0
+    scaled_j = LinFunctor.on_basis(
+        base, base, {"s": "s", "t": "t"},
+        {"1_s": {"1_s": 2}, "1_t": {"1_t": 1}, "a": {"a": 1}, "b": {"b": 1}})
+    assert functor_is_isomorphism(scaled_j) and validate_functor(scaled_j)
+    assert assert_agree("F0->F0 over scaled J", fix.functor, fix.functor,
+                        scaled_j) == 0
 
 
 def test_singular_star_block_raises():
