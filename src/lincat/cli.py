@@ -26,7 +26,7 @@ from .covering import CoveringMorphism, aut1, check_covering, \
     extend_morphism, fibre, lambda_map
 from .exactlinalg import FieldSpec
 from .formats import canonical_dumps, category_to_doc, functor_to_doc, \
-    grading_to_doc, group_to_doc, hwalk_to_doc, load_value
+    grading_to_doc, group_to_doc, hwalk_to_doc, load_value, matrix_to_doc
 from .galois import check_action, gset_analysis, hom_coverings, is_galois, \
     quotient, structure_iso, check_universal
 from .grading import induced_grading, is_connected_grading, regrade, smash, \
@@ -358,8 +358,7 @@ def _cmd_delta(args, report: Report) -> None:
     report.verdicts["derivation"] = True
     report.verdicts["inner"] = "yes" if inner else "no"
     report.witnesses["matrices"] = _pairs_to_nested(
-        {pair: [[str(a) for a in m.row(i)] for i in range(m.rows)]
-         for pair, m in d.matrices.items()})
+        {pair: matrix_to_doc(m) for pair, m in d.matrices.items()})
 
 
 def _cmd_delta_inj(args, report: Report) -> None:

@@ -13,8 +13,8 @@ degree-s homogeneous morphism by χ(s).
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactlinalg import (EchelonBasis, FieldSpec, Matrix, Scalar, dense,
-                          inverse, kernel_basis)
+from .exactlinalg import (EchelonBasis, FieldSpec, Matrix, dense, inverse,
+                          kernel_basis)
 from .groups import Group
 from .kcat import (LinCat, LinComb, comb_add, comb_eq, compose,
                    comp_range_violations)
@@ -54,8 +54,8 @@ def _pair_order(c: LinCat) -> list[tuple[str, str]]:
     return [(x, y) for x in c.objects for y in c.objects if c.dim(x, y)]
 
 
-def _flatten(c: LinCat, mats: dict[tuple[str, str], Matrix]) -> list[Scalar]:
-    out: list[Scalar] = []
+def _flatten(c: LinCat, mats: dict[tuple[str, str], Matrix]) -> list:
+    out: list = []
     for pair in _pair_order(c):
         out.extend(mats[pair].entries)
     return out
@@ -82,7 +82,8 @@ def validate_derivation(d: Derivation) -> list[str]:
             if y2 != y:
                 continue
             lhs = d.apply(compose(c, {g: one}, {f: one})) or {}
-            rhs_comb = comb_add(compose(c, {g: one}, d.apply_name(f)),
+            rhs_comb = comb_add(c.field,
+                                compose(c, {g: one}, d.apply_name(f)),
                                 compose(c, d.apply_name(g), {f: one}))
             if not comb_eq(lhs, rhs_comb):
                 problems.append(f"Leibniz fails on ({g}, {f})")
@@ -102,14 +103,14 @@ def _layout(c: LinCat) -> tuple[dict[tuple[str, str], int], int]:
 
 
 def _products(c: LinCat) -> dict[tuple[str, str], list[tuple[int, object]]]:
-    """g∘f for every nonzero basis product, as (coordinate, raw value).
+    """g∘f for every nonzero basis product, as (coordinate, value).
     A coordinate is a position in hom(source f, target g), so a term
     outside that space is refused."""
     bad = comp_range_violations(c)
     if bad:
         raise ValueError(f"input is not a category: {bad[0].detail}")
     pos = {n: i for names in c.hom.values() for i, n in enumerate(names)}
-    return {key: [(pos[n], s.value) for n, s in comb.items()]
+    return {key: [(pos[n], s) for n, s in comb.items()]
             for key, comb in c.comp.items()}
 
 
@@ -118,8 +119,8 @@ def _sparse_derivation(c: LinCat, d: Derivation) -> dict:
     offset, _ = _layout(c)
     for pair, at in offset.items():
         for k, s in enumerate(d.matrices[pair].entries):
-            if s.value:
-                out[at + k] = s.value
+            if s:
+                out[at + k] = s
     return out
 
 
@@ -174,8 +175,7 @@ def derivation_space(c: LinCat) -> list[Derivation]:
     for v in system.kernel(total):
         d = _derivation_of(c, v)
         for x in c.objects:
-            if not all(a.is_zero() for a in
-                       (d.apply(c.identity(x)) or {}).values()):
+            if d.apply(c.identity(x)):
                 raise ValueError("input is not a category: derivation does "
                                  f"not kill identity of {x}")
         out.append(d)
@@ -263,13 +263,13 @@ def in_derivation_space(d: Derivation) -> bool:
 class Character:
     group: Group
     field: FieldSpec
-    values: dict[str, Scalar]
+    values: dict[str, object]  # group element -> field element
 
-    def __call__(self, s: str) -> Scalar:
+    def __call__(self, s: str):
         return self.values[s]
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.values.values())
+        return not any(self.values.values())
 
 
 def validate_character(chi: Character) -> list[str]:
@@ -277,11 +277,12 @@ def validate_character(chi: Character) -> list[str]:
     grp = chi.group
     if set(chi.values) != set(grp.elements):
         return ["value keys do not match the group elements"]
-    if not chi.values[grp.identity].is_zero():
+    if chi.values[grp.identity]:
         problems.append("nonzero value at the identity")
+    red = chi.field.reduce
     for s in grp.elements:
         for t in grp.elements:
-            if chi.values[grp.mul(s, t)] != chi.values[s] + chi.values[t]:
+            if chi.values[grp.mul(s, t)] != red(chi.values[s] + chi.values[t]):
                 problems.append(f"not additive on ({s}, {t})")
     return problems
 
@@ -298,18 +299,18 @@ def characters(grp: Group, field: FieldSpec) -> list[Character]:
         return []
     elems = list(grp.elements)
     idx = {s: i for i, s in enumerate(elems)}
-    zero, one = field.zero(), field.one()
     rows = []
-    row = [zero] * len(elems)
-    row[idx[grp.identity]] = one
+    row = [0] * len(elems)
+    row[idx[grp.identity]] = 1
     rows.append(row)
     for s in elems:
         for t in elems:
-            row = [zero] * len(elems)
-            row[idx[s]] += one
-            row[idx[t]] += one
-            row[idx[grp.mul(s, t)]] -= one
-            if any(not a.is_zero() for a in row):
+            # χ(s) + χ(t) − χ(st) = 0; from_rows reduces the entries
+            row = [0] * len(elems)
+            row[idx[s]] += 1
+            row[idx[t]] += 1
+            row[idx[grp.mul(s, t)]] -= 1
+            if any(row):
                 rows.append(row)
     out = []
     for v in kernel_basis(Matrix.from_rows(field, rows)):

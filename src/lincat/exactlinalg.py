@@ -25,7 +25,12 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Ground field: Q (characteristic 0) or F_p (characteristic p prime)."""
+    """Ground field: Q (characteristic 0) or F_p (characteristic p prime).
+
+    A field element is a plain value: a Fraction over Q, an int in [0, p)
+    over F_p.  This class coerces, parses, reduces and formats those
+    values; outside this module no code needs to know which a field
+    uses."""
 
     characteristic: int = 0
 
@@ -33,38 +38,33 @@ class FieldSpec:
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise ValueError(
                 f"characteristic must be 0 or a prime, got {self.characteristic}")
-        # Scalars are immutable, so every caller can share the constants
         q = self.characteristic == 0
-        object.__setattr__(self, "_zero", Scalar(self, Fraction(0) if q else 0))
-        object.__setattr__(self, "_one", Scalar(self, Fraction(1) if q else 1))
+        object.__setattr__(self, "_zero", Fraction(0) if q else 0)
+        object.__setattr__(self, "_one", Fraction(1) if q else 1)
 
-    def zero(self) -> "Scalar":
+    def zero(self):
         return self._zero
 
-    def one(self) -> "Scalar":
+    def one(self):
         return self._one
 
-    def scalar(self, value) -> "Scalar":
+    def scalar(self, value):
         """Coerce an int, Fraction, or decimal string into this field."""
         p = self.characteristic
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise ValueError(f"scalar of {value.field} used in {self}")
-            return value
         fr = Fraction(value)
         if p == 0:
-            return Scalar(self, fr)
+            return fr
         if fr.denominator % p == 0:
             raise ZeroDivisionError(f"denominator of {fr} not invertible mod {p}")
-        return Scalar(self, fr.numerator * pow(fr.denominator, -1, p) % p)
+        return fr.numerator * pow(fr.denominator, -1, p) % p
 
-    def parse(self, text: str) -> "Scalar":
+    def parse(self, text: str):
         """Parse the string form: "3/4" or "-1" over Q, "2 mod 5" over F_5."""
         text = text.strip()
         if self.characteristic == 0:
             if "mod" in text:
                 raise ValueError(f"modular scalar {text!r} in a characteristic-0 field")
-            return Scalar(self, Fraction(text))
+            return Fraction(text)
         parts = text.split("mod")
         if len(parts) == 2:
             p = int(parts[1])
@@ -74,85 +74,33 @@ class FieldSpec:
             return self.scalar(int(parts[0]))
         return self.scalar(Fraction(text))
 
+    def format(self, a) -> str:
+        """The string form parse reads back: "3/4", "2 mod 5"."""
+        p = self.characteristic
+        return str(a) if p == 0 else f"{a} mod {p}"
+
+    def reduce(self, a):
+        """The field element of a sum or product of field elements: a
+        itself over Q, a mod p over F_p."""
+        p = self.characteristic
+        return a % p if p else a
+
     def __str__(self):
         return "Q" if self.characteristic == 0 else f"F_{self.characteristic}"
 
 
 @dataclass(frozen=True)
-class Scalar:
-    """Exact field element.  Rationals kept in lowest terms (Fraction does
-    this), residues kept in [0, p)."""
-
-    field: FieldSpec
-    value: object  # Fraction (char 0) or int (char p)
-
-    def _check(self, other: "Scalar"):
-        if self.field != other.field:
-            raise ValueError(f"mixed fields: {self.field} and {other.field}")
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.field.characteristic
-        v = self.value + other.value
-        return Scalar(self.field, v if p == 0 else v % p)
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.field.characteristic
-        v = self.value - other.value
-        return Scalar(self.field, v if p == 0 else v % p)
-
-    def __mul__(self, other):
-        self._check(other)
-        p = self.field.characteristic
-        v = self.value * other.value
-        return Scalar(self.field, v if p == 0 else v % p)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __neg__(self):
-        p = self.field.characteristic
-        return Scalar(self.field, -self.value if p == 0 else (-self.value) % p)
-
-    def inverse(self) -> "Scalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        p = self.field.characteristic
-        if p == 0:
-            return Scalar(self.field, 1 / self.value)
-        return Scalar(self.field, pow(self.value, -1, p))
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def is_one(self) -> bool:
-        return self.value == 1
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __str__(self):
-        if self.field.characteristic == 0:
-            return str(self.value)
-        return f"{self.value} mod {self.field.characteristic}"
-
-
-@dataclass(frozen=True)
 class Matrix:
-    """Dense row-major matrix over one field.  Immutable."""
+    """Dense row-major matrix of field elements.  Immutable."""
 
     field: FieldSpec
     rows: int
     cols: int
-    entries: tuple  # length rows * cols, row-major Scalars
+    entries: tuple  # length rows * cols, row-major field elements
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entries length does not match rows * cols")
-        for e in self.entries:
-            if e.field != self.field:
-                raise ValueError("mixed-field matrix entries")
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
@@ -180,13 +128,12 @@ class Matrix:
     @staticmethod
     def from_sparse_cols(field: FieldSpec, cols: Sequence[dict],
                          nrows: int) -> "Matrix":
-        """The nrows-row matrix with these sparse raw columns
-        {row: value}."""
+        """The nrows-row matrix with these sparse columns {row: value}."""
         c = len(cols)
         ent = [field.zero()] * (nrows * c)
         for j, col in enumerate(cols):
             for i, a in col.items():
-                ent[i * c + j] = Scalar(field, a)
+                ent[i * c + j] = a
         return Matrix(field, nrows, c, tuple(ent))
 
     @staticmethod
@@ -200,30 +147,31 @@ class Matrix:
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
         return Matrix(field, rows, cols, tuple([field.zero()] * (rows * cols)))
 
-    def entry(self, i: int, j: int) -> Scalar:
+    def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def sparse_cols(self) -> list[dict]:
-        """The columns as sparse raw vectors {row: value}."""
-        c, ent = self.cols, self.entries
-        return [{i: ent[i * c + j].value for i in range(self.rows)
-                 if ent[i * c + j].value} for j in range(c)]
+        """The columns as sparse vectors {row: value}."""
+        return [{i: a for i, a in enumerate(self.col(j)) if a}
+                for j in range(self.cols)]
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+        red = self.field.reduce
         return Matrix(self.field, self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+                      tuple(red(a + b) for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
+        red = self.field.reduce
         return Matrix(self.field, self.rows, self.cols,
-                      tuple(-a for a in self.entries))
+                      tuple(red(-a) for a in self.entries))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
@@ -231,17 +179,11 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero = self.field.zero()
-        ent = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i * self.cols + k]
-                    if a:
-                        acc = acc + a * other.entries[k * other.cols + j]
-                ent.append(acc)
-        return Matrix(self.field, self.rows, other.cols, tuple(ent))
+        cols = [other.col(j) for j in range(other.cols)]
+        dot = self._dot
+        return Matrix(self.field, self.rows, other.cols,
+                      tuple(dot(self.row(i), col) for i in range(self.rows)
+                            for col in cols))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -252,24 +194,22 @@ class Matrix:
             ent.extend(other.row(i))
         return Matrix(self.field, self.rows, self.cols + other.cols, tuple(ent))
 
-    def apply(self, vec: Sequence[Scalar]) -> list:
+    def apply(self, vec: Sequence) -> list:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = self.field.zero()
-            for j, v in enumerate(vec):
-                if v:
-                    acc = acc + self.entry(i, j) * v
-            out.append(acc)
-        return out
+        return [self._dot(self.row(i), vec) for i in range(self.rows)]
+
+    def _dot(self, row: Sequence, col: Sequence):
+        return self.field.reduce(sum([a * b for a, b in zip(row, col) if a],
+                                     self.field.zero()))
 
 
 # -- elimination on raw values ---------------------------------------------
 #
-# Sparse rows are dicts {column: raw value}: ints mod p over F_p, Fractions
-# over Q.  Scalars appear only at the public boundary below.
+# Sparse rows are dicts {column: raw value}: ints over F_p, Fractions over
+# Q, reduced on entry into an EchelonBasis.  The public functions below
+# take and return dense field elements.
 
 
 def _field_ops(p: int):
@@ -391,21 +331,19 @@ def _echelon(field: FieldSpec, rows: Iterable[dict]) -> EchelonBasis:
 
 
 def _sparse_rows(m: Matrix) -> list[dict]:
-    c, ent = m.cols, m.entries
-    return [{j: s.value for j, s in enumerate(ent[i * c:(i + 1) * c])
-             if s.value} for i in range(m.rows)]
+    return [{j: a for j, a in enumerate(m.row(i)) if a}
+            for i in range(m.rows)]
 
 
 def _sparse(field: FieldSpec, vec: Sequence) -> dict:
-    return {j: s.value for j, s in enumerate(map(field.scalar, vec))
-            if s.value}
+    return {j: a for j, a in enumerate(map(field.scalar, vec)) if a}
 
 
-def dense(field: FieldSpec, row: dict, n: int) -> list[Scalar]:
-    """The length-n Scalar vector of a sparse raw row."""
+def dense(field: FieldSpec, row: dict, n: int) -> list:
+    """The length-n vector of a sparse row."""
     out = [field.zero()] * n
     for j, a in row.items():
-        out[j] = Scalar(field, a)
+        out[j] = a
     return out
 
 
@@ -417,7 +355,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     """
     e = _echelon(m.field, _sparse_rows(m))
     pivots = sorted(e.rows)
-    ent: list[Scalar] = []
+    ent: list = []
     for p in pivots:
         ent.extend(dense(m.field, e.rows[p], m.cols))
     ent.extend([m.field.zero()] * ((m.rows - len(pivots)) * m.cols))
@@ -428,21 +366,21 @@ def rank(m: Matrix) -> int:
     return len(_echelon(m.field, _sparse_rows(m)))
 
 
-def kernel_basis(m: Matrix) -> list[list[Scalar]]:
+def kernel_basis(m: Matrix) -> list[list]:
     """Basis of the null space, one column vector per free column of rref."""
     e = _echelon(m.field, _sparse_rows(m))
     return [dense(m.field, v, m.cols) for v in e.kernel(m.cols)]
 
 
-def solve(m: Matrix, rhs: Sequence[Scalar]) -> Optional[list[Scalar]]:
+def solve(m: Matrix, rhs: Sequence) -> Optional[list]:
     """One solution of m x = rhs, or None if inconsistent."""
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
     n = m.cols
     rows = _sparse_rows(m)
     for row, s in zip(rows, map(m.field.scalar, rhs)):
-        if s.value:
-            row[n] = s.value
+        if s:
+            row[n] = s
     e = _echelon(m.field, rows)
     if n in e.rows:
         return None
@@ -456,13 +394,13 @@ def inverse(m: Matrix) -> Optional[Matrix]:
         return None
     n = m.rows
     rows = _sparse_rows(m)
-    one = m.field.one().value
+    one = m.field.one()
     for i, row in enumerate(rows):
         row[n + i] = one
     e = _echelon(m.field, rows)
     if any(i not in e.rows for i in range(n)):
         return None
-    ent: list[Scalar] = []
+    ent: list = []
     for i in range(n):
         row = e.rows[i]
         ent.extend(dense(m.field, {j - n: a for j, a in row.items()
@@ -471,7 +409,7 @@ def inverse(m: Matrix) -> Optional[Matrix]:
 
 
 class SparseMap:
-    """A matrix kept as sparse raw columns, applied to sparse raw vectors
+    """A matrix kept as sparse columns, applied to sparse vectors
     {index: value} with its field's operations chosen once."""
 
     def __init__(self, m: Matrix):
@@ -485,12 +423,12 @@ class SparseMap:
         return out
 
 
-def column_space_basis(field: FieldSpec, vectors: Iterable[Sequence[Scalar]],
-                       dim: int) -> list[list[Scalar]]:
+def column_space_basis(field: FieldSpec, vectors: Iterable[Sequence],
+                       dim: int) -> list[list]:
     """Greedy independent subset of `vectors` (ambient dimension `dim`),
     keeping the earliest vectors that raise the rank."""
     e = EchelonBasis(field.characteristic)
-    kept: list[list[Scalar]] = []
+    kept: list[list] = []
     for v in vectors:
         if len(v) != dim:
             raise ValueError("vector dimension mismatch")
@@ -536,9 +474,9 @@ def complement(characteristic: int, dim: int, subspace: Iterable[dict],
 
 
 def quotient_basis(field: FieldSpec, ambient_dim: int,
-                   subspace: Sequence[Sequence[Scalar]],
+                   subspace: Sequence[Sequence],
                    preferred: Optional[Sequence[int]] = None
-                   ) -> tuple[list[list[Scalar]], Matrix]:
+                   ) -> tuple[list[list], Matrix]:
     """Complement representatives and projection for ambient / span(subspace).
 
     Representatives are standard basis vectors, chosen greedily in
@@ -555,7 +493,7 @@ def quotient_basis(field: FieldSpec, ambient_dim: int,
     order = preferred if preferred is not None else range(ambient_dim)
     chosen, images = complement(field.characteristic, ambient_dim, rows,
                                 order)
-    one = field.one().value
+    one = field.one()
     reps = [dense(field, {j: one}, ambient_dim) for j in chosen]
     cols = [dense(field, img, len(chosen)) for img in images]
     ent = tuple(cols[j][i] for i in range(len(chosen))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .exactlinalg import FieldSpec, Matrix, Scalar
+from .exactlinalg import FieldSpec, Matrix
 from .grading import Grading, HomogeneousWalk, HWalkStep
 from .groups import Group
 from .cohomology import Character
@@ -70,22 +70,22 @@ def field_from_doc(doc) -> FieldSpec:
     except (TypeError, ValueError) as e:
         raise FormatError(f"bad field: {e}") from e
 
-def scalar_from_doc(field: FieldSpec, text) -> Scalar:
+def scalar_from_doc(field: FieldSpec, text):
     _require(isinstance(text, str), f"scalar {text!r} must be a string")
     try:
         return field.parse(text)
     except (ValueError, ZeroDivisionError) as e:
         raise FormatError(f"bad scalar {text!r}: {e}") from e
 
-def comb_to_doc(comb: LinComb) -> dict:
-    return {n: str(a) for n, a in sorted(comb.items())}
+def comb_to_doc(field: FieldSpec, comb: LinComb) -> dict:
+    return {n: field.format(a) for n, a in sorted(comb.items())}
 
 def comb_from_doc(field: FieldSpec, doc) -> LinComb:
     _require(isinstance(doc, dict), "combination must be an object")
     return {n: scalar_from_doc(field, v) for n, v in doc.items()}
 
 def matrix_to_doc(m: Matrix) -> list:
-    return [[str(a) for a in m.row(i)] for i in range(m.rows)]
+    return [[m.field.format(a) for a in m.row(i)] for i in range(m.rows)]
 
 def matrix_from_doc(field: FieldSpec, doc) -> Matrix:
     _require(isinstance(doc, list) and doc and
@@ -122,13 +122,13 @@ def category_to_doc(c: LinCat) -> dict:
             hom.setdefault(x, {})[y] = list(names)
     comp = {}
     for (g, f), comb in sorted(c.comp.items()):
-        comp.setdefault(g, {})[f] = comb_to_doc(comb)
+        comp.setdefault(g, {})[f] = comb_to_doc(c.field, comb)
     return {"kind": "category", "format_version": FORMAT_VERSION,
             "field": field_to_doc(c.field),
             "objects": list(c.objects),
             "hom": hom,
             "comp": comp,
-            "identities": {x: comb_to_doc(c.identities[x])
+            "identities": {x: comb_to_doc(c.field, c.identities[x])
                            for x in c.objects}}
 
 def category_from_doc(doc) -> LinCat:
@@ -254,7 +254,8 @@ def character_to_doc(chi: Character) -> dict:
     return {"kind": "character", "format_version": FORMAT_VERSION,
             "field": field_to_doc(chi.field),
             "group": group_to_doc(chi.group),
-            "values": {s: str(v) for s, v in sorted(chi.values.items())}}
+            "values": {s: chi.field.format(v)
+                       for s, v in sorted(chi.values.items())}}
 
 def character_from_doc(doc) -> Character:
     _check_envelope(doc, "character")

@@ -105,8 +105,7 @@ def validate_grading(z: Grading) -> list[str]:
         return problems
 
     def support_degrees(coords, pair) -> set:
-        return {z.degrees[pair][j] for j, a in enumerate(coords)
-                if not a.is_zero()}
+        return {z.degrees[pair][j] for j, a in enumerate(coords) if a}
 
     for x in c.objects:
         pair = (x, x)
@@ -327,8 +326,8 @@ class SmashResult:
 
 
 def _unit_row(col) -> Optional[int]:
-    hits = [i for i, a in enumerate(col) if not a.is_zero()]
-    if len(hits) == 1 and col[hits[0]].is_one():
+    hits = [i for i, a in enumerate(col) if a]
+    if len(hits) == 1 and col[hits[0]] == 1:
         return hits[0]
     return None
 
@@ -390,7 +389,7 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
         coords = invs[(x, w)].apply(b.vector(comb, x, w))
         out = {}
         for j, a in enumerate(coords):
-            if a.is_zero():
+            if not a:
                 continue
             if z.degrees[(x, w)][j] != expect:
                 raise RuntimeError("composite escaped its degree component")

@@ -17,34 +17,41 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlinalg import FieldSpec, Matrix, Scalar, complement, inverse
+from .exactlinalg import FieldSpec, Matrix, complement, inverse
 
-# morphism = finitely supported combination of basis names, zero coeffs dropped
-LinComb = dict[str, Scalar]
+# morphism = finitely supported combination of basis names with field
+# elements as coefficients (see FieldSpec), zero coeffs dropped
+LinComb = dict[str, object]
 
 
 def comb_normalize(comb: LinComb) -> LinComb:
-    return {n: s for n, s in comb.items() if not s.is_zero()}
+    return {n: s for n, s in comb.items() if s}
 
-def comb_add(a: LinComb, b: LinComb) -> LinComb:
+def _reduced(field: FieldSpec, comb: dict) -> LinComb:
+    """comb_normalize of a combination whose coefficients are sums or
+    products of field elements."""
+    red = field.reduce
+    return {n: a for n, s in comb.items() if (a := red(s))}
+
+def comb_add(field: FieldSpec, a: LinComb, b: LinComb) -> LinComb:
     out = dict(a)
     for n, s in b.items():
-        out[n] = out[n] + s if n in out else s
-    return comb_normalize(out)
+        out[n] = out.get(n, 0) + s
+    return _reduced(field, out)
 
-def comb_scale(s: Scalar, a: LinComb) -> LinComb:
-    return comb_normalize({n: s * v for n, v in a.items()})
+def comb_scale(field: FieldSpec, s, a: LinComb) -> LinComb:
+    return _reduced(field, {n: s * v for n, v in a.items()})
 
 def comb_eq(a: LinComb, b: LinComb) -> bool:
     return comb_normalize(a) == comb_normalize(b)
 
-def comb_str(comb: LinComb) -> str:
+def comb_str(field: FieldSpec, comb: LinComb) -> str:
     if not comb:
         return "0"
     parts = []
     for n in sorted(comb):
         s = comb[n]
-        parts.append(n if s.is_one() else f"({s})*{n}")
+        parts.append(n if s == 1 else f"({field.format(s)})*{n}")
     return " + ".join(parts)
 
 
@@ -108,7 +115,7 @@ class LinCat:
              hom: dict[tuple[str, str], Sequence[str]],
              comp: dict[tuple[str, str], dict],
              identities: dict[str, dict]) -> "LinCat":
-        """Builder coercing plain ints/Fractions/strings to Scalars."""
+        """Builder coercing plain ints/Fractions/strings to field elements."""
         def coerce(c: dict) -> LinComb:
             out = {}
             for n, v in c.items():
@@ -137,25 +144,25 @@ class LinCat:
 
     def comb_pair(self, comb: LinComb) -> Optional[tuple[str, str]]:
         """The single hom pair supporting comb; None if comb = 0."""
-        pairs = {self._pair[n] for n in comb if not comb[n].is_zero()}
+        pairs = {self._pair[n] for n, s in comb.items() if s}
         if not pairs:
             return None
         if len(pairs) > 1:
             raise ValueError(f"combination spread over several hom spaces: {sorted(pairs)}")
         return pairs.pop()
 
-    def vector(self, comb: LinComb, x: str, y: str) -> list[Scalar]:
+    def vector(self, comb: LinComb, x: str, y: str) -> list:
         """Coordinates of comb in the declared basis of hom(x,y)."""
         vec = [self.field.zero()] * self.dim(x, y)
         for n, s in comb.items():
-            if s.is_zero():
+            if not s:
                 continue
             if self._pair[n] != (x, y):
                 raise ValueError(f"{n} is not in hom({x},{y})")
             vec[self._index[n]] = s
         return vec
 
-    def comb_of_vector(self, vec: Sequence[Scalar], x: str, y: str) -> LinComb:
+    def comb_of_vector(self, vec: Sequence, x: str, y: str) -> LinComb:
         names = self.hom[(x, y)]
         if len(vec) != len(names):
             raise ValueError("coordinate length mismatch")
@@ -176,18 +183,17 @@ def compose(c: LinCat, g: LinComb, f: LinComb) -> LinComb:
         return {}
     if pf[1] != pg[0]:
         raise ValueError(f"cannot compose hom{pg} after hom{pf}")
-    out: LinComb = {}
+    out: dict = {}
     for gn, gs in g.items():
-        if gs.is_zero():
+        if not gs:
             continue
         for fn, fs in f.items():
-            if fs.is_zero():
+            if not fs:
                 continue
             coeff = gs * fs
             for n, s in c.comp.get((gn, fn), {}).items():
-                add = coeff * s
-                out[n] = out[n] + add if n in out else add
-    return comb_normalize(out)
+                out[n] = out.get(n, 0) + coeff * s
+    return _reduced(c.field, out)
 
 
 def comp_range_violations(c: LinCat) -> list[Violation]:
@@ -216,11 +222,11 @@ def validate_category(c: LinCat) -> list[Violation]:
         left = compose(c, c.identity(y), f)
         if not comb_eq(left, f):
             out.append(Violation("unit-left", (y, n),
-                                 f"id_{y} ∘ {n} = {comb_str(left)}"))
+                                 f"id_{y} ∘ {n} = {comb_str(c.field, left)}"))
         right = compose(c, f, c.identity(x))
         if not comb_eq(right, f):
             out.append(Violation("unit-right", (n, x),
-                                 f"{n} ∘ id_{x} = {comb_str(right)}"))
+                                 f"{n} ∘ id_{x} = {comb_str(c.field, right)}"))
     def in_range(comb: LinComb, pair: tuple[str, str]) -> bool:
         return all(c.pair_of(n) == pair for n in comb)
 
@@ -245,8 +251,8 @@ def validate_category(c: LinCat) -> list[Violation]:
                 rhs = compose(c, hg, {f: one})
                 if not comb_eq(lhs, rhs):
                     out.append(Violation("assoc", (h, g, f),
-                                         f"({h}∘{g})∘{f} = {comb_str(rhs)} but "
-                                         f"{h}∘({g}∘{f}) = {comb_str(lhs)}"))
+                                         f"({h}∘{g})∘{f} = {comb_str(c.field, rhs)} but "
+                                         f"{h}∘({g}∘{f}) = {comb_str(c.field, lhs)}"))
     return out
 
 
@@ -261,6 +267,10 @@ class LinFunctor:
     matrices: dict[tuple[str, str], Matrix]
 
     def __post_init__(self):
+        fld = self.source.field
+        if self.target.field != fld:
+            raise ValueError(f"source field {fld} differs from target "
+                             f"field {self.target.field}")
         for x in self.source.objects:
             if x not in self.object_map:
                 raise ValueError(f"object_map misses {x}")
@@ -277,8 +287,7 @@ class LinFunctor:
                 if want_cols:
                     raise ValueError(f"no matrix for hom{pair}")
                 if want_rows not in empty:
-                    empty[want_rows] = Matrix.zeros(self.source.field,
-                                                    want_rows, 0)
+                    empty[want_rows] = Matrix.zeros(fld, want_rows, 0)
                 m = empty[want_rows]
             if (m.rows, m.cols) != (want_rows, want_cols):
                 raise ValueError(
@@ -375,7 +384,7 @@ def validate_functor(f: LinFunctor) -> list[Violation]:
         want = tgt.identity(f.object_map[x])
         if not comb_eq(img, want):
             out.append(Violation("functor-unit", (x,),
-                                 f"F(id_{x}) = {comb_str(img)} ≠ id_{f.object_map[x]}"))
+                                 f"F(id_{x}) = {comb_str(tgt.field, img)} ≠ id_{f.object_map[x]}"))
     names = src.basis_names()
     image: dict[str, LinComb] = {}  # f.apply_name(n), read off the columns
     for (x, y), pair_names in src.hom.items():
@@ -391,12 +400,13 @@ def validate_functor(f: LinFunctor) -> list[Violation]:
         for gn in leaving[src.target_of(fn)]:
             lhs: LinComb = {}
             for n, s in src.comp.get((gn, fn), {}).items():
-                lhs = comb_add(lhs, comb_scale(s, image[n]))
+                lhs = comb_add(tgt.field, lhs,
+                               comb_scale(tgt.field, s, image[n]))
             rhs = compose(tgt, image[gn], image[fn])
             if not comb_eq(lhs, rhs):
                 out.append(Violation("functor-comp", (gn, fn),
-                                     f"F({gn}∘{fn}) = {comb_str(lhs)} but "
-                                     f"F({gn})∘F({fn}) = {comb_str(rhs)}"))
+                                     f"F({gn}∘{fn}) = {comb_str(tgt.field, lhs)} but "
+                                     f"F({gn})∘F({fn}) = {comb_str(tgt.field, rhs)}"))
     return out
 
 
@@ -565,7 +575,7 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
     basis_paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
     projections: dict[tuple[str, str], list[dict]] = {}
     index: dict[tuple[str, str], dict[tuple[str, ...], int]] = {}
-    relations = [[(field.scalar(coeff).value, path) for coeff, path in rel]
+    relations = [[(field.scalar(coeff), path) for coeff, path in rel]
                  for rel in p.relations]
 
     for pair, plist in paths.items():
@@ -607,8 +617,7 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
 
     def comb_of_path(t: tuple[str, ...], pair: tuple[str, str]) -> LinComb:
         coords = projections[pair][index[pair][t]]
-        return {hom[pair][i]: Scalar(field, a)
-                for i, a in sorted(coords.items())}
+        return {hom[pair][i]: a for i, a in sorted(coords.items())}
 
     identities = {x: comb_of_path((), (x, x)) for x in p.vertices}
     comp: dict[tuple[str, str], LinComb] = {}

@@ -573,6 +573,25 @@ def test_mistyped_functor_grading_character_action_exit_2(
     assert fragment in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ("cover", "check"), ("validate",), ("galois", "check"),
+    ("galois", "structure"), ("cover", "aut1"), ("grade", "induce"),
+], ids=" ".join)
+def test_mixed_field_functor_exit_2(workdir, tmp_path, command):
+    # a functor from the Kronecker category over Q to the one over F_2
+    from lincat.fixtures import F2, Q, kronecker
+    from lincat.formats import category_to_doc, dump_path, functor_to_doc
+    from lincat.kcat import identity_functor
+    doc = functor_to_doc(identity_functor(kronecker(F2).category))
+    doc["source"] = category_to_doc(kronecker(Q).category)
+    path = tmp_path / "mixed.json"
+    dump_path(path, doc)
+    code, out, err = run(workdir, *command, "--functor", str(path))
+    assert code == 2
+    assert out == ""
+    assert "field" in err and "Traceback" not in err
+
+
 def test_fixture_template_name_exit_2():
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(["fixtures", "cyclic-cover-n"], stdout=out, stderr=err)

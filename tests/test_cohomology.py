@@ -39,7 +39,7 @@ def test_derivation_space_of_square_zero_loop():
     d = ders[0]
     # the loop scales, the identity is fixed
     assert comb_eq(d.apply_name("u"),
-                   comb_scale(d.matrices[("x", "x")].entry(1, 1), {"u": Q.one()})) \
+                   comb_scale(Q, d.matrices[("x", "x")].entry(1, 1), {"u": Q.one()})) \
         or comb_eq(d.apply_name("u"), {})
 
 
@@ -56,7 +56,7 @@ def test_inner_derivation_dimensions():
 def test_inner_derivations_have_reduced_residues():
     for p in (3, 5):
         for d in inner_derivations(kronecker(FieldSpec(p)).category):
-            assert all(0 <= s.value < p
+            assert all(0 <= s < p
                        for m in d.matrices.values() for s in m.entries)
 
 
@@ -93,12 +93,12 @@ def test_leibniz_on_combinations(a1, a2, b1, b2):
     # Leibniz against arbitrary combinations, not only basis pairs
     lz = loop_square_zero().category
     d = derivation_space(lz)[0]
-    f = comb_add(comb_scale(Q.scalar(a1), {"1_x": Q.one()}),
-                 comb_scale(Q.scalar(a2), {"u": Q.one()}))
-    g = comb_add(comb_scale(Q.scalar(b1), {"1_x": Q.one()}),
-                 comb_scale(Q.scalar(b2), {"u": Q.one()}))
+    f = comb_add(Q, comb_scale(Q, Q.scalar(a1), {"1_x": Q.one()}),
+                 comb_scale(Q, Q.scalar(a2), {"u": Q.one()}))
+    g = comb_add(Q, comb_scale(Q, Q.scalar(b1), {"1_x": Q.one()}),
+                 comb_scale(Q, Q.scalar(b2), {"u": Q.one()}))
     lhs = d.apply(compose(lz, g, f))
-    rhs = comb_add(compose(lz, g, d.apply(f)), compose(lz, d.apply(g), f))
+    rhs = comb_add(Q, compose(lz, g, d.apply(f)), compose(lz, d.apply(g), f))
     assert comb_eq(lhs or {}, rhs)
 
 
@@ -108,10 +108,10 @@ def test_character_spaces():
     c2, c4 = cyclic_group(2), cyclic_group(4)
     assert characters(c2, Q) == []
     basis = characters(c2, F2)
-    assert len(basis) == 1 and str(basis[0]("g")) == "1 mod 2"
+    assert len(basis) == 1 and F2.format(basis[0]("g")) == "1 mod 2"
     basis4 = characters(c4, F2)
     assert len(basis4) == 1
-    vals = {s: str(v) for s, v in basis4[0].values.items()}
+    vals = {s: F2.format(v) for s, v in basis4[0].values.items()}
     # factors through the order-2 quotient
     assert vals == {"e": "0 mod 2", "g": "1 mod 2",
                     "g2": "0 mod 2", "g3": "1 mod 2"}
@@ -156,7 +156,7 @@ def test_delta_on_the_graded_kronecker():
 def test_delta_of_zero_character_is_zero():
     kf2, z = kf2_grading()
     d = delta(kf2, z, zero_character(z.group, F2))
-    assert all(all(a.is_zero() for a in m.entries)
+    assert all(not any(m.entries)
                for m in d.matrices.values())
 
 
@@ -229,7 +229,7 @@ def no_nonzero_character_is_inner(c, z):
         values = {s: field.zero() for s in z.group.elements}
         for a, chi in zip(coeffs, basis):
             for s in values:
-                values[s] = values[s] + field.scalar(a) * chi(s)
+                values[s] = field.reduce(values[s] + field.scalar(a) * chi(s))
         if is_inner(delta(c, z, Character(z.group, field, values))):
             return False
     return True

@@ -1,7 +1,8 @@
 """Differential tests of exactlinalg against sympy (a dev-only oracle).
 
 Random small matrices over Q and F_p, p in {2, 3, 5, 7}: rref, rank,
-kernel, solve and inverse against sympy's DomainMatrix; the Smith form
+kernel, solve, inverse and the arithmetic of Matrix against sympy's
+DomainMatrix; the Smith form
 against sympy's invariant factors over ZZ; and the greedy bases against
 the greedy-by-rank definition kept here as the reference.
 """
@@ -46,7 +47,7 @@ def raw(field, x):
 
 
 def values(seq):
-    return [s.value for s in seq]
+    return list(seq)
 
 
 def matrix_values(m):
@@ -58,8 +59,8 @@ def sympy_values(field, dm):
 
 
 @st.composite
-def field_and_rows(draw, rows=None, cols=None, square=False):
-    p = draw(st.sampled_from(PRIMES))
+def field_and_rows(draw, rows=None, cols=None, square=False, p=None):
+    p = draw(st.sampled_from(PRIMES)) if p is None else p
     field = FieldSpec(p)
     r = draw(st.integers(1, 5)) if rows is None else rows
     c = r if square else (draw(st.integers(1, 5)) if cols is None else cols)
@@ -70,7 +71,7 @@ def field_and_rows(draw, rows=None, cols=None, square=False):
         entry = st.one_of(st.just(0), st.integers(0, p - 1))
     ent = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
                         min_size=r, max_size=r))
-    return field, [[field.scalar(v).value for v in row] for row in ent]
+    return field, [[field.scalar(v) for v in row] for row in ent]
 
 
 def ours(field, rows):
@@ -116,7 +117,7 @@ def test_kernel_basis(case):
 def test_solve(case, data):
     field, rows = case
     m = ours(field, rows)
-    rhs = [field.scalar(v).value for v in data.draw(st.lists(
+    rhs = [field.scalar(v) for v in data.draw(st.lists(
         st.integers(-3, 3), min_size=m.rows, max_size=m.rows))]
     x = solve(m, [field.scalar(v) for v in rhs])
     aug = to_sympy(field, [r + [b] for r, b in zip(rows, rhs)], m.cols + 1)
@@ -141,6 +142,28 @@ def test_inverse(case):
         assert inv is None
     else:
         assert matrix_values(inv) == sympy_values(field, sm.inv())
+
+
+@settings(max_examples=100)
+@given(field_and_rows(), st.data())
+def test_matrix_arithmetic(case, data):
+    # @, apply, + and - reduce mod p explicitly; sympy's GF(p) is the oracle
+    field, rows = case
+    p, r, c = field.characteristic, len(rows), len(rows[0])
+    _, same_shape = data.draw(field_and_rows(rows=r, cols=c, p=p))
+    _, right = data.draw(field_and_rows(rows=c, p=p))
+    _, vec = data.draw(field_and_rows(rows=c, cols=1, p=p))
+    a, b, d = ours(field, rows), ours(field, same_shape), ours(field, right)
+    sa = to_sympy(field, rows, c)
+    sb = to_sympy(field, same_shape, c)
+    sd = to_sympy(field, right, d.cols)
+    assert matrix_values(a @ d) == sympy_values(field, sa * sd)
+    assert matrix_values(a + b) == sympy_values(field, sa + sb)
+    assert matrix_values(a - b) == sympy_values(field, sa - sb)
+    assert matrix_values(-a) == sympy_values(field, -sa)
+    column = [v for (v,) in vec]
+    assert values(a.apply(column)) == \
+        [v for (v,) in sympy_values(field, sa * to_sympy(field, vec, 1))]
 
 
 @settings(max_examples=100)
@@ -179,7 +202,7 @@ def reference_quotient(field, dim, subspace, preferred):
     units, chosen = [], []
     for j in preferred:
         unit = [0] * dim
-        unit[j] = field.one().value
+        unit[j] = field.one()
         if sympy_rank(field, indep + units + [unit], dim) == \
                 len(indep) + len(units) + 1:
             units.append(unit)

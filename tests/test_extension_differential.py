@@ -65,7 +65,7 @@ def reference_extend(f, g, j, x0, d0):
         for e in fibre(g, f.object_map[y]):
             width = d.dim(omap[x], e) if direction == "out" \
                 else d.dim(e, omap[x])
-            if any(not s.is_zero() for s in sol[pos:pos + width]):
+            if any(sol[pos:pos + width]):
                 if found is not None:
                     return None
                 found = e

@@ -115,6 +115,36 @@ def test_functor_violation_detected():
     assert any(v.kind == "functor-unit" for v in validate_functor(bad))
 
 
+@pytest.mark.parametrize("field,a_image,lines", [
+    (Q, "1/2", [
+        "functor-unit at ('s',): F(id_s) = (2)*1_s ≠ id_s",
+        "functor-comp at ('1_s', '1_s'): F(1_s∘1_s) = (2)*1_s but "
+        "F(1_s)∘F(1_s) = (4)*1_s",
+        "functor-comp at ('a', '1_s'): F(a∘1_s) = (1/2)*a but "
+        "F(a)∘F(1_s) = a",
+        "functor-comp at ('b', '1_s'): F(b∘1_s) = b but "
+        "F(b)∘F(1_s) = (2)*b",
+    ]),
+    (FieldSpec(3), 2, [
+        "functor-unit at ('s',): F(id_s) = (2 mod 3)*1_s ≠ id_s",
+        "functor-comp at ('1_s', '1_s'): F(1_s∘1_s) = (2 mod 3)*1_s but "
+        "F(1_s)∘F(1_s) = 1_s",
+        "functor-comp at ('a', '1_s'): F(a∘1_s) = (2 mod 3)*a but "
+        "F(a)∘F(1_s) = a",
+        "functor-comp at ('b', '1_s'): F(b∘1_s) = b but "
+        "F(b)∘F(1_s) = (2 mod 3)*b",
+    ]),
+], ids=["Q", "F_3"])
+def test_validate_functor_diagnostic_text(field, a_image, lines):
+    # 1_s ↦ 2·1_s and a ↦ (1/2)·a: scalars render as "(2)" or "(2 mod 3)",
+    # a coefficient reduced to 1 drops its parentheses
+    k = kronecker(field).category
+    f = LinFunctor.on_basis(k, k, {"s": "s", "t": "t"},
+                            {"1_s": {"1_s": 2}, "1_t": {"1_t": 1},
+                             "a": {"a": a_image}, "b": {"b": 1}})
+    assert [str(v) for v in validate_functor(f)] == lines
+
+
 def reference_validate_functor(f):
     """validate_functor as it was: one apply per composable basis pair,
     found by scanning every basis name."""
@@ -323,8 +353,8 @@ def test_compose_associative_on_random_combs(f, g, h):
 def test_compose_associative_in_quotient(fs, gs):
     b = square_base().category
     fld = b.field
-    f = {"a": fld.scalar(fs[0].value), "b": fld.scalar(fs[1].value)}
-    g = {"g": fld.scalar(gs[0].value), "d": fld.scalar(gs[1].value)}
+    f = {"a": fld.scalar(fs[0]), "b": fld.scalar(fs[1])}
+    g = {"g": fld.scalar(gs[0]), "d": fld.scalar(gs[1])}
     h = b.identity("z")
     lhs = compose(b, h, compose(b, g, f))
     rhs = compose(b, compose(b, h, g), f)
