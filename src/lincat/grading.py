@@ -116,18 +116,35 @@ def validate_grading(z: Grading) -> list[str]:
         if degs - {grp.identity}:
             problems.append(f"identity of {x} meets degrees "
                             f"{sorted(degs - {grp.identity})}")
+    # homogeneous columns as (basis name, value) terms; their products
+    # are summed from the structure constants and keyed by name, so the
+    # first term outside hom(x,w) is refused as LinCat.vector refuses it
+    cols = {pair: [[(n, a) for n, a in zip(c.hom[pair], z.basis[pair].col(j))
+                    if a] for j in range(len(c.hom[pair]))]
+            for pair in want}
+    red = c.field.reduce
     for (x, y) in sorted(want):
-        for (y2, w) in sorted(want):
-            if y2 != y or (x, w) not in invs:
+        # the nonzero pairs leaving y, sorted: leaving[y] is in that order
+        for (_, w) in dict.fromkeys(map(c.pair_of, c.leaving[y])):
+            if (x, w) not in invs:
                 continue
             for jf, s in enumerate(z.degrees[(x, y)]):
-                f_comb = z.homogeneous_comb(x, y, jf)
+                f_col = cols[(x, y)][jf]
                 for jg, t in enumerate(z.degrees[(y, w)]):
-                    g_comb = z.homogeneous_comb(y, w, jg)
-                    prod = compose(c, g_comb, f_comb)
-                    if not prod:
+                    acc: dict = {}
+                    for gn, gs in cols[(y, w)][jg]:
+                        for fn, fs in f_col:
+                            for n, a in c.comp.get((gn, fn), {}).items():
+                                acc[n] = acc.get(n, 0) + gs * fs * a
+                    vec = [0] * len(c.hom[(x, w)])
+                    for n, v in acc.items():
+                        if (v := red(v)):
+                            if c.pair_of(n) != (x, w):
+                                raise ValueError(f"{n} is not in hom({x},{w})")
+                            vec[c.position[n]] = v
+                    if not any(vec):
                         continue
-                    coords = invs[(x, w)].apply(c.vector(prod, x, w))
+                    coords = invs[(x, w)].apply(vec)
                     degs = support_degrees(coords, (x, w))
                     ts = grp.mul(t, s)
                     if degs - {ts}:
@@ -293,21 +310,20 @@ def is_connected_grading(z: Grading) -> GradingConnectivity:
     states = [(o, g) for o in c.objects for g in grp.elements]
     if not states:
         return GradingConnectivity(True, (), {})
+    # the moves out of each object: (next object, degree, step)
+    moves: dict[str, list] = {o: [] for o in c.objects}
+    for (x, y), labels in z.degrees.items():
+        for j, d in enumerate(labels):
+            moves[x].append((y, d, HWalkStep(x, y, j, 1)))
+            moves[y].append((x, grp.inv(d), HWalkStep(x, y, j, -1)))
     start = (c.objects[0], grp.identity)
     walks = {start: HomogeneousWalk(c.objects[0])}
     queue = deque([start])
     while queue:
         o, g = queue.popleft()
         here = walks[(o, g)]
-        moves = []
-        for (x, y), labels in z.degrees.items():
-            for j, d in enumerate(labels):
-                if x == o:
-                    moves.append(((y, grp.mul(d, g)), HWalkStep(x, y, j, 1)))
-                if y == o:
-                    moves.append(((x, grp.mul(grp.inv(d), g)),
-                                  HWalkStep(x, y, j, -1)))
-        for nxt, step in moves:
+        for y, d, step in moves[o]:
+            nxt = (y, grp.mul(d, g))
             if nxt not in walks:
                 walks[nxt] = HomogeneousWalk(here.start, here.steps + (step,))
                 queue.append(nxt)

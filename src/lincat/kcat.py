@@ -7,6 +7,12 @@ globally unique so a combination knows which hom space it lives in.  Zero
 hom spaces are stored as empty basis tuples, never as missing keys, so
 dimension counts are unambiguous.
 
+A category indexes its composable pairs once, when it is built: `pairs`
+lists the nonzero hom pairs in object order, `leaving[x]`/`arriving[x]`
+the basis names with source/target x in `basis_names()` order, and
+`position[n]` the coordinate of n in its hom space.  Axiom sweeps walk
+these instead of scanning all pairs of objects or basis names.
+
 Also here: k-linear functors, connectivity, and compilation of
 quiver-with-relations presentations into categories with a certified
 path-monomial basis.
@@ -85,13 +91,21 @@ class LinCat:
         self.hom = {(x, y): tuple(self.hom.get((x, y), ()))
                     for x in self.objects for y in self.objects}
         self._pair: dict[str, tuple[str, str]] = {}
-        self._index: dict[str, int] = {}
+        self.position: dict[str, int] = {}
         for pair, names in self.hom.items():
             for i, n in enumerate(names):
                 if n in self._pair:
                     raise ValueError(f"basis name {n!r} declared twice")
                 self._pair[n] = pair
-                self._index[n] = i
+                self.position[n] = i
+        self.pairs = tuple(p for p, names in self.hom.items() if names)
+        self._names = tuple(n for p in sorted(self.pairs) for n in self.hom[p])
+        self.leaving: dict[str, list[str]] = {x: [] for x in self.objects}
+        self.arriving: dict[str, list[str]] = {x: [] for x in self.objects}
+        for n in self._names:
+            x, y = self._pair[n]
+            self.leaving[x].append(n)
+            self.arriving[y].append(n)
         for (g, f), comb in list(self.comp.items()):
             if g not in self._pair or f not in self._pair:
                 raise ValueError(f"comp key ({g},{f}) references unknown basis names")
@@ -100,8 +114,8 @@ class LinCat:
             for n in comb:
                 if n not in self._pair:
                     raise ValueError(f"comp value for ({g},{f}) uses unknown name {n!r}")
-        self.comp = {k: comb_normalize(v) for k, v in self.comp.items()}
-        self.comp = {k: v for k, v in self.comp.items() if v}
+        self.comp = {k: r for k, v in self.comp.items()
+                     if (r := _reduced(self.field, v))}
         for x in self.objects:
             if x not in self.identities:
                 raise ValueError(f"no identity declared for object {x}")
@@ -140,7 +154,7 @@ class LinCat:
         return len(self.hom[(x, y)])
 
     def basis_names(self) -> list[str]:
-        return [n for pair in sorted(self.hom) for n in self.hom[pair]]
+        return list(self._names)
 
     def comb_pair(self, comb: LinComb) -> Optional[tuple[str, str]]:
         """The single hom pair supporting comb; None if comb = 0."""
@@ -159,7 +173,7 @@ class LinCat:
                 continue
             if self._pair[n] != (x, y):
                 raise ValueError(f"{n} is not in hom({x},{y})")
-            vec[self._index[n]] = s
+            vec[self.position[n]] = s
         return vec
 
     def comb_of_vector(self, vec: Sequence, x: str, y: str) -> LinComb:
@@ -233,16 +247,12 @@ def validate_category(c: LinCat) -> list[Violation]:
     one = c.field.one()
     for f in c.basis_names():
         x, y = c.pair_of(f)
-        for g in c.basis_names():
-            if c.source_of(g) != y:
-                continue
+        for g in c.leaving[y]:
             z = c.target_of(g)
             gf = c.comp_of(g, f)
             if not in_range(gf, (x, z)):
                 continue  # already reported as comp-range
-            for h in c.basis_names():
-                if c.source_of(h) != z:
-                    continue
+            for h in c.leaving[z]:
                 w = c.target_of(h)
                 hg = c.comp_of(h, g)
                 if not in_range(hg, (y, w)):
@@ -355,8 +365,9 @@ def functor_equal(f: LinFunctor, g: LinFunctor) -> bool:
 
 
 def functor_is_isomorphism(f: LinFunctor) -> bool:
-    omap = f.object_map
-    if len(set(omap.values())) != len(f.target.objects):
+    """Bijective on objects and invertible on every hom space."""
+    images = {f.object_map[x] for x in f.source.objects}
+    if not len(images) == len(f.source.objects) == len(f.target.objects):
         return False
     return all(m.rows == m.cols and inverse(m) is not None
                for m in f.matrices.values())
@@ -365,7 +376,7 @@ def functor_is_isomorphism(f: LinFunctor) -> bool:
 def inverse_functor(f: LinFunctor) -> LinFunctor:
     if not functor_is_isomorphism(f):
         raise ValueError("functor is not an isomorphism")
-    omap_inv = {v: k for k, v in f.object_map.items()}
+    omap_inv = {f.object_map[x]: x for x in f.source.objects}
     mats = {}
     for (x, y), m in f.matrices.items():
         inv = inverse(m)
@@ -385,19 +396,15 @@ def validate_functor(f: LinFunctor) -> list[Violation]:
         if not comb_eq(img, want):
             out.append(Violation("functor-unit", (x,),
                                  f"F(id_{x}) = {comb_str(tgt.field, img)} ≠ id_{f.object_map[x]}"))
-    names = src.basis_names()
     image: dict[str, LinComb] = {}  # f.apply_name(n), read off the columns
-    for (x, y), pair_names in src.hom.items():
+    for (x, y) in src.pairs:
         m = f.matrices[(x, y)]
         rows = tgt.hom[(f.object_map[x], f.object_map[y])]
-        for j, n in enumerate(pair_names):
+        for j, n in enumerate(src.hom[(x, y)]):
             image[n] = {t: a for t, a in zip(rows, m.entries[j::m.cols])
                         if a}
-    leaving: dict[str, list[str]] = {x: [] for x in src.objects}
-    for n in names:
-        leaving[src.source_of(n)].append(n)
-    for fn in names:
-        for gn in leaving[src.target_of(fn)]:
+    for fn in src.basis_names():
+        for gn in src.leaving[src.target_of(fn)]:
             lhs: LinComb = {}
             for n, s in src.comp.get((gn, fn), {}).items():
                 lhs = comb_add(tgt.field, lhs,

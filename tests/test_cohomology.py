@@ -182,6 +182,23 @@ def test_injectivity_check_on_connected_gradings():
     assert delta_injectivity_check(kq, zq)  # vacuous: no nonzero characters
 
 
+def test_injectivity_check_validates_the_grading_once(monkeypatch):
+    import lincat.cohomology as cohomology
+    import lincat.grading as grading
+    calls = []
+
+    def counted(z, _real=grading.validate_grading):
+        calls.append(z)
+        return _real(z)
+    for module in (grading, cohomology):
+        monkeypatch.setattr(module, "validate_grading", counted)
+    # one and two basis characters
+    for c, z in (kf2_grading(), three_arrow_kronecker_grading(3)):
+        calls.clear()
+        assert delta_injectivity_check(c, z)
+        assert calls == [z]
+
+
 def test_injectivity_check_refuses_disconnected_grading():
     kf2, _ = kf2_grading()
     with pytest.raises(ValueError, match="not connected"):

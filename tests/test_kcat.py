@@ -233,6 +233,26 @@ def test_inverse_functor():
     assert not functor_is_isomorphism(fix.functor)
 
 
+def test_full_matrix_category_onto_k_is_not_an_isomorphism():
+    # M₂(k) as a category on objects a, b with every hom space k, sent to
+    # k by every basis element ↦ 1_t: a functor, invertible on every hom
+    # space, square blocks, onto the objects, and yet not injective on them
+    objs = ("a", "b")
+    hom = {(x, y): [f"e{x}{y}"] for x in objs for y in objs}
+    comp = {(f"e{y}{z}", f"e{x}{y}"): {f"e{x}{z}": 1}
+            for x in objs for y in objs for z in objs}
+    m2 = LinCat.make(Q, objs, hom, comp, {x: {f"e{x}{x}": 1} for x in objs})
+    k = LinCat.make(Q, ["t"], {("t", "t"): ["1_t"]},
+                    {("1_t", "1_t"): {"1_t": 1}}, {"t": {"1_t": 1}})
+    f = LinFunctor.on_basis(m2, k, {"a": "t", "b": "t"},
+                            {n: {"1_t": 1} for names in hom.values()
+                             for n in names})
+    assert validate_category(m2) == [] and validate_functor(f) == []
+    assert not functor_is_isomorphism(f)
+    with pytest.raises(ValueError, match="not an isomorphism"):
+        inverse_functor(f)
+
+
 # -- connectivity --------------------------------------------------------
 
 def test_kronecker_connected():

@@ -1,0 +1,378 @@
+"""Differential test of validate_derivation and validate_grading against
+the comb-based checks they replaced, kept here verbatim as references.
+The library sums each Leibniz equation and each product of homogeneous
+columns from the raw structure constants; the references send every
+basis product through compose, comb_pair, vector and comb_of_vector.
+Both must return the same problem lists, in the same order, and refuse
+the same inputs with the same message, also on categories whose
+composites leave their hom space."""
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from lincat.cohomology import (Derivation, characters, delta,
+                               derivation_space, inner_derivations,
+                               validate_derivation)
+from lincat.covering import fibre
+from lincat.exactlinalg import FieldSpec, Matrix, inverse
+from lincat.fixtures import (F2, Q, cover_f1, cyclic_cover, kronecker,
+                             loop_square_zero, square_cover)
+from lincat.grading import (Grading, grading_on_basis, induced_grading,
+                            trivial_grading, validate_grading)
+from lincat.groups import cyclic_group
+from lincat.kcat import (Arrow, LinCat, QuiverPresentation, comb_add,
+                         comb_eq, compose, present)
+
+F3, F5 = FieldSpec(3), FieldSpec(5)
+
+
+# -- the references ----------------------------------------------------------
+
+def _pair_order(c):
+    return [(x, y) for x in c.objects for y in c.objects if c.dim(x, y)]
+
+
+def reference_validate_derivation(d):
+    """Leibniz on every composable basis pair; shapes and key set."""
+    c = d.category
+    problems = []
+    if set(d.matrices) != set(_pair_order(c)):
+        return ["matrix keys do not match the nonzero hom pairs"]
+    for pair in _pair_order(c):
+        n = c.dim(*pair)
+        m = d.matrices[pair]
+        if (m.rows, m.cols) != (n, n):
+            problems.append(f"matrix for hom{pair} is {m.rows}x{m.cols}")
+    if problems:
+        return problems
+    one = c.field.one()
+    for f in c.basis_names():
+        x, y = c.pair_of(f)
+        for g in c.basis_names():
+            y2, w = c.pair_of(g)
+            if y2 != y:
+                continue
+            lhs = d.apply(compose(c, {g: one}, {f: one})) or {}
+            rhs_comb = comb_add(c.field,
+                                compose(c, {g: one}, d.apply_name(f)),
+                                compose(c, d.apply_name(g), {f: one}))
+            if not comb_eq(lhs, rhs_comb):
+                problems.append(f"Leibniz fails on ({g}, {f})")
+    return problems
+
+
+def reference_validate_grading(z):
+    """Empty iff z is a grading: invertible change of basis everywhere,
+    degree labels in the group, identities of degree e, and composites of
+    homogeneous elements homogeneous of the product degree."""
+    problems = []
+    c = z.category
+    grp = z.group
+    want = {pair for pair, names in c.hom.items() if names}
+    if set(z.basis) != want:
+        problems.append(f"basis keys {sorted(set(z.basis) ^ want)} do not "
+                        "match the nonzero hom pairs")
+        return problems
+    if set(z.degrees) != want:
+        problems.append("degree keys do not match the nonzero hom pairs")
+        return problems
+    invs = {}
+    for pair in sorted(want):
+        n = len(c.hom[pair])
+        m = z.basis[pair]
+        if (m.rows, m.cols) != (n, n):
+            problems.append(f"hom{pair}: change of basis is {m.rows}x{m.cols},"
+                            f" expected {n}x{n}")
+            continue
+        if len(z.degrees[pair]) != n:
+            problems.append(f"hom{pair}: {len(z.degrees[pair])} degree labels"
+                            f" for {n} columns")
+            continue
+        bad = [d for d in z.degrees[pair] if d not in grp.elements]
+        if bad:
+            problems.append(f"hom{pair}: unknown degree labels {bad}")
+            continue
+        inv = inverse(m)
+        if inv is None:
+            problems.append(f"hom{pair}: change of basis is singular")
+            continue
+        invs[pair] = inv
+    if problems:
+        return problems
+
+    def support_degrees(coords, pair):
+        return {z.degrees[pair][j] for j, a in enumerate(coords) if a}
+
+    for x in c.objects:
+        pair = (x, x)
+        if pair not in invs:
+            continue
+        coords = invs[pair].apply(c.vector(c.identity(x), x, x))
+        degs = support_degrees(coords, pair)
+        if degs - {grp.identity}:
+            problems.append(f"identity of {x} meets degrees "
+                            f"{sorted(degs - {grp.identity})}")
+    for (x, y) in sorted(want):
+        for (y2, w) in sorted(want):
+            if y2 != y or (x, w) not in invs:
+                continue
+            for jf, s in enumerate(z.degrees[(x, y)]):
+                f_comb = z.homogeneous_comb(x, y, jf)
+                for jg, t in enumerate(z.degrees[(y, w)]):
+                    g_comb = z.homogeneous_comb(y, w, jg)
+                    prod = compose(c, g_comb, f_comb)
+                    if not prod:
+                        continue
+                    coords = invs[(x, w)].apply(c.vector(prod, x, w))
+                    degs = support_degrees(coords, (x, w))
+                    ts = grp.mul(t, s)
+                    if degs - {ts}:
+                        problems.append(
+                            f"hom({x},{y}) column {jf} (degree {s}) composed "
+                            f"with hom({y},{w}) column {jg} (degree {t}) "
+                            f"meets degrees {sorted(degs)}, expected {ts}")
+    return problems
+
+
+def outcome(check, value):
+    """The problem list, or the type and text of the refusal."""
+    try:
+        return check(value)
+    except Exception as e:  # the references may refuse with any type
+        return (type(e).__name__, str(e))
+
+
+def assert_same(check, reference, value):
+    got = outcome(check, value)
+    assert got == outcome(reference, value)
+    return got
+
+
+# -- inputs ------------------------------------------------------------------
+
+def triangle(field):
+    """r -> s -> t with c = b∘a, objects declared out of sorted order."""
+    q = QuiverPresentation(
+        ("t", "s", "r"),
+        (Arrow("a", "r", "s"), Arrow("b", "s", "t"), Arrow("c", "r", "t")),
+        (((Fraction(1), ("b", "a")), (Fraction(-1), ("c",))),),  2)
+    return present(q, field).category
+
+
+def truncated_loop(field, n):
+    """k[u]/(u^n)."""
+    q = QuiverPresentation(("x",), (Arrow("u", "x", "x"),),
+                           (((Fraction(1), ("u",) * n),),), n - 1)
+    return present(q, field).category
+
+
+def zero_composite_path(field):
+    """x -> y -> z with b∘a = 0, so hom(x,z) = 0."""
+    q = QuiverPresentation(("x", "y", "z"),
+                           (Arrow("a", "x", "y"), Arrow("b", "y", "z")),
+                           (((Fraction(1), ("b", "a")),),), 1)
+    return present(q, field).category
+
+
+def with_comp(c, key, comb):
+    """c with the basis product `key` replaced by `comb`."""
+    comp = dict(c.comp)
+    comp[key] = {n: c.field.scalar(a) for n, a in comb.items()}
+    return LinCat(c.field, c.objects, c.hom, comp, c.identities)
+
+
+def broken_categories():
+    """(broken, sound) pairs with the same hom spaces: a composite with a
+    term in another hom space, one spread over two hom spaces, a wrong
+    composite inside its own hom space, and a composite whose hom space
+    is zero."""
+    out = []
+    for field in (Q, F2, F3):
+        k = kronecker(field).category
+        out.append((with_comp(k, ("1_t", "1_t"), {"a": 1}), k))
+        out.append((with_comp(k, ("1_t", "1_t"), {"1_t": 1, "a": 1}), k))
+        out.append((with_comp(k, ("1_t", "a"), {"b": 1}), k))
+        p = zero_composite_path(field)
+        out.append((with_comp(p, ("b", "a"), {"a": 1}), p))
+    return out
+
+
+def sound_categories():
+    return [kronecker(Q).category, kronecker(F2).category,
+            kronecker(F5).category, loop_square_zero(F3).category,
+            triangle(Q), triangle(F2), triangle(F3), triangle(F5),
+            truncated_loop(F3, 3), truncated_loop(Q, 4),
+            zero_composite_path(F5), cyclic_cover(3, F2).total.category,
+            square_cover().base.category]
+
+
+def family(c, entries):
+    """The family of matrices on c's nonzero hom pairs with the given
+    flat entries, in the layout of the Leibniz system."""
+    mats, at = {}, 0
+    for pair in c.pairs:
+        n = c.dim(*pair)
+        mats[pair] = Matrix(c.field, n, n, tuple(entries[at:at + n * n]))
+        at += n * n
+    return mats
+
+
+def identity_family(c):
+    return {pair: Matrix.identity(c.field, c.dim(*pair)) for pair in c.pairs}
+
+
+def derivation_cases():
+    """(category, derivations): every derivation basis element, every
+    inner generator, the identity family (a derivation only in
+    characteristic 2 or where all composites vanish), and the sound
+    category's derivations on its broken twin."""
+    out = []
+    for c in sound_categories():
+        ders = derivation_space(c) + inner_derivations(c)
+        out.append((c, ders + [Derivation(c, identity_family(c))]))
+    for broken, sound in broken_categories():
+        ders = [Derivation(broken, d.matrices)
+                for d in derivation_space(sound)]
+        out.append((broken, ders + [Derivation(broken,
+                                               identity_family(broken))]))
+    return out
+
+
+DERIVATIONS = derivation_cases()
+
+
+def kf2_grading():
+    c = kronecker(F2).category
+    return grading_on_basis(c, cyclic_group(2), {"a": "e", "b": "g"})
+
+
+def mixed_kronecker_grading(field, order):
+    """Homogeneous columns a+b (degree e) and a−b (degree g)."""
+    c = kronecker(field).category
+    z = grading_on_basis(c, cyclic_group(order), {})
+    basis = dict(z.basis)
+    basis[("s", "t")] = Matrix.from_rows(field, [[1, 1], [1, -1]])
+    degrees = dict(z.degrees)
+    degrees[("s", "t")] = ("e", "g")
+    return Grading(z.group, c, basis, degrees)
+
+
+def induced(fix):
+    f = fix.functor
+    return induced_grading(f, {b: fibre(f, b)[0] for b in f.target.objects})
+
+
+def grading_cases():
+    out = [kf2_grading(), mixed_kronecker_grading(F3, 3),
+           mixed_kronecker_grading(F5, 2), mixed_kronecker_grading(Q, 2),
+           induced(cover_f1()), induced(cyclic_cover(3, F2)),
+           induced(cyclic_cover(4, F3)), induced(square_cover()),
+           trivial_grading(loop_square_zero(F5).category, cyclic_group(2)),
+           grading_on_basis(truncated_loop(F3, 3), cyclic_group(3),
+                            {"u": "g", "u*u": "g2"})]
+    for field, order in ((Q, 3), (F2, 2), (F3, 3), (F5, 5)):
+        out.append(grading_on_basis(triangle(field), cyclic_group(order),
+                                    {"a": "g", "b": "g", "c": "g2"
+                                     if order > 2 else "e"}))
+    for broken, _ in broken_categories():
+        out.append(grading_on_basis(broken, cyclic_group(2),
+                                    {"a": "e", "b": "g"}))
+    return out
+
+
+GRADINGS = grading_cases()
+
+
+# -- fixtures ----------------------------------------------------------------
+
+def test_derivation_problems_agree_on_fixtures():
+    outcomes = [assert_same(validate_derivation,
+                            reference_validate_derivation, d)
+                for _, ders in DERIVATIONS for d in ders]
+    # the sweep sees valid derivations, Leibniz failures and refusals
+    assert [] in outcomes
+    assert any(isinstance(o, list) and o for o in outcomes)
+    refusals = {o for o in outcomes if isinstance(o, tuple)}
+    assert ("ValueError", "combination spread over several hom spaces: "
+            "[('s', 't'), ('t', 't')]") in refusals
+
+
+def test_delta_derivations_agree():
+    for z in GRADINGS[:14]:
+        c = z.category
+        if any(c.dim(x, x) != 1 for x in c.objects):
+            continue
+        for chi in characters(z.group, c.field):
+            assert assert_same(validate_derivation,
+                               reference_validate_derivation,
+                               delta(c, z, chi)) == []
+
+
+def test_derivation_key_and_shape_problems_agree():
+    c = triangle(F3)
+    mats = identity_family(c)
+    assert_same(validate_derivation, reference_validate_derivation,
+                Derivation(c, {}))
+    for pair in c.pairs:
+        bad = dict(mats)
+        bad[pair] = Matrix.zeros(F3, c.dim(*pair) + 1, c.dim(*pair))
+        assert assert_same(validate_derivation,
+                           reference_validate_derivation,
+                           Derivation(c, bad))
+
+
+def test_grading_problems_agree_on_fixtures():
+    outcomes = [assert_same(validate_grading, reference_validate_grading, z)
+                for z in GRADINGS]
+    assert outcomes[:14] == [[]] * 14
+    # the refusal `grade validate` reports with exit 2
+    assert ("ValueError", "a is not in hom(t,t)") in outcomes
+
+
+# -- perturbations -----------------------------------------------------------
+
+def pick(seq, i):
+    return seq[i % len(seq)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6), st.integers(-3, 3))
+def test_one_changed_derivation_entry(case, which, entry, value):
+    c, ders = pick(DERIVATIONS, case)
+    d = pick(ders, which)
+    flat = [a for pair in c.pairs for a in d.matrices[pair].entries]
+    flat[entry % len(flat)] = c.field.scalar(value)
+    assert_same(validate_derivation, reference_validate_derivation,
+                Derivation(c, family(c, flat)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_one_swapped_degree_label(case, pair, column, label):
+    z = pick(GRADINGS, case)
+    key = pick(sorted(z.degrees), pair)
+    labels = list(z.degrees[key])
+    labels[column % len(labels)] = pick(z.group.elements, label)
+    degrees = dict(z.degrees)
+    degrees[key] = tuple(labels)
+    assert_same(validate_grading, reference_validate_grading,
+                Grading(z.group, z.category, z.basis, degrees))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6), st.integers(-2, 3))
+def test_one_scaled_basis_column(case, pair, column, factor):
+    z = pick(GRADINGS, case)
+    key = pick(sorted(z.basis), pair)
+    m = z.basis[key]
+    j = column % m.cols
+    s = m.field.scalar(factor)
+    entries = [m.field.reduce(a * s) if k % m.cols == j else a
+               for k, a in enumerate(m.entries)]
+    basis = dict(z.basis)
+    basis[key] = Matrix(m.field, m.rows, m.cols, tuple(entries))
+    assert_same(validate_grading, reference_validate_grading,
+                Grading(z.group, z.category, basis, z.degrees))
