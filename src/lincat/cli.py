@@ -22,8 +22,8 @@ from typing import Optional, TextIO, Union
 from . import registry
 from .cohomology import delta, delta_injectivity_check, h1, is_inner, \
     validate_character
-from .covering import CoveringMorphism, aut1, check_covering, \
-    extend_morphism, fibre, lambda_map
+from .covering import CoveringMorphism, CoveringReport, aut1, \
+    check_covering, extend_morphism, fibre, lambda_map
 from .exactlinalg import FieldSpec
 from .formats import canonical_dumps, category_to_doc, functor_to_doc, \
     grading_to_doc, group_to_doc, hwalk_to_doc, load_value, matrix_to_doc
@@ -102,12 +102,14 @@ def _parse_assignments(pairs: Optional[list[str]], flag: str) -> dict:
     return out
 
 
-def _load_covering(path: str) -> LinFunctor:
+def _load_covering(path: str) -> tuple[LinFunctor, CoveringReport]:
+    """The covering in a file with its check_covering report, which the
+    handlers pass on so that no input is checked twice."""
     f = load_value(path, "functor")
     report = check_covering(f)
     if not report.ok:
         raise InputError(f"{path}: not a covering: {report.message()}")
-    return f
+    return f, report
 
 
 def _write_doc(path: Optional[str], doc: dict, report: Report) -> None:
@@ -165,8 +167,8 @@ def _cmd_cover_check(args, report: Report) -> None:
 
 
 def _cmd_cover_aut1(args, report: Report) -> None:
-    f = _load_covering(args.functor)
-    grp = aut1(f)
+    f, f_report = _load_covering(args.functor)
+    grp = aut1(f, f_report)
     report.verdicts["order"] = grp.order()
     report.verdicts["isomorphism type"] = grp.label()
     report.witnesses["elements"] = list(grp.group.elements)
@@ -175,8 +177,8 @@ def _cmd_cover_aut1(args, report: Report) -> None:
 
 
 def _cmd_cover_extend(args, report: Report) -> None:
-    f = _load_covering(args.functor)
-    g = _load_covering(args.to)
+    f, _ = _load_covering(args.functor)
+    g, g_report = _load_covering(args.to)
     if f.target != g.target:
         raise InputError("the two coverings have different bases")
     x0 = args.object if args.object is not None else f.source.objects[0]
@@ -189,7 +191,7 @@ def _cmd_cover_extend(args, report: Report) -> None:
                 f"{d0!r} is not in the fibre over {f.object_map[x0]!r}")
     else:
         d0 = fibre(g, f.object_map[x0])[0]
-    h = extend_morphism(f, g, identity_functor(f.target), x0, d0)
+    h = extend_morphism(f, g, identity_functor(f.target), x0, d0, g_report)
     report.verdicts["extends"] = h is not None
     report.messages.append(f"seed {x0} -> {d0}")
     if h is not None:
@@ -197,18 +199,19 @@ def _cmd_cover_extend(args, report: Report) -> None:
 
 
 def _cmd_cover_lambda(args, report: Report) -> None:
-    f = _load_covering(args.functor)
-    g = _load_covering(args.to)
+    f, f_report = _load_covering(args.functor)
+    g, g_report = _load_covering(args.to)
     if f.target != g.target:
         raise InputError("the two coverings have different bases")
     x0 = f.source.objects[0]
     d0 = args.image if args.image is not None \
         else fibre(g, f.object_map[x0])[0]
-    h = extend_morphism(f, g, identity_functor(f.target), x0, d0)
+    h = extend_morphism(f, g, identity_functor(f.target), x0, d0, g_report)
     if h is None:
         raise InputError("no morphism between the coverings from "
                          f"seed {x0} -> {d0}")
-    res = lambda_map(CoveringMorphism(h, identity_functor(f.target)), f, g)
+    res = lambda_map(CoveringMorphism(h, identity_functor(f.target)), f, g,
+                     f_report, g_report)
     report.verdicts["surjective"] = res.surjective
     report.verdicts["kernel matches deck group of the morphism"] = \
         res.kernel_matches_h_group
@@ -248,18 +251,17 @@ def _cmd_galois_structure(args, report: Report) -> None:
 
 
 def _cmd_galois_homs(args, report: Report) -> None:
-    u = _load_covering(args.functor)
-    f = _load_covering(args.to)
-    homs = hom_coverings(u, f)
+    (u, u_report), (f, f_report) = map(_load_covering, (args.functor, args.to))
+    homs = hom_coverings(u, f, (u_report, f_report))
     report.verdicts["morphisms"] = len(homs)
     report.witnesses["object maps"] = [
         _functor_witness(h)["object_map"] for h in homs]
 
 
 def _cmd_galois_universal(args, report: Report) -> None:
-    u = _load_covering(args.functor)
-    family = [_load_covering(p) for p in args.family]
-    res = check_universal(u, family)
+    loaded = [_load_covering(p) for p in [args.functor] + args.family]
+    u, family = loaded[0][0], [f for f, _ in loaded[1:]]
+    res = check_universal(u, family, [r for _, r in loaded])
     report.verdicts["universal for the family"] = res.ok
     report.verdicts["seed pairs checked"] = res.pairs_checked
     if res.violations:
@@ -267,9 +269,8 @@ def _cmd_galois_universal(args, report: Report) -> None:
 
 
 def _cmd_galois_gset(args, report: Report) -> None:
-    u = _load_covering(args.functor)
-    f = _load_covering(args.to)
-    res = gset_analysis(u, f)
+    (u, u_report), (f, f_report) = map(_load_covering, (args.functor, args.to))
+    res = gset_analysis(u, f, (u_report, f_report))
     report.verdicts["transitive"] = res.transitive
     report.verdicts["isotropy normal"] = res.isotropy_normal
     report.verdicts["orbit-stabilizer count"] = res.orbit_stabilizer_ok

@@ -6,13 +6,22 @@ else here rides on one rigidity fact: a morphism of coverings is
 determined by its value on a single object, so deck transformation groups
 are found by seeding one object over a fibre and propagating through star
 isomorphisms, and are multiplied by where they send that object.
+
+The star block of F at a source object x towards a base object b is the
+map from the hom spaces between x and the fibre over b to the hom space
+between F(x) and b; it is kept as sparse columns, ordered by fibre
+position and then by basis position.  check_covering builds every star
+block in one pass over the nonzero hom pairs of the source and inverts
+each on its columns.  Its CoveringReport carries the inverses, the star
+table, which is passed on as a value to everything that extends
+morphisms into F, so each star block is eliminated once per covering.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactlinalg import Matrix, SparseMap, inverse
+from .exactlinalg import Matrix, SparseMap
 from .groups import Group
 from .kcat import (LinCat, LinFunctor, functor_compose,
                    functor_equal, functor_is_isomorphism, identity_functor,
@@ -47,19 +56,11 @@ def fibre(f: LinFunctor, b: str) -> list[str]:
     return [x for x in f.source.objects if f.object_map[x] == b]
 
 
-def _star_matrix(f: LinFunctor, x: str, b1: str, direction: str) -> Matrix:
-    """The map (⊕ over the fibre of b1 of homs between x and the fibre)
-    -> hom between f(x) and b1, as a column-block matrix in fibre order."""
-    b0 = f.object_map[x]
-    if direction == "out":
-        rows = f.target.dim(b0, b1)
-        blocks = [f.matrices[(x, y)] for y in fibre(f, b1)]
-    else:
-        rows = f.target.dim(b1, b0)
-        blocks = [f.matrices[(y, x)] for y in fibre(f, b1)]
-    ent = [a for i in range(rows) for b in blocks for a in b.row(i)]
-    return Matrix(f.source.field, rows, sum(b.cols for b in blocks),
-                  tuple(ent))
+# (x, b, direction) -> (inverse of the star block, and for each position
+# of the block the fibre object owning it with its block's first and last
+# position); bijective blocks only
+StarTable = dict[tuple[str, str, str],
+                 tuple[SparseMap, list[tuple[str, int, int]]]]
 
 
 @dataclass
@@ -67,6 +68,7 @@ class CoveringReport:
     ok: bool
     surjective: bool
     failures: list[tuple[str, str, str]]  # (fibre object, base object, direction)
+    stars: StarTable = field(default_factory=dict, repr=False, compare=False)
 
     def message(self) -> str:
         if self.ok:
@@ -80,18 +82,39 @@ class CoveringReport:
 
 def check_covering(f: LinFunctor) -> CoveringReport:
     """Object surjectivity plus per-fibre block bijectivity of both star
-    halves at every source object."""
-    hit = set(f.object_map.values())
-    surjective = hit == set(f.target.objects)
+    halves at every source object, with the inverse of every bijective
+    star block (the star table).  Each nonzero hom(x,y) of the source
+    adds its columns to the outgoing star of x towards F(y) and to the
+    incoming star of y towards F(x); pairs run x-major in declaration
+    order, so the columns fall in fibre order."""
+    src, tgt, omap = f.source, f.target, f.object_map
+    surjective = set(omap.values()) == set(tgt.objects)
+    cols: dict[tuple[str, str, str], list[dict]] = {}
+    owner: dict[tuple[str, str, str], list[tuple[str, int, int]]] = {}
+    for (x, y) in src.pairs:
+        m = f.matrices[(x, y)]
+        block = m.sparse_cols()
+        for key, e in (((x, omap[y], "out"), y), ((y, omap[x], "in"), x)):
+            at = cols.setdefault(key, [])
+            owner.setdefault(key, []).extend(
+                [(e, len(at), len(at) + m.cols - 1)] * m.cols)
+            at.extend(block)
+    p = src.field.characteristic
     failures: list[tuple[str, str, str]] = []
-    from .exactlinalg import rank
-    for x in f.source.objects:
-        for b1 in f.target.objects:
-            for direction in ("out", "in"):
-                m = _star_matrix(f, x, b1, direction)
-                if m.rows != m.cols or rank(m) != m.rows:
-                    failures.append((x, b1, direction))
-    return CoveringReport(surjective and not failures, surjective, failures)
+    stars: StarTable = {}
+    for x in src.objects:
+        for b in tgt.objects:
+            for key, rows in (((x, b, "out"), tgt.dim(omap[x], b)),
+                              ((x, b, "in"), tgt.dim(b, omap[x]))):
+                block = cols.get(key, [])
+                inv = SparseMap.inverse(p, block) \
+                    if len(block) == rows else None
+                if inv is None:
+                    failures.append(key)
+                elif rows:
+                    stars[key] = (inv, owner[key])
+    return CoveringReport(surjective and not failures, surjective, failures,
+                          stars)
 
 
 @dataclass
@@ -134,11 +157,13 @@ class _Extension:
     """What extending morphisms F -> G over J needs that no seed changes,
     built once per (F, G, J) and shared by every seed: J∘F, with each
     basis image as a raw sparse column, whether J∘F and G are functors
-    (see extend_morphism), and the inverse of each star block of G that
-    propagation visits, built on first use.  G must be a covering: a
-    visited star block that is not bijective raises ValueError."""
+    (see extend_morphism), and the star table of G from its
+    CoveringReport (check_covering(g) unless one is given).  G must be a
+    covering: a visited star block that is not bijective raises
+    ValueError."""
 
-    def __init__(self, f: LinFunctor, g: LinFunctor, j: LinFunctor):
+    def __init__(self, f: LinFunctor, g: LinFunctor, j: LinFunctor,
+                 report: Optional[CoveringReport] = None):
         base = f.target
         if g.target != base or j.source != base or j.target != base:
             raise ValueError("functors do not share the base category")
@@ -147,38 +172,25 @@ class _Extension:
         if not functor_is_isomorphism(j):
             raise ValueError("J must be an isomorphism")
         self.f, self.g = f, g
-        jf = functor_compose(j, f)
+        jf = f if functor_equal(j, identity_functor(base)) \
+            else functor_compose(j, f)
         self.functorial = not validate_functor(jf) and (
             functor_equal(g, jf) or not validate_functor(g))
-        self.image = {n: col for pair, names in f.source.hom.items()
-                      for n, col in zip(names,
-                                        jf.matrices[pair].sparse_cols())}
-        # (d, b, direction) -> (star inverse, block owning each position)
-        self._stars: dict[tuple[str, str, str],
-                          tuple[SparseMap, list[tuple[str, int, int]]]] = {}
+        self.image = {n: col for pair, m in jf.matrices.items()
+                      for n, col in zip(f.source.hom[pair], m.sparse_cols())}
+        self.stars = (report or check_covering(g)).stars
 
     def star(self, x: str, b: str, direction: str
              ) -> tuple[SparseMap, list[tuple[str, int, int]]]:
-        """The inverse of G's star block at x towards the fibre of b, and
-        for each position of the block sum the fibre object it belongs to
-        with its block's first and last position."""
-        key = (x, b, direction)
-        if key not in self._stars:
-            m = _star_matrix(self.g, x, b, direction)
-            inv = inverse(m)
-            if inv is None:
-                raise ValueError(
-                    f"G is not a covering: star block at ({x}, {b}), "
-                    f"{'outgoing' if direction == 'out' else 'incoming'} "
-                    "half, is not bijective")
-            d = self.g.source
-            owner: list[tuple[str, int, int]] = []
-            for e in fibre(self.g, b):
-                width = d.dim(x, e) if direction == "out" else d.dim(e, x)
-                owner.extend([(e, len(owner), len(owner) + width - 1)]
-                             * width)
-            self._stars[key] = (SparseMap(inv), owner)
-        return self._stars[key]
+        """The star table's entry for G's star block at x towards the
+        fibre of b."""
+        entry = self.stars.get((x, b, direction))
+        if entry is None:
+            raise ValueError(
+                f"G is not a covering: star block at ({x}, {b}), "
+                f"{'outgoing' if direction == 'out' else 'incoming'} "
+                "half, is not bijective")
+        return entry
 
     def extend(self, x0: str, d0: str) -> Optional[LinFunctor]:
         """extend_morphism(F, G, J, x0, d0) on the shared data."""
@@ -192,44 +204,47 @@ class _Extension:
         cols: dict[str, dict] = {}  # basis name -> raw column of H(name)
         queue = [x0]
         for x in queue:  # the queue grows while it is read
-            for y in c.objects:
-                for direction, names in (("out", c.hom[(x, y)]),
-                                         ("in", c.hom[(y, x)])):
-                    for n in names:
-                        if n in cols:
-                            continue
-                        inv, owner = self.star(omap[x], f.object_map[y],
-                                               direction)
-                        cand = inv(self.image[n])
-                        if not cand:
-                            return None
-                        e, first, last = owner[min(cand)]
-                        if max(cand) > last:
-                            return None  # spread over several blocks
-                        if y not in omap:
-                            omap[y] = e
-                            queue.append(y)
-                        elif omap[y] != e:
-                            return None
-                        cols[n] = {i - first: a for i, a in cand.items()}
+            for direction, names, far in (("out", c.leaving[x], c.target_of),
+                                          ("in", c.arriving[x], c.source_of)):
+                for n in names:
+                    if n in cols:
+                        continue
+                    y = far(n)
+                    inv, owner = self.star(omap[x], f.object_map[y],
+                                           direction)
+                    cand = inv(self.image[n])
+                    if not cand:
+                        return None
+                    e, first, last = owner[min(cand)]
+                    if max(cand) > last:
+                        return None  # spread over several blocks
+                    if y not in omap:
+                        omap[y] = e
+                        queue.append(y)
+                    elif omap[y] != e:
+                        return None
+                    cols[n] = {i - first: a for i, a in cand.items()}
         if len(omap) != len(c.objects):
             raise ValueError("source category is not connected; "
                              "the extension is not determined")
         if not self.functorial:
             return None
         mats = {(x, y): Matrix.from_sparse_cols(
-                    c.field, [cols[n] for n in names],
+                    c.field, [cols[n] for n in c.hom[(x, y)]],
                     d.dim(omap[x], omap[y]))
-                for (x, y), names in c.hom.items() if names}
-        return LinFunctor(c, d, omap, mats)  # fills in the zero-column blocks
+                for (x, y) in c.pairs}
+        return LinFunctor(c, d, omap, mats)
 
 
 def extend_morphism(f: LinFunctor, g: LinFunctor, j: LinFunctor,
-                    x0: str, d0: str) -> Optional[LinFunctor]:
+                    x0: str, d0: str,
+                    report: Optional[CoveringReport] = None
+                    ) -> Optional[LinFunctor]:
     """The unique H with H(x0) = d0 and G∘H = J∘F, or None.
 
-    G must be a covering (every caller checks this); a star block of G
-    that propagation needs and that is not bijective raises ValueError.
+    G must be a covering (every caller checks this, and may pass the
+    CoveringReport of G it checked); a star block of G that propagation
+    needs and that is not bijective raises ValueError.
 
     Rigidity: once H(x) is known, a basis morphism n out of or into x
     has H(n) inside G's star block at H(x) towards the fibre of the
@@ -241,11 +256,11 @@ def extend_morphism(f: LinFunctor, g: LinFunctor, j: LinFunctor,
     When G and J∘F are functors it is a morphism: G∘H = J∘F holds column
     by column, and G(H(g∘f)) = JF(g)∘JF(f) = G(H(g)∘H(f)), likewise for
     units, with G injective on each hom space; otherwise no seed extends.
-    The star inverses and both functoriality verdicts do not depend on
-    the seed: aut1, hom_coverings and check_universal build them once and
+    The star table and both functoriality verdicts do not depend on the
+    seed: aut1, hom_coverings and check_universal build them once and
     share them across their seeds.
     """
-    return _Extension(f, g, j).extend(x0, d0)
+    return _Extension(f, g, j, report).extend(x0, d0)
 
 
 @dataclass
@@ -278,11 +293,13 @@ class CoveringGroup:
         return None
 
 
-def aut1(f: LinFunctor) -> CoveringGroup:
+def aut1(f: LinFunctor,
+         report: Optional[CoveringReport] = None) -> CoveringGroup:
     """All deck transformations of a covering with connected source,
     found by seeding the first object x0 over its fibre.  f must be a
-    covering (see extend_morphism); J∘F, the star inverses and whether f
-    is a functor are decided once.  A star-bijective f that is not a
+    covering (see extend_morphism; report is its check_covering, made
+    here if not given); the star table and whether f is a functor are
+    decided once.  A star-bijective f that is not a
     functor is not a covering: not even x0 ↦ x0 extends (ValueError).
 
     The table rests on rigidity: a deck transformation is the unique
@@ -298,7 +315,7 @@ def aut1(f: LinFunctor) -> CoveringGroup:
         raise ValueError("covering source is not connected")
     x0 = c.objects[0]
     fib = tuple(fibre(f, f.object_map[x0]))
-    ext = _Extension(f, f, identity_functor(f.target))
+    ext = _Extension(f, f, identity_functor(f.target), report)
     functors: dict[str, LinFunctor] = {}
     for d0 in fib:  # x0 comes first: fibres keep declaration order
         h = ext.extend(x0, d0)
@@ -341,9 +358,12 @@ class LambdaResult:
                 and self.h_is_covering and self.h_is_galois)
 
 
-def lambda_map(m: CoveringMorphism, f: LinFunctor, g: LinFunctor) -> LambdaResult:
+def lambda_map(m: CoveringMorphism, f: LinFunctor, g: LinFunctor,
+               f_report: Optional[CoveringReport] = None,
+               g_report: Optional[CoveringReport] = None) -> LambdaResult:
     """For each deck transformation h of F, the unique deck transformation
-    λ(h) of G with λ(h)∘H = H∘h; F and G must be coverings.
+    λ(h) of G with λ(h)∘H = H∘h; F and G must be coverings (their
+    check_covering reports may be passed on).
 
     By rigidity no composite is formed: H∘h is a morphism F -> G with
     seed image H(h(x0)), and G being Galois, exactly one deck
@@ -353,8 +373,8 @@ def lambda_map(m: CoveringMorphism, f: LinFunctor, g: LinFunctor) -> LambdaResul
     problems = validate_morphism(m, f, g)
     if problems:
         raise ValueError("invalid covering morphism: " + "; ".join(problems))
-    gf = aut1(f)
-    gg = aut1(g)
+    gf = aut1(f, f_report)
+    gg = aut1(g, g_report)
     for cover, grp in ((f, gf), (g, gg)):
         reason = galois_obstruction(cover, grp)
         if reason is not None:
@@ -371,7 +391,7 @@ def lambda_map(m: CoveringMorphism, f: LinFunctor, g: LinFunctor) -> LambdaResul
     kernel = tuple(n for n, v in mapping.items() if v == "e")
 
     h_report = check_covering(m.h)
-    h_group = aut1(m.h)
+    h_group = aut1(m.h, h_report)
     kernel_ok = (len(kernel) == h_group.order() and
                  all(h_group.name_of(gf.functors[n]) is not None
                      for n in kernel))

@@ -392,35 +392,43 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     """Inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:
         return None
-    n = m.rows
-    rows = _sparse_rows(m)
-    one = m.field.one()
-    for i, row in enumerate(rows):
-        row[n + i] = one
-    e = _echelon(m.field, rows)
-    if any(i not in e.rows for i in range(n)):
-        return None
-    ent: list = []
-    for i in range(n):
-        row = e.rows[i]
-        ent.extend(dense(m.field, {j - n: a for j, a in row.items()
-                                   if j >= n}, n))
-    return Matrix(m.field, n, n, tuple(ent))
+    inv = SparseMap.inverse(m.field.characteristic, m.sparse_cols())
+    return None if inv is None else \
+        Matrix.from_sparse_cols(m.field, inv.cols, m.rows)
 
 
 class SparseMap:
-    """A matrix kept as sparse columns, applied to sparse vectors
-    {index: value} with its field's operations chosen once."""
+    """A matrix kept as sparse columns {row: value}, applied to sparse
+    vectors {index: value} with its field's operations chosen once."""
 
-    def __init__(self, m: Matrix):
-        self.cols = m.sparse_cols()
-        self._axpy = _field_ops(m.field.characteristic)[1]
+    def __init__(self, characteristic: int, cols: list[dict]):
+        self.cols = cols
+        self._normalize = _field_ops(characteristic)[0]
 
     def __call__(self, vec: dict) -> dict:
         out: dict = {}
         for k, a in vec.items():
-            self._axpy(out, -a, self.cols[k])
-        return out
+            for i, v in self.cols[k].items():
+                w = a * v
+                out[i] = out[i] + w if i in out else w
+        return self._normalize(out)
+
+    @staticmethod
+    def inverse(characteristic: int, cols: list[dict]
+                ) -> Optional["SparseMap"]:
+        """The inverse of the square matrix with these n sparse columns of
+        raw values, or None if it is singular.  Column j of the matrix is
+        row j of its transpose A, so [A | 1] reduces to [1 | A⁻¹], and row
+        i of A⁻¹ is column i of the inverse."""
+        n = len(cols)
+        e = EchelonBasis(characteristic)
+        for j, col in enumerate(cols):
+            e.add({**col, n + j: e.one})
+        if any(i not in e.rows for i in range(n)):
+            return None
+        return SparseMap(characteristic,
+                         [{j - n: a for j, a in e.rows[i].items() if j >= n}
+                          for i in range(n)])
 
 
 def column_space_basis(field: FieldSpec, vectors: Iterable[Sequence],

@@ -157,9 +157,8 @@ def category_from_doc(doc) -> LinCat:
 
 def _functor_core_to_doc(f: LinFunctor) -> dict:
     mats = {}
-    for (x, y), m in f.matrices.items():
-        if m.cols:
-            mats.setdefault(x, {})[y] = matrix_to_doc(m)
+    for (x, y), m in f.matrices.items():  # nonzero source pairs only
+        mats.setdefault(x, {})[y] = matrix_to_doc(m)
     return {"object_map": dict(sorted(f.object_map.items())),
             "matrices": mats}
 

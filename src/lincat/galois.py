@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .covering import (CoveringGroup, _Extension, aut1, check_covering,
-                       fibre, galois_obstruction)
+from .covering import (CoveringGroup, CoveringReport, _Extension, aut1,
+                       check_covering, fibre, galois_obstruction)
 from .exactlinalg import Matrix
 from .groups import Group
 from .kcat import (LinCat, LinComb, LinFunctor, compose, functor_compose,
@@ -148,11 +148,11 @@ def _quotient(a: GroupAction) -> QuotientResult:
 
     omap = {x: orbit_of[x] for x in c.objects}
     mats = {}
-    for (x, y), names in c.hom.items():
+    for (x, y) in c.pairs:
         alpha, beta = orbit_of[x], orbit_of[y]
         u_inv = a.group.inv(translate[(alpha, x)])
         cols = []
-        for n in names:
+        for n in c.hom[(x, y)]:
             back = a.functors[u_inv].apply_name(n)
             cols.append(q.vector(back, alpha, beta))
         mats[(x, y)] = Matrix.from_cols(c.field, cols, nrows=q.dim(alpha, beta))
@@ -175,22 +175,25 @@ class GaloisResult:
     reason: Optional[str]
 
 
-def is_galois(f: LinFunctor) -> GaloisResult:
+def is_galois(f: LinFunctor,
+              report: Optional[CoveringReport] = None) -> GaloisResult:
     """Connected source and deck group transitive on the seed fibre; the
-    free action makes transitivity equivalent to |group| = |fibre|."""
-    report = check_covering(f)
+    free action makes transitivity equivalent to |group| = |fibre|.
+    report is f's check_covering, made here if not given."""
+    report = report or check_covering(f)
     if not report.ok:
         raise ValueError(f"not a covering: {report.message()}")
     if not is_connected(f.source).connected:
         return GaloisResult(False, None, "source category is not connected")
-    grp = aut1(f)
+    grp = aut1(f, report)
     reason = galois_obstruction(f, grp)
     return GaloisResult(reason is None, grp, reason)
 
 
-def _galois_group(f: LinFunctor) -> CoveringGroup:
+def _galois_group(f: LinFunctor, report: Optional[CoveringReport] = None
+                  ) -> CoveringGroup:
     """The deck group of a Galois covering; ValueError otherwise."""
-    gal = is_galois(f)
+    gal = is_galois(f, report)
     if not gal.galois:
         raise ValueError(f"covering is not Galois: {gal.reason}")
     return gal.group
@@ -237,21 +240,28 @@ def structure_iso(f: LinFunctor) -> StructureIsoResult:
     return StructureIsoResult(qres, iso, problems)
 
 
-def hom_coverings(u: LinFunctor, f: LinFunctor) -> list[LinFunctor]:
+Reports = tuple[Optional[CoveringReport], Optional[CoveringReport]]
+
+
+def hom_coverings(u: LinFunctor, f: LinFunctor,
+                  reports: Reports = (None, None)) -> list[LinFunctor]:
     """All morphisms (H, 1) from one Galois covering to another over the
-    same base, enumerated by seeding the first object across the fibre."""
-    return _hom_coverings(u, f)[0]
+    same base, enumerated by seeding the first object across the fibre.
+    reports are the check_covering reports of u and f, made if not
+    given."""
+    return _hom_coverings(u, f, reports)[0]
 
 
-def _hom_coverings(u: LinFunctor, f: LinFunctor
+def _hom_coverings(u: LinFunctor, f: LinFunctor, reports: Reports
                    ) -> tuple[list[LinFunctor], CoveringGroup]:
-    """hom_coverings(u, f) and the deck group of u."""
+    """hom_coverings(u, f, reports) and the deck group of u."""
     if u.target != f.target:
         raise ValueError("coverings do not share a base")
-    gu = _galois_group(u)
-    _galois_group(f)
+    gu = _galois_group(u, reports[0])
+    f_report = reports[1] or check_covering(f)
+    _galois_group(f, f_report)
     u0 = u.source.objects[0]
-    ext = _Extension(u, f, identity_functor(u.target))
+    ext = _Extension(u, f, identity_functor(u.target), f_report)
     out = []
     for c0 in fibre(f, u.object_map[u0]):
         h = ext.extend(u0, c0)
@@ -270,16 +280,17 @@ class GSetReport:
     action: dict[tuple[int, str], int]  # (hom index, deck element) -> index
 
 
-def gset_analysis(u: LinFunctor, f: LinFunctor) -> GSetReport:
+def gset_analysis(u: LinFunctor, f: LinFunctor,
+                  reports: Reports = (None, None)) -> GSetReport:
     """The right action of the deck group of U on the morphisms U -> F by
     precomposition; transitivity and normality of the isotropy subgroup
     are decided from the action table.
 
     The table is read from seed images: H∘h is a morphism U -> F sending
     u0 to H(h(u0)), and by rigidity it is the listed morphism with that
-    seed image.
+    seed image.  reports are as for hom_coverings.
     """
-    homs, gu = _hom_coverings(u, f)
+    homs, gu = _hom_coverings(u, f, reports)
     if not homs:
         raise ValueError("no morphisms between the coverings; "
                          "the action is empty")
@@ -312,20 +323,24 @@ class UniversalReport:
     violations: list[tuple[int, str, str]]  # (family index, u0, c0)
 
 
-def check_universal(u: LinFunctor, family: list[LinFunctor]) -> UniversalReport:
+def check_universal(u: LinFunctor, family: list[LinFunctor],
+                    reports: Optional[list[CoveringReport]] = None
+                    ) -> UniversalReport:
     """Relative universality: for every covering in the family and every
     compatible seed pair, a morphism (H, 1) out of u exists (uniqueness
     per seed is forced by rigidity).  No claim is made beyond the family.
-    Family members must be coverings (see extend_morphism).
+    Family members must be coverings (see extend_morphism); reports, if
+    given, are the check_covering reports of u and then of each member.
     """
-    _galois_group(u)
+    reports = reports or [None] * (len(family) + 1)
+    _galois_group(u, reports[0])
     j = identity_functor(u.target)
     violations = []
     checked = 0
     for idx, f in enumerate(family):
         if f.target != u.target:
             raise ValueError(f"family member {idx} has a different base")
-        ext = _Extension(u, f, j)
+        ext = _Extension(u, f, j, reports[idx + 1])
         for u0 in u.source.objects:
             for c0 in fibre(f, u.object_map[u0]):
                 checked += 1

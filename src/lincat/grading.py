@@ -178,7 +178,7 @@ def induced_grading(f: LinFunctor, fibre_choice: dict[str, str]) -> Grading:
         labels: list[str] = []
         for s in grp.group.elements:
             sxc = grp.functor(s).object_map[fibre_choice[c]]
-            m = f.matrices[(xb, sxc)]
+            m = f.block(xb, sxc)
             block = m if block is None else block.hstack(m)
             labels.extend([s] * m.cols)
         if block.cols != len(names) or inverse(block) is None:

@@ -15,7 +15,10 @@ these instead of scanning all pairs of objects or basis names.
 
 Also here: k-linear functors, connectivity, and compilation of
 quiver-with-relations presentations into categories with a certified
-path-monomial basis.
+path-monomial basis.  A functor stores a matrix only for each nonzero
+hom pair of its source; `LinFunctor.block(x, y)` serves the zero-column
+matrix of a zero one, and composition, equality, inversion and
+validation walk the stored blocks only.
 """
 from __future__ import annotations
 
@@ -270,41 +273,52 @@ def validate_category(c: LinCat) -> list[Violation]:
 class LinFunctor:
     """k-linear functor.  matrices[(x,y)] sends coordinates in the source
     basis of hom(x,y) to coordinates in the target basis of
-    hom(object_map[x], object_map[y]): columns indexed by source basis."""
+    hom(object_map[x], object_map[y]): columns indexed by source basis.
+
+    Only the nonzero source pairs keep a block, in `source.pairs` order;
+    the block of a zero hom space is the zero-column matrix, which
+    block(x, y) serves.  Every block given is shape-checked, zero-column
+    ones included, and the first bad pair in object order is refused."""
     source: LinCat
     target: LinCat
     object_map: dict[str, str]
     matrices: dict[tuple[str, str], Matrix]
 
     def __post_init__(self):
-        fld = self.source.field
-        if self.target.field != fld:
-            raise ValueError(f"source field {fld} differs from target "
-                             f"field {self.target.field}")
-        for x in self.source.objects:
-            if x not in self.object_map:
+        src, tgt, omap = self.source, self.target, self.object_map
+        if tgt.field != src.field:
+            raise ValueError(f"source field {src.field} differs from target "
+                             f"field {tgt.field}")
+        for x in src.objects:
+            if x not in omap:
                 raise ValueError(f"object_map misses {x}")
-            if self.object_map[x] not in self.target.objects:
-                raise ValueError(f"object_map sends {x} to undeclared {self.object_map[x]}")
-        mats = {}
-        empty: dict[int, Matrix] = {}  # Matrix is immutable: shared blocks
-        omap, target_hom = self.object_map, self.target.hom
-        for pair, names in self.source.hom.items():  # x-major, like objects
-            want_rows = len(target_hom[(omap[pair[0]], omap[pair[1]])])
-            want_cols = len(names)
-            m = self.matrices.get(pair)
-            if m is None:
-                if want_cols:
-                    raise ValueError(f"no matrix for hom{pair}")
-                if want_rows not in empty:
-                    empty[want_rows] = Matrix.zeros(fld, want_rows, 0)
-                m = empty[want_rows]
-            if (m.rows, m.cols) != (want_rows, want_cols):
-                raise ValueError(
-                    f"matrix for hom{pair} is {m.rows}x{m.cols}, "
-                    f"expected {want_rows}x{want_cols}")
-            mats[pair] = m
-        self.matrices = mats
+            if omap[x] not in tgt.leaving:  # keyed by the objects
+                raise ValueError(f"object_map sends {x} to undeclared {omap[x]}")
+
+        def shape(pair):
+            return tgt.dim(omap[pair[0]], omap[pair[1]]), src.dim(*pair)
+
+        mats = self.matrices
+        bad = [p for p, m in mats.items()
+               if p in src.hom and (m.rows, m.cols) != shape(p)]
+        bad += [p for p in src.pairs if p not in mats]
+        if bad:
+            at = {x: i for i, x in enumerate(src.objects)}
+            pair = min(bad, key=lambda p: (at[p[0]], at[p[1]]))
+            if pair not in mats:
+                raise ValueError(f"no matrix for hom{pair}")
+            m, want = mats[pair], shape(pair)
+            raise ValueError(f"matrix for hom{pair} is {m.rows}x{m.cols}, "
+                             f"expected {want[0]}x{want[1]}")
+        self.matrices = {p: mats[p] for p in src.pairs}
+
+    def block(self, x: str, y: str) -> Matrix:
+        """The matrix of hom(x,y), zero-column when hom(x,y) is zero."""
+        m = self.matrices.get((x, y))
+        if m is None:
+            return Matrix.zeros(self.source.field, self.target.dim(
+                self.object_map[x], self.object_map[y]), 0)
+        return m
 
     @staticmethod
     def on_basis(source: LinCat, target: LinCat, object_map: dict[str, str],
@@ -312,10 +326,10 @@ class LinFunctor:
         """Builder from images of basis morphisms (plain coeffs allowed)."""
         fld = target.field
         mats = {}
-        for (x, y), names in source.hom.items():
+        for (x, y) in source.pairs:
             fx, fy = object_map[x], object_map[y]
             cols = []
-            for n in names:
+            for n in source.hom[(x, y)]:
                 img = assignment.get(n, {})
                 comb = {m: (fld.parse(v) if isinstance(v, str) else fld.scalar(v))
                         for m, v in img.items()}
@@ -339,8 +353,8 @@ class LinFunctor:
 
 def identity_functor(c: LinCat) -> LinFunctor:
     return LinFunctor(c, c, {x: x for x in c.objects},
-                      {pair: Matrix.identity(c.field, len(names))
-                       for pair, names in c.hom.items()})
+                      {pair: Matrix.identity(c.field, c.dim(*pair))
+                       for pair in c.pairs})
 
 
 def functor_compose(g: LinFunctor, f: LinFunctor) -> LinFunctor:
@@ -350,9 +364,7 @@ def functor_compose(g: LinFunctor, f: LinFunctor) -> LinFunctor:
     omap = {x: g.object_map[f.object_map[x]] for x in f.source.objects}
     mats = {}
     for pair, m in f.matrices.items():
-        if not m.cols:
-            continue  # LinFunctor fills in the zero-column blocks
-        gm = g.matrices[(f.object_map[pair[0]], f.object_map[pair[1]])]
+        gm = g.block(f.object_map[pair[0]], f.object_map[pair[1]])
         # a block with a zero dimension is the zero matrix of its shape
         mats[pair] = gm @ m if gm.rows and m.rows else \
             Matrix.zeros(m.field, gm.rows, m.cols)
@@ -365,12 +377,14 @@ def functor_equal(f: LinFunctor, g: LinFunctor) -> bool:
 
 
 def functor_is_isomorphism(f: LinFunctor) -> bool:
-    """Bijective on objects and invertible on every hom space."""
+    """Bijective on objects and invertible on every hom space.  An
+    invertible block on each nonzero source pair sends the nonzero pairs
+    injectively to nonzero target pairs, so with as many of them on both
+    sides every zero source pair has a zero image."""
     images = {f.object_map[x] for x in f.source.objects}
-    if not len(images) == len(f.source.objects) == len(f.target.objects):
-        return False
-    return all(m.rows == m.cols and inverse(m) is not None
-               for m in f.matrices.values())
+    return (len(images) == len(f.source.objects) == len(f.target.objects)
+            and len(f.source.pairs) == len(f.target.pairs)
+            and all(inverse(m) is not None for m in f.matrices.values()))
 
 
 def inverse_functor(f: LinFunctor) -> LinFunctor:
@@ -386,34 +400,46 @@ def inverse_functor(f: LinFunctor) -> LinFunctor:
 
 
 def validate_functor(f: LinFunctor) -> list[Violation]:
-    """Unit preservation and functoriality on all composable basis pairs,
-    with each basis image computed once."""
+    """Unit preservation and functoriality on all composable basis pairs.
+
+    Both sides of F(g∘f) = F(g)∘F(f) are summed from the raw columns of
+    F and the structure constants of the two categories, and reduced
+    once."""
     out: list[Violation] = []
-    src, tgt = f.source, f.target
-    for x in src.objects:
-        img = f.apply(src.identity(x))
-        want = tgt.identity(f.object_map[x])
-        if not comb_eq(img, want):
-            out.append(Violation("functor-unit", (x,),
-                                 f"F(id_{x}) = {comb_str(tgt.field, img)} ≠ id_{f.object_map[x]}"))
-    image: dict[str, LinComb] = {}  # f.apply_name(n), read off the columns
-    for (x, y) in src.pairs:
-        m = f.matrices[(x, y)]
-        rows = tgt.hom[(f.object_map[x], f.object_map[y])]
+    src, tgt, omap = f.source, f.target, f.object_map
+    fld = tgt.field
+    image: dict[str, list] = {}  # F(n) as (name, value) terms
+    for (x, y), m in f.matrices.items():
+        rows = tgt.hom[(omap[x], omap[y])]
         for j, n in enumerate(src.hom[(x, y)]):
-            image[n] = {t: a for t, a in zip(rows, m.entries[j::m.cols])
-                        if a}
+            image[n] = [(t, a) for t, a in zip(rows, m.entries[j::m.cols])
+                        if a]
+
+    def push(comb: LinComb) -> LinComb:
+        acc: dict = {}
+        for n, s in comb.items():
+            for t, a in image[n]:
+                acc[t] = acc.get(t, 0) + s * a
+        return _reduced(fld, acc)
+
+    for x in src.objects:
+        img = push(src.identities[x])
+        if not comb_eq(img, tgt.identities[omap[x]]):
+            out.append(Violation("functor-unit", (x,),
+                                 f"F(id_{x}) = {comb_str(fld, img)} ≠ id_{omap[x]}"))
     for fn in src.basis_names():
         for gn in src.leaving[src.target_of(fn)]:
-            lhs: LinComb = {}
-            for n, s in src.comp.get((gn, fn), {}).items():
-                lhs = comb_add(tgt.field, lhs,
-                               comb_scale(tgt.field, s, image[n]))
-            rhs = compose(tgt, image[gn], image[fn])
-            if not comb_eq(lhs, rhs):
+            lhs = push(src.comp.get((gn, fn), {}))
+            acc: dict = {}
+            for a, s in image[gn]:
+                for b, r in image[fn]:
+                    for t, v in tgt.comp.get((a, b), {}).items():
+                        acc[t] = acc.get(t, 0) + s * r * v
+            rhs = _reduced(fld, acc)
+            if lhs != rhs:
                 out.append(Violation("functor-comp", (gn, fn),
-                                     f"F({gn}∘{fn}) = {comb_str(tgt.field, lhs)} but "
-                                     f"F({gn})∘F({fn}) = {comb_str(tgt.field, rhs)}"))
+                                     f"F({gn}∘{fn}) = {comb_str(fld, lhs)} but "
+                                     f"F({gn})∘F({fn}) = {comb_str(fld, rhs)}"))
     return out
 
 
@@ -430,10 +456,9 @@ def is_connected(c: LinCat) -> ConnectivityReport:
     spaces, traversed in either direction; breadth first from each root
     in declaration order."""
     neighbours: dict[str, list[str]] = {x: [] for x in c.objects}
-    for (x, y), names in c.hom.items():
-        if names:
-            neighbours[x].append(y)
-            neighbours[y].append(x)
+    for (x, y) in c.pairs:
+        neighbours[x].append(y)
+        neighbours[y].append(x)
     seen: set[str] = set()
     components: list[list[str]] = []
     for root in c.objects:

@@ -107,6 +107,34 @@ def test_exit_code_matches_boolean_verdicts(workdir, argv):
     assert code == (0 if all(bools) else 1)
 
 
+@pytest.mark.parametrize("argv,checks", [
+    (("cover", "aut1", "--functor", "cyclic-cover-4.json"), 1),
+    (("galois", "check", "--functor", "F0.json"), 1),
+    (("galois", "homs", "--functor", "cyclic-cover-4.json",
+      "--to", "cyclic-cover-2.json"), 2),
+    (("galois", "gset", "--functor", "F0.json", "--to", "F0.json"), 2),
+    (("galois", "universal", "--functor", "cyclic-cover-4.json",
+      "--family", "cyclic-cover-2.json", "cyclic-cover-4.json"), 3),
+    (("cover", "extend", "--functor", "F0.json", "--to", "F0.json"), 2),
+    # the two inputs and the morphism H between them
+    (("cover", "lambda", "--functor", "cyclic-cover-4.json",
+      "--to", "cyclic-cover-2.json"), 3),
+], ids=lambda a: " ".join(a) if isinstance(a, tuple) else str(a))
+def test_each_covering_is_checked_once(workdir, monkeypatch, argv, checks):
+    import lincat.covering as covering
+    import lincat.galois as galois
+    calls = []
+
+    def counted(f, _real=covering.check_covering):
+        calls.append(f)
+        return _real(f)
+    for module in (cli, covering, galois):
+        monkeypatch.setattr(module, "check_covering", counted)
+    code, _, _ = run(workdir, *argv)
+    assert code == 0
+    assert len(calls) == checks
+
+
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
 

@@ -22,10 +22,10 @@ def reference_star_matrix(f, x, b1, direction):
     b0 = f.object_map[x]
     if direction == "out":
         rows = f.target.dim(b0, b1)
-        blocks = [f.matrices[(x, y)] for y in fibre(f, b1)]
+        blocks = [f.block(x, y) for y in fibre(f, b1)]
     else:
         rows = f.target.dim(b1, b0)
-        blocks = [f.matrices[(y, x)] for y in fibre(f, b1)]
+        blocks = [f.block(y, x) for y in fibre(f, b1)]
     m = Matrix.zeros(f.source.field, rows, 0)
     for b in blocks:
         m = m.hstack(b)
@@ -94,7 +94,7 @@ def reference_extend(f, g, j, x0, d0):
         raise ValueError("source category is not connected")
     mats = {}
     for (x, y), names in c.hom.items():
-        block = g.matrices[(omap[x], omap[y])]
+        block = g.block(omap[x], omap[y])
         cols = []
         for n in names:
             sol = solve(block, jf_vector(n, x, y))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lincat.exactlinalg import FieldSpec, Matrix
+from lincat.exactlinalg import FieldSpec, Matrix, inverse
 from lincat.fixtures import (F2, Q, cover_f0, cover_f2, cyclic_cover,
                              discrete, disconnected_double_kronecker, identity_cover,
                              kronecker, kronecker_double, loop_square_zero,
@@ -212,10 +212,56 @@ def test_functor_compose_through_zero_hom_spaces():
         assert validate_functor(gf) == []
         for (x, y), m in f.matrices.items():
             mid = (f.object_map[x], f.object_map[y])
-            assert gf.matrices[(x, y)] == g.matrices[mid] @ m
+            assert gf.matrices[(x, y)] == g.block(*mid) @ m
     # the arrows of k die in d: 2x0 after 0x2 is the 2x2 zero block
     assert functor_compose(embed, kill).matrices[("s", "t")] == \
         Matrix.zeros(Q, 2, 2)
+
+
+def discrete_into_kronecker():
+    """o0 -> s, o1 -> t: bijective on objects, an isomorphism on every
+    nonzero hom space of the source, but hom(s,t) is not hit."""
+    k = kronecker().category
+    d = discrete(n=2).category
+    return LinFunctor.on_basis(d, k, {"o0": "s", "o1": "t"},
+                               {"1_o0": {"1_s": 1}, "1_o1": {"1_t": 1}})
+
+
+def test_zero_source_hom_under_a_nonzero_target_hom_is_not_an_isomorphism():
+    embed = discrete_into_kronecker()
+    assert validate_functor(embed) == []
+    assert all(inverse(m) is not None for m in embed.matrices.values())
+    assert not functor_is_isomorphism(embed)
+
+
+def test_explicit_zero_column_blocks_are_not_stored():
+    embed = discrete_into_kronecker()
+    explicit = LinFunctor(embed.source, embed.target, embed.object_map,
+                          {**embed.matrices,
+                           ("o0", "o1"): Matrix.zeros(Q, 2, 0),
+                           ("o1", "o0"): Matrix.zeros(Q, 0, 0)})
+    assert functor_equal(explicit, embed)
+    assert set(explicit.matrices) == {("o0", "o0"), ("o1", "o1")}
+    assert explicit.block("o0", "o1") == Matrix.zeros(Q, 2, 0)
+    assert explicit.block("o1", "o0") == Matrix.zeros(Q, 0, 0)
+
+
+def test_wrongly_shaped_zero_column_block_is_refused():
+    embed = discrete_into_kronecker()
+
+    def build(drop, pair, m):
+        mats = {p: b for p, b in embed.matrices.items() if p != drop}
+        return LinFunctor(embed.source, embed.target, embed.object_map,
+                          {**mats, pair: m})
+    with pytest.raises(ValueError, match=r"^matrix for hom\('o0', 'o1'\) "
+                                         r"is 1x0, expected 2x0$"):
+        build(None, ("o0", "o1"), Matrix.zeros(Q, 1, 0))
+    # the first bad pair in object order is named, missing or misshaped
+    with pytest.raises(ValueError, match=r"^no matrix for hom\('o0', 'o0'\)$"):
+        build(("o0", "o0"), ("o1", "o0"), Matrix.zeros(Q, 1, 0))
+    with pytest.raises(ValueError, match=r"^matrix for hom\('o1', 'o0'\) "
+                                         r"is 1x0, expected 0x0$"):
+        build(("o1", "o1"), ("o1", "o0"), Matrix.zeros(Q, 1, 0))
 
 
 def test_swap_is_not_deck_for_asymmetric_cover():
