@@ -102,14 +102,13 @@ def _parse_assignments(pairs: Optional[list[str]], flag: str) -> dict:
     return out
 
 
-def _load_covering(path: str) -> tuple[LinFunctor, CoveringReport]:
-    """The covering in a file with its check_covering report, which the
-    handlers pass on so that no input is checked twice."""
-    f = load_value(path, "functor")
-    report = check_covering(f)
+def _load_covering(path: str) -> CoveringReport:
+    """The check_covering report of the covering in a file, which carries
+    the functor; handlers pass it on so that no input is checked twice."""
+    report = check_covering(load_value(path, "functor"))
     if not report.ok:
         raise InputError(f"{path}: not a covering: {report.message()}")
-    return f, report
+    return report
 
 
 def _write_doc(path: Optional[str], doc: dict, report: Report) -> None:
@@ -167,8 +166,8 @@ def _cmd_cover_check(args, report: Report) -> None:
 
 
 def _cmd_cover_aut1(args, report: Report) -> None:
-    f, f_report = _load_covering(args.functor)
-    grp = aut1(f, f_report)
+    checked = _load_covering(args.functor)
+    grp = aut1(checked.functor, [checked])
     report.verdicts["order"] = grp.order()
     report.verdicts["isomorphism type"] = grp.label()
     report.witnesses["elements"] = list(grp.group.elements)
@@ -177,8 +176,8 @@ def _cmd_cover_aut1(args, report: Report) -> None:
 
 
 def _cmd_cover_extend(args, report: Report) -> None:
-    f, _ = _load_covering(args.functor)
-    g, g_report = _load_covering(args.to)
+    checked = [_load_covering(p) for p in (args.functor, args.to)]
+    f, g = (c.functor for c in checked)
     if f.target != g.target:
         raise InputError("the two coverings have different bases")
     x0 = args.object if args.object is not None else f.source.objects[0]
@@ -191,7 +190,7 @@ def _cmd_cover_extend(args, report: Report) -> None:
                 f"{d0!r} is not in the fibre over {f.object_map[x0]!r}")
     else:
         d0 = fibre(g, f.object_map[x0])[0]
-    h = extend_morphism(f, g, identity_functor(f.target), x0, d0, g_report)
+    h = extend_morphism(f, g, identity_functor(f.target), x0, d0, checked)
     report.verdicts["extends"] = h is not None
     report.messages.append(f"seed {x0} -> {d0}")
     if h is not None:
@@ -199,19 +198,19 @@ def _cmd_cover_extend(args, report: Report) -> None:
 
 
 def _cmd_cover_lambda(args, report: Report) -> None:
-    f, f_report = _load_covering(args.functor)
-    g, g_report = _load_covering(args.to)
+    checked = [_load_covering(p) for p in (args.functor, args.to)]
+    f, g = (c.functor for c in checked)
     if f.target != g.target:
         raise InputError("the two coverings have different bases")
     x0 = f.source.objects[0]
     d0 = args.image if args.image is not None \
         else fibre(g, f.object_map[x0])[0]
-    h = extend_morphism(f, g, identity_functor(f.target), x0, d0, g_report)
+    h = extend_morphism(f, g, identity_functor(f.target), x0, d0, checked)
     if h is None:
         raise InputError("no morphism between the coverings from "
                          f"seed {x0} -> {d0}")
     res = lambda_map(CoveringMorphism(h, identity_functor(f.target)), f, g,
-                     f_report, g_report)
+                     checked)
     report.verdicts["surjective"] = res.surjective
     report.verdicts["kernel matches deck group of the morphism"] = \
         res.kernel_matches_h_group
@@ -251,17 +250,18 @@ def _cmd_galois_structure(args, report: Report) -> None:
 
 
 def _cmd_galois_homs(args, report: Report) -> None:
-    (u, u_report), (f, f_report) = map(_load_covering, (args.functor, args.to))
-    homs = hom_coverings(u, f, (u_report, f_report))
+    checked = [_load_covering(p) for p in (args.functor, args.to)]
+    u, f = (c.functor for c in checked)
+    homs = hom_coverings(u, f, checked)
     report.verdicts["morphisms"] = len(homs)
     report.witnesses["object maps"] = [
         _functor_witness(h)["object_map"] for h in homs]
 
 
 def _cmd_galois_universal(args, report: Report) -> None:
-    loaded = [_load_covering(p) for p in [args.functor] + args.family]
-    u, family = loaded[0][0], [f for f, _ in loaded[1:]]
-    res = check_universal(u, family, [r for _, r in loaded])
+    checked = [_load_covering(p) for p in [args.functor] + args.family]
+    u, *family = (c.functor for c in checked)
+    res = check_universal(u, family, checked)
     report.verdicts["universal for the family"] = res.ok
     report.verdicts["seed pairs checked"] = res.pairs_checked
     if res.violations:
@@ -269,8 +269,9 @@ def _cmd_galois_universal(args, report: Report) -> None:
 
 
 def _cmd_galois_gset(args, report: Report) -> None:
-    (u, u_report), (f, f_report) = map(_load_covering, (args.functor, args.to))
-    res = gset_analysis(u, f, (u_report, f_report))
+    checked = [_load_covering(p) for p in (args.functor, args.to)]
+    u, f = (c.functor for c in checked)
+    res = gset_analysis(u, f, checked)
     report.verdicts["transitive"] = res.transitive
     report.verdicts["isotropy normal"] = res.isotropy_normal
     report.verdicts["orbit-stabilizer count"] = res.orbit_stabilizer_ok

@@ -13,13 +13,15 @@ between F(x) and b; it is kept as sparse columns, ordered by fibre
 position and then by basis position.  check_covering builds every star
 block in one pass over the nonzero hom pairs of the source and inverts
 each on its columns.  Its CoveringReport carries the inverses, the star
-table, which is passed on as a value to everything that extends
-morphisms into F, so each star block is eliminated once per covering.
+table, and the functor it checked.  Everything that extends morphisms
+into F takes a sequence of reports already made and uses the one made
+for F itself (report_for), so each star block is eliminated once per
+covering and no report is read for another functor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .exactlinalg import Matrix, SparseMap
 from .groups import Group
@@ -65,10 +67,13 @@ StarTable = dict[tuple[str, str, str],
 
 @dataclass
 class CoveringReport:
+    """check_covering's verdict on `functor`, with its star table."""
     ok: bool
     surjective: bool
     failures: list[tuple[str, str, str]]  # (fibre object, base object, direction)
     stars: StarTable = field(default_factory=dict, repr=False, compare=False)
+    functor: Optional[LinFunctor] = field(default=None, repr=False,
+                                          compare=False)
 
     def message(self) -> str:
         if self.ok:
@@ -111,10 +116,20 @@ def check_covering(f: LinFunctor) -> CoveringReport:
                     if len(block) == rows else None
                 if inv is None:
                     failures.append(key)
-                elif rows:
-                    stars[key] = (inv, owner[key])
+                else:
+                    stars[key] = (inv, owner.get(key, []))
     return CoveringReport(surjective and not failures, surjective, failures,
-                          stars)
+                          stars, f)
+
+
+def report_for(f: LinFunctor,
+               reports: Sequence[CoveringReport] = ()) -> CoveringReport:
+    """The report among reports that check_covering made for f itself,
+    otherwise a new check_covering(f)."""
+    for r in reports:
+        if r.functor is f:
+            return r
+    return check_covering(f)
 
 
 @dataclass
@@ -157,13 +172,12 @@ class _Extension:
     """What extending morphisms F -> G over J needs that no seed changes,
     built once per (F, G, J) and shared by every seed: J∘F, with each
     basis image as a raw sparse column, whether J∘F and G are functors
-    (see extend_morphism), and the star table of G from its
-    CoveringReport (check_covering(g) unless one is given).  G must be a
-    covering: a visited star block that is not bijective raises
-    ValueError."""
+    (see extend_morphism), and the star table of G from
+    report_for(g, reports).  G must be a covering: a visited star block
+    that is not bijective raises ValueError."""
 
     def __init__(self, f: LinFunctor, g: LinFunctor, j: LinFunctor,
-                 report: Optional[CoveringReport] = None):
+                 reports: Sequence[CoveringReport] = ()):
         base = f.target
         if g.target != base or j.source != base or j.target != base:
             raise ValueError("functors do not share the base category")
@@ -172,13 +186,12 @@ class _Extension:
         if not functor_is_isomorphism(j):
             raise ValueError("J must be an isomorphism")
         self.f, self.g = f, g
-        jf = f if functor_equal(j, identity_functor(base)) \
-            else functor_compose(j, f)
+        jf = functor_compose(j, f)
         self.functorial = not validate_functor(jf) and (
             functor_equal(g, jf) or not validate_functor(g))
         self.image = {n: col for pair, m in jf.matrices.items()
                       for n, col in zip(f.source.hom[pair], m.sparse_cols())}
-        self.stars = (report or check_covering(g)).stars
+        self.stars = report_for(g, reports).stars
 
     def star(self, x: str, b: str, direction: str
              ) -> tuple[SparseMap, list[tuple[str, int, int]]]:
@@ -238,13 +251,13 @@ class _Extension:
 
 def extend_morphism(f: LinFunctor, g: LinFunctor, j: LinFunctor,
                     x0: str, d0: str,
-                    report: Optional[CoveringReport] = None
+                    reports: Sequence[CoveringReport] = ()
                     ) -> Optional[LinFunctor]:
     """The unique H with H(x0) = d0 and G∘H = J∘F, or None.
 
     G must be a covering (every caller checks this, and may pass the
-    CoveringReport of G it checked); a star block of G that propagation
-    needs and that is not bijective raises ValueError.
+    CoveringReport of G it made among reports); a star block of G that
+    propagation needs and that is not bijective raises ValueError.
 
     Rigidity: once H(x) is known, a basis morphism n out of or into x
     has H(n) inside G's star block at H(x) towards the fibre of the
@@ -260,7 +273,7 @@ def extend_morphism(f: LinFunctor, g: LinFunctor, j: LinFunctor,
     seed: aut1, hom_coverings and check_universal build them once and
     share them across their seeds.
     """
-    return _Extension(f, g, j, report).extend(x0, d0)
+    return _Extension(f, g, j, reports).extend(x0, d0)
 
 
 @dataclass
@@ -294,12 +307,12 @@ class CoveringGroup:
 
 
 def aut1(f: LinFunctor,
-         report: Optional[CoveringReport] = None) -> CoveringGroup:
+         reports: Sequence[CoveringReport] = ()) -> CoveringGroup:
     """All deck transformations of a covering with connected source,
     found by seeding the first object x0 over its fibre.  f must be a
-    covering (see extend_morphism; report is its check_covering, made
-    here if not given); the star table and whether f is a functor are
-    decided once.  A star-bijective f that is not a
+    covering (see extend_morphism; its report is taken from reports or
+    made here); the star table and whether f is a functor are decided
+    once.  A star-bijective f that is not a
     functor is not a covering: not even x0 ↦ x0 extends (ValueError).
 
     The table rests on rigidity: a deck transformation is the unique
@@ -315,7 +328,7 @@ def aut1(f: LinFunctor,
         raise ValueError("covering source is not connected")
     x0 = c.objects[0]
     fib = tuple(fibre(f, f.object_map[x0]))
-    ext = _Extension(f, f, identity_functor(f.target), report)
+    ext = _Extension(f, f, identity_functor(f.target), reports)
     functors: dict[str, LinFunctor] = {}
     for d0 in fib:  # x0 comes first: fibres keep declaration order
         h = ext.extend(x0, d0)
@@ -359,11 +372,10 @@ class LambdaResult:
 
 
 def lambda_map(m: CoveringMorphism, f: LinFunctor, g: LinFunctor,
-               f_report: Optional[CoveringReport] = None,
-               g_report: Optional[CoveringReport] = None) -> LambdaResult:
+               reports: Sequence[CoveringReport] = ()) -> LambdaResult:
     """For each deck transformation h of F, the unique deck transformation
     λ(h) of G with λ(h)∘H = H∘h; F and G must be coverings (their
-    check_covering reports may be passed on).
+    check_covering reports may be passed on in reports).
 
     By rigidity no composite is formed: H∘h is a morphism F -> G with
     seed image H(h(x0)), and G being Galois, exactly one deck
@@ -373,8 +385,8 @@ def lambda_map(m: CoveringMorphism, f: LinFunctor, g: LinFunctor,
     problems = validate_morphism(m, f, g)
     if problems:
         raise ValueError("invalid covering morphism: " + "; ".join(problems))
-    gf = aut1(f, f_report)
-    gg = aut1(g, g_report)
+    gf = aut1(f, reports)
+    gg = aut1(g, reports)
     for cover, grp in ((f, gf), (g, gg)):
         reason = galois_obstruction(cover, grp)
         if reason is not None:
@@ -391,7 +403,7 @@ def lambda_map(m: CoveringMorphism, f: LinFunctor, g: LinFunctor,
     kernel = tuple(n for n, v in mapping.items() if v == "e")
 
     h_report = check_covering(m.h)
-    h_group = aut1(m.h, h_report)
+    h_group = aut1(m.h, [h_report])
     kernel_ok = (len(kernel) == h_group.order() and
                  all(h_group.name_of(gf.functors[n]) is not None
                      for n in kernel))

@@ -10,10 +10,10 @@ source, so quotient structure constants can be compared literally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .covering import (CoveringGroup, CoveringReport, _Extension, aut1,
-                       check_covering, fibre, galois_obstruction)
+                       fibre, galois_obstruction, report_for)
 from .exactlinalg import Matrix
 from .groups import Group
 from .kcat import (LinCat, LinComb, LinFunctor, compose, functor_compose,
@@ -176,24 +176,24 @@ class GaloisResult:
 
 
 def is_galois(f: LinFunctor,
-              report: Optional[CoveringReport] = None) -> GaloisResult:
+              reports: Sequence[CoveringReport] = ()) -> GaloisResult:
     """Connected source and deck group transitive on the seed fibre; the
     free action makes transitivity equivalent to |group| = |fibre|.
-    report is f's check_covering, made here if not given."""
-    report = report or check_covering(f)
+    f's check_covering is taken from reports or made here."""
+    report = report_for(f, reports)
     if not report.ok:
         raise ValueError(f"not a covering: {report.message()}")
     if not is_connected(f.source).connected:
         return GaloisResult(False, None, "source category is not connected")
-    grp = aut1(f, report)
+    grp = aut1(f, [report])
     reason = galois_obstruction(f, grp)
     return GaloisResult(reason is None, grp, reason)
 
 
-def _galois_group(f: LinFunctor, report: Optional[CoveringReport] = None
+def _galois_group(f: LinFunctor, reports: Sequence[CoveringReport] = ()
                   ) -> CoveringGroup:
     """The deck group of a Galois covering; ValueError otherwise."""
-    gal = is_galois(f, report)
+    gal = is_galois(f, reports)
     if not gal.galois:
         raise ValueError(f"covering is not Galois: {gal.reason}")
     return gal.group
@@ -240,28 +240,26 @@ def structure_iso(f: LinFunctor) -> StructureIsoResult:
     return StructureIsoResult(qres, iso, problems)
 
 
-Reports = tuple[Optional[CoveringReport], Optional[CoveringReport]]
-
-
 def hom_coverings(u: LinFunctor, f: LinFunctor,
-                  reports: Reports = (None, None)) -> list[LinFunctor]:
+                  reports: Sequence[CoveringReport] = ()) -> list[LinFunctor]:
     """All morphisms (H, 1) from one Galois covering to another over the
     same base, enumerated by seeding the first object across the fibre.
-    reports are the check_covering reports of u and f, made if not
-    given."""
+    The check_covering reports of u and f are taken from reports or made
+    here."""
     return _hom_coverings(u, f, reports)[0]
 
 
-def _hom_coverings(u: LinFunctor, f: LinFunctor, reports: Reports
+def _hom_coverings(u: LinFunctor, f: LinFunctor,
+                   reports: Sequence[CoveringReport]
                    ) -> tuple[list[LinFunctor], CoveringGroup]:
     """hom_coverings(u, f, reports) and the deck group of u."""
     if u.target != f.target:
         raise ValueError("coverings do not share a base")
-    gu = _galois_group(u, reports[0])
-    f_report = reports[1] or check_covering(f)
-    _galois_group(f, f_report)
+    gu = _galois_group(u, reports)
+    f_report = report_for(f, reports)
+    _galois_group(f, [f_report])
     u0 = u.source.objects[0]
-    ext = _Extension(u, f, identity_functor(u.target), f_report)
+    ext = _Extension(u, f, identity_functor(u.target), [f_report])
     out = []
     for c0 in fibre(f, u.object_map[u0]):
         h = ext.extend(u0, c0)
@@ -281,7 +279,7 @@ class GSetReport:
 
 
 def gset_analysis(u: LinFunctor, f: LinFunctor,
-                  reports: Reports = (None, None)) -> GSetReport:
+                  reports: Sequence[CoveringReport] = ()) -> GSetReport:
     """The right action of the deck group of U on the morphisms U -> F by
     precomposition; transitivity and normality of the isotropy subgroup
     are decided from the action table.
@@ -324,23 +322,23 @@ class UniversalReport:
 
 
 def check_universal(u: LinFunctor, family: list[LinFunctor],
-                    reports: Optional[list[CoveringReport]] = None
+                    reports: Sequence[CoveringReport] = ()
                     ) -> UniversalReport:
     """Relative universality: for every covering in the family and every
     compatible seed pair, a morphism (H, 1) out of u exists (uniqueness
     per seed is forced by rigidity).  No claim is made beyond the family.
-    Family members must be coverings (see extend_morphism); reports, if
-    given, are the check_covering reports of u and then of each member.
+    Family members must be coverings (see extend_morphism); the
+    check_covering reports of u and of each member are taken from
+    reports or made here.
     """
-    reports = reports or [None] * (len(family) + 1)
-    _galois_group(u, reports[0])
+    _galois_group(u, reports)
     j = identity_functor(u.target)
     violations = []
     checked = 0
     for idx, f in enumerate(family):
         if f.target != u.target:
             raise ValueError(f"family member {idx} has a different base")
-        ext = _Extension(u, f, j, reports[idx + 1])
+        ext = _Extension(u, f, j, reports)
         for u0 in u.source.objects:
             for c0 in fibre(f, u.object_map[u0]):
                 checked += 1

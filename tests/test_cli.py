@@ -122,13 +122,12 @@ def test_exit_code_matches_boolean_verdicts(workdir, argv):
 ], ids=lambda a: " ".join(a) if isinstance(a, tuple) else str(a))
 def test_each_covering_is_checked_once(workdir, monkeypatch, argv, checks):
     import lincat.covering as covering
-    import lincat.galois as galois
     calls = []
 
     def counted(f, _real=covering.check_covering):
         calls.append(f)
         return _real(f)
-    for module in (cli, covering, galois):
+    for module in (cli, covering):
         monkeypatch.setattr(module, "check_covering", counted)
     code, _, _ = run(workdir, *argv)
     assert code == 0

@@ -174,6 +174,16 @@ def test_aut1_checks_functoriality_once_whatever_the_fibre(monkeypatch):
     assert counts[0] == counts[1] == counts[2], counts
 
 
+def test_a_report_is_read_only_for_the_functor_it_checked():
+    """aut1 takes its star table from the report made for its own
+    functor; a report of another covering is passed over, not read."""
+    good, bad = cover_f0().functor, corrupted_collapse().functor
+    assert check_covering(good).functor is good
+    with pytest.raises(ValueError, match="not bijective"):
+        aut1(bad, [check_covering(good)])
+    assert aut1(good, [check_covering(bad)]).order() == 2
+
+
 def test_aut1_elements_fix_no_object():
     g = aut1(cover_f0().functor)
     for name, h in g.functors.items():

@@ -10,7 +10,7 @@ from lincat.covering import (aut1, check_covering, extend_morphism,
 from lincat.exactlinalg import FieldSpec, Matrix, solve
 from lincat.fixtures import (corrupted_collapse, cover_f0, cover_f1,
                              cover_f2, cyclic_cover, cyclic_reduction,
-                             identity_cover, kronecker)
+                             discrete, identity_cover, kronecker)
 from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
                          functor_from_arrows, functor_is_isomorphism,
                          identity_functor, validate_functor)
@@ -232,6 +232,19 @@ def test_non_functorial_f_or_j_extends_no_seed():
     assert functor_is_isomorphism(scaled_j) and validate_functor(scaled_j)
     assert assert_agree("F0->F0 over scaled J", fix.functor, fix.functor,
                         scaled_j) == 0
+
+
+def test_arrows_sent_into_a_zero_base_hom_extend_no_seed():
+    """F sends a and b of the Kronecker category to 0 in hom(o0, o1) = 0
+    of discrete(2).  G = 1 is a covering whose 0x0 star blocks are
+    bijective, so propagation finds no candidate: no seed extends, and
+    nothing is refused."""
+    k, base = kronecker().category, discrete().category
+    f = LinFunctor.on_basis(k, base, {"s": "o0", "t": "o1"},
+                            {"1_s": {"1_o0": 1}, "1_t": {"1_o1": 1}})
+    g = identity_functor(base)
+    assert check_covering(g).ok and not validate_functor(f)
+    assert assert_agree("Kronecker->discrete", f, g, g) == 0
 
 
 def test_singular_star_block_raises():
