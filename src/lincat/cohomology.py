@@ -174,14 +174,23 @@ def derivation_space(c: LinCat) -> list[Derivation]:
                     rows[r][k] = rows[r].get(k, 0) - a
             for row in rows:
                 system.add(row)
+    # coordinate r of D(1_x) is a linear form in the entries of D's
+    # End(x) matrix, with the coordinates of 1_x as coefficients
+    kills: list[tuple[str, dict]] = []
+    for x in c.objects:
+        if (x, x) in offset:
+            at, n = offset[(x, x)], c.dim(x, x)
+            kills.extend((x, {at + r * n + c.position[m]: s
+                              for m, s in c.identities[x].items()})
+                         for r in range(n))
+    red = c.field.reduce
     out = []
     for v in system.kernel(total):
-        d = _derivation_of(c, v)
-        for x in c.objects:
-            if d.apply(c.identity(x)):
+        for x, form in kills:
+            if red(sum(v.get(k, 0) * s for k, s in form.items())):
                 raise ValueError("input is not a category: derivation does "
                                  f"not kill identity of {x}")
-        out.append(d)
+        out.append(_derivation_of(c, v))
     return out
 
 
@@ -340,11 +349,17 @@ def delta(c: LinCat, z: Grading, chi: Character) -> Derivation:
     problems = validate_grading(z)
     if problems:
         raise ValueError(problems[0])
-    return _delta(c, z, chi)
+    return _delta(c, z, chi, _basis_inverses(z))
 
 
-def _delta(c: LinCat, z: Grading, chi: Character) -> Derivation:
-    """delta on a grading already validated, with scalar End(x)."""
+def _basis_inverses(z: Grading) -> dict[tuple[str, str], Matrix]:
+    return {pair: inverse(cb) for pair, cb in z.basis.items()}
+
+
+def _delta(c: LinCat, z: Grading, chi: Character,
+           inv: dict[tuple[str, str], Matrix]) -> Derivation:
+    """delta on a grading already validated, with scalar End(x), given
+    the inverse of each change-of-basis block."""
     if z.category != c:
         raise ValueError("grading does not belong to the category")
     if chi.group != z.group:
@@ -361,7 +376,7 @@ def _delta(c: LinCat, z: Grading, chi: Character) -> Derivation:
         diag = Matrix(c.field, n, n,
                       tuple(chi.values[labels[i]] if i == j else c.field.zero()
                             for i in range(n) for j in range(n)))
-        mats[pair] = (cb @ diag) @ inverse(cb)
+        mats[pair] = (cb @ diag) @ inv[pair]
     d = Derivation(c, mats)
     left = validate_derivation(d)
     if left:
@@ -382,5 +397,7 @@ def delta_injectivity_check(c: LinCat, z: Grading) -> bool:
     if not rep.connected:
         raise ValueError("grading is not connected; refusing the check")
     span = _inner_span(c)
-    return all(span.add(_sparse_derivation(c, _delta(c, z, chi)))
-               for chi in characters(z.group, c.field))
+    chars = characters(z.group, c.field)
+    inv = _basis_inverses(z) if chars else {}
+    return all(span.add(_sparse_derivation(c, _delta(c, z, chi, inv)))
+               for chi in chars)

@@ -2,14 +2,20 @@
 
 Everything downstream (star isomorphism tests, quotient bases, Leibniz
 kernels) reduces to solving linear systems here.  All arithmetic is exact:
-rationals via :class:`fractions.Fraction`, prime fields via residues.
-No floating point anywhere.
+over Q a value is an int when it is integral and a
+:class:`fractions.Fraction` only when it is not; over F_p it is a residue
+in [0, p).  No floating point anywhere.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+
+def _q(a):
+    """The canonical rational: an integral Fraction demoted to its int."""
+    return a.numerator if a.denominator == 1 else a
 
 
 def _is_prime(n: int) -> bool:
@@ -27,8 +33,10 @@ def _is_prime(n: int) -> bool:
 class FieldSpec:
     """Ground field: Q (characteristic 0) or F_p (characteristic p prime).
 
-    A field element is a plain value: a Fraction over Q, an int in [0, p)
-    over F_p.  This class coerces, parses, reduces and formats those
+    A field element is a plain value: over Q an int when it is integral
+    and a Fraction only when it is not, over F_p an int in [0, p).  An int
+    and the equal Fraction hash and compare the same, so the choice shows
+    only in speed.  This class coerces, parses, reduces and formats those
     values; outside this module no code needs to know which a field
     uses."""
 
@@ -38,22 +46,19 @@ class FieldSpec:
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise ValueError(
                 f"characteristic must be 0 or a prime, got {self.characteristic}")
-        q = self.characteristic == 0
-        object.__setattr__(self, "_zero", Fraction(0) if q else 0)
-        object.__setattr__(self, "_one", Fraction(1) if q else 1)
 
     def zero(self):
-        return self._zero
+        return 0
 
     def one(self):
-        return self._one
+        return 1
 
     def scalar(self, value):
         """Coerce an int, Fraction, or decimal string into this field."""
         p = self.characteristic
         fr = Fraction(value)
         if p == 0:
-            return fr
+            return _q(fr)
         if fr.denominator % p == 0:
             raise ZeroDivisionError(f"denominator of {fr} not invertible mod {p}")
         return fr.numerator * pow(fr.denominator, -1, p) % p
@@ -64,7 +69,7 @@ class FieldSpec:
         if self.characteristic == 0:
             if "mod" in text:
                 raise ValueError(f"modular scalar {text!r} in a characteristic-0 field")
-            return Fraction(text)
+            return _q(Fraction(text))
         parts = text.split("mod")
         if len(parts) == 2:
             p = int(parts[1])
@@ -80,10 +85,10 @@ class FieldSpec:
         return str(a) if p == 0 else f"{a} mod {p}"
 
     def reduce(self, a):
-        """The field element of a sum or product of field elements: a
-        itself over Q, a mod p over F_p."""
+        """The field element of a sum or product of field elements: a in
+        canonical form over Q, a mod p over F_p."""
         p = self.characteristic
-        return a % p if p else a
+        return a % p if p else _q(a)
 
     def __str__(self):
         return "Q" if self.characteristic == 0 else f"F_{self.characteristic}"
@@ -207,8 +212,8 @@ class Matrix:
 
 # -- elimination on raw values ---------------------------------------------
 #
-# Sparse rows are dicts {column: raw value}: ints over F_p, Fractions over
-# Q, reduced on entry into an EchelonBasis.  The public functions below
+# Sparse rows are dicts {column: raw value}: field elements as FieldSpec
+# describes them, reduced on entry into an EchelonBasis.  The public functions below
 # take and return dense field elements.
 
 
@@ -238,23 +243,23 @@ def _field_ops(p: int):
         return normalize, axpy, scale, inverse, 1
 
     def normalize(vec):
-        return {c: a for c, a in vec.items() if a}
+        return {c: _q(a) for c, a in vec.items() if a}
 
     def axpy(v, f, row):
         for c, a in row.items():
             w = v.get(c, 0) - f * a
             if w:
-                v[c] = w
+                v[c] = _q(w)
             else:
                 del v[c]
 
     def scale(row, s):
-        return {c: a * s for c, a in row.items()}
+        return {c: _q(a * s) for c, a in row.items()}
 
     def inverse(a):
-        return Fraction(1) / a
+        return _q(Fraction(1) / a)
 
-    return normalize, axpy, scale, inverse, Fraction(1)
+    return normalize, axpy, scale, inverse, 1
 
 
 class EchelonBasis:
@@ -335,10 +340,6 @@ def _sparse_rows(m: Matrix) -> list[dict]:
             for i in range(m.rows)]
 
 
-def _sparse(field: FieldSpec, vec: Sequence) -> dict:
-    return {j: a for j, a in enumerate(map(field.scalar, vec)) if a}
-
-
 def dense(field: FieldSpec, row: dict, n: int) -> list:
     """The length-n vector of a sparse row."""
     out = [field.zero()] * n
@@ -370,22 +371,6 @@ def kernel_basis(m: Matrix) -> list[list]:
     """Basis of the null space, one column vector per free column of rref."""
     e = _echelon(m.field, _sparse_rows(m))
     return [dense(m.field, v, m.cols) for v in e.kernel(m.cols)]
-
-
-def solve(m: Matrix, rhs: Sequence) -> Optional[list]:
-    """One solution of m x = rhs, or None if inconsistent."""
-    if len(rhs) != m.rows:
-        raise ValueError("rhs length mismatch")
-    n = m.cols
-    rows = _sparse_rows(m)
-    for row, s in zip(rows, map(m.field.scalar, rhs)):
-        if s:
-            row[n] = s
-    e = _echelon(m.field, rows)
-    if n in e.rows:
-        return None
-    return dense(m.field, {p: row[n] for p, row in e.rows.items()
-                           if n in row}, n)
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
@@ -431,20 +416,6 @@ class SparseMap:
                           for i in range(n)])
 
 
-def column_space_basis(field: FieldSpec, vectors: Iterable[Sequence],
-                       dim: int) -> list[list]:
-    """Greedy independent subset of `vectors` (ambient dimension `dim`),
-    keeping the earliest vectors that raise the rank."""
-    e = EchelonBasis(field.characteristic)
-    kept: list[list] = []
-    for v in vectors:
-        if len(v) != dim:
-            raise ValueError("vector dimension mismatch")
-        if e.add(_sparse(field, v)):
-            kept.append(list(v))
-    return kept
-
-
 def complement(characteristic: int, dim: int, subspace: Iterable[dict],
                preferred: Sequence[int]) -> tuple[list[int], list[dict]]:
     """Greedy unit-vector complement of span(subspace) in k^dim, on raw
@@ -479,34 +450,6 @@ def complement(characteristic: int, dim: int, subspace: Iterable[dict],
         else:
             images.append({at[c]: a for c, a in e.tail(k).items()})
     return chosen, images
-
-
-def quotient_basis(field: FieldSpec, ambient_dim: int,
-                   subspace: Sequence[Sequence],
-                   preferred: Optional[Sequence[int]] = None
-                   ) -> tuple[list[list], Matrix]:
-    """Complement representatives and projection for ambient / span(subspace).
-
-    Representatives are standard basis vectors, chosen greedily in
-    `preferred` order (default 0, 1, ...).  The returned projection maps an
-    ambient column to its coordinates over the representatives and kills
-    the subspace: project @ [representatives] = identity, project @ s = 0
-    for s in the subspace.
-    """
-    rows = []
-    for v in subspace:
-        if len(v) != ambient_dim:
-            raise ValueError("vector dimension mismatch")
-        rows.append(_sparse(field, v))
-    order = preferred if preferred is not None else range(ambient_dim)
-    chosen, images = complement(field.characteristic, ambient_dim, rows,
-                                order)
-    one = field.one()
-    reps = [dense(field, {j: one}, ambient_dim) for j in chosen]
-    cols = [dense(field, img, len(chosen)) for img in images]
-    ent = tuple(cols[j][i] for i in range(len(chosen))
-                for j in range(ambient_dim))
-    return reps, Matrix(field, len(chosen), ambient_dim, ent)
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> list[int]:

@@ -46,15 +46,24 @@ def check_action(a: GroupAction) -> list[str]:
             problems.append(f"functor of {s} is not functorial")
         if not functor_is_isomorphism(f):
             problems.append(f"functor of {s} is not an automorphism")
-    ident = a.functors[a.group.identity]
-    if not functor_equal(ident, identity_functor(a.category)):
+    grp, fs = a.group, a.functors
+    unit = functor_equal(fs[grp.identity], identity_functor(a.category))
+    if not unit:
         problems.append("identity element does not act as the identity functor")
-    for s in a.group.elements:
-        for t in a.group.elements:
-            st = a.group.mul(s, t)
-            if not functor_equal(functor_compose(a.functors[s], a.functors[t]),
-                                 a.functors[st]):
-                problems.append(f"action is not compatible: {s}·{t} ≠ {st} on functors")
+
+    def compatible(s: str, t: str) -> bool:
+        return functor_equal(functor_compose(fs[s], fs[t]), fs[grp.mul(s, t)])
+
+    # with F_e = 1, F_(s·g) = F_s∘F_g for every generator g gives
+    # F_(s·t) = F_s∘F_t by induction on the length of t as a word in the
+    # generators; the scan of all pairs only lists the failures
+    if not unit or not all(compatible(s, g) for g in grp.generators()
+                           for s in grp.elements):
+        for s in grp.elements:
+            for t in grp.elements:
+                if not compatible(s, t):
+                    problems.append(f"action is not compatible: {s}·{t} ≠ "
+                                    f"{grp.mul(s, t)} on functors")
     for s in a.group.elements:
         if s == a.group.identity:
             continue

@@ -1,0 +1,72 @@
+"""Dense boundary wrappers that no library code calls any more, kept as
+test references: `solve` for the solve-based extension of
+test_extension_differential.py, `column_space_basis` and `quotient_basis`
+for the greedy definitions of test_exactlinalg_sympy.py.  They are thin
+layers over the library's EchelonBasis and complement."""
+from typing import Iterable, Optional, Sequence
+
+from lincat.exactlinalg import (EchelonBasis, FieldSpec, Matrix, complement,
+                                dense)
+
+
+def _sparse(field: FieldSpec, vec: Sequence) -> dict:
+    return {j: a for j, a in enumerate(map(field.scalar, vec)) if a}
+
+
+def solve(m: Matrix, rhs: Sequence) -> Optional[list]:
+    """One solution of m x = rhs, or None if inconsistent."""
+    if len(rhs) != m.rows:
+        raise ValueError("rhs length mismatch")
+    n = m.cols
+    e = EchelonBasis(m.field.characteristic)
+    for i, s in enumerate(map(m.field.scalar, rhs)):
+        row = {j: a for j, a in enumerate(m.row(i)) if a}
+        if s:
+            row[n] = s
+        e.add(row)
+    if n in e.rows:
+        return None
+    return dense(m.field, {p: row[n] for p, row in e.rows.items()
+                           if n in row}, n)
+
+
+def column_space_basis(field: FieldSpec, vectors: Iterable[Sequence],
+                       dim: int) -> list[list]:
+    """Greedy independent subset of `vectors` (ambient dimension `dim`),
+    keeping the earliest vectors that raise the rank."""
+    e = EchelonBasis(field.characteristic)
+    kept: list[list] = []
+    for v in vectors:
+        if len(v) != dim:
+            raise ValueError("vector dimension mismatch")
+        if e.add(_sparse(field, v)):
+            kept.append(list(v))
+    return kept
+
+
+def quotient_basis(field: FieldSpec, ambient_dim: int,
+                   subspace: Sequence[Sequence],
+                   preferred: Optional[Sequence[int]] = None
+                   ) -> tuple[list[list], Matrix]:
+    """Complement representatives and projection for ambient / span(subspace).
+
+    Representatives are standard basis vectors, chosen greedily in
+    `preferred` order (default 0, 1, ...).  The returned projection maps an
+    ambient column to its coordinates over the representatives and kills
+    the subspace: project @ [representatives] = identity, project @ s = 0
+    for s in the subspace.
+    """
+    rows = []
+    for v in subspace:
+        if len(v) != ambient_dim:
+            raise ValueError("vector dimension mismatch")
+        rows.append(_sparse(field, v))
+    order = preferred if preferred is not None else range(ambient_dim)
+    chosen, images = complement(field.characteristic, ambient_dim, rows,
+                                order)
+    one = field.one()
+    reps = [dense(field, {j: one}, ambient_dim) for j in chosen]
+    cols = [dense(field, img, len(chosen)) for img in images]
+    ent = tuple(cols[j][i] for i in range(len(chosen))
+                for j in range(ambient_dim))
+    return reps, Matrix(field, len(chosen), ambient_dim, ent)

@@ -1,0 +1,157 @@
+"""Differential test of galois.check_action against the all-pairs check
+it replaced, kept here as the reference: the library checks
+F_(s·g) = F_s∘F_g for the generators g only and scans every pair only to
+list failures.  Both must return the same problems, in the same order,
+on valid actions and on actions made wrong on purpose."""
+import pytest
+
+from lincat import galois
+from lincat.covering import aut1
+from lincat.exactlinalg import FieldSpec, Matrix
+from lincat.fixtures import (cover_f0, cover_f1, cyclic_cover,
+                             identity_cover, shift_functor,
+                             shift_subgroup_action, square_cover,
+                             swap_action)
+from lincat.galois import GroupAction, action_from_deck, check_action
+from lincat.groups import Group
+from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
+                         functor_is_isomorphism, identity_functor,
+                         validate_functor)
+
+F3 = FieldSpec(3)
+
+
+def reference_check_action(a):
+    """check_action with the n² compatibility scan, verbatim in behaviour."""
+    problems = []
+    for s in a.group.elements:
+        if s not in a.functors:
+            problems.append(f"no functor for group element {s}")
+            return problems
+        f = a.functors[s]
+        if f.source != a.category or f.target != a.category:
+            problems.append(f"functor of {s} is not an endofunctor of the category")
+            return problems
+        if validate_functor(f):
+            problems.append(f"functor of {s} is not functorial")
+        if not functor_is_isomorphism(f):
+            problems.append(f"functor of {s} is not an automorphism")
+    ident = a.functors[a.group.identity]
+    if not functor_equal(ident, identity_functor(a.category)):
+        problems.append("identity element does not act as the identity functor")
+    for s in a.group.elements:
+        for t in a.group.elements:
+            st = a.group.mul(s, t)
+            if not functor_equal(functor_compose(a.functors[s], a.functors[t]),
+                                 a.functors[st]):
+                problems.append(f"action is not compatible: {s}·{t} ≠ {st} on functors")
+    for s in a.group.elements:
+        if s == a.group.identity:
+            continue
+        for x in a.category.objects:
+            if a.apply_object(s, x) == x:
+                problems.append(f"action is not free: {s}·{x} = {x}")
+    return problems
+
+
+def shift_actions():
+    """Every shift-subgroup action on cyclic_cover(n), n = 1..8."""
+    for n in range(1, 9):
+        for k in range(n):
+            yield f"shift-{n}-{k}", shift_subgroup_action(n, k)
+
+
+def two_generator_action():
+    """C6 shifting cyclic_cover(6), its elements listed so that
+    Group.generators() returns two generators (g2, then g3)."""
+    a = shift_subgroup_action(6, 1)
+    grp = a.group
+    order = ("e", "g2", "g3", "g", "g4", "g5")
+    return GroupAction(Group(order, grp.identity, grp.table),
+                       a.functors, a.category)
+
+
+def valid_actions():
+    yield "swap", swap_action()
+    yield "swap-F3", swap_action(F3)
+    yield "shift-F3", shift_subgroup_action(4, 1, F3)
+    yield from shift_actions()
+    yield "two-generators", two_generator_action()
+    for fix in (cover_f0(), cover_f1(), identity_cover(), cyclic_cover(3),
+                square_cover()):
+        yield f"deck-{fix.name}", action_from_deck(aut1(fix.functor))
+
+
+def exchanged(a, s, t):
+    """a with the functors of s and t swapped: each stays an
+    automorphism, but the object images no longer follow the table."""
+    fs = dict(a.functors)
+    fs[s], fs[t] = fs[t], fs[s]
+    return GroupAction(a.group, fs, a.category)
+
+
+def scaled(a, s, factor=2):
+    """a with one block of F_s scaled: still an automorphism of the
+    Kronecker cover (no composable arrows), but not compatible."""
+    f = a.functors[s]
+    pair = f.source.pairs[-1]
+    m = f.matrices[pair]
+    fld = m.field
+    block = Matrix(fld, m.rows, m.cols,
+                   tuple(fld.reduce(factor * v) for v in m.entries))
+    fs = dict(a.functors)
+    fs[s] = LinFunctor(f.source, f.target, f.object_map,
+                       {**f.matrices, pair: block})
+    return GroupAction(a.group, fs, a.category)
+
+
+def perturbed_actions():
+    for n in (2, 3, 4, 6):
+        a = shift_subgroup_action(n, 1)
+        els = a.group.elements
+        yield f"exchange-e-{n}", exchanged(a, els[0], els[1])
+        yield f"scale-gen-{n}", scaled(a, els[1])
+        yield f"scale-last-{n}", scaled(a, els[-1])
+        yield f"scale-e-{n}", scaled(a, els[0])
+        if n > 3:  # on C3, g <-> g2 is an automorphism of the group
+            yield f"exchange-{n}", exchanged(a, els[1], els[2])
+    yield "exchange-F3", exchanged(shift_subgroup_action(4, 1, F3), "g", "g2")
+    yield "scale-F3", scaled(shift_subgroup_action(3, 1, F3), "g2")
+    a = two_generator_action()
+    yield "two-generators-scaled", scaled(a, "g3")
+    total = cyclic_cover(4).total
+    trivial = shift_subgroup_action(4, 2)
+    yield "not-free", GroupAction(
+        trivial.group, {s: shift_functor(total, 4, 0)
+                        for s in trivial.group.elements}, total.category)
+    yield "not-free-exchanged", exchanged(trivial, "e", "g")
+
+
+def cases(actions):
+    return [pytest.param(a, id=name) for name, a in actions]
+
+
+@pytest.mark.parametrize("action", cases(valid_actions()))
+def test_valid_actions_agree(action):
+    assert check_action(action) == reference_check_action(action) == []
+
+
+@pytest.mark.parametrize("action", cases(perturbed_actions()))
+def test_perturbed_actions_agree(action):
+    want = reference_check_action(action)
+    assert want  # each perturbation is caught
+    assert check_action(action) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_cyclic_action_composes_n_times(n, monkeypatch):
+    calls = []
+    compose = galois.functor_compose
+
+    def counted(f, g):
+        calls.append(1)
+        return compose(f, g)
+
+    monkeypatch.setattr(galois, "functor_compose", counted)
+    assert check_action(shift_subgroup_action(n, 1)) == []
+    assert len(calls) == n  # one generator, n elements: not n²

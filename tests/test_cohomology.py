@@ -18,8 +18,8 @@ from lincat.grading import (grading_on_basis, induced_grading, regrade,
                             trivial_grading)
 from lincat.exactlinalg import FieldSpec
 from lincat.groups import Group, cyclic_group
-from lincat.kcat import (Arrow, QuiverPresentation, comb_add, comb_eq,
-                         comb_scale, compose, present)
+from lincat.kcat import (Arrow, LinCat, QuiverPresentation, comb_add,
+                         comb_eq, comb_scale, compose, present)
 
 
 # -- derivation spaces -----------------------------------------------------
@@ -45,6 +45,15 @@ def test_derivation_space_of_square_zero_loop():
 
 def test_derivation_space_of_discrete_category_is_zero():
     assert derivation_space(discrete().category) == []
+
+
+def test_derivation_space_refuses_an_identity_that_is_not_one():
+    # End(x) = span{i} with i∘i = 0 but i declared the identity: every
+    # D(i) = λi satisfies Leibniz, and none with λ ≠ 0 kills 1_x
+    c = LinCat.make(Q, ["x"], {("x", "x"): ["i"]}, {}, {"x": {"i": 1}})
+    with pytest.raises(ValueError, match="^input is not a category: "
+                       "derivation does not kill identity of x$"):
+        derivation_space(c)
 
 
 def test_inner_derivation_dimensions():
@@ -197,6 +206,20 @@ def test_injectivity_check_validates_the_grading_once(monkeypatch):
         calls.clear()
         assert delta_injectivity_check(c, z)
         assert calls == [z]
+
+
+def test_injectivity_check_inverts_each_block_once(monkeypatch):
+    import lincat.cohomology as cohomology
+    calls = []
+
+    def counted(m, _real=cohomology.inverse):
+        calls.append(m)
+        return _real(m)
+    monkeypatch.setattr(cohomology, "inverse", counted)
+    c, z = three_arrow_kronecker_grading(3)
+    assert len(characters(z.group, c.field)) == 2
+    assert delta_injectivity_check(c, z)
+    assert len(calls) == len(z.basis)
 
 
 def test_injectivity_check_refuses_disconnected_grading():

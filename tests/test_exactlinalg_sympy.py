@@ -17,8 +17,11 @@ from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from lincat.exactlinalg import (  # noqa: E402
-    FieldSpec, Matrix, column_space_basis, inverse, kernel_basis,
-    quotient_basis, rank, rref, smith_normal_form, solve,
+    EchelonBasis, FieldSpec, Matrix, SparseMap, dense, inverse, kernel_basis,
+    rank, rref, smith_normal_form,
+)
+from linalg_reference import (  # noqa: E402
+    column_space_basis, quotient_basis, solve,
 )
 
 PRIMES = (0, 2, 3, 5, 7)
@@ -245,3 +248,73 @@ def test_quotient_basis(case, rng, partial):
     chosen, want = ref
     assert [values(r).index(1) for r in reps] == chosen
     assert matrix_values(proj) == want
+
+
+# -- the canonical rational ------------------------------------------------
+
+def canonical(v):
+    """Over Q: an int exactly when the value is integral, else a Fraction
+    (never a Fraction with denominator 1, never a float)."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+raw_rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_kernel_results_are_canonical_over_q(r, c, data):
+    """EchelonBasis, SparseMap, Matrix and inverse over Q keep values
+    canonical, also when fed integral Fractions, and agree with sympy."""
+    field = FieldSpec(0)
+    # raw Fractions, Fraction(2, 1) among them, as EchelonBasis accepts
+    rows = data.draw(st.lists(st.lists(raw_rational, min_size=c, max_size=c),
+                              min_size=r, max_size=r))
+    e = EchelonBasis(0)
+    for row in rows:
+        e.add({j: a for j, a in enumerate(row) if a})
+    sm = to_sympy(field, rows, c)
+    ref, pivots = sm.rref()
+    assert sorted(e.rows) == list(pivots)
+    want = sympy_values(field, ref)
+    for i, p in enumerate(pivots):
+        assert all(map(canonical, e.rows[p].values()))
+        assert dense(field, e.rows[p], c) == want[i]
+    kernel = e.kernel(c)
+    assert len(kernel) == c - len(pivots)
+    for vec in kernel:
+        assert all(map(canonical, vec.values()))
+        column = to_sympy(field, [[v] for v in dense(field, vec, c)], 1)
+        assert (sm * column).is_zero_matrix
+
+    square = data.draw(st.lists(st.lists(raw_rational, min_size=r,
+                                         max_size=r), min_size=r, max_size=r))
+    sq = to_sympy(field, square, r)
+    m = Matrix.from_rows(field, square)
+    assert all(map(canonical, m.entries))
+    inv_map = SparseMap.inverse(0, [{i: row[j] for i, row in
+                                     enumerate(square) if row[j]}
+                                    for j in range(r)])
+    inv = inverse(m)
+    if sq.det() == 0:
+        assert inv_map is None and inv is None
+    else:
+        want = sympy_values(field, sq.inv())
+        assert all(map(canonical, inv.entries))
+        assert matrix_values(inv) == want
+        for j, col in enumerate(inv_map.cols):
+            assert all(map(canonical, col.values()))
+            assert dense(field, col, r) == [row[j] for row in want]
+        vec = {j: a for j, a in enumerate(data.draw(st.lists(
+            raw_rational, min_size=r, max_size=r))) if a}
+        image = inv_map(vec)
+        assert all(map(canonical, image.values()))
+        column = to_sympy(field, [[field.scalar(vec.get(j, 0))]
+                                  for j in range(r)], 1)
+        assert dense(field, image, r) == \
+            [v for (v,) in sympy_values(field, sq.inv() * column)]
+        assert all(map(canonical, (m @ inv).entries))
+        assert m @ inv == Matrix.identity(field, r)
+    total = m @ m + m
+    assert all(map(canonical, total.entries))
+    assert matrix_values(total) == sympy_values(field, sq * sq + sq)
