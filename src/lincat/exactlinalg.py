@@ -213,8 +213,8 @@ class Matrix:
 # -- elimination on raw values ---------------------------------------------
 #
 # Sparse rows are dicts {column: raw value}: field elements as FieldSpec
-# describes them, reduced on entry into an EchelonBasis.  The public functions below
-# take and return dense field elements.
+# describes them, reduced on entry into an EchelonBasis.  The public
+# functions below take and return dense field elements.
 
 
 def _field_ops(p: int):
