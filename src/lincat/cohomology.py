@@ -10,14 +10,13 @@ space is zero in characteristic 0 and computed by linear algebra over
 F_p otherwise.  delta turns a character into the derivation scaling a
 degree-s homogeneous morphism by χ(s).
 """
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
 
-from .exactlinalg import (EchelonBasis, FieldSpec, Matrix, dense, inverse,
-                          kernel_basis)
+from .exactlinalg import EchelonBasis, FieldSpec, Matrix
 from .groups import Group
 from .kcat import LinCat, LinComb, comp_range_violations
-from .grading import Grading, is_connected_grading, validate_grading
+from .grading import Grading, _connectivity, _inverses
 
 
 @dataclass
@@ -28,12 +27,13 @@ class Derivation:
     matrices: dict[tuple[str, str], Matrix]
 
     def apply(self, comb: LinComb) -> LinComb:
-        pair = self.category.comb_pair(comb)
+        c = self.category
+        pair = c.comb_pair(comb)
         if pair is None:
             return {}
-        vec = self.category.vector(comb, *pair)
-        return self.category.comb_of_vector(self.matrices[pair].apply(vec),
-                                            *pair)
+        image = self.matrices[pair]({c.position[n]: s
+                                     for n, s in comb.items() if s})
+        return {c.hom[pair][i]: a for i, a in image.items()}
 
     def apply_name(self, n: str) -> LinComb:
         return self.apply({n: self.category.field.one()})
@@ -47,13 +47,6 @@ class Derivation:
         return Derivation(self.category,
                           {p: m - other.matrices[p]
                            for p, m in self.matrices.items()})
-
-
-def _flatten(c: LinCat, mats: dict[tuple[str, str], Matrix]) -> list:
-    out: list = []
-    for pair in c.pairs:
-        out.extend(mats[pair].entries)
-    return out
 
 
 def validate_derivation(d: Derivation) -> list[str]:
@@ -77,10 +70,9 @@ def validate_derivation(d: Derivation) -> list[str]:
         return problems
     image: dict[str, list] = {}  # D(n) as (name, value) terms
     for pair in c.pairs:
-        m, names = d.matrices[pair], c.hom[pair]
-        for j, n in enumerate(names):
-            image[n] = [(r, a) for r, a in zip(names, m.entries[j::m.cols])
-                        if a]
+        names = c.hom[pair]
+        for n, col in zip(names, d.matrices[pair].columns):
+            image[n] = [(names[i], a) for i, a in col.items()]
     comp, red = c.comp, c.field.reduce
     for f in c.basis_names():
         for g in c.leaving[c.target_of(f)]:
@@ -127,17 +119,29 @@ def _products(c: LinCat) -> dict[tuple[str, str], list[tuple[int, object]]]:
 
 
 def _sparse_derivation(c: LinCat, d: Derivation) -> dict:
-    return {k: s for k, s in enumerate(_flatten(c, d.matrices)) if s}
+    """The entries of d as one sparse vector of unknowns (see _layout)."""
+    offset, _ = _layout(c)
+    out = {}
+    for pair, at in offset.items():
+        n = c.dim(*pair)
+        for j, col in enumerate(d.matrices[pair].columns):
+            for i, a in col.items():
+                out[at + i * n + j] = a
+    return out
 
 
 def _derivation_of(c: LinCat, vec: dict) -> Derivation:
-    offset, total = _layout(c)
-    flat = dense(c.field, vec, total)
-    mats = {}
-    for pair, at in offset.items():
-        n = c.dim(*pair)
-        mats[pair] = Matrix(c.field, n, n, tuple(flat[at:at + n * n]))
-    return Derivation(c, mats)
+    """The derivation whose entries are the sparse vector of unknowns
+    vec, of canonical nonzero values (see _layout)."""
+    offset, _ = _layout(c)
+    starts = list(offset.values())
+    cols = {pair: [{} for _ in range(c.dim(*pair))] for pair in c.pairs}
+    for k in sorted(vec):
+        pair = c.pairs[bisect_right(starts, k) - 1]
+        i, j = divmod(k - offset[pair], c.dim(*pair))
+        cols[pair][j][i] = vec[k]
+    return Derivation(c, {pair: Matrix(c.field, len(m), len(m), tuple(m))
+                          for pair, m in cols.items()})
 
 
 def derivation_space(c: LinCat) -> list[Derivation]:
@@ -312,24 +316,17 @@ def characters(grp: Group, field: FieldSpec) -> list[Character]:
         return []
     elems = list(grp.elements)
     idx = {s: i for i, s in enumerate(elems)}
-    rows = []
-    row = [0] * len(elems)
-    row[idx[grp.identity]] = 1
-    rows.append(row)
+    system = EchelonBasis(field.characteristic)
+    system.add({idx[grp.identity]: 1})
     for s in elems:
         for t in elems:
-            # χ(s) + χ(t) − χ(st) = 0; from_rows reduces the entries
-            row = [0] * len(elems)
-            row[idx[s]] += 1
-            row[idx[t]] += 1
-            row[idx[grp.mul(s, t)]] -= 1
-            if any(row):
-                rows.append(row)
-    out = []
-    for v in kernel_basis(Matrix.from_rows(field, rows)):
-        out.append(Character(grp, field,
-                             {s: v[idx[s]] for s in elems}))
-    return out
+            # χ(s) + χ(t) − χ(st) = 0; add reduces the entries
+            row: dict = {}
+            for u, a in ((s, 1), (t, 1), (grp.mul(s, t), -1)):
+                row[idx[u]] = row.get(idx[u], 0) + a
+            system.add(row)
+    return [Character(grp, field, {s: v.get(idx[s], 0) for s in elems})
+            for v in system.kernel(len(elems))]
 
 
 # -- the Euler derivation of a character ------------------------------------
@@ -346,14 +343,7 @@ def delta(c: LinCat, z: Grading, chi: Character) -> Derivation:
     """Derivation scaling each homogeneous element of degree s by χ(s);
     defined when every endomorphism ring is spanned by the identity."""
     _require_scalar_endos(c)
-    problems = validate_grading(z)
-    if problems:
-        raise ValueError(problems[0])
-    return _delta(c, z, chi, _basis_inverses(z))
-
-
-def _basis_inverses(z: Grading) -> dict[tuple[str, str], Matrix]:
-    return {pair: inverse(cb) for pair, cb in z.basis.items()}
+    return _delta(c, z, chi, _inverses(z))
 
 
 def _delta(c: LinCat, z: Grading, chi: Character,
@@ -372,11 +362,9 @@ def _delta(c: LinCat, z: Grading, chi: Character,
     mats = {}
     for pair, labels in z.degrees.items():
         cb = z.basis[pair]
-        n = cb.rows
-        diag = Matrix(c.field, n, n,
-                      tuple(chi.values[labels[i]] if i == j else c.field.zero()
-                            for i in range(n) for j in range(n)))
-        mats[pair] = (cb @ diag) @ inv[pair]
+        # cb · diag(χ(labels)): column j of cb scaled by χ of its degree
+        scaled = tuple(cb({j: chi.values[s]}) for j, s in enumerate(labels))
+        mats[pair] = Matrix(c.field, cb.rows, cb.cols, scaled) @ inv[pair]
     d = Derivation(c, mats)
     left = validate_derivation(d)
     if left:
@@ -393,11 +381,10 @@ def delta_injectivity_check(c: LinCat, z: Grading) -> bool:
     independent modulo the inner span:
     rank[inner | δ(χ₁)…δ(χₘ)] = rank(inner) + m."""
     _require_scalar_endos(c)
-    rep = is_connected_grading(z)
-    if not rep.connected:
+    inv = _inverses(z)
+    if not _connectivity(z).connected:
         raise ValueError("grading is not connected; refusing the check")
     span = _inner_span(c)
     chars = characters(z.group, c.field)
-    inv = _basis_inverses(z) if chars else {}
     return all(span.add(_sparse_derivation(c, _delta(c, z, chi, inv)))
                for chi in chars)

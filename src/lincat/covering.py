@@ -12,8 +12,9 @@ map from the hom spaces between x and the fibre over b to the hom space
 between F(x) and b; it is kept as sparse columns, ordered by fibre
 position and then by basis position.  check_covering builds every star
 block in one pass over the nonzero hom pairs of the source and inverts
-each on its columns.  Its CoveringReport carries the inverses, the star
-table, and the functor it checked.  Everything that extends morphisms
+each on its columns.  Its CoveringReport carries the star table, which
+holds the inverse of every bijective star block as a Matrix, and the
+functor it checked.  Everything that extends morphisms
 into F takes a sequence of reports already made and uses the one made
 for F itself (report_for), so each star block is eliminated once per
 covering and no report is read for another functor.
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .exactlinalg import Matrix, SparseMap
+from .exactlinalg import Matrix, inverse
 from .groups import Group
 from .kcat import (LinCat, LinFunctor, functor_compose,
                    functor_equal, functor_is_isomorphism, identity_functor,
@@ -62,7 +63,7 @@ def fibre(f: LinFunctor, b: str) -> list[str]:
 # of the block the fibre object owning it with its block's first and last
 # position); bijective blocks only
 StarTable = dict[tuple[str, str, str],
-                 tuple[SparseMap, list[tuple[str, int, int]]]]
+                 tuple[Matrix, list[tuple[str, int, int]]]]
 
 
 @dataclass
@@ -98,22 +99,19 @@ def check_covering(f: LinFunctor) -> CoveringReport:
     owner: dict[tuple[str, str, str], list[tuple[str, int, int]]] = {}
     for (x, y) in src.pairs:
         m = f.matrices[(x, y)]
-        block = m.sparse_cols()
         for key, e in (((x, omap[y], "out"), y), ((y, omap[x], "in"), x)):
             at = cols.setdefault(key, [])
             owner.setdefault(key, []).extend(
                 [(e, len(at), len(at) + m.cols - 1)] * m.cols)
-            at.extend(block)
-    p = src.field.characteristic
+            at.extend(m.columns)
     failures: list[tuple[str, str, str]] = []
     stars: StarTable = {}
     for x in src.objects:
         for b in tgt.objects:
             for key, rows in (((x, b, "out"), tgt.dim(omap[x], b)),
                               ((x, b, "in"), tgt.dim(b, omap[x]))):
-                block = cols.get(key, [])
-                inv = SparseMap.inverse(p, block) \
-                    if len(block) == rows else None
+                block = tuple(cols.get(key, ()))
+                inv = inverse(Matrix(src.field, rows, len(block), block))
                 if inv is None:
                     failures.append(key)
                 else:
@@ -171,7 +169,7 @@ def check_morphism(m: CoveringMorphism, f: LinFunctor, g: LinFunctor) -> bool:
 class _Extension:
     """What extending morphisms F -> G over J needs that no seed changes,
     built once per (F, G, J) and shared by every seed: J∘F, with each
-    basis image as a raw sparse column, whether J∘F and G are functors
+    basis image as a sparse column, whether J∘F and G are functors
     (see extend_morphism), and the star table of G from
     report_for(g, reports).  G must be a covering: a visited star block
     that is not bijective raises ValueError."""
@@ -190,11 +188,11 @@ class _Extension:
         self.functorial = not validate_functor(jf) and (
             functor_equal(g, jf) or not validate_functor(g))
         self.image = {n: col for pair, m in jf.matrices.items()
-                      for n, col in zip(f.source.hom[pair], m.sparse_cols())}
+                      for n, col in zip(f.source.hom[pair], m.columns)}
         self.stars = report_for(g, reports).stars
 
     def star(self, x: str, b: str, direction: str
-             ) -> tuple[SparseMap, list[tuple[str, int, int]]]:
+             ) -> tuple[Matrix, list[tuple[str, int, int]]]:
         """The star table's entry for G's star block at x towards the
         fibre of b."""
         entry = self.stars.get((x, b, direction))
@@ -214,7 +212,7 @@ class _Extension:
         if g.object_map[d0] != f.object_map[x0]:
             raise ValueError(f"seed mismatch: G({d0}) != F({x0}) on the base")
         omap = {x0: d0}
-        cols: dict[str, dict] = {}  # basis name -> raw column of H(name)
+        cols: dict[str, dict] = {}  # basis name -> column of H(name)
         queue = [x0]
         for x in queue:  # the queue grows while it is read
             for direction, names, far in (("out", c.leaving[x], c.target_of),
@@ -242,9 +240,9 @@ class _Extension:
                              "the extension is not determined")
         if not self.functorial:
             return None
-        mats = {(x, y): Matrix.from_sparse_cols(
-                    c.field, [cols[n] for n in c.hom[(x, y)]],
-                    d.dim(omap[x], omap[y]))
+        mats = {(x, y): Matrix(c.field, d.dim(omap[x], omap[y]),
+                               c.dim(x, y),
+                               tuple(cols[n] for n in c.hom[(x, y)]))
                 for (x, y) in c.pairs}
         return LinFunctor(c, d, omap, mats)
 

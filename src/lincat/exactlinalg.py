@@ -5,6 +5,12 @@ kernels) reduces to solving linear systems here.  All arithmetic is exact:
 over Q a value is an int when it is integral and a
 :class:`fractions.Fraction` only when it is not; over F_p it is a residue
 in [0, p).  No floating point anywhere.
+
+Every linear map the library handles (functor blocks, the inverses of
+star blocks, the change of basis of a grading, derivations) is one type,
+Matrix, kept as sparse columns; products, sums and inverses work on
+those columns directly.  Elimination works on sparse rows in
+EchelonBasis.
 """
 from __future__ import annotations
 
@@ -96,87 +102,84 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense row-major matrix of field elements.  Immutable."""
+    """The one matrix type: a linear map k^cols -> k^rows kept as its
+    columns, each a sparse vector {row: value} of canonical field values
+    with no zero stored.  Equal matrices therefore have equal columns.
+    Immutable: a column dict may be shared with other matrices and is
+    never written to.  Calling a matrix on a sparse vector gives its
+    image; `entries`, `row`, `col` and `apply` are dense views."""
 
     field: FieldSpec
     rows: int
     cols: int
-    entries: tuple  # length rows * cols, row-major field elements
+    columns: tuple  # of dicts {row: value}
+    __hash__ = None  # the columns are dicts
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entries length does not match rows * cols")
+        if len(self.columns) != self.cols:
+            raise ValueError("number of columns does not match cols")
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        ent = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            ent.extend(field.scalar(v) for v in row)
-        return Matrix(field, r, c, tuple(ent))
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("ragged rows")
+        return Matrix.from_cols(field, list(zip(*rows)), len(rows))
 
     @staticmethod
     def from_cols(field: FieldSpec, cols: Sequence[Sequence], nrows: Optional[int] = None) -> "Matrix":
-        c = len(cols)
-        r = len(cols[0]) if c else (nrows or 0)
-        ent = [field.zero()] * (r * c)
-        for j, col in enumerate(cols):
+        r = len(cols[0]) if cols else (nrows or 0)
+        columns = []
+        for col in cols:
             if len(col) != r:
                 raise ValueError("ragged columns")
-            for i, v in enumerate(col):
-                ent[i * c + j] = field.scalar(v)
-        return Matrix(field, r, c, tuple(ent))
-
-    @staticmethod
-    def from_sparse_cols(field: FieldSpec, cols: Sequence[dict],
-                         nrows: int) -> "Matrix":
-        """The nrows-row matrix with these sparse columns {row: value}."""
-        c = len(cols)
-        ent = [field.zero()] * (nrows * c)
-        for j, col in enumerate(cols):
-            for i, a in col.items():
-                ent[i * c + j] = a
-        return Matrix(field, nrows, c, tuple(ent))
+            columns.append({i: a for i, v in enumerate(col)
+                            if (a := field.scalar(v))})
+        return Matrix(field, r, len(cols), tuple(columns))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        ent = [field.zero()] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = field.one()
-        return Matrix(field, n, n, tuple(ent))
+        return Matrix(field, n, n, tuple({j: field.one()} for j in range(n)))
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, rows, cols, tuple([field.zero()] * (rows * cols)))
+        return Matrix(field, rows, cols, tuple({} for _ in range(cols)))
+
+    @property
+    def entries(self) -> tuple:
+        """The entries in row-major order."""
+        return tuple(a for i in range(self.rows) for a in self.row(i))
 
     def entry(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
+        return self.columns[j].get(i, 0)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return tuple(col.get(i, 0) for col in self.columns)
 
     def col(self, j: int) -> tuple:
-        return self.entries[j::self.cols]
+        return tuple(dense(self.field, self.columns[j], self.rows))
 
-    def sparse_cols(self) -> list[dict]:
-        """The columns as sparse vectors {row: value}."""
-        return [{i: a for i, a in enumerate(self.col(j)) if a}
-                for j in range(self.cols)]
+    def __call__(self, vec: dict) -> dict:
+        """The image of a sparse vector {column: value}, as a sparse
+        vector of canonical values."""
+        out: dict = {}
+        for k, a in vec.items():
+            for i, v in self.columns[k].items():
+                w = a * v
+                out[i] = out[i] + w if i in out else w
+        red = self.field.reduce
+        return {i: r for i, w in out.items() if (r := red(w))}
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        red = self.field.reduce
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(red(a + b) for a, b in zip(self.entries, other.entries)))
+        # column j of the sum is [self | other] applied to e_j + e_(cols+j)
+        both, n = self.hstack(other), self.cols
+        return Matrix(self.field, self.rows, n,
+                      tuple(both({j: 1, n + j: 1}) for j in range(n)))
 
     def __neg__(self) -> "Matrix":
-        red = self.field.reduce
         return Matrix(self.field, self.rows, self.cols,
-                      tuple(red(-a) for a in self.entries))
+                      tuple(self({j: -1}) for j in range(self.cols)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
@@ -184,37 +187,27 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = [other.col(j) for j in range(other.cols)]
-        dot = self._dot
         return Matrix(self.field, self.rows, other.cols,
-                      tuple(dot(self.row(i), col) for i in range(self.rows)
-                            for col in cols))
+                      tuple(map(self, other.columns)))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch")
-        ent = []
-        for i in range(self.rows):
-            ent.extend(self.row(i))
-            ent.extend(other.row(i))
-        return Matrix(self.field, self.rows, self.cols + other.cols, tuple(ent))
+        return Matrix(self.field, self.rows, self.cols + other.cols,
+                      self.columns + other.columns)
 
     def apply(self, vec: Sequence) -> list:
-        """Matrix times column vector."""
+        """Matrix times a dense column vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return [self._dot(self.row(i), vec) for i in range(self.rows)]
-
-    def _dot(self, row: Sequence, col: Sequence):
-        return self.field.reduce(sum([a * b for a, b in zip(row, col) if a],
-                                     self.field.zero()))
+        return dense(self.field, self({j: a for j, a in enumerate(vec) if a}),
+                     self.rows)
 
 
 # -- elimination on raw values ---------------------------------------------
 #
 # Sparse rows are dicts {column: raw value}: field elements as FieldSpec
-# describes them, reduced on entry into an EchelonBasis.  The public
-# functions below take and return dense field elements.
+# describes them, reduced on entry into an EchelonBasis.
 
 
 def _field_ops(p: int):
@@ -328,18 +321,6 @@ class EchelonBasis:
         return list(free.values())
 
 
-def _echelon(field: FieldSpec, rows: Iterable[dict]) -> EchelonBasis:
-    e = EchelonBasis(field.characteristic)
-    for r in rows:
-        e.add(r)
-    return e
-
-
-def _sparse_rows(m: Matrix) -> list[dict]:
-    return [{j: a for j, a in enumerate(m.row(i)) if a}
-            for i in range(m.rows)]
-
-
 def dense(field: FieldSpec, row: dict, n: int) -> list:
     """The length-n vector of a sparse row."""
     out = [field.zero()] * n
@@ -348,72 +329,21 @@ def dense(field: FieldSpec, row: dict, n: int) -> list:
     return out
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
-    """Reduced row echelon form.
-
-    Pivots are the leftmost columns the rows reach (the form is unique).
-    Returns (rref matrix, pivot column indices, rank).
-    """
-    e = _echelon(m.field, _sparse_rows(m))
-    pivots = sorted(e.rows)
-    ent: list = []
-    for p in pivots:
-        ent.extend(dense(m.field, e.rows[p], m.cols))
-    ent.extend([m.field.zero()] * ((m.rows - len(pivots)) * m.cols))
-    return Matrix(m.field, m.rows, m.cols, tuple(ent)), pivots, len(pivots)
-
-
-def rank(m: Matrix) -> int:
-    return len(_echelon(m.field, _sparse_rows(m)))
-
-
-def kernel_basis(m: Matrix) -> list[list]:
-    """Basis of the null space, one column vector per free column of rref."""
-    e = _echelon(m.field, _sparse_rows(m))
-    return [dense(m.field, v, m.cols) for v in e.kernel(m.cols)]
-
-
 def inverse(m: Matrix) -> Optional[Matrix]:
-    """Inverse of a square matrix, or None if singular."""
-    if m.rows != m.cols:
+    """The inverse of a square matrix, or None if it is not square or is
+    singular.  Column j of m is row j of its transpose A, so [A | 1]
+    reduces to [1 | A⁻¹], and row i of A⁻¹ is column i of the inverse."""
+    n = m.cols
+    if m.rows != n:
         return None
-    inv = SparseMap.inverse(m.field.characteristic, m.sparse_cols())
-    return None if inv is None else \
-        Matrix.from_sparse_cols(m.field, inv.cols, m.rows)
-
-
-class SparseMap:
-    """A matrix kept as sparse columns {row: value}, applied to sparse
-    vectors {index: value} with its field's operations chosen once."""
-
-    def __init__(self, characteristic: int, cols: list[dict]):
-        self.cols = cols
-        self._normalize = _field_ops(characteristic)[0]
-
-    def __call__(self, vec: dict) -> dict:
-        out: dict = {}
-        for k, a in vec.items():
-            for i, v in self.cols[k].items():
-                w = a * v
-                out[i] = out[i] + w if i in out else w
-        return self._normalize(out)
-
-    @staticmethod
-    def inverse(characteristic: int, cols: list[dict]
-                ) -> Optional["SparseMap"]:
-        """The inverse of the square matrix with these n sparse columns of
-        raw values, or None if it is singular.  Column j of the matrix is
-        row j of its transpose A, so [A | 1] reduces to [1 | A⁻¹], and row
-        i of A⁻¹ is column i of the inverse."""
-        n = len(cols)
-        e = EchelonBasis(characteristic)
-        for j, col in enumerate(cols):
-            e.add({**col, n + j: e.one})
-        if any(i not in e.rows for i in range(n)):
-            return None
-        return SparseMap(characteristic,
-                         [{j - n: a for j, a in e.rows[i].items() if j >= n}
-                          for i in range(n)])
+    e = EchelonBasis(m.field.characteristic)
+    for j, col in enumerate(m.columns):
+        e.add({**col, n + j: e.one})
+    if any(i not in e.rows for i in range(n)):
+        return None
+    return Matrix(m.field, n, n,
+                  tuple({j - n: a for j, a in e.rows[i].items() if j >= n}
+                        for i in range(n)))
 
 
 def complement(characteristic: int, dim: int, subspace: Iterable[dict],

@@ -33,37 +33,50 @@ class GroupAction:
 
 
 def check_action(a: GroupAction) -> list[str]:
-    problems = []
-    for s in a.group.elements:
-        if s not in a.functors:
-            problems.append(f"no functor for group element {s}")
-            return problems
-        f = a.functors[s]
-        if f.source != a.category or f.target != a.category:
-            problems.append(f"functor of {s} is not an endofunctor of the category")
-            return problems
-        if validate_functor(f):
-            problems.append(f"functor of {s} is not functorial")
-        if not functor_is_isomorphism(f):
-            problems.append(f"functor of {s} is not an automorphism")
     grp, fs = a.group, a.functors
+
+    def functor_problems(s: str) -> list[str]:
+        out = []
+        if validate_functor(fs[s]):
+            out.append(f"functor of {s} is not functorial")
+        if not functor_is_isomorphism(fs[s]):
+            out.append(f"functor of {s} is not an automorphism")
+        return out
+
+    for k, s in enumerate(grp.elements):
+        if s not in fs:
+            stop = f"no functor for group element {s}"
+        elif fs[s].source != a.category or fs[s].target != a.category:
+            stop = f"functor of {s} is not an endofunctor of the category"
+        else:
+            continue
+        return [p for t in grp.elements[:k] for p in functor_problems(t)] \
+            + [stop]
+    gens = grp.generators()
     unit = functor_equal(fs[grp.identity], identity_functor(a.category))
-    if not unit:
-        problems.append("identity element does not act as the identity functor")
 
     def compatible(s: str, t: str) -> bool:
         return functor_equal(functor_compose(fs[s], fs[t]), fs[grp.mul(s, t)])
 
     # with F_e = 1, F_(s·g) = F_s∘F_g for every generator g gives
     # F_(s·t) = F_s∘F_t by induction on the length of t as a word in the
-    # generators; the scan of all pairs only lists the failures
-    if not unit or not all(compatible(s, g) for g in grp.generators()
-                           for s in grp.elements):
-        for s in grp.elements:
-            for t in grp.elements:
-                if not compatible(s, t):
-                    problems.append(f"action is not compatible: {s}·{t} ≠ "
-                                    f"{grp.mul(s, t)} on functors")
+    # generators, so every F_t is a product of generators' functors and a
+    # functorial automorphism when theirs are; the scans of all elements
+    # and pairs only list the failures
+    generated = unit and all(compatible(s, g) for g in gens
+                             for s in grp.elements)
+    if generated and not any(functor_problems(g) for g in gens):
+        problems = []
+    else:
+        problems = [p for s in grp.elements for p in functor_problems(s)]
+        if not unit:
+            problems.append(
+                "identity element does not act as the identity functor")
+        if not generated:
+            problems += [f"action is not compatible: {s}·{t} ≠ "
+                         f"{grp.mul(s, t)} on functors"
+                         for s in grp.elements for t in grp.elements
+                         if not compatible(s, t)]
     for s in a.group.elements:
         if s == a.group.identity:
             continue

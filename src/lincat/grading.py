@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactlinalg import Matrix, inverse, rref
+from .exactlinalg import EchelonBasis, Matrix, dense, inverse
 from .groups import Group, trivial_group
 from .kcat import LinCat, LinComb, LinFunctor, compose, identity_functor
 from .covering import fibre
@@ -38,8 +38,8 @@ class Grading:
         return sorted(self.basis)
 
     def homogeneous_comb(self, x: str, y: str, j: int) -> LinComb:
-        col = self.basis[(x, y)].col(j)
-        return self.category.comb_of_vector(list(col), x, y)
+        names = self.category.hom[(x, y)]
+        return {names[i]: a for i, a in self.basis[(x, y)].columns[j].items()}
 
     def component_columns(self, x: str, y: str, s: str) -> list[int]:
         return [j for j, d in enumerate(self.degrees[(x, y)]) if d == s]
@@ -69,6 +69,22 @@ def validate_grading(z: Grading) -> list[str]:
     """Empty iff z is a grading: invertible change of basis everywhere,
     degree labels in the group, identities of degree e, and composites of
     homogeneous elements homogeneous of the product degree."""
+    return _validated(z)[0]
+
+
+def _inverses(z: Grading) -> dict[tuple[str, str], Matrix]:
+    """The inverse of every change-of-basis block of z; ValueError with
+    validate_grading's first problem if z is not a grading."""
+    problems, invs = _validated(z)
+    if problems:
+        raise ValueError(problems[0])
+    return invs
+
+
+def _validated(z: Grading
+               ) -> tuple[list[str], dict[tuple[str, str], Matrix]]:
+    """validate_grading's problems, with the inverse of each change-of-
+    basis block it inverted, so that no caller inverts a block again."""
     problems: list[str] = []
     c = z.category
     grp = z.group
@@ -76,10 +92,10 @@ def validate_grading(z: Grading) -> list[str]:
     if set(z.basis) != want:
         problems.append(f"basis keys {sorted(set(z.basis) ^ want)} do not "
                         "match the nonzero hom pairs")
-        return problems
+        return problems, {}
     if set(z.degrees) != want:
         problems.append("degree keys do not match the nonzero hom pairs")
-        return problems
+        return problems, {}
     invs: dict[tuple[str, str], Matrix] = {}
     for pair in sorted(want):
         n = len(c.hom[pair])
@@ -102,16 +118,17 @@ def validate_grading(z: Grading) -> list[str]:
             continue
         invs[pair] = inv
     if problems:
-        return problems
+        return problems, invs
 
     def support_degrees(coords, pair) -> set:
-        return {z.degrees[pair][j] for j, a in enumerate(coords) if a}
+        return {z.degrees[pair][j] for j in coords}
 
     for x in c.objects:
         pair = (x, x)
         if pair not in invs:
             continue
-        coords = invs[pair].apply(c.vector(c.identity(x), x, x))
+        coords = invs[pair]({c.position[n]: s
+                             for n, s in c.identities[x].items()})
         degs = support_degrees(coords, pair)
         if degs - {grp.identity}:
             problems.append(f"identity of {x} meets degrees "
@@ -119,8 +136,8 @@ def validate_grading(z: Grading) -> list[str]:
     # homogeneous columns as (basis name, value) terms; their products
     # are summed from the structure constants and keyed by name, so the
     # first term outside hom(x,w) is refused as LinCat.vector refuses it
-    cols = {pair: [[(n, a) for n, a in zip(c.hom[pair], z.basis[pair].col(j))
-                    if a] for j in range(len(c.hom[pair]))]
+    cols = {pair: [[(c.hom[pair][i], a) for i, a in col.items()]
+                   for col in z.basis[pair].columns]
             for pair in want}
     red = c.field.reduce
     for (x, y) in sorted(want):
@@ -136,15 +153,15 @@ def validate_grading(z: Grading) -> list[str]:
                         for fn, fs in f_col:
                             for n, a in c.comp.get((gn, fn), {}).items():
                                 acc[n] = acc.get(n, 0) + gs * fs * a
-                    vec = [0] * len(c.hom[(x, w)])
+                    vec = {}
                     for n, v in acc.items():
                         if (v := red(v)):
                             if c.pair_of(n) != (x, w):
                                 raise ValueError(f"{n} is not in hom({x},{w})")
                             vec[c.position[n]] = v
-                    if not any(vec):
+                    if not vec:
                         continue
-                    coords = invs[(x, w)].apply(vec)
+                    coords = invs[(x, w)](vec)
                     degs = support_degrees(coords, (x, w))
                     ts = grp.mul(t, s)
                     if degs - {ts}:
@@ -152,7 +169,7 @@ def validate_grading(z: Grading) -> list[str]:
                             f"hom({x},{y}) column {jf} (degree {s}) composed "
                             f"with hom({y},{w}) column {jg} (degree {t}) "
                             f"meets degrees {sorted(degs)}, expected {ts}")
-    return problems
+    return problems, invs
 
 
 def induced_grading(f: LinFunctor, fibre_choice: dict[str, str]) -> Grading:
@@ -191,9 +208,7 @@ def induced_grading(f: LinFunctor, fibre_choice: dict[str, str]) -> Grading:
 def regrade(z: Grading, t: dict[str, str]) -> Grading:
     """Same homogeneous basis; the label s of a (b -> c)-element becomes
     t_c·s·t_b⁻¹."""
-    problems = validate_grading(z)
-    if problems:
-        raise ValueError(problems[0])
+    _inverses(z)
     grp = z.group
     for x in z.category.objects:
         if t.get(x) not in grp.elements:
@@ -302,9 +317,12 @@ def is_connected_grading(z: Grading) -> GradingConnectivity:
     iff every (c, s) is reachable from (b, e).  The transition relation
     is symmetric, so one search from the first object decides the
     condition for every start object."""
-    problems = validate_grading(z)
-    if problems:
-        raise ValueError(problems[0])
+    _inverses(z)
+    return _connectivity(z)
+
+
+def _connectivity(z: Grading) -> GradingConnectivity:
+    """is_connected_grading on a grading already validated."""
     c = z.category
     grp = z.group
     states = [(o, g) for o in c.objects for g in grp.elements]
@@ -341,10 +359,12 @@ class SmashResult:
     object_pairs: dict[str, tuple[str, str]]
 
 
-def _unit_row(col) -> Optional[int]:
-    hits = [i for i, a in enumerate(col) if a]
-    if len(hits) == 1 and col[hits[0]] == 1:
-        return hits[0]
+def _unit_row(col: dict) -> Optional[int]:
+    """The row of a sparse column that is a unit vector, else None."""
+    if len(col) == 1:
+        (i, a), = col.items()
+        if a == 1:
+            return i
     return None
 
 
@@ -352,9 +372,7 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
     """Covering with one object copy per group element whose hom from
     (x,g) to (y,h) is the degree-(h·g⁻¹) component of hom(x,y).  With a
     trivial group this is b itself under the identity projection."""
-    problems = validate_grading(z)
-    if problems:
-        raise ValueError(problems[0])
+    invs = _inverses(z)
     if z.category is not b and z.category != b:
         raise ValueError("grading does not belong to the category")
     grp = z.group
@@ -376,7 +394,7 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
             continue
         row = []
         for j in range(len(names)):
-            u = _unit_row(z.basis[(x, y)].col(j))
+            u = _unit_row(z.basis[(x, y)].columns[j])
             row.append(names[u] if u is not None else f"{x}>{y}#{j}")
         stems[(x, y)] = row
 
@@ -394,19 +412,15 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
                 meta[nm] = (x, y, j)
                 copy_of[nm] = g
 
-    invs = {pair: inverse(m) for pair, m in z.basis.items()}
-
     def lift(x: str, w: str, comb: LinComb, g: str, expect: str) -> LinComb:
         """Express a base comb in hom(x,w) through the homogeneous basis
         and rename into the copy starting at g; support outside the
         expected degree would contradict a validated grading."""
         if not comb:
             return {}
-        coords = invs[(x, w)].apply(b.vector(comb, x, w))
+        coords = invs[(x, w)]({b.position[n]: a for n, a in comb.items()})
         out = {}
-        for j, a in enumerate(coords):
-            if not a:
-                continue
+        for j, a in sorted(coords.items()):
             if z.degrees[(x, w)][j] != expect:
                 raise RuntimeError("composite escaped its degree component")
             out[f"{stems[(x, w)][j]}@{g}"] = a
@@ -439,8 +453,9 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
         if not names:
             continue
         x, y, _ = meta[names[0]]
-        cols = [list(z.basis[(x, y)].col(meta[n][2])) for n in names]
-        mats[(xg, yh)] = Matrix.from_cols(b.field, cols, nrows=b.dim(x, y))
+        columns = z.basis[(x, y)].columns
+        mats[(xg, yh)] = Matrix(b.field, b.dim(x, y), len(names),
+                                tuple(columns[meta[n][2]] for n in names))
     proj = LinFunctor(cat, b, {o: p[0] for o, p in object_pairs.items()},
                       mats)
     return SmashResult(cat, proj, object_pairs)
@@ -451,13 +466,14 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
 
 def component_span(z: Grading, x: str, y: str, s: str) -> tuple:
     """Canonical row-reduced basis of the degree-s component of
-    hom(x,y), as a tuple of coordinate rows."""
-    cols = [list(z.basis[(x, y)].col(j))
-            for j in z.component_columns(x, y, s)]
-    if not cols:
-        return ()
-    r, _, rank = rref(Matrix.from_rows(z.category.field, cols))
-    return tuple(r.row(i) for i in range(rank))
+    hom(x,y), as a tuple of coordinate rows: the nonzero rows of the
+    reduced row echelon form of its homogeneous columns, by pivot."""
+    c = z.category
+    e = EchelonBasis(c.field.characteristic)
+    for j in z.component_columns(x, y, s):
+        e.add(z.basis[(x, y)].columns[j])
+    return tuple(tuple(dense(c.field, e.rows[p], c.dim(x, y)))
+                 for p in sorted(e.rows))
 
 
 def same_components(z1: Grading, z2: Grading,

@@ -15,9 +15,11 @@ these instead of scanning all pairs of objects or basis names.
 
 Also here: k-linear functors, connectivity, and compilation of
 quiver-with-relations presentations into categories with a certified
-path-monomial basis.  A functor stores a matrix only for each nonzero
-hom pair of its source; `LinFunctor.block(x, y)` serves the zero-column
-matrix of a zero one, and composition, equality, inversion and
+path-monomial basis.  A functor stores a block only for each nonzero
+hom pair of its source, as an exactlinalg Matrix: column j is the image
+of the j-th basis morphism, a sparse vector over the target basis.
+`LinFunctor.block(x, y)` serves the zero-column matrix of a zero pair,
+and composition (a sparse product per block), equality, inversion and
 validation walk the stored blocks only.
 """
 from __future__ import annotations
@@ -179,12 +181,6 @@ class LinCat:
             vec[self.position[n]] = s
         return vec
 
-    def comb_of_vector(self, vec: Sequence, x: str, y: str) -> LinComb:
-        names = self.hom[(x, y)]
-        if len(vec) != len(names):
-            raise ValueError("coordinate length mismatch")
-        return comb_normalize({n: s for n, s in zip(names, vec)})
-
     def comp_of(self, g: str, f: str) -> LinComb:
         return dict(self.comp.get((g, f), {}))
 
@@ -342,10 +338,11 @@ class LinFunctor:
         pair = self.source.comb_pair(comb)
         if pair is None:
             return {}
-        vec = self.source.vector(comb, *pair)
-        out = self.matrices[pair].apply(vec)
-        return self.target.comb_of_vector(
-            out, self.object_map[pair[0]], self.object_map[pair[1]])
+        pos = self.source.position
+        image = self.matrices[pair]({pos[n]: s for n, s in comb.items() if s})
+        names = self.target.hom[(self.object_map[pair[0]],
+                                 self.object_map[pair[1]])]
+        return {names[i]: a for i, a in image.items()}
 
     def apply_name(self, n: str) -> LinComb:
         return self.apply({n: self.source.field.one()})
@@ -362,12 +359,8 @@ def functor_compose(g: LinFunctor, f: LinFunctor) -> LinFunctor:
     if f.target != g.source:
         raise ValueError("functors not composable: middle categories differ")
     omap = {x: g.object_map[f.object_map[x]] for x in f.source.objects}
-    mats = {}
-    for pair, m in f.matrices.items():
-        gm = g.block(f.object_map[pair[0]], f.object_map[pair[1]])
-        # a block with a zero dimension is the zero matrix of its shape
-        mats[pair] = gm @ m if gm.rows and m.rows else \
-            Matrix.zeros(m.field, gm.rows, m.cols)
+    mats = {(x, y): g.block(f.object_map[x], f.object_map[y]) @ m
+            for (x, y), m in f.matrices.items()}
     return LinFunctor(f.source, g.target, omap, mats)
 
 
@@ -402,8 +395,8 @@ def inverse_functor(f: LinFunctor) -> LinFunctor:
 def validate_functor(f: LinFunctor) -> list[Violation]:
     """Unit preservation and functoriality on all composable basis pairs.
 
-    Both sides of F(g∘f) = F(g)∘F(f) are summed from the raw columns of
-    F and the structure constants of the two categories, and reduced
+    Both sides of F(g∘f) = F(g)∘F(f) are summed from the columns of F
+    and the structure constants of the two categories, and reduced
     once."""
     out: list[Violation] = []
     src, tgt, omap = f.source, f.target, f.object_map
@@ -411,9 +404,8 @@ def validate_functor(f: LinFunctor) -> list[Violation]:
     image: dict[str, list] = {}  # F(n) as (name, value) terms
     for (x, y), m in f.matrices.items():
         rows = tgt.hom[(omap[x], omap[y])]
-        for j, n in enumerate(src.hom[(x, y)]):
-            image[n] = [(t, a) for t, a in zip(rows, m.entries[j::m.cols])
-                        if a]
+        for n, col in zip(src.hom[(x, y)], m.columns):
+            image[n] = [(rows[i], a) for i, a in col.items()]
 
     def push(comb: LinComb) -> LinComb:
         acc: dict = {}

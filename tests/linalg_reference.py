@@ -1,12 +1,61 @@
 """Dense boundary wrappers that no library code calls any more, kept as
 test references: `solve` for the solve-based extension of
 test_extension_differential.py, `column_space_basis` and `quotient_basis`
-for the greedy definitions of test_exactlinalg_sympy.py.  They are thin
-layers over the library's EchelonBasis and complement."""
+for the greedy definitions of test_exactlinalg_sympy.py, `rref`, `rank`
+and `kernel_basis` for the sympy comparisons and the rank-based
+reference checks.  They are thin layers over the library's EchelonBasis
+and complement.  `row_major` builds a Matrix from row-major entries."""
 from typing import Iterable, Optional, Sequence
 
 from lincat.exactlinalg import (EchelonBasis, FieldSpec, Matrix, complement,
                                 dense)
+
+
+def row_major(field: FieldSpec, rows: int, cols: int,
+              entries: Sequence) -> Matrix:
+    """The rows x cols matrix with these row-major entries; zero rows keep
+    their column count, which from_rows cannot read off."""
+    if not rows:
+        return Matrix.zeros(field, 0, cols)
+    return Matrix.from_rows(field, [entries[i * cols:(i + 1) * cols]
+                                    for i in range(rows)])
+
+
+def _echelon(field: FieldSpec, rows: Iterable[dict]) -> EchelonBasis:
+    e = EchelonBasis(field.characteristic)
+    for r in rows:
+        e.add(r)
+    return e
+
+
+def _sparse_rows(m: Matrix) -> list[dict]:
+    return [{j: a for j, a in enumerate(m.row(i)) if a}
+            for i in range(m.rows)]
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
+    """Reduced row echelon form.
+
+    Pivots are the leftmost columns the rows reach (the form is unique).
+    Returns (rref matrix, pivot column indices, rank).
+    """
+    e = _echelon(m.field, _sparse_rows(m))
+    pivots = sorted(e.rows)
+    ent: list = []
+    for p in pivots:
+        ent.extend(dense(m.field, e.rows[p], m.cols))
+    ent.extend([m.field.zero()] * ((m.rows - len(pivots)) * m.cols))
+    return row_major(m.field, m.rows, m.cols, ent), pivots, len(pivots)
+
+
+def rank(m: Matrix) -> int:
+    return len(_echelon(m.field, _sparse_rows(m)))
+
+
+def kernel_basis(m: Matrix) -> list[list]:
+    """Basis of the null space, one column vector per free column of rref."""
+    e = _echelon(m.field, _sparse_rows(m))
+    return [dense(m.field, v, m.cols) for v in e.kernel(m.cols)]
 
 
 def _sparse(field: FieldSpec, vec: Sequence) -> dict:
@@ -66,7 +115,4 @@ def quotient_basis(field: FieldSpec, ambient_dim: int,
                                 order)
     one = field.one()
     reps = [dense(field, {j: one}, ambient_dim) for j in chosen]
-    cols = [dense(field, img, len(chosen)) for img in images]
-    ent = tuple(cols[j][i] for i in range(len(chosen))
-                for j in range(ambient_dim))
-    return reps, Matrix(field, len(chosen), ambient_dim, ent)
+    return reps, Matrix(field, len(chosen), ambient_dim, tuple(images))

@@ -7,7 +7,7 @@ import pytest
 
 from lincat import galois
 from lincat.covering import aut1
-from lincat.exactlinalg import FieldSpec, Matrix
+from lincat.exactlinalg import FieldSpec
 from lincat.fixtures import (cover_f0, cover_f1, cyclic_cover,
                              identity_cover, shift_functor,
                              shift_subgroup_action, square_cover,
@@ -17,6 +17,7 @@ from lincat.groups import Group
 from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
                          functor_is_isomorphism, identity_functor,
                          validate_functor)
+from linalg_reference import row_major
 
 F3 = FieldSpec(3)
 
@@ -97,8 +98,8 @@ def scaled(a, s, factor=2):
     pair = f.source.pairs[-1]
     m = f.matrices[pair]
     fld = m.field
-    block = Matrix(fld, m.rows, m.cols,
-                   tuple(fld.reduce(factor * v) for v in m.entries))
+    block = row_major(fld, m.rows, m.cols,
+                      [fld.reduce(factor * v) for v in m.entries])
     fs = dict(a.functors)
     fs[s] = LinFunctor(f.source, f.target, f.object_map,
                        {**f.matrices, pair: block})
@@ -113,6 +114,7 @@ def perturbed_actions():
         yield f"scale-gen-{n}", scaled(a, els[1])
         yield f"scale-last-{n}", scaled(a, els[-1])
         yield f"scale-e-{n}", scaled(a, els[0])
+        yield f"zero-gen-{n}", scaled(a, els[1], 0)
         if n > 3:  # on C3, g <-> g2 is an automorphism of the group
             yield f"exchange-{n}", exchanged(a, els[1], els[2])
     yield "exchange-F3", exchanged(shift_subgroup_action(4, 1, F3), "g", "g2")
@@ -155,3 +157,21 @@ def test_cyclic_action_composes_n_times(n, monkeypatch):
     monkeypatch.setattr(galois, "functor_compose", counted)
     assert check_action(shift_subgroup_action(n, 1)) == []
     assert len(calls) == n  # one generator, n elements: not n²
+
+
+@pytest.mark.parametrize("action", cases(
+    [(f"shift-{n}", shift_subgroup_action(n, 1)) for n in (2, 3, 5, 8)]
+    + [("two-generators", two_generator_action())]))
+def test_valid_action_validates_the_generators_only(action, monkeypatch):
+    calls = []
+    validate = galois.validate_functor
+
+    def counted(f):
+        calls.append(f)
+        return validate(f)
+
+    monkeypatch.setattr(galois, "validate_functor", counted)
+    assert check_action(action) == []
+    gens = action.group.generators()
+    assert len(calls) == len(gens)
+    assert all(f is action.functors[g] for f, g in zip(calls, gens))

@@ -50,7 +50,7 @@ def functor_values(f: LinFunctor):
     yield from block_values(f, "functor")
     report = check_covering(f)
     for key, (inv, _) in report.stars.items():
-        for col in inv.cols:
+        for col in inv.columns:
             yield from ((f"star inverse{key}", v) for v in col.values())
     if report.ok and is_connected(f.source).connected:
         for s, h in aut1(f, [report]).functors.items():

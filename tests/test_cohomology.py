@@ -8,18 +8,23 @@ from lincat.cohomology import (Character, characters, delta,
                                delta_injectivity_check, derivation_space,
                                h1, in_derivation_space, inner_derivations,
                                is_inner, validate_character,
-                               validate_derivation, zero_character,
-                               _flatten)
+                               validate_derivation, zero_character)
 from lincat.covering import fibre
-from lincat.exactlinalg import Matrix, rank
+from lincat.exactlinalg import Matrix
 from lincat.fixtures import (F2, Q, cyclic_cover, discrete, kronecker,
                              loop_square_zero, square_cover)
 from lincat.grading import (grading_on_basis, induced_grading, regrade,
-                            trivial_grading)
+                            smash, trivial_grading)
 from lincat.exactlinalg import FieldSpec
 from lincat.groups import Group, cyclic_group
 from lincat.kcat import (Arrow, LinCat, QuiverPresentation, comb_add,
                          comb_eq, comb_scale, compose, present)
+from linalg_reference import rank
+
+
+def flatten(c, d):
+    """The entries of d, hom pair by hom pair, each block row-major."""
+    return [a for pair in c.pairs for a in d.matrices[pair].entries]
 
 
 # -- derivation spaces -----------------------------------------------------
@@ -72,8 +77,8 @@ def test_inner_derivations_have_reduced_residues():
 def test_inner_contained_in_derivations(covering_matrix):
     for fix in covering_matrix[:3]:
         c = fix.base.category
-        space = [_flatten(c, d.matrices) for d in derivation_space(c)]
-        inner = [_flatten(c, d.matrices) for d in inner_derivations(c)]
+        space = [flatten(c, d) for d in derivation_space(c)]
+        inner = [flatten(c, d) for d in inner_derivations(c)]
         if not space:
             assert not inner
             continue
@@ -192,15 +197,13 @@ def test_injectivity_check_on_connected_gradings():
 
 
 def test_injectivity_check_validates_the_grading_once(monkeypatch):
-    import lincat.cohomology as cohomology
     import lincat.grading as grading
     calls = []
 
-    def counted(z, _real=grading.validate_grading):
+    def counted(z, _real=grading._validated):
         calls.append(z)
         return _real(z)
-    for module in (grading, cohomology):
-        monkeypatch.setattr(module, "validate_grading", counted)
+    monkeypatch.setattr(grading, "_validated", counted)
     # one and two basis characters
     for c, z in (kf2_grading(), three_arrow_kronecker_grading(3)):
         calls.clear()
@@ -208,17 +211,38 @@ def test_injectivity_check_validates_the_grading_once(monkeypatch):
         assert calls == [z]
 
 
-def test_injectivity_check_inverts_each_block_once(monkeypatch):
-    import lincat.cohomology as cohomology
+def count_inversions(monkeypatch) -> list:
+    """The matrices exactlinalg.inverse is called on from here on, in
+    every lincat namespace that binds it."""
+    import sys
+    from lincat.exactlinalg import inverse
     calls = []
 
-    def counted(m, _real=cohomology.inverse):
+    def counted(m):
         calls.append(m)
-        return _real(m)
-    monkeypatch.setattr(cohomology, "inverse", counted)
+        return inverse(m)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lincat.") and \
+                getattr(module, "inverse", None) is inverse:
+            monkeypatch.setattr(module, "inverse", counted)
+    return calls
+
+
+def test_injectivity_check_inverts_each_block_once(monkeypatch):
+    calls = count_inversions(monkeypatch)
     c, z = three_arrow_kronecker_grading(3)
     assert len(characters(z.group, c.field)) == 2
     assert delta_injectivity_check(c, z)
+    assert len(calls) == len(z.basis)
+
+
+def test_delta_and_smash_invert_each_block_once(monkeypatch):
+    c, z = three_arrow_kronecker_grading(3)
+    calls = count_inversions(monkeypatch)
+    delta(c, z, characters(z.group, c.field)[0])
+    assert len(calls) == len(z.basis)
+    calls.clear()
+    smash(c, z)
     assert len(calls) == len(z.basis)
 
 

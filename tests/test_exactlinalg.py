@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lincat.exactlinalg import (
-    FieldSpec, Matrix, inverse, kernel_basis, rank, rref, smith_normal_form,
-)
-from linalg_reference import quotient_basis, solve
+from lincat.exactlinalg import FieldSpec, Matrix, inverse, smith_normal_form
+from linalg_reference import kernel_basis, quotient_basis, rank, rref, solve
 
 QQ = FieldSpec(0)
 F2 = FieldSpec(2)

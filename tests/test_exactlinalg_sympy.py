@@ -17,11 +17,10 @@ from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from lincat.exactlinalg import (  # noqa: E402
-    EchelonBasis, FieldSpec, Matrix, SparseMap, dense, inverse, kernel_basis,
-    rank, rref, smith_normal_form,
+    EchelonBasis, FieldSpec, Matrix, dense, inverse, smith_normal_form,
 )
 from linalg_reference import (  # noqa: E402
-    column_space_basis, quotient_basis, solve,
+    column_space_basis, kernel_basis, quotient_basis, rank, rref, solve,
 )
 
 PRIMES = (0, 2, 3, 5, 7)
@@ -79,6 +78,22 @@ def field_and_rows(draw, rows=None, cols=None, square=False, p=None):
 
 def ours(field, rows):
     return Matrix.from_rows(field, rows)
+
+
+def assert_stored_form(m):
+    """Matrix keeps one sparse column per column, holding only nonzero
+    canonical field values at rows below m.rows."""
+    p = m.field.characteristic
+    assert len(m.columns) == m.cols
+    for col in m.columns:
+        for i, a in col.items():
+            assert 0 <= i < m.rows and a != 0
+            assert canonical(a) if p == 0 else type(a) is int and 0 < a < p
+
+
+def assert_equality_is_entrywise(a, b):
+    assert (a == b) == ((a.rows, a.cols, a.entries) ==
+                        (b.rows, b.cols, b.entries))
 
 
 @settings(max_examples=100)
@@ -145,6 +160,8 @@ def test_inverse(case):
         assert inv is None
     else:
         assert matrix_values(inv) == sympy_values(field, sm.inv())
+        assert_stored_form(inv)
+        assert inv @ m == m @ inv == Matrix.identity(field, m.rows)
 
 
 @settings(max_examples=100)
@@ -167,6 +184,14 @@ def test_matrix_arithmetic(case, data):
     column = [v for (v,) in vec]
     assert values(a.apply(column)) == \
         [v for (v,) in sympy_values(field, sa * to_sympy(field, vec, 1))]
+    wide = a.hstack(b)
+    assert matrix_values(wide) == [x + y for x, y in zip(rows, same_shape)]
+    by_cols = Matrix.from_cols(field, list(zip(*rows)))
+    for m in (a, b, d, by_cols, a @ d, a + b, a - b, -a, wide):
+        assert_stored_form(m)
+    for x, y in ((a, b), (a, by_cols), (a - b, Matrix.zeros(field, r, c)),
+                 (a + b, b + a), (a @ d, d), (wide, a)):
+        assert_equality_is_entrywise(x, y)
 
 
 @settings(max_examples=100)
@@ -264,7 +289,7 @@ raw_rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 @settings(max_examples=100, derandomize=True)
 @given(st.integers(1, 5), st.integers(1, 5), st.data())
 def test_kernel_results_are_canonical_over_q(r, c, data):
-    """EchelonBasis, SparseMap, Matrix and inverse over Q keep values
+    """EchelonBasis, Matrix and inverse over Q keep values
     canonical, also when fed integral Fractions, and agree with sympy."""
     field = FieldSpec(0)
     # raw Fractions, Fraction(2, 1) among them, as EchelonBasis accepts
@@ -292,17 +317,21 @@ def test_kernel_results_are_canonical_over_q(r, c, data):
     sq = to_sympy(field, square, r)
     m = Matrix.from_rows(field, square)
     assert all(map(canonical, m.entries))
-    inv_map = SparseMap.inverse(0, [{i: row[j] for i, row in
-                                     enumerate(square) if row[j]}
-                                    for j in range(r)])
+    assert_stored_form(m)
+    assert_stored_form(Matrix.from_cols(field, list(zip(*square))))
+    inv_map = inverse(Matrix(field, r, r, tuple(
+        {i: row[j] for i, row in enumerate(square) if row[j]}
+        for j in range(r))))
     inv = inverse(m)
     if sq.det() == 0:
         assert inv_map is None and inv is None
     else:
         want = sympy_values(field, sq.inv())
         assert all(map(canonical, inv.entries))
+        assert_stored_form(inv)
+        assert_stored_form(inv_map)
         assert matrix_values(inv) == want
-        for j, col in enumerate(inv_map.cols):
+        for j, col in enumerate(inv_map.columns):
             assert all(map(canonical, col.values()))
             assert dense(field, col, r) == [row[j] for row in want]
         vec = {j: a for j, a in enumerate(data.draw(st.lists(
@@ -317,4 +346,6 @@ def test_kernel_results_are_canonical_over_q(r, c, data):
         assert m @ inv == Matrix.identity(field, r)
     total = m @ m + m
     assert all(map(canonical, total.entries))
+    assert_stored_form(total)
+    assert_stored_form(m.hstack(m) - m.hstack(total))
     assert matrix_values(total) == sympy_values(field, sq * sq + sq)

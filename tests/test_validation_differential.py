@@ -2,7 +2,7 @@
 the comb-based checks they replaced, kept here verbatim as references.
 The library sums each Leibniz equation and each product of homogeneous
 columns from the raw structure constants; the references send every
-basis product through compose, comb_pair, vector and comb_of_vector.
+basis product through compose, comb_pair, Derivation.apply and vector.
 Both must return the same problem lists, in the same order, and refuse
 the same inputs with the same message, also on categories whose
 composites leave their hom space."""
@@ -15,6 +15,7 @@ from lincat.cohomology import (Derivation, characters, delta,
                                validate_derivation)
 from lincat.covering import fibre
 from lincat.exactlinalg import FieldSpec, Matrix, inverse
+from linalg_reference import row_major
 from lincat.fixtures import (F2, Q, cover_f1, cyclic_cover, kronecker,
                              loop_square_zero, square_cover)
 from lincat.grading import (Grading, grading_on_basis, induced_grading,
@@ -212,7 +213,7 @@ def family(c, entries):
     mats, at = {}, 0
     for pair in c.pairs:
         n = c.dim(*pair)
-        mats[pair] = Matrix(c.field, n, n, tuple(entries[at:at + n * n]))
+        mats[pair] = row_major(c.field, n, n, entries[at:at + n * n])
         at += n * n
     return mats
 
@@ -373,6 +374,6 @@ def test_one_scaled_basis_column(case, pair, column, factor):
     entries = [m.field.reduce(a * s) if k % m.cols == j else a
                for k, a in enumerate(m.entries)]
     basis = dict(z.basis)
-    basis[key] = Matrix(m.field, m.rows, m.cols, tuple(entries))
+    basis[key] = row_major(m.field, m.rows, m.cols, entries)
     assert_same(validate_grading, reference_validate_grading,
                 Grading(z.group, z.category, basis, z.degrees))
