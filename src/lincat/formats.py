@@ -158,7 +158,8 @@ def category_from_doc(doc) -> LinCat:
 def _functor_core_to_doc(f: LinFunctor) -> dict:
     mats = {}
     for (x, y), m in f.matrices.items():  # nonzero source pairs only
-        mats.setdefault(x, {})[y] = matrix_to_doc(m)
+        if m.rows:  # a block into a zero hom has no rows to write
+            mats.setdefault(x, {})[y] = matrix_to_doc(m)
     return {"object_map": dict(sorted(f.object_map.items())),
             "matrices": mats}
 
@@ -170,6 +171,10 @@ def _functor_core_from_doc(doc, source: LinCat, target: LinCat) -> LinFunctor:
     for x, row in _object(doc["matrices"], "matrices").items():
         for y, m in _object(row, f"matrices[{x!r}]").items():
             mats[(x, y)] = matrix_from_doc(target.field, m)
+    for x, y in source.pairs:  # blocks into a zero hom are not written
+        image = (object_map.get(x), object_map.get(y))
+        if (x, y) not in mats and target.hom.get(image) == ():
+            mats[(x, y)] = Matrix.zeros(target.field, 0, source.dim(x, y))
     try:
         return LinFunctor(source, target, dict(object_map), mats)
     except ValueError as e:

@@ -566,20 +566,21 @@ class PresentResult:
 
 def _enumerate_paths(p: QuiverPresentation, maxlen: int
                      ) -> dict[tuple[str, str], list[tuple[str, ...]]]:
-    out: dict[tuple[str, str], list[tuple[str, ...]]] = {
-        (x, y): [] for x in p.vertices for y in p.vertices}
+    """The paths of length <= maxlen from x to y, keyed by (x, y) for the
+    pairs some path joins only.  Each list runs by increasing length;
+    within a length, shorter paths are extended in turn by the arrows
+    leaving their target, in declaration order."""
+    leaving: dict[str, list[Arrow]] = {x: [] for x in p.vertices}
+    for a in p.arrows:
+        leaving[a.source].append(a)
+    out: dict[tuple[str, str], list[tuple[str, ...]]] = {}
     cur = [((), x, x) for x in p.vertices]
-    for t, x, y in cur:
-        out[(x, y)].append(t)
-    for _ in range(maxlen):
-        nxt = []
+    for length in range(maxlen + 1):
+        if length:
+            cur = [((a.name,) + t, x, a.target)
+                   for t, x, y in cur for a in leaving[y]]
         for t, x, y in cur:
-            for a in p.arrows:
-                if a.source == y:
-                    nxt.append(((a.name,) + t, x, a.target))
-        for t, x, y in nxt:
-            out[(x, y)].append(t)
-        cur = nxt
+            out.setdefault((x, y), []).append(t)
     return out
 
 
@@ -589,40 +590,51 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
     Hom spaces are spanned by paths of length <= N modulo the span of
     {u·r·v : r a relation, all terms of length <= 2N}.  Soundness of the
     cut at N requires every path of length in (N, 2N] to lie in that span;
-    this is checked and TruncationError reports the first witness.  The
-    surviving basis is greedy path-monomial: shortest paths first, then
-    declaration order.  A relation coefficient whose denominator p
-    divides raises ZeroDivisionError naming it.
+    this is checked and TruncationError reports the first witness, pairs
+    taken in vertex-major order.  The surviving basis is greedy
+    path-monomial: shortest paths first, then declaration order.  A
+    relation coefficient whose denominator p divides raises
+    ZeroDivisionError naming it.
+
+    The cost follows the paths that exist, not the pairs of objects:
+    only pairs joined by a path of length <= 2N are eliminated and
+    checked, and each basis path is composed only with the basis paths
+    leaving its target.  `basis_paths` and `hom_dims` still list every
+    pair.
     """
     n = p.length_bound
     paths = _enumerate_paths(p, 2 * n)
-    basis_paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+    at = {x: i for i, x in enumerate(p.vertices)}
+    pairs = sorted(paths, key=lambda pair: (at[pair[0]], at[pair[1]]))
+    relations = []  # (source, target, room left for u and v, terms)
+    for rel in p.relations:
+        first = rel[0][1]
+        relations.append((p.path_source(first), p.path_target(first),
+                          2 * n - max(len(path) for _, path in rel),
+                          [(field.scalar(coeff), path) for coeff, path in rel]))
+    basis_paths: dict[tuple[str, str], list[tuple[str, ...]]] = {
+        (x, y): [] for x in p.vertices for y in p.vertices}
     projections: dict[tuple[str, str], list[dict]] = {}
     index: dict[tuple[str, str], dict[tuple[str, ...], int]] = {}
-    relations = [[(field.scalar(coeff), path) for coeff, path in rel]
-                 for rel in p.relations]
 
-    for pair, plist in paths.items():
-        index[pair] = {t: i for i, t in enumerate(plist)}
-
-    for pair, plist in paths.items():
+    for pair in pairs:
+        x, y = pair
+        plist = paths[pair]
         dim = len(plist)
-        idx = index[pair]
+        idx = index[pair] = {t: i for i, t in enumerate(plist)}
         gens: list[dict] = []
-        for rel in relations:
-            u = p.path_source(rel[0][1])
-            v = p.path_target(rel[0][1])
-            room = 2 * n - max(len(path) for _, path in rel)
+        for u, v, room, terms in relations:
+            mids = paths.get((x, u), ())
             # path lists run by increasing length, so the first path too
             # long for the room left ends each loop
-            for left in paths[(v, pair[1])]:
+            for left in paths.get((v, y), ()):
                 if len(left) > room:
                     break
-                for mid in paths[(pair[0], u)]:
+                for mid in mids:
                     if len(left) + len(mid) > room:
                         break
                     vec: dict = {}
-                    for coeff, path in rel:
+                    for coeff, path in terms:
                         j = idx[left + path + mid]
                         vec[j] = vec.get(j, 0) + coeff
                     gens.append(vec)
@@ -631,24 +643,26 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
                                    range(dim))
         for t in plist:
             # a path lies in the span iff it projects to zero
-            if n < len(t) <= 2 * n and project[idx[t]]:
+            if len(t) > n and project[idx[t]]:
                 raise TruncationError(t, n)
         basis_paths[pair] = [plist[j] for j in reps]
         projections[pair] = project
 
-    hom = {pair: tuple(path_name(t, pair[0]) for t in rep_list)
-           for pair, rep_list in basis_paths.items()}
+    hom = {pair: tuple(path_name(t, pair[0]) for t in basis_paths[pair])
+           for pair in pairs}
 
     def comb_of_path(t: tuple[str, ...], pair: tuple[str, str]) -> LinComb:
         coords = projections[pair][index[pair][t]]
         return {hom[pair][i]: a for i, a in sorted(coords.items())}
 
     identities = {x: comb_of_path((), (x, x)) for x in p.vertices}
+    leaving: dict[str, list] = {x: [] for x in p.vertices}
+    for (y, z) in pairs:
+        leaving[y].append((z, basis_paths[(y, z)]))
     comp: dict[tuple[str, str], LinComb] = {}
-    for (x, y), f_list in basis_paths.items():
-        for (y2, z), g_list in basis_paths.items():
-            if y2 != y:
-                continue
+    for (x, y) in pairs:
+        f_list = basis_paths[(x, y)]
+        for z, g_list in leaving[y]:
             for ft in f_list:
                 for gt in g_list:
                     comb = comb_of_path(gt + ft, (x, z))
@@ -673,7 +687,8 @@ def functor_from_arrows(src: PresentResult, target: LinCat,
                      for m, v in img.items()}
     cat = src.category
     mats = {}
-    for (x, y), rep_paths in src.basis_paths.items():
+    for (x, y) in cat.pairs:  # blocks of zero pairs are implicit
+        rep_paths = src.basis_paths[(x, y)]
         fx, fy = object_map[x], object_map[y]
         cols = []
         for t in rep_paths:

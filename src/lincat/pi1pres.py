@@ -5,9 +5,10 @@ killed, and every relation with at least two summand paths identifies
 those paths pairwise.  Words are tuples of signed 1-based generator
 indices read left to right.  Identification of the resulting finitely
 presented group goes through the integer abelianization and a bounded
-coset enumeration (HLT with relator-cycle marks).  Neither claims
-infiniteness: "exceeded" means only that the HLT definition order ran
-out of cosets.
+coset enumeration (HLT with relator-cycle marks), which is skipped when
+a free factor in the abelianization already shows that it cannot close.
+Neither claims infiniteness: "exceeded" means only that the HLT
+definition order ran out of cosets, or would have.
 """
 from collections import deque
 from dataclasses import dataclass
@@ -117,10 +118,9 @@ def pi1_presentation(p: QuiverPresentation, b0: str) -> Pi1Result:
     return Pi1Result(grp, b0, tuple(tree), tuple(warnings))
 
 
-def abelianization(g: FPGroup) -> list[int]:
-    """Invariant factors of the relator exponent matrix, with trivial
-    factors dropped; [1] marks the trivial group, zeros record free
-    rank."""
+def _exponent_rows(g: FPGroup) -> list[list[int]]:
+    """The relator exponent matrix: one row per relator, one column per
+    generator."""
     n = len(g.generators)
     rows = []
     for w in g.relators:
@@ -128,7 +128,14 @@ def abelianization(g: FPGroup) -> list[int]:
         for x in w:
             row[abs(x) - 1] += 1 if x > 0 else -1
         rows.append(row)
-    factors = smith_normal_form(rows, cols=n)
+    return rows
+
+
+def abelianization(g: FPGroup) -> list[int]:
+    """Invariant factors of the relator exponent matrix, with trivial
+    factors dropped; [1] marks the trivial group, zeros record free
+    rank."""
+    factors = smith_normal_form(_exponent_rows(g), cols=len(g.generators))
     out = [d for d in factors if d != 1]
     return out if out else [1]
 
@@ -155,9 +162,20 @@ def bounded_order(g: FPGroup, max_cosets: int) -> Union[int, str]:
     of plain HLT.  Returns the group order if the table closes after at
     most max_cosets coset definitions (dead cosets included), else
     "exceeded": this definition order ran out of cosets, which says
-    nothing about finiteness."""
+    nothing about finiteness.
+
+    A closed table proves the group finite, so when the abelianization
+    has a free factor the enumeration can only run out: "exceeded" is
+    returned at once, without defining a coset.  The factor exists
+    exactly when the exponent matrix has rank below the number of
+    generators over Q, which one elimination decides."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
+    span = EchelonBasis(0)
+    for row in _exponent_rows(g):
+        span.add({j: e for j, e in enumerate(row) if e})
+    if len(span) < len(g.generators):
+        return "exceeded"
     relators = [(w, *_root(w)) for w in map(free_reduce, g.relators) if w]
     n = len(g.generators)
     letters = list(range(1, n + 1)) + [-i for i in range(1, n + 1)]

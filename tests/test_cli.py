@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -152,6 +153,27 @@ def test_json_output_matches_golden(workdir, argv):
     # `PYTHONPATH=src python tests/test_cli.py` only on a deliberate change
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert golden_output(workdir, argv) == expected[" ".join(argv)]
+
+
+FIXTURE_HASHES = Path(__file__).parent / "golden" / "fixtures.sha256"
+
+
+def test_fixture_files_match_golden_hashes(tmp_path):
+    # every file `lincat fixtures` writes for the registry sets and for
+    # cyclic-cover-16 and -64 is pinned byte for byte by its SHA-256, in
+    # `sha256sum` format with paths <set>/<file>
+    want = dict(reversed(line.split()) for line in
+                FIXTURE_HASHES.read_text(encoding="utf-8").splitlines())
+    names = [n for n in registry.fixture_names() if n != "cyclic-cover-n"]
+    got = {}
+    for name in names + ["cyclic-cover-16", "cyclic-cover-64"]:
+        code, _, err = run(tmp_path, "fixtures", name,
+                           "--dir", str(tmp_path / name))
+        assert code == 0, err
+        for path in (tmp_path / name).iterdir():
+            got[f"{name}/{path.name}"] = \
+                hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == want
 
 
 @pytest.mark.parametrize("argv", MATRIX, ids=lambda a: " ".join(a))
@@ -549,6 +571,12 @@ def test_library_refusal_exit_2(workdir, tmp_path):
     # composite outside the category that only validation reaches
     code, out, err = run(workdir, "pi1", "--presentation", "gdlp-R.txt",
                          "--base", "x", "--max-cosets", "0")
+    assert code == 2 and out == ""
+    assert err == "error: max_cosets must be at least 1\n"
+    # the bound is checked before a free abelian factor ends the count
+    code, out, err = run(workdir, "pi1", "--presentation",
+                         "kronecker-quiver.txt", "--base", "s",
+                         "--max-cosets", "0")
     assert code == 2 and out == ""
     assert err == "error: max_cosets must be at least 1\n"
 

@@ -4,7 +4,9 @@ proper-power relator uᵏ at the cosets c·uʲ of a cycle it has already
 scanned closed, on a per-letter table; the reference scans every relator
 at every live coset, on a dict per coset.  The skipped scans are no-ops,
 so both define the same cosets in the same order and must agree on every
-result, "exceeded" included."""
+result, "exceeded" included.  The library does not enumerate at all when
+the abelianization has a free factor: the table could only close on a
+finite group, so the reference must run out of cosets there."""
 from collections import deque
 
 import pytest
@@ -172,6 +174,18 @@ def test_powers_with_a_tail(relators, order):
     g = FPGroup(("a", "b"), relators)
     assert bounded_order(g, 200) == order
     assert_same(g, [5, 30, 200])
+
+
+@pytest.mark.parametrize("relators", [
+    (), ((1, 2, -1, -2),), ((1, 1),), ((1, 2, -1, -2), (2, 2)),
+    ((1, 2, 1, -2),),
+], ids=["free", "ZxZ", "Z/2*Z", "ZxZ/2", "Klein-bottle"])
+def test_free_abelian_factor_exceeded(relators):
+    # the library answers "exceeded" from the abelianization, the
+    # reference by running out of cosets
+    g = FPGroup(("a", "b"), relators)
+    assert bounded_order(g, 200) == "exceeded"
+    assert_same(g, [1, 5, 200])
 
 
 def test_gdlp_and_square_base_groups():

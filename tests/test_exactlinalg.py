@@ -77,6 +77,31 @@ class TestScalar:
         for v in (back, field.scalar(a)):
             assert type(v) is (int if integral else Fraction)
 
+    @pytest.mark.parametrize("text", [
+        "+3", "-0", "00012", "1_0", "١٢", " 7 ", "1.0", "1e3",
+        "-6/4", "1__0", "_1", "3.", "", "1 0", "0x10"])
+    def test_parse_matches_fraction_over_q(self, text):
+        self.assert_parse_matches_fraction(text)
+
+    @settings(derandomize=True, max_examples=500)
+    @given(st.text(st.sampled_from("0123456789+-/._e "), max_size=8))
+    def test_parse_matches_fraction_over_q_on_drawn_strings(self, text):
+        self.assert_parse_matches_fraction(text)
+
+    @staticmethod
+    def assert_parse_matches_fraction(text):
+        # the integer fast path accepts exactly what Fraction accepts,
+        # with the same canonical value, and refuses the rest alike
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError) as e:
+            with pytest.raises(type(e)):
+                QQ.parse(text)
+            return
+        got = QQ.parse(text)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
 
 class TestRref:
     def test_identity_is_fixed(self):

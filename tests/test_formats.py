@@ -5,12 +5,14 @@ import pytest
 from lincat import formats as fm
 from lincat import registry
 from lincat.cohomology import characters
-from lincat.fixtures import (F2, cover_f0, kronecker, square_base_quiver,
-                             square_base_quiver_alt, swap_action)
+from lincat.exactlinalg import Matrix
+from lincat.fixtures import (F2, cover_f0, discrete, kronecker,
+                             square_base_quiver, square_base_quiver_alt,
+                             swap_action)
 from lincat.grading import grading_on_basis, induced_grading, \
     is_connected_grading
 from lincat.groups import cyclic_group
-from lincat.kcat import validate_category, validate_functor
+from lincat.kcat import LinFunctor, validate_category, validate_functor
 
 
 def reload(doc):
@@ -37,6 +39,28 @@ def test_functor_round_trip():
     f2 = fm.functor_from_doc(reload(fm.functor_to_doc(f)))
     assert f2 == f
     assert validate_functor(f2) == []
+
+
+def test_functor_into_zero_homs_round_trip():
+    # a, b -> 0 in hom(o0, o1) = 0: the block of hom(s, t) has no rows,
+    # so the file omits it and the reader restores it
+    f = LinFunctor.on_basis(kronecker().category, discrete().category,
+                            {"s": "o0", "t": "o1"},
+                            {"1_s": {"1_o0": 1}, "1_t": {"1_o1": 1}})
+    doc = reload(fm.functor_to_doc(f))
+    assert doc["matrices"] == {"s": {"s": [["1"]]}, "t": {"t": [["1"]]}}
+    f2 = fm.functor_from_doc(doc)
+    assert f2 == f
+    assert f2.matrices[("s", "t")] == Matrix.zeros(f.source.field, 0, 2)
+    assert fm.canonical_dumps(fm.functor_to_doc(f2)) == \
+        fm.canonical_dumps(doc)
+
+
+def test_missing_block_into_a_nonzero_hom_is_refused():
+    doc = reload(fm.functor_to_doc(cover_f0().functor))
+    del doc["matrices"]["s0"]["t0"]
+    with pytest.raises(fm.FormatError, match=r"no matrix for hom\('s0', 't0'\)"):
+        fm.functor_from_doc(doc)
 
 
 def test_action_round_trip():

@@ -1,4 +1,5 @@
 """Presentation fundamental groups, abelianization, coset enumeration."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,30 @@ def test_coset_bound_allocates_nothing_up_front():
     # ⟨a, b | a⁵, b², abab⁻¹⟩; no structure is sized by the bound
     d5 = FPGroup(("a", "b"), ((1,) * 5, (2, 2), (1, 2, 1, -2)))
     assert bounded_order(d5, 10 ** 9) == 10
+
+
+def cyclic_nakayama_quiver(n: int, length: int) -> QuiverPresentation:
+    arrows = tuple(Arrow(f"u{i}", f"x{i}", f"x{(i + 1) % n}")
+                   for i in range(n))
+    rels = tuple(((Fraction(1), tuple(f"u{(i + s) % n}"
+                                      for s in reversed(range(length)))),)
+                 for i in range(n))
+    return QuiverPresentation(tuple(f"x{i}" for i in range(n)), arrows,
+                              rels, length - 1)
+
+
+@pytest.mark.parametrize("g", [
+    FPGroup(("a",), ()),
+    FPGroup(("a", "b"), ((1, 2, -1, -2),)),
+    pi1_presentation(cyclic_nakayama_quiver(4, 3), "x0").group,
+], ids=["free-rank-1", "ZxZ", "nakayama-4-3"])
+def test_free_abelian_factor_exceeds_without_enumerating(g):
+    # a closed table would prove the group finite, so a free factor in
+    # the abelianization means the enumeration can only run out
+    assert 0 in abelianization(g)
+    start = time.perf_counter()
+    assert bounded_order(g, 10 ** 6) == "exceeded"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bounded_order_rejects_silly_bound():

@@ -1,0 +1,252 @@
+"""Differential test of present against the version it replaced, kept
+here as the reference: the library enumerates paths only for the pairs
+some path joins and composes each basis path only with the homs leaving
+its target; the reference builds a path list, a complement and a
+truncation check for every pair of objects, and pairs every hom with
+every hom.  Pairs no path joins have zero homs either way, so both must
+give the same bases, structure constants, identities and insertion
+orders, and raise the same exception with the same message (the
+TruncationError witness included)."""
+import random
+from fractions import Fraction
+
+import pytest
+
+from lincat import fixtures as fx
+from lincat.exactlinalg import FieldSpec, complement
+from lincat.formats import presentation_from_text
+from lincat.kcat import (Arrow, LinCat, LinComb, PresentResult,
+                         QuiverPresentation, TruncationError, path_name,
+                         present)
+from lincat.registry import fixture_files
+
+Q, F3, F5 = FieldSpec(0), FieldSpec(3), FieldSpec(5)
+
+
+def reference_enumerate_paths(p: QuiverPresentation, maxlen: int
+                              ) -> dict[tuple[str, str], list[tuple[str, ...]]]:
+    out: dict[tuple[str, str], list[tuple[str, ...]]] = {
+        (x, y): [] for x in p.vertices for y in p.vertices}
+    cur = [((), x, x) for x in p.vertices]
+    for t, x, y in cur:
+        out[(x, y)].append(t)
+    for _ in range(maxlen):
+        nxt = []
+        for t, x, y in cur:
+            for a in p.arrows:
+                if a.source == y:
+                    nxt.append(((a.name,) + t, x, a.target))
+        for t, x, y in nxt:
+            out[(x, y)].append(t)
+        cur = nxt
+    return out
+
+
+def reference_present(p: QuiverPresentation, field: FieldSpec
+                      ) -> PresentResult:
+    """Compile a quiver with relations into a category.
+
+    Hom spaces are spanned by paths of length <= N modulo the span of
+    {u·r·v : r a relation, all terms of length <= 2N}.  Soundness of the
+    cut at N requires every path of length in (N, 2N] to lie in that span;
+    this is checked and TruncationError reports the first witness.  The
+    surviving basis is greedy path-monomial: shortest paths first, then
+    declaration order.  A relation coefficient whose denominator p
+    divides raises ZeroDivisionError naming it.
+    """
+    n = p.length_bound
+    paths = reference_enumerate_paths(p, 2 * n)
+    basis_paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+    projections: dict[tuple[str, str], list[dict]] = {}
+    index: dict[tuple[str, str], dict[tuple[str, ...], int]] = {}
+    relations = [[(field.scalar(coeff), path) for coeff, path in rel]
+                 for rel in p.relations]
+
+    for pair, plist in paths.items():
+        index[pair] = {t: i for i, t in enumerate(plist)}
+
+    for pair, plist in paths.items():
+        dim = len(plist)
+        idx = index[pair]
+        gens: list[dict] = []
+        for rel in relations:
+            u = p.path_source(rel[0][1])
+            v = p.path_target(rel[0][1])
+            room = 2 * n - max(len(path) for _, path in rel)
+            # path lists run by increasing length, so the first path too
+            # long for the room left ends each loop
+            for left in paths[(v, pair[1])]:
+                if len(left) > room:
+                    break
+                for mid in paths[(pair[0], u)]:
+                    if len(left) + len(mid) > room:
+                        break
+                    vec: dict = {}
+                    for coeff, path in rel:
+                        j = idx[left + path + mid]
+                        vec[j] = vec.get(j, 0) + coeff
+                    gens.append(vec)
+        # shortest paths first, then declaration order
+        reps, project = complement(field.characteristic, dim, gens,
+                                   range(dim))
+        for t in plist:
+            # a path lies in the span iff it projects to zero
+            if n < len(t) <= 2 * n and project[idx[t]]:
+                raise TruncationError(t, n)
+        basis_paths[pair] = [plist[j] for j in reps]
+        projections[pair] = project
+
+    hom = {pair: tuple(path_name(t, pair[0]) for t in rep_list)
+           for pair, rep_list in basis_paths.items()}
+
+    def comb_of_path(t: tuple[str, ...], pair: tuple[str, str]) -> LinComb:
+        coords = projections[pair][index[pair][t]]
+        return {hom[pair][i]: a for i, a in sorted(coords.items())}
+
+    identities = {x: comb_of_path((), (x, x)) for x in p.vertices}
+    comp: dict[tuple[str, str], LinComb] = {}
+    for (x, y), f_list in basis_paths.items():
+        for (y2, z), g_list in basis_paths.items():
+            if y2 != y:
+                continue
+            for ft in f_list:
+                for gt in g_list:
+                    comb = comb_of_path(gt + ft, (x, z))
+                    if comb:
+                        comp[(path_name(gt, y), path_name(ft, x))] = comb
+
+    cat = LinCat(field, p.vertices, hom, comp, identities)
+    dims = {pair: len(v) for pair, v in basis_paths.items()}
+    return PresentResult(cat, basis_paths, dims)
+
+
+def outcome(build, p, field):
+    try:
+        res = build(p, field)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e), str(e), getattr(e, "witness", None)
+    c = res.category
+    return (list(res.basis_paths.items()), list(res.hom_dims.items()),
+            list(c.hom.items()), list(c.comp.items()),
+            list(c.identities.items()))
+
+
+def with_bound(p, bound):
+    return QuiverPresentation(p.vertices, p.arrows, p.relations, bound)
+
+
+def assert_agree(p, fields=(Q, F5)):
+    """Agreement at the presentation's bound and at one less."""
+    for bound in {p.length_bound, max(1, p.length_bound - 1)}:
+        q = with_bound(p, bound)
+        for field in fields:
+            assert outcome(present, q, field) == \
+                outcome(reference_present, q, field), (bound, field)
+
+
+def rel(*terms):
+    return tuple((Fraction(c), tuple(path)) for c, path in terms)
+
+
+def grid_quiver(m, k, seed):
+    """The m x k grid with one commutativity relation per square and
+    seeded coefficients, some of them fractions."""
+    rng = random.Random(seed)
+    vs = [f"v{i}_{j}" for i in range(m) for j in range(k)]
+    arrows = []
+    for i in range(m):
+        for j in range(k):
+            if i + 1 < m:
+                arrows.append(Arrow(f"r{i}_{j}", f"v{i}_{j}", f"v{i + 1}_{j}"))
+            if j + 1 < k:
+                arrows.append(Arrow(f"c{i}_{j}", f"v{i}_{j}", f"v{i}_{j + 1}"))
+    rels = [rel((1, (f"c{i + 1}_{j}", f"r{i}_{j}")),
+                (-Fraction(rng.choice([1, 2, 3, 4, 6]), rng.choice([1, 1, 2, 3])),
+                 (f"r{i}_{j + 1}", f"c{i}_{j}")))
+            for i in range(m - 1) for j in range(k - 1)]
+    return QuiverPresentation(tuple(vs), tuple(arrows), tuple(rels),
+                              max(1, m + k - 2))
+
+
+def nakayama_quiver(n, length):
+    """Cyclic quiver x0 -> x1 -> ... -> x0 with every path of the given
+    length set to zero."""
+    arrows = tuple(Arrow(f"u{i}", f"x{i}", f"x{(i + 1) % n}")
+                   for i in range(n))
+    rels = tuple(rel((1, tuple(f"u{(i + s) % n}"
+                               for s in reversed(range(length)))))
+                 for i in range(n))
+    return QuiverPresentation(tuple(f"x{i}" for i in range(n)), arrows,
+                              rels, length - 1)
+
+
+def kuv_quiver():
+    """k[u,v]/(uv - vu, u^2, v^2)."""
+    return QuiverPresentation(
+        ("x",), (Arrow("u", "x", "x"), Arrow("v", "x", "x")),
+        (rel((1, "uv"), (-1, "vu")), rel((1, "uu")), rel((1, "vv"))), 2)
+
+
+def dihedral_quiver(n):
+    """One vertex with relations a^(n+1) = a, b^3 = b, aba = b."""
+    return QuiverPresentation(
+        ("x",), (Arrow("a", "x", "x"), Arrow("b", "x", "x")),
+        (rel((1, "a" * (n + 1)), (-1, "a")), rel((1, "bbb"), (-1, "b")),
+         rel((1, "aba"), (-1, "b"))), 2)
+
+
+def registry_quivers():
+    texts = [t for name in ("kronecker", "gdlp-base")
+             for t in fixture_files(name).values() if isinstance(t, str)]
+    loop = QuiverPresentation(("x",), (Arrow("u", "x", "x"),),
+                              (rel((1, "uu")),), 1)
+    return [presentation_from_text(t) for t in texts] + [
+        fx.kronecker_quiver(), fx.square_base_quiver(),
+        fx.square_base_quiver_alt(), fx.square_cover_quiver(), loop,
+        QuiverPresentation(("o0", "o1"), (), (), 1),
+        QuiverPresentation(("s", "t", "s'", "t'"),
+                           (Arrow("a", "s", "t"), Arrow("b", "s", "t"),
+                            Arrow("a'", "s'", "t'"), Arrow("b'", "s'", "t'")),
+                           (), 1)]
+
+
+def test_registry_quivers():
+    quivers = registry_quivers()
+    assert len(quivers) == 10
+    for p in quivers:
+        assert_agree(p, (Q, fx.F2, F5))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cyclic_covers(n):
+    assert_agree(fx.cyclic_cover_quiver(n))
+
+
+@pytest.mark.parametrize("m,k", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3),
+                                 (2, 4), (3, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grids(m, k, seed):
+    assert_agree(grid_quiver(m, k, seed))
+
+
+@pytest.mark.parametrize("n,length", [(1, 2), (1, 4), (2, 3), (3, 3),
+                                      (3, 4), (4, 2)])
+def test_nakayama(n, length):
+    assert_agree(nakayama_quiver(n, length), (Q, F3, F5))
+
+
+def test_kuv_and_dihedral():
+    for p in [kuv_quiver()] + [dihedral_quiver(n) for n in (1, 2, 3, 5)]:
+        assert_agree(p, (Q, F3, F5))
+
+
+def test_refusals_are_compared():
+    # outcome() carries refusals, so the families above compare them too
+    short = outcome(present, with_bound(nakayama_quiver(3, 4), 2), Q)
+    assert short == (TruncationError, str(TruncationError(
+        ("u2", "u1", "u0"), 2)), ("u2", "u1", "u0"))
+    square = grid_quiver(2, 2, 0)
+    third = QuiverPresentation(square.vertices, square.arrows, (rel(
+        (1, ("c1_0", "r0_0")), (Fraction(1, 3), ("r0_1", "c0_0"))),), 2)
+    assert outcome(present, third, F3)[0] is ZeroDivisionError
+    assert_agree(third, (Q, F3))
