@@ -149,9 +149,9 @@ def _cmd_present(args, report: Report) -> None:
     except ZeroDivisionError as e:
         raise InputError(f"relation coefficient not in {field}: {e}") from e
     report.verdicts["objects"] = len(res.category.objects)
-    report.verdicts["total dimension"] = sum(res.hom_dims.values())
-    report.witnesses["hom dimensions"] = _pairs_to_nested(
-        {k: v for k, v in res.hom_dims.items() if v})
+    dims = {pair: len(names) for pair, names in res.category.hom.items()}
+    report.verdicts["total dimension"] = sum(dims.values())
+    report.witnesses["hom dimensions"] = _pairs_to_nested(dims)
     _write_doc(args.out, category_to_doc(res.category), report)
 
 

@@ -204,7 +204,7 @@ def _inner_generators(c: LinCat) -> list[dict]:
     prod = _products(c)
     gens = []
     for o in c.objects:
-        for u in c.hom[(o, o)]:
+        for u in c.basis(o, o):
             v: dict = {}
             for f in c.arriving[o]:
                 pair = c.pair_of(f)

@@ -45,8 +45,8 @@ class StarDecomposition:
 def star(c: LinCat, x: str) -> StarDecomposition:
     if x not in c.objects:
         raise ValueError(f"unknown object {x!r}")
-    outgoing = {y: c.hom[(x, y)] for y in c.objects}
-    incoming = {y: c.hom[(y, x)] for y in c.objects}
+    outgoing = {y: c.basis(x, y) for y in c.objects}
+    incoming = {y: c.basis(y, x) for y in c.objects}
     total = sum(len(v) for v in outgoing.values()) + \
         sum(len(v) for v in incoming.values())
     return StarDecomposition(x, outgoing, incoming, total)

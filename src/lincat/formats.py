@@ -35,6 +35,12 @@ def _require(cond: bool, message: str) -> None:
         raise FormatError(message)
 
 
+def _name(value, what: str) -> str:
+    """A JSON string naming an object; anything else is refused."""
+    _require(isinstance(value, str), f"{what} must be a string")
+    return value
+
+
 def _names(value, what: str) -> tuple:
     """A JSON array of strings, as a tuple; anything else is refused (a
     string would otherwise read as a list of its characters)."""
@@ -118,8 +124,7 @@ def group_from_doc(doc) -> Group:
 def category_to_doc(c: LinCat) -> dict:
     hom = {}
     for (x, y), names in c.hom.items():
-        if names:
-            hom.setdefault(x, {})[y] = list(names)
+        hom.setdefault(x, {})[y] = list(names)
     comp = {}
     for (g, f), comb in sorted(c.comp.items()):
         comp.setdefault(g, {})[f] = comb_to_doc(c.field, comb)
@@ -166,17 +171,14 @@ def _functor_core_to_doc(f: LinFunctor) -> dict:
 def _functor_core_from_doc(doc, source: LinCat, target: LinCat) -> LinFunctor:
     for key in ("object_map", "matrices"):
         _require(key in doc, f"functor misses {key!r}")
-    object_map = _object(doc["object_map"], "object_map")
+    object_map = {x: _name(y, f"object_map[{x!r}]") for x, y in
+                  _object(doc["object_map"], "object_map").items()}
     mats = {}
     for x, row in _object(doc["matrices"], "matrices").items():
         for y, m in _object(row, f"matrices[{x!r}]").items():
             mats[(x, y)] = matrix_from_doc(target.field, m)
-    for x, y in source.pairs:  # blocks into a zero hom are not written
-        image = (object_map.get(x), object_map.get(y))
-        if (x, y) not in mats and target.hom.get(image) == ():
-            mats[(x, y)] = Matrix.zeros(target.field, 0, source.dim(x, y))
     try:
-        return LinFunctor(source, target, dict(object_map), mats)
+        return LinFunctor(source, target, object_map, mats)
     except ValueError as e:
         raise FormatError(f"invalid functor: {e}") from e
 
@@ -390,11 +392,13 @@ def hwalk_from_doc(doc) -> HomogeneousWalk:
     for key in ("start", "steps"):
         _require(key in doc, f"walk misses {key!r}")
     try:
-        steps = tuple(HWalkStep(s["source"], s["target"], int(s["index"]),
-                                int(s["sign"])) for s in doc["steps"])
+        steps = tuple(HWalkStep(_name(s["source"], "source"),
+                                _name(s["target"], "target"),
+                                int(s["index"]), int(s["sign"]))
+                      for s in doc["steps"])
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad walk step: {e}") from e
-    return HomogeneousWalk(doc["start"], steps)
+    return HomogeneousWalk(_name(doc["start"], "start"), steps)
 
 
 # -- files --------------------------------------------------------------------------

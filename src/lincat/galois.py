@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 from .covering import (CoveringGroup, CoveringReport, _Extension, aut1,
                        fibre, galois_obstruction, report_for)
-from .exactlinalg import Matrix
 from .groups import Group
 from .kcat import (LinCat, LinComb, LinFunctor, compose, functor_compose,
                    functor_equal, functor_is_isomorphism, identity_functor,
@@ -145,10 +144,9 @@ def _quotient(a: GroupAction) -> QuotientResult:
     for alpha in orbit_names:
         x0 = reps[alpha]
         for beta in orbit_names:
-            names: list[str] = []
-            for y in members[beta]:
-                names.extend(c.hom[(x0, y)])
-            hom[(alpha, beta)] = tuple(names)
+            names = tuple(n for y in members[beta] for n in c.basis(x0, y))
+            if names:
+                hom[(alpha, beta)] = names
 
     identities = {alpha: c.identity(reps[alpha]) for alpha in orbit_names}
 
@@ -157,9 +155,9 @@ def _quotient(a: GroupAction) -> QuotientResult:
         x0 = reps[alpha]
         for beta in orbit_names:
             for y in members[beta]:
-                for fn in c.hom[(x0, y)]:
+                for fn in c.basis(x0, y):
                     for gamma in orbit_names:
-                        for gn in hom[(beta, gamma)]:
+                        for gn in hom.get((beta, gamma), ()):
                             u = translate[(beta, y)]
                             gu = a.functors[u].apply_name(gn)
                             result = compose(c, gu, {fn: c.field.one()})
@@ -169,16 +167,12 @@ def _quotient(a: GroupAction) -> QuotientResult:
     q = LinCat(c.field, tuple(orbit_names), hom, comp, identities)
 
     omap = {x: orbit_of[x] for x in c.objects}
-    mats = {}
-    for (x, y) in c.pairs:
-        alpha, beta = orbit_of[x], orbit_of[y]
-        u_inv = a.group.inv(translate[(alpha, x)])
-        cols = []
-        for n in c.hom[(x, y)]:
-            back = a.functors[u_inv].apply_name(n)
-            cols.append(q.vector(back, alpha, beta))
-        mats[(x, y)] = Matrix.from_cols(c.field, cols, nrows=q.dim(alpha, beta))
-    projection = LinFunctor(c, q, omap, mats)
+    back: dict[str, LinComb] = {}  # n out of x goes to u⁻¹·n, u·rep = x
+    for x in c.objects:
+        u_inv = a.functors[a.group.inv(translate[(orbit_of[x], x)])]
+        for n in c.leaving[x]:
+            back[n] = u_inv.apply_name(n)
+    projection = LinFunctor.on_basis(c, q, omap, back)
 
     seed = c.objects[0]
     deck = CoveringGroup(projection, a.group, dict(a.functors), seed,
@@ -244,14 +238,8 @@ def structure_iso(f: LinFunctor) -> StructureIsoResult:
     q = qres.quotient
     omap = {alpha: f.object_map[rep] for alpha, rep in
             qres.orbit_representatives.items()}
-    base = f.target
-    mats = {}
-    for (alpha, beta), names in q.hom.items():
-        cols = [base.vector(f.apply_name(n), omap[alpha], omap[beta])
-                for n in names]
-        mats[(alpha, beta)] = Matrix.from_cols(
-            q.field, cols, nrows=base.dim(omap[alpha], omap[beta]))
-    iso = LinFunctor(q, base, omap, mats)
+    iso = LinFunctor.on_basis(q, f.target, omap,
+                              {n: f.apply_name(n) for n in q.basis_names()})
     problems = []
     if validate_functor(iso):
         problems.append("factorization is not functorial")

@@ -34,9 +34,6 @@ class Grading:
     def __post_init__(self):
         self.degrees = {k: tuple(v) for k, v in self.degrees.items()}
 
-    def pairs(self) -> list[tuple[str, str]]:
-        return sorted(self.basis)
-
     def homogeneous_comb(self, x: str, y: str, j: int) -> LinComb:
         names = self.category.hom[(x, y)]
         return {names[i]: a for i, a in self.basis[(x, y)].columns[j].items()}
@@ -58,8 +55,6 @@ def grading_on_basis(c: LinCat, group: Group,
     basis = {}
     degrees = {}
     for pair, names in c.hom.items():
-        if not names:
-            continue
         basis[pair] = Matrix.identity(c.field, len(names))
         degrees[pair] = tuple(degree_of.get(n, group.identity) for n in names)
     return Grading(group, c, basis, degrees)
@@ -88,7 +83,7 @@ def _validated(z: Grading
     problems: list[str] = []
     c = z.category
     grp = z.group
-    want = {pair for pair, names in c.hom.items() if names}
+    want = set(c.hom)
     if set(z.basis) != want:
         problems.append(f"basis keys {sorted(set(z.basis) ^ want)} do not "
                         "match the nonzero hom pairs")
@@ -135,7 +130,7 @@ def _validated(z: Grading
                             f"{sorted(degs - {grp.identity})}")
     # homogeneous columns as (basis name, value) terms; their products
     # are summed from the structure constants and keyed by name, so the
-    # first term outside hom(x,w) is refused as LinCat.vector refuses it
+    # first term outside hom(x,w) is refused as LinCat.coords refuses it
     cols = {pair: [[(c.hom[pair][i], a) for i, a in col.items()]
                    for col in z.basis[pair].columns]
             for pair in want}
@@ -188,8 +183,6 @@ def induced_grading(f: LinFunctor, fibre_choice: dict[str, str]) -> Grading:
     basis = {}
     degrees = {}
     for (b, c), names in base.hom.items():
-        if not names:
-            continue
         xb = fibre_choice[b]
         block = None
         labels: list[str] = []
@@ -390,8 +383,6 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
     # keep the declared name as their stem
     stems: dict[tuple[str, str], list[str]] = {}
     for (x, y), names in b.hom.items():
-        if not names:
-            continue
         row = []
         for j in range(len(names)):
             u = _unit_row(z.basis[(x, y)].columns[j])
@@ -450,8 +441,6 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
     cat = LinCat(b.field, tuple(objects), hom, comp, identities)
     mats = {}
     for (xg, yh), names in cat.hom.items():
-        if not names:
-            continue
         x, y, _ = meta[names[0]]
         columns = z.basis[(x, y)].columns
         mats[(xg, yh)] = Matrix(b.field, b.dim(x, y), len(names),

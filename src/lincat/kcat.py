@@ -3,15 +3,15 @@
 A category here is a finite object list, a chosen basis for every hom
 space, and explicit composition constants on basis pairs.  Morphisms are
 finitely supported linear combinations of basis names; basis names are
-globally unique so a combination knows which hom space it lives in.  Zero
-hom spaces are stored as empty basis tuples, never as missing keys, so
-dimension counts are unambiguous.
+globally unique so a combination knows which hom space it lives in.  Only
+the nonzero hom spaces are stored: `hom` is keyed by the nonzero pairs in
+object-major order, and `dim(x, y)` and `basis(x, y)` serve the zero ones.
 
 A category indexes its composable pairs once, when it is built: `pairs`
-lists the nonzero hom pairs in object order, `leaving[x]`/`arriving[x]`
-the basis names with source/target x in `basis_names()` order, and
-`position[n]` the coordinate of n in its hom space.  Axiom sweeps walk
-these instead of scanning all pairs of objects or basis names.
+lists the keys of `hom`, `leaving[x]`/`arriving[x]` the basis names
+with source/target x in `basis_names()` order, and `position[n]` the
+coordinate of n in its hom space.  Axiom sweeps walk these instead of
+scanning all pairs of objects or basis names.
 
 Also here: k-linear functors, connectivity, and compilation of
 quiver-with-relations presentations into categories with a certified
@@ -20,7 +20,9 @@ hom pair of its source, as an exactlinalg Matrix: column j is the image
 of the j-th basis morphism, a sparse vector over the target basis.
 `LinFunctor.block(x, y)` serves the zero-column matrix of a zero pair,
 and composition (a sparse product per block), equality, inversion and
-validation walk the stored blocks only.
+validation walk the stored blocks only.  Every functor built from the
+images of basis morphisms goes through `LinFunctor.on_basis`, which
+writes each image straight into a sparse column.
 """
 from __future__ import annotations
 
@@ -89,12 +91,15 @@ class LinCat:
         self.objects = tuple(self.objects)
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("duplicate object names")
-        objset = set(self.objects)
+        at = {x: i for i, x in enumerate(self.objects)}
         for (x, y) in self.hom:
-            if x not in objset or y not in objset:
+            if x not in at or y not in at:
                 raise ValueError(f"hom pair ({x},{y}) references unknown objects")
-        self.hom = {(x, y): tuple(self.hom.get((x, y), ()))
-                    for x in self.objects for y in self.objects}
+        hom = {}
+        for pair in sorted(self.hom, key=lambda p: (at[p[0]], at[p[1]])):
+            if self.hom[pair]:
+                hom[pair] = tuple(self.hom[pair])
+        self.hom = hom
         self._pair: dict[str, tuple[str, str]] = {}
         self.position: dict[str, int] = {}
         for pair, names in self.hom.items():
@@ -103,7 +108,7 @@ class LinCat:
                     raise ValueError(f"basis name {n!r} declared twice")
                 self._pair[n] = pair
                 self.position[n] = i
-        self.pairs = tuple(p for p, names in self.hom.items() if names)
+        self.pairs = tuple(hom)
         self._names = tuple(n for p in sorted(self.pairs) for n in self.hom[p])
         self.leaving: dict[str, list[str]] = {x: [] for x in self.objects}
         self.arriving: dict[str, list[str]] = {x: [] for x in self.objects}
@@ -140,8 +145,7 @@ class LinCat:
             for n, v in c.items():
                 out[n] = field.parse(v) if isinstance(v, str) else field.scalar(v)
             return out
-        return LinCat(field, tuple(objects),
-                      {k: tuple(v) for k, v in hom.items()},
+        return LinCat(field, tuple(objects), hom,
                       {k: coerce(v) for k, v in comp.items()},
                       {x: coerce(c) for x, c in identities.items()})
 
@@ -155,8 +159,12 @@ class LinCat:
     def target_of(self, name: str) -> str:
         return self._pair[name][1]
 
+    def basis(self, x: str, y: str) -> tuple[str, ...]:
+        """The basis names of hom(x,y), empty when hom(x,y) is zero."""
+        return self.hom.get((x, y), ())
+
     def dim(self, x: str, y: str) -> int:
-        return len(self.hom[(x, y)])
+        return len(self.basis(x, y))
 
     def basis_names(self) -> list[str]:
         return list(self._names)
@@ -170,9 +178,10 @@ class LinCat:
             raise ValueError(f"combination spread over several hom spaces: {sorted(pairs)}")
         return pairs.pop()
 
-    def vector(self, comb: LinComb, x: str, y: str) -> list:
-        """Coordinates of comb in the declared basis of hom(x,y)."""
-        vec = [self.field.zero()] * self.dim(x, y)
+    def coords(self, comb: LinComb, x: str, y: str) -> dict[int, object]:
+        """Coordinates of comb in the declared basis of hom(x,y), as a
+        sparse vector {position: value}."""
+        vec = {}
         for n, s in comb.items():
             if not s:
                 continue
@@ -273,8 +282,10 @@ class LinFunctor:
 
     Only the nonzero source pairs keep a block, in `source.pairs` order;
     the block of a zero hom space is the zero-column matrix, which
-    block(x, y) serves.  Every block given is shape-checked, zero-column
-    ones included, and the first bad pair in object order is refused."""
+    block(x, y) serves.  A block into a zero target hom has no rows and
+    may be left out: it is restored as the zero-row matrix.  Every block
+    given is shape-checked, zero-column ones included, and the first bad
+    pair in object order is refused."""
     source: LinCat
     target: LinCat
     object_map: dict[str, str]
@@ -294,10 +305,10 @@ class LinFunctor:
         def shape(pair):
             return tgt.dim(omap[pair[0]], omap[pair[1]]), src.dim(*pair)
 
-        mats = self.matrices
-        bad = [p for p, m in mats.items()
-               if p in src.hom and (m.rows, m.cols) != shape(p)]
-        bad += [p for p in src.pairs if p not in mats]
+        mats, objs = self.matrices, src.leaving  # keyed by the objects
+        bad = [p for p, m in mats.items() if p[0] in objs and p[1] in objs
+               and (m.rows, m.cols) != shape(p)]
+        bad += [p for p in src.pairs if p not in mats and shape(p)[0]]
         if bad:
             at = {x: i for i, x in enumerate(src.objects)}
             pair = min(bad, key=lambda p: (at[p[0]], at[p[1]]))
@@ -306,7 +317,9 @@ class LinFunctor:
             m, want = mats[pair], shape(pair)
             raise ValueError(f"matrix for hom{pair} is {m.rows}x{m.cols}, "
                              f"expected {want[0]}x{want[1]}")
-        self.matrices = {p: mats[p] for p in src.pairs}
+        self.matrices = {p: mats[p] if p in mats else
+                         Matrix.zeros(src.field, 0, src.dim(*p))
+                         for p in src.pairs}
 
     def block(self, x: str, y: str) -> Matrix:
         """The matrix of hom(x,y), zero-column when hom(x,y) is zero."""
@@ -319,18 +332,19 @@ class LinFunctor:
     @staticmethod
     def on_basis(source: LinCat, target: LinCat, object_map: dict[str, str],
                  assignment: dict[str, dict]) -> "LinFunctor":
-        """Builder from images of basis morphisms (plain coeffs allowed)."""
+        """Builder from images of basis morphisms (plain coeffs allowed);
+        a basis morphism missing from assignment goes to zero."""
         fld = target.field
         mats = {}
-        for (x, y) in source.pairs:
+        for (x, y), names in source.hom.items():
             fx, fy = object_map[x], object_map[y]
             cols = []
-            for n in source.hom[(x, y)]:
-                img = assignment.get(n, {})
+            for n in names:
                 comb = {m: (fld.parse(v) if isinstance(v, str) else fld.scalar(v))
-                        for m, v in img.items()}
-                cols.append(target.vector(comb, fx, fy))
-            mats[(x, y)] = Matrix.from_cols(fld, cols, nrows=target.dim(fx, fy))
+                        for m, v in assignment.get(n, {}).items()}
+                cols.append(target.coords(comb, fx, fy))
+            mats[(x, y)] = Matrix(fld, target.dim(fx, fy), len(cols),
+                                  tuple(cols))
         return LinFunctor(source, target, dict(object_map), mats)
 
     def apply(self, comb: LinComb) -> LinComb:
@@ -340,8 +354,8 @@ class LinFunctor:
             return {}
         pos = self.source.position
         image = self.matrices[pair]({pos[n]: s for n, s in comb.items() if s})
-        names = self.target.hom[(self.object_map[pair[0]],
-                                 self.object_map[pair[1]])]
+        names = self.target.basis(self.object_map[pair[0]],
+                                  self.object_map[pair[1]])
         return {names[i]: a for i, a in image.items()}
 
     def apply_name(self, n: str) -> LinComb:
@@ -403,7 +417,7 @@ def validate_functor(f: LinFunctor) -> list[Violation]:
     fld = tgt.field
     image: dict[str, list] = {}  # F(n) as (name, value) terms
     for (x, y), m in f.matrices.items():
-        rows = tgt.hom[(omap[x], omap[y])]
+        rows = tgt.basis(omap[x], omap[y])
         for n, col in zip(src.hom[(x, y)], m.columns):
             image[n] = [(rows[i], a) for i, a in col.items()]
 
@@ -559,9 +573,10 @@ def path_name(path: tuple[str, ...], vertex: Optional[str] = None) -> str:
 
 @dataclass
 class PresentResult:
+    """The presented category and, for each of its nonzero homs in the
+    same order, the paths whose names form its basis."""
     category: LinCat
     basis_paths: dict[tuple[str, str], list[tuple[str, ...]]]
-    hom_dims: dict[tuple[str, str], int]
 
 
 def _enumerate_paths(p: QuiverPresentation, maxlen: int
@@ -598,9 +613,8 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
 
     The cost follows the paths that exist, not the pairs of objects:
     only pairs joined by a path of length <= 2N are eliminated and
-    checked, and each basis path is composed only with the basis paths
-    leaving its target.  `basis_paths` and `hom_dims` still list every
-    pair.
+    checked, each basis path is composed only with the basis paths
+    leaving its target, and `basis_paths` lists the nonzero homs only.
     """
     n = p.length_bound
     paths = _enumerate_paths(p, 2 * n)
@@ -612,8 +626,7 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
         relations.append((p.path_source(first), p.path_target(first),
                           2 * n - max(len(path) for _, path in rel),
                           [(field.scalar(coeff), path) for coeff, path in rel]))
-    basis_paths: dict[tuple[str, str], list[tuple[str, ...]]] = {
-        (x, y): [] for x in p.vertices for y in p.vertices}
+    basis_paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
     projections: dict[tuple[str, str], list[dict]] = {}
     index: dict[tuple[str, str], dict[tuple[str, ...], int]] = {}
 
@@ -645,11 +658,12 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
             # a path lies in the span iff it projects to zero
             if len(t) > n and project[idx[t]]:
                 raise TruncationError(t, n)
-        basis_paths[pair] = [plist[j] for j in reps]
+        if reps:
+            basis_paths[pair] = [plist[j] for j in reps]
         projections[pair] = project
 
-    hom = {pair: tuple(path_name(t, pair[0]) for t in basis_paths[pair])
-           for pair in pairs}
+    hom = {pair: tuple(path_name(t, pair[0]) for t in ts)
+           for pair, ts in basis_paths.items()}
 
     def comb_of_path(t: tuple[str, ...], pair: tuple[str, str]) -> LinComb:
         coords = projections[pair][index[pair][t]]
@@ -657,11 +671,10 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
 
     identities = {x: comb_of_path((), (x, x)) for x in p.vertices}
     leaving: dict[str, list] = {x: [] for x in p.vertices}
-    for (y, z) in pairs:
-        leaving[y].append((z, basis_paths[(y, z)]))
+    for (y, z), g_list in basis_paths.items():
+        leaving[y].append((z, g_list))
     comp: dict[tuple[str, str], LinComb] = {}
-    for (x, y) in pairs:
-        f_list = basis_paths[(x, y)]
+    for (x, y), f_list in basis_paths.items():
         for z, g_list in leaving[y]:
             for ft in f_list:
                 for gt in g_list:
@@ -669,9 +682,8 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
                     if comb:
                         comp[(path_name(gt, y), path_name(ft, x))] = comb
 
-    cat = LinCat(field, p.vertices, hom, comp, identities)
-    dims = {pair: len(v) for pair, v in basis_paths.items()}
-    return PresentResult(cat, basis_paths, dims)
+    return PresentResult(LinCat(field, p.vertices, hom, comp, identities),
+                         basis_paths)
 
 
 def functor_from_arrows(src: PresentResult, target: LinCat,
@@ -685,19 +697,14 @@ def functor_from_arrows(src: PresentResult, target: LinCat,
     for a, img in arrow_images.items():
         images[a] = {m: (fld.parse(v) if isinstance(v, str) else fld.scalar(v))
                      for m, v in img.items()}
-    cat = src.category
-    mats = {}
-    for (x, y) in cat.pairs:  # blocks of zero pairs are implicit
-        rep_paths = src.basis_paths[(x, y)]
-        fx, fy = object_map[x], object_map[y]
-        cols = []
+    on_paths: dict[str, LinComb] = {}  # basis name -> its image
+    for (x, _), rep_paths in src.basis_paths.items():
         for t in rep_paths:
             if not t:
-                comb = target.identity(fx)
+                comb = target.identity(object_map[x])
             else:
                 comb = images[t[-1]]
                 for a in reversed(t[:-1]):
                     comb = compose(target, images[a], comb)
-            cols.append(target.vector(comb, fx, fy))
-        mats[(x, y)] = Matrix.from_cols(fld, cols, nrows=target.dim(fx, fy))
-    return LinFunctor(cat, target, dict(object_map), mats)
+            on_paths[path_name(t, x)] = comb
+    return LinFunctor.on_basis(src.category, target, object_map, on_paths)

@@ -160,13 +160,14 @@ FIXTURE_HASHES = Path(__file__).parent / "golden" / "fixtures.sha256"
 
 def test_fixture_files_match_golden_hashes(tmp_path):
     # every file `lincat fixtures` writes for the registry sets and for
-    # cyclic-cover-16 and -64 is pinned byte for byte by its SHA-256, in
+    # cyclic-cover-16, -64 and -256 is pinned byte for byte by its SHA-256, in
     # `sha256sum` format with paths <set>/<file>
     want = dict(reversed(line.split()) for line in
                 FIXTURE_HASHES.read_text(encoding="utf-8").splitlines())
     names = [n for n in registry.fixture_names() if n != "cyclic-cover-n"]
     got = {}
-    for name in names + ["cyclic-cover-16", "cyclic-cover-64"]:
+    for name in names + ["cyclic-cover-16", "cyclic-cover-64",
+                         "cyclic-cover-256"]:
         code, _, err = run(tmp_path, "fixtures", name,
                            "--dir", str(tmp_path / name))
         assert code == 0, err
@@ -382,6 +383,34 @@ def test_mistyped_document_exit_2(workdir, tmp_path, command, kind, edit,
     doc = category_to_doc(kronecker().category) if kind == "category" \
         else presentation_to_doc(square_base_quiver())
     edit(doc)
+    path = tmp_path / "mistyped.json"
+    dump_path(path, doc)
+    code, out, err = run(workdir, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert fragment in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ("cover", "check", "--functor"), ("cover", "aut1", "--functor"),
+    ("galois", "check", "--functor"), ("grade", "induce", "--functor"),
+    ("grade", "walkdeg", "--grading", "smash-grading.json", "--walk"),
+])
+@pytest.mark.parametrize("value", [["s"], 5])
+def test_non_string_identifier_exit_2(workdir, tmp_path, command, value):
+    # an object name in a functor's object_map or a walk step that is not
+    # a string is refused as input, never reaching a dict as a key
+    from lincat.formats import dump_path, hwalk_to_doc
+    from lincat.grading import HomogeneousWalk, HWalkStep
+    if command[-1] == "--walk":
+        doc = hwalk_to_doc(HomogeneousWalk(
+            "s", (HWalkStep("s", "t", 1, 1), HWalkStep("s", "t", 0, -1))))
+        doc["steps"][1]["source"] = value
+        fragment = "source must be a string"
+    else:
+        doc = json.loads((workdir / "F0.json").read_text(encoding="utf-8"))
+        doc["object_map"]["s0"] = value
+        fragment = "object_map['s0'] must be a string"
     path = tmp_path / "mistyped.json"
     dump_path(path, doc)
     code, out, err = run(workdir, *command, str(path))

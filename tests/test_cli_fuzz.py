@@ -1,15 +1,15 @@
 """Fuzz test of the command-line contract.
 
 Every emitted fixture document (text presentations converted to their
-JSON form) is mutated once: a string is replaced by another string, a
-subtree by a value of another JSON type, or a key is deleted.  Each
-subcommand that reads that kind of document then runs in process
-through cli.run(["--json", ...]).  Whatever the input, no exception
-escapes run(), the exit code is 0, 1 or 2, no traceback is printed, and
-exit 1 comes only with a false boolean verdict.  A second test renames
-one key of a category document, and a third fuzzes option values, with
-the same checks.  The examples pin inputs that once escaped run() as
-tracebacks.
+JSON form), and a homogeneous walk on the smash-demo grading, is mutated
+once: a string is replaced by another string, a subtree by a value of
+another JSON type, or a key is deleted.  Each subcommand that reads
+that kind of document then runs in process through
+cli.run(["--json", ...]).  Whatever the input, no exception escapes
+run(), the exit code is 0, 1 or 2, no traceback is printed, and exit 1
+comes only with a false boolean verdict.  A second test renames one key
+of a category document, and a third fuzzes option values, with the same
+checks.  The examples pin inputs that once escaped run() as tracebacks.
 """
 import copy
 import io
@@ -20,7 +20,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lincat import cli, registry
-from lincat.formats import presentation_from_text, presentation_to_doc
+from lincat.formats import (hwalk_to_doc, presentation_from_text,
+                            presentation_to_doc)
+from lincat.grading import HomogeneousWalk, HWalkStep
 
 
 def _fixture_documents() -> dict[str, dict]:
@@ -33,6 +35,10 @@ def _fixture_documents() -> dict[str, dict]:
                 content = presentation_to_doc(presentation_from_text(content))
                 filename = filename.replace(".txt", ".json")
             docs[filename] = content
+    # no fixture set writes a walk: b forward, then a backward, on the
+    # Kronecker category graded by a ↦ e, b ↦ g
+    docs["walk.json"] = hwalk_to_doc(HomogeneousWalk(
+        "s", (HWalkStep("s", "t", 1, 1), HWalkStep("s", "t", 0, -1))))
     return docs
 
 
@@ -75,6 +81,8 @@ COMMANDS = {
         ["present", "--presentation", "P", "--field", "2"],
         ["pi1", "--presentation", "P", "--base", "BASE"],
     ],
+    "walk": [["grade", "walkdeg", "--grading", "smash-grading.json",
+              "--walk", "P"]],
 }
 
 # values of every JSON type; a replacement takes one of another type
@@ -184,6 +192,10 @@ def _check_contract(workdir, argv):
                    ""))
 @example(mutation=("smash-grading.json", ("degrees", "s", "t", 0), "replace",
                    "zz"))
+# object names that are not strings: in an object_map, in a walk step
+@example(mutation=("F0.json", ("object_map", "s0"), "replace", ["x"]))
+@example(mutation=("walk.json", ("steps", 0, "source"), "replace", ["x"]))
+@example(mutation=("walk.json", ("steps", 1, "target"), "replace", ["x"]))
 def test_mutated_documents_keep_the_exit_code_contract(fuzzdir, mutation):
     filename, path, op, value = mutation
     original = DOCS[filename]

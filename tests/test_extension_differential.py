@@ -7,7 +7,7 @@ import pytest
 
 from lincat.covering import (aut1, check_covering, extend_morphism,
                              fibre)
-from lincat.exactlinalg import FieldSpec, Matrix
+from lincat.exactlinalg import FieldSpec, Matrix, dense
 from lincat.fixtures import (corrupted_collapse, cover_f0, cover_f1,
                              cover_f2, cyclic_cover, cyclic_reduction,
                              discrete, identity_cover, kronecker)
@@ -49,10 +49,11 @@ def reference_extend(f, g, j, x0, d0):
 
     def jf_vector(name, x, y):
         comb = j.apply(f.apply_name(name))
-        return base.vector(comb, f.object_map[x], f.object_map[y])
+        fx, fy = f.object_map[x], f.object_map[y]
+        return dense(base.field, base.coords(comb, fx, fy), base.dim(fx, fy))
 
     def locate_block(x, y, direction):
-        names = c.hom[(x, y)] if direction == "out" else c.hom[(y, x)]
+        names = c.basis(x, y) if direction == "out" else c.basis(y, x)
         if direction == "out":
             vec = jf_vector(names[0], x, y)
         else:
@@ -79,7 +80,7 @@ def reference_extend(f, g, j, x0, d0):
         x = queue.pop(0)
         for y in c.objects:
             for direction in ("out", "in"):
-                names = c.hom[(x, y)] if direction == "out" else c.hom[(y, x)]
+                names = c.basis(x, y) if direction == "out" else c.basis(y, x)
                 if not names:
                     continue
                 e = locate_block(x, y, direction)

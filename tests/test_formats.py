@@ -9,8 +9,8 @@ from lincat.exactlinalg import Matrix
 from lincat.fixtures import (F2, cover_f0, discrete, kronecker,
                              square_base_quiver, square_base_quiver_alt,
                              swap_action)
-from lincat.grading import grading_on_basis, induced_grading, \
-    is_connected_grading
+from lincat.grading import (HomogeneousWalk, HWalkStep, grading_on_basis,
+                            induced_grading, is_connected_grading)
 from lincat.groups import cyclic_group
 from lincat.kcat import LinFunctor, validate_category, validate_functor
 
@@ -92,6 +92,20 @@ def test_walk_round_trip():
     walks = is_connected_grading(z).walks
     for w in walks.values():
         assert fm.hwalk_from_doc(reload(fm.hwalk_to_doc(w))) == w
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda d: d["steps"][0].update(source=["s"]), "source must be a string"),
+    (lambda d: d["steps"][0].update(target=None), "target must be a string"),
+    (lambda d: d.update(start=["s"]), "start must be a string"),
+    (lambda d: d.update(start=0), "start must be a string"),
+])
+def test_walk_decoder_type_checks(edit, fragment):
+    doc = reload(fm.hwalk_to_doc(HomogeneousWalk(
+        "s", (HWalkStep("s", "t", 1, 1), HWalkStep("s", "t", 0, -1)))))
+    edit(doc)
+    with pytest.raises(fm.FormatError, match=fragment):
+        fm.hwalk_from_doc(doc)
 
 
 def test_canonical_form_is_stable():
@@ -198,6 +212,10 @@ def test_presentation_decoder_type_checks(edit, fragment):
     (lambda d: d["matrices"]["s1"].update(t1=5), "matrix"),
     (lambda d: d.update(matrices=[]), "matrices"),
     (lambda d: d.update(object_map="s0"), "object_map"),
+    (lambda d: d["object_map"].update(s0=["s"]),
+     r"object_map\['s0'\] must be a string"),
+    (lambda d: d["object_map"].update(t1=5),
+     r"object_map\['t1'\] must be a string"),
 ])
 def test_functor_decoder_type_checks(edit, fragment):
     doc = reload(fm.functor_to_doc(cover_f0().functor))

@@ -53,8 +53,8 @@ def test_quotient_of_double_cover_is_the_base():
     qres = quotient(swap_action())
     q = qres.quotient
     assert q.objects == ("s0", "t0")
-    assert q.hom[("s0", "t0")] == ("a0", "b0")
-    assert q.hom[("t0", "s0")] == ()
+    assert q.basis("s0", "t0") == ("a0", "b0")
+    assert q.basis("t0", "s0") == ()
     k = kronecker().category
     iso = LinFunctor.on_basis(
         q, k, {"s0": "s", "t0": "t"},

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lincat import formats as fm
+from lincat import registry
 from lincat.exactlinalg import FieldSpec, Matrix, inverse
 from lincat.fixtures import (F2, Q, cover_f0, cover_f2, cyclic_cover,
-                             discrete, disconnected_double_kronecker, identity_cover,
+                             cyclic_cover_quiver, discrete,
+                             disconnected_double_kronecker, identity_cover,
                              kronecker, kronecker_double, loop_square_zero,
                              square_base, square_cover, swap_functor)
 from lincat.kcat import (Arrow, LinCat, LinFunctor, QuiverPresentation,
@@ -313,19 +316,97 @@ def test_disjoint_union_disconnected():
     assert sorted(len(c) for c in rep.components) == [2, 2]
 
 
+# -- the sparse hom representation -------------------------------------------
+
+def _sample_categories():
+    """Every category in a registry fixture file (the documents decoded,
+    the text presentations presented over Q) and both sides of
+    cyclic_cover(1..8)."""
+    out = {}
+    for n in range(1, 9):
+        fix = cyclic_cover(n)
+        out[f"cyclic_cover({n}) total"] = fix.total.category
+        out[f"cyclic_cover({n}) base"] = fix.base.category
+    for name in registry.fixture_names():
+        if name == "cyclic-cover-n":
+            continue
+        for filename, content in registry.fixture_files(name).items():
+            if isinstance(content, str):
+                res = present(fm.presentation_from_text(content), Q)
+                out[filename] = res.category
+                continue
+            if content["kind"] == "category":
+                out[filename] = fm.category_from_doc(content)
+            elif content["kind"] == "functor":
+                for side in ("source", "target"):
+                    out[f"{filename} {side}"] = \
+                        fm.category_from_doc(content[side])
+            elif "category" in content:  # an action or a grading
+                out[filename] = fm.category_from_doc(content["category"])
+    return out
+
+
+REPRESENTED = _sample_categories()
+
+
+@pytest.mark.parametrize("name", sorted(REPRESENTED))
+def test_only_nonzero_homs_are_stored(name):
+    c = REPRESENTED[name]
+    assert all(c.hom.values())
+    assert tuple(c.hom) == c.pairs
+    # object-major order, which star column order and the layout of the
+    # Leibniz unknowns follow
+    assert list(c.hom) == [(x, y) for x in c.objects for y in c.objects
+                           if (x, y) in c.hom]
+    for x in c.objects:
+        for y in c.objects:
+            if (x, y) not in c.hom:
+                assert c.dim(x, y) == 0 and c.basis(x, y) == ()
+            else:
+                assert c.basis(x, y) == c.hom[(x, y)]
+    explicit = LinCat(c.field, c.objects,
+                      {(x, y): c.basis(x, y)
+                       for x in reversed(c.objects) for y in c.objects},
+                      c.comp, c.identities)
+    assert explicit == c
+    assert list(explicit.hom) == list(c.hom)
+
+
+def test_coords_are_sparse_and_refuse_other_homs():
+    k = kronecker().category
+    assert k.coords({"b": 3, "a": 0}, "s", "t") == {1: 3}
+    assert k.coords({}, "t", "s") == {}
+    with pytest.raises(ValueError, match=r"^a is not in hom\(t,s\)$"):
+        k.coords({"a": 1}, "t", "s")
+    # on_basis refuses an image outside the target hom, zero ones included
+    with pytest.raises(ValueError, match=r"^1_o0 is not in hom\(o0,o1\)$"):
+        LinFunctor.on_basis(k, discrete(n=2).category, {"s": "o0", "t": "o1"},
+                            {"1_s": {"1_o0": 1}, "1_t": {"1_o1": 1},
+                             "a": {"1_o0": 1}})
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_presented_cyclic_cover_stores_its_nonzero_pairs_only(n):
+    # 1_si, 1_ti, ai: si -> ti and bi: si -> t(i+1); for n = 1 the two
+    # arrows share a hom space
+    res = present(cyclic_cover_quiver(n), Q)
+    assert len(res.category.hom) == (3 if n == 1 else 4 * n)
+    assert list(res.basis_paths) == list(res.category.hom)
+
+
 # -- presentations -----------------------------------------------------------
 
 def test_present_kronecker():
     res = kronecker()
-    assert res.hom_dims[("s", "t")] == 2
-    assert res.hom_dims[("t", "s")] == 0
+    assert res.category.dim("s", "t") == 2
+    assert res.category.dim("t", "s") == 0
     assert res.category.hom[("s", "t")] == ("a", "b")
 
 
 def test_present_square_base_dimensions():
     # 4 length-2 paths minus 2 independent relations
     res = square_base()
-    assert res.hom_dims[("x", "z")] == 2
+    assert res.category.dim("x", "z") == 2
     assert validate_category(res.category) == []
     # both rewrites: g∘b = d∘a and d∘b = g∘a hold in the quotient
     b = res.category
@@ -361,7 +442,7 @@ def test_present_commuting_cube_zero_pair_over_f3():
          ((Fraction(1), ("u", "u", "u")),),
          ((Fraction(1), ("v", "v", "v")),)), 4)
     res = present(q, FieldSpec(3))
-    assert sum(res.hom_dims.values()) == 9
+    assert sum(res.category.dim(*pair) for pair in res.category.pairs) == 9
     assert res.basis_paths[("x", "x")] == [
         (), ("u",), ("v",), ("u", "u"), ("v", "u"), ("v", "v"),
         ("v", "u", "u"), ("v", "v", "u"), ("v", "v", "u", "u")]

@@ -116,8 +116,8 @@ def reference_present(p: QuiverPresentation, field: FieldSpec
                         comp[(path_name(gt, y), path_name(ft, x))] = comb
 
     cat = LinCat(field, p.vertices, hom, comp, identities)
-    dims = {pair: len(v) for pair, v in basis_paths.items()}
-    return PresentResult(cat, basis_paths, dims)
+    return PresentResult(cat, {pair: rep_list for pair, rep_list
+                               in basis_paths.items() if rep_list})
 
 
 def outcome(build, p, field):
@@ -126,7 +126,8 @@ def outcome(build, p, field):
     except (ValueError, ZeroDivisionError) as e:
         return type(e), str(e), getattr(e, "witness", None)
     c = res.category
-    return (list(res.basis_paths.items()), list(res.hom_dims.items()),
+    dims = [c.dim(x, y) for x in c.objects for y in c.objects]
+    return (list(res.basis_paths.items()), dims,
             list(c.hom.items()), list(c.comp.items()),
             list(c.identities.items()))
 

@@ -14,7 +14,7 @@ from lincat.cohomology import (Derivation, characters, delta,
                                derivation_space, inner_derivations,
                                validate_derivation)
 from lincat.covering import fibre
-from lincat.exactlinalg import FieldSpec, Matrix, inverse
+from lincat.exactlinalg import FieldSpec, Matrix, dense, inverse
 from linalg_reference import row_major
 from lincat.fixtures import (F2, Q, cover_f1, cyclic_cover, kronecker,
                              loop_square_zero, square_cover)
@@ -108,7 +108,8 @@ def reference_validate_grading(z):
         pair = (x, x)
         if pair not in invs:
             continue
-        coords = invs[pair].apply(c.vector(c.identity(x), x, x))
+        coords = invs[pair].apply(dense(c.field, c.coords(c.identity(x), x, x),
+                                        c.dim(x, x)))
         degs = support_degrees(coords, pair)
         if degs - {grp.identity}:
             problems.append(f"identity of {x} meets degrees "
@@ -124,7 +125,8 @@ def reference_validate_grading(z):
                     prod = compose(c, g_comb, f_comb)
                     if not prod:
                         continue
-                    coords = invs[(x, w)].apply(c.vector(prod, x, w))
+                    coords = invs[(x, w)].apply(
+                        dense(c.field, c.coords(prod, x, w), c.dim(x, w)))
                     degs = support_degrees(coords, (x, w))
                     ts = grp.mul(t, s)
                     if degs - {ts}:
