@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .exactlinalg import EchelonBasis, FieldSpec, Matrix
 from .groups import Group
-from .kcat import LinCat, LinComb, comp_range_violations
+from .kcat import LinCat, LinComb, _product, comp_range_violations
 from .grading import Grading, _connectivity, _inverses
 
 
@@ -83,12 +83,8 @@ def validate_derivation(d: Derivation) -> list[str]:
             for n, s in gf.items():
                 for r, a in image[n]:
                     acc[r] = acc.get(r, 0) + s * a
-            for n, s in image[f]:
-                for r, a in comp.get((g, n), {}).items():
-                    acc[r] = acc.get(r, 0) - s * a
-            for n, s in image[g]:
-                for r, a in comp.get((n, f), {}).items():
-                    acc[r] = acc.get(r, 0) - s * a
+            _product(comp, ((g, -1),), image[f], acc)
+            _product(comp, image[g], ((f, -1),), acc)
             if any(red(v) for v in acc.values()):
                 problems.append(f"Leibniz fails on ({g}, {f})")
     return problems
@@ -130,18 +126,22 @@ def _sparse_derivation(c: LinCat, d: Derivation) -> dict:
     return out
 
 
-def _derivation_of(c: LinCat, vec: dict) -> Derivation:
-    """The derivation whose entries are the sparse vector of unknowns
-    vec, of canonical nonzero values (see _layout)."""
+def _derivations(c: LinCat, vecs: list[dict]) -> list[Derivation]:
+    """The derivations whose entries are the sparse vectors of unknowns
+    vecs, of canonical nonzero values (see _layout)."""
     offset, _ = _layout(c)
     starts = list(offset.values())
-    cols = {pair: [{} for _ in range(c.dim(*pair))] for pair in c.pairs}
-    for k in sorted(vec):
-        pair = c.pairs[bisect_right(starts, k) - 1]
-        i, j = divmod(k - offset[pair], c.dim(*pair))
-        cols[pair][j][i] = vec[k]
-    return Derivation(c, {pair: Matrix(c.field, len(m), len(m), tuple(m))
-                          for pair, m in cols.items()})
+    out = []
+    for vec in vecs:
+        cols = {pair: [{} for _ in range(c.dim(*pair))] for pair in c.pairs}
+        for k in sorted(vec):
+            pair = c.pairs[bisect_right(starts, k) - 1]
+            i, j = divmod(k - offset[pair], c.dim(*pair))
+            cols[pair][j][i] = vec[k]
+        out.append(Derivation(c, {pair: Matrix(c.field, len(m), len(m),
+                                               tuple(m))
+                                  for pair, m in cols.items()}))
+    return out
 
 
 def derivation_space(c: LinCat) -> list[Derivation]:
@@ -149,6 +149,12 @@ def derivation_space(c: LinCat) -> list[Derivation]:
     pairs.  Unknowns are the entries of one square matrix per nonzero
     hom pair; the equations are sparse rows, one per output coordinate
     of each composite, read off the structure constants."""
+    return _derivations(c, _derivation_vectors(c))
+
+
+def _derivation_vectors(c: LinCat) -> list[dict]:
+    """derivation_space's basis as sparse vectors of unknowns (see
+    _layout); ValueError if a kernel vector does not kill an identity."""
     offset, total = _layout(c)
     prod = _products(c)
     system = EchelonBasis(c.field.characteristic)
@@ -188,13 +194,12 @@ def derivation_space(c: LinCat) -> list[Derivation]:
                               for m, s in c.identities[x].items()})
                          for r in range(n))
     red = c.field.reduce
-    out = []
-    for v in system.kernel(total):
+    out = system.kernel(total)
+    for v in out:
         for x, form in kills:
             if red(sum(v.get(k, 0) * s for k, s in form.items())):
                 raise ValueError("input is not a category: derivation does "
                                  f"not kill identity of {x}")
-        out.append(_derivation_of(c, v))
     return out
 
 
@@ -222,10 +227,11 @@ def _inner_generators(c: LinCat) -> list[dict]:
     return gens
 
 
-def _inner_span(c: LinCat) -> EchelonBasis:
+def _span(c: LinCat, vecs: list[dict]) -> EchelonBasis:
+    """The span of sparse vectors of unknowns (see _layout)."""
     e = EchelonBasis(c.field.characteristic)
-    for g in _inner_generators(c):
-        e.add(g)
+    for v in vecs:
+        e.add(v)
     return e
 
 
@@ -234,8 +240,8 @@ def inner_derivations(c: LinCat) -> list[Derivation]:
     basis of the direct sum of all endomorphism spaces: the generators
     that raise the rank, in order."""
     e = EchelonBasis(c.field.characteristic)
-    return [_derivation_of(c, e.normalize(g)) for g in _inner_generators(c)
-            if e.add(g)]
+    return _derivations(c, [e.normalize(g) for g in _inner_generators(c)
+                            if e.add(g)])
 
 
 @dataclass
@@ -250,27 +256,25 @@ def h1(c: LinCat) -> H1Result:
     """dim(derivations) − dim(inner), with coset representatives taken
     from the derivation basis itself: the basis elements that raise the
     rank over the inner span and the representatives before them."""
-    ders = derivation_space(c)
-    span = _inner_span(c)
+    ders = _derivation_vectors(c)
+    span = _span(c, _inner_generators(c))
     inner_dim = len(span)
-    reps = [d for d in ders if span.add(_sparse_derivation(c, d))]
+    reps = [v for v in ders if span.add(v)]
     if len(span) != len(ders):
         raise ValueError("input is not a category: inner derivation "
                          "outside the derivation space")
-    return H1Result(len(ders) - inner_dim, len(ders), inner_dim, reps)
+    return H1Result(len(ders) - inner_dim, len(ders), inner_dim,
+                    _derivations(c, reps))
 
 
 def is_inner(d: Derivation) -> bool:
     c = d.category
-    return _sparse_derivation(c, d) in _inner_span(c)
+    return _sparse_derivation(c, d) in _span(c, _inner_generators(c))
 
 
 def in_derivation_space(d: Derivation) -> bool:
     c = d.category
-    e = EchelonBasis(c.field.characteristic)
-    for v in derivation_space(c):
-        e.add(_sparse_derivation(c, v))
-    return _sparse_derivation(c, d) in e
+    return _sparse_derivation(c, d) in _span(c, _derivation_vectors(c))
 
 
 # -- characters ------------------------------------------------------------
@@ -384,7 +388,7 @@ def delta_injectivity_check(c: LinCat, z: Grading) -> bool:
     inv = _inverses(z)
     if not _connectivity(z).connected:
         raise ValueError("grading is not connected; refusing the check")
-    span = _inner_span(c)
+    span = _span(c, _inner_generators(c))
     chars = characters(z.group, c.field)
     return all(span.add(_sparse_derivation(c, _delta(c, z, chi, inv)))
                for chi in chars)

@@ -41,6 +41,12 @@ def _name(value, what: str) -> str:
     return value
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; a bool, a float or a string is refused."""
+    _require(type(value) is int, f"{what} must be an integer")
+    return value
+
+
 def _names(value, what: str) -> tuple:
     """A JSON array of strings, as a tuple; anything else is refused (a
     string would otherwise read as a list of its characters)."""
@@ -394,7 +400,8 @@ def hwalk_from_doc(doc) -> HomogeneousWalk:
     try:
         steps = tuple(HWalkStep(_name(s["source"], "source"),
                                 _name(s["target"], "target"),
-                                int(s["index"]), int(s["sign"]))
+                                _integer(s["index"], "index"),
+                                _integer(s["sign"], "sign"))
                       for s in doc["steps"])
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad walk step: {e}") from e

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .exactlinalg import EchelonBasis, Matrix, dense, inverse
 from .groups import Group, trivial_group
-from .kcat import LinCat, LinComb, LinFunctor, compose, identity_functor
+from .kcat import LinCat, LinComb, LinFunctor, _product, identity_functor
 from .covering import fibre
 from .galois import is_galois
 
@@ -70,16 +70,21 @@ def validate_grading(z: Grading) -> list[str]:
 def _inverses(z: Grading) -> dict[tuple[str, str], Matrix]:
     """The inverse of every change-of-basis block of z; ValueError with
     validate_grading's first problem if z is not a grading."""
-    problems, invs = _validated(z)
+    problems, invs, _, _ = _validated(z)
     if problems:
         raise ValueError(problems[0])
     return invs
 
 
-def _validated(z: Grading
-               ) -> tuple[list[str], dict[tuple[str, str], Matrix]]:
-    """validate_grading's problems, with the inverse of each change-of-
-    basis block it inverted, so that no caller inverts a block again."""
+def _validated(z: Grading) -> tuple[list[str], dict, dict, dict]:
+    """validate_grading's problems, with what it computed to find them,
+    so that no caller inverts a block or composes a column again: the
+    inverse of each change-of-basis block; per object x, the coordinates
+    of 1_x in the homogeneous basis of End(x); and, keyed by (g, f) with
+    f = (x, y, jf) the jf-th homogeneous column of hom(x,y) and
+    g = (y, w, jg), the coordinates of each nonzero g∘f in the
+    homogeneous basis of hom(x,w).  The last two are empty when a block
+    is malformed."""
     problems: list[str] = []
     c = z.category
     grp = z.group
@@ -87,10 +92,10 @@ def _validated(z: Grading
     if set(z.basis) != want:
         problems.append(f"basis keys {sorted(set(z.basis) ^ want)} do not "
                         "match the nonzero hom pairs")
-        return problems, {}
+        return problems, {}, {}, {}
     if set(z.degrees) != want:
         problems.append("degree keys do not match the nonzero hom pairs")
-        return problems, {}
+        return problems, {}, {}, {}
     invs: dict[tuple[str, str], Matrix] = {}
     for pair in sorted(want):
         n = len(c.hom[pair])
@@ -113,18 +118,15 @@ def _validated(z: Grading
             continue
         invs[pair] = inv
     if problems:
-        return problems, invs
+        return problems, invs, {}, {}
 
     def support_degrees(coords, pair) -> set:
         return {z.degrees[pair][j] for j in coords}
 
-    for x in c.objects:
-        pair = (x, x)
-        if pair not in invs:
-            continue
-        coords = invs[pair]({c.position[n]: s
-                             for n, s in c.identities[x].items()})
-        degs = support_degrees(coords, pair)
+    ids = {x: invs[(x, x)](c.coords(c.identities[x], x, x))
+           if (x, x) in invs else {} for x in c.objects}
+    for x, coords in ids.items():
+        degs = support_degrees(coords, (x, x))
         if degs - {grp.identity}:
             problems.append(f"identity of {x} meets degrees "
                             f"{sorted(degs - {grp.identity})}")
@@ -135,6 +137,7 @@ def _validated(z: Grading
                    for col in z.basis[pair].columns]
             for pair in want}
     red = c.field.reduce
+    prods: dict[tuple[tuple, tuple], dict] = {}
     for (x, y) in sorted(want):
         # the nonzero pairs leaving y, sorted: leaving[y] is in that order
         for (_, w) in dict.fromkeys(map(c.pair_of, c.leaving[y])):
@@ -143,11 +146,7 @@ def _validated(z: Grading
             for jf, s in enumerate(z.degrees[(x, y)]):
                 f_col = cols[(x, y)][jf]
                 for jg, t in enumerate(z.degrees[(y, w)]):
-                    acc: dict = {}
-                    for gn, gs in cols[(y, w)][jg]:
-                        for fn, fs in f_col:
-                            for n, a in c.comp.get((gn, fn), {}).items():
-                                acc[n] = acc.get(n, 0) + gs * fs * a
+                    acc = _product(c.comp, cols[(y, w)][jg], f_col, {})
                     vec = {}
                     for n, v in acc.items():
                         if (v := red(v)):
@@ -157,6 +156,7 @@ def _validated(z: Grading
                     if not vec:
                         continue
                     coords = invs[(x, w)](vec)
+                    prods[((y, w, jg), (x, y, jf))] = coords
                     degs = support_degrees(coords, (x, w))
                     ts = grp.mul(t, s)
                     if degs - {ts}:
@@ -164,7 +164,7 @@ def _validated(z: Grading
                             f"hom({x},{y}) column {jf} (degree {s}) composed "
                             f"with hom({y},{w}) column {jg} (degree {t}) "
                             f"meets degrees {sorted(degs)}, expected {ts}")
-    return problems, invs
+    return problems, invs, ids, prods
 
 
 def induced_grading(f: LinFunctor, fibre_choice: dict[str, str]) -> Grading:
@@ -364,8 +364,15 @@ def _unit_row(col: dict) -> Optional[int]:
 def smash(b: LinCat, z: Grading) -> SmashResult:
     """Covering with one object copy per group element whose hom from
     (x,g) to (y,h) is the degree-(h·g⁻¹) component of hom(x,y).  With a
-    trivial group this is b itself under the identity projection."""
-    invs = _inverses(z)
+    trivial group this is b itself under the identity projection.
+
+    Its structure constants are those of the grading in its homogeneous
+    basis, which validating the grading computes: every nonzero product
+    of two homogeneous columns and every identity, renamed here into
+    the copy of each source object.  No composite is recomputed."""
+    problems, _, ids, prods = _validated(z)
+    if problems:
+        raise ValueError(problems[0])
     if z.category is not b and z.category != b:
         raise ValueError("grading does not belong to the category")
     grp = z.group
@@ -376,7 +383,6 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
     def oname(x: str, g: str) -> str:
         return f"{x}@{g}"
 
-    objects = [oname(x, g) for x in b.objects for g in grp.elements]
     object_pairs = {oname(x, g): (x, g) for x in b.objects
                     for g in grp.elements}
     # name each homogeneous column once per source copy; unit columns
@@ -389,62 +395,34 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
             row.append(names[u] if u is not None else f"{x}>{y}#{j}")
         stems[(x, y)] = row
 
-    hom: dict[tuple[str, str], tuple[str, ...]] = {}
-    meta: dict[str, tuple[str, str, int]] = {}  # name -> (x, y, column)
-    copy_of: dict[str, str] = {}                # name -> source copy g
+    hom: dict[tuple[str, str], list[str]] = {}
+    blocks: dict[tuple[str, str], list[dict]] = {}  # projection columns
     for (x, y), row in stems.items():
+        columns = z.basis[(x, y)].columns
         for g in grp.elements:
             for j, d in enumerate(z.degrees[(x, y)]):
-                h = grp.mul(d, g)
-                key = (oname(x, g), oname(y, h))
-                nm = f"{row[j]}@{g}"
-                hom.setdefault(key, ())
-                hom[key] = hom[key] + (nm,)
-                meta[nm] = (x, y, j)
-                copy_of[nm] = g
+                key = (oname(x, g), oname(y, grp.mul(d, g)))
+                hom.setdefault(key, []).append(f"{row[j]}@{g}")
+                blocks.setdefault(key, []).append(columns[j])
 
-    def lift(x: str, w: str, comb: LinComb, g: str, expect: str) -> LinComb:
-        """Express a base comb in hom(x,w) through the homogeneous basis
-        and rename into the copy starting at g; support outside the
-        expected degree would contradict a validated grading."""
-        if not comb:
-            return {}
-        coords = invs[(x, w)]({b.position[n]: a for n, a in comb.items()})
-        out = {}
-        for j, a in sorted(coords.items()):
-            if z.degrees[(x, w)][j] != expect:
-                raise RuntimeError("composite escaped its degree component")
-            out[f"{stems[(x, w)][j]}@{g}"] = a
-        return out
+    def rename(x: str, w: str, coords: dict, g: str) -> LinComb:
+        return {f"{stems[(x, w)][j]}@{g}": a for j, a in coords.items()}
 
     comp: dict[tuple[str, str], LinComb] = {}
-    for fn, (x, y, jf) in meta.items():
-        g = copy_of[fn]
+    for ((y, w, jg), (x, _, jf)), coords in prods.items():
+        f_stem, g_stem = stems[(x, y)][jf], stems[(y, w)][jg]
         s = z.degrees[(x, y)][jf]
-        h = grp.mul(s, g)
-        for gn, (y2, w, jg) in meta.items():
-            if y2 != y or copy_of[gn] != h:
-                continue
-            t = z.degrees[(y, w)][jg]
-            prod = compose(b, z.homogeneous_comb(y, w, jg),
-                           z.homogeneous_comb(x, y, jf))
-            if not prod:
-                continue
-            comp[(gn, fn)] = lift(x, w, prod, g, grp.mul(t, s))
-
-    identities = {}
-    for x in b.objects:
         for g in grp.elements:
-            identities[oname(x, g)] = lift(x, x, b.identity(x), g,
-                                           grp.identity)
+            comp[(f"{g_stem}@{grp.mul(s, g)}", f"{f_stem}@{g}")] = \
+                rename(x, w, coords, g)
+    identities = {oname(x, g): rename(x, x, ids[x], g)
+                  for x in b.objects for g in grp.elements}
 
-    cat = LinCat(b.field, tuple(objects), hom, comp, identities)
-    mats = {}
-    for (xg, yh), names in cat.hom.items():
-        x, y, _ = meta[names[0]]
-        columns = z.basis[(x, y)].columns
-        mats[(xg, yh)] = Matrix(b.field, b.dim(x, y), len(names),
-                                tuple(columns[meta[n][2]] for n in names))
+    cat = LinCat(b.field, tuple(object_pairs), hom, comp, identities)
+    mats = {(xg, yh): Matrix(b.field, b.dim(object_pairs[xg][0],
+                                            object_pairs[yh][0]),
+                             len(cs), tuple(cs))
+            for (xg, yh), cs in blocks.items()}
     proj = LinFunctor(cat, b, {o: p[0] for o, p in object_pairs.items()},
                       mats)
     return SmashResult(cat, proj, object_pairs)

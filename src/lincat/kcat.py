@@ -205,17 +205,19 @@ def compose(c: LinCat, g: LinComb, f: LinComb) -> LinComb:
         return {}
     if pf[1] != pg[0]:
         raise ValueError(f"cannot compose hom{pg} after hom{pf}")
-    out: dict = {}
-    for gn, gs in g.items():
-        if not gs:
-            continue
-        for fn, fs in f.items():
-            if not fs:
-                continue
+    return _reduced(c.field, _product(c.comp, g.items(), f.items(), {}))
+
+
+def _product(comp: dict, g, f, acc: dict) -> dict:
+    """Add to acc, unreduced, the composite g∘f of two morphisms given as
+    (basis name, value) terms, by the bilinear extension of the
+    structure constants comp; return acc."""
+    for gn, gs in g:
+        for fn, fs in f:
             coeff = gs * fs
-            for n, s in c.comp.get((gn, fn), {}).items():
-                out[n] = out.get(n, 0) + coeff * s
-    return _reduced(c.field, out)
+            for n, s in comp.get((gn, fn), {}).items():
+                acc[n] = acc.get(n, 0) + coeff * s
+    return acc
 
 
 def comp_range_violations(c: LinCat) -> list[Violation]:
@@ -283,9 +285,10 @@ class LinFunctor:
     Only the nonzero source pairs keep a block, in `source.pairs` order;
     the block of a zero hom space is the zero-column matrix, which
     block(x, y) serves.  A block into a zero target hom has no rows and
-    may be left out: it is restored as the zero-row matrix.  Every block
-    given is shape-checked, zero-column ones included, and the first bad
-    pair in object order is refused."""
+    may be left out: it is restored as the zero-row matrix.  An
+    object_map key or a block naming an object outside the source is
+    refused.  Every block given is shape-checked, zero-column ones
+    included, and the first bad pair in object order is refused."""
     source: LinCat
     target: LinCat
     object_map: dict[str, str]
@@ -301,13 +304,20 @@ class LinFunctor:
                 raise ValueError(f"object_map misses {x}")
             if omap[x] not in tgt.leaving:  # keyed by the objects
                 raise ValueError(f"object_map sends {x} to undeclared {omap[x]}")
+        objs, mats = src.leaving, self.matrices  # leaving: keyed by objects
+        for x in omap:
+            if x not in objs:
+                raise ValueError(f"object_map names {x!r}, which is not a "
+                                 "source object")
+        for pair in mats:
+            if pair[0] not in objs or pair[1] not in objs:
+                raise ValueError(f"matrix for hom{pair} names an object "
+                                 "outside the source")
 
         def shape(pair):
             return tgt.dim(omap[pair[0]], omap[pair[1]]), src.dim(*pair)
 
-        mats, objs = self.matrices, src.leaving  # keyed by the objects
-        bad = [p for p, m in mats.items() if p[0] in objs and p[1] in objs
-               and (m.rows, m.cols) != shape(p)]
+        bad = [p for p, m in mats.items() if (m.rows, m.cols) != shape(p)]
         bad += [p for p in src.pairs if p not in mats and shape(p)[0]]
         if bad:
             at = {x: i for i, x in enumerate(src.objects)}
@@ -436,12 +446,7 @@ def validate_functor(f: LinFunctor) -> list[Violation]:
     for fn in src.basis_names():
         for gn in src.leaving[src.target_of(fn)]:
             lhs = push(src.comp.get((gn, fn), {}))
-            acc: dict = {}
-            for a, s in image[gn]:
-                for b, r in image[fn]:
-                    for t, v in tgt.comp.get((a, b), {}).items():
-                        acc[t] = acc.get(t, 0) + s * r * v
-            rhs = _reduced(fld, acc)
+            rhs = _reduced(fld, _product(tgt.comp, image[gn], image[fn], {}))
             if lhs != rhs:
                 out.append(Violation("functor-comp", (gn, fn),
                                      f"F({gn}∘{fn}) = {comb_str(fld, lhs)} but "

@@ -419,6 +419,34 @@ def test_non_string_identifier_exit_2(workdir, tmp_path, command, value):
     assert fragment in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ("galois", "structure", "--functor"), ("cover", "aut1", "--functor"),
+    ("galois", "check", "--functor"),
+])
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda d: d["object_map"].update(zz="s"),
+     "object_map names 'zz', which is not a source object"),
+    (lambda d: d["matrices"].update(zz={"s0": [["1"]]}),
+     "matrix for hom('zz', 's0') names an object outside the source"),
+    (lambda d: d["matrices"]["s0"].update(qq=[["1"]]),
+     "matrix for hom('s0', 'qq') names an object outside the source"),
+])
+def test_unknown_source_object_exit_2(workdir, tmp_path, command, edit,
+                                      fragment):
+    # a functor file naming an object its source lacks is refused, never
+    # dropped or kept: a kept object_map key once turned galois structure
+    # false while galois check stayed true
+    from lincat.formats import dump_path
+    doc = json.loads((workdir / "F0.json").read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "misspelt.json"
+    dump_path(path, doc)
+    code, out, err = run(workdir, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert fragment in err and "Traceback" not in err
+
+
 def test_galois_homs_from_non_galois_exit_2(workdir):
     code, out, err = run(workdir, "galois", "homs", "--functor", "F2.json",
                          "--to", "F0.json")

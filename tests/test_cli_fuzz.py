@@ -196,6 +196,10 @@ def _check_contract(workdir, argv):
 @example(mutation=("F0.json", ("object_map", "s0"), "replace", ["x"]))
 @example(mutation=("walk.json", ("steps", 0, "source"), "replace", ["x"]))
 @example(mutation=("walk.json", ("steps", 1, "target"), "replace", ["x"]))
+# walk step fields that are not JSON integers: once read as 0, 1 and 1
+@example(mutation=("walk.json", ("steps", 0, "index"), "replace", 0.9))
+@example(mutation=("walk.json", ("steps", 1, "index"), "replace", "1"))
+@example(mutation=("walk.json", ("steps", 0, "sign"), "replace", True))
 def test_mutated_documents_keep_the_exit_code_contract(fuzzdir, mutation):
     filename, path, op, value = mutation
     original = DOCS[filename]

@@ -99,6 +99,13 @@ def test_walk_round_trip():
     (lambda d: d["steps"][0].update(target=None), "target must be a string"),
     (lambda d: d.update(start=["s"]), "start must be a string"),
     (lambda d: d.update(start=0), "start must be a string"),
+    (lambda d: d["steps"][0].update(index=0.9), "index must be an integer"),
+    (lambda d: d["steps"][0].update(index=1.0), "index must be an integer"),
+    (lambda d: d["steps"][0].update(index="1"), "index must be an integer"),
+    (lambda d: d["steps"][0].update(index=True), "index must be an integer"),
+    (lambda d: d["steps"][1].update(sign=True), "sign must be an integer"),
+    (lambda d: d["steps"][1].update(sign=-1.0), "sign must be an integer"),
+    (lambda d: d["steps"][1].update(sign="-1"), "sign must be an integer"),
 ])
 def test_walk_decoder_type_checks(edit, fragment):
     doc = reload(fm.hwalk_to_doc(HomogeneousWalk(
@@ -216,6 +223,12 @@ def test_presentation_decoder_type_checks(edit, fragment):
      r"object_map\['s0'\] must be a string"),
     (lambda d: d["object_map"].update(t1=5),
      r"object_map\['t1'\] must be a string"),
+    (lambda d: d["object_map"].update(zz="s"),
+     "object_map names 'zz', which is not a source object"),
+    (lambda d: d["matrices"].update(zz={"s0": [["1"]]}),
+     r"matrix for hom\('zz', 's0'\) names an object outside the source"),
+    (lambda d: d["matrices"]["s0"].update(qq=[["1"]]),
+     r"matrix for hom\('s0', 'qq'\) names an object outside the source"),
 ])
 def test_functor_decoder_type_checks(edit, fragment):
     doc = reload(fm.functor_to_doc(cover_f0().functor))

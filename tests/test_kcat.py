@@ -1,6 +1,7 @@
 """Category core: structure-constant axioms, functors, connectivity,
 presentations.  Oracle values are hand-derived dimension and composition
 facts recorded next to each assertion."""
+import re
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,19 @@ def test_wrongly_shaped_zero_column_block_is_refused():
     with pytest.raises(ValueError, match=r"^matrix for hom\('o1', 'o0'\) "
                                          r"is 1x0, expected 0x0$"):
         build(("o1", "o1"), ("o1", "o0"), Matrix.zeros(Q, 1, 0))
+
+
+def test_unknown_objects_in_object_map_or_blocks_are_refused():
+    embed = discrete_into_kronecker()
+    with pytest.raises(ValueError, match=r"^object_map names 'zz', which is "
+                                         r"not a source object$"):
+        LinFunctor(embed.source, embed.target,
+                   {**embed.object_map, "zz": "s"}, embed.matrices)
+    for pair in (("zz", "o0"), ("o0", "qq")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"matrix for hom{pair} names an object outside")):
+            LinFunctor(embed.source, embed.target, embed.object_map,
+                       {**embed.matrices, pair: Matrix.zeros(Q, 1, 1)})
 
 
 def test_swap_is_not_deck_for_asymmetric_cover():
