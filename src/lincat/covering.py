@@ -5,28 +5,33 @@ isomorphisms between stars, block by block over each fibre.  Everything
 else here rides on one rigidity fact: a morphism of coverings is
 determined by its value on a single object, so deck transformation groups
 are found by seeding one object over a fibre and propagating through star
-isomorphisms, and are multiplied by where they send that object.
+isomorphisms, and are multiplied by where they send that object.  Only
+generators are extended: the other elements are products, found by
+composing object maps, and the columns of any element's functor are
+read on demand from the star table.
 
 The star block of F at a source object x towards a base object b is the
 map from the hom spaces between x and the fibre over b to the hom space
 between F(x) and b; it is kept as sparse columns, ordered by fibre
 position and then by basis position.  check_covering builds every star
 block in one pass over the nonzero hom pairs of the source and inverts
-each on its columns.  Its CoveringReport carries the star table, which
-holds the inverse of every bijective star block as a Matrix, and the
-functor it checked.  Everything that extends morphisms
-into F takes a sequence of reports already made and uses the one made
-for F itself (report_for), so each star block is eliminated once per
-covering and no report is read for another functor.
+each on its columns (a monomial block without elimination).  Its
+CoveringReport carries the star table, which holds the inverse of every
+bijective star block as a Matrix, and the functor it checked.
+Everything that extends morphisms into F takes a sequence of reports
+already made and uses the one made for F itself (report_for), so each
+star block is inverted once per covering and no report is read for
+another functor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 from .exactlinalg import Matrix, inverse
 from .groups import Group
-from .kcat import (LinCat, LinFunctor, functor_compose,
+from .kcat import (LinCat, LinComb, LinFunctor, functor_compose,
                    functor_equal, functor_is_isomorphism, identity_functor,
                    is_connected, validate_functor)
 
@@ -171,8 +176,9 @@ class _Extension:
     built once per (F, G, J) and shared by every seed: J∘F, with each
     basis image as a sparse column, whether J∘F and G are functors
     (see extend_morphism), and the star table of G from
-    report_for(g, reports).  G must be a covering: a visited star block
-    that is not bijective raises ValueError."""
+    report_for(g, reports).  When J is the identity, J∘F is F itself.
+    G must be a covering: a visited star block that is not bijective
+    raises ValueError."""
 
     def __init__(self, f: LinFunctor, g: LinFunctor, j: LinFunctor,
                  reports: Sequence[CoveringReport] = ()):
@@ -181,12 +187,16 @@ class _Extension:
             raise ValueError("functors do not share the base category")
         if any(j.object_map[x] != x for x in base.objects):
             raise ValueError("J must fix objects")
-        if not functor_is_isomorphism(j):
+        if all(col == {i: 1} for m in j.matrices.values()
+               for i, col in enumerate(m.columns)):
+            jf = f  # J is the identity
+        elif functor_is_isomorphism(j):
+            jf = functor_compose(j, f)
+        else:
             raise ValueError("J must be an isomorphism")
         self.f, self.g = f, g
-        jf = functor_compose(j, f)
         self.functorial = not validate_functor(jf) and (
-            functor_equal(g, jf) or not validate_functor(g))
+            g is jf or functor_equal(g, jf) or not validate_functor(g))
         self.image = {n: col for pair, m in jf.matrices.items()
                       for n, col in zip(f.source.hom[pair], m.columns)}
         self.stars = report_for(g, reports).stars
@@ -240,9 +250,28 @@ class _Extension:
                              "the extension is not determined")
         if not self.functorial:
             return None
+        return self.functor(omap, cols.__getitem__)
+
+    def column(self, omap: dict[str, str], n: str) -> dict:
+        """The column of H(n) for the morphism H with object map omap:
+        for n: x -> y, the inverse of G's outgoing star block at H(x)
+        towards the fibre of F(y), applied to JF(n), read inside the
+        block of H(y).  One step of extend, which needs no search once
+        H(x) and H(y) are known; H must exist."""
+        x, y = self.f.source.pair_of(n)
+        inv, owner = self.star(omap[x], self.f.object_map[y], "out")
+        cand = inv(self.image[n])
+        first = owner[min(cand)][1]
+        return {i - first: a for i, a in cand.items()}
+
+    def functor(self, omap: dict[str, str],
+                column: Callable[[str], dict]) -> LinFunctor:
+        """The functor with object map omap and the given column per
+        basis name of F's source."""
+        c, d = self.f.source, self.g.source
         mats = {(x, y): Matrix(c.field, d.dim(omap[x], omap[y]),
                                c.dim(x, y),
-                               tuple(cols[n] for n in c.hom[(x, y)]))
+                               tuple(column(n) for n in c.hom[(x, y)]))
                 for (x, y) in c.pairs}
         return LinFunctor(c, d, omap, mats)
 
@@ -278,48 +307,110 @@ def extend_morphism(f: LinFunctor, g: LinFunctor, j: LinFunctor,
 class CoveringGroup:
     """Deck transformations (H, 1) of one covering, with an explicit
     multiplication table.  The table is authoritative; label() is a
-    cosmetic isomorphism-type guess."""
+    cosmetic isomorphism-type guess.
+
+    Each element is kept as its object map.  Its functor is read on
+    demand: by rigidity, the column of H(n) for n: x -> y is one star
+    inverse applied to F(n) once H(x) and H(y) are known (see
+    _Extension.column), so apply_name builds one column and functor()
+    one whole functor, which is then kept.  A group given by its
+    functors (the deck group of a quotient by a group action) keeps
+    them and reads nothing from a star table."""
     covering: LinFunctor
     group: Group
-    functors: dict[str, LinFunctor]
+    object_maps: dict[str, dict[str, str]]
     seed_object: str
     seed_fibre: tuple[str, ...]
+    extension: Optional[_Extension] = field(default=None, repr=False,
+                                            compare=False)
+    built: dict[str, LinFunctor] = field(default_factory=dict, repr=False,
+                                         compare=False)
 
     def order(self) -> int:
         return self.group.order()
 
-    def functor(self, name: str) -> LinFunctor:
-        return self.functors[name]
-
     def label(self) -> str:
         return self.group.label()
+
+    def functor(self, name: str) -> LinFunctor:
+        if name not in self.built:
+            omap = self.object_maps[name]
+            self.built[name] = self.extension.functor(
+                omap, partial(self.extension.column, omap))
+        return self.built[name]
+
+    @property
+    def functors(self) -> dict[str, LinFunctor]:
+        """Every element's functor, in element order."""
+        return {n: self.functor(n) for n in self.group.elements}
+
+    def apply_object(self, name: str, x: str) -> str:
+        return self.object_maps[name][x]
+
+    def apply_name(self, name: str, n: str) -> LinComb:
+        """The image of the basis morphism n under the element name."""
+        if name in self.built:
+            return self.built[name].apply_name(n)
+        c, omap = self.covering.source, self.object_maps[name]
+        x, y = c.pair_of(n)
+        names = c.basis(omap[x], omap[y])
+        return {names[i]: a
+                for i, a in self.extension.column(omap, n).items()}
 
     def name_of(self, h: LinFunctor) -> Optional[str]:
         """The element equal to h, or None.  By rigidity only the element
         sharing h's seed image can be equal to it."""
         seed = h.object_map.get(self.seed_object)
-        for n, cand in self.functors.items():
-            if cand.object_map[self.seed_object] == seed:
-                return n if functor_equal(cand, h) else None
+        for n, omap in self.object_maps.items():
+            if omap[self.seed_object] == seed:
+                return n if functor_equal(self.functor(n), h) else None
         return None
+
+
+def _closure(x0: str, gens: list[dict[str, str]]
+             ) -> dict[str, dict[str, str]]:
+    """The object maps of all products of gens, keyed by the image of
+    x0: a search from the first, which must be the identity, multiplying
+    on the left by each of the others."""
+    out = {x0: gens[0]}
+    queue = [gens[0]]
+    for u in queue:  # the queue grows while it is read
+        for g in gens[1:]:
+            v = {x: g[y] for x, y in u.items()}
+            if v[x0] not in out:
+                out[v[x0]] = v
+                queue.append(v)
+    return out
 
 
 def aut1(f: LinFunctor,
          reports: Sequence[CoveringReport] = ()) -> CoveringGroup:
     """All deck transformations of a covering with connected source,
-    found by seeding the first object x0 over its fibre.  f must be a
-    covering (see extend_morphism; its report is taken from reports or
-    made here); the star table and whether f is a functor are decided
-    once.  A star-bijective f that is not a
-    functor is not a covering: not even x0 ↦ x0 extends (ValueError).
+    found by seeding the first object x0 over its fibre and extending
+    generators only.  f must be a covering (see extend_morphism; its
+    report is taken from reports or made here); the star table and
+    whether f is a functor are decided once.  A star-bijective f that is
+    not a functor is not a covering: not even x0 ↦ x0 extends
+    (ValueError).
 
-    The table rests on rigidity: a deck transformation is the unique
+    Everything rests on rigidity: a deck transformation is the unique
     extension of its seed image h(x0), so
-    - h1∘h2 is the element whose seed image is h1(h2(x0));
+    - h1∘h2 is the element whose seed image is h1(h2(x0)), and object
+      maps compose as maps of source objects;
     - the extension of x0 ↦ x0 is the identity functor, named e;
     - an element fixing any object y agrees with the identity at y, so it
       is the identity: the action on objects is free.
-    No functor is composed or compared.
+    Seeds are taken in fibre order, and a seed that a product of the
+    elements extended so far already reaches is not extended: after each
+    new generator, the object maps are closed under composition (orbit
+    closure, as in Schreier–Sims).  A seed that does not extend stays
+    unreached, since a product reaching it would be a deck
+    transformation with that seed image.  Each new generator at least
+    doubles the group, so on a Galois covering at most 1 + log2 |fibre|
+    seeds are extended.
+    Elements are named e, g1, g2, … by seed image in fibre order; their
+    functors are read on demand (see CoveringGroup).  No functor is
+    composed or compared.
     """
     c = f.source
     if not is_connected(c).connected:
@@ -327,18 +418,24 @@ def aut1(f: LinFunctor,
     x0 = c.objects[0]
     fib = tuple(fibre(f, f.object_map[x0]))
     ext = _Extension(f, f, identity_functor(f.target), reports)
-    functors: dict[str, LinFunctor] = {}
+    built: dict[str, LinFunctor] = {}  # seed image -> extended generator
+    maps: dict[str, dict[str, str]] = {}  # seed image -> object map
     for d0 in fib:  # x0 comes first: fibres keep declaration order
+        if d0 in maps:
+            continue
         h = ext.extend(x0, d0)
         if h is None and d0 == x0:
             raise ValueError("identity extension failed; input is not a covering")
         if h is not None:
-            functors[f"g{len(functors)}" if functors else "e"] = h
-    by_seed = {h.object_map[x0]: n for n, h in functors.items()}
-    table = {(n1, n2): by_seed[h1.object_map[h2.object_map[x0]]]
-             for n1, h1 in functors.items() for n2, h2 in functors.items()}
-    group = Group(tuple(functors), "e", table)
-    return CoveringGroup(f, group, functors, x0, fib)
+            built[d0] = h
+            maps = _closure(x0, [g.object_map for g in built.values()])
+    name = {d0: f"g{k}" if k else "e"
+            for k, d0 in enumerate(d0 for d0 in fib if d0 in maps)}
+    table = {(name[d1], name[d2]): name[maps[d1][d2]]
+             for d1 in name for d2 in name}
+    group = Group(tuple(name.values()), "e", table)
+    return CoveringGroup(f, group, {name[d0]: maps[d0] for d0 in name}, x0,
+                         fib, ext, {name[d0]: h for d0, h in built.items()})
 
 
 def galois_obstruction(f: LinFunctor, grp: CoveringGroup) -> Optional[str]:
@@ -394,16 +491,16 @@ def lambda_map(m: CoveringMorphism, f: LinFunctor, g: LinFunctor,
 
     x0 = f.source.objects[0]
     hx0 = m.h.object_map[x0]
-    by_seed = {k.object_map[hx0]: n for n, k in gg.functors.items()}
-    mapping = {n: by_seed[m.h.object_map[h.object_map[x0]]]
-               for n, h in gf.functors.items()}
+    by_seed = {k[hx0]: n for n, k in gg.object_maps.items()}
+    mapping = {n: by_seed[m.h.object_map[h[x0]]]
+               for n, h in gf.object_maps.items()}
     surjective = set(mapping.values()) == set(gg.group.elements)
     kernel = tuple(n for n, v in mapping.items() if v == "e")
 
     h_report = check_covering(m.h)
     h_group = aut1(m.h, [h_report])
     kernel_ok = (len(kernel) == h_group.order() and
-                 all(h_group.name_of(gf.functors[n]) is not None
+                 all(h_group.name_of(gf.functor(n)) is not None
                      for n in kernel))
     h_galois = h_report.ok and galois_obstruction(m.h, h_group) is None
     return LambdaResult(gf, gg, mapping, surjective, kernel, h_group,

@@ -24,6 +24,13 @@ def _q(a):
     return a.numerator if a.denominator == 1 else a
 
 
+def _reciprocal(p: int, a):
+    """1/a for a nonzero field element a of characteristic p."""
+    if a == 1:
+        return 1
+    return pow(a, -1, p) if p else _q(Fraction(1) / a)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -334,11 +341,25 @@ def dense(field: FieldSpec, row: dict, n: int) -> list:
 
 def inverse(m: Matrix) -> Optional[Matrix]:
     """The inverse of a square matrix, or None if it is not square or is
-    singular.  Column j of m is row j of its transpose A, so [A | 1]
-    reduces to [1 | A⁻¹], and row i of A⁻¹ is column i of the inverse."""
+    singular.
+
+    A matrix with at most one nonzero entry per column (a monomial one,
+    0×0 included, or a singular one) is inverted without elimination:
+    it is invertible iff its columns hit n distinct rows, and column j
+    = a·e_i makes column i of the inverse (1/a)·e_j.  Otherwise column j
+    of m is row j of its transpose A, so [A | 1] reduces to [1 | A⁻¹],
+    and row i of A⁻¹ is column i of the inverse."""
     n = m.cols
     if m.rows != n:
         return None
+    if all(len(col) <= 1 for col in m.columns):
+        at = {i: (j, a) for j, col in enumerate(m.columns)
+              for i, a in col.items()}
+        if len(at) < n:
+            return None
+        p = m.field.characteristic
+        return Matrix(m.field, n, n, tuple(
+            {j: _reciprocal(p, a)} for j, a in (at[i] for i in range(n))))
     e = EchelonBasis(m.field.characteristic)
     for j, col in enumerate(m.columns):
         e.add({**col, n + j: e.one})

@@ -9,7 +9,7 @@ source, so quotient structure constants can be compared literally.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .covering import (CoveringGroup, CoveringReport, _Extension, aut1,
@@ -29,6 +29,9 @@ class GroupAction:
 
     def apply_object(self, s: str, x: str) -> str:
         return self.functors[s].object_map[x]
+
+    def apply_name(self, s: str, n: str) -> LinComb:
+        return self.functors[s].apply_name(n)
 
 
 def check_action(a: GroupAction) -> list[str]:
@@ -112,12 +115,14 @@ def quotient(a: GroupAction) -> QuotientResult:
         raise ValueError("invalid group action: " + "; ".join(problems))
     if not is_connected(a.category).connected:
         raise ValueError("quotient requires a connected category")
-    return _quotient(a)
+    return _quotient(a.category, a)
 
 
-def _quotient(a: GroupAction) -> QuotientResult:
-    """quotient() for a free action on a connected category."""
-    c = a.category
+def _quotient(c: LinCat, a: GroupAction | CoveringGroup) -> QuotientResult:
+    """quotient() for a free action on the connected category c, given
+    as a GroupAction or as the deck group of a covering of c.  Only the
+    images under the action that the construction uses are read: with a
+    deck group, each is one column read from the star table."""
     orbit_of: dict[str, str] = {}
     reps: dict[str, str] = {}
     orbit_names: list[str] = []
@@ -155,28 +160,37 @@ def _quotient(a: GroupAction) -> QuotientResult:
         x0 = reps[alpha]
         for beta in orbit_names:
             for y in members[beta]:
-                for fn in c.basis(x0, y):
-                    for gamma in orbit_names:
-                        for gn in hom.get((beta, gamma), ()):
-                            u = translate[(beta, y)]
-                            gu = a.functors[u].apply_name(gn)
-                            result = compose(c, gu, {fn: c.field.one()})
-                            if result:
-                                comp[(gn, fn)] = result
+                fns = c.basis(x0, y)
+                if not fns:
+                    continue
+                u = translate[(beta, y)]
+                images = [(gn, a.apply_name(u, gn)) for gamma in orbit_names
+                          for gn in hom.get((beta, gamma), ())]
+                for fn in fns:
+                    for gn, gu in images:
+                        result = compose(c, gu, {fn: c.field.one()})
+                        if result:
+                            comp[(gn, fn)] = result
 
     q = LinCat(c.field, tuple(orbit_names), hom, comp, identities)
 
     omap = {x: orbit_of[x] for x in c.objects}
     back: dict[str, LinComb] = {}  # n out of x goes to u⁻¹·n, u·rep = x
     for x in c.objects:
-        u_inv = a.functors[a.group.inv(translate[(orbit_of[x], x)])]
+        u_inv = a.group.inv(translate[(orbit_of[x], x)])
         for n in c.leaving[x]:
-            back[n] = u_inv.apply_name(n)
+            back[n] = a.apply_name(u_inv, n)
     projection = LinFunctor.on_basis(c, q, omap, back)
 
     seed = c.objects[0]
-    deck = CoveringGroup(projection, a.group, dict(a.functors), seed,
-                         tuple(fibre(projection, orbit_of[seed])))
+    fib = tuple(fibre(projection, orbit_of[seed]))
+    if isinstance(a, CoveringGroup):  # the same automorphisms of c
+        deck = replace(a, covering=projection, seed_object=seed,
+                       seed_fibre=fib)
+    else:
+        deck = CoveringGroup(projection, a.group,
+                             {s: h.object_map for s, h in a.functors.items()},
+                             seed, fib, built=dict(a.functors))
     return QuotientResult(q, projection, reps, deck)
 
 
@@ -232,9 +246,10 @@ def structure_iso(f: LinFunctor) -> StructureIsoResult:
     The deck group from is_galois is used as the action without
     check_action: its table came from seed images in aut1, so by
     rigidity it matches composition, and it acts freely on the connected
-    source.  The factorization itself is verified.
+    source.  The quotient reads only the columns of its functors that it
+    uses.  The factorization itself is verified.
     """
-    qres = _quotient(action_from_deck(_galois_group(f)))
+    qres = _quotient(f.source, _galois_group(f))
     q = qres.quotient
     omap = {alpha: f.object_map[rep] for alpha, rep in
             qres.orbit_representatives.items()}
@@ -304,9 +319,9 @@ def gset_analysis(u: LinFunctor, f: LinFunctor,
                          "the action is empty")
     u0 = u.source.objects[0]
     by_seed = {h.object_map[u0]: i for i, h in enumerate(homs)}
-    action = {(i, name): by_seed[h.object_map[deck.object_map[u0]]]
+    action = {(i, name): by_seed[h.object_map[deck[u0]]]
               for i, h in enumerate(homs)
-              for name, deck in gu.functors.items()}
+              for name, deck in gu.object_maps.items()}
     orbit = {0}
     frontier = [0]
     while frontier:

@@ -16,7 +16,8 @@ from typing import Optional
 
 from .exactlinalg import EchelonBasis, Matrix, dense, inverse
 from .groups import Group, trivial_group
-from .kcat import LinCat, LinComb, LinFunctor, _product, identity_functor
+from .kcat import (LinCat, LinComb, LinFunctor, _product,
+                   comp_range_violations, identity_functor)
 from .covering import fibre
 from .galois import is_galois
 
@@ -33,10 +34,6 @@ class Grading:
 
     def __post_init__(self):
         self.degrees = {k: tuple(v) for k, v in self.degrees.items()}
-
-    def homogeneous_comb(self, x: str, y: str, j: int) -> LinComb:
-        names = self.category.hom[(x, y)]
-        return {names[i]: a for i, a in self.basis[(x, y)].columns[j].items()}
 
     def component_columns(self, x: str, y: str, s: str) -> list[int]:
         return [j for j, d in enumerate(self.degrees[(x, y)]) if d == s]
@@ -63,7 +60,8 @@ def grading_on_basis(c: LinCat, group: Group,
 def validate_grading(z: Grading) -> list[str]:
     """Empty iff z is a grading: invertible change of basis everywhere,
     degree labels in the group, identities of degree e, and composites of
-    homogeneous elements homogeneous of the product degree."""
+    homogeneous elements homogeneous of the product degree.  A category
+    composing outside its hom spaces is refused with ValueError."""
     return _validated(z)[0]
 
 
@@ -84,7 +82,8 @@ def _validated(z: Grading) -> tuple[list[str], dict, dict, dict]:
     f = (x, y, jf) the jf-th homogeneous column of hom(x,y) and
     g = (y, w, jg), the coordinates of each nonzero g∘f in the
     homogeneous basis of hom(x,w).  The last two are empty when a block
-    is malformed."""
+    is malformed.  A category that composes outside its hom spaces is
+    refused (ValueError), also where that hom space is zero."""
     problems: list[str] = []
     c = z.category
     grp = z.group
@@ -119,6 +118,12 @@ def _validated(z: Grading) -> tuple[list[str], dict, dict, dict]:
         invs[pair] = inv
     if problems:
         return problems, invs, {}, {}
+    bad = comp_range_violations(c)
+    if bad:
+        g, f = bad[0].where
+        x, w = c.source_of(f), c.target_of(g)
+        n = next(n for n in c.comp[(g, f)] if c.pair_of(n) != (x, w))
+        raise ValueError(f"{n} is not in hom({x},{w})")
 
     def support_degrees(coords, pair) -> set:
         return {z.degrees[pair][j] for j in coords}
@@ -131,8 +136,7 @@ def _validated(z: Grading) -> tuple[list[str], dict, dict, dict]:
             problems.append(f"identity of {x} meets degrees "
                             f"{sorted(degs - {grp.identity})}")
     # homogeneous columns as (basis name, value) terms; their products
-    # are summed from the structure constants and keyed by name, so the
-    # first term outside hom(x,w) is refused as LinCat.coords refuses it
+    # are summed from the structure constants, inside hom(x,w)
     cols = {pair: [[(c.hom[pair][i], a) for i, a in col.items()]
                    for col in z.basis[pair].columns]
             for pair in want}
@@ -147,12 +151,8 @@ def _validated(z: Grading) -> tuple[list[str], dict, dict, dict]:
                 f_col = cols[(x, y)][jf]
                 for jg, t in enumerate(z.degrees[(y, w)]):
                     acc = _product(c.comp, cols[(y, w)][jg], f_col, {})
-                    vec = {}
-                    for n, v in acc.items():
-                        if (v := red(v)):
-                            if c.pair_of(n) != (x, w):
-                                raise ValueError(f"{n} is not in hom({x},{w})")
-                            vec[c.position[n]] = v
+                    vec = {c.position[n]: r for n, v in acc.items()
+                           if (r := red(v))}
                     if not vec:
                         continue
                     coords = invs[(x, w)](vec)
@@ -187,7 +187,7 @@ def induced_grading(f: LinFunctor, fibre_choice: dict[str, str]) -> Grading:
         block = None
         labels: list[str] = []
         for s in grp.group.elements:
-            sxc = grp.functor(s).object_map[fibre_choice[c]]
+            sxc = grp.apply_object(s, fibre_choice[c])
             m = f.block(xb, sxc)
             block = m if block is None else block.hstack(m)
             labels.extend([s] * m.cols)

@@ -49,11 +49,9 @@ class Group:
         # closed under products and hold the identity, so on a table
         # without other problems a generating set decides; the cubic
         # scan only names the first failing triple
-        mul, els = self.mul, self.elements
-        if not problems and all(
-                mul(mul(x, g), y) == mul(x, mul(g, y))
-                for g in self.generators() for x in els for y in els):
+        if not problems and self._light():
             return problems
+        mul, els = self.mul, self.elements
         for a in els:
             for b in els:
                 for c in els:
@@ -61,6 +59,17 @@ class Group:
                         problems.append(f"associativity fails on ({a},{b},{c})")
                         return problems
         return problems
+
+    def _light(self) -> bool:
+        """(x·g)·y = x·(g·y) for every generator g and all x, y."""
+        tab, els = self.table, self.elements
+        for g in self.generators():
+            gy = [(y, tab[(g, y)]) for y in els]
+            for x in els:
+                xg = tab[(x, g)]
+                if any(tab[(xg, y)] != tab[(x, z)] for y, z in gy):
+                    return False
+        return True
 
     def mul(self, s: str, t: str) -> str:
         return self.table[(s, t)]
@@ -83,15 +92,16 @@ class Group:
                    for s in self.elements for t in self.elements)
 
     def generated_subgroup(self, gens: Sequence[str]) -> set[str]:
-        closure = {self.identity, *gens}
-        frontier = list(closure)
-        while frontier:
-            s = frontier.pop()
-            for t in list(closure):
-                for prod in (self.mul(s, t), self.mul(t, s)):
-                    if prod not in closure:
-                        closure.add(prod)
-                        frontier.append(prod)
+        """The words in gens, found by multiplying on the right by each
+        of them; in a finite group they are the subgroup gens generate."""
+        closure = {self.identity}
+        frontier = [self.identity]
+        for s in frontier:  # the frontier grows while it is read
+            for g in gens:
+                prod = self.mul(s, g)
+                if prod not in closure:
+                    closure.add(prod)
+                    frontier.append(prod)
         return closure
 
     def generators(self) -> list[str]:

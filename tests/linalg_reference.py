@@ -4,7 +4,9 @@ test_extension_differential.py, `column_space_basis` and `quotient_basis`
 for the greedy definitions of test_exactlinalg_sympy.py, `rref`, `rank`
 and `kernel_basis` for the sympy comparisons and the rank-based
 reference checks.  They are thin layers over the library's EchelonBasis
-and complement.  `row_major` builds a Matrix from row-major entries."""
+and complement.  `eliminated_inverse` is `inverse` as it was before
+monomial matrices skipped elimination, the reference for that path.
+`row_major` builds a Matrix from row-major entries."""
 from typing import Iterable, Optional, Sequence
 
 from lincat.exactlinalg import (EchelonBasis, FieldSpec, Matrix, complement,
@@ -116,3 +118,20 @@ def quotient_basis(field: FieldSpec, ambient_dim: int,
     one = field.one()
     reps = [dense(field, {j: one}, ambient_dim) for j in chosen]
     return reps, Matrix(field, len(chosen), ambient_dim, tuple(images))
+
+
+def eliminated_inverse(m: Matrix) -> Optional[Matrix]:
+    """The inverse of a square matrix by elimination, or None if it is
+    not square or is singular: [A | 1] reduces to [1 | A⁻¹], A being the
+    transpose of m."""
+    n = m.cols
+    if m.rows != n:
+        return None
+    e = EchelonBasis(m.field.characteristic)
+    for j, col in enumerate(m.columns):
+        e.add({**col, n + j: e.one})
+    if any(i not in e.rows for i in range(n)):
+        return None
+    return Matrix(m.field, n, n,
+                  tuple({j - n: a for j, a in e.rows[i].items() if j >= n}
+                        for i in range(n)))

@@ -1,0 +1,440 @@
+"""Differential test of aut1 against the all-seed version it replaced,
+kept here as the reference together with the _Extension it used (which
+composed J with F and compared G with J∘F even when J is the
+identity).  The library extends only the seeds that the elements found
+so far do not reach, closes their object maps under composition and
+reads deck functors on demand from the star table; the reference
+extends every seed of the fibre and keeps every functor.  Both must
+give the same element names, table, seed fibre, object maps and
+functors, and refuse the same inputs with the same ValueError text.
+structure_iso, induced_grading, lambda_map and gset_analysis must
+return the same results on groups built by either.  The reference's
+only change is its last line: the new CoveringGroup takes the object
+maps and keeps the functors it is given.
+
+The last section counts extensions and built functors: on a Galois
+covering of degree n at most 1 + log2 n seeds are extended, and
+structure_iso builds no whole deck functor."""
+from math import ceil, log2
+from typing import Optional, Sequence
+
+import pytest
+
+import lincat.covering as covering
+import lincat.galois as galois
+from lincat import registry
+from lincat.covering import (CoveringGroup, CoveringMorphism,
+                             CoveringReport, aut1, check_covering, fibre,
+                             lambda_map, report_for)
+from lincat.exactlinalg import FieldSpec, Matrix
+from lincat.fixtures import (F2, Q, cover_f0, cyclic_cover,
+                             cyclic_reduction, disconnected_double_kronecker,
+                             kronecker, square_cover)
+from lincat.formats import functor_from_doc
+from lincat.galois import gset_analysis, is_galois, structure_iso
+from lincat.grading import grading_on_basis, induced_grading, smash
+from lincat.groups import Group
+from lincat.kcat import (Arrow, LinFunctor, QuiverPresentation,
+                         functor_compose, functor_equal, functor_from_arrows,
+                         functor_is_isomorphism, identity_functor,
+                         is_connected, present, validate_functor)
+
+F3 = FieldSpec(3)
+
+
+class ReferenceExtension:
+    """What extending morphisms F -> G over J needs that no seed changes,
+    built once per (F, G, J) and shared by every seed: J∘F, with each
+    basis image as a sparse column, whether J∘F and G are functors
+    (see extend_morphism), and the star table of G from
+    report_for(g, reports).  G must be a covering: a visited star block
+    that is not bijective raises ValueError."""
+
+    def __init__(self, f: LinFunctor, g: LinFunctor, j: LinFunctor,
+                 reports: Sequence[CoveringReport] = ()):
+        base = f.target
+        if g.target != base or j.source != base or j.target != base:
+            raise ValueError("functors do not share the base category")
+        if any(j.object_map[x] != x for x in base.objects):
+            raise ValueError("J must fix objects")
+        if not functor_is_isomorphism(j):
+            raise ValueError("J must be an isomorphism")
+        self.f, self.g = f, g
+        jf = functor_compose(j, f)
+        self.functorial = not validate_functor(jf) and (
+            functor_equal(g, jf) or not validate_functor(g))
+        self.image = {n: col for pair, m in jf.matrices.items()
+                      for n, col in zip(f.source.hom[pair], m.columns)}
+        self.stars = report_for(g, reports).stars
+
+    def star(self, x: str, b: str, direction: str
+             ) -> tuple[Matrix, list[tuple[str, int, int]]]:
+        """The star table's entry for G's star block at x towards the
+        fibre of b."""
+        entry = self.stars.get((x, b, direction))
+        if entry is None:
+            raise ValueError(
+                f"G is not a covering: star block at ({x}, {b}), "
+                f"{'outgoing' if direction == 'out' else 'incoming'} "
+                "half, is not bijective")
+        return entry
+
+    def extend(self, x0: str, d0: str) -> Optional[LinFunctor]:
+        """extend_morphism(F, G, J, x0, d0) on the shared data."""
+        f, g = self.f, self.g
+        c, d = f.source, g.source
+        if x0 not in c.objects or d0 not in d.objects:
+            raise ValueError("unknown seed objects")
+        if g.object_map[d0] != f.object_map[x0]:
+            raise ValueError(f"seed mismatch: G({d0}) != F({x0}) on the base")
+        omap = {x0: d0}
+        cols: dict[str, dict] = {}  # basis name -> column of H(name)
+        queue = [x0]
+        for x in queue:  # the queue grows while it is read
+            for direction, names, far in (("out", c.leaving[x], c.target_of),
+                                          ("in", c.arriving[x], c.source_of)):
+                for n in names:
+                    if n in cols:
+                        continue
+                    y = far(n)
+                    inv, owner = self.star(omap[x], f.object_map[y],
+                                           direction)
+                    cand = inv(self.image[n])
+                    if not cand:
+                        return None
+                    e, first, last = owner[min(cand)]
+                    if max(cand) > last:
+                        return None  # spread over several blocks
+                    if y not in omap:
+                        omap[y] = e
+                        queue.append(y)
+                    elif omap[y] != e:
+                        return None
+                    cols[n] = {i - first: a for i, a in cand.items()}
+        if len(omap) != len(c.objects):
+            raise ValueError("source category is not connected; "
+                             "the extension is not determined")
+        if not self.functorial:
+            return None
+        mats = {(x, y): Matrix(c.field, d.dim(omap[x], omap[y]),
+                               c.dim(x, y),
+                               tuple(cols[n] for n in c.hom[(x, y)]))
+                for (x, y) in c.pairs}
+        return LinFunctor(c, d, omap, mats)
+
+
+def reference_aut1(f: LinFunctor,
+         reports: Sequence[CoveringReport] = ()) -> CoveringGroup:
+    """All deck transformations of a covering with connected source,
+    found by seeding the first object x0 over its fibre.  f must be a
+    covering (see extend_morphism; its report is taken from reports or
+    made here); the star table and whether f is a functor are decided
+    once.  A star-bijective f that is not a
+    functor is not a covering: not even x0 ↦ x0 extends (ValueError).
+
+    The table rests on rigidity: a deck transformation is the unique
+    extension of its seed image h(x0), so
+    - h1∘h2 is the element whose seed image is h1(h2(x0));
+    - the extension of x0 ↦ x0 is the identity functor, named e;
+    - an element fixing any object y agrees with the identity at y, so it
+      is the identity: the action on objects is free.
+    No functor is composed or compared.
+    """
+    c = f.source
+    if not is_connected(c).connected:
+        raise ValueError("covering source is not connected")
+    x0 = c.objects[0]
+    fib = tuple(fibre(f, f.object_map[x0]))
+    ext = ReferenceExtension(f, f, identity_functor(f.target), reports)
+    functors: dict[str, LinFunctor] = {}
+    for d0 in fib:  # x0 comes first: fibres keep declaration order
+        h = ext.extend(x0, d0)
+        if h is None and d0 == x0:
+            raise ValueError("identity extension failed; input is not a covering")
+        if h is not None:
+            functors[f"g{len(functors)}" if functors else "e"] = h
+    by_seed = {h.object_map[x0]: n for n, h in functors.items()}
+    table = {(n1, n2): by_seed[h1.object_map[h2.object_map[x0]]]
+             for n1, h1 in functors.items() for n2, h2 in functors.items()}
+    group = Group(tuple(functors), "e", table)
+    return CoveringGroup(f, group,
+                         {n: h.object_map for n, h in functors.items()},
+                         x0, fib, built=functors)
+
+
+# -- inputs --------------------------------------------------------------------
+
+def twisted_cover(n: int, k: int, field: FieldSpec = Q) -> LinFunctor:
+    """cyclic_cover(n) with a_k sent to a + b: still a covering, but no
+    seed other than the first extends, so its deck group is trivial."""
+    fix = cyclic_cover(n, field)
+    omap = {x: x[0] for x in fix.total.category.objects}
+    images = {f"{arrow}{i}": {arrow: 1} for i in range(n) for arrow in "ab"}
+    images[f"a{k}"] = {"a": 1, "b": 1}
+    return functor_from_arrows(fix.total, fix.base.category, omap, images)
+
+
+def identity_not_kept() -> LinFunctor:
+    """F0 with F(1_s0) = 2·1_s: star-bijective but not a functor."""
+    f = cover_f0().functor
+    mats = dict(f.matrices)
+    mats[("s0", "s0")] = Matrix(f.source.field, 1, 1, ({0: 2},))
+    return LinFunctor(f.source, f.target, f.object_map, mats)
+
+
+def disconnected_source() -> LinFunctor:
+    dis, k = disconnected_double_kronecker(), kronecker()
+    omap = {"s": "s", "t": "t", "s'": "s", "t'": "t"}
+    return LinFunctor.on_basis(
+        dis.category, k.category, omap,
+        {"a": {"a": 1}, "b": {"b": 1}, "a'": {"a": 1}, "b'": {"b": 1},
+         "1_s": {"1_s": 1}, "1_t": {"1_t": 1},
+         "1_s'": {"1_s": 1}, "1_t'": {"1_t": 1}})
+
+
+def symmetric_group_3() -> Group:
+    """S3 as permutations of (0, 1, 2), with r a 3-cycle and f a swap."""
+    perms = {"e": (0, 1, 2), "r": (1, 2, 0), "r2": (2, 0, 1),
+             "f": (1, 0, 2), "rf": (2, 1, 0), "r2f": (0, 2, 1)}
+    name = {p: n for n, p in perms.items()}
+    return Group(tuple(perms), "e",
+                 {(s, t): name[tuple(p[q] for q in perms[t])]
+                  for s, p in perms.items() for t in perms})
+
+
+def s3_cover() -> LinFunctor:
+    """The smash of three parallel arrows graded e, r and f by S3: a
+    Galois covering whose deck group is not abelian."""
+    q = QuiverPresentation(("s", "t"), tuple(Arrow(a, "s", "t")
+                                             for a in "abc"), (), 1)
+    c = present(q, Q).category
+    z = grading_on_basis(c, symmetric_group_3(), {"a": "e", "b": "r",
+                                                  "c": "f"})
+    return smash(c, z).projection
+
+
+def registry_functors() -> dict[str, LinFunctor]:
+    out = {}
+    names = [n for n in registry.fixture_names() if n != "cyclic-cover-n"]
+    for name in names + [f"cyclic-cover-{n}" for n in range(1, 9)]:
+        for filename, doc in registry.fixture_files(name).items():
+            if isinstance(doc, dict) and doc["kind"] == "functor":
+                out[filename] = functor_from_doc(doc)
+    return out
+
+
+def cases() -> dict[str, LinFunctor]:
+    out = registry_functors()
+    for n in range(1, 9):
+        out[f"cyclic_cover({n})"] = cyclic_cover(n).functor
+    out["cyclic_cover(4) over F_2"] = cyclic_cover(4, F2).functor
+    out["cyclic_cover(6) over F_3"] = cyclic_cover(6, F3).functor
+    for n, m in ((2, 1), (4, 2), (6, 2), (6, 3), (8, 2), (8, 4)):
+        out[f"cyclic_reduction({n}, {m})"] = cyclic_reduction(n, m)[2]
+    out["square_cover"] = square_cover().functor
+    out["S3 cover"] = s3_cover()
+    out["twisted(5, 2)"] = twisted_cover(5, 2)
+    out["twisted(4, 0) over F_3"] = twisted_cover(4, 0, F3)
+    out["F(id) != id"] = identity_not_kept()
+    out["disconnected source"] = disconnected_source()
+    return out
+
+
+CASES = cases()
+
+
+def outcome(run, *args):
+    """The result, or the text of the ValueError refusing the input."""
+    try:
+        return run(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def assert_same_group(got: CoveringGroup, want: CoveringGroup) -> None:
+    assert got.covering is want.covering
+    assert got.group.elements == want.group.elements
+    assert got.group.identity == want.group.identity
+    assert got.group.table == want.group.table
+    assert got.seed_object == want.seed_object
+    assert got.seed_fibre == want.seed_fibre
+    assert got.object_maps == want.object_maps
+    for name in want.group.elements:
+        h = want.functor(name)
+        for n in h.source.basis_names():
+            assert got.apply_name(name, n) == h.apply_name(n), (name, n)
+        assert functor_equal(got.functor(name), h), name
+    assert list(got.functors) == list(want.functors)
+
+
+# -- aut1 ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_aut1_agrees_with_reference(name):
+    f = CASES[name]
+    want = outcome(reference_aut1, f)
+    for got in (outcome(aut1, f), outcome(aut1, f, [check_covering(f)])):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_group(got, want)
+
+
+def test_the_cases_reach_every_kind_of_result():
+    results = {name: outcome(reference_aut1, f) for name, f in CASES.items()}
+    refusals = {r for r in results.values() if isinstance(r, str)}
+    assert refusals == {
+        "identity extension failed; input is not a covering",
+        "covering source is not connected",
+        "G is not a covering: star block at (s0, t), outgoing half, "
+        "is not bijective"}
+    orders = {name: r.order() for name, r in results.items()
+              if not isinstance(r, str)}
+    assert orders["F2.json"] == orders["twisted(5, 2)"] == 1
+    assert orders["cyclic_cover(8)"] == 8
+    assert orders["cyclic_reduction(8, 2)"] == 4
+    assert orders["gdlp-C1.json"] == orders["square_cover"] == 2
+    assert orders["S3 cover"] == 6
+    assert not results["S3 cover"].group.is_abelian()
+
+
+# -- consumers, on groups built by aut1 and by the reference -------------------
+
+def with_reference(monkeypatch, run, *args):
+    """run(*args) with aut1 replaced by the reference wherever it is
+    called from."""
+    with monkeypatch.context() as m:
+        for module in (covering, galois):
+            m.setattr(module, "aut1", reference_aut1)
+        return outcome(run, *args)
+
+
+GALOIS = ["F0.json", "F1.json", "gdlp-C1.json", "cyclic_cover(1)",
+          "cyclic_cover(5)", "cyclic_cover(8)", "cyclic_cover(4) over F_2",
+          "cyclic_cover(6) over F_3", "cyclic_reduction(6, 2)", "S3 cover"]
+
+
+@pytest.mark.parametrize("name", GALOIS + ["F2.json", "twisted(5, 2)"])
+def test_structure_iso_agrees_on_reference_groups(monkeypatch, name):
+    f = CASES[name]
+    got = outcome(structure_iso, f)
+    want = with_reference(monkeypatch, structure_iso, f)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.problems == want.problems == []
+    assert functor_equal(got.iso, want.iso)
+    q, wq = got.quotient_result, want.quotient_result
+    assert q.quotient == wq.quotient
+    assert q.quotient.objects == wq.quotient.objects
+    assert q.quotient.hom == wq.quotient.hom
+    assert functor_equal(q.projection, wq.projection)
+    assert q.orbit_representatives == wq.orbit_representatives
+    assert q.deck_group.covering is q.projection
+    assert q.deck_group.seed_fibre == wq.deck_group.seed_fibre
+    assert q.deck_group.group.table == wq.deck_group.group.table
+    assert q.deck_group.object_maps == wq.deck_group.object_maps
+    for s, h in wq.deck_group.functors.items():
+        assert functor_equal(q.deck_group.functor(s), h)
+
+
+@pytest.mark.parametrize("name", GALOIS + ["F2.json", "twisted(5, 2)"])
+def test_induced_grading_agrees_on_reference_groups(monkeypatch, name):
+    f = CASES[name]
+    choices = [{b: fibre(f, b)[0] for b in f.target.objects},
+               {b: fibre(f, b)[-1] for b in f.target.objects}]
+    for choice in choices:
+        got = outcome(induced_grading, f, choice)
+        want = with_reference(monkeypatch, induced_grading, f, choice)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert got.group.table == want.group.table
+        assert got.basis == want.basis
+        assert got.degrees == want.degrees
+
+
+def reductions():
+    for n, m in ((2, 1), (4, 2), (6, 2), (6, 3), (8, 4)):
+        top, bottom, h = cyclic_reduction(n, m)
+        yield top.functor, bottom.functor, h
+
+
+def test_lambda_map_agrees_on_reference_groups(monkeypatch):
+    for f, g, h in reductions():
+        m = CoveringMorphism(h, identity_functor(f.target))
+        got = lambda_map(m, f, g)
+        want = with_reference(monkeypatch, lambda_map, m, f, g)
+        assert got.ok() and want.ok()
+        assert got.mapping == want.mapping
+        assert got.kernel == want.kernel
+        for res, wres in ((got.source_group, want.source_group),
+                          (got.target_group, want.target_group),
+                          (got.h_group, want.h_group)):
+            assert_same_group(res, wres)
+        assert (got.surjective, got.kernel_matches_h_group,
+                got.h_is_covering, got.h_is_galois) == \
+            (want.surjective, want.kernel_matches_h_group,
+             want.h_is_covering, want.h_is_galois)
+
+
+def test_gset_analysis_agrees_on_reference_groups(monkeypatch):
+    pairs = [(cyclic_cover(n).functor, cyclic_cover(m).functor)
+             for n, m in ((4, 2), (6, 3), (6, 2), (3, 3), (4, 1))]
+    pairs.append((CASES["S3 cover"], CASES["S3 cover"]))
+    pairs.append((CASES["F0.json"], CASES["F1.json"]))
+    pairs.append((CASES["F0.json"], CASES["F2.json"]))
+    for u, f in pairs:
+        got = outcome(gset_analysis, u, f)
+        want = with_reference(monkeypatch, gset_analysis, u, f)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert len(got.homs) == len(want.homs)
+        assert all(functor_equal(a, b) for a, b in zip(got.homs, want.homs))
+        assert got.action == want.action
+        assert (got.transitive, got.isotropy, got.isotropy_normal,
+                got.orbit_stabilizer_ok) == \
+            (want.transitive, want.isotropy, want.isotropy_normal,
+             want.orbit_stabilizer_ok)
+
+
+# -- cost ----------------------------------------------------------------------
+
+def counted_extensions(monkeypatch) -> list[str]:
+    """The seed image of every _Extension.extend call from here on."""
+    seeds: list[str] = []
+    real = covering._Extension.extend
+
+    def extend(self, x0, d0):
+        seeds.append(d0)
+        return real(self, x0, d0)
+
+    monkeypatch.setattr(covering._Extension, "extend", extend)
+    return seeds
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_only_generators_are_extended(monkeypatch, n):
+    f = cyclic_cover(n).functor
+    bound = 1 + ceil(log2(n))
+    seeds = counted_extensions(monkeypatch)
+    assert aut1(f).order() == n
+    assert len(seeds) <= bound
+    seeds.clear()
+    assert is_galois(f).galois
+    by_is_galois = len(seeds)
+    assert by_is_galois <= bound
+    seeds.clear()
+    induced_grading(f, {b: fibre(f, b)[0] for b in f.target.objects})
+    assert len(seeds) <= by_is_galois
+
+
+def test_structure_iso_builds_no_deck_functor(monkeypatch):
+    def refuse(self, name):
+        raise AssertionError(f"the functor of {name} was built")
+
+    monkeypatch.setattr(CoveringGroup, "functor", refuse)
+    res = structure_iso(cyclic_cover(16).functor)
+    assert res.ok()
+    assert res.quotient_result.deck_group.order() == 16

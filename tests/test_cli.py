@@ -645,6 +645,33 @@ def test_library_refusal_exit_2(workdir, tmp_path):
     assert err == "error: a is not in hom(t,t)\n"
 
 
+def test_grading_composing_into_a_zero_hom_exit_2(workdir, tmp_path):
+    # x -> y -> z with hom(x,z) = 0 and b∘a = a: validate reports the
+    # broken axiom, every grading command refuses the grading
+    from lincat.cohomology import Character
+    from lincat.formats import (character_to_doc, category_to_doc,
+                                dump_path, grading_to_doc)
+    from lincat.grading import grading_on_basis
+    from lincat.groups import cyclic_group
+    from grading_reference import composite_in_a_zero_hom
+    c = composite_in_a_zero_hom()
+    z = grading_on_basis(c, cyclic_group(2), {"a": "g", "b": "g"})
+    cat, grading, chi = (tmp_path / f"{n}.json"
+                         for n in ("cat", "grading", "chi"))
+    dump_path(cat, category_to_doc(c))
+    dump_path(grading, grading_to_doc(z))
+    dump_path(chi, character_to_doc(
+        Character(z.group, c.field, {"e": 1, "g": -1})))
+    code, out, _ = run(workdir, "validate", "--cat", str(cat))
+    assert code == 1 and "comp-range" in out
+    for argv in (("grade", "validate"), ("grade", "smash"),
+                 ("grade", "connected"), ("delta-inj",),
+                 ("delta", "--character", str(chi))):
+        code, out, err = run(workdir, *argv, "--grading", str(grading))
+        assert (code, out, err) == (2, "", "error: a is not in hom(x,z)\n"), \
+            argv
+
+
 def test_unwritable_output_exit_2(workdir, tmp_path):
     missing = tmp_path / "missing" / "x.json"
     code, out, err = run(workdir, "grade", "smash", "--grading",

@@ -2,7 +2,8 @@
 
 Random small matrices over Q and F_p, p in {2, 3, 5, 7}: rref, rank,
 kernel, solve, inverse and the arithmetic of Matrix against sympy's
-DomainMatrix; the Smith form
+DomainMatrix; the inverse of monomial and near-monomial matrices also
+against elimination; the Smith form
 against sympy's invariant factors over ZZ; and the greedy bases against
 the greedy-by-rank definition kept here as the reference.
 """
@@ -20,7 +21,8 @@ from lincat.exactlinalg import (  # noqa: E402
     EchelonBasis, FieldSpec, Matrix, dense, inverse, smith_normal_form,
 )
 from linalg_reference import (  # noqa: E402
-    column_space_basis, kernel_basis, quotient_basis, rank, rref, solve,
+    column_space_basis, eliminated_inverse, kernel_basis, quotient_basis,
+    rank, rref, solve,
 )
 
 PRIMES = (0, 2, 3, 5, 7)
@@ -162,6 +164,69 @@ def test_inverse(case):
         assert matrix_values(inv) == sympy_values(field, sm.inv())
         assert_stored_form(inv)
         assert inv @ m == m @ inv == Matrix.identity(field, m.rows)
+
+
+@st.composite
+def monomial_matrices(draw):
+    """(field, m, singular): m has one nonzero entry per column, in
+    distinct rows, unless it is singular by a repeated row or a zero
+    column; 0×0 and 1×1 included."""
+    p = draw(st.sampled_from(PRIMES))
+    field = FieldSpec(p)
+    n = draw(st.integers(0, 5))
+    rows = draw(st.permutations(range(n)))
+    if p == 0:
+        nonzero = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1),
+                            st.integers(1, 3))
+    else:
+        nonzero = st.integers(1, p - 1)
+    cols = [{i: field.scalar(draw(nonzero))} for i in rows]
+    kinds = ["invertible"] + ["zero column"] * (n > 0) + \
+        ["repeated row"] * (n > 1)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "repeated row":
+        j, k = draw(st.permutations(range(n)))[:2]
+        cols[j] = {min(cols[k]): cols[j][min(cols[j])]}
+    elif kind == "zero column":
+        cols[draw(st.integers(0, n - 1))] = {}
+    return field, Matrix(field, n, n, tuple(cols)), kind != "invertible"
+
+
+@settings(max_examples=300, derandomize=True)
+@given(monomial_matrices())
+def test_monomial_inverse(case):
+    field, m, singular = case
+    inv = inverse(m)
+    assert inv == eliminated_inverse(m)
+    if m.rows == 0:
+        assert inv == Matrix(field, 0, 0, ())
+        return
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    sm = to_sympy(field, rows, m.cols)
+    assert singular == (sm.det() == 0)
+    if singular:
+        assert inv is None
+    else:
+        assert matrix_values(inv) == sympy_values(field, sm.inv())
+        assert_stored_form(inv)
+        assert inv @ m == m @ inv == Matrix.identity(field, m.rows)
+
+
+def test_monomial_inverse_needs_no_elimination(monkeypatch):
+    import lincat.exactlinalg as exactlinalg
+
+    def refuse(*args):
+        raise AssertionError("a monomial matrix was eliminated")
+
+    monkeypatch.setattr(exactlinalg, "EchelonBasis", refuse)
+    q, f5 = FieldSpec(0), FieldSpec(5)
+    assert inverse(Matrix(q, 0, 0, ())) == Matrix(q, 0, 0, ())
+    assert inverse(Matrix(q, 1, 1, ({0: Fraction(-2, 3)},))) == \
+        Matrix(q, 1, 1, ({0: Fraction(-3, 2)},))
+    assert inverse(Matrix(f5, 2, 2, ({1: 2}, {0: 4}))) == \
+        Matrix(f5, 2, 2, ({1: 4}, {0: 3}))
+    assert inverse(Matrix(q, 1, 1, ({},))) is None
+    assert inverse(Matrix(f5, 2, 2, ({1: 2}, {1: 1}))) is None
 
 
 @settings(max_examples=100)

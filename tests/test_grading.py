@@ -2,6 +2,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from grading_reference import composite_in_a_zero_hom
+
 from lincat.covering import extend_morphism, fibre
 from lincat.exactlinalg import Matrix
 from lincat.fixtures import (F2, Q, cover_f0, cover_f1, identity_cover,
@@ -270,6 +272,22 @@ def test_smash_rejects_invalid_grading():
     z.degrees[("s", "t")] = ("e", "bogus")
     with pytest.raises(ValueError):
         smash(kronecker().category, z)
+
+
+def test_composite_in_a_zero_hom_is_refused():
+    # the product loop has nothing to compose into hom(x,z), so the
+    # refusal comes from the comp-range check that runs before it
+    c = composite_in_a_zero_hom()
+    assert [v.kind for v in validate_category(c)] == ["comp-range"]
+    z = grading_on_basis(c, cyclic_group(2), {"a": "g", "b": "g"})
+    for run in (validate_grading, lambda z: smash(c, z), regrade_by_e,
+                is_connected_grading):
+        with pytest.raises(ValueError, match=r"^a is not in hom\(x,z\)$"):
+            run(z)
+
+
+def regrade_by_e(z):
+    return regrade(z, {o: z.group.identity for o in z.category.objects})
 
 
 # -- round trips and coherence across the Galois fixtures -----------------

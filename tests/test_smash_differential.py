@@ -10,6 +10,7 @@ text.  The insertion order of `comp` may differ: dict equality and
 category_to_doc, which sorts its keys, do not see it."""
 import pytest
 
+from grading_reference import homogeneous_comb
 from lincat import grading, kcat
 from lincat.covering import fibre
 from lincat.exactlinalg import Matrix
@@ -89,8 +90,8 @@ def reference_smash(b: LinCat, z: Grading) -> SmashResult:
             if y2 != y or copy_of[gn] != h:
                 continue
             t = z.degrees[(y, w)][jg]
-            prod = compose(b, z.homogeneous_comb(y, w, jg),
-                           z.homogeneous_comb(x, y, jf))
+            prod = compose(b, homogeneous_comb(z, y, w, jg),
+                           homogeneous_comb(z, x, y, jf))
             if not prod:
                 continue
             comp[(gn, fn)] = lift(x, w, prod, g, grp.mul(t, s))

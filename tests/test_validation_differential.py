@@ -4,8 +4,10 @@ The library sums each Leibniz equation and each product of homogeneous
 columns from the raw structure constants; the references send every
 basis product through compose, comb_pair, Derivation.apply and vector.
 Both must return the same problem lists, in the same order, and refuse
-the same inputs with the same message, also on categories whose
-composites leave their hom space."""
+the same inputs with the same message.  On gradings, a category whose
+composites leave their hom space is refused by the library also where
+the hom space is zero, which the reference passes over; those inputs
+are compared apart."""
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from lincat.cohomology import (Derivation, characters, delta,
                                validate_derivation)
 from lincat.covering import fibre
 from lincat.exactlinalg import FieldSpec, Matrix, dense, inverse
+from grading_reference import homogeneous_comb
 from linalg_reference import row_major
 from lincat.fixtures import (F2, Q, cover_f1, cyclic_cover, kronecker,
                              loop_square_zero, square_cover)
@@ -22,7 +25,7 @@ from lincat.grading import (Grading, grading_on_basis, induced_grading,
                             trivial_grading, validate_grading)
 from lincat.groups import cyclic_group
 from lincat.kcat import (Arrow, LinCat, QuiverPresentation, comb_add,
-                         comb_eq, compose, present)
+                         comb_eq, comp_range_violations, compose, present)
 
 F3, F5 = FieldSpec(3), FieldSpec(5)
 
@@ -119,9 +122,9 @@ def reference_validate_grading(z):
             if y2 != y or (x, w) not in invs:
                 continue
             for jf, s in enumerate(z.degrees[(x, y)]):
-                f_comb = z.homogeneous_comb(x, y, jf)
+                f_comb = homogeneous_comb(z, x, y, jf)
                 for jg, t in enumerate(z.degrees[(y, w)]):
-                    g_comb = z.homogeneous_comb(y, w, jg)
+                    g_comb = homogeneous_comb(z, y, w, jg)
                     prod = compose(c, g_comb, f_comb)
                     if not prod:
                         continue
@@ -284,6 +287,13 @@ def grading_cases():
 
 
 GRADINGS = grading_cases()
+# the reference passes over a product whose hom space is zero, and so
+# accepts a category whose composite lands in one; the library refuses
+# every category composing outside its hom spaces, so the differential
+# runs on the others and test_composites_outside_hom_spaces_are_refused
+# covers these
+SOUND_GRADINGS = [z for z in GRADINGS
+                  if not comp_range_violations(z.category)]
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -326,10 +336,31 @@ def test_derivation_key_and_shape_problems_agree():
 
 def test_grading_problems_agree_on_fixtures():
     outcomes = [assert_same(validate_grading, reference_validate_grading, z)
-                for z in GRADINGS]
+                for z in SOUND_GRADINGS]
     assert outcomes[:14] == [[]] * 14
+    assert any(o for o in outcomes[14:])  # the wrong composites
+
+
+def test_composites_outside_hom_spaces_are_refused():
+    """A grading of a category composing outside its hom spaces is
+    refused with the term outside, as the reference refuses it wherever
+    its product loop reaches that term; where the hom space is zero the
+    reference passes over it."""
+    refused = []
+    for z in GRADINGS:
+        if not comp_range_violations(z.category):
+            continue
+        got = outcome(validate_grading, z)
+        assert got[0] == "ValueError", got
+        ref = outcome(reference_validate_grading, z)
+        if isinstance(ref, tuple):
+            assert got == ref
+        else:
+            assert got == ("ValueError", "a is not in hom(x,z)")
+        refused.append(got)
+    assert len(refused) == 9
     # the refusal `grade validate` reports with exit 2
-    assert ("ValueError", "a is not in hom(t,t)") in outcomes
+    assert ("ValueError", "a is not in hom(t,t)") in refused
 
 
 # -- perturbations -----------------------------------------------------------
@@ -354,7 +385,7 @@ def test_one_changed_derivation_entry(case, which, entry, value):
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
        st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 def test_one_swapped_degree_label(case, pair, column, label):
-    z = pick(GRADINGS, case)
+    z = pick(SOUND_GRADINGS, case)
     key = pick(sorted(z.degrees), pair)
     labels = list(z.degrees[key])
     labels[column % len(labels)] = pick(z.group.elements, label)
@@ -368,7 +399,7 @@ def test_one_swapped_degree_label(case, pair, column, label):
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
        st.integers(0, 10 ** 6), st.integers(-2, 3))
 def test_one_scaled_basis_column(case, pair, column, factor):
-    z = pick(GRADINGS, case)
+    z = pick(SOUND_GRADINGS, case)
     key = pick(sorted(z.basis), pair)
     m = z.basis[key]
     j = column % m.cols
