@@ -22,8 +22,8 @@ from typing import Optional, TextIO, Union
 from . import registry
 from .cohomology import delta, delta_injectivity_check, h1, is_inner, \
     validate_character
-from .covering import CoveringMorphism, CoveringReport, aut1, \
-    check_covering, extend_morphism, fibre, lambda_map
+from .covering import CoveringMorphism, aut1, check_covering, \
+    extend_morphism, fibre, lambda_map
 from .exactlinalg import FieldSpec
 from .formats import canonical_dumps, category_to_doc, functor_to_doc, \
     grading_to_doc, group_to_doc, hwalk_to_doc, load_value, matrix_to_doc
@@ -102,13 +102,14 @@ def _parse_assignments(pairs: Optional[list[str]], flag: str) -> dict:
     return out
 
 
-def _load_covering(path: str) -> CoveringReport:
-    """The check_covering report of the covering in a file, which carries
-    the functor; handlers pass it on so that no input is checked twice."""
-    report = check_covering(load_value(path, "functor"))
+def _load_covering(path: str) -> LinFunctor:
+    """The covering in a file, refused unless check_covering accepts it;
+    the report stays on the functor for the library to read."""
+    f = load_value(path, "functor")
+    report = check_covering(f)
     if not report.ok:
         raise InputError(f"{path}: not a covering: {report.message()}")
-    return report
+    return f
 
 
 def _write_doc(path: Optional[str], doc: dict, report: Report) -> None:
@@ -163,11 +164,14 @@ def _cmd_cover_check(args, report: Report) -> None:
     if res.failures:
         report.witnesses["failed star blocks"] = [
             list(t) for t in res.failures]
+    if res.violations:
+        v = res.violations[0]
+        report.witnesses["functor violation"] = {
+            "kind": v.kind, "where": list(v.where), "detail": v.detail}
 
 
 def _cmd_cover_aut1(args, report: Report) -> None:
-    checked = _load_covering(args.functor)
-    grp = aut1(checked.functor, [checked])
+    grp = aut1(_load_covering(args.functor))
     report.verdicts["order"] = grp.order()
     report.verdicts["isomorphism type"] = grp.label()
     report.witnesses["elements"] = list(grp.group.elements)
@@ -176,8 +180,7 @@ def _cmd_cover_aut1(args, report: Report) -> None:
 
 
 def _cmd_cover_extend(args, report: Report) -> None:
-    checked = [_load_covering(p) for p in (args.functor, args.to)]
-    f, g = (c.functor for c in checked)
+    f, g = _load_covering(args.functor), _load_covering(args.to)
     if f.target != g.target:
         raise InputError("the two coverings have different bases")
     x0 = args.object if args.object is not None else f.source.objects[0]
@@ -190,7 +193,7 @@ def _cmd_cover_extend(args, report: Report) -> None:
                 f"{d0!r} is not in the fibre over {f.object_map[x0]!r}")
     else:
         d0 = fibre(g, f.object_map[x0])[0]
-    h = extend_morphism(f, g, identity_functor(f.target), x0, d0, checked)
+    h = extend_morphism(f, g, identity_functor(f.target), x0, d0)
     report.verdicts["extends"] = h is not None
     report.messages.append(f"seed {x0} -> {d0}")
     if h is not None:
@@ -198,19 +201,17 @@ def _cmd_cover_extend(args, report: Report) -> None:
 
 
 def _cmd_cover_lambda(args, report: Report) -> None:
-    checked = [_load_covering(p) for p in (args.functor, args.to)]
-    f, g = (c.functor for c in checked)
+    f, g = _load_covering(args.functor), _load_covering(args.to)
     if f.target != g.target:
         raise InputError("the two coverings have different bases")
     x0 = f.source.objects[0]
     d0 = args.image if args.image is not None \
         else fibre(g, f.object_map[x0])[0]
-    h = extend_morphism(f, g, identity_functor(f.target), x0, d0, checked)
+    h = extend_morphism(f, g, identity_functor(f.target), x0, d0)
     if h is None:
         raise InputError("no morphism between the coverings from "
                          f"seed {x0} -> {d0}")
-    res = lambda_map(CoveringMorphism(h, identity_functor(f.target)), f, g,
-                     checked)
+    res = lambda_map(CoveringMorphism(h, identity_functor(f.target)), f, g)
     report.verdicts["surjective"] = res.surjective
     report.verdicts["kernel matches deck group of the morphism"] = \
         res.kernel_matches_h_group
@@ -250,18 +251,16 @@ def _cmd_galois_structure(args, report: Report) -> None:
 
 
 def _cmd_galois_homs(args, report: Report) -> None:
-    checked = [_load_covering(p) for p in (args.functor, args.to)]
-    u, f = (c.functor for c in checked)
-    homs = hom_coverings(u, f, checked)
+    homs = hom_coverings(_load_covering(args.functor),
+                         _load_covering(args.to))
     report.verdicts["morphisms"] = len(homs)
     report.witnesses["object maps"] = [
         _functor_witness(h)["object_map"] for h in homs]
 
 
 def _cmd_galois_universal(args, report: Report) -> None:
-    checked = [_load_covering(p) for p in [args.functor] + args.family]
-    u, *family = (c.functor for c in checked)
-    res = check_universal(u, family, checked)
+    u, *family = [_load_covering(p) for p in [args.functor] + args.family]
+    res = check_universal(u, family)
     report.verdicts["universal for the family"] = res.ok
     report.verdicts["seed pairs checked"] = res.pairs_checked
     if res.violations:
@@ -269,9 +268,8 @@ def _cmd_galois_universal(args, report: Report) -> None:
 
 
 def _cmd_galois_gset(args, report: Report) -> None:
-    checked = [_load_covering(p) for p in (args.functor, args.to)]
-    u, f = (c.functor for c in checked)
-    res = gset_analysis(u, f, checked)
+    res = gset_analysis(_load_covering(args.functor),
+                        _load_covering(args.to))
     report.verdicts["transitive"] = res.transitive
     report.verdicts["isotropy normal"] = res.isotropy_normal
     report.verdicts["orbit-stabilizer count"] = res.orbit_stabilizer_ok

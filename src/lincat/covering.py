@@ -1,7 +1,8 @@
 """Coverings of linear categories.
 
-A covering is a functor that is surjective on objects and restricts to
-isomorphisms between stars, block by block over each fibre.  Everything
+A covering is a k-linear functor that is surjective on objects and
+restricts to isomorphisms between stars, block by block over each fibre.
+check_covering decides all three, once per functor.  Everything
 else here rides on one rigidity fact: a morphism of coverings is
 determined by its value on a single object, so deck transformation groups
 are found by seeding one object over a fibre and propagating through star
@@ -16,22 +17,21 @@ between F(x) and b; it is kept as sparse columns, ordered by fibre
 position and then by basis position.  check_covering builds every star
 block in one pass over the nonzero hom pairs of the source and inverts
 each on its columns (a monomial block without elimination).  Its
-CoveringReport carries the star table, which holds the inverse of every
-bijective star block as a Matrix, and the functor it checked.
-Everything that extends morphisms into F takes a sequence of reports
-already made and uses the one made for F itself (report_for), so each
-star block is inverted once per covering and no report is read for
-another functor.
+CoveringReport carries validate_functor's violations and the star
+table, which holds the inverse of every bijective star block as a
+Matrix.  The report is kept on the functor it was made for, so every
+caller that needs a verdict or a star block of F calls check_covering(F)
+and each functor is validated and its stars inverted once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .exactlinalg import Matrix, inverse
 from .groups import Group
-from .kcat import (LinCat, LinComb, LinFunctor, functor_compose,
+from .kcat import (LinCat, LinComb, LinFunctor, Violation, functor_compose,
                    functor_equal, functor_is_isomorphism, identity_functor,
                    is_connected, validate_functor)
 
@@ -73,17 +73,18 @@ StarTable = dict[tuple[str, str, str],
 
 @dataclass
 class CoveringReport:
-    """check_covering's verdict on `functor`, with its star table."""
+    """check_covering's verdict, with its star table."""
     ok: bool
     surjective: bool
     failures: list[tuple[str, str, str]]  # (fibre object, base object, direction)
+    violations: list[Violation]  # validate_functor's
     stars: StarTable = field(default_factory=dict, repr=False, compare=False)
-    functor: Optional[LinFunctor] = field(default=None, repr=False,
-                                          compare=False)
 
     def message(self) -> str:
         if self.ok:
             return "covering: all star blocks bijective"
+        if self.violations:
+            return f"not a functor: {self.violations[0]}"
         if not self.surjective:
             return "not surjective on objects"
         x, b1, d = self.failures[0]
@@ -92,10 +93,20 @@ class CoveringReport:
 
 
 def check_covering(f: LinFunctor) -> CoveringReport:
-    """Object surjectivity plus per-fibre block bijectivity of both star
-    halves at every source object, with the inverse of every bijective
-    star block (the star table).  Each nonzero hom(x,y) of the source
-    adds its columns to the outgoing star of x towards F(y) and to the
+    """Whether f is a covering: a k-functor (validate_functor), surjective
+    on objects, with both star halves bijective block by block over each
+    fibre at every source object; with the inverse of every bijective
+    star block (the star table).  The report is made on the first call
+    and kept on f, which is never mutated (see LinFunctor): later calls
+    return the same report."""
+    if f._covering is None:
+        f._covering = _covering_report(f)
+    return f._covering
+
+
+def _covering_report(f: LinFunctor) -> CoveringReport:
+    """check_covering's work.  Each nonzero hom(x,y) of the source adds
+    its columns to the outgoing star of x towards F(y) and to the
     incoming star of y towards F(x); pairs run x-major in declaration
     order, so the columns fall in fibre order."""
     src, tgt, omap = f.source, f.target, f.object_map
@@ -121,18 +132,9 @@ def check_covering(f: LinFunctor) -> CoveringReport:
                     failures.append(key)
                 else:
                     stars[key] = (inv, owner.get(key, []))
-    return CoveringReport(surjective and not failures, surjective, failures,
-                          stars, f)
-
-
-def report_for(f: LinFunctor,
-               reports: Sequence[CoveringReport] = ()) -> CoveringReport:
-    """The report among reports that check_covering made for f itself,
-    otherwise a new check_covering(f)."""
-    for r in reports:
-        if r.functor is f:
-            return r
-    return check_covering(f)
+    violations = validate_functor(f)
+    return CoveringReport(surjective and not failures and not violations,
+                          surjective, failures, violations, stars)
 
 
 @dataclass
@@ -160,28 +162,25 @@ def validate_morphism(m: CoveringMorphism, f: LinFunctor,
     if m.h.source != f.source or m.h.target != g.source:
         problems.append("H does not run from the first covering to the second")
         return problems
-    if validate_functor(m.h):
+    if check_covering(m.h).violations:
         problems.append("H is not functorial")
     if not functor_equal(functor_compose(g, m.h), functor_compose(m.j, f)):
         problems.append("G∘H differs from J∘F")
     return problems
 
 
-def check_morphism(m: CoveringMorphism, f: LinFunctor, g: LinFunctor) -> bool:
-    return not validate_morphism(m, f, g)
-
-
 class _Extension:
     """What extending morphisms F -> G over J needs that no seed changes,
     built once per (F, G, J) and shared by every seed: J∘F, with each
     basis image as a sparse column, whether J∘F and G are functors
-    (see extend_morphism), and the star table of G from
-    report_for(g, reports).  When J is the identity, J∘F is F itself.
-    G must be a covering: a visited star block that is not bijective
-    raises ValueError."""
+    (see extend_morphism), and the star table of G, from
+    check_covering(g).  When J is the identity, J∘F is F itself and its
+    functoriality is read from check_covering(f); otherwise J∘F is
+    validated here, since it can be a functor when J is not.  G must be
+    a covering: a visited star block that is not bijective raises
+    ValueError."""
 
-    def __init__(self, f: LinFunctor, g: LinFunctor, j: LinFunctor,
-                 reports: Sequence[CoveringReport] = ()):
+    def __init__(self, f: LinFunctor, g: LinFunctor, j: LinFunctor):
         base = f.target
         if g.target != base or j.source != base or j.target != base:
             raise ValueError("functors do not share the base category")
@@ -190,16 +189,18 @@ class _Extension:
         if all(col == {i: 1} for m in j.matrices.values()
                for i, col in enumerate(m.columns)):
             jf = f  # J is the identity
+            jf_functor = not check_covering(f).violations
         elif functor_is_isomorphism(j):
             jf = functor_compose(j, f)
+            jf_functor = not validate_functor(jf)
         else:
             raise ValueError("J must be an isomorphism")
         self.f, self.g = f, g
-        self.functorial = not validate_functor(jf) and (
-            g is jf or functor_equal(g, jf) or not validate_functor(g))
+        report = check_covering(g)
+        self.functorial = jf_functor and not report.violations
         self.image = {n: col for pair, m in jf.matrices.items()
                       for n, col in zip(f.source.hom[pair], m.columns)}
-        self.stars = report_for(g, reports).stars
+        self.stars = report.stars
 
     def star(self, x: str, b: str, direction: str
              ) -> tuple[Matrix, list[tuple[str, int, int]]]:
@@ -277,14 +278,13 @@ class _Extension:
 
 
 def extend_morphism(f: LinFunctor, g: LinFunctor, j: LinFunctor,
-                    x0: str, d0: str,
-                    reports: Sequence[CoveringReport] = ()
-                    ) -> Optional[LinFunctor]:
+                    x0: str, d0: str) -> Optional[LinFunctor]:
     """The unique H with H(x0) = d0 and G∘H = J∘F, or None.
 
-    G must be a covering (every caller checks this, and may pass the
-    CoveringReport of G it made among reports); a star block of G that
-    propagation needs and that is not bijective raises ValueError.
+    G must be a covering; every caller checks this with check_covering,
+    whose report (kept on G) also supplies G's star table here.  A star
+    block of G that propagation needs and that is not bijective raises
+    ValueError.
 
     Rigidity: once H(x) is known, a basis morphism n out of or into x
     has H(n) inside G's star block at H(x) towards the fibre of the
@@ -296,11 +296,12 @@ def extend_morphism(f: LinFunctor, g: LinFunctor, j: LinFunctor,
     When G and J∘F are functors it is a morphism: G∘H = J∘F holds column
     by column, and G(H(g∘f)) = JF(g)∘JF(f) = G(H(g)∘H(f)), likewise for
     units, with G injective on each hom space; otherwise no seed extends.
-    The star table and both functoriality verdicts do not depend on the
-    seed: aut1, hom_coverings and check_universal build them once and
-    share them across their seeds.
+    F's and G's functoriality are read from check_covering; only J∘F
+    for a J other than the identity is validated, once per (F, G, J):
+    aut1, hom_coverings and check_universal share that work across
+    seeds.
     """
-    return _Extension(f, g, j, reports).extend(x0, d0)
+    return _Extension(f, g, j).extend(x0, d0)
 
 
 @dataclass
@@ -383,15 +384,12 @@ def _closure(x0: str, gens: list[dict[str, str]]
     return out
 
 
-def aut1(f: LinFunctor,
-         reports: Sequence[CoveringReport] = ()) -> CoveringGroup:
+def aut1(f: LinFunctor) -> CoveringGroup:
     """All deck transformations of a covering with connected source,
     found by seeding the first object x0 over its fibre and extending
-    generators only.  f must be a covering (see extend_morphism; its
-    report is taken from reports or made here); the star table and
-    whether f is a functor are decided once.  A star-bijective f that is
-    not a functor is not a covering: not even x0 ↦ x0 extends
-    (ValueError).
+    generators only.  f must be a covering: its check_covering report
+    refuses it otherwise (ValueError, with the report's message), and
+    supplies the star table.  A disconnected source is refused too.
 
     Everything rests on rigidity: a deck transformation is the unique
     extension of its seed image h(x0), so
@@ -412,20 +410,30 @@ def aut1(f: LinFunctor,
     functors are read on demand (see CoveringGroup).  No functor is
     composed or compared.
     """
+    grp = _deck_group(f)
+    if grp is None:
+        raise ValueError("covering source is not connected")
+    return grp
+
+
+def _deck_group(f: LinFunctor) -> Optional[CoveringGroup]:
+    """aut1(f), or None when the source of the covering f is not
+    connected."""
+    report = check_covering(f)
+    if not report.ok:
+        raise ValueError(f"not a covering: {report.message()}")
     c = f.source
     if not is_connected(c).connected:
-        raise ValueError("covering source is not connected")
+        return None
     x0 = c.objects[0]
     fib = tuple(fibre(f, f.object_map[x0]))
-    ext = _Extension(f, f, identity_functor(f.target), reports)
+    ext = _Extension(f, f, identity_functor(f.target))
     built: dict[str, LinFunctor] = {}  # seed image -> extended generator
     maps: dict[str, dict[str, str]] = {}  # seed image -> object map
-    for d0 in fib:  # x0 comes first: fibres keep declaration order
+    for d0 in fib:  # x0 comes first and extends to the identity
         if d0 in maps:
             continue
         h = ext.extend(x0, d0)
-        if h is None and d0 == x0:
-            raise ValueError("identity extension failed; input is not a covering")
         if h is not None:
             built[d0] = h
             maps = _closure(x0, [g.object_map for g in built.values()])
@@ -466,11 +474,11 @@ class LambdaResult:
                 and self.h_is_covering and self.h_is_galois)
 
 
-def lambda_map(m: CoveringMorphism, f: LinFunctor, g: LinFunctor,
-               reports: Sequence[CoveringReport] = ()) -> LambdaResult:
+def lambda_map(m: CoveringMorphism, f: LinFunctor,
+               g: LinFunctor) -> LambdaResult:
     """For each deck transformation h of F, the unique deck transformation
-    λ(h) of G with λ(h)∘H = H∘h; F and G must be coverings (their
-    check_covering reports may be passed on in reports).
+    λ(h) of G with λ(h)∘H = H∘h; F and G must be Galois coverings, and
+    every verdict on F, G and H is read from its check_covering report.
 
     By rigidity no composite is formed: H∘h is a morphism F -> G with
     seed image H(h(x0)), and G being Galois, exactly one deck
@@ -480,8 +488,8 @@ def lambda_map(m: CoveringMorphism, f: LinFunctor, g: LinFunctor,
     problems = validate_morphism(m, f, g)
     if problems:
         raise ValueError("invalid covering morphism: " + "; ".join(problems))
-    gf = aut1(f, reports)
-    gg = aut1(g, reports)
+    gf = aut1(f)
+    gg = aut1(g)
     for cover, grp in ((f, gf), (g, gg)):
         reason = galois_obstruction(cover, grp)
         if reason is not None:
@@ -497,11 +505,10 @@ def lambda_map(m: CoveringMorphism, f: LinFunctor, g: LinFunctor,
     surjective = set(mapping.values()) == set(gg.group.elements)
     kernel = tuple(n for n, v in mapping.items() if v == "e")
 
-    h_report = check_covering(m.h)
-    h_group = aut1(m.h, [h_report])
+    h_group = aut1(m.h)
     kernel_ok = (len(kernel) == h_group.order() and
                  all(h_group.name_of(gf.functor(n)) is not None
                      for n in kernel))
-    h_galois = h_report.ok and galois_obstruction(m.h, h_group) is None
+    h_galois = galois_obstruction(m.h, h_group) is None
     return LambdaResult(gf, gg, mapping, surjective, kernel, h_group,
-                        kernel_ok, h_report.ok, h_galois)
+                        kernel_ok, check_covering(m.h).ok, h_galois)

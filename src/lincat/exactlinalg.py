@@ -67,8 +67,13 @@ class FieldSpec:
         return 1
 
     def scalar(self, value):
-        """Coerce an int, Fraction, or decimal string into this field."""
+        """Coerce an int, a Fraction, or the string form parse reads
+        into this field."""
+        if isinstance(value, str):
+            return self.parse(value)
         p = self.characteristic
+        if type(value) is int:
+            return value % p if p else value
         fr = Fraction(value)
         if p == 0:
             return _q(fr)
@@ -412,71 +417,65 @@ def smith_normal_form(rows: Sequence[Sequence[int]], cols: Optional[int] = None)
     columns' generators).
 
     `cols` is only needed when `rows` is empty.
+
+    A row whose only nonzero entry is ±1 (a tree relator ±e_j of a
+    presentation) clears its column by row operations and so splits off
+    the factor 1.  Such rows are dropped with their columns, until none
+    is left, before the dense elimination runs on the rest.
     """
     m = [list(map(int, r)) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else (0 if cols is None else cols)
-    if cols is not None and nr and cols != nc:
+    nc = len(m[0]) if m else (0 if cols is None else cols)
+    if cols is not None and m and cols != nc:
         raise ValueError("cols disagrees with row length")
     for r in m:
         if len(r) != nc:
             raise ValueError("ragged rows")
-
-    def min_entry(t):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    diag = []
-    t = 0
-    while t < min(nr, nc):
-        pos = min_entry(t)
-        if pos is None:
-            break
-        while True:
-            i, j = pos
-            m[t], m[i] = m[i], m[t]
-            for r in m:
-                r[t], r[j] = r[j], r[t]
-            # clear column t by row operations
-            dirty = False
-            for i2 in range(nr):
-                if i2 != t and m[i2][t] != 0:
-                    q = m[i2][t] // m[t][t]
-                    for j2 in range(nc):
-                        m[i2][j2] -= q * m[t][j2]
-                    if m[i2][t] != 0:
-                        dirty = True
-            # clear row t by column operations
-            for j2 in range(nc):
-                if j2 != t and m[t][j2] != 0:
-                    q = m[t][j2] // m[t][t]
-                    for i2 in range(nr):
-                        m[i2][j2] -= q * m[i2][t]
-                    if m[t][j2] != 0:
-                        dirty = True
-            if dirty:
-                pos = min_entry(t)
-                continue
-            # pivot must divide every remaining entry for the chain d1 | d2 | ...
-            culprit = None
-            for i2 in range(t + 1, nr):
-                for j2 in range(t + 1, nc):
-                    if m[i2][j2] % m[t][t] != 0:
-                        culprit = (i2, j2)
-                        break
-                if culprit:
-                    break
-            if culprit is None:
-                break
-            # fold the offending column into column t and restart the pivot
-            i2, j2 = culprit
-            for i3 in range(nr):
-                m[i3][t] += m[i3][j2]
-            pos = min_entry(t)
-        diag.append(abs(m[t][t]))
-        t += 1
-    return diag + [0] * (nc - len(diag))
+    nz = [{j: a for j, a in enumerate(r) if a} for r in m]
+    units = [r for r in nz if len(r) == 1 and abs(*r.values()) == 1]
+    dropped: set[int] = set()
+    for r in units:  # the list grows while it is read
+        if len(r) == 1:  # not emptied by an earlier drop
+            j, = r
+            dropped.add(j)
+            for s in nz:
+                if s.pop(j, 0) and len(s) == 1 and abs(*s.values()) == 1:
+                    units.append(s)
+    keep = [j for j in range(nc) if j not in dropped]
+    m = [[r.get(j, 0) for j in keep] for r in nz if r]
+    diag = [1] * len(dropped)
+    while True:
+        # pivot on an entry of least absolute value, clear its row and
+        # column; a remainder is a smaller entry, so the pivot moves
+        entries = [(abs(a), i, j) for i, r in enumerate(m)
+                   for j, a in enumerate(r) if a]
+        if not entries:
+            return diag + [0] * (nc - len(diag))
+        _, i, j = min(entries)
+        p, pivot_row = m[i][j], m[i]
+        cleared = True
+        for k, r in enumerate(m):
+            if k != i and r[j]:
+                q = r[j] // p
+                m[k] = r = [a - q * b for a, b in zip(r, pivot_row)]
+                cleared = cleared and not r[j]
+        for c, a in enumerate(pivot_row):
+            if c != j and a:
+                q = a // p
+                for r in m:
+                    r[c] -= q * r[j]
+                cleared = cleared and not pivot_row[c]
+        if not cleared:
+            continue
+        # p must divide every remaining entry for the chain d1 | d2 | ...;
+        # otherwise add a row with an entry a it does not divide to the
+        # pivot row, and reduce a there by column j: a mod p is smaller
+        bad = next((r for r in m if any(a % p for a in r)), None)
+        if bad is not None:
+            c = next(c for c, a in enumerate(bad) if a % p)
+            m[i] = [a + b for a, b in zip(pivot_row, bad)]
+            m[i][c] %= p
+            continue
+        diag.append(abs(p))
+        del m[i]
+        for r in m:
+            del r[j]

@@ -103,8 +103,10 @@ def matrix_from_doc(field: FieldSpec, doc) -> Matrix:
     _require(isinstance(doc, list) and doc and
              all(isinstance(r, list) and len(r) == len(doc[0]) for r in doc),
              "matrix must be a non-empty rectangular array")
-    return Matrix.from_rows(
-        field, [[scalar_from_doc(field, a) for a in r] for r in doc])
+    rows = [[scalar_from_doc(field, a) for a in r] for r in doc]
+    return Matrix(field, len(rows), len(rows[0]),
+                  tuple({i: r[j] for i, r in enumerate(rows) if r[j]}
+                        for j in range(len(rows[0]))))
 
 def group_to_doc(g: Group) -> dict:
     return {"elements": list(g.elements), "identity": g.identity,

@@ -10,10 +10,10 @@ source, so quotient structure constants can be compared literally.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
-from .covering import (CoveringGroup, CoveringReport, _Extension, aut1,
-                       fibre, galois_obstruction, report_for)
+from .covering import (CoveringGroup, _deck_group, _Extension, fibre,
+                       galois_obstruction)
 from .groups import Group
 from .kcat import (LinCat, LinComb, LinFunctor, compose, functor_compose,
                    functor_equal, functor_is_isomorphism, identity_functor,
@@ -205,25 +205,22 @@ class GaloisResult:
     reason: Optional[str]
 
 
-def is_galois(f: LinFunctor,
-              reports: Sequence[CoveringReport] = ()) -> GaloisResult:
+def is_galois(f: LinFunctor) -> GaloisResult:
     """Connected source and deck group transitive on the seed fibre; the
-    free action makes transitivity equivalent to |group| = |fibre|.
-    f's check_covering is taken from reports or made here."""
-    report = report_for(f, reports)
-    if not report.ok:
-        raise ValueError(f"not a covering: {report.message()}")
-    if not is_connected(f.source).connected:
+    free action makes transitivity equivalent to |group| = |fibre|.  f
+    must be a covering: ValueError refuses it otherwise with its
+    check_covering message, as aut1 does, which also decides whether
+    the source is connected."""
+    grp = _deck_group(f)
+    if grp is None:
         return GaloisResult(False, None, "source category is not connected")
-    grp = aut1(f, [report])
     reason = galois_obstruction(f, grp)
     return GaloisResult(reason is None, grp, reason)
 
 
-def _galois_group(f: LinFunctor, reports: Sequence[CoveringReport] = ()
-                  ) -> CoveringGroup:
+def _galois_group(f: LinFunctor) -> CoveringGroup:
     """The deck group of a Galois covering; ValueError otherwise."""
-    gal = is_galois(f, reports)
+    gal = is_galois(f)
     if not gal.galois:
         raise ValueError(f"covering is not Galois: {gal.reason}")
     return gal.group
@@ -265,26 +262,21 @@ def structure_iso(f: LinFunctor) -> StructureIsoResult:
     return StructureIsoResult(qres, iso, problems)
 
 
-def hom_coverings(u: LinFunctor, f: LinFunctor,
-                  reports: Sequence[CoveringReport] = ()) -> list[LinFunctor]:
+def hom_coverings(u: LinFunctor, f: LinFunctor) -> list[LinFunctor]:
     """All morphisms (H, 1) from one Galois covering to another over the
-    same base, enumerated by seeding the first object across the fibre.
-    The check_covering reports of u and f are taken from reports or made
-    here."""
-    return _hom_coverings(u, f, reports)[0]
+    same base, enumerated by seeding the first object across the fibre."""
+    return _hom_coverings(u, f)[0]
 
 
-def _hom_coverings(u: LinFunctor, f: LinFunctor,
-                   reports: Sequence[CoveringReport]
+def _hom_coverings(u: LinFunctor, f: LinFunctor
                    ) -> tuple[list[LinFunctor], CoveringGroup]:
-    """hom_coverings(u, f, reports) and the deck group of u."""
+    """hom_coverings(u, f) and the deck group of u."""
     if u.target != f.target:
         raise ValueError("coverings do not share a base")
-    gu = _galois_group(u, reports)
-    f_report = report_for(f, reports)
-    _galois_group(f, [f_report])
+    gu = _galois_group(u)
+    _galois_group(f)
     u0 = u.source.objects[0]
-    ext = _Extension(u, f, identity_functor(u.target), [f_report])
+    ext = _Extension(u, f, identity_functor(u.target))
     out = []
     for c0 in fibre(f, u.object_map[u0]):
         h = ext.extend(u0, c0)
@@ -303,17 +295,16 @@ class GSetReport:
     action: dict[tuple[int, str], int]  # (hom index, deck element) -> index
 
 
-def gset_analysis(u: LinFunctor, f: LinFunctor,
-                  reports: Sequence[CoveringReport] = ()) -> GSetReport:
+def gset_analysis(u: LinFunctor, f: LinFunctor) -> GSetReport:
     """The right action of the deck group of U on the morphisms U -> F by
     precomposition; transitivity and normality of the isotropy subgroup
     are decided from the action table.
 
     The table is read from seed images: H∘h is a morphism U -> F sending
     u0 to H(h(u0)), and by rigidity it is the listed morphism with that
-    seed image.  reports are as for hom_coverings.
+    seed image.
     """
-    homs, gu = _hom_coverings(u, f, reports)
+    homs, gu = _hom_coverings(u, f)
     if not homs:
         raise ValueError("no morphisms between the coverings; "
                          "the action is empty")
@@ -346,24 +337,21 @@ class UniversalReport:
     violations: list[tuple[int, str, str]]  # (family index, u0, c0)
 
 
-def check_universal(u: LinFunctor, family: list[LinFunctor],
-                    reports: Sequence[CoveringReport] = ()
+def check_universal(u: LinFunctor, family: list[LinFunctor]
                     ) -> UniversalReport:
     """Relative universality: for every covering in the family and every
     compatible seed pair, a morphism (H, 1) out of u exists (uniqueness
     per seed is forced by rigidity).  No claim is made beyond the family.
-    Family members must be coverings (see extend_morphism); the
-    check_covering reports of u and of each member are taken from
-    reports or made here.
+    Family members must be coverings (see extend_morphism).
     """
-    _galois_group(u, reports)
+    _galois_group(u)
     j = identity_functor(u.target)
     violations = []
     checked = 0
     for idx, f in enumerate(family):
         if f.target != u.target:
             raise ValueError(f"family member {idx} has a different base")
-        ext = _Extension(u, f, j, reports)
+        ext = _Extension(u, f, j)
         for u0 in u.source.objects:
             for c0 in fibre(f, u.object_map[u0]):
                 checked += 1

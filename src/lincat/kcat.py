@@ -26,7 +26,7 @@ writes each image straight into a sparse column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dcfield
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -141,10 +141,7 @@ class LinCat:
              identities: dict[str, dict]) -> "LinCat":
         """Builder coercing plain ints/Fractions/strings to field elements."""
         def coerce(c: dict) -> LinComb:
-            out = {}
-            for n, v in c.items():
-                out[n] = field.parse(v) if isinstance(v, str) else field.scalar(v)
-            return out
+            return {n: field.scalar(v) for n, v in c.items()}
         return LinCat(field, tuple(objects), hom,
                       {k: coerce(v) for k, v in comp.items()},
                       {x: coerce(c) for x, c in identities.items()})
@@ -288,11 +285,18 @@ class LinFunctor:
     may be left out: it is restored as the zero-row matrix.  An
     object_map key or a block naming an object outside the source is
     refused.  Every block given is shape-checked, zero-column ones
-    included, and the first bad pair in object order is refused."""
+    included, and the first bad pair in object order is refused.
+
+    A functor is not mutated after construction: covering.check_covering
+    keeps its verdict in `_covering` and returns it on every later call.
+    That field takes no part in construction, equality or repr, so
+    `replace()` makes a functor with no verdict yet."""
     source: LinCat
     target: LinCat
     object_map: dict[str, str]
     matrices: dict[tuple[str, str], Matrix]
+    _covering: object = dcfield(default=None, init=False, compare=False,
+                                repr=False)
 
     def __post_init__(self):
         src, tgt, omap = self.source, self.target, self.object_map
@@ -350,7 +354,7 @@ class LinFunctor:
             fx, fy = object_map[x], object_map[y]
             cols = []
             for n in names:
-                comb = {m: (fld.parse(v) if isinstance(v, str) else fld.scalar(v))
+                comb = {m: fld.scalar(v)
                         for m, v in assignment.get(n, {}).items()}
                 cols.append(target.coords(comb, fx, fy))
             mats[(x, y)] = Matrix(fld, target.dim(fx, fy), len(cols),
@@ -698,10 +702,8 @@ def functor_from_arrows(src: PresentResult, target: LinCat,
     arrows.  Images of basis paths are computed by composing the arrow
     images in the target; the empty path goes to the identity."""
     fld = target.field
-    images: dict[str, LinComb] = {}
-    for a, img in arrow_images.items():
-        images[a] = {m: (fld.parse(v) if isinstance(v, str) else fld.scalar(v))
-                     for m, v in img.items()}
+    images = {a: {m: fld.scalar(v) for m, v in img.items()}
+              for a, img in arrow_images.items()}
     on_paths: dict[str, LinComb] = {}  # basis name -> its image
     for (x, _), rep_paths in src.basis_paths.items():
         for t in rep_paths:

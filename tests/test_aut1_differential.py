@@ -1,12 +1,14 @@
 """Differential test of aut1 against the all-seed version it replaced,
 kept here as the reference together with the _Extension it used (which
 composed J with F and compared G with J∘F even when J is the
-identity).  The library extends only the seeds that the elements found
+identity, and decided functoriality itself).  The library extends only the seeds that the elements found
 so far do not reach, closes their object maps under composition and
 reads deck functors on demand from the star table; the reference
 extends every seed of the fibre and keeps every functor.  Both must
 give the same element names, table, seed fibre, object maps and
-functors, and refuse the same inputs with the same ValueError text.
+functors, and refuse the same inputs: a disconnected source with the
+same ValueError text, a non-covering with the message of its
+check_covering report, which decides functoriality as well.
 structure_iso, induced_grading, lambda_map and gset_analysis must
 return the same results on groups built by either.  The reference's
 only change is its last line: the new CoveringGroup takes the object
@@ -16,16 +18,15 @@ The last section counts extensions and built functors: on a Galois
 covering of degree n at most 1 + log2 n seeds are extended, and
 structure_iso builds no whole deck functor."""
 from math import ceil, log2
-from typing import Optional, Sequence
+from typing import Optional
 
 import pytest
 
 import lincat.covering as covering
 import lincat.galois as galois
 from lincat import registry
-from lincat.covering import (CoveringGroup, CoveringMorphism,
-                             CoveringReport, aut1, check_covering, fibre,
-                             lambda_map, report_for)
+from lincat.covering import (CoveringGroup, CoveringMorphism, aut1,
+                             check_covering, fibre, lambda_map)
 from lincat.exactlinalg import FieldSpec, Matrix
 from lincat.fixtures import (F2, Q, cover_f0, cyclic_cover,
                              cyclic_reduction, disconnected_double_kronecker,
@@ -47,11 +48,10 @@ class ReferenceExtension:
     built once per (F, G, J) and shared by every seed: J∘F, with each
     basis image as a sparse column, whether J∘F and G are functors
     (see extend_morphism), and the star table of G from
-    report_for(g, reports).  G must be a covering: a visited star block
-    that is not bijective raises ValueError."""
+    check_covering(g).  G must be a covering: a visited star block that
+    is not bijective raises ValueError."""
 
-    def __init__(self, f: LinFunctor, g: LinFunctor, j: LinFunctor,
-                 reports: Sequence[CoveringReport] = ()):
+    def __init__(self, f: LinFunctor, g: LinFunctor, j: LinFunctor):
         base = f.target
         if g.target != base or j.source != base or j.target != base:
             raise ValueError("functors do not share the base category")
@@ -65,7 +65,7 @@ class ReferenceExtension:
             functor_equal(g, jf) or not validate_functor(g))
         self.image = {n: col for pair, m in jf.matrices.items()
                       for n, col in zip(f.source.hom[pair], m.columns)}
-        self.stars = report_for(g, reports).stars
+        self.stars = check_covering(g).stars
 
     def star(self, x: str, b: str, direction: str
              ) -> tuple[Matrix, list[tuple[str, int, int]]]:
@@ -123,13 +123,11 @@ class ReferenceExtension:
         return LinFunctor(c, d, omap, mats)
 
 
-def reference_aut1(f: LinFunctor,
-         reports: Sequence[CoveringReport] = ()) -> CoveringGroup:
+def reference_aut1(f: LinFunctor) -> CoveringGroup:
     """All deck transformations of a covering with connected source,
     found by seeding the first object x0 over its fibre.  f must be a
-    covering (see extend_morphism; its report is taken from reports or
-    made here); the star table and whether f is a functor are decided
-    once.  A star-bijective f that is not a
+    covering (see extend_morphism); the star table and whether f is a
+    functor are decided once.  A star-bijective f that is not a
     functor is not a covering: not even x0 ↦ x0 extends (ValueError).
 
     The table rests on rigidity: a deck transformation is the unique
@@ -145,7 +143,7 @@ def reference_aut1(f: LinFunctor,
         raise ValueError("covering source is not connected")
     x0 = c.objects[0]
     fib = tuple(fibre(f, f.object_map[x0]))
-    ext = ReferenceExtension(f, f, identity_functor(f.target), reports)
+    ext = ReferenceExtension(f, f, identity_functor(f.target))
     functors: dict[str, LinFunctor] = {}
     for d0 in fib:  # x0 comes first: fibres keep declaration order
         h = ext.extend(x0, d0)
@@ -271,9 +269,13 @@ def assert_same_group(got: CoveringGroup, want: CoveringGroup) -> None:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_aut1_agrees_with_reference(name):
+    """Twice: the second call reads the report kept on f."""
     f = CASES[name]
     want = outcome(reference_aut1, f)
-    for got in (outcome(aut1, f), outcome(aut1, f, [check_covering(f)])):
+    report = check_covering(f)
+    if isinstance(want, str) and not report.ok:
+        want = f"not a covering: {report.message()}"
+    for got in (outcome(aut1, f), outcome(aut1, f)):
         if isinstance(want, str):
             assert got == want
         else:
@@ -300,12 +302,20 @@ def test_the_cases_reach_every_kind_of_result():
 
 # -- consumers, on groups built by aut1 and by the reference -------------------
 
+def reference_deck_group(f: LinFunctor) -> Optional[CoveringGroup]:
+    """covering._deck_group, which is_galois calls, on the reference:
+    None for a disconnected source."""
+    if not is_connected(f.source).connected:
+        return None
+    return reference_aut1(f)
+
+
 def with_reference(monkeypatch, run, *args):
     """run(*args) with aut1 replaced by the reference wherever it is
     called from."""
     with monkeypatch.context() as m:
-        for module in (covering, galois):
-            m.setattr(module, "aut1", reference_aut1)
+        m.setattr(covering, "aut1", reference_aut1)
+        m.setattr(galois, "_deck_group", reference_deck_group)
         return outcome(run, *args)
 
 

@@ -53,7 +53,7 @@ def functor_values(f: LinFunctor):
         for col in inv.columns:
             yield from ((f"star inverse{key}", v) for v in col.values())
     if report.ok and is_connected(f.source).connected:
-        for s, h in aut1(f, [report]).functors.items():
+        for s, h in aut1(f).functors.items():
             yield from block_values(h, f"aut1 {s}")
 
 

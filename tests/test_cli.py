@@ -122,17 +122,42 @@ def test_exit_code_matches_boolean_verdicts(workdir, argv):
       "--to", "cyclic-cover-2.json"), 3),
 ], ids=lambda a: " ".join(a) if isinstance(a, tuple) else str(a))
 def test_each_covering_is_checked_once(workdir, monkeypatch, argv, checks):
+    """check_covering makes one report per functor, whoever asks."""
     import lincat.covering as covering
     calls = []
 
-    def counted(f, _real=covering.check_covering):
+    def counted(f, _real=covering._covering_report):
         calls.append(f)
         return _real(f)
-    for module in (cli, covering):
-        monkeypatch.setattr(module, "check_covering", counted)
+    monkeypatch.setattr(covering, "_covering_report", counted)
     code, _, _ = run(workdir, *argv)
     assert code == 0
-    assert len(calls) == checks
+    assert len(calls) == len({id(f) for f in calls}) == checks
+
+
+@pytest.mark.parametrize("argv,functors", [
+    # the two inputs and the morphism H between them
+    (("cover", "lambda", "--functor", "cyclic-cover-4.json",
+      "--to", "cyclic-cover-2.json"), 3),
+    (("galois", "homs", "--functor", "cyclic-cover-4.json",
+      "--to", "cyclic-cover-2.json"), 2),
+], ids=lambda a: " ".join(a) if isinstance(a, tuple) else str(a))
+def test_each_functor_is_validated_once(workdir, monkeypatch, argv,
+                                        functors):
+    import sys
+    from lincat import kcat
+    real, calls = kcat.validate_functor, []
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lincat") and \
+                getattr(module, "validate_functor", None) is real:
+            monkeypatch.setattr(module, "validate_functor", counted)
+    code, _, _ = run(workdir, *argv)
+    assert code == 0
+    assert len(calls) == len({id(f) for f in calls}) == functors
 
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
@@ -335,6 +360,49 @@ def test_not_a_covering_exit_2(workdir, argv, names_file):
     assert "not a covering" in err
     if names_file:
         assert "corrupted.json" in err
+
+
+def _f0_not_a_functor(workdir, tmp_path) -> str:
+    """F0 with its s0->s0 block set to [2]: every star block is
+    bijective, but F(1_s0) = 2·1_s, so it is not a functor."""
+    def scale_identity(d):
+        d["matrices"]["s0"]["s0"] = [["2"]]
+    return _edited(workdir, tmp_path, "F0.json", scale_identity)
+
+
+F0_UNIT = "functor-unit at ('s0',): F(id_s0) = (2)*1_s ≠ id_s"
+
+
+def test_cover_check_refuses_a_non_functor(workdir, tmp_path):
+    path = _f0_not_a_functor(workdir, tmp_path)
+    code, doc, _ = run_json(workdir, "cover", "check", "--functor", path)
+    assert code == 1
+    assert doc["verdicts"] == {"covering": False}
+    assert doc["messages"] == [f"not a functor: {F0_UNIT}"]
+    assert doc["witnesses"] == {"functor violation": {
+        "kind": "functor-unit", "where": ["s0"],
+        "detail": "F(id_s0) = (2)*1_s ≠ id_s"}}
+
+
+@pytest.mark.parametrize("command", [
+    ("cover", "aut1", "--functor", "{bad}"),
+    ("cover", "extend", "--functor", "F0.json", "--to", "{bad}"),
+    ("cover", "extend", "--functor", "{bad}", "--to", "F0.json"),
+    ("cover", "lambda", "--functor", "{bad}", "--to", "F0.json"),
+    ("galois", "check", "--functor", "{bad}"),
+    ("galois", "structure", "--functor", "{bad}"),
+    ("galois", "homs", "--functor", "F0.json", "--to", "{bad}"),
+    ("galois", "universal", "--functor", "F0.json", "--family", "{bad}"),
+    ("galois", "gset", "--functor", "{bad}", "--to", "F0.json"),
+    ("grade", "induce", "--functor", "{bad}"),
+], ids=" ".join)
+def test_covering_commands_refuse_a_non_functor(workdir, tmp_path, command):
+    path = _f0_not_a_functor(workdir, tmp_path)
+    code, out, err = run(workdir, *(path if a == "{bad}" else a
+                                    for a in command))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.endswith(f"not a covering: not a functor: {F0_UNIT}\n")
 
 
 def test_grade_induce_non_surjective_exit_2(workdir, tmp_path):

@@ -1,10 +1,12 @@
 """Coverings: star counts, the covering criterion, unique extension of
 morphisms, deck groups, and the induced map between deck groups."""
+from dataclasses import replace
+
 import pytest
 
 from lincat.covering import (CoveringMorphism, aut1, check_covering,
-                             check_morphism, extend_morphism, fibre,
-                             galois_obstruction, lambda_map, star)
+                             extend_morphism, fibre, galois_obstruction,
+                             lambda_map, star, validate_morphism)
 from lincat.fixtures import (Q, corrupted_collapse, cover_f0, cover_f1,
                              cover_f2, cyclic_cover, cyclic_reduction,
                              disconnected_double_kronecker, identity_cover,
@@ -174,14 +176,25 @@ def test_aut1_checks_functoriality_once_whatever_the_fibre(monkeypatch):
     assert counts[0] == counts[1] == counts[2], counts
 
 
-def test_a_report_is_read_only_for_the_functor_it_checked():
-    """aut1 takes its star table from the report made for its own
-    functor; a report of another covering is passed over, not read."""
+def test_a_report_is_made_once_per_functor():
+    """check_covering keeps its report on the functor it checked: the
+    same report comes back for that functor, and another functor, even
+    an equal one or a replace() copy, gets its own.  The kept report
+    takes no part in equality or repr."""
     good, bad = cover_f0().functor, corrupted_collapse().functor
-    assert check_covering(good).functor is good
+    twin, copy = cover_f0().functor, replace(good)
+    assert good == twin == copy
+    report = check_covering(good)
+    assert check_covering(good) is report
+    assert good == twin and repr(good) == repr(twin)
+    for other in (twin, copy, bad):
+        assert check_covering(other) is not report
+        assert check_covering(other) is check_covering(other)
+    assert check_covering(twin) == report and check_covering(twin).ok
+    assert not check_covering(bad).ok
     with pytest.raises(ValueError, match="not bijective"):
-        aut1(bad, [check_covering(good)])
-    assert aut1(good, [check_covering(bad)]).order() == 2
+        aut1(bad)
+    assert aut1(good).order() == 2
 
 
 def test_aut1_elements_fix_no_object():
@@ -210,7 +223,7 @@ def test_swap_is_a_self_morphism_of_the_symmetric_cover():
     fix = cover_f0()
     m = CoveringMorphism(swap_functor(fix.total),
                          identity_functor(fix.base.category))
-    assert check_morphism(m, fix.functor, fix.functor)
+    assert not validate_morphism(m, fix.functor, fix.functor)
 
 
 def test_base_change_morphism_between_the_two_galois_covers():
@@ -221,11 +234,11 @@ def test_base_change_morphism_between_the_two_galois_covers():
                              "1_s": {"1_s": 1}, "1_t": {"1_t": 1}})
     assert functor_is_isomorphism(j)
     m = CoveringMorphism(identity_functor(f0.total.category), j)
-    assert check_morphism(m, f0.functor, f1.functor)
+    assert not validate_morphism(m, f0.functor, f1.functor)
     # without the base change the two coverings differ
     m_bad = CoveringMorphism(identity_functor(f0.total.category),
                              identity_functor(k))
-    assert not check_morphism(m_bad, f0.functor, f1.functor)
+    assert validate_morphism(m_bad, f0.functor, f1.functor)
 
 
 # -- the induced map between deck groups --------------------------------------
@@ -233,7 +246,7 @@ def test_base_change_morphism_between_the_two_galois_covers():
 def test_lambda_on_the_cyclic_tower():
     top, bottom, h = cyclic_reduction(4, 2)
     m = CoveringMorphism(h, identity_functor(top.base.category))
-    assert check_morphism(m, top.functor, bottom.functor)
+    assert not validate_morphism(m, top.functor, bottom.functor)
     res = lambda_map(m, top.functor, bottom.functor)
     assert res.source_group.label() == "C4"
     assert res.target_group.label() == "C2"

@@ -44,6 +44,42 @@ class TestScalar:
     """Field elements as FieldSpec makes them: over Q ints when integral
     and Fractions otherwise, ints in [0, p) over F_p."""
 
+    @pytest.mark.parametrize("p", [0, 2, 3, 5])
+    def test_scalar_and_parse_agree(self, p):
+        """scalar of an int, a Fraction or a string form, and parse of
+        the string form, give the same canonical value, computed here by
+        Fraction arithmetic; a denominator that p divides raises
+        ZeroDivisionError from both."""
+        field = FieldSpec(p)
+
+        def want(fr):
+            if p == 0:
+                return fr.numerator if fr.denominator == 1 else fr
+            return fr.numerator * pow(fr.denominator, -1, p) % p
+
+        cases = [(v, str(v)) for v in (0, 1, -1, 2, 7, -12, 10 ** 20 + 3)]
+        cases += [(Fraction(a, b), f"{a}/{b}")
+                  for a, b in ((3, 4), (-7, 9), (10, 5), (1, 2), (4, 3),
+                               (2, 5), (6, 10))]
+        cases += [(Fraction(3, 4), "3/4"), (-1, "-1")]
+        for value, text in cases:
+            fr = Fraction(value)
+            if p and fr.denominator % p == 0:
+                for run, arg in ((field.scalar, value), (field.scalar, text),
+                                 (field.parse, text)):
+                    with pytest.raises(ZeroDivisionError):
+                        run(arg)
+                continue
+            got = [field.scalar(value), field.scalar(text), field.parse(text)]
+            assert got == [want(fr)] * 3, (p, value)
+            assert all(type(a) is type(want(fr)) for a in got), (p, value)
+        if p == 5:
+            assert field.scalar("2 mod 5") == field.parse("2 mod 5") == 2
+            assert field.scalar("7 mod 5") == field.parse("7 mod 5") == 2
+        for run in (field.scalar, field.parse):
+            with pytest.raises(ValueError):
+                run("2 mod 7" if p else "2 mod 5")
+
     def test_parse_roundtrip_rational(self):
         for text in ("3/4", "-1", "0", "7", "-22/7"):
             s = QQ.parse(text)

@@ -3,7 +3,7 @@
 Random small matrices over Q and F_p, p in {2, 3, 5, 7}: rref, rank,
 kernel, solve, inverse and the arithmetic of Matrix against sympy's
 DomainMatrix; the inverse of monomial and near-monomial matrices also
-against elimination; the Smith form
+against elimination; the Smith form, also with planted unit rows,
 against sympy's invariant factors over ZZ; and the greedy bases against
 the greedy-by-rank definition kept here as the reference.
 """
@@ -265,6 +265,30 @@ def test_smith_normal_form(nr, nc, data):
     rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=nc,
                                        max_size=nc),
                               min_size=nr, max_size=nr))
+    want = [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows),
+                                                     domain=sympy.ZZ)]
+    want += [0] * (nc - len(want))
+    assert smith_normal_form(rows) == want
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_smith_normal_form_with_unit_rows(nc, data):
+    """Random rows mixed with planted rows ±e_j, some repeated, and rows
+    ±e_j ± e_k that become unit rows once column k is dropped, as the
+    tree relators of a presentation do; in shuffled order."""
+    entry = st.integers(-6, 6)
+    rows = data.draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                              max_size=3))
+    for _ in range(data.draw(st.integers(1, 4))):
+        j = data.draw(st.integers(0, nc - 1))
+        row = [0] * nc
+        row[j] = data.draw(st.sampled_from([1, -1]))
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, nc - 1))
+            row[k] += data.draw(st.sampled_from([1, -1, 2]))
+        rows.append(row)
+    rows = data.draw(st.permutations(rows))
     want = [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows),
                                                      domain=sympy.ZZ)]
     want += [0] * (nc - len(want))

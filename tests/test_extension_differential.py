@@ -195,11 +195,15 @@ ARROWS_F0 = {"a0": {"a": 1}, "a1": {"a": 1}, "b0": {"b": 1}, "b1": {"b": 1}}
 
 def unscaled_f0(fix):
     """F0 with 1_s0 sent to 2·1_s: every star block is bijective, but it
-    is not a functor."""
+    is not a functor, so it is not a covering."""
     f = functor_from_arrows(fix.total, fix.base.category,
                             fix.functor.object_map, ARROWS_F0)
-    f.matrices[("s0", "s0")] = Matrix.from_rows(FieldSpec(0), [[2]])
-    assert check_covering(f).ok and validate_functor(f)
+    f = LinFunctor(f.source, f.target, f.object_map,
+                   {**f.matrices,
+                    ("s0", "s0"): Matrix.from_rows(FieldSpec(0), [[2]])})
+    report = check_covering(f)
+    assert report.surjective and not report.failures and report.stars
+    assert not report.ok and report.violations == validate_functor(f) != []
     return f
 
 
