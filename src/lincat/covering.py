@@ -458,7 +458,8 @@ def galois_obstruction(f: LinFunctor, grp: CoveringGroup) -> Optional[str]:
 @dataclass
 class LambdaResult:
     """The induced homomorphism between deck groups of a morphism of
-    Galois coverings, with its kernel identified as the deck group of H."""
+    Galois coverings, with its kernel identified as the deck group of H.
+    H is a covering: aut1(H) refuses one that is not."""
     source_group: CoveringGroup
     target_group: CoveringGroup
     mapping: dict[str, str]
@@ -466,12 +467,11 @@ class LambdaResult:
     kernel: tuple[str, ...]
     h_group: CoveringGroup
     kernel_matches_h_group: bool
-    h_is_covering: bool
     h_is_galois: bool
 
     def ok(self) -> bool:
         return (self.surjective and self.kernel_matches_h_group
-                and self.h_is_covering and self.h_is_galois)
+                and self.h_is_galois)
 
 
 def lambda_map(m: CoveringMorphism, f: LinFunctor,
@@ -511,4 +511,4 @@ def lambda_map(m: CoveringMorphism, f: LinFunctor,
                      for n in kernel))
     h_galois = galois_obstruction(m.h, h_group) is None
     return LambdaResult(gf, gg, mapping, surjective, kernel, h_group,
-                        kernel_ok, check_covering(m.h).ok, h_galois)
+                        kernel_ok, h_galois)

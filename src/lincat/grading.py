@@ -16,8 +16,7 @@ from typing import Optional
 
 from .exactlinalg import EchelonBasis, Matrix, dense, inverse
 from .groups import Group, trivial_group
-from .kcat import (LinCat, LinComb, LinFunctor, _product,
-                   comp_range_violations, identity_functor)
+from .kcat import LinCat, LinComb, LinFunctor, _product, identity_functor
 from .covering import fibre
 from .galois import is_galois
 
@@ -60,8 +59,7 @@ def grading_on_basis(c: LinCat, group: Group,
 def validate_grading(z: Grading) -> list[str]:
     """Empty iff z is a grading: invertible change of basis everywhere,
     degree labels in the group, identities of degree e, and composites of
-    homogeneous elements homogeneous of the product degree.  A category
-    composing outside its hom spaces is refused with ValueError."""
+    homogeneous elements homogeneous of the product degree."""
     return _validated(z)[0]
 
 
@@ -82,8 +80,7 @@ def _validated(z: Grading) -> tuple[list[str], dict, dict, dict]:
     f = (x, y, jf) the jf-th homogeneous column of hom(x,y) and
     g = (y, w, jg), the coordinates of each nonzero g∘f in the
     homogeneous basis of hom(x,w).  The last two are empty when a block
-    is malformed.  A category that composes outside its hom spaces is
-    refused (ValueError), also where that hom space is zero."""
+    is malformed."""
     problems: list[str] = []
     c = z.category
     grp = z.group
@@ -118,18 +115,12 @@ def _validated(z: Grading) -> tuple[list[str], dict, dict, dict]:
         invs[pair] = inv
     if problems:
         return problems, invs, {}, {}
-    bad = comp_range_violations(c)
-    if bad:
-        g, f = bad[0].where
-        x, w = c.source_of(f), c.target_of(g)
-        n = next(n for n in c.comp[(g, f)] if c.pair_of(n) != (x, w))
-        raise ValueError(f"{n} is not in hom({x},{w})")
 
     def support_degrees(coords, pair) -> set:
         return {z.degrees[pair][j] for j in coords}
 
     ids = {x: invs[(x, x)](c.coords(c.identities[x], x, x))
-           if (x, x) in invs else {} for x in c.objects}
+           for x in c.objects}
     for x, coords in ids.items():
         degs = support_degrees(coords, (x, x))
         if degs - {grp.identity}:

@@ -663,26 +663,50 @@ def test_h1_on_non_category_exit_2(workdir, tmp_path):
     def break_unit(d):
         d["comp"]["1_y"]["a"]["a"] = "0 mod 2"
     path = _edited(workdir, tmp_path, "gdlp-base.json", break_unit)
-    code, out, _ = run(workdir, "validate", "--cat", path)
-    assert code == 1 and "unit-left" in out
-    code, out, err = run(workdir, "h1", "--cat", path)
-    assert code == 2
-    assert out == ""
-    assert "not a category" in err and "Traceback" not in err
+    for command in ("validate", "h1"):
+        code, out, err = run(workdir, command, "--cat", path)
+        assert (code, out) == (2, ""), command
+        assert err == f"error: {path}: invalid category: id_y ∘ a = 0\n"
 
 
 def test_h1_refuses_a_composite_outside_its_hom_space(workdir, tmp_path):
-    # validate reports the broken axiom; h1 refuses the input before
-    # building the Leibniz system on it
+    # the category is refused when it is decoded, by validate and h1
+    # alike, before any Leibniz system is built on it
     def wrong_hom(d):
         d["comp"]["1_s"]["1_s"] = {"b": "1"}
     path = _edited(workdir, tmp_path, "kronecker.json", wrong_hom)
-    code, out, _ = run(workdir, "validate", "--cat", path)
-    assert code == 1 and "comp-range" in out
-    code, out, err = run(workdir, "h1", "--cat", path)
-    assert code == 2 and out == ""
-    assert err == ("error: input is not a category: 1_s∘1_s has a term b "
-                   "outside hom('s', 's')\n")
+    for command in ("validate", "h1"):
+        code, out, err = run(workdir, command, "--cat", path)
+        assert (code, out) == (2, ""), command
+        assert err == (f"error: {path}: invalid category: 1_s∘1_s has a "
+                       "term b outside hom('s', 's')\n")
+
+
+def test_non_unital_functor_is_refused_by_every_command(workdir, tmp_path):
+    # F0 with id_t0∘a0 = 2·a0 and id_t1∘a1 = 2·a1 in the source and
+    # id_t∘a = 2·a in the target: neither side is a category, and the
+    # functor file is refused when decoded, before any verdict
+    def double_units(d):
+        d["source"]["comp"]["1_t0"]["a0"] = {"a0": "2"}
+        d["source"]["comp"]["1_t1"]["a1"] = {"a1": "2"}
+        d["target"]["comp"]["1_t"]["a"] = {"a": "2"}
+    path = _edited(workdir, tmp_path, "F0.json", double_units)
+    detail = "invalid category: id_t0 ∘ a0 = (2)*a0"
+    for argv in (("validate", "--functor"), ("cover", "check", "--functor"),
+                 ("cover", "aut1", "--functor"),
+                 ("galois", "check", "--functor"),
+                 ("galois", "structure", "--functor"),
+                 ("grade", "induce", "--functor")):
+        code, out, err = run(workdir, *argv, path)
+        assert (code, out, err) == (2, "", f"error: {path}: {detail}\n"), \
+            argv
+    target = tmp_path / "target.json"
+    with open(path, encoding="utf-8") as fh:
+        target.write_text(json.dumps(json.load(fh)["target"]),
+                          encoding="utf-8")
+    code, out, err = run(workdir, "h1", "--cat", str(target))
+    assert (code, out, err) == (
+        2, "", f"error: {target}: invalid category: id_t ∘ a = (2)*a\n")
 
 
 def test_pi1_coset_bound_is_not_allocated(workdir):
@@ -693,7 +717,8 @@ def test_pi1_coset_bound_is_not_allocated(workdir):
 
 def test_library_refusal_exit_2(workdir, tmp_path):
     # refusals raised past the handlers: a bad coset bound, and a
-    # composite outside the category that only validation reaches
+    # composite outside its hom space, refused when the category of a
+    # grading is decoded
     code, out, err = run(workdir, "pi1", "--presentation", "gdlp-R.txt",
                          "--base", "x", "--max-cosets", "0")
     assert code == 2 and out == ""
@@ -710,19 +735,20 @@ def test_library_refusal_exit_2(workdir, tmp_path):
     path = _edited(workdir, tmp_path, "smash-grading.json", bad_comp)
     code, out, err = run(workdir, "grade", "validate", "--grading", path)
     assert code == 2 and out == ""
-    assert err == "error: a is not in hom(t,t)\n"
+    assert err == (f"error: {path}: invalid category: 1_t∘1_t has a term a "
+                   "outside hom('t', 't')\n")
 
 
 def test_grading_composing_into_a_zero_hom_exit_2(workdir, tmp_path):
-    # x -> y -> z with hom(x,z) = 0 and b∘a = a: validate reports the
-    # broken axiom, every grading command refuses the grading
+    # x -> y -> z with hom(x,z) = 0, edited to b∘a = a: the category is
+    # refused when decoded, alone or inside a grading, by every command
     from lincat.cohomology import Character
     from lincat.formats import (character_to_doc, category_to_doc,
                                 dump_path, grading_to_doc)
     from lincat.grading import grading_on_basis
     from lincat.groups import cyclic_group
-    from grading_reference import composite_in_a_zero_hom
-    c = composite_in_a_zero_hom()
+    from grading_reference import zero_composite_path
+    c = zero_composite_path()
     z = grading_on_basis(c, cyclic_group(2), {"a": "g", "b": "g"})
     cat, grading, chi = (tmp_path / f"{n}.json"
                          for n in ("cat", "grading", "chi"))
@@ -730,13 +756,19 @@ def test_grading_composing_into_a_zero_hom_exit_2(workdir, tmp_path):
     dump_path(grading, grading_to_doc(z))
     dump_path(chi, character_to_doc(
         Character(z.group, c.field, {"e": 1, "g": -1})))
-    code, out, _ = run(workdir, "validate", "--cat", str(cat))
-    assert code == 1 and "comp-range" in out
+
+    def compose_into_zero(d):
+        d.get("category", d)["comp"]["b"]["a"] = {"a": "1"}
+    cat = _edited(tmp_path, tmp_path, "cat.json", compose_into_zero)
+    grading = _edited(tmp_path, tmp_path, "grading.json", compose_into_zero)
+    detail = "invalid category: b∘a has a term a outside hom('x', 'z')\n"
+    code, out, err = run(workdir, "validate", "--cat", cat)
+    assert (code, out, err) == (2, "", f"error: {cat}: {detail}")
     for argv in (("grade", "validate"), ("grade", "smash"),
                  ("grade", "connected"), ("delta-inj",),
                  ("delta", "--character", str(chi))):
-        code, out, err = run(workdir, *argv, "--grading", str(grading))
-        assert (code, out, err) == (2, "", "error: a is not in hom(x,z)\n"), \
+        code, out, err = run(workdir, *argv, "--grading", grading)
+        assert (code, out, err) == (2, "", f"error: {grading}: {detail}"), \
             argv
 
 

@@ -10,6 +10,8 @@ run(), the exit code is 0, 1 or 2, no traceback is printed, and exit 1
 comes only with a false boolean verdict.  A second test renames one key
 of a category document, and a third fuzzes option values, with the same
 checks.  The examples pin inputs that once escaped run() as tracebacks.
+A fourth breaks one unit law or one composite range of a fixture
+category, which every command must refuse with exit 2.
 """
 import copy
 import io
@@ -20,8 +22,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lincat import cli, registry
-from lincat.formats import (hwalk_to_doc, presentation_from_text,
-                            presentation_to_doc)
+from lincat.formats import (category_from_doc, comb_to_doc, hwalk_to_doc,
+                            presentation_from_text, presentation_to_doc)
 from lincat.grading import HomogeneousWalk, HWalkStep
 
 
@@ -240,6 +242,72 @@ def test_renamed_keys_keep_the_exit_code_contract(fuzzdir, rename):
     for argv in COMMANDS["category"]:
         _check_contract(fuzzdir, [str(target) if a == "P" else a
                                   for a in argv])
+
+
+def _fixture_categories() -> list[dict]:
+    """Every category document in the fixtures, also inside functors,
+    actions and gradings."""
+    out = []
+    for _, doc in sorted(DOCS.items()):
+        if doc["kind"] == "category":
+            out.append(doc)
+        elif doc["kind"] == "functor":
+            out += [doc["source"], doc["target"]]
+        elif "category" in doc:
+            out.append(doc["category"])
+    return out
+
+
+FIXTURE_CATEGORIES = _fixture_categories()
+
+
+def _broken(doc, move, entry, term, other):
+    """doc with one basis product changed, or None if doc has no such
+    product.  Unless `move`, a product with an identity that is a single
+    basis name is doubled, which breaks a unit law; with `move`, one term
+    of a product is renamed to a basis name of another hom space."""
+    c = category_from_doc(doc)
+    ids = {n for x in c.objects for n, a in c.identities[x].items()
+           if len(c.identities[x]) == 1 and a == 1}
+    keys = sorted(k for k in c.comp if move or ids & set(k))
+    if not keys:
+        return None
+    g, f = keys[entry % len(keys)]
+    comb = dict(c.comp[(g, f)])
+    if move:
+        n = sorted(comb)[term % len(comb)]
+        names = [m for m in c.basis_names() if c.pair_of(m) != c.pair_of(n)]
+        comb[names[other % len(names)]] = comb.pop(n)
+    else:
+        comb = {n: c.field.reduce(2 * a) for n, a in comb.items()}
+    doc = copy.deepcopy(doc)
+    doc["comp"][g][f] = comb_to_doc(c.field, comb)
+    return doc
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 10 ** 6), st.booleans(), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_broken_unit_or_composite_range_exit_2(fuzzdir, case, move, entry,
+                                               term, other):
+    """A fixture category with an identity composite doubled, or one
+    composite term moved into another hom space, is refused when it is
+    decoded: exit 2 and one diagnostic line from validate and h1."""
+    doc = _broken(FIXTURE_CATEGORIES[case % len(FIXTURE_CATEGORIES)], move,
+                  entry, term, other)
+    if doc is None:
+        return
+    target = fuzzdir / "broken.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["validate", "--cat", str(target)],
+                 ["h1", "--cat", str(target)]):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(argv, stdout=out, stderr=err)
+        assert (code, out.getvalue()) == (2, ""), argv
+        assert err.getvalue().startswith(f"error: {target}: invalid "
+                                         "category: "), err.getvalue()
+        assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 # option values by name; OUT is a writable path, MISSING a path below a

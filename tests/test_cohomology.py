@@ -54,11 +54,14 @@ def test_derivation_space_of_discrete_category_is_zero():
 
 def test_derivation_space_refuses_an_identity_that_is_not_one():
     # End(x) = span{i} with i∘i = 0 but i declared the identity: every
-    # D(i) = λi satisfies Leibniz, and none with λ ≠ 0 kills 1_x
-    c = LinCat.make(Q, ["x"], {("x", "x"): ["i"]}, {}, {"x": {"i": 1}})
-    with pytest.raises(ValueError, match="^input is not a category: "
-                       "derivation does not kill identity of x$"):
-        derivation_space(c)
+    # D(i) = λi would satisfy Leibniz, and none with λ ≠ 0 kills 1_x;
+    # the category is refused when built, before derivation_space
+    with pytest.raises(ValueError, match="^id_x ∘ i = 0$"):
+        LinCat.make(Q, ["x"], {("x", "x"): ["i"]}, {}, {"x": {"i": 1}})
+    # with i∘i = i the only derivation is zero
+    c = LinCat.make(Q, ["x"], {("x", "x"): ["i"]}, {("i", "i"): {"i": 1}},
+                    {"x": {"i": 1}})
+    assert derivation_space(c) == []
 
 
 def test_inner_derivation_dimensions():

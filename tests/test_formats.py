@@ -5,14 +5,15 @@ import pytest
 from lincat import formats as fm
 from lincat import registry
 from lincat.cohomology import characters
-from lincat.exactlinalg import Matrix
+from lincat.exactlinalg import FieldSpec, Matrix
 from lincat.fixtures import (F2, cover_f0, discrete, kronecker,
                              square_base_quiver, square_base_quiver_alt,
                              swap_action)
 from lincat.grading import (HomogeneousWalk, HWalkStep, grading_on_basis,
                             induced_grading, is_connected_grading)
 from lincat.groups import cyclic_group
-from lincat.kcat import LinFunctor, validate_category, validate_functor
+from lincat.kcat import (LinCat, LinFunctor, validate_category,
+                         validate_functor)
 
 
 def reload(doc):
@@ -32,6 +33,16 @@ def test_category_round_trip():
 def test_category_round_trip_char2():
     c = kronecker(F2).category
     assert fm.category_from_doc(reload(fm.category_to_doc(c))) == c
+
+
+def test_identity_coefficients_are_reduced():
+    # an identity given as 3·i over F_2 is stored as i, as products are
+    c = LinCat(FieldSpec(2), ("x",), {("x", "x"): ("i",)},
+               {("i", "i"): {"i": 1}}, {"x": {"i": 3}})
+    assert c.identities == {"x": {"i": 1}}
+    doc = fm.category_to_doc(c)
+    assert doc["identities"] == {"x": {"i": "1 mod 2"}}
+    assert fm.category_from_doc(reload(doc)) == c
 
 
 def test_functor_round_trip():
@@ -164,6 +175,12 @@ def test_inconsistent_category_rejected():
     doc = fm.category_to_doc(kronecker().category)
     doc["hom"]["s"]["t"] = ["a", "a"]
     with pytest.raises(fm.FormatError, match="invalid category"):
+        fm.category_from_doc(doc)
+    # an identity of an object that is not declared
+    doc = fm.category_to_doc(kronecker().category)
+    doc["identities"]["zz"] = {"1_s": "1"}
+    with pytest.raises(fm.FormatError, match="^invalid category: identity "
+                       "declared for unknown object zz$"):
         fm.category_from_doc(doc)
 
 

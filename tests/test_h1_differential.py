@@ -4,7 +4,10 @@ system against the inner span directly and turns only the coset
 representatives into Derivations; the reference turns every kernel
 vector into a Derivation and flattens it back before ranking.  Both must
 give the same dimensions and the same representatives in the same
-order, and refuse a non-category with the same ValueError text."""
+order, and refuse a non-associative category with the same ValueError
+text.  The other two non-categories the reference refuses (an identity
+that is not one, a composite outside its hom space) are refused by
+LinCat when they are built, so h1 never sees them."""
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -128,8 +131,8 @@ def truncated_loop(field, n):
 def categories() -> dict[str, LinCat]:
     """Every category in a registry fixture file (documents decoded,
     text presentations presented over Q), the totals of
-    cyclic_cover(1..6), k[u]/(u^n) over Q, F_2, F_3 and F_5, and two
-    non-categories."""
+    cyclic_cover(1..6), k[u]/(u^n) over Q, F_2, F_3 and F_5, and one
+    category that is typed and unital but not associative."""
     out = {}
     for name in registry.fixture_names():
         if name == "cyclic-cover-n":
@@ -152,17 +155,30 @@ def categories() -> dict[str, LinCat]:
         for n in range(2, 7):
             out[f"k[u]/(u^{n}) over {p or 'Q'}"] = \
                 truncated_loop(FieldSpec(p), n)
-    # refused: an identity that is not one, a composite outside its hom
-    out["i∘i = 0 with i the identity"] = LinCat.make(
-        Q, ["x"], {("x", "x"): ["i"]}, {}, {"x": {"i": 1}})
-    k = kronecker().category
-    out["1_t∘1_t = a"] = LinCat(Q, k.objects, k.hom,
-                                {**k.comp, ("1_t", "1_t"): {"a": 1}},
-                                k.identities)
+    c = truncated_loop(Q, 3)
+    out["(u*u)∘u = 2·u*u"] = LinCat(Q, c.objects, c.hom,
+                                     {**c.comp, ("u*u", "u"): {"u*u": 2}},
+                                     c.identities)
     return out
 
 
 CATEGORIES = categories()
+
+
+def non_categories() -> dict[str, tuple]:
+    """Builders LinCat refuses, with the text of the refusal."""
+    k = kronecker().category
+    return {
+        "i∘i = 0 with i the identity": (lambda: LinCat.make(
+            Q, ["x"], {("x", "x"): ["i"]}, {}, {"x": {"i": 1}}),
+            "id_x ∘ i = 0"),
+        "1_t∘1_t = a": (lambda: LinCat(
+            Q, k.objects, k.hom, {**k.comp, ("1_t", "1_t"): {"a": 1}},
+            k.identities), "1_t∘1_t has a term a outside hom('t', 't')"),
+    }
+
+
+NON_CATEGORIES = non_categories()
 
 
 def outcome(run, c):
@@ -172,8 +188,14 @@ def outcome(run, c):
         return ("ValueError", str(e))
 
 
-@pytest.mark.parametrize("name", sorted(CATEGORIES))
+@pytest.mark.parametrize("name", sorted({**CATEGORIES, **NON_CATEGORIES}))
 def test_h1_agrees_with_reference(name):
+    if name in NON_CATEGORIES:
+        build, text = NON_CATEGORIES[name]
+        with pytest.raises(ValueError) as e:
+            build()
+        assert str(e.value) == text
+        return
     c = CATEGORIES[name]
     got = outcome(h1, c)
     want = outcome(reference_h1, c)

@@ -1,13 +1,19 @@
-"""Differential test of validate_derivation and validate_grading against
-the comb-based checks they replaced, kept here verbatim as references.
-The library sums each Leibniz equation and each product of homogeneous
-columns from the raw structure constants; the references send every
-basis product through compose, comb_pair, Derivation.apply and vector.
-Both must return the same problem lists, in the same order, and refuse
-the same inputs with the same message.  On gradings, a category whose
-composites leave their hom space is refused by the library also where
-the hom space is zero, which the reference passes over; those inputs
-are compared apart."""
+"""Differential test of validate_category, validate_derivation and
+validate_grading against the comb-based checks they replaced, kept here
+as references.  The library sums each Leibniz equation, each
+product of homogeneous columns and each side of an associativity law
+from the raw structure constants; the references send every basis
+product through compose, comb_pair, Derivation.apply and vector.  Both
+must return the same problem lists, in the same order, and refuse the
+same inputs with the same message.
+
+The reference category check also decides composite ranges, identities
+and unit laws, which LinCat now decides when it is built.  So the
+reference runs on an unchecked copy of the edited data, and LinCat must
+refuse exactly the inputs on which it reports one of those, with the
+first such report's text; on the others validate_category must equal
+its associativity reports."""
+import copy
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -24,13 +30,71 @@ from lincat.fixtures import (F2, Q, cover_f1, cyclic_cover, kronecker,
 from lincat.grading import (Grading, grading_on_basis, induced_grading,
                             trivial_grading, validate_grading)
 from lincat.groups import cyclic_group
-from lincat.kcat import (Arrow, LinCat, QuiverPresentation, comb_add,
-                         comb_eq, comp_range_violations, compose, present)
+from lincat import kcat
+from lincat.kcat import (Arrow, LinCat, QuiverPresentation, Violation,
+                         _reduced, comb_add, comb_eq, comb_str, compose,
+                         present, validate_category)
 
 F3, F5 = FieldSpec(3), FieldSpec(5)
 
 
 # -- the references ----------------------------------------------------------
+
+def reference_comp_range_violations(c):
+    """Basis products g∘f with a term outside hom(source f, target g)."""
+    out = []
+    for (g, f), comb in c.comp.items():
+        want = (c.source_of(f), c.target_of(g))
+        for n in comb:
+            if c.pair_of(n) != want:
+                out.append(Violation("comp-range", (g, f),
+                                     f"{g}∘{f} has a term {n} outside hom{want}"))
+                break
+    return out
+
+
+def reference_validate_category(c):
+    """Axiom check: composition lands in the right hom space, identities
+    are two-sided units, composition is associative on all basis triples."""
+    out = reference_comp_range_violations(c)
+    for x in c.objects:
+        if not c.identities[x]:
+            out.append(Violation("identity-zero", (x,), f"identity of {x} is zero"))
+    for n in c.basis_names():
+        x, y = c.pair_of(n)
+        f = {n: c.field.one()}
+        left = compose(c, c.identity(y), f)
+        if not comb_eq(left, f):
+            out.append(Violation("unit-left", (y, n),
+                                 f"id_{y} ∘ {n} = {comb_str(c.field, left)}"))
+        right = compose(c, f, c.identity(x))
+        if not comb_eq(right, f):
+            out.append(Violation("unit-right", (n, x),
+                                 f"{n} ∘ id_{x} = {comb_str(c.field, right)}"))
+    def in_range(comb, pair):
+        return all(c.pair_of(n) == pair for n in comb)
+
+    one = c.field.one()
+    for f in c.basis_names():
+        x, y = c.pair_of(f)
+        for g in c.leaving[y]:
+            z = c.target_of(g)
+            gf = c.comp.get((g, f), {})
+            if not in_range(gf, (x, z)):
+                continue  # already reported as comp-range
+            for h in c.leaving[z]:
+                w = c.target_of(h)
+                hg = c.comp.get((h, g), {})
+                if not in_range(hg, (y, w)):
+                    continue
+                lhs = compose(c, {h: one}, gf)
+                rhs = compose(c, hg, {f: one})
+                if not comb_eq(lhs, rhs):
+                    out.append(Violation("assoc", (h, g, f),
+                                         f"({h}∘{g})∘{f} = {comb_str(c.field, rhs)} but "
+                                         f"{h}∘({g}∘{f}) = {comb_str(c.field, lhs)}"))
+    return out
+
 
 def _pair_order(c):
     return [(x, y) for x in c.objects for y in c.objects if c.dim(x, y)]
@@ -180,26 +244,71 @@ def zero_composite_path(field):
     return present(q, field).category
 
 
-def with_comp(c, key, comb):
-    """c with the basis product `key` replaced by `comb`."""
-    comp = dict(c.comp)
-    comp[key] = {n: c.field.scalar(a) for n, a in comb.items()}
-    return LinCat(c.field, c.objects, c.hom, comp, c.identities)
+def slots(c):
+    """Where the structure constants of c live: each composable pair of
+    basis names (g, f), then each object's identity."""
+    return [(g, f) for f in c.basis_names()
+            for g in c.leaving[c.target_of(f)]] + list(c.objects)
 
 
-def broken_categories():
-    """(broken, sound) pairs with the same hom spaces: a composite with a
-    term in another hom space, one spread over two hom spaces, a wrong
-    composite inside its own hom space, and a composite whose hom space
-    is zero."""
+def edit(c, slot, name, value):
+    """The products and identities of c with the coefficient of `name`
+    in `slot` (see slots) set to `value`."""
+    comp, identities = dict(c.comp), dict(c.identities)
+    table = comp if isinstance(slot, tuple) else identities
+    table[slot] = {**table.get(slot, {}), name: c.field.scalar(value)}
+    return comp, identities
+
+
+def names_for(c, slot):
+    """The names an edit of `slot` may use: any basis name for a product,
+    the basis of End(x) for the identity of x."""
+    return c.basis_names() if isinstance(slot, tuple) else c.basis(slot, slot)
+
+
+def unchecked(c, comp, identities):
+    """c with other products and identities, reduced as LinCat reduces
+    them but not checked: what the reference category check reads."""
+    u = copy.copy(c)
+    u.comp = {k: r for k, v in comp.items() if (r := _reduced(c.field, v))}
+    u.identities = {x: _reduced(c.field, v) for x, v in identities.items()}
+    return u
+
+
+def built(c, comp, identities):
+    """The category LinCat builds on c's hom spaces, or its refusal."""
+    try:
+        return LinCat(c.field, c.objects, c.hom, comp, identities)
+    except ValueError as e:
+        return str(e)
+
+
+def assert_category_agrees(c, comp, identities):
+    """LinCat refuses the data iff the reference reports a composite
+    range, identity or unit violation, with the first one's text;
+    otherwise validate_category gives the reference's reports, which are
+    all associativity failures.  Returns the kinds reported."""
+    ref = reference_validate_category(unchecked(c, comp, identities))
+    linear = [v for v in ref if v.kind != "assoc"]
+    got = built(c, comp, identities)
+    if linear:
+        assert got == linear[0].detail
+    else:
+        assert validate_category(got) == ref
+    return {v.kind for v in ref}
+
+
+def broken_edits():
+    """(category, basis product, new value): a composite with a term in
+    another hom space, one spread over two hom spaces, a wrong composite
+    inside its own hom space, and a composite whose hom space is zero."""
     out = []
     for field in (Q, F2, F3):
         k = kronecker(field).category
-        out.append((with_comp(k, ("1_t", "1_t"), {"a": 1}), k))
-        out.append((with_comp(k, ("1_t", "1_t"), {"1_t": 1, "a": 1}), k))
-        out.append((with_comp(k, ("1_t", "a"), {"b": 1}), k))
-        p = zero_composite_path(field)
-        out.append((with_comp(p, ("b", "a"), {"a": 1}), p))
+        out.append((k, ("1_t", "1_t"), {"a": 1}))
+        out.append((k, ("1_t", "1_t"), {"1_t": 1, "a": 1}))
+        out.append((k, ("1_t", "a"), {"b": 1}))
+        out.append((zero_composite_path(field), ("b", "a"), {"a": 1}))
     return out
 
 
@@ -229,18 +338,12 @@ def identity_family(c):
 
 def derivation_cases():
     """(category, derivations): every derivation basis element, every
-    inner generator, the identity family (a derivation only in
-    characteristic 2 or where all composites vanish), and the sound
-    category's derivations on its broken twin."""
+    inner generator, and the identity family (a derivation only in
+    characteristic 2 or where all composites vanish)."""
     out = []
     for c in sound_categories():
         ders = derivation_space(c) + inner_derivations(c)
         out.append((c, ders + [Derivation(c, identity_family(c))]))
-    for broken, sound in broken_categories():
-        ders = [Derivation(broken, d.matrices)
-                for d in derivation_space(sound)]
-        out.append((broken, ders + [Derivation(broken,
-                                               identity_family(broken))]))
     return out
 
 
@@ -280,20 +383,14 @@ def grading_cases():
         out.append(grading_on_basis(triangle(field), cyclic_group(order),
                                     {"a": "g", "b": "g", "c": "g2"
                                      if order > 2 else "e"}))
-    for broken, _ in broken_categories():
-        out.append(grading_on_basis(broken, cyclic_group(2),
-                                    {"a": "e", "b": "g"}))
+    # composites of the wrong degree: b∘a = c has degree e, not g2
+    for field in (Q, F2, F3):
+        out.append(grading_on_basis(triangle(field), cyclic_group(3),
+                                    {"a": "g", "b": "g", "c": "e"}))
     return out
 
 
 GRADINGS = grading_cases()
-# the reference passes over a product whose hom space is zero, and so
-# accepts a category whose composite lands in one; the library refuses
-# every category composing outside its hom spaces, so the differential
-# runs on the others and test_composites_outside_hom_spaces_are_refused
-# covers these
-SOUND_GRADINGS = [z for z in GRADINGS
-                  if not comp_range_violations(z.category)]
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -302,12 +399,9 @@ def test_derivation_problems_agree_on_fixtures():
     outcomes = [assert_same(validate_derivation,
                             reference_validate_derivation, d)
                 for _, ders in DERIVATIONS for d in ders]
-    # the sweep sees valid derivations, Leibniz failures and refusals
+    # the sweep sees valid derivations and Leibniz failures
     assert [] in outcomes
     assert any(isinstance(o, list) and o for o in outcomes)
-    refusals = {o for o in outcomes if isinstance(o, tuple)}
-    assert ("ValueError", "combination spread over several hom spaces: "
-            "[('s', 't'), ('t', 't')]") in refusals
 
 
 def test_delta_derivations_agree():
@@ -336,37 +430,77 @@ def test_derivation_key_and_shape_problems_agree():
 
 def test_grading_problems_agree_on_fixtures():
     outcomes = [assert_same(validate_grading, reference_validate_grading, z)
-                for z in SOUND_GRADINGS]
+                for z in GRADINGS]
     assert outcomes[:14] == [[]] * 14
-    assert any(o for o in outcomes[14:])  # the wrong composites
+    assert all(outcomes[14:])  # the wrong composites
 
 
 def test_composites_outside_hom_spaces_are_refused():
-    """A grading of a category composing outside its hom spaces is
-    refused with the term outside, as the reference refuses it wherever
-    its product loop reaches that term; where the hom space is zero the
-    reference passes over it."""
+    """The categories that the grading and derivation checks once had to
+    refuse are refused when they are built, with the reference category
+    check's first report; that includes a composite into a zero hom
+    space, which the grading reference passes over."""
     refused = []
-    for z in GRADINGS:
-        if not comp_range_violations(z.category):
-            continue
-        got = outcome(validate_grading, z)
-        assert got[0] == "ValueError", got
-        ref = outcome(reference_validate_grading, z)
-        if isinstance(ref, tuple):
-            assert got == ref
-        else:
-            assert got == ("ValueError", "a is not in hom(x,z)")
-        refused.append(got)
-    assert len(refused) == 9
-    # the refusal `grade validate` reports with exit 2
-    assert ("ValueError", "a is not in hom(t,t)") in refused
+    for c, key, comb in broken_edits():
+        comp = {**c.comp, key: {n: c.field.scalar(a) for n, a in comb.items()}}
+        assert assert_category_agrees(c, comp, c.identities) - {"assoc"}
+        refused.append(built(c, comp, c.identities))
+    assert refused[:4] == ["1_t∘1_t has a term a outside hom('t', 't')",
+                           "1_t∘1_t has a term a outside hom('t', 't')",
+                           "id_t ∘ a = b",
+                           "b∘a has a term a outside hom('x', 'z')"]
+
+
+def test_validate_category_composes_no_combination(monkeypatch):
+    """validate_category sums both sides of each law from the structure
+    constants: compose, comb_pair and comb_eq are never called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate_category composed combinations")
+    cases = sound_categories()
+    want = [reference_validate_category(c) for c in cases]
+    for name in ("compose", "comb_eq"):
+        monkeypatch.setattr(kcat, name, refuse)
+    monkeypatch.setattr(LinCat, "comb_pair", refuse)
+    assert [validate_category(c) for c in cases] == want == [[]] * len(cases)
+
+
+def test_category_edits_agree_exhaustively():
+    """Every single structure constant of five small categories set to 0
+    and to 2, one at a time: each input is refused exactly when the
+    reference reports a linear axiom, and otherwise has the reference's
+    associativity failures."""
+    seen = set()
+    for c in (kronecker(F3).category, triangle(Q), truncated_loop(F3, 3),
+              zero_composite_path(F5), loop_square_zero(Q).category):
+        for slot in slots(c):
+            for name in names_for(c, slot):
+                for value in (0, 2):
+                    kinds = assert_category_agrees(c, *edit(c, slot, name,
+                                                           value))
+                    seen.add(min(kinds - {"assoc"}, default=min(
+                        kinds, default="valid")))
+    assert seen == {"valid", "assoc", "comp-range", "identity-zero",
+                    "unit-left", "unit-right"}
 
 
 # -- perturbations -----------------------------------------------------------
 
 def pick(seq, i):
     return seq[i % len(seq)]
+
+
+EDITED = sound_categories() + [cyclic_cover(4, F3).total.category,
+                               square_cover().total.category]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6), st.integers(-3, 3))
+def test_one_changed_structure_constant(case, slot, name, value):
+    c = pick(EDITED, case)
+    s = pick(slots(c), slot)
+    assert_category_agrees(c, *edit(c, s, pick(names_for(c, s), name),
+                                    value))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -385,7 +519,7 @@ def test_one_changed_derivation_entry(case, which, entry, value):
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
        st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 def test_one_swapped_degree_label(case, pair, column, label):
-    z = pick(SOUND_GRADINGS, case)
+    z = pick(GRADINGS, case)
     key = pick(sorted(z.degrees), pair)
     labels = list(z.degrees[key])
     labels[column % len(labels)] = pick(z.group.elements, label)
@@ -399,7 +533,7 @@ def test_one_swapped_degree_label(case, pair, column, label):
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
        st.integers(0, 10 ** 6), st.integers(-2, 3))
 def test_one_scaled_basis_column(case, pair, column, factor):
-    z = pick(SOUND_GRADINGS, case)
+    z = pick(GRADINGS, case)
     key = pick(sorted(z.basis), pair)
     m = z.basis[key]
     j = column % m.cols
