@@ -257,9 +257,10 @@ def grading_from_doc(doc) -> Grading:
     for x, row in _object(doc["degrees"], "degrees").items():
         for y, labels in _object(row, f"degrees[{x!r}]").items():
             degrees[(x, y)] = _names(labels, f"degrees[{x!r}][{y!r}]")
-    _require(set(basis) == set(degrees),
-             "basis and degrees cover different hom pairs")
-    return Grading(grp, cat, basis, degrees)
+    try:
+        return Grading(grp, cat, basis, degrees)
+    except ValueError as e:
+        raise FormatError(f"invalid grading: {e}") from e
 
 
 # -- characters -------------------------------------------------------------------

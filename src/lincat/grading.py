@@ -4,14 +4,15 @@ A grading assigns to every hom space a decomposition into degree
 components indexed by a finite group.  Components are carried by a
 change-of-basis matrix per hom pair (columns are the homogeneous
 elements in declared coordinates) plus one degree label per column, so
-the declared basis itself need not be homogeneous.  The module covers
-validation, the grading induced by a Galois covering, relabeling under
+the declared basis itself need not be homogeneous.  A Grading decides
+the grading axioms when it is built.  The module also covers the
+grading induced by a Galois covering, relabeling under
 a change of fibre objects, homogeneous walks and their degrees, the
 connectivity of a grading, and the smash-product covering that inverts
 the induced-grading construction.
 """
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dcfield
 from typing import Optional
 
 from .exactlinalg import EchelonBasis, Matrix, dense, inverse
@@ -24,15 +25,101 @@ from .galois import is_galois
 @dataclass
 class Grading:
     """degrees[(x,y)][j] labels column j of basis[(x,y)].  Keys are the
-    hom pairs of positive dimension; every matrix must be square and
-    invertible so the columns really form a basis."""
+    hom pairs of positive dimension.
+
+    A grading is one when it is built: every change of basis is square
+    and invertible, every label is a group element, every identity has
+    degree e, and every composite of homogeneous columns is homogeneous
+    of the product degree.  Grading refuses anything else with
+    ValueError, naming the first problem: the key sets, then per pair in
+    sorted order its shape, label count, labels and invertibility, then
+    the identities, then the products.
+
+    It keeps what deciding that computed, so that no caller inverts a
+    block or composes a column again: `inverses`, the inverse of each
+    change-of-basis block; `identity_coords[x]`, the coordinates of 1_x
+    in the homogeneous basis of End(x); and `products`, keyed by (g, f)
+    with f = (x, y, jf) the jf-th homogeneous column of hom(x,y) and
+    g = (y, w, jg), the coordinates of each nonzero g∘f in the
+    homogeneous basis of hom(x,w).  These take no part in construction,
+    equality or repr, and a grading is not mutated once built."""
     group: Group
     category: LinCat
     basis: dict[tuple[str, str], Matrix]
     degrees: dict[tuple[str, str], tuple[str, ...]]
+    inverses: dict[tuple[str, str], Matrix] = dcfield(
+        init=False, compare=False, repr=False)
+    identity_coords: dict[str, dict] = dcfield(
+        init=False, compare=False, repr=False)
+    products: dict[tuple[tuple, tuple], dict] = dcfield(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.degrees = {k: tuple(v) for k, v in self.degrees.items()}
+        c, grp, degrees = self.category, self.group, self.degrees
+        want = set(c.hom)
+        if set(self.basis) != want:
+            raise ValueError(f"basis keys {sorted(set(self.basis) ^ want)} "
+                             "do not match the nonzero hom pairs")
+        if set(degrees) != want:
+            raise ValueError("degree keys do not match the nonzero hom pairs")
+        invs: dict[tuple[str, str], Matrix] = {}
+        for pair in sorted(want):
+            n = len(c.hom[pair])
+            m = self.basis[pair]
+            if (m.rows, m.cols) != (n, n):
+                raise ValueError(f"hom{pair}: change of basis is "
+                                 f"{m.rows}x{m.cols}, expected {n}x{n}")
+            if len(degrees[pair]) != n:
+                raise ValueError(f"hom{pair}: {len(degrees[pair])} degree "
+                                 f"labels for {n} columns")
+            bad = [d for d in degrees[pair] if d not in grp.elements]
+            if bad:
+                raise ValueError(f"hom{pair}: unknown degree labels {bad}")
+            invs[pair] = inverse(m)
+            if invs[pair] is None:
+                raise ValueError(f"hom{pair}: change of basis is singular")
+
+        def support_degrees(coords, pair) -> set:
+            return {degrees[pair][j] for j in coords}
+
+        ids = {x: invs[(x, x)](c.coords(c.identities[x], x, x))
+               for x in c.objects}
+        for x, coords in ids.items():
+            if degs := support_degrees(coords, (x, x)) - {grp.identity}:
+                raise ValueError(f"identity of {x} meets degrees "
+                                 f"{sorted(degs)}")
+        # homogeneous columns as (basis name, value) terms; their products
+        # are summed from the structure constants, inside hom(x,w)
+        cols = {pair: [[(c.hom[pair][i], a) for i, a in col.items()]
+                       for col in self.basis[pair].columns]
+                for pair in want}
+        red = c.field.reduce
+        prods: dict[tuple[tuple, tuple], dict] = {}
+        for (x, y) in sorted(want):
+            # the nonzero pairs leaving y, sorted: leaving[y] is in that order
+            for (_, w) in dict.fromkeys(map(c.pair_of, c.leaving[y])):
+                if (x, w) not in invs:
+                    continue
+                for jf, s in enumerate(degrees[(x, y)]):
+                    f_col = cols[(x, y)][jf]
+                    for jg, t in enumerate(degrees[(y, w)]):
+                        acc = _product(c.comp, cols[(y, w)][jg], f_col, {})
+                        vec = {c.position[n]: r for n, v in acc.items()
+                               if (r := red(v))}
+                        if not vec:
+                            continue
+                        coords = invs[(x, w)](vec)
+                        prods[((y, w, jg), (x, y, jf))] = coords
+                        degs = support_degrees(coords, (x, w))
+                        ts = grp.mul(t, s)
+                        if degs - {ts}:
+                            raise ValueError(
+                                f"hom({x},{y}) column {jf} (degree {s}) "
+                                f"composed with hom({y},{w}) column {jg} "
+                                f"(degree {t}) meets degrees {sorted(degs)}"
+                                f", expected {ts}")
+        self.inverses, self.identity_coords, self.products = invs, ids, prods
 
     def component_columns(self, x: str, y: str, s: str) -> list[int]:
         return [j for j, d in enumerate(self.degrees[(x, y)]) if d == s]
@@ -56,124 +143,27 @@ def grading_on_basis(c: LinCat, group: Group,
     return Grading(group, c, basis, degrees)
 
 
-def validate_grading(z: Grading) -> list[str]:
-    """Empty iff z is a grading: invertible change of basis everywhere,
-    degree labels in the group, identities of degree e, and composites of
-    homogeneous elements homogeneous of the product degree."""
-    return _validated(z)[0]
-
-
-def _inverses(z: Grading) -> dict[tuple[str, str], Matrix]:
-    """The inverse of every change-of-basis block of z; ValueError with
-    validate_grading's first problem if z is not a grading."""
-    problems, invs, _, _ = _validated(z)
-    if problems:
-        raise ValueError(problems[0])
-    return invs
-
-
-def _validated(z: Grading) -> tuple[list[str], dict, dict, dict]:
-    """validate_grading's problems, with what it computed to find them,
-    so that no caller inverts a block or composes a column again: the
-    inverse of each change-of-basis block; per object x, the coordinates
-    of 1_x in the homogeneous basis of End(x); and, keyed by (g, f) with
-    f = (x, y, jf) the jf-th homogeneous column of hom(x,y) and
-    g = (y, w, jg), the coordinates of each nonzero g∘f in the
-    homogeneous basis of hom(x,w).  The last two are empty when a block
-    is malformed."""
-    problems: list[str] = []
-    c = z.category
-    grp = z.group
-    want = set(c.hom)
-    if set(z.basis) != want:
-        problems.append(f"basis keys {sorted(set(z.basis) ^ want)} do not "
-                        "match the nonzero hom pairs")
-        return problems, {}, {}, {}
-    if set(z.degrees) != want:
-        problems.append("degree keys do not match the nonzero hom pairs")
-        return problems, {}, {}, {}
-    invs: dict[tuple[str, str], Matrix] = {}
-    for pair in sorted(want):
-        n = len(c.hom[pair])
-        m = z.basis[pair]
-        if (m.rows, m.cols) != (n, n):
-            problems.append(f"hom{pair}: change of basis is {m.rows}x{m.cols},"
-                            f" expected {n}x{n}")
-            continue
-        if len(z.degrees[pair]) != n:
-            problems.append(f"hom{pair}: {len(z.degrees[pair])} degree labels"
-                            f" for {n} columns")
-            continue
-        bad = [d for d in z.degrees[pair] if d not in grp.elements]
-        if bad:
-            problems.append(f"hom{pair}: unknown degree labels {bad}")
-            continue
-        inv = inverse(m)
-        if inv is None:
-            problems.append(f"hom{pair}: change of basis is singular")
-            continue
-        invs[pair] = inv
-    if problems:
-        return problems, invs, {}, {}
-
-    def support_degrees(coords, pair) -> set:
-        return {z.degrees[pair][j] for j in coords}
-
-    ids = {x: invs[(x, x)](c.coords(c.identities[x], x, x))
-           for x in c.objects}
-    for x, coords in ids.items():
-        degs = support_degrees(coords, (x, x))
-        if degs - {grp.identity}:
-            problems.append(f"identity of {x} meets degrees "
-                            f"{sorted(degs - {grp.identity})}")
-    # homogeneous columns as (basis name, value) terms; their products
-    # are summed from the structure constants, inside hom(x,w)
-    cols = {pair: [[(c.hom[pair][i], a) for i, a in col.items()]
-                   for col in z.basis[pair].columns]
-            for pair in want}
-    red = c.field.reduce
-    prods: dict[tuple[tuple, tuple], dict] = {}
-    for (x, y) in sorted(want):
-        # the nonzero pairs leaving y, sorted: leaving[y] is in that order
-        for (_, w) in dict.fromkeys(map(c.pair_of, c.leaving[y])):
-            if (x, w) not in invs:
-                continue
-            for jf, s in enumerate(z.degrees[(x, y)]):
-                f_col = cols[(x, y)][jf]
-                for jg, t in enumerate(z.degrees[(y, w)]):
-                    acc = _product(c.comp, cols[(y, w)][jg], f_col, {})
-                    vec = {c.position[n]: r for n, v in acc.items()
-                           if (r := red(v))}
-                    if not vec:
-                        continue
-                    coords = invs[(x, w)](vec)
-                    prods[((y, w, jg), (x, y, jf))] = coords
-                    degs = support_degrees(coords, (x, w))
-                    ts = grp.mul(t, s)
-                    if degs - {ts}:
-                        problems.append(
-                            f"hom({x},{y}) column {jf} (degree {s}) composed "
-                            f"with hom({y},{w}) column {jg} (degree {t}) "
-                            f"meets degrees {sorted(degs)}, expected {ts}")
-    return problems, invs, ids, prods
-
-
 def induced_grading(f: LinFunctor, fibre_choice: dict[str, str]) -> Grading:
     """Grading of the base of a Galois covering by its deck group: the
     degree-s component of hom(b,c) is the image of hom(x_b, s·x_c) for
-    the chosen fibre objects x."""
+    the chosen fibre objects x.  Star bijectivity makes the images of
+    each hom(b,c) a basis of it."""
+    base = f.target
+    for b in fibre_choice:
+        if b not in base.leaving:  # keyed by the objects
+            raise ValueError(f"fibre choice names {b!r}, which is not an "
+                             "object of the base")
     res = is_galois(f)
     if not res.galois:
         raise ValueError(f"not a Galois covering: {res.reason}")
     grp = res.group
-    base = f.target
     for b in base.objects:
         if fibre_choice.get(b) not in fibre(f, b):
             raise ValueError(f"fibre choice {fibre_choice.get(b)!r} for {b} "
                              "is not in the fibre")
     basis = {}
     degrees = {}
-    for (b, c), names in base.hom.items():
+    for (b, c) in base.hom:
         xb = fibre_choice[b]
         block = None
         labels: list[str] = []
@@ -182,8 +172,6 @@ def induced_grading(f: LinFunctor, fibre_choice: dict[str, str]) -> Grading:
             m = f.block(xb, sxc)
             block = m if block is None else block.hstack(m)
             labels.extend([s] * m.cols)
-        if block.cols != len(names) or inverse(block) is None:
-            raise ValueError(f"fibre images do not span hom({b},{c})")
         basis[(b, c)] = block
         degrees[(b, c)] = tuple(labels)
     return Grading(grp.group, base, basis, degrees)
@@ -192,8 +180,11 @@ def induced_grading(f: LinFunctor, fibre_choice: dict[str, str]) -> Grading:
 def regrade(z: Grading, t: dict[str, str]) -> Grading:
     """Same homogeneous basis; the label s of a (b -> c)-element becomes
     t_c·s·t_b⁻¹."""
-    _inverses(z)
     grp = z.group
+    for x in t:
+        if x not in z.category.leaving:  # keyed by the objects
+            raise ValueError(f"shift names {x!r}, which is not an object "
+                             "of the category")
     for x in z.category.objects:
         if t.get(x) not in grp.elements:
             raise ValueError(f"no group element assigned to object {x}")
@@ -301,12 +292,6 @@ def is_connected_grading(z: Grading) -> GradingConnectivity:
     iff every (c, s) is reachable from (b, e).  The transition relation
     is symmetric, so one search from the first object decides the
     condition for every start object."""
-    _inverses(z)
-    return _connectivity(z)
-
-
-def _connectivity(z: Grading) -> GradingConnectivity:
-    """is_connected_grading on a grading already validated."""
     c = z.category
     grp = z.group
     states = [(o, g) for o in c.objects for g in grp.elements]
@@ -358,12 +343,9 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
     trivial group this is b itself under the identity projection.
 
     Its structure constants are those of the grading in its homogeneous
-    basis, which validating the grading computes: every nonzero product
+    basis, which building the grading computed: every nonzero product
     of two homogeneous columns and every identity, renamed here into
     the copy of each source object.  No composite is recomputed."""
-    problems, _, ids, prods = _validated(z)
-    if problems:
-        raise ValueError(problems[0])
     if z.category is not b and z.category != b:
         raise ValueError("grading does not belong to the category")
     grp = z.group
@@ -400,13 +382,13 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
         return {f"{stems[(x, w)][j]}@{g}": a for j, a in coords.items()}
 
     comp: dict[tuple[str, str], LinComb] = {}
-    for ((y, w, jg), (x, _, jf)), coords in prods.items():
+    for ((y, w, jg), (x, _, jf)), coords in z.products.items():
         f_stem, g_stem = stems[(x, y)][jf], stems[(y, w)][jg]
         s = z.degrees[(x, y)][jf]
         for g in grp.elements:
             comp[(f"{g_stem}@{grp.mul(s, g)}", f"{f_stem}@{g}")] = \
                 rename(x, w, coords, g)
-    identities = {oname(x, g): rename(x, x, ids[x], g)
+    identities = {oname(x, g): rename(x, x, z.identity_coords[x], g)
                   for x in b.objects for g in grp.elements}
 
     cat = LinCat(b.field, tuple(object_pairs), hom, comp, identities)

@@ -439,7 +439,7 @@ def validate_functor(f: LinFunctor) -> list[Violation]:
 
     for x in src.objects:
         img = push(src.identities[x])
-        if not comb_eq(img, tgt.identities[omap[x]]):
+        if img != tgt.identities[omap[x]]:  # both reduced
             out.append(Violation("functor-unit", (x,),
                                  f"F(id_{x}) = {comb_str(fld, img)} ≠ id_{omap[x]}"))
     for fn in src.basis_names():

@@ -4,10 +4,20 @@ library code calls it any more, and the comb-based references of
 test_validation_differential.py and test_smash_differential.py keep
 it.  `zero_composite_path` builds x -> y -> z with b∘a = 0, and
 `composite_in_a_zero_hom` the same data with b∘a = a, which LinCat
-refuses."""
+refuses.
+
+`reference_validate_grading` is the comb-based grading check that
+Grading's construction replaced: it lists every problem, where
+construction refuses with the first.  It reads the four fields of a
+grading, so it also runs on `grading_fields`, data that Grading may
+refuse; `built_grading` builds such data, or gives the refusal's text.
+"""
+from types import SimpleNamespace
+
+from lincat.exactlinalg import dense, inverse
 from lincat.fixtures import Q
 from lincat.grading import Grading
-from lincat.kcat import LinCat, LinComb
+from lincat.kcat import LinCat, LinComb, compose
 
 
 def homogeneous_comb(z: Grading, x: str, y: str, j: int) -> LinComb:
@@ -34,3 +44,94 @@ def composite_in_a_zero_hom():
     """x -> y -> z with hom(x,z) = 0 and b∘a = a: not a category, so
     LinCat refuses it."""
     return zero_composite_path({"a": 1})
+
+
+def grading_fields(z, **changes) -> SimpleNamespace:
+    """The group, category, basis and degrees of z, with some of them
+    replaced, unchecked."""
+    fields = dict(group=z.group, category=z.category, basis=z.basis,
+                  degrees=z.degrees)
+    return SimpleNamespace(**{**fields, **changes})
+
+
+def built_grading(z):
+    """The Grading built from z's fields, or the text of its refusal."""
+    try:
+        return Grading(z.group, z.category, z.basis, z.degrees)
+    except ValueError as e:
+        return str(e)
+
+
+def reference_validate_grading(z):
+    """Empty iff z is a grading: invertible change of basis everywhere,
+    degree labels in the group, identities of degree e, and composites of
+    homogeneous elements homogeneous of the product degree."""
+    problems = []
+    c = z.category
+    grp = z.group
+    want = {pair for pair, names in c.hom.items() if names}
+    if set(z.basis) != want:
+        problems.append(f"basis keys {sorted(set(z.basis) ^ want)} do not "
+                        "match the nonzero hom pairs")
+        return problems
+    if set(z.degrees) != want:
+        problems.append("degree keys do not match the nonzero hom pairs")
+        return problems
+    invs = {}
+    for pair in sorted(want):
+        n = len(c.hom[pair])
+        m = z.basis[pair]
+        if (m.rows, m.cols) != (n, n):
+            problems.append(f"hom{pair}: change of basis is {m.rows}x{m.cols},"
+                            f" expected {n}x{n}")
+            continue
+        if len(z.degrees[pair]) != n:
+            problems.append(f"hom{pair}: {len(z.degrees[pair])} degree labels"
+                            f" for {n} columns")
+            continue
+        bad = [d for d in z.degrees[pair] if d not in grp.elements]
+        if bad:
+            problems.append(f"hom{pair}: unknown degree labels {bad}")
+            continue
+        inv = inverse(m)
+        if inv is None:
+            problems.append(f"hom{pair}: change of basis is singular")
+            continue
+        invs[pair] = inv
+    if problems:
+        return problems
+
+    def support_degrees(coords, pair):
+        return {z.degrees[pair][j] for j, a in enumerate(coords) if a}
+
+    for x in c.objects:
+        pair = (x, x)
+        if pair not in invs:
+            continue
+        coords = invs[pair].apply(dense(c.field, c.coords(c.identity(x), x, x),
+                                        c.dim(x, x)))
+        degs = support_degrees(coords, pair)
+        if degs - {grp.identity}:
+            problems.append(f"identity of {x} meets degrees "
+                            f"{sorted(degs - {grp.identity})}")
+    for (x, y) in sorted(want):
+        for (y2, w) in sorted(want):
+            if y2 != y or (x, w) not in invs:
+                continue
+            for jf, s in enumerate(z.degrees[(x, y)]):
+                f_comb = homogeneous_comb(z, x, y, jf)
+                for jg, t in enumerate(z.degrees[(y, w)]):
+                    g_comb = homogeneous_comb(z, y, w, jg)
+                    prod = compose(c, g_comb, f_comb)
+                    if not prod:
+                        continue
+                    coords = invs[(x, w)].apply(
+                        dense(c.field, c.coords(prod, x, w), c.dim(x, w)))
+                    degs = support_degrees(coords, (x, w))
+                    ts = grp.mul(t, s)
+                    if degs - {ts}:
+                        problems.append(
+                            f"hom({x},{y}) column {jf} (degree {s}) composed "
+                            f"with hom({y},{w}) column {jg} (degree {t}) "
+                            f"meets degrees {sorted(degs)}, expected {ts}")
+    return problems

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import json
@@ -6,8 +7,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lincat import cli, registry
+from lincat import cli, formats, registry
 
 FIXTURE_SETS = ("kronecker", "kronecker-double", "F0", "F1", "F2",
                 "gdlp-base", "gdlp-C1", "smash-demo", "corrupted", "empty",
@@ -576,6 +578,22 @@ def test_bad_fibre_assignment_exit_2(workdir):
     assert "KEY=VALUE" in err
 
 
+@pytest.mark.parametrize("argv,detail", [
+    (("grade", "regrade", "--grading", "smash-grading.json",
+      "--shift", "nope=g"),
+     "shift names 'nope', which is not an object of the category"),
+    (("grade", "induce", "--functor", "F0.json", "--fibre", "nope=s0"),
+     "fibre choice names 'nope', which is not an object of the base"),
+    (("grade", "regrade", "--grading", "smash-grading.json",
+      "--shift", "s=g", "--shift", "s=e"), "--shift gives 's' twice"),
+    (("grade", "induce", "--functor", "F0.json", "--fibre", "s=s0",
+      "--fibre", "s=s1"), "--fibre gives 's' twice"),
+], ids=["shift off the objects", "fibre off the base", "repeated shift",
+        "repeated fibre"])
+def test_assignment_keys_are_objects_given_once(workdir, argv, detail):
+    assert run(workdir, *argv) == (2, "", f"error: {detail}\n")
+
+
 def test_extend_bad_seed_exit_2(workdir):
     code, _, err = run(workdir, "cover", "extend", "--functor", "F0.json",
                        "--to", "F0.json", "--image", "t0")
@@ -873,3 +891,116 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
+
+
+# -- one refusal for every grading command -----------------------------------
+
+# every command that reads a grading; the other files are valid fixtures
+GRADING_COMMANDS = [
+    ("validate", "--grading", "P"),
+    ("grade", "validate", "--grading", "P"),
+    ("grade", "regrade", "--grading", "P"),
+    ("grade", "connected", "--grading", "P"),
+    ("grade", "smash", "--grading", "P"),
+    ("grade", "walkdeg", "--grading", "P", "--walk", "sample-walk.json"),
+    ("delta", "--grading", "P", "--character", "smash-character.json"),
+    ("delta-inj", "--grading", "P"),
+]
+
+
+def _grading_runs(workdir, path) -> list:
+    (workdir / "sample-walk.json").write_text(json.dumps({
+        "kind": "walk", "format_version": 1, "start": "s",
+        "steps": [{"source": "s", "target": "t", "index": 1, "sign": 1}]}))
+    return [run(workdir, *(path if a == "P" else a for a in argv))
+            for argv in GRADING_COMMANDS]
+
+
+def _assert_one_refusal(workdir, path, detail=None) -> bool:
+    """When grade validate refuses the grading in path, every grading
+    command refuses it with the same one line; otherwise none calls it
+    invalid.  Returns whether it was refused."""
+    runs = _grading_runs(workdir, path)
+    code, out, err = runs[1]
+    if code != 2:
+        assert code == 0, (out, err)
+        assert not any("invalid grading" in e for _, _, e in runs), runs
+        return False
+    assert err.startswith(f"error: {path}: invalid grading: ")
+    assert detail is None or err == f"error: {path}: invalid grading: " \
+        f"{detail}\n"
+    assert err.count("\n") == 1
+    for argv, got in zip(GRADING_COMMANDS, runs):
+        assert got == (2, "", err), argv
+    return True
+
+
+@pytest.mark.parametrize("edit,detail", [
+    (lambda d: d["basis"]["s"].update(t=[["1 mod 2", "1 mod 2"],
+                                         ["1 mod 2", "1 mod 2"]]),
+     "hom('s', 't'): change of basis is singular"),
+    (lambda d: d["degrees"]["s"].update(s=["g"]),
+     "identity of s meets degrees ['g']"),
+], ids=["singular block", "identity of degree g"])
+def test_every_grading_command_refuses_a_non_grading(workdir, tmp_path,
+                                                     edit, detail):
+    path = _edited(workdir, tmp_path, "smash-grading.json", edit)
+    assert _assert_one_refusal(workdir, path, detail)
+
+
+def _fixture_gradings() -> list:
+    from lincat.covering import fibre
+    from lincat.fixtures import cover_f0, cover_f1, cyclic_cover, \
+        square_cover
+    from lincat.grading import induced_grading
+    docs = [registry.fixture_files("smash-demo")["smash-grading.json"]]
+    for fix in (cover_f0(), cover_f1(), cyclic_cover(3), square_cover()):
+        f = fix.functor
+        z = induced_grading(f, {b: fibre(f, b)[0] for b in f.target.objects})
+        docs.append(formats.grading_to_doc(z))
+    return docs
+
+
+FIXTURE_GRADINGS = _fixture_gradings()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 10 ** 6), st.sampled_from(
+    ["label", "scale", "duplicate", "identity"]),
+    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+    st.integers(0, 10 ** 6), st.integers(-1, 2))
+def test_edited_fixture_gradings_are_refused_alike(workdir, case, kind,
+                                                   pair, column, label,
+                                                   factor):
+    """One degree label swapped, one basis column scaled or set to the
+    next one, or one identity given a degree other than e: the edits
+    that break a grading are refused alike by every grading command."""
+    doc = copy.deepcopy(FIXTURE_GRADINGS[case % len(FIXTURE_GRADINGS)])
+    field = formats.field_from_doc(doc["category"]["field"])
+    elements = doc["group"]["elements"]
+    keys = [(x, y) for x, row in sorted(doc["degrees"].items())
+            for y in sorted(row)]
+    x, y = keys[pair % len(keys)]
+    labels, rows = doc["degrees"][x][y], doc["basis"][x][y]
+    if kind == "identity":
+        others = [g for g in elements if g != doc["group"]["identity"]]
+        doc["degrees"][x][x] = [others[label % len(others)]]
+    else:
+        j = column % len(labels)
+        if kind == "label":
+            labels[j] = elements[label % len(elements)]
+        for row in rows:
+            if kind == "scale":
+                a = formats.scalar_from_doc(field, row[j])
+                row[j] = field.format(field.reduce(a * factor))
+            elif kind == "duplicate":
+                row[j] = row[(j + 1) % len(row)]
+    path = workdir / "edited-grading.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    refused = _assert_one_refusal(workdir, str(path))
+    # an identity of degree g, a zero column and a repeated column
+    # never make a grading (every End(x) here is spanned by 1_x)
+    if kind == "identity" or (kind == "scale" and factor == 0) or \
+            (kind == "duplicate" and len(labels) > 1):
+        assert refused

@@ -70,6 +70,7 @@ COMMANDS = {
         ["grade", "regrade", "--grading", "P"],
         ["grade", "connected", "--grading", "P"],
         ["grade", "smash", "--grading", "P"],
+        ["grade", "walkdeg", "--grading", "P", "--walk", "walk.json"],
         ["delta", "--grading", "P", "--character", "smash-character.json"],
         ["delta-inj", "--grading", "P"],
     ],

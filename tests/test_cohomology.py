@@ -1,5 +1,6 @@
 """Derivation spaces, H1, additive characters, and the Euler embedding."""
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +12,10 @@ from lincat.cohomology import (Character, characters, delta,
                                validate_derivation, zero_character)
 from lincat.covering import fibre
 from lincat.exactlinalg import Matrix
-from lincat.fixtures import (F2, Q, cyclic_cover, discrete, kronecker,
-                             loop_square_zero, square_cover)
+from lincat import registry
+from lincat.fixtures import (F2, Q, cover_f0, cover_f1, cyclic_cover,
+                             discrete, kronecker, loop_square_zero,
+                             square_cover)
 from lincat.grading import (grading_on_basis, induced_grading, regrade,
                             smash, trivial_grading)
 from lincat.exactlinalg import FieldSpec
@@ -199,19 +202,14 @@ def test_injectivity_check_on_connected_gradings():
     assert delta_injectivity_check(kq, zq)  # vacuous: no nonzero characters
 
 
-def test_injectivity_check_validates_the_grading_once(monkeypatch):
-    import lincat.grading as grading
-    calls = []
-
-    def counted(z, _real=grading._validated):
-        calls.append(z)
-        return _real(z)
-    monkeypatch.setattr(grading, "_validated", counted)
+def test_injectivity_check_inverts_no_block_of_a_built_grading(
+        monkeypatch):
     # one and two basis characters
     for c, z in (kf2_grading(), three_arrow_kronecker_grading(3)):
-        calls.clear()
+        calls = count_inversions(monkeypatch)
         assert delta_injectivity_check(c, z)
-        assert calls == [z]
+        assert calls == []
+        monkeypatch.undo()
 
 
 def count_inversions(monkeypatch) -> list:
@@ -240,13 +238,52 @@ def test_injectivity_check_inverts_each_block_once(monkeypatch):
 
 
 def test_delta_and_smash_invert_each_block_once(monkeypatch):
-    c, z = three_arrow_kronecker_grading(3)
+    # building the grading inverts each block; delta and smash read the
+    # inverses it keeps
     calls = count_inversions(monkeypatch)
-    delta(c, z, characters(z.group, c.field)[0])
+    c, z = three_arrow_kronecker_grading(3)
     assert len(calls) == len(z.basis)
-    calls.clear()
+    delta(c, z, characters(z.group, c.field)[0])
     smash(c, z)
     assert len(calls) == len(z.basis)
+
+
+def graded_nakayama(m, length, n, p):
+    """The cyclic quiver x0 -> ... -> x(m-1) -> x0 modulo the paths of
+    length `length`, over F_p, graded by C_n: a path has the degree
+    g^k when it passes the arrow x(m-1) -> x0 k times."""
+    arrows = tuple(Arrow(f"u{i}", f"x{i}", f"x{(i + 1) % m}")
+                   for i in range(m))
+    zero_paths = tuple(((Fraction(1), tuple(f"u{(i + s) % m}" for s in
+                                            reversed(range(length)))),)
+                       for i in range(m))
+    q = QuiverPresentation(tuple(f"x{i}" for i in range(m)), arrows,
+                           zero_paths, length - 1)
+    c = present(q, FieldSpec(p)).category
+    grp = cyclic_group(n)
+    degree = {name: grp.elements[name.split("*").count(f"u{m - 1}") % n]
+              for name in c.basis_names()}
+    return c, grading_on_basis(c, grp, degree)
+
+
+def test_delta_satisfies_leibniz_without_a_check():
+    """δ(χ) is a derivation for every basis character χ, as δ's
+    docstring argues: delta no longer verifies it."""
+    from lincat.formats import grading_from_doc
+    smash_demo = grading_from_doc(
+        registry.fixture_files("smash-demo")["smash-grading.json"])
+    cases = [(smash_demo.category, smash_demo)]
+    for fix in (cover_f0(F2), cover_f1(F2)):
+        f = fix.functor
+        cases.append((f.target, induced_grading(
+            f, {b: fibre(f, b)[0] for b in f.target.objects})))
+    cases += [graded_nakayama(*size) for size in
+              ((2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 2), (6, 3, 3, 3))]
+    for c, z in cases:
+        chars = characters(z.group, c.field)
+        assert chars, z.group
+        for chi in chars:
+            assert validate_derivation(delta(c, z, chi)) == []
 
 
 def test_injectivity_check_refuses_disconnected_grading():

@@ -1,24 +1,28 @@
 """Differential test of smash against the version it replaced, kept
 here as the reference: the library renames the products and identity
-coordinates that validating the grading found into each source copy;
+coordinates that building the grading found into each source copy;
 the reference scans every pair of smash basis names, recomputes each
 composite with compose and expresses it in the homogeneous basis by
 applying the inverse change of basis.  Both must give the same objects,
 hom bases in the same order, structure constants, identities and
-projection, and refuse an invalid grading with the same ValueError
-text.  A category composing outside its hom spaces is refused by
-LinCat when it is built, so neither smash sees it.  The insertion order of `comp` may differ: dict equality and
-category_to_doc, which sorts its keys, do not see it."""
+projection, and refuse a grading of another category with the same
+ValueError text.  Data that is not a grading is refused when the
+Grading is built, with the grading reference's first problem, and a
+category composing outside its hom spaces when the LinCat is built, so
+neither smash sees them.  The insertion order of `comp` may differ:
+dict equality and category_to_doc, which sorts its keys, do not see
+it."""
 import pytest
 
-from grading_reference import homogeneous_comb
+from grading_reference import (built_grading, grading_fields,
+                               homogeneous_comb, reference_validate_grading)
 from lincat import grading, kcat
 from lincat.covering import fibre
 from lincat.exactlinalg import Matrix
 from lincat.fixtures import (F2, cover_f0, cover_f1, cyclic_cover, kronecker,
                              loop_square_zero, square_base, square_cover)
 from lincat.formats import canonical_dumps, functor_to_doc
-from lincat.grading import (Grading, SmashResult, _inverses, _unit_row,
+from lincat.grading import (Grading, SmashResult, _unit_row,
                             grading_on_basis, induced_grading, regrade,
                             smash, trivial_grading)
 from lincat.groups import cyclic_group
@@ -30,7 +34,7 @@ def reference_smash(b: LinCat, z: Grading) -> SmashResult:
     """Covering with one object copy per group element whose hom from
     (x,g) to (y,h) is the degree-(h·g⁻¹) component of hom(x,y).  With a
     trivial group this is b itself under the identity projection."""
-    invs = _inverses(z)
+    invs = z.inverses
     if z.category is not b and z.category != b:
         raise ValueError("grading does not belong to the category")
     grp = z.group
@@ -158,37 +162,38 @@ VALID = valid_gradings()
 
 
 def with_degrees(z, pair, labels):
-    return Grading(z.group, z.category, dict(z.basis),
-                   {**z.degrees, pair: labels})
+    return grading_fields(z, degrees={**z.degrees, pair: labels})
 
 
-def invalid_gradings() -> dict[str, tuple[LinCat, Grading]]:
-    """(category, grading) pairs that smash refuses: a label outside the
-    group, a singular or misshaped change of basis, a missing key, an
-    identity and a composite of the wrong degree, and a grading of
-    another category."""
+def with_block(z, pair, m):
+    return grading_fields(z, basis={**z.basis, pair: m})
+
+
+def invalid_gradings() -> dict[str, tuple]:
+    """(category, grading) pairs that smash refuses, a grading of
+    another category; and (category, grading data) that is no grading:
+    a label outside the group, a singular or misshaped change of basis,
+    a missing key, and an identity and a composite of the wrong
+    degree."""
     k = kronecker(F2).category
     z = VALID["kronecker a:e b:g"]
-    out = {
+    b = square_base().category
+    square = grading_on_basis(b, cyclic_group(2), {})
+    return {
         "unknown label": (k, with_degrees(z, ("s", "t"), ("e", "bogus"))),
         "too few labels": (k, with_degrees(z, ("s", "t"), ("e",))),
-        "missing key": (k, Grading(z.group, k, {
-            p: m for p, m in z.basis.items() if p != ("t", "t")},
-            z.degrees)),
+        "missing key": (k, grading_fields(z, basis={
+            p: m for p, m in z.basis.items() if p != ("t", "t")})),
         "identity of degree g": (k, with_degrees(z, ("t", "t"), ("g",))),
-        "other category": (kronecker().category, VALID["kronecker a:e b:g"]),
+        "other category": (kronecker().category, z),
+        "singular": (k, with_block(z, ("s", "t"), Matrix.from_cols(
+            F2, [[1, 0], [1, 0]]))),
+        "misshaped": (k, with_block(z, ("s", "t"), Matrix.from_cols(
+            F2, [[1, 0, 0], [0, 1, 0]]))),
+        "not multiplicative": (b, grading_fields(square, degrees={
+            p: tuple("g" if n == "b" else "e" for n in names)
+            for p, names in b.hom.items()})),
     }
-    singular = dict(z.basis)
-    singular[("s", "t")] = Matrix.from_cols(F2, [[1, 0], [1, 0]])
-    out["singular"] = (k, Grading(z.group, k, singular, z.degrees))
-    misshaped = dict(z.basis)
-    misshaped[("s", "t")] = Matrix.from_cols(F2, [[1, 0, 0], [0, 1, 0]])
-    out["misshaped"] = (k, Grading(z.group, k, misshaped, z.degrees))
-    b = square_base().category
-    out["not multiplicative"] = (b, grading_on_basis(
-        b, cyclic_group(2), {"a": "e", "b": "g", "g": "e", "d": "e",
-                             "g*a": "e", "d*a": "e"}))
-    return out
 
 
 INVALID = invalid_gradings()
@@ -226,30 +231,29 @@ def test_smash_refuses_as_reference(name):
                    k.identities)
         return
     b, z = INVALID[name]
-    got = outcome(smash, b, z)
-    assert got == outcome(reference_smash, b, z)
-    assert got[0] == "ValueError", got
+    if isinstance(z, Grading):
+        got = outcome(smash, b, z)
+        assert got == outcome(reference_smash, b, z)
+        assert got[0] == "ValueError", got
+    else:
+        problems = reference_validate_grading(z)
+        assert problems and built_grading(z) == problems[0]
 
 
 def test_smash_applies_no_matrix_and_composes_nothing(monkeypatch):
-    """After validating the grading, smash only renames: a matrix
-    applied or a composite taken from there on fails the test.  The
-    unit laws that LinCat checks on the category smash builds are its
-    own products (kcat._product), which are left alone."""
+    """Once the grading is built, smash only renames: a matrix applied
+    or a composite taken fails the test.  The unit laws that LinCat
+    checks on the category smash builds are its own products
+    (kcat._product), which are left alone."""
     def refuse(*args, **kwargs):
         raise AssertionError("smash recomputed a composite")
-
-    def validated_then_trapped(z, _real=grading._validated):
-        found = _real(z)
-        monkeypatch.setattr(Matrix, "__call__", refuse)
-        monkeypatch.setattr(grading, "_product", refuse)
-        monkeypatch.setattr(kcat, "compose", refuse)
-        return found
 
     for name in ("cyclic_cover(4)", "F1", "square_cover", "loop u:g"):
         z = VALID[name]
         expected = outcome(reference_smash, z.category, z)
-        monkeypatch.setattr(grading, "_validated", validated_then_trapped)
+        monkeypatch.setattr(Matrix, "__call__", refuse)
+        monkeypatch.setattr(grading, "_product", refuse)
+        monkeypatch.setattr(kcat, "compose", refuse)
         got = outcome(smash, z.category, z)
         monkeypatch.undo()
         assert got == expected, name

@@ -1,11 +1,15 @@
-"""Differential test of validate_category, validate_derivation and
-validate_grading against the comb-based checks they replaced, kept here
-as references.  The library sums each Leibniz equation, each
-product of homogeneous columns and each side of an associativity law
-from the raw structure constants; the references send every basis
-product through compose, comb_pair, Derivation.apply and vector.  Both
-must return the same problem lists, in the same order, and refuse the
-same inputs with the same message.
+"""Differential test of validate_category, validate_derivation and the
+grading check against the comb-based checks they replaced, kept as
+references (the grading one in grading_reference.py).  The library sums
+each Leibniz equation, each product of homogeneous columns and each
+side of an associativity law from the raw structure constants; the
+references send every basis product through compose, comb_pair,
+Derivation.apply and vector.  Both must return the same problem lists,
+in the same order, and refuse the same inputs with the same message.
+
+Grading decides its axioms when it is built, so it must refuse exactly
+the data on which the grading reference lists a problem, with the first
+one's text.
 
 The reference category check also decides composite ranges, identities
 and unit laws, which LinCat now decides when it is built.  So the
@@ -22,13 +26,14 @@ from lincat.cohomology import (Derivation, characters, delta,
                                derivation_space, inner_derivations,
                                validate_derivation)
 from lincat.covering import fibre
-from lincat.exactlinalg import FieldSpec, Matrix, dense, inverse
-from grading_reference import homogeneous_comb
+from lincat.exactlinalg import FieldSpec, Matrix
+from grading_reference import (built_grading, grading_fields,
+                               reference_validate_grading)
 from linalg_reference import row_major
 from lincat.fixtures import (F2, Q, cover_f1, cyclic_cover, kronecker,
                              loop_square_zero, square_cover)
 from lincat.grading import (Grading, grading_on_basis, induced_grading,
-                            trivial_grading, validate_grading)
+                            trivial_grading)
 from lincat.groups import cyclic_group
 from lincat import kcat
 from lincat.kcat import (Arrow, LinCat, QuiverPresentation, Violation,
@@ -126,81 +131,6 @@ def reference_validate_derivation(d):
                                 compose(c, d.apply_name(g), {f: one}))
             if not comb_eq(lhs, rhs_comb):
                 problems.append(f"Leibniz fails on ({g}, {f})")
-    return problems
-
-
-def reference_validate_grading(z):
-    """Empty iff z is a grading: invertible change of basis everywhere,
-    degree labels in the group, identities of degree e, and composites of
-    homogeneous elements homogeneous of the product degree."""
-    problems = []
-    c = z.category
-    grp = z.group
-    want = {pair for pair, names in c.hom.items() if names}
-    if set(z.basis) != want:
-        problems.append(f"basis keys {sorted(set(z.basis) ^ want)} do not "
-                        "match the nonzero hom pairs")
-        return problems
-    if set(z.degrees) != want:
-        problems.append("degree keys do not match the nonzero hom pairs")
-        return problems
-    invs = {}
-    for pair in sorted(want):
-        n = len(c.hom[pair])
-        m = z.basis[pair]
-        if (m.rows, m.cols) != (n, n):
-            problems.append(f"hom{pair}: change of basis is {m.rows}x{m.cols},"
-                            f" expected {n}x{n}")
-            continue
-        if len(z.degrees[pair]) != n:
-            problems.append(f"hom{pair}: {len(z.degrees[pair])} degree labels"
-                            f" for {n} columns")
-            continue
-        bad = [d for d in z.degrees[pair] if d not in grp.elements]
-        if bad:
-            problems.append(f"hom{pair}: unknown degree labels {bad}")
-            continue
-        inv = inverse(m)
-        if inv is None:
-            problems.append(f"hom{pair}: change of basis is singular")
-            continue
-        invs[pair] = inv
-    if problems:
-        return problems
-
-    def support_degrees(coords, pair):
-        return {z.degrees[pair][j] for j, a in enumerate(coords) if a}
-
-    for x in c.objects:
-        pair = (x, x)
-        if pair not in invs:
-            continue
-        coords = invs[pair].apply(dense(c.field, c.coords(c.identity(x), x, x),
-                                        c.dim(x, x)))
-        degs = support_degrees(coords, pair)
-        if degs - {grp.identity}:
-            problems.append(f"identity of {x} meets degrees "
-                            f"{sorted(degs - {grp.identity})}")
-    for (x, y) in sorted(want):
-        for (y2, w) in sorted(want):
-            if y2 != y or (x, w) not in invs:
-                continue
-            for jf, s in enumerate(z.degrees[(x, y)]):
-                f_comb = homogeneous_comb(z, x, y, jf)
-                for jg, t in enumerate(z.degrees[(y, w)]):
-                    g_comb = homogeneous_comb(z, y, w, jg)
-                    prod = compose(c, g_comb, f_comb)
-                    if not prod:
-                        continue
-                    coords = invs[(x, w)].apply(
-                        dense(c.field, c.coords(prod, x, w), c.dim(x, w)))
-                    degs = support_degrees(coords, (x, w))
-                    ts = grp.mul(t, s)
-                    if degs - {ts}:
-                        problems.append(
-                            f"hom({x},{y}) column {jf} (degree {s}) composed "
-                            f"with hom({y},{w}) column {jg} (degree {t}) "
-                            f"meets degrees {sorted(degs)}, expected {ts}")
     return problems
 
 
@@ -371,7 +301,17 @@ def induced(fix):
     return induced_grading(f, {b: fibre(f, b)[0] for b in f.target.objects})
 
 
+def assert_grading_agrees(z):
+    """Grading refuses z's fields iff the reference lists a problem,
+    with the first one's text; returns the reference's problems."""
+    ref = reference_validate_grading(z)
+    got = built_grading(z)
+    assert got == ref[0] if ref else isinstance(got, Grading), (got, ref)
+    return ref
+
+
 def grading_cases():
+    """Fourteen gradings, then the data of three that are not."""
     out = [kf2_grading(), mixed_kronecker_grading(F3, 3),
            mixed_kronecker_grading(F5, 2), mixed_kronecker_grading(Q, 2),
            induced(cover_f1()), induced(cyclic_cover(3, F2)),
@@ -385,8 +325,10 @@ def grading_cases():
                                      if order > 2 else "e"}))
     # composites of the wrong degree: b∘a = c has degree e, not g2
     for field in (Q, F2, F3):
-        out.append(grading_on_basis(triangle(field), cyclic_group(3),
-                                    {"a": "g", "b": "g", "c": "e"}))
+        z = grading_on_basis(triangle(field), cyclic_group(3), {})
+        out.append(grading_fields(z, degrees={
+            pair: tuple({"a": "g", "b": "g"}.get(n, "e") for n in names)
+            for pair, names in z.category.hom.items()}))
     return out
 
 
@@ -429,8 +371,7 @@ def test_derivation_key_and_shape_problems_agree():
 
 
 def test_grading_problems_agree_on_fixtures():
-    outcomes = [assert_same(validate_grading, reference_validate_grading, z)
-                for z in GRADINGS]
+    outcomes = [assert_grading_agrees(z) for z in GRADINGS]
     assert outcomes[:14] == [[]] * 14
     assert all(outcomes[14:])  # the wrong composites
 
@@ -523,10 +464,8 @@ def test_one_swapped_degree_label(case, pair, column, label):
     key = pick(sorted(z.degrees), pair)
     labels = list(z.degrees[key])
     labels[column % len(labels)] = pick(z.group.elements, label)
-    degrees = dict(z.degrees)
-    degrees[key] = tuple(labels)
-    assert_same(validate_grading, reference_validate_grading,
-                Grading(z.group, z.category, z.basis, degrees))
+    assert_grading_agrees(grading_fields(
+        z, degrees={**z.degrees, key: tuple(labels)}))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -540,7 +479,5 @@ def test_one_scaled_basis_column(case, pair, column, factor):
     s = m.field.scalar(factor)
     entries = [m.field.reduce(a * s) if k % m.cols == j else a
                for k, a in enumerate(m.entries)]
-    basis = dict(z.basis)
-    basis[key] = row_major(m.field, m.rows, m.cols, entries)
-    assert_same(validate_grading, reference_validate_grading,
-                Grading(z.group, z.category, basis, z.degrees))
+    assert_grading_agrees(grading_fields(z, basis={
+        **z.basis, key: row_major(m.field, m.rows, m.cols, entries)}))
