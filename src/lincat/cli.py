@@ -17,11 +17,10 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field as dcfield
-from typing import Optional, TextIO, Union
+from typing import Callable, Optional, TextIO, Union
 
 from . import registry
-from .cohomology import delta, delta_injectivity_check, h1, is_inner, \
-    validate_character
+from .cohomology import delta, delta_injectivity_check, h1, is_inner
 from .covering import CoveringMorphism, aut1, check_covering, \
     extend_morphism, fibre, lambda_map
 from .exactlinalg import FieldSpec
@@ -114,10 +113,12 @@ def _load_covering(path: str) -> LinFunctor:
     return f
 
 
-def _write_doc(path: Optional[str], doc: dict, report: Report) -> None:
+def _write_doc(path: Optional[str], doc: Callable[[], dict],
+               report: Report) -> None:
+    """Write doc() to path if one is given; doc is not called otherwise."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(doc))
+            fh.write(canonical_dumps(doc()))
         report.messages.append(f"wrote {path}")
 
 
@@ -131,11 +132,10 @@ def _cmd_validate(args, report: Report) -> None:
     given = [(k, p) for k, p in kinds if p]
     if not given:
         raise InputError("nothing to validate; pass at least one file")
-    # a grading or a presentation that decodes is one
+    # a grading, a character or a presentation that decodes is one
     validators = {"category": validate_category,
                   "functor": validate_functor,
-                  "action": check_action,
-                  "character": validate_character}
+                  "action": check_action}
     for kind, path in given:
         value = load_value(path, kind)
         problems = validators[kind](value) if kind in validators else []
@@ -154,7 +154,7 @@ def _cmd_present(args, report: Report) -> None:
     dims = {pair: len(names) for pair, names in res.category.hom.items()}
     report.verdicts["total dimension"] = sum(dims.values())
     report.witnesses["hom dimensions"] = _pairs_to_nested(dims)
-    _write_doc(args.out, category_to_doc(res.category), report)
+    _write_doc(args.out, lambda: category_to_doc(res.category), report)
 
 
 def _cmd_cover_check(args, report: Report) -> None:
@@ -240,7 +240,7 @@ def _cmd_galois_quotient(args, report: Report) -> None:
     report.verdicts["projection deck group"] = res.deck_group.label()
     report.witnesses["orbit representatives"] = dict(
         sorted(res.orbit_representatives.items()))
-    _write_doc(args.out, category_to_doc(res.quotient), report)
+    _write_doc(args.out, lambda: category_to_doc(res.quotient), report)
 
 
 def _cmd_galois_structure(args, report: Report) -> None:
@@ -287,7 +287,7 @@ def _cmd_grade_induce(args, report: Report) -> None:
     report.verdicts["group"] = z.group.label()
     report.witnesses["fibre choice"] = dict(sorted(choice.items()))
     report.witnesses["degrees"] = _pairs_to_nested(z.degrees)
-    _write_doc(args.out, grading_to_doc(z), report)
+    _write_doc(args.out, lambda: grading_to_doc(z), report)
 
 
 def _cmd_grade_validate(args, report: Report) -> None:
@@ -303,7 +303,7 @@ def _cmd_grade_regrade(args, report: Report) -> None:
     z2 = regrade(z, shift)
     report.verdicts["group"] = z2.group.label()
     report.witnesses["degrees"] = _pairs_to_nested(z2.degrees)
-    _write_doc(args.out, grading_to_doc(z2), report)
+    _write_doc(args.out, lambda: grading_to_doc(z2), report)
 
 
 def _cmd_grade_connected(args, report: Report) -> None:
@@ -326,7 +326,7 @@ def _cmd_grade_smash(args, report: Report) -> None:
     report.verdicts["objects"] = len(res.category.objects)
     report.witnesses["object pairs"] = {
         name: list(pair) for name, pair in sorted(res.object_pairs.items())}
-    _write_doc(args.out, functor_to_doc(res.projection), report)
+    _write_doc(args.out, lambda: functor_to_doc(res.projection), report)
 
 
 def _cmd_grade_walkdeg(args, report: Report) -> None:

@@ -282,10 +282,6 @@ def validate_character(chi: Character) -> list[str]:
     return problems
 
 
-def zero_character(grp: Group, field: FieldSpec) -> Character:
-    return Character(grp, field, {s: field.zero() for s in grp.elements})
-
-
 def characters(grp: Group, field: FieldSpec) -> list[Character]:
     """Basis of the additive characters group → k⁺.  A finite group has
     no nonzero map into a torsion-free k⁺, so the basis is empty in

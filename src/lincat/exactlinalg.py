@@ -135,23 +135,6 @@ class Matrix:
             raise ValueError("number of columns does not match cols")
 
     @staticmethod
-    def from_rows(field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("ragged rows")
-        return Matrix.from_cols(field, list(zip(*rows)), len(rows))
-
-    @staticmethod
-    def from_cols(field: FieldSpec, cols: Sequence[Sequence], nrows: Optional[int] = None) -> "Matrix":
-        r = len(cols[0]) if cols else (nrows or 0)
-        columns = []
-        for col in cols:
-            if len(col) != r:
-                raise ValueError("ragged columns")
-            columns.append({i: a for i, v in enumerate(col)
-                            if (a := field.scalar(v))})
-        return Matrix(field, r, len(cols), tuple(columns))
-
-    @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
         return Matrix(field, n, n, tuple({j: field.one()} for j in range(n)))
 

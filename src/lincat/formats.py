@@ -16,7 +16,7 @@ from typing import Union
 from .exactlinalg import FieldSpec, Matrix
 from .grading import Grading, HomogeneousWalk, HWalkStep
 from .groups import Group
-from .cohomology import Character
+from .cohomology import Character, validate_character
 from .galois import GroupAction
 from .kcat import Arrow, LinCat, LinComb, LinFunctor, QuiverPresentation
 
@@ -281,9 +281,12 @@ def character_from_doc(doc) -> Character:
     values = _object(doc["values"], "values")
     _require(set(values) == set(grp.elements),
              "value keys do not match the group elements")
-    return Character(grp, field,
-                     {s: scalar_from_doc(field, v)
-                      for s, v in values.items()})
+    chi = Character(grp, field, {s: scalar_from_doc(field, v)
+                                 for s, v in values.items()})
+    problems = validate_character(chi)
+    if problems:
+        raise FormatError(f"invalid character: {problems[0]}")
+    return chi
 
 
 # -- presentations ------------------------------------------------------------------

@@ -234,14 +234,6 @@ class HomogeneousWalk:
         return HomogeneousWalk(self.start, self.steps + other.steps)
 
 
-def make_hstep(z: Grading, x: str, y: str, index: int, sign: int) -> HWalkStep:
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if (x, y) not in z.degrees or not 0 <= index < len(z.degrees[(x, y)]):
-        raise ValueError(f"hom({x},{y}) has no homogeneous element {index}")
-    return HWalkStep(x, y, index, sign)
-
-
 def validate_hwalk(z: Grading, w: HomogeneousWalk) -> list[str]:
     problems = []
     if w.start not in z.category.objects:

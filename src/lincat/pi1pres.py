@@ -10,9 +10,10 @@ a free factor in the abelianization already shows that it cannot close.
 Neither claims infiniteness: "exceeded" means only that the HLT
 definition order ran out of cosets, or would have.
 """
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 from typing import Union
 
 from .exactlinalg import EchelonBasis, smith_normal_form
@@ -121,14 +122,8 @@ def pi1_presentation(p: QuiverPresentation, b0: str) -> Pi1Result:
 def _exponent_rows(g: FPGroup) -> list[list[int]]:
     """The relator exponent matrix: one row per relator, one column per
     generator."""
-    n = len(g.generators)
-    rows = []
-    for w in g.relators:
-        row = [0] * n
-        for x in w:
-            row[abs(x) - 1] += 1 if x > 0 else -1
-        rows.append(row)
-    return rows
+    gens = range(1, len(g.generators) + 1)
+    return [[c[x] - c[-x] for x in gens] for c in map(Counter, g.relators)]
 
 
 def abelianization(g: FPGroup) -> list[int]:
@@ -138,10 +133,6 @@ def abelianization(g: FPGroup) -> list[int]:
     factors = smith_normal_form(_exponent_rows(g), cols=len(g.generators))
     out = [d for d in factors if d != 1]
     return out if out else [1]
-
-
-class _Exceeded(Exception):
-    pass
 
 
 def _root(w: Word) -> tuple[Word, int]:
@@ -157,12 +148,18 @@ def bounded_order(g: FPGroup, max_cosets: int) -> Union[int, str]:
     live coset in turn, scan and fill every relator, then complete the
     row.  A relator w = uᵏ with k > 1 that scans closed at coset c also
     traces closed at every c·uʲ, where its scan would define nothing and
-    find no coincidence; those (coset, relator) pairs are marked done
+    find no coincidence; those cosets are marked done for that relator
     and skipped, so the definitions and coincidences are exactly those
     of plain HLT.  Returns the group order if the table closes after at
     most max_cosets coset definitions (dead cosets included), else
     "exceeded": this definition order ran out of cosets, which says
     nothing about finiteness.
+
+    The table is one list per signed letter, indexed by coset (0 is
+    undefined and coset 0 a placeholder).  A relator holds the lists of
+    its letters and of their inverses in word order, so a scan step is
+    one list index, and its marks are one bytearray indexed by coset.
+    These lists double as cosets are defined, never sized by max_cosets.
 
     A closed table proves the group finite, so when the abelianization
     has a free factor the enumeration can only run out: "exceeded" is
@@ -176,16 +173,18 @@ def bounded_order(g: FPGroup, max_cosets: int) -> Union[int, str]:
         span.add({j: e for j, e in enumerate(row) if e})
     if len(span) < len(g.generators):
         return "exceeded"
-    relators = [(w, *_root(w)) for w in map(free_reduce, g.relators) if w]
     n = len(g.generators)
     letters = list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
-    # table[x][c] is c·x, 0 if undefined: one list per signed letter x,
-    # a negative x indexing from the end (table[0] is unused); coset 0
-    # is a placeholder, so coset c is entry c of every list
-    table: list[list[int]] = [[]] + [[0, 0] for _ in letters]
-    columns = table[1:]
-    parent = [0, 1]
-    done: set[tuple[int, int]] = set()
+    column = {x: [0, 0] for x in letters}
+    pairs = [(column[x], column[-x]) for x in letters]
+    # per relator w = uᵏ: the lists of w and of its inverse letters, the
+    # last index, the marks, the lists of u, and k - 1
+    relators = [([column[x] for x in w], [column[-x] for x in w],
+                 len(w) - 1, bytearray(2), [column[x] for x in u], k - 1)
+                for w in map(free_reduce, g.relators) if w
+                for u, k in [_root(w)]]
+    parent = [0, 1]  # parent[c] == c for every coset not yet merged
+    top = 2  # the next coset to define
 
     def rep(c: int) -> int:
         root = c
@@ -194,16 +193,6 @@ def bounded_order(g: FPGroup, max_cosets: int) -> Union[int, str]:
         while parent[c] != root:
             parent[c], c = root, parent[c]
         return root
-
-    def define(c: int, x: int) -> None:
-        d = len(parent)
-        if d > max_cosets:
-            raise _Exceeded
-        parent.append(d)
-        for col in columns:
-            col.append(0)
-        table[x][c] = d
-        table[-x][d] = c
 
     def coincidence(a: int, b: int) -> None:
         queue: deque[int] = deque()
@@ -220,8 +209,7 @@ def bounded_order(g: FPGroup, max_cosets: int) -> Union[int, str]:
         merge(a, b)
         while queue:
             dead = queue.popleft()
-            for x in letters:
-                col, inv = table[x], table[-x]
+            for col, inv in pairs:
                 d = col[dead]
                 if not d:
                     continue
@@ -237,63 +225,79 @@ def bounded_order(g: FPGroup, max_cosets: int) -> Union[int, str]:
                 else:
                     inv[u] = v
 
-    def scan_and_fill(start: int, w: Word) -> None:
-        # entries may name dead cosets only after a coincidence, and a
-        # live coset is its own parent, so rep() runs only on dead ones
-        f = b = start
-        i, j = 0, len(w) - 1
-        while True:
-            while i <= j:
-                f2 = table[w[i]][f]
-                if not f2:
-                    break
-                f = f2 if parent[f2] == f2 else rep(f2)
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i:
-                b2 = table[-w[j]][b]
-                if not b2:
-                    break
-                b = b2 if parent[b2] == b2 else rep(b2)
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                table[w[i]][f] = b
-                table[-w[i]][b] = f
-                return
-            define(f, w[i])
+    def grow() -> None:
+        # double every list indexed by coset in place, so that the
+        # relators keep holding the table's lists
+        size = len(parent)
+        parent.extend(range(size, 2 * size))
+        for col in (*column.values(), *(r[3] for r in relators)):
+            col.extend(bytes(size))
 
-    def mark_cycle(c: int, r: int, u: Word, k: int) -> None:
-        # w = uᵏ traces closed at the live coset c, hence at every c·uʲ
-        for _ in range(k - 1):
-            for x in u:
-                c = rep(table[x][c])
-            done.add((c, r))
-
-    try:
-        idx = 1
-        while idx < len(parent):
-            if parent[idx] != idx:
-                idx += 1
-                continue
-            for r, (w, u, k) in enumerate(relators):
-                if k > 1 and (idx, r) in done:
-                    continue
-                scan_and_fill(idx, w)
-                if parent[idx] != idx:
-                    break
-                if k > 1:
-                    mark_cycle(idx, r, u, k)
-            else:
-                for x in letters:
-                    if not table[x][idx]:
-                        define(idx, x)
+    # entries may name dead cosets only after a coincidence, and a live
+    # coset is its own parent, so rep() runs only on dead ones
+    idx = 1
+    while idx < top:
+        if parent[idx] != idx:
             idx += 1
-    except _Exceeded:
-        return "exceeded"
-    return sum(1 for c in range(1, len(parent)) if parent[c] == c)
+            continue
+        for fwd, inv, last, done, ucols, k in relators:
+            if done[idx]:
+                continue
+            f = b = idx  # scan and fill w at idx
+            i, j = 0, last
+            while True:
+                while i <= j:
+                    f2 = fwd[i][f]
+                    if not f2:
+                        break
+                    f = f2 if parent[f2] == f2 else rep(f2)
+                    i += 1
+                if i > j:
+                    if f != b:
+                        coincidence(f, b)
+                    break
+                while j >= i:
+                    b2 = inv[j][b]
+                    if not b2:
+                        break
+                    b = b2 if parent[b2] == b2 else rep(b2)
+                    j -= 1
+                if j < i:
+                    coincidence(f, b)
+                    break
+                if j == i:
+                    fwd[i][f] = b
+                    inv[i][b] = f
+                    break
+                if top > max_cosets:
+                    return "exceeded"
+                if top == len(parent):
+                    grow()
+                fwd[i][f] = top
+                inv[i][top] = f
+                f = top
+                top += 1
+                i += 1
+            if parent[idx] != idx:
+                break
+            # w = uᵏ traces closed at the live coset idx, hence at every
+            # idx·uʲ
+            c = idx
+            for _ in range(k):
+                for col in ucols:
+                    c = col[c]
+                    if parent[c] != c:
+                        c = rep(c)
+                done[c] = 1
+        else:
+            for col, inv in pairs:
+                if not col[idx]:
+                    if top > max_cosets:
+                        return "exceeded"
+                    if top == len(parent):
+                        grow()
+                    col[idx] = top
+                    inv[top] = idx
+                    top += 1
+        idx += 1
+    return sum(map(eq, parent[1:top], range(1, top)))  # the live cosets

@@ -6,11 +6,30 @@ and `kernel_basis` for the sympy comparisons and the rank-based
 reference checks.  They are thin layers over the library's EchelonBasis
 and complement.  `eliminated_inverse` is `inverse` as it was before
 monomial matrices skipped elimination, the reference for that path.
-`row_major` builds a Matrix from row-major entries."""
+`from_rows`, `from_cols` and `row_major` build a Matrix from dense rows,
+dense columns or row-major entries, coercing each entry into the field."""
 from typing import Iterable, Optional, Sequence
 
 from lincat.exactlinalg import (EchelonBasis, FieldSpec, Matrix, complement,
                                 dense)
+
+
+def from_rows(field: FieldSpec, rows: Sequence[Sequence]) -> Matrix:
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged rows")
+    return from_cols(field, list(zip(*rows)), len(rows))
+
+
+def from_cols(field: FieldSpec, cols: Sequence[Sequence],
+              nrows: Optional[int] = None) -> Matrix:
+    r = len(cols[0]) if cols else (nrows or 0)
+    columns = []
+    for col in cols:
+        if len(col) != r:
+            raise ValueError("ragged columns")
+        columns.append({i: a for i, v in enumerate(col)
+                        if (a := field.scalar(v))})
+    return Matrix(field, r, len(cols), tuple(columns))
 
 
 def row_major(field: FieldSpec, rows: int, cols: int,
@@ -19,8 +38,8 @@ def row_major(field: FieldSpec, rows: int, cols: int,
     their column count, which from_rows cannot read off."""
     if not rows:
         return Matrix.zeros(field, 0, cols)
-    return Matrix.from_rows(field, [entries[i * cols:(i + 1) * cols]
-                                    for i in range(rows)])
+    return from_rows(field, [entries[i * cols:(i + 1) * cols]
+                             for i in range(rows)])
 
 
 def _echelon(field: FieldSpec, rows: Iterable[dict]) -> EchelonBasis:

@@ -314,6 +314,46 @@ def test_present_builds_category(workdir, tmp_path):
     assert run(workdir, "validate", "--cat", str(out_file))[0] == 0
 
 
+@pytest.mark.parametrize("argv,builder", [
+    (("present", "--presentation", "kronecker-quiver.txt", "--field", "0"),
+     "category_to_doc"),
+    (("galois", "quotient", "--action", "swap-action.json"),
+     "category_to_doc"),
+    (("grade", "induce", "--functor", "F0.json"), "grading_to_doc"),
+    (("grade", "regrade", "--grading", "smash-grading.json"),
+     "grading_to_doc"),
+    (("grade", "smash", "--grading", "smash-grading.json"),
+     "functor_to_doc"),
+], ids=["present", "quotient", "induce", "regrade", "smash"])
+def test_output_document_built_only_under_out(workdir, tmp_path, monkeypatch,
+                                              argv, builder):
+    calls = []
+    real = getattr(cli, builder)
+    monkeypatch.setattr(cli, builder,
+                        lambda value: calls.append(1) or real(value))
+    code, out, _ = run(workdir, *argv)
+    assert code == 0 and "wrote" not in out and calls == []
+    out_file = tmp_path / "out.json"
+    code, out, _ = run(workdir, *argv, "--out", str(out_file))
+    assert code == 0 and calls == [1]
+    assert json.loads(out_file.read_text(encoding="utf-8"))["kind"]
+
+
+def test_character_refused_when_decoded(workdir, tmp_path):
+    # e ↦ 1 is no additive character; every command that reads the file
+    # refuses it with the same line, naming the file
+    path = _edited(workdir, tmp_path, "smash-character.json",
+                   lambda d: d["values"].update(e="1 mod 2"))
+    line = f"error: {path}: invalid character: nonzero value at the identity\n"
+    for argv in (("validate", "--character", path),
+                 ("delta", "--grading", "smash-grading.json",
+                  "--character", path)):
+        assert run(workdir, *argv) == (2, "", line), argv
+    code, out, _ = run(workdir, "validate", "--character",
+                       "smash-character.json")
+    assert code == 0 and "valid: true" in out
+
+
 def test_fixtures_command(tmp_path):
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(["fixtures", "kronecker", "--dir", str(tmp_path)],

@@ -141,6 +141,31 @@ def test_dihedral(n):
     assert_same(g, [2 * n, 16 * n + 64])
 
 
+def reference_definitions(g):
+    """The number of cosets the reference defines before its table
+    closes: the least bound at which it answers an order."""
+    bound = 1
+    while reference_bounded_order(g, bound) == "exceeded":
+        bound += 1
+    return bound
+
+
+@pytest.mark.parametrize("g,order", [
+    *((FPGroup(("a", "b"), (power((1,), n), (2, 2), (1, 2, 1, -2))), 2 * n)
+      for n in range(1, 13)),
+    (FPGroup(("i", "j"), (power((1,), 4), (1, 1, -2, -2), (2, 1, -2, 1))),
+     8),
+    (FPGroup(("a", "b"), (power((1,), 3), (2, 2), power((1, 2), 2))), 6),
+], ids=[f"D{n}" for n in range(1, 13)] + ["Q8", "S3"])
+def test_every_bound_up_to_the_exact_limit(g, order):
+    # "exceeded" at one coset short of what the reference defines, the
+    # order from there on
+    limit = reference_definitions(g)
+    assert_same(g, range(1, limit + 2))
+    assert bounded_order(g, limit - 1) == "exceeded"
+    assert bounded_order(g, limit) == bounded_order(g, limit + 1) == order
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 12, 40])
 def test_coxeter_dihedral(n):
     # ⟨a, b | a², b², (ab)ⁿ⟩, the dihedral group again, of order 2n

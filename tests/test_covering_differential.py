@@ -208,6 +208,21 @@ def test_one_entry_changed(data):
                 _replace(f, pair, row_major(m.field, m.rows, m.cols, ent)))
 
 
+def test_unit_moved_at_one_object():
+    # F(id_x) scaled by 0 or 2 at the first and at the last object: the
+    # pairs with an identity factor there are checked, the rest skipped
+    for label, f in POOL:
+        fld = f.source.field
+        for x in {f.source.objects[0], f.source.objects[-1]}:
+            m = f.matrices[(x, x)]
+            for s in {fld.zero(), fld.scalar(2)}:
+                ent = tuple(fld.reduce(s * a) for a in m.entries)
+                g = _replace(f, (x, x), row_major(fld, m.rows, m.cols, ent))
+                found = validate_functor(g)
+                assert found == reference_validate_functor(g), (label, x, s)
+                assert found, (label, x, s)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.data())
 def test_one_block_scaled(data):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lincat.exactlinalg import FieldSpec, Matrix, inverse, smith_normal_form
-from linalg_reference import kernel_basis, quotient_basis, rank, rref, solve
+from linalg_reference import (from_rows, kernel_basis, quotient_basis, rank,
+                              rref, solve)
 
 QQ = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -15,7 +16,7 @@ F5 = FieldSpec(5)
 
 
 def mat(field, rows):
-    return Matrix.from_rows(field, rows)
+    return from_rows(field, rows)
 
 
 def as_ints(m):
@@ -249,7 +250,7 @@ def small_matrix(draw, field=None):
     c = draw(st.integers(1, 4))
     ints = draw(st.lists(st.lists(st.integers(-4, 4), min_size=c, max_size=c),
                          min_size=r, max_size=r))
-    return Matrix.from_rows(f, ints)
+    return from_rows(f, ints)
 
 
 @given(small_matrix())

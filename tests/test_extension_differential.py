@@ -14,7 +14,7 @@ from lincat.fixtures import (corrupted_collapse, cover_f0, cover_f1,
 from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
                          functor_from_arrows, functor_is_isomorphism,
                          identity_functor, validate_functor)
-from linalg_reference import solve
+from linalg_reference import from_cols, from_rows, solve
 
 F3, F5 = FieldSpec(3), FieldSpec(5)
 
@@ -103,7 +103,7 @@ def reference_extend(f, g, j, x0, d0):
             if sol is None:
                 return None
             cols.append(sol)
-        mats[(x, y)] = Matrix.from_cols(c.field, cols, nrows=block.cols)
+        mats[(x, y)] = from_cols(c.field, cols, nrows=block.cols)
     h = LinFunctor(c, d, omap, mats)
     if validate_functor(h):
         return None
@@ -200,7 +200,7 @@ def unscaled_f0(fix):
                             fix.functor.object_map, ARROWS_F0)
     f = LinFunctor(f.source, f.target, f.object_map,
                    {**f.matrices,
-                    ("s0", "s0"): Matrix.from_rows(FieldSpec(0), [[2]])})
+                    ("s0", "s0"): from_rows(FieldSpec(0), [[2]])})
     report = check_covering(f)
     assert report.surjective and not report.failures and report.stars
     assert not report.ok and report.violations == validate_functor(f) != []

@@ -281,6 +281,21 @@ def test_character_decoder_type_checks(value):
         fm.character_from_doc(doc)
 
 
+@pytest.mark.parametrize("values,problem", [
+    ({"e": "1 mod 3", "g": "0 mod 3", "g2": "0 mod 3"},
+     "nonzero value at the identity"),
+    ({"e": "0 mod 3", "g": "1 mod 3", "g2": "1 mod 3"},
+     r"not additive on \(g, g\)"),
+])
+def test_character_refused_unless_additive(values, problem):
+    chi = characters(cyclic_group(3), FieldSpec(3))[0]
+    doc = reload(fm.character_to_doc(chi))
+    assert fm.character_from_doc(doc) == chi
+    doc["values"] = values
+    with pytest.raises(fm.FormatError, match=f"^invalid character: {problem}$"):
+        fm.character_from_doc(doc)
+
+
 @pytest.mark.parametrize("edit,fragment", [
     (lambda d: d["functors"]["g"]["matrices"].update(s1=5),
      r"matrices\['s1'\]"),

@@ -22,6 +22,7 @@ from lincat.kcat import (Arrow, LinCat, LinFunctor, QuiverPresentation,
                          functor_is_isomorphism, identity_functor,
                          inverse_functor, is_connected, present,
                          validate_category, validate_functor)
+from linalg_reference import from_rows
 
 
 # -- validate_category -------------------------------------------------------
@@ -123,7 +124,7 @@ def test_functor_violation_detected():
     bad = functor_from_arrows(
         fix.total, fix.base.category, fix.functor.object_map,
         {"a0": {"a": 1}, "a1": {"a": 1}, "b0": {"b": 1}, "b1": {"b": 1}})
-    bad.matrices[("s0", "s0")] = Matrix.from_rows(Q, [[2]])
+    bad.matrices[("s0", "s0")] = from_rows(Q, [[2]])
     assert any(v.kind == "functor-unit" for v in validate_functor(bad))
 
 
@@ -201,6 +202,21 @@ def test_validate_functor_matches_pairwise_reference(u, w, valid):
     assert [(v.kind, v.where) for v in found] == \
         reference_validate_functor(f)
     assert (found == []) == valid
+
+
+@pytest.mark.parametrize("unit", [
+    {"1_x": 2}, {"1_x": 1, "u": 1}, {"u": 1}, {}])
+def test_validate_functor_checks_unit_pairs_where_the_unit_moves(unit):
+    # F(1_x) ≠ 1_x, so the pairs with a factor 1_x are not decided by the
+    # unit laws and must be checked one by one
+    c = scaled_cube_zero_loop()
+    f = LinFunctor.on_basis(c, c, {"x": "x"},
+                            {"1_x": unit, "u": {"u": 3}, "w": {"w": 9}})
+    found = validate_functor(f)
+    assert [(v.kind, v.where) for v in found] == \
+        reference_validate_functor(f)
+    assert found[0].where == ("x",)
+    assert any("1_x" in v.where for v in found[1:])
 
 
 def test_functor_composition_matches_pointwise():

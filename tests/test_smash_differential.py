@@ -28,6 +28,7 @@ from lincat.grading import (Grading, SmashResult, _unit_row,
 from lincat.groups import cyclic_group
 from lincat.kcat import (LinCat, LinComb, LinFunctor, compose,
                          identity_functor)
+from linalg_reference import from_cols
 
 
 def reference_smash(b: LinCat, z: Grading) -> SmashResult:
@@ -186,9 +187,9 @@ def invalid_gradings() -> dict[str, tuple]:
             p: m for p, m in z.basis.items() if p != ("t", "t")})),
         "identity of degree g": (k, with_degrees(z, ("t", "t"), ("g",))),
         "other category": (kronecker().category, z),
-        "singular": (k, with_block(z, ("s", "t"), Matrix.from_cols(
+        "singular": (k, with_block(z, ("s", "t"), from_cols(
             F2, [[1, 0], [1, 0]]))),
-        "misshaped": (k, with_block(z, ("s", "t"), Matrix.from_cols(
+        "misshaped": (k, with_block(z, ("s", "t"), from_cols(
             F2, [[1, 0, 0], [0, 1, 0]]))),
         "not multiplicative": (b, grading_fields(square, degrees={
             p: tuple("g" if n == "b" else "e" for n in names)

@@ -29,7 +29,7 @@ from lincat.covering import fibre
 from lincat.exactlinalg import FieldSpec, Matrix
 from grading_reference import (built_grading, grading_fields,
                                reference_validate_grading)
-from linalg_reference import row_major
+from linalg_reference import from_rows, row_major
 from lincat.fixtures import (F2, Q, cover_f1, cyclic_cover, kronecker,
                              loop_square_zero, square_cover)
 from lincat.grading import (Grading, grading_on_basis, induced_grading,
@@ -290,7 +290,7 @@ def mixed_kronecker_grading(field, order):
     c = kronecker(field).category
     z = grading_on_basis(c, cyclic_group(order), {})
     basis = dict(z.basis)
-    basis[("s", "t")] = Matrix.from_rows(field, [[1, 1], [1, -1]])
+    basis[("s", "t")] = from_rows(field, [[1, 1], [1, -1]])
     degrees = dict(z.degrees)
     degrees[("s", "t")] = ("e", "g")
     return Grading(z.group, c, basis, degrees)
