@@ -26,8 +26,8 @@ from .covering import CoveringMorphism, aut1, check_covering, \
 from .exactlinalg import FieldSpec
 from .formats import canonical_dumps, category_to_doc, functor_to_doc, \
     grading_to_doc, group_to_doc, hwalk_to_doc, load_value, matrix_to_doc
-from .galois import check_action, gset_analysis, hom_coverings, is_galois, \
-    quotient, structure_iso, check_universal
+from .galois import gset_analysis, hom_coverings, is_galois, quotient, \
+    structure_iso, check_universal
 from .grading import induced_grading, is_connected_grading, regrade, smash, \
     validate_hwalk, walk_degree
 from .kcat import LinFunctor, identity_functor, present, \
@@ -113,6 +113,13 @@ def _load_covering(path: str) -> LinFunctor:
     return f
 
 
+def _seed_object(f: LinFunctor) -> str:
+    """The first object of the source of the covering f."""
+    if not f.source.objects:
+        raise InputError("the covering has no objects to seed")
+    return f.source.objects[0]
+
+
 def _write_doc(path: Optional[str], doc: Callable[[], dict],
                report: Report) -> None:
     """Write doc() to path if one is given; doc is not called otherwise."""
@@ -132,10 +139,10 @@ def _cmd_validate(args, report: Report) -> None:
     given = [(k, p) for k, p in kinds if p]
     if not given:
         raise InputError("nothing to validate; pass at least one file")
-    # a grading, a character or a presentation that decodes is one
+    # an action, a grading, a character or a presentation that decodes
+    # is one
     validators = {"category": validate_category,
-                  "functor": validate_functor,
-                  "action": check_action}
+                  "functor": validate_functor}
     for kind, path in given:
         value = load_value(path, kind)
         problems = validators[kind](value) if kind in validators else []
@@ -184,7 +191,7 @@ def _cmd_cover_extend(args, report: Report) -> None:
     f, g = _load_covering(args.functor), _load_covering(args.to)
     if f.target != g.target:
         raise InputError("the two coverings have different bases")
-    x0 = args.object if args.object is not None else f.source.objects[0]
+    x0 = args.object if args.object is not None else _seed_object(f)
     if x0 not in f.source.objects:
         raise InputError(f"unknown object {x0!r}")
     if args.image is not None:
@@ -205,7 +212,7 @@ def _cmd_cover_lambda(args, report: Report) -> None:
     f, g = _load_covering(args.functor), _load_covering(args.to)
     if f.target != g.target:
         raise InputError("the two coverings have different bases")
-    x0 = f.source.objects[0]
+    x0 = _seed_object(f)
     d0 = args.image if args.image is not None \
         else fibre(g, f.object_map[x0])[0]
     h = extend_morphism(f, g, identity_functor(f.target), x0, d0)

@@ -256,9 +256,16 @@ def in_derivation_space(d: Derivation) -> bool:
 
 @dataclass
 class Character:
+    """An additive character group → k⁺, decided when it is built:
+    ValueError refuses one with validate_character's first problem."""
     group: Group
     field: FieldSpec
     values: dict[str, object]  # group element -> field element
+
+    def __post_init__(self):
+        problems = validate_character(self)
+        if problems:
+            raise ValueError(problems[0])
 
     def __call__(self, s: str):
         return self.values[s]
@@ -327,9 +334,6 @@ def delta(c: LinCat, z: Grading, chi: Character) -> Derivation:
         raise ValueError("character group does not match the grading group")
     if chi.field != c.field:
         raise ValueError("character field does not match the category field")
-    bad = validate_character(chi)
-    if bad:
-        raise ValueError(bad[0])
     mats, inv = {}, z.inverses
     for pair, labels in z.degrees.items():
         cb = z.basis[pair]

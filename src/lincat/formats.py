@@ -16,7 +16,7 @@ from typing import Union
 from .exactlinalg import FieldSpec, Matrix
 from .grading import Grading, HomogeneousWalk, HWalkStep
 from .groups import Group
-from .cohomology import Character, validate_character
+from .cohomology import Character
 from .galois import GroupAction
 from .kcat import Arrow, LinCat, LinComb, LinFunctor, QuiverPresentation
 
@@ -221,13 +221,13 @@ def action_from_doc(doc) -> GroupAction:
         _require(key in doc, f"action misses {key!r}")
     cat = category_from_doc(doc["category"])
     grp = group_from_doc(doc["group"])
-    docs = _object(doc["functors"], "functors")
-    functors = {}
-    for s in grp.elements:
-        _require(s in docs, f"no functor for element {s!r}")
-        functors[s] = _functor_core_from_doc(
-            _object(docs[s], f"functors[{s!r}]"), cat, cat)
-    return GroupAction(grp, functors, cat)
+    functors = {s: _functor_core_from_doc(_object(d, f"functors[{s!r}]"),
+                                          cat, cat)
+                for s, d in _object(doc["functors"], "functors").items()}
+    try:
+        return GroupAction(grp, functors, cat)
+    except ValueError as e:
+        raise FormatError(f"invalid group action: {e}") from e
 
 
 # -- gradings -------------------------------------------------------------------
@@ -279,14 +279,11 @@ def character_from_doc(doc) -> Character:
     field = field_from_doc(doc["field"])
     grp = group_from_doc(doc["group"])
     values = _object(doc["values"], "values")
-    _require(set(values) == set(grp.elements),
-             "value keys do not match the group elements")
-    chi = Character(grp, field, {s: scalar_from_doc(field, v)
-                                 for s, v in values.items()})
-    problems = validate_character(chi)
-    if problems:
-        raise FormatError(f"invalid character: {problems[0]}")
-    return chi
+    try:
+        return Character(grp, field, {s: scalar_from_doc(field, v)
+                                      for s, v in values.items()})
+    except ValueError as e:
+        raise FormatError(f"invalid character: {e}") from e
 
 
 # -- presentations ------------------------------------------------------------------

@@ -22,10 +22,17 @@ from .kcat import (LinCat, LinComb, LinFunctor, compose, functor_compose,
 
 @dataclass
 class GroupAction:
-    """A finite group acting by automorphisms, freely on objects."""
+    """A finite group acting by automorphisms, freely on objects; the
+    axioms are decided when it is built (check_action), and ValueError
+    refuses an action that fails one with its first problem."""
     group: Group
     functors: dict[str, LinFunctor]
     category: LinCat
+
+    def __post_init__(self):
+        problem = check_action(self)
+        if problem is not None:
+            raise ValueError(problem)
 
     def apply_object(self, s: str, x: str) -> str:
         return self.functors[s].object_map[x]
@@ -34,58 +41,42 @@ class GroupAction:
         return self.functors[s].apply_name(n)
 
 
-def check_action(a: GroupAction) -> list[str]:
+def check_action(a: GroupAction) -> Optional[str]:
+    """The first problem of a as a free action by automorphisms, or None.
+
+    With F_e = 1, F_(s·g) = F_s∘F_g for every generator g gives
+    F_(s·t) = F_s∘F_t by induction on the length of t as a word in the
+    generators, so every F_t is a product of generators' functors and a
+    functorial automorphism when theirs are: no other element or pair is
+    checked."""
     grp, fs = a.group, a.functors
-
-    def functor_problems(s: str) -> list[str]:
-        out = []
-        if validate_functor(fs[s]):
-            out.append(f"functor of {s} is not functorial")
-        if not functor_is_isomorphism(fs[s]):
-            out.append(f"functor of {s} is not an automorphism")
-        return out
-
-    for k, s in enumerate(grp.elements):
+    for s in fs:
+        if s not in grp.elements:
+            return f"functors names {s!r}, which is not a group element"
+    for s in grp.elements:
         if s not in fs:
-            stop = f"no functor for group element {s}"
-        elif fs[s].source != a.category or fs[s].target != a.category:
-            stop = f"functor of {s} is not an endofunctor of the category"
-        else:
-            continue
-        return [p for t in grp.elements[:k] for p in functor_problems(t)] \
-            + [stop]
+            return f"no functor for group element {s}"
+        if fs[s].source != a.category or fs[s].target != a.category:
+            return f"functor of {s} is not an endofunctor of the category"
+    if not functor_equal(fs[grp.identity], identity_functor(a.category)):
+        return "identity element does not act as the identity functor"
     gens = grp.generators()
-    unit = functor_equal(fs[grp.identity], identity_functor(a.category))
-
-    def compatible(s: str, t: str) -> bool:
-        return functor_equal(functor_compose(fs[s], fs[t]), fs[grp.mul(s, t)])
-
-    # with F_e = 1, F_(s·g) = F_s∘F_g for every generator g gives
-    # F_(s·t) = F_s∘F_t by induction on the length of t as a word in the
-    # generators, so every F_t is a product of generators' functors and a
-    # functorial automorphism when theirs are; the scans of all elements
-    # and pairs only list the failures
-    generated = unit and all(compatible(s, g) for g in gens
-                             for s in grp.elements)
-    if generated and not any(functor_problems(g) for g in gens):
-        problems = []
-    else:
-        problems = [p for s in grp.elements for p in functor_problems(s)]
-        if not unit:
-            problems.append(
-                "identity element does not act as the identity functor")
-        if not generated:
-            problems += [f"action is not compatible: {s}·{t} ≠ "
-                         f"{grp.mul(s, t)} on functors"
-                         for s in grp.elements for t in grp.elements
-                         if not compatible(s, t)]
-    for s in a.group.elements:
-        if s == a.group.identity:
-            continue
-        for x in a.category.objects:
-            if a.apply_object(s, x) == x:
-                problems.append(f"action is not free: {s}·{x} = {x}")
-    return problems
+    for g in gens:
+        if validate_functor(fs[g]):
+            return f"functor of {g} is not functorial"
+        if not functor_is_isomorphism(fs[g]):
+            return f"functor of {g} is not an automorphism"
+    for g in gens:
+        for s in grp.elements:
+            sg = grp.mul(s, g)
+            if not functor_equal(functor_compose(fs[s], fs[g]), fs[sg]):
+                return f"action is not compatible: {s}·{g} ≠ {sg} on functors"
+    for s in grp.elements:
+        if s != grp.identity:
+            for x in a.category.objects:
+                if a.apply_object(s, x) == x:
+                    return f"action is not free: {s}·{x} = {x}"
+    return None
 
 
 @dataclass
@@ -103,16 +94,13 @@ def quotient(a: GroupAction) -> QuotientResult:
     which also serves as the representative.  hom(α, β) is spanned by the
     source bases of hom(rep(α), y) over all y in β, inheriting names.
 
-    The action is checked once, before construction, and the acting
-    group and functors are returned as the deck group of the projection
-    P: each P∘s = P, so every s is a deck transformation; the images of
-    the first object run over its orbit, which is its whole fibre; and by
+    The action was decided when it was built, and the acting group and
+    functors are returned as the deck group of the projection P: each
+    P∘s = P, so every s is a deck transformation; the images of the
+    first object run over its orbit, which is its whole fibre; and by
     rigidity a deck transformation is fixed by that image, so there are
     no others.  P is thus a Galois covering.
     """
-    problems = check_action(a)
-    if problems:
-        raise ValueError("invalid group action: " + "; ".join(problems))
     if not is_connected(a.category).connected:
         raise ValueError("quotient requires a connected category")
     return _quotient(a.category, a)

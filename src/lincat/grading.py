@@ -283,12 +283,13 @@ def is_connected_grading(z: Grading) -> GradingConnectivity:
     transition per homogeneous basis element and direction; connected
     iff every (c, s) is reachable from (b, e).  The transition relation
     is symmetric, so one search from the first object decides the
-    condition for every start object."""
+    condition for every start object.  The empty category is not
+    connected, so no grading of it is."""
     c = z.category
     grp = z.group
+    if not c.objects:
+        return GradingConnectivity(False, (), {})
     states = [(o, g) for o in c.objects for g in grp.elements]
-    if not states:
-        return GradingConnectivity(True, (), {})
     # the moves out of each object: (next object, degree, step)
     moves: dict[str, list] = {o: [] for o in c.objects}
     for (x, y), labels in z.degrees.items():

@@ -477,7 +477,8 @@ class ConnectivityReport:
 def is_connected(c: LinCat) -> ConnectivityReport:
     """Components of the object graph whose edges are the nonzero hom
     spaces, traversed in either direction; breadth first from each root
-    in declaration order."""
+    in declaration order.  Connected means one component, so the empty
+    category is not connected."""
     neighbours: dict[str, list[str]] = {x: [] for x in c.objects}
     for (x, y) in c.pairs:
         neighbours[x].append(y)
@@ -495,7 +496,7 @@ def is_connected(c: LinCat) -> ConnectivityReport:
                     seen.add(nxt)
                     comp.append(nxt)
         components.append(comp)
-    return ConnectivityReport(len(components) <= 1, components)
+    return ConnectivityReport(len(components) == 1, components)
 
 
 # -- quiver presentations ---------------------------------------------------

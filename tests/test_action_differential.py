@@ -1,8 +1,11 @@
-"""Differential test of galois.check_action against the all-pairs check
-it replaced, kept here as the reference: the library checks
-F_(s·g) = F_s∘F_g for the generators g only and scans every pair only to
-list failures.  Both must return the same problems, in the same order,
-on valid actions and on actions made wrong on purpose."""
+"""Differential test of the GroupAction decision (galois.check_action)
+against the all-pairs check it replaced, kept here as the reference: the
+library checks F_(s·g) = F_s∘F_g for the generators g only and stops at
+the first problem.  On valid actions and on actions made wrong on
+purpose, GroupAction must build iff the reference finds no problem, and
+each refusal must name one of the reference's problems."""
+from dataclasses import dataclass
+
 import pytest
 
 from lincat import galois
@@ -12,11 +15,11 @@ from lincat.fixtures import (cover_f0, cover_f1, cyclic_cover,
                              identity_cover, shift_functor,
                              shift_subgroup_action, square_cover,
                              swap_action)
-from lincat.galois import GroupAction, action_from_deck, check_action
-from lincat.groups import Group
-from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
-                         functor_is_isomorphism, identity_functor,
-                         validate_functor)
+from lincat.galois import GroupAction, action_from_deck
+from lincat.groups import Group, cyclic_group
+from lincat.kcat import (LinCat, LinFunctor, functor_compose, functor_equal,
+                         functor_from_arrows, functor_is_isomorphism,
+                         identity_functor, validate_functor)
 from linalg_reference import row_major
 
 F3 = FieldSpec(3)
@@ -55,11 +58,26 @@ def reference_check_action(a):
     return problems
 
 
+@dataclass
+class Unchecked:
+    """The fields of a GroupAction, not decided: what the reference reads."""
+    group: Group
+    functors: dict[str, LinFunctor]
+    category: LinCat
+
+    def apply_object(self, s: str, x: str) -> str:
+        return self.functors[s].object_map[x]
+
+
+def unchecked(a) -> Unchecked:
+    return Unchecked(a.group, dict(a.functors), a.category)
+
+
 def shift_actions():
     """Every shift-subgroup action on cyclic_cover(n), n = 1..8."""
     for n in range(1, 9):
         for k in range(n):
-            yield f"shift-{n}-{k}", shift_subgroup_action(n, k)
+            yield f"shift-{n}-{k}", unchecked(shift_subgroup_action(n, k))
 
 
 def two_generator_action():
@@ -68,19 +86,20 @@ def two_generator_action():
     a = shift_subgroup_action(6, 1)
     grp = a.group
     order = ("e", "g2", "g3", "g", "g4", "g5")
-    return GroupAction(Group(order, grp.identity, grp.table),
-                       a.functors, a.category)
+    return Unchecked(Group(order, grp.identity, grp.table), dict(a.functors),
+                     a.category)
 
 
 def valid_actions():
-    yield "swap", swap_action()
-    yield "swap-F3", swap_action(F3)
-    yield "shift-F3", shift_subgroup_action(4, 1, F3)
+    yield "swap", unchecked(swap_action())
+    yield "swap-F3", unchecked(swap_action(F3))
+    yield "shift-F3", unchecked(shift_subgroup_action(4, 1, F3))
     yield from shift_actions()
     yield "two-generators", two_generator_action()
     for fix in (cover_f0(), cover_f1(), identity_cover(), cyclic_cover(3),
                 square_cover()):
-        yield f"deck-{fix.name}", action_from_deck(aut1(fix.functor))
+        deck = action_from_deck(aut1(fix.functor))
+        yield f"deck-{fix.name}", unchecked(deck)
 
 
 def exchanged(a, s, t):
@@ -88,7 +107,7 @@ def exchanged(a, s, t):
     automorphism, but the object images no longer follow the table."""
     fs = dict(a.functors)
     fs[s], fs[t] = fs[t], fs[s]
-    return GroupAction(a.group, fs, a.category)
+    return Unchecked(a.group, fs, a.category)
 
 
 def scaled(a, s, factor=2):
@@ -103,7 +122,7 @@ def scaled(a, s, factor=2):
     fs = dict(a.functors)
     fs[s] = LinFunctor(f.source, f.target, f.object_map,
                        {**f.matrices, pair: block})
-    return GroupAction(a.group, fs, a.category)
+    return Unchecked(a.group, fs, a.category)
 
 
 def perturbed_actions():
@@ -123,30 +142,52 @@ def perturbed_actions():
     yield "two-generators-scaled", scaled(a, "g3")
     total = cyclic_cover(4).total
     trivial = shift_subgroup_action(4, 2)
-    yield "not-free", GroupAction(
+    yield "not-free", Unchecked(
         trivial.group, {s: shift_functor(total, 4, 0)
                         for s in trivial.group.elements}, total.category)
     yield "not-free-exchanged", exchanged(trivial, "e", "g")
+    # C1 acting by a shift: no generator, so only the unit law catches it
+    total = cyclic_cover(3).total
+    yield "shifted-unit", Unchecked(cyclic_group(1),
+                                    {"e": shift_functor(total, 3, 1)},
+                                    total.category)
+    # g folding the double cover onto one sheet: functorial, not invertible
+    total = cyclic_cover(2).total
+    fold = functor_from_arrows(
+        total, total.category, {x: x[0] + "0" for x in total.category.objects},
+        {f"{a}{i}": {"a0": 1} for a in "ab" for i in range(2)})
+    yield "fold", Unchecked(cyclic_group(2), {
+        "e": identity_functor(total.category), "g": fold}, total.category)
 
 
 def cases(actions):
     return [pytest.param(a, id=name) for name, a in actions]
 
 
+def build(a) -> GroupAction:
+    return GroupAction(a.group, a.functors, a.category)
+
+
 @pytest.mark.parametrize("action", cases(valid_actions()))
 def test_valid_actions_agree(action):
-    assert check_action(action) == reference_check_action(action) == []
+    assert reference_check_action(action) == []
+    assert galois.check_action(action) is None
+    assert build(action).functors == action.functors
 
 
 @pytest.mark.parametrize("action", cases(perturbed_actions()))
 def test_perturbed_actions_agree(action):
     want = reference_check_action(action)
     assert want  # each perturbation is caught
-    assert check_action(action) == want
+    with pytest.raises(ValueError) as refused:
+        build(action)
+    assert str(refused.value) in want
+    assert galois.check_action(action) == str(refused.value)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_cyclic_action_composes_n_times(n, monkeypatch):
+    a = unchecked(shift_subgroup_action(n, 1))
     calls = []
     compose = galois.functor_compose
 
@@ -155,12 +196,13 @@ def test_cyclic_action_composes_n_times(n, monkeypatch):
         return compose(f, g)
 
     monkeypatch.setattr(galois, "functor_compose", counted)
-    assert check_action(shift_subgroup_action(n, 1)) == []
+    build(a)
     assert len(calls) == n  # one generator, n elements: not n²
 
 
 @pytest.mark.parametrize("action", cases(
-    [(f"shift-{n}", shift_subgroup_action(n, 1)) for n in (2, 3, 5, 8)]
+    [(f"shift-{n}", unchecked(shift_subgroup_action(n, 1)))
+     for n in (2, 3, 5, 8)]
     + [("two-generators", two_generator_action())]))
 def test_valid_action_validates_the_generators_only(action, monkeypatch):
     calls = []
@@ -171,7 +213,49 @@ def test_valid_action_validates_the_generators_only(action, monkeypatch):
         return validate(f)
 
     monkeypatch.setattr(galois, "validate_functor", counted)
-    assert check_action(action) == []
+    build(action)
     gens = action.group.generators()
     assert len(calls) == len(gens)
     assert all(f is action.functors[g] for f, g in zip(calls, gens))
+
+
+@pytest.mark.parametrize("name,problem", [
+    ("fold", "functor of g is not an automorphism"),
+    ("shifted-unit", "identity element does not act as the identity functor"),
+    ("scale-e-2", "identity element does not act as the identity functor"),
+    ("zero-gen-2", "functor of g is not functorial"),
+    ("scale-last-4", "action is not compatible: g2·g ≠ g3 on functors"),
+    ("not-free", "action is not free: g·s0 = s0"),
+])
+def test_refusals_follow_the_check_order(name, problem):
+    action = dict(perturbed_actions())[name]
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        build(action)
+
+
+def test_functors_must_match_the_elements():
+    a = unchecked(swap_action())
+    fs = dict(a.functors)
+    fs["zzz"] = fs.pop("g")
+    with pytest.raises(ValueError, match="^functors names 'zzz', which is "
+                                         "not a group element$"):
+        build(Unchecked(a.group, fs, a.category))
+    del fs["zzz"]
+    with pytest.raises(ValueError, match="^no functor for group element g$"):
+        build(Unchecked(a.group, fs, a.category))
+
+
+def test_each_action_is_decided_once_when_built(monkeypatch):
+    fields = unchecked(shift_subgroup_action(4, 1))
+    calls = []
+    check = galois.check_action
+
+    def counted(a):
+        calls.append(a)
+        return check(a)
+
+    monkeypatch.setattr(galois, "check_action", counted)
+    a = build(fields)
+    assert calls == [a]
+    galois.quotient(a)
+    assert calls == [a]

@@ -63,6 +63,33 @@ def test_validate_empty_category(workdir):
     assert "valid: true" in out
 
 
+@pytest.mark.parametrize("argv,code,line", [
+    (("galois", "check", "--functor", "P"), 1,
+     "note: not Galois: source category is not connected"),
+    (("cover", "aut1", "--functor", "P"), 2,
+     "error: covering source is not connected"),
+    (("cover", "extend", "--functor", "P", "--to", "P"), 2,
+     "error: the covering has no objects to seed"),
+    (("cover", "lambda", "--functor", "P", "--to", "P"), 2,
+     "error: the covering has no objects to seed"),
+    (("grade", "induce", "--functor", "P"), 2,
+     "error: not a Galois covering: source category is not connected"),
+], ids=["galois check", "cover aut1", "cover extend", "cover lambda",
+        "grade induce"])
+def test_identity_covering_of_the_empty_category(workdir, tmp_path, argv,
+                                                 code, line):
+    # the empty category is not connected, and has no object to seed
+    from lincat.fixtures import discrete
+    from lincat.formats import dump_path, functor_to_doc
+    from lincat.kcat import identity_functor
+    path = tmp_path / "empty-id.json"
+    dump_path(path, functor_to_doc(identity_functor(discrete(n=0).category)))
+    got, out, err = run(workdir, *(str(path) if a == "P" else a
+                                   for a in argv))
+    assert got == code
+    assert line + "\n" in out + err
+
+
 # -- verdict identity and the exit-code contract ---------------------------------
 
 MATRIX = [
@@ -574,16 +601,26 @@ def _write_action(path, category, functors):
 
 
 def test_quotient_invalid_action_exit_2(workdir, tmp_path):
-    from lincat.fixtures import kronecker
-    from lincat.kcat import identity_functor
-    k = kronecker().category
-    path = tmp_path / "unfree.json"
-    _write_action(path, k, {"e": identity_functor(k),
-                            "g": identity_functor(k)})
-    code, out, err = run(workdir, "galois", "quotient", "--action", str(path))
-    assert code == 2
-    assert out == ""
-    assert "invalid group action" in err and "not free" in err
+    # g acting as e does on the Kronecker double cover: not free.  The
+    # action is refused when decoded, with its first problem, by every
+    # command that reads the file
+    path = _edited(workdir, tmp_path, "swap-action.json",
+                   lambda d: d["functors"].update(g=d["functors"]["e"]))
+    line = (f"error: {path}: invalid group action: action is not free: "
+            "g·s0 = s0\n")
+    for command in (("galois", "quotient"), ("validate",)):
+        assert run(workdir, *command, "--action", path) == (2, "", line), \
+            command
+
+
+def test_action_entry_naming_no_element_exit_2(workdir, tmp_path):
+    path = _edited(workdir, tmp_path, "swap-action.json",
+                   lambda d: d["functors"].update(zzz=d["functors"]["e"]))
+    line = (f"error: {path}: invalid group action: functors names 'zzz', "
+            "which is not a group element\n")
+    for command in (("galois", "quotient"), ("validate",)):
+        assert run(workdir, *command, "--action", path) == (2, "", line), \
+            command
 
 
 def test_quotient_disconnected_category_exit_2(workdir, tmp_path):
@@ -813,7 +850,7 @@ def test_grading_composing_into_a_zero_hom_exit_2(workdir, tmp_path):
     dump_path(cat, category_to_doc(c))
     dump_path(grading, grading_to_doc(z))
     dump_path(chi, character_to_doc(
-        Character(z.group, c.field, {"e": 1, "g": -1})))
+        Character(z.group, c.field, {"e": 0, "g": 0})))
 
     def compose_into_zero(d):
         d.get("category", d)["comp"]["b"]["a"] = {"a": "1"}

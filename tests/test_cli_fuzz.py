@@ -11,7 +11,10 @@ comes only with a false boolean verdict.  A second test renames one key
 of a category document, and a third fuzzes option values, with the same
 checks.  The examples pin inputs that once escaped run() as tracebacks.
 A fourth breaks one unit law or one composite range of a fixture
-category, which every command must refuse with exit 2.
+category, which every command must refuse with exit 2.  A fifth runs the
+functor, action and grading commands on the identity covering of the
+empty category, a C2 action on it and a C2-grading of it, under the
+same contract.
 """
 import copy
 import io
@@ -22,9 +25,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lincat import cli, registry
-from lincat.formats import (category_from_doc, comb_to_doc, hwalk_to_doc,
+from lincat.fixtures import discrete
+from lincat.formats import (action_to_doc, category_from_doc, comb_to_doc,
+                            functor_to_doc, grading_to_doc, hwalk_to_doc,
                             presentation_from_text, presentation_to_doc)
-from lincat.grading import HomogeneousWalk, HWalkStep
+from lincat.galois import GroupAction
+from lincat.grading import Grading, HomogeneousWalk, HWalkStep
+from lincat.groups import cyclic_group
+from lincat.kcat import identity_functor
 
 
 def _fixture_documents() -> dict[str, dict]:
@@ -309,6 +317,33 @@ def test_broken_unit_or_composite_range_exit_2(fuzzdir, case, move, entry,
         assert err.getvalue().startswith(f"error: {target}: invalid "
                                          "category: "), err.getvalue()
         assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+def _empty_documents() -> dict[str, dict]:
+    """The identity covering of the empty category, the action of C2 on
+    it by identities, which is free: there is no object to fix, and its
+    C2-grading."""
+    empty = discrete(n=0).category
+    one = identity_functor(empty)
+    c2 = cyclic_group(2)
+    return {"functor": functor_to_doc(one),
+            "action": action_to_doc(
+                GroupAction(c2, {"e": one, "g": one}, empty)),
+            "grading": grading_to_doc(Grading(c2, empty, {}, {}))}
+
+
+EMPTY_DOCS = _empty_documents()
+
+
+@pytest.mark.parametrize("kind", sorted(EMPTY_DOCS))
+def test_empty_category_keeps_the_exit_code_contract(fuzzdir, kind):
+    """The empty category is not connected: no command reads its first
+    object, and none prints a traceback."""
+    target = fuzzdir / f"empty-{kind}.json"
+    target.write_text(json.dumps(EMPTY_DOCS[kind]), encoding="utf-8")
+    for argv in COMMANDS[kind]:
+        _check_contract(fuzzdir, [str(target) if a == "P" else a
+                                  for a in argv])
 
 
 # option values by name; OUT is a writable path, MISSING a path below a

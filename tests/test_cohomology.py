@@ -158,6 +158,16 @@ def test_invalid_character_detected():
     assert validate_character(chi)
 
 
+@pytest.mark.parametrize("values,problem", [
+    ({"e": 1, "g": 0, "g2": 0}, "nonzero value at the identity"),
+    ({"e": 0, "g": 1}, "value keys do not match the group elements"),
+    ({"e": 0, "g": 1, "g2": 1}, r"not additive on \(g, g\)"),
+])
+def test_character_refused_when_built(values, problem):
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        Character(cyclic_group(3), FieldSpec(3), values)
+
+
 # -- delta -------------------------------------------------------------------
 
 def kf2_grading():
@@ -174,6 +184,15 @@ def test_delta_on_the_graded_kronecker():
     assert validate_derivation(d) == []
     assert in_derivation_space(d)
     assert not is_inner(d)
+
+
+def test_delta_does_not_recheck_the_character(monkeypatch):
+    from lincat import cohomology
+    kf2, z = kf2_grading()
+    chi = characters(z.group, F2)[0]
+    monkeypatch.setattr(cohomology, "validate_character",
+                        lambda chi: pytest.fail("character re-checked"))
+    assert not is_inner(delta(kf2, z, chi))
 
 
 def test_delta_of_zero_character_is_zero():

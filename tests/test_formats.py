@@ -309,6 +309,20 @@ def test_action_decoder_type_checks(edit, fragment):
         fm.action_from_doc(doc)
 
 
+@pytest.mark.parametrize("edit,problem", [
+    (lambda f: f.update(zzz=f["e"]),
+     "functors names 'zzz', which is not a group element"),
+    (lambda f: f.pop("g"), "no functor for group element g"),
+    (lambda f: f.update(g=f["e"]), "action is not free: g·s0 = s0"),
+], ids=["extra entry", "missing entry", "unfree"])
+def test_action_refused_with_its_first_problem(edit, problem):
+    doc = reload(fm.action_to_doc(swap_action()))
+    edit(doc["functors"])
+    with pytest.raises(fm.FormatError,
+                       match=f"^invalid group action: {problem}$"):
+        fm.action_from_doc(doc)
+
+
 # -- presentation text form -------------------------------------------------------
 
 GDLP_TEXT = """

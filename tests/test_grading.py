@@ -261,6 +261,10 @@ def test_trivial_group_grading_connected_iff_category_is():
         trivial_grading(kronecker().category)).connected
     assert not is_connected_grading(
         trivial_grading(disconnected_double_kronecker().category)).connected
+    from lincat.fixtures import discrete
+    empty = discrete(n=0).category
+    assert not is_connected(empty).connected
+    assert not is_connected_grading(trivial_grading(empty)).connected
 
 
 def test_connectivity_witnesses_are_valid_walks():

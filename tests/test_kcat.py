@@ -354,6 +354,11 @@ def test_disjoint_union_disconnected():
     assert sorted(len(c) for c in rep.components) == [2, 2]
 
 
+def test_empty_category_not_connected():
+    rep = is_connected(discrete(n=0).category)
+    assert not rep.connected and rep.components == []
+
+
 # -- the sparse hom representation -------------------------------------------
 
 def _sample_categories():
