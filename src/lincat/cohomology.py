@@ -12,10 +12,11 @@ degree-s homogeneous morphism by χ(s).
 """
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Optional
 
 from .exactlinalg import EchelonBasis, FieldSpec, Matrix
 from .groups import Group
-from .kcat import LinCat, LinComb, _product
+from .kcat import LinCat, LinComb
 from .grading import Grading, is_connected_grading
 
 
@@ -47,41 +48,6 @@ class Derivation:
         return Derivation(self.category,
                           {p: m - other.matrices[p]
                            for p, m in self.matrices.items()})
-
-
-def validate_derivation(d: Derivation) -> list[str]:
-    """Leibniz on every composable basis pair; shapes and key set.
-
-    D(g∘f) − g∘D(f) − D(g)∘f is summed from the sparse columns of D and
-    the structure constants, the equations of derivation_space's rows."""
-    c = d.category
-    problems = []
-    if set(d.matrices) != set(c.pairs):
-        return ["matrix keys do not match the nonzero hom pairs"]
-    for pair in c.pairs:
-        n = c.dim(*pair)
-        m = d.matrices[pair]
-        if (m.rows, m.cols) != (n, n):
-            problems.append(f"matrix for hom{pair} is {m.rows}x{m.cols}")
-    if problems:
-        return problems
-    image: dict[str, list] = {}  # D(n) as (name, value) terms
-    for pair in c.pairs:
-        names = c.hom[pair]
-        for n, col in zip(names, d.matrices[pair].columns):
-            image[n] = [(names[i], a) for i, a in col.items()]
-    comp, red = c.comp, c.field.reduce
-    for f in c.basis_names():
-        for g in c.leaving[c.target_of(f)]:
-            acc: dict = {}
-            for n, s in comp.get((g, f), {}).items():
-                for r, a in image[n]:
-                    acc[r] = acc.get(r, 0) + s * a
-            _product(comp, ((g, -1),), image[f], acc)
-            _product(comp, image[g], ((f, -1),), acc)
-            if any(red(v) for v in acc.values()):
-                problems.append(f"Leibniz fails on ({g}, {f})")
-    return problems
 
 
 def _layout(c: LinCat) -> tuple[dict[tuple[str, str], int], int]:
@@ -134,17 +100,12 @@ def _derivations(c: LinCat, vecs: list[dict]) -> list[Derivation]:
     return out
 
 
-def derivation_space(c: LinCat) -> list[Derivation]:
-    """Kernel basis of the Leibniz system over all composable basis
-    pairs.  Unknowns are the entries of one square matrix per nonzero
-    hom pair; the equations are sparse rows, one per output coordinate
-    of each composite, read off the structure constants."""
-    return _derivations(c, _derivation_vectors(c))
-
-
 def _derivation_vectors(c: LinCat) -> list[dict]:
-    """derivation_space's basis as sparse vectors of unknowns (see
-    _layout)."""
+    """Kernel basis of the Leibniz system over all composable basis
+    pairs, as sparse vectors of unknowns (see _layout): the unknowns are
+    the entries of one square matrix per nonzero hom pair, and the
+    equations are sparse rows, one per output coordinate of each
+    composite, read off the structure constants."""
     offset, total = _layout(c)
     prod = _products(c)
     system = EchelonBasis(c.field.characteristic)
@@ -209,15 +170,6 @@ def _span(c: LinCat, vecs: list[dict]) -> EchelonBasis:
     return e
 
 
-def inner_derivations(c: LinCat) -> list[Derivation]:
-    """Basis of the span of f ↦ α_y∘f − f∘α_x with α ranging over a
-    basis of the direct sum of all endomorphism spaces: the generators
-    that raise the rank, in order."""
-    e = EchelonBasis(c.field.characteristic)
-    return _derivations(c, [e.normalize(g) for g in _inner_generators(c)
-                            if e.add(g)])
-
-
 @dataclass
 class H1Result:
     dimension: int
@@ -246,11 +198,6 @@ def is_inner(d: Derivation) -> bool:
     return _sparse_derivation(c, d) in _span(c, _inner_generators(c))
 
 
-def in_derivation_space(d: Derivation) -> bool:
-    c = d.category
-    return _sparse_derivation(c, d) in _span(c, _derivation_vectors(c))
-
-
 # -- characters ------------------------------------------------------------
 
 
@@ -263,47 +210,52 @@ class Character:
     values: dict[str, object]  # group element -> field element
 
     def __post_init__(self):
-        problems = validate_character(self)
-        if problems:
-            raise ValueError(problems[0])
+        problem = validate_character(self)
+        if problem is not None:
+            raise ValueError(problem)
 
     def __call__(self, s: str):
         return self.values[s]
 
-    def is_zero(self) -> bool:
-        return not any(self.values.values())
 
+def validate_character(chi: Character) -> Optional[str]:
+    """The first problem of chi as an additive character, or None.
 
-def validate_character(chi: Character) -> list[str]:
-    problems = []
+    With χ(e) = 0, χ(s·g) = χ(s) + χ(g) for every generator g gives
+    χ(s·t) = χ(s) + χ(t) by induction on the length of t as a word in
+    the generators, as in galois.check_action: no other pair is
+    checked."""
     grp = chi.group
     if set(chi.values) != set(grp.elements):
-        return ["value keys do not match the group elements"]
+        return "value keys do not match the group elements"
     if chi.values[grp.identity]:
-        problems.append("nonzero value at the identity")
+        return "nonzero value at the identity"
     red = chi.field.reduce
-    for s in grp.elements:
-        for t in grp.elements:
-            if chi.values[grp.mul(s, t)] != red(chi.values[s] + chi.values[t]):
-                problems.append(f"not additive on ({s}, {t})")
-    return problems
+    for g in grp.generators():
+        for s in grp.elements:
+            if chi.values[grp.mul(s, g)] != red(chi.values[s] + chi.values[g]):
+                return f"not additive on ({s}, {g})"
+    return None
 
 
 def characters(grp: Group, field: FieldSpec) -> list[Character]:
     """Basis of the additive characters group → k⁺.  A finite group has
     no nonzero map into a torsion-free k⁺, so the basis is empty in
-    characteristic 0."""
+    characteristic 0.  The additivity rows are those of
+    validate_character, on generators only: they cut out the same
+    space, so the reduced echelon form and the kernel basis are the
+    ones of the system on all pairs."""
     if field.characteristic == 0:
         return []
     elems = list(grp.elements)
     idx = {s: i for i, s in enumerate(elems)}
     system = EchelonBasis(field.characteristic)
     system.add({idx[grp.identity]: 1})
-    for s in elems:
-        for t in elems:
-            # χ(s) + χ(t) − χ(st) = 0; add reduces the entries
+    for g in grp.generators():
+        for s in elems:
+            # χ(s) + χ(g) − χ(s·g) = 0; add reduces the entries
             row: dict = {}
-            for u, a in ((s, 1), (t, 1), (grp.mul(s, t), -1)):
+            for u, a in ((s, 1), (g, 1), (grp.mul(s, g), -1)):
                 row[idx[u]] = row.get(idx[u], 0) + a
             system.add(row)
     return [Character(grp, field, {s: v.get(idx[s], 0) for s in elems})

@@ -31,30 +31,9 @@ from typing import Callable, Optional
 
 from .exactlinalg import Matrix, inverse
 from .groups import Group
-from .kcat import (LinCat, LinComb, LinFunctor, Violation, functor_compose,
+from .kcat import (LinComb, LinFunctor, Violation, functor_compose,
                    functor_equal, functor_is_isomorphism, identity_functor,
                    is_connected, validate_functor)
-
-
-@dataclass
-class StarDecomposition:
-    """All morphisms into and out of one object, ordered by object then
-    basis index; the endomorphism space contributes to both halves, so it
-    is counted twice in the total."""
-    base: str
-    outgoing: dict[str, tuple[str, ...]]  # y -> basis of hom(base, y)
-    incoming: dict[str, tuple[str, ...]]  # y -> basis of hom(y, base)
-    total_dim: int
-
-
-def star(c: LinCat, x: str) -> StarDecomposition:
-    if x not in c.objects:
-        raise ValueError(f"unknown object {x!r}")
-    outgoing = {y: c.basis(x, y) for y in c.objects}
-    incoming = {y: c.basis(y, x) for y in c.objects}
-    total = sum(len(v) for v in outgoing.values()) + \
-        sum(len(v) for v in incoming.values())
-    return StarDecomposition(x, outgoing, incoming, total)
 
 
 def fibre(f: LinFunctor, b: str) -> list[str]:

@@ -122,7 +122,7 @@ class Matrix:
     with no zero stored.  Equal matrices therefore have equal columns.
     Immutable: a column dict may be shared with other matrices and is
     never written to.  Calling a matrix on a sparse vector gives its
-    image; `entries`, `row`, `col` and `apply` are dense views."""
+    image; `entries`, `row` and `apply` are dense views."""
 
     field: FieldSpec
     rows: int
@@ -147,14 +147,8 @@ class Matrix:
         """The entries in row-major order."""
         return tuple(a for i in range(self.rows) for a in self.row(i))
 
-    def entry(self, i: int, j: int):
-        return self.columns[j].get(i, 0)
-
     def row(self, i: int) -> tuple:
         return tuple(col.get(i, 0) for col in self.columns)
-
-    def col(self, j: int) -> tuple:
-        return tuple(dense(self.field, self.columns[j], self.rows))
 
     def __call__(self, vec: dict) -> dict:
         """The image of a sparse vector {column: value}, as a sparse

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlinalg import FieldSpec
-from .kcat import (Arrow, LinCat, LinFunctor, PresentResult,
-                   QuiverPresentation, functor_from_arrows, identity_functor,
-                   present)
+from .kcat import (Arrow, LinFunctor, PresentResult, QuiverPresentation,
+                   functor_from_arrows, identity_functor, present)
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -115,41 +114,6 @@ def swap_functor(total: PresentResult) -> LinFunctor:
     return functor_from_arrows(total, total.category, omap, images)
 
 
-def shift_functor(total: PresentResult, n: int, k: int = 1) -> LinFunctor:
-    """Index-shift automorphism i -> i + k (mod n) of the n-fold cyclic
-    cover."""
-    omap = {}
-    images = {}
-    for i in range(n):
-        j = (i + k) % n
-        omap[f"s{i}"] = f"s{j}"
-        omap[f"t{i}"] = f"t{j}"
-        images[f"a{i}"] = {f"a{j}": 1}
-        images[f"b{i}"] = {f"b{j}": 1}
-    return functor_from_arrows(total, total.category, omap, images)
-
-
-def cyclic_reduction(n: int, m: int, field: FieldSpec = Q
-                     ) -> tuple[CoverFixture, CoverFixture, LinFunctor]:
-    """The index-reduction morphism from the n-fold to the m-fold cyclic
-    cover (m dividing n): (s_i, t_i) -> (s_{i mod m}, t_{i mod m})."""
-    if n % m != 0:
-        raise ValueError("m must divide n")
-    base = kronecker(field)
-    top = cyclic_cover(n, field, base)
-    bottom = cyclic_cover(m, field, base)
-    omap = {}
-    images = {}
-    for i in range(n):
-        j = i % m
-        omap[f"s{i}"] = f"s{j}"
-        omap[f"t{i}"] = f"t{j}"
-        images[f"a{i}"] = {f"a{j}": 1}
-        images[f"b{i}"] = {f"b{j}": 1}
-    h = functor_from_arrows(top.total, bottom.total.category, omap, images)
-    return top, bottom, h
-
-
 # -- the characteristic-2 two-presentation example --------------------------
 
 def square_base_quiver() -> QuiverPresentation:
@@ -231,14 +195,6 @@ def discrete(field: FieldSpec = Q, n: int = 2) -> PresentResult:
     return present(q, field)
 
 
-def disconnected_double_kronecker(field: FieldSpec = Q) -> PresentResult:
-    q = QuiverPresentation(
-        ("s", "t", "s'", "t'"),
-        (Arrow("a", "s", "t"), Arrow("b", "s", "t"),
-         Arrow("a'", "s'", "t'"), Arrow("b'", "s'", "t'")), (), 1)
-    return present(q, field)
-
-
 def swap_action(field: FieldSpec = Q):
     """C2 acting on the Kronecker double cover by the index swap."""
     from .galois import GroupAction
@@ -247,18 +203,3 @@ def swap_action(field: FieldSpec = Q):
     grp = cyclic_group(2)
     return GroupAction(grp, {"e": identity_functor(total.category),
                              "g": swap_functor(total)}, total.category)
-
-
-def shift_subgroup_action(n: int, k: int, field: FieldSpec = Q):
-    """The order n/gcd(n,k) cyclic subgroup generated by the index shift
-    by k, acting on the n-fold cyclic cover."""
-    from math import gcd
-    from .galois import GroupAction
-    from .groups import cyclic_group
-    total = cyclic_cover(n, field).total
-    order = n // gcd(n, k)
-    grp = cyclic_group(order)
-    functors = {}
-    for i, name in enumerate(grp.elements):
-        functors[name] = shift_functor(total, n, (i * k) % n)
-    return GroupAction(grp, functors, total.category)

@@ -77,9 +77,10 @@ def field_to_doc(f: FieldSpec) -> dict:
 def field_from_doc(doc) -> FieldSpec:
     _require(isinstance(doc, dict) and "characteristic" in doc,
              "field must be an object with a characteristic")
+    p = _integer(doc["characteristic"], "characteristic")
     try:
-        return FieldSpec(int(doc["characteristic"]))
-    except (TypeError, ValueError) as e:
+        return FieldSpec(p)
+    except ValueError as e:
         raise FormatError(f"bad field: {e}") from e
 
 def scalar_from_doc(field: FieldSpec, text):
@@ -288,18 +289,6 @@ def character_from_doc(doc) -> Character:
 
 # -- presentations ------------------------------------------------------------------
 
-def presentation_to_doc(p: QuiverPresentation) -> dict:
-    rels = []
-    for rel in p.relations:
-        rels.append([{"coeff": str(Fraction(c)), "path": list(path)}
-                     for c, path in rel])
-    return {"kind": "presentation", "format_version": FORMAT_VERSION,
-            "vertices": list(p.vertices),
-            "arrows": [{"name": a.name, "source": a.source,
-                        "target": a.target} for a in p.arrows],
-            "relations": rels,
-            "length_bound": p.length_bound}
-
 def presentation_from_doc(doc) -> QuiverPresentation:
     _check_envelope(doc, "presentation")
     for key in ("vertices", "arrows", "relations", "length_bound"):
@@ -308,12 +297,13 @@ def presentation_from_doc(doc) -> QuiverPresentation:
     try:
         arrows = tuple(Arrow(a["name"], a["source"], a["target"])
                        for a in doc["arrows"])
-        rels = tuple(tuple((Fraction(t["coeff"]),
+        rels = tuple(tuple((Fraction(_name(t["coeff"], "coeff")),
                             _names(t["path"], "relation path"))
                            for t in rel)
                      for rel in doc["relations"])
         return QuiverPresentation(vertices, arrows, rels,
-                                  int(doc["length_bound"]))
+                                  _integer(doc["length_bound"],
+                                           "length_bound"))
     except (KeyError, TypeError) as e:
         raise FormatError(f"bad presentation: {e}") from e
     except (ValueError, ZeroDivisionError) as e:
@@ -462,7 +452,3 @@ def load_value(path: Union[str, Path], kind: str):
         return _FROM_DOC[kind](doc)
     except FormatError as e:
         raise FormatError(f"{p}: {e}") from e
-
-
-def dump_path(path: Union[str, Path], doc: dict) -> None:
-    Path(path).write_text(canonical_dumps(doc), encoding="utf-8")

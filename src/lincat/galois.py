@@ -46,9 +46,9 @@ def check_action(a: GroupAction) -> Optional[str]:
 
     With F_e = 1, F_(s·g) = F_s∘F_g for every generator g gives
     F_(s·t) = F_s∘F_t by induction on the length of t as a word in the
-    generators, so every F_t is a product of generators' functors and a
-    functorial automorphism when theirs are: no other element or pair is
-    checked."""
+    generators, so every F_t is a product of generators' functors and
+    functorial when theirs are: no other element or pair is checked.
+    Each F_g is then an automorphism, as F_g^(ord g) = F_e = 1."""
     grp, fs = a.group, a.functors
     for s in fs:
         if s not in grp.elements:
@@ -64,8 +64,6 @@ def check_action(a: GroupAction) -> Optional[str]:
     for g in gens:
         if validate_functor(fs[g]):
             return f"functor of {g} is not functorial"
-        if not functor_is_isomorphism(fs[g]):
-            return f"functor of {g} is not an automorphism"
     for g in gens:
         for s in grp.elements:
             sg = grp.mul(s, g)
@@ -180,10 +178,6 @@ def _quotient(c: LinCat, a: GroupAction | CoveringGroup) -> QuotientResult:
                              {s: h.object_map for s, h in a.functors.items()},
                              seed, fib, built=dict(a.functors))
     return QuotientResult(q, projection, reps, deck)
-
-
-def action_from_deck(grp: CoveringGroup) -> GroupAction:
-    return GroupAction(grp.group, dict(grp.functors), grp.covering.source)
 
 
 @dataclass

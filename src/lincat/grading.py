@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dcfield
 from typing import Optional
 
 from .exactlinalg import EchelonBasis, Matrix, dense, inverse
-from .groups import Group, trivial_group
+from .groups import Group
 from .kcat import LinCat, LinComb, LinFunctor, _product, identity_functor
 from .covering import fibre
 from .galois import is_galois
@@ -125,12 +125,6 @@ class Grading:
         return [j for j, d in enumerate(self.degrees[(x, y)]) if d == s]
 
 
-def trivial_grading(c: LinCat, group: Optional[Group] = None) -> Grading:
-    """Everything in the identity component."""
-    return grading_on_basis(
-        c, group if group is not None else trivial_group(), {})
-
-
 def grading_on_basis(c: LinCat, group: Group,
                      degree_of: dict[str, str]) -> Grading:
     """Grading whose homogeneous basis is the declared one, with the
@@ -226,12 +220,6 @@ class HomogeneousWalk:
     @property
     def end(self) -> str:
         return self.steps[-1].end if self.steps else self.start
-
-    def concat(self, other: "HomogeneousWalk") -> "HomogeneousWalk":
-        """self followed by other."""
-        if other.start != self.end:
-            raise ValueError("walks do not chain")
-        return HomogeneousWalk(self.start, self.steps + other.steps)
 
 
 def validate_hwalk(z: Grading, w: HomogeneousWalk) -> list[str]:

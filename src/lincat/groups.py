@@ -148,10 +148,6 @@ def cyclic_group(n: int, prefix: str = "g") -> Group:
     return Group(tuple(names), "e", table)
 
 
-def trivial_group() -> Group:
-    return cyclic_group(1)
-
-
 def _extend_iso(g1: Group, g2: Group, gens: list[str],
                 images: list[str]) -> Optional[dict[str, str]]:
     """Grow the partial map gens -> images to a full homomorphism by

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dcfield
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exactlinalg import FieldSpec, Matrix, complement, inverse
 
@@ -51,18 +51,6 @@ def _reduced(field: FieldSpec, comb: dict) -> LinComb:
     red = field.reduce
     return {n: a for n, s in comb.items() if (a := red(s))}
 
-def comb_add(field: FieldSpec, a: LinComb, b: LinComb) -> LinComb:
-    out = dict(a)
-    for n, s in b.items():
-        out[n] = out.get(n, 0) + s
-    return _reduced(field, out)
-
-def comb_scale(field: FieldSpec, s, a: LinComb) -> LinComb:
-    return _reduced(field, {n: s * v for n, v in a.items()})
-
-def comb_eq(a: LinComb, b: LinComb) -> bool:
-    return {n: s for n, s in a.items() if s} == \
-        {n: s for n, s in b.items() if s}
 
 def comb_str(field: FieldSpec, comb: LinComb) -> str:
     if not comb:
@@ -168,18 +156,6 @@ class LinCat:
                 right = _product(comp, unit, identities[x].items(), {})
                 if right != want and (right := _reduced(fld, right)) != want:
                     raise ValueError(f"{n} ∘ id_{x} = {comb_str(fld, right)}")
-
-    @staticmethod
-    def make(field: FieldSpec, objects: Sequence[str],
-             hom: dict[tuple[str, str], Sequence[str]],
-             comp: dict[tuple[str, str], dict],
-             identities: dict[str, dict]) -> "LinCat":
-        """Builder coercing plain ints/Fractions/strings to field elements."""
-        def coerce(c: dict) -> LinComb:
-            return {n: field.scalar(v) for n, v in c.items()}
-        return LinCat(field, tuple(objects), hom,
-                      {k: coerce(v) for k, v in comp.items()},
-                      {x: coerce(c) for x, c in identities.items()})
 
     # -- basis bookkeeping ------------------------------------------------
     def pair_of(self, name: str) -> tuple[str, str]:
@@ -405,18 +381,6 @@ def functor_is_isomorphism(f: LinFunctor) -> bool:
     return (len(images) == len(f.source.objects) == len(f.target.objects)
             and len(f.source.pairs) == len(f.target.pairs)
             and all(inverse(m) is not None for m in f.matrices.values()))
-
-
-def inverse_functor(f: LinFunctor) -> LinFunctor:
-    if not functor_is_isomorphism(f):
-        raise ValueError("functor is not an isomorphism")
-    omap_inv = {f.object_map[x]: x for x in f.source.objects}
-    mats = {}
-    for (x, y), m in f.matrices.items():
-        inv = inverse(m)
-        assert inv is not None
-        mats[(f.object_map[x], f.object_map[y])] = inv
-    return LinFunctor(f.target, f.source, omap_inv, mats)
 
 
 def validate_functor(f: LinFunctor) -> list[Violation]:

@@ -17,7 +17,8 @@ from types import SimpleNamespace
 from lincat.exactlinalg import dense, inverse
 from lincat.fixtures import Q
 from lincat.grading import Grading
-from lincat.kcat import LinCat, LinComb, compose
+from lincat.kcat import LinComb, compose
+from lincat_reference import make_category
 
 
 def homogeneous_comb(z: Grading, x: str, y: str, j: int) -> LinComb:
@@ -28,16 +29,16 @@ def homogeneous_comb(z: Grading, x: str, y: str, j: int) -> LinComb:
 def zero_composite_path(ba=None):
     """x -> y -> z with hom(x,z) = 0, and b∘a = ba (zero if not given:
     any other value composes outside hom(x,z))."""
-    return LinCat.make(Q, ("x", "y", "z"),
-                       {("x", "x"): ["1_x"], ("y", "y"): ["1_y"],
-                        ("z", "z"): ["1_z"], ("x", "y"): ["a"],
-                        ("y", "z"): ["b"]},
-                       {("1_y", "a"): {"a": 1}, ("a", "1_x"): {"a": 1},
-                        ("1_z", "b"): {"b": 1}, ("b", "1_y"): {"b": 1},
-                        ("b", "a"): ba or {},
-                        **{(f"1_{o}", f"1_{o}"): {f"1_{o}": 1}
-                           for o in "xyz"}},
-                       {o: {f"1_{o}": 1} for o in "xyz"})
+    return make_category(Q, ("x", "y", "z"),
+                         {("x", "x"): ["1_x"], ("y", "y"): ["1_y"],
+                          ("z", "z"): ["1_z"], ("x", "y"): ["a"],
+                          ("y", "z"): ["b"]},
+                         {("1_y", "a"): {"a": 1}, ("a", "1_x"): {"a": 1},
+                          ("1_z", "b"): {"b": 1}, ("b", "1_y"): {"b": 1},
+                          ("b", "a"): ba or {},
+                          **{(f"1_{o}", f"1_{o}"): {f"1_{o}": 1}
+                             for o in "xyz"}},
+                         {o: {f"1_{o}": 1} for o in "xyz"})
 
 
 def composite_in_a_zero_hom():

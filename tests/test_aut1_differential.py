@@ -28,9 +28,8 @@ from lincat import registry
 from lincat.covering import (CoveringGroup, CoveringMorphism, aut1,
                              check_covering, fibre, lambda_map)
 from lincat.exactlinalg import FieldSpec, Matrix
-from lincat.fixtures import (F2, Q, cover_f0, cyclic_cover,
-                             cyclic_reduction, disconnected_double_kronecker,
-                             kronecker, square_cover)
+from lincat.fixtures import (F2, Q, cover_f0, cyclic_cover, kronecker,
+                             square_cover)
 from lincat.formats import functor_from_doc
 from lincat.galois import gset_analysis, is_galois, structure_iso
 from lincat.grading import grading_on_basis, induced_grading, smash
@@ -39,6 +38,7 @@ from lincat.kcat import (Arrow, LinFunctor, QuiverPresentation,
                          functor_compose, functor_equal, functor_from_arrows,
                          functor_is_isomorphism, identity_functor,
                          is_connected, present, validate_functor)
+from lincat_reference import cyclic_reduction, disconnected_double_kronecker
 
 F3 = FieldSpec(3)
 

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lincat import cli, formats, registry
+from lincat_reference import (disconnected_double_kronecker, dump_path,
+                              presentation_to_doc, trivial_grading)
 
 FIXTURE_SETS = ("kronecker", "kronecker-double", "F0", "F1", "F2",
                 "gdlp-base", "gdlp-C1", "smash-demo", "corrupted", "empty",
@@ -80,7 +82,7 @@ def test_identity_covering_of_the_empty_category(workdir, tmp_path, argv,
                                                  code, line):
     # the empty category is not connected, and has no object to seed
     from lincat.fixtures import discrete
-    from lincat.formats import dump_path, functor_to_doc
+    from lincat.formats import functor_to_doc
     from lincat.kcat import identity_functor
     path = tmp_path / "empty-id.json"
     dump_path(path, functor_to_doc(identity_functor(discrete(n=0).category)))
@@ -477,7 +479,7 @@ def test_covering_commands_refuse_a_non_functor(workdir, tmp_path, command):
 def test_grade_induce_non_surjective_exit_2(workdir, tmp_path):
     # no fibre over t to default to: the library refuses the functor
     from lincat.fixtures import Q, kronecker
-    from lincat.formats import dump_path, functor_to_doc
+    from lincat.formats import functor_to_doc
     from lincat.kcat import LinFunctor, QuiverPresentation, present
     point = present(QuiverPresentation(("x",), (), (), 1), Q).category
     f = LinFunctor.on_basis(point, kronecker().category, {"x": "s"},
@@ -491,8 +493,7 @@ def test_grade_induce_non_surjective_exit_2(workdir, tmp_path):
 
 def test_delta_inj_disconnected_exit_2(workdir, tmp_path):
     from lincat.fixtures import kronecker
-    from lincat.formats import dump_path, grading_to_doc
-    from lincat.grading import trivial_grading
+    from lincat.formats import grading_to_doc
     from lincat.groups import cyclic_group
     z = trivial_grading(kronecker().category, cyclic_group(2))
     path = tmp_path / "disc.json"
@@ -511,12 +512,20 @@ def test_delta_inj_disconnected_exit_2(workdir, tmp_path):
      lambda d: d["relations"][0][0].update(path="ga"), "path"),
     (("pi1", "--base", "x", "--presentation"), "presentation",
      lambda d: d.update(vertices="xyz"), "vertices"),
+    # floats were read as the integers or fractions they round to
+    (("h1", "--cat"), "category",
+     lambda d: d["field"].update(characteristic=2.5),
+     "characteristic must be an integer"),
+    (("present", "--presentation"), "presentation",
+     lambda d: d.update(length_bound=1.9), "length_bound must be an integer"),
+    (("present", "--presentation"), "presentation",
+     lambda d: d["relations"][0][0].update(coeff=0.1),
+     "coeff must be a string"),
 ])
 def test_mistyped_document_exit_2(workdir, tmp_path, command, kind, edit,
                                   fragment):
     from lincat.fixtures import kronecker, square_base_quiver
-    from lincat.formats import (category_to_doc, dump_path,
-                                presentation_to_doc)
+    from lincat.formats import category_to_doc
     doc = category_to_doc(kronecker().category) if kind == "category" \
         else presentation_to_doc(square_base_quiver())
     edit(doc)
@@ -526,6 +535,7 @@ def test_mistyped_document_exit_2(workdir, tmp_path, command, kind, edit,
     assert code == 2
     assert out == ""
     assert fragment in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", [
@@ -537,7 +547,7 @@ def test_mistyped_document_exit_2(workdir, tmp_path, command, kind, edit,
 def test_non_string_identifier_exit_2(workdir, tmp_path, command, value):
     # an object name in a functor's object_map or a walk step that is not
     # a string is refused as input, never reaching a dict as a key
-    from lincat.formats import dump_path, hwalk_to_doc
+    from lincat.formats import hwalk_to_doc
     from lincat.grading import HomogeneousWalk, HWalkStep
     if command[-1] == "--walk":
         doc = hwalk_to_doc(HomogeneousWalk(
@@ -573,7 +583,6 @@ def test_unknown_source_object_exit_2(workdir, tmp_path, command, edit,
     # a functor file naming an object its source lacks is refused, never
     # dropped or kept: a kept object_map key once turned galois structure
     # false while galois check stayed true
-    from lincat.formats import dump_path
     doc = json.loads((workdir / "F0.json").read_text(encoding="utf-8"))
     edit(doc)
     path = tmp_path / "misspelt.json"
@@ -593,7 +602,7 @@ def test_galois_homs_from_non_galois_exit_2(workdir):
 
 
 def _write_action(path, category, functors):
-    from lincat.formats import action_to_doc, dump_path
+    from lincat.formats import action_to_doc
     from lincat.galois import GroupAction
     from lincat.groups import cyclic_group
     dump_path(path, action_to_doc(
@@ -624,7 +633,6 @@ def test_action_entry_naming_no_element_exit_2(workdir, tmp_path):
 
 
 def test_quotient_disconnected_category_exit_2(workdir, tmp_path):
-    from lincat.fixtures import disconnected_double_kronecker
     from lincat.kcat import LinFunctor, identity_functor
     c = disconnected_double_kronecker().category
     swap = LinFunctor.on_basis(
@@ -696,8 +704,7 @@ def test_present_coefficient_not_in_field_exit_2(workdir, tmp_path):
     ("cover", "lambda", "--to", "disconnected.json"),
 ])
 def test_cover_disconnected_source_exit_2(workdir, tmp_path, command):
-    from lincat.fixtures import disconnected_double_kronecker
-    from lincat.formats import dump_path, functor_to_doc
+    from lincat.formats import functor_to_doc
     from lincat.kcat import identity_functor
     ident = identity_functor(disconnected_double_kronecker().category)
     dump_path(tmp_path / "disconnected.json", functor_to_doc(ident))
@@ -839,7 +846,7 @@ def test_grading_composing_into_a_zero_hom_exit_2(workdir, tmp_path):
     # refused when decoded, alone or inside a grading, by every command
     from lincat.cohomology import Character
     from lincat.formats import (character_to_doc, category_to_doc,
-                                dump_path, grading_to_doc)
+                                grading_to_doc)
     from lincat.grading import grading_on_basis
     from lincat.groups import cyclic_group
     from grading_reference import zero_composite_path
@@ -914,7 +921,7 @@ def test_mistyped_functor_grading_character_action_exit_2(
 def test_mixed_field_functor_exit_2(workdir, tmp_path, command):
     # a functor from the Kronecker category over Q to the one over F_2
     from lincat.fixtures import F2, Q, kronecker
-    from lincat.formats import category_to_doc, dump_path, functor_to_doc
+    from lincat.formats import category_to_doc, functor_to_doc
     from lincat.kcat import identity_functor
     doc = functor_to_doc(identity_functor(kronecker(F2).category))
     doc["source"] = category_to_doc(kronecker(Q).category)

@@ -28,11 +28,12 @@ from lincat import cli, registry
 from lincat.fixtures import discrete
 from lincat.formats import (action_to_doc, category_from_doc, comb_to_doc,
                             functor_to_doc, grading_to_doc, hwalk_to_doc,
-                            presentation_from_text, presentation_to_doc)
+                            presentation_from_text)
 from lincat.galois import GroupAction
 from lincat.grading import Grading, HomogeneousWalk, HWalkStep
 from lincat.groups import cyclic_group
 from lincat.kcat import identity_functor
+from lincat_reference import presentation_to_doc
 
 
 def _fixture_documents() -> dict[str, dict]:

@@ -14,13 +14,13 @@ from lincat import registry
 from lincat.covering import CoveringReport, check_covering, fibre
 from lincat.exactlinalg import FieldSpec
 from lincat.fixtures import (Q, F2, corrupted_collapse, cover_f0, cover_f1,
-                             cover_f2, cyclic_cover, cyclic_reduction,
-                             identity_cover, square_cover)
+                             cover_f2, cyclic_cover, identity_cover,
+                             square_cover)
 from lincat.formats import action_from_doc, functor_from_doc
-from lincat.kcat import (LinFunctor, Violation, comb_add, comb_eq,
-                         comb_scale, comb_str, compose, functor_from_arrows,
-                         validate_functor)
+from lincat.kcat import (LinFunctor, Violation, comb_str, compose,
+                         functor_from_arrows, validate_functor)
 from linalg_reference import rank, row_major
+from lincat_reference import comb_add, comb_eq, comb_scale, cyclic_reduction
 
 F3, F5 = FieldSpec(3), FieldSpec(5)
 FIELDS = (Q, F2, F3, F5)

@@ -8,13 +8,13 @@ import pytest
 from lincat.covering import (aut1, check_covering, extend_morphism,
                              fibre)
 from lincat.exactlinalg import FieldSpec, Matrix, dense
-from lincat.fixtures import (corrupted_collapse, cover_f0, cover_f1,
-                             cover_f2, cyclic_cover, cyclic_reduction,
-                             discrete, identity_cover, kronecker)
+from lincat.fixtures import (corrupted_collapse, cover_f0, cover_f1, cover_f2,
+                             cyclic_cover, discrete, identity_cover, kronecker)
 from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
                          functor_from_arrows, functor_is_isomorphism,
                          identity_functor, validate_functor)
 from linalg_reference import from_cols, from_rows, solve
+from lincat_reference import cyclic_reduction
 
 F3, F5 = FieldSpec(3), FieldSpec(5)
 

@@ -7,13 +7,13 @@ run time."""
 import pytest
 
 from lincat.covering import CoveringMorphism, aut1, check_covering, lambda_map
-from lincat.fixtures import (cover_f0, cyclic_cover, cyclic_reduction,
-                             shift_subgroup_action, swap_action)
-from lincat.galois import (action_from_deck, check_action, gset_analysis,
-                           is_galois, quotient)
+from lincat.fixtures import cover_f0, cyclic_cover, swap_action
+from lincat.galois import (GroupAction, check_action, gset_analysis, is_galois,
+                           quotient)
 from lincat.groups import find_isomorphism
 from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
                          identity_functor, validate_category, validate_functor)
+from lincat_reference import cyclic_reduction, shift_subgroup_action
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,9 @@ def actions(covers):
     yield "shift 4/1", shift_subgroup_action(4, 1)
     yield "shift 4/2", shift_subgroup_action(4, 2)
     for fix in covers:
-        yield fix.name, action_from_deck(aut1(fix.functor))
+        grp = aut1(fix.functor)
+        yield fix.name, GroupAction(grp.group, grp.functors,
+                                    grp.covering.source)
 
 
 def test_quotient_results_pass_the_removed_sweeps(covers):

@@ -22,13 +22,13 @@ from lincat.exactlinalg import Matrix
 from lincat.fixtures import (F2, cover_f0, cover_f1, cyclic_cover, kronecker,
                              loop_square_zero, square_base, square_cover)
 from lincat.formats import canonical_dumps, functor_to_doc
-from lincat.grading import (Grading, SmashResult, _unit_row,
-                            grading_on_basis, induced_grading, regrade,
-                            smash, trivial_grading)
+from lincat.grading import (Grading, SmashResult, _unit_row, grading_on_basis,
+                            induced_grading, regrade, smash)
 from lincat.groups import cyclic_group
 from lincat.kcat import (LinCat, LinComb, LinFunctor, compose,
                          identity_functor)
 from linalg_reference import from_cols
+from lincat_reference import trivial_grading
 
 
 def reference_smash(b: LinCat, z: Grading) -> SmashResult:

@@ -1,11 +1,15 @@
-"""Differential test of validate_category, validate_derivation and the
-grading check against the comb-based checks they replaced, kept as
-references (the grading one in grading_reference.py).  The library sums
-each Leibniz equation, each product of homogeneous columns and each
-side of an associativity law from the raw structure constants; the
+"""Differential test of validate_category, the Leibniz system and the
+grading check against comb-based checks, kept as references (the
+grading one in grading_reference.py, the derivation one in
+lincat_reference.py).  The library sums each product of homogeneous
+columns and each side of an associativity law from the raw structure
+constants, and solves the Leibniz system built from them; the
 references send every basis product through compose, comb_pair,
-Derivation.apply and vector.  Both must return the same problem lists,
-in the same order, and refuse the same inputs with the same message.
+Derivation.apply and vector.  The category checks must return the same
+problem lists, in the same order, and refuse the same inputs with the
+same message.  A family of matrices passes the reference derivation
+check exactly when it lies in the span of the Leibniz kernel that h1
+and is_inner rank.
 
 Grading decides its axioms when it is built, so it must refuse exactly
 the data on which the grading reference lists a problem, with the first
@@ -22,9 +26,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from lincat.cohomology import (Derivation, characters, delta,
-                               derivation_space, inner_derivations,
-                               validate_derivation)
+from lincat.cohomology import (Derivation, _derivation_vectors,
+                               _sparse_derivation, _span, characters, delta,
+                               h1)
 from lincat.covering import fibre
 from lincat.exactlinalg import FieldSpec, Matrix
 from grading_reference import (built_grading, grading_fields,
@@ -32,13 +36,15 @@ from grading_reference import (built_grading, grading_fields,
 from linalg_reference import from_rows, row_major
 from lincat.fixtures import (F2, Q, cover_f1, cyclic_cover, kronecker,
                              loop_square_zero, square_cover)
-from lincat.grading import (Grading, grading_on_basis, induced_grading,
-                            trivial_grading)
+from lincat.grading import Grading, grading_on_basis, induced_grading
 from lincat.groups import cyclic_group
 from lincat import kcat
 from lincat.kcat import (Arrow, LinCat, QuiverPresentation, Violation,
-                         _reduced, comb_add, comb_eq, comb_str, compose,
-                         present, validate_category)
+                         _reduced, comb_str, compose, present,
+                         validate_category)
+from lincat_reference import (comb_eq, derivation_space,
+                              reference_inner_basis,
+                              reference_validate_derivation, trivial_grading)
 
 F3, F5 = FieldSpec(3), FieldSpec(5)
 
@@ -99,53 +105,6 @@ def reference_validate_category(c):
                                          f"({h}∘{g})∘{f} = {comb_str(c.field, rhs)} but "
                                          f"{h}∘({g}∘{f}) = {comb_str(c.field, lhs)}"))
     return out
-
-
-def _pair_order(c):
-    return [(x, y) for x in c.objects for y in c.objects if c.dim(x, y)]
-
-
-def reference_validate_derivation(d):
-    """Leibniz on every composable basis pair; shapes and key set."""
-    c = d.category
-    problems = []
-    if set(d.matrices) != set(_pair_order(c)):
-        return ["matrix keys do not match the nonzero hom pairs"]
-    for pair in _pair_order(c):
-        n = c.dim(*pair)
-        m = d.matrices[pair]
-        if (m.rows, m.cols) != (n, n):
-            problems.append(f"matrix for hom{pair} is {m.rows}x{m.cols}")
-    if problems:
-        return problems
-    one = c.field.one()
-    for f in c.basis_names():
-        x, y = c.pair_of(f)
-        for g in c.basis_names():
-            y2, w = c.pair_of(g)
-            if y2 != y:
-                continue
-            lhs = d.apply(compose(c, {g: one}, {f: one})) or {}
-            rhs_comb = comb_add(c.field,
-                                compose(c, {g: one}, d.apply_name(f)),
-                                compose(c, d.apply_name(g), {f: one}))
-            if not comb_eq(lhs, rhs_comb):
-                problems.append(f"Leibniz fails on ({g}, {f})")
-    return problems
-
-
-def outcome(check, value):
-    """The problem list, or the type and text of the refusal."""
-    try:
-        return check(value)
-    except Exception as e:  # the references may refuse with any type
-        return (type(e).__name__, str(e))
-
-
-def assert_same(check, reference, value):
-    got = outcome(check, value)
-    assert got == outcome(reference, value)
-    return got
 
 
 # -- inputs ------------------------------------------------------------------
@@ -267,12 +226,13 @@ def identity_family(c):
 
 
 def derivation_cases():
-    """(category, derivations): every derivation basis element, every
-    inner generator, and the identity family (a derivation only in
-    characteristic 2 or where all composites vanish)."""
+    """(category, derivations): every derivation basis element, the
+    echelon basis of the inner span, and the identity family (a
+    derivation only in characteristic 2 or where all composites
+    vanish)."""
     out = []
     for c in sound_categories():
-        ders = derivation_space(c) + inner_derivations(c)
+        ders = derivation_space(c) + reference_inner_basis(c)
         out.append((c, ders + [Derivation(c, identity_family(c))]))
     return out
 
@@ -299,6 +259,21 @@ def mixed_kronecker_grading(field, order):
 def induced(fix):
     f = fix.functor
     return induced_grading(f, {b: fibre(f, b)[0] for b in f.target.objects})
+
+
+def in_leibniz_kernel(d):
+    """d, flattened, lies in the span of the Leibniz kernel that h1 and
+    is_inner rank (_derivation_vectors)."""
+    c = d.category
+    return _sparse_derivation(c, d) in _span(c, _derivation_vectors(c))
+
+
+def assert_derivation_agrees(d):
+    """The reference finds no problem with d iff d lies in the Leibniz
+    kernel; returns the reference's problems."""
+    problems = reference_validate_derivation(d)
+    assert (problems == []) == in_leibniz_kernel(d), problems
+    return problems
 
 
 def assert_grading_agrees(z):
@@ -338,12 +313,11 @@ GRADINGS = grading_cases()
 # -- fixtures ----------------------------------------------------------------
 
 def test_derivation_problems_agree_on_fixtures():
-    outcomes = [assert_same(validate_derivation,
-                            reference_validate_derivation, d)
+    outcomes = [assert_derivation_agrees(d)
                 for _, ders in DERIVATIONS for d in ders]
     # the sweep sees valid derivations and Leibniz failures
     assert [] in outcomes
-    assert any(isinstance(o, list) and o for o in outcomes)
+    assert any(outcomes)
 
 
 def test_delta_derivations_agree():
@@ -352,22 +326,28 @@ def test_delta_derivations_agree():
         if any(c.dim(x, x) != 1 for x in c.objects):
             continue
         for chi in characters(z.group, c.field):
-            assert assert_same(validate_derivation,
-                               reference_validate_derivation,
-                               delta(c, z, chi)) == []
+            assert assert_derivation_agrees(delta(c, z, chi)) == []
 
 
 def test_derivation_key_and_shape_problems_agree():
+    """The derivations the library builds have one square matrix per
+    nonzero hom pair, in pair order; the reference refuses a family
+    without one."""
     c = triangle(F3)
     mats = identity_family(c)
-    assert_same(validate_derivation, reference_validate_derivation,
-                Derivation(c, {}))
+    assert reference_validate_derivation(Derivation(c, {})) == \
+        ["matrix keys do not match the nonzero hom pairs"]
     for pair in c.pairs:
+        n = c.dim(*pair)
         bad = dict(mats)
-        bad[pair] = Matrix.zeros(F3, c.dim(*pair) + 1, c.dim(*pair))
-        assert assert_same(validate_derivation,
-                           reference_validate_derivation,
-                           Derivation(c, bad))
+        bad[pair] = Matrix.zeros(F3, n + 1, n)
+        assert reference_validate_derivation(Derivation(c, bad)) == \
+            [f"matrix for hom{pair} is {n + 1}x{n}"]
+    for c, ders in DERIVATIONS:
+        for d in ders[:-1] + h1(c).representatives:
+            assert tuple(d.matrices) == c.pairs
+            assert all((m.rows, m.cols) == (c.dim(*p), c.dim(*p))
+                       for p, m in d.matrices.items())
 
 
 def test_grading_problems_agree_on_fixtures():
@@ -394,13 +374,12 @@ def test_composites_outside_hom_spaces_are_refused():
 
 def test_validate_category_composes_no_combination(monkeypatch):
     """validate_category sums both sides of each law from the structure
-    constants: compose, comb_pair and comb_eq are never called."""
+    constants: compose and comb_pair are never called."""
     def refuse(*args, **kwargs):
         raise AssertionError("validate_category composed combinations")
     cases = sound_categories()
     want = [reference_validate_category(c) for c in cases]
-    for name in ("compose", "comb_eq"):
-        monkeypatch.setattr(kcat, name, refuse)
+    monkeypatch.setattr(kcat, "compose", refuse)
     monkeypatch.setattr(LinCat, "comb_pair", refuse)
     assert [validate_category(c) for c in cases] == want == [[]] * len(cases)
 
@@ -452,8 +431,7 @@ def test_one_changed_derivation_entry(case, which, entry, value):
     d = pick(ders, which)
     flat = [a for pair in c.pairs for a in d.matrices[pair].entries]
     flat[entry % len(flat)] = c.field.scalar(value)
-    assert_same(validate_derivation, reference_validate_derivation,
-                Derivation(c, family(c, flat)))
+    assert_derivation_agrees(Derivation(c, family(c, flat)))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
