@@ -319,12 +319,11 @@ def _cmd_grade_connected(args, report: Report) -> None:
     report.verdicts["connected"] = res.connected
     if res.missing:
         report.witnesses["unreached"] = [list(p) for p in res.missing]
-    elif res.walks:
-        sample_key = max(res.walks, key=lambda k: len(res.walks[k].steps))
-        obj, elem = sample_key
+    elif res.deepest is not None:
+        obj, elem = res.deepest
         report.witnesses["sample walk"] = {
             "object": obj, "degree": elem,
-            "walk": hwalk_to_doc(res.walks[sample_key])}
+            "walk": hwalk_to_doc(res.walk(res.deepest))}
 
 
 def _cmd_grade_smash(args, report: Report) -> None:

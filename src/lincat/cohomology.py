@@ -101,36 +101,51 @@ def _derivations(c: LinCat, vecs: list[dict]) -> list[Derivation]:
 
 
 def _derivation_vectors(c: LinCat) -> list[dict]:
-    """Kernel basis of the Leibniz system over all composable basis
-    pairs, as sparse vectors of unknowns (see _layout): the unknowns are
-    the entries of one square matrix per nonzero hom pair, and the
-    equations are sparse rows, one per output coordinate of each
-    composite, read off the structure constants."""
+    """Kernel basis of the Leibniz system, as sparse vectors of unknowns
+    (see _layout): the unknowns are the entries of one square matrix
+    per nonzero hom pair, and the equations are sparse rows, one per
+    output coordinate of the composite g∘f of basis names, read off the
+    structure constants.
+
+    The rows of a pair (g, f) where exactly one of g, f is a unit name
+    (c.unit_name: an identity that is one basis name with coefficient
+    one) are left out; the row space they span with the rest does not
+    change, so neither do its reduced echelon form and the kernel basis.
+    LinCat makes u∘n = n∘u = n for a unit name u, so the row of (u, f)
+    reads D(f) − D(f) − D(u)∘f = −D(u)∘f and that of (g, u) reads
+    −g∘D(u), while the rows of (u, u) say −D(u) = 0: each left-out row
+    is a combination of those.  Associativity is not assumed, so h1
+    still finds a non-associative category out."""
     offset, total = _layout(c)
     prod = _products(c)
+    units = set(c.unit_name.values())
+    dim = {pair: len(names) for pair, names in c.hom.items()}
     system = EchelonBasis(c.field.characteristic)
     for f in c.basis_names():
-        x, y = c.pair_of(f)
-        jf = c.position[f]
+        x, y = xy = c.pair_of(f)
+        jf, f_unit = c.position[f], f in units
+        at_xy, n_xy = offset[xy], dim[xy]
         for g in c.leaving[y]:
+            if (g in units) != f_unit:
+                continue
             w = c.target_of(g)
-            nxw = c.dim(x, w)
+            nxw = dim.get((x, w), 0)
             if nxw == 0:
                 # zero target space: both sides vanish identically
                 continue
+            at_xw, at_yw, n_yw = offset[(x, w)], offset[(y, w)], dim[(y, w)]
             jg = c.position[g]
             # D(g∘f) - g∘D(f) - D(g)∘f = 0, one row per coordinate r
             rows: list[dict] = [{} for _ in range(nxw)]
             for m, a in prod.get((g, f), ()):
                 for r in range(nxw):
-                    k = offset[(x, w)] + r * nxw + m
-                    rows[r][k] = rows[r].get(k, 0) + a
-            for i, fi in enumerate(c.hom[(x, y)]):
-                k = offset[(x, y)] + i * c.dim(x, y) + jf
+                    rows[r][at_xw + r * nxw + m] = a
+            for i, fi in enumerate(c.hom[xy]):
+                k = at_xy + i * n_xy + jf
                 for r, a in prod.get((g, fi), ()):
                     rows[r][k] = rows[r].get(k, 0) - a
             for i, gi in enumerate(c.hom[(y, w)]):
-                k = offset[(y, w)] + i * c.dim(y, w) + jg
+                k = at_yw + i * n_yw + jg
                 for r, a in prod.get((gi, f), ()):
                     rows[r][k] = rows[r].get(k, 0) - a
             for row in rows:

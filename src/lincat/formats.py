@@ -11,7 +11,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from .exactlinalg import FieldSpec, Matrix
 from .grading import Grading, HomogeneousWalk, HWalkStep
@@ -90,22 +90,44 @@ def scalar_from_doc(field: FieldSpec, text):
     except (ValueError, ZeroDivisionError) as e:
         raise FormatError(f"bad scalar {text!r}: {e}") from e
 
+class _Scalars(dict):
+    """The scalars of one field that one decode call reads, by their
+    string: each distinct string is parsed once, when it is first read.
+    A memo is made by the decode call and goes with it, so no value is
+    kept across documents or commands.  A value that is not a string is
+    refused before the lookup, lists included, with scalar_from_doc's
+    message."""
+
+    def __init__(self, field: FieldSpec):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, text: str):
+        value = self[text] = scalar_from_doc(self.field, text)
+        return value
+
+    def read(self, text):
+        _require(isinstance(text, str), f"scalar {text!r} must be a string")
+        return self[text]
+
 def comb_to_doc(field: FieldSpec, comb: LinComb) -> dict:
     return {n: field.format(a) for n, a in sorted(comb.items())}
 
-def comb_from_doc(field: FieldSpec, doc) -> LinComb:
+def comb_from_doc(scalars: _Scalars, doc) -> LinComb:
     _require(isinstance(doc, dict), "combination must be an object")
-    return {n: scalar_from_doc(field, v) for n, v in doc.items()}
+    read = scalars.read
+    return {n: read(v) for n, v in doc.items()}
 
 def matrix_to_doc(m: Matrix) -> list:
     return [[m.field.format(a) for a in m.row(i)] for i in range(m.rows)]
 
-def matrix_from_doc(field: FieldSpec, doc) -> Matrix:
+def matrix_from_doc(scalars: _Scalars, doc) -> Matrix:
     _require(isinstance(doc, list) and doc and
              all(isinstance(r, list) and len(r) == len(doc[0]) for r in doc),
              "matrix must be a non-empty rectangular array")
-    rows = [[scalar_from_doc(field, a) for a in r] for r in doc]
-    return Matrix(field, len(rows), len(rows[0]),
+    read = scalars.read
+    rows = [[read(a) for a in r] for r in doc]
+    return Matrix(scalars.field, len(rows), len(rows[0]),
                   tuple({i: r[j] for i, r in enumerate(rows) if r[j]}
                         for j in range(len(rows[0]))))
 
@@ -118,12 +140,16 @@ def group_from_doc(doc) -> Group:
     _require(isinstance(doc, dict), "group must be an object")
     for key in ("elements", "identity", "table"):
         _require(key in doc, f"group misses {key!r}")
+    elements = _names(doc["elements"], "group elements")
+    identity = _name(doc["identity"], "group identity")
     try:
-        table = {(a, b): doc["table"][a][b]
-                 for a in doc["elements"] for b in doc["elements"]}
-        return Group(tuple(doc["elements"]), doc["identity"], table)
+        table = {(a, b): doc["table"][a][b] for a in elements for b in elements}
     except (KeyError, TypeError) as e:
         raise FormatError(f"bad group table: {e}") from e
+    _require(all(isinstance(v, str) for v in table.values()),
+             "group table entries must be strings")
+    try:
+        return Group(elements, identity, table)
     except ValueError as e:
         raise FormatError(f"invalid group: {e}") from e
 
@@ -145,11 +171,16 @@ def category_to_doc(c: LinCat) -> dict:
             "identities": {x: comb_to_doc(c.field, c.identities[x])
                            for x in c.objects}}
 
-def category_from_doc(doc) -> LinCat:
+def category_from_doc(doc, memos: Optional[dict] = None) -> LinCat:
+    """memos holds the scalar memos of the decode call this one is part
+    of, by field; a call of its own has its own."""
     _check_envelope(doc, "category")
     for key in ("field", "objects", "hom", "comp", "identities"):
         _require(key in doc, f"category misses {key!r}")
     field = field_from_doc(doc["field"])
+    if memos is None:
+        memos = {}
+    scalars = memos.setdefault(field, _Scalars(field))
     objects = _names(doc["objects"], "objects")
     hom = {}
     for x, row in _object(doc["hom"], "hom").items():
@@ -158,8 +189,8 @@ def category_from_doc(doc) -> LinCat:
     comp = {}
     for g, row in _object(doc["comp"], "comp").items():
         for f, comb in _object(row, f"comp[{g!r}]").items():
-            comp[(g, f)] = comb_from_doc(field, comb)
-    idents = {x: comb_from_doc(field, v)
+            comp[(g, f)] = comb_from_doc(scalars, comb)
+    idents = {x: comb_from_doc(scalars, v)
               for x, v in _object(doc["identities"], "identities").items()}
     try:
         return LinCat(field, objects, hom, comp, idents)
@@ -177,7 +208,8 @@ def _functor_core_to_doc(f: LinFunctor) -> dict:
     return {"object_map": dict(sorted(f.object_map.items())),
             "matrices": mats}
 
-def _functor_core_from_doc(doc, source: LinCat, target: LinCat) -> LinFunctor:
+def _functor_core_from_doc(doc, source: LinCat, target: LinCat,
+                           scalars: _Scalars) -> LinFunctor:
     for key in ("object_map", "matrices"):
         _require(key in doc, f"functor misses {key!r}")
     object_map = {x: _name(y, f"object_map[{x!r}]") for x, y in
@@ -185,7 +217,7 @@ def _functor_core_from_doc(doc, source: LinCat, target: LinCat) -> LinFunctor:
     mats = {}
     for x, row in _object(doc["matrices"], "matrices").items():
         for y, m in _object(row, f"matrices[{x!r}]").items():
-            mats[(x, y)] = matrix_from_doc(target.field, m)
+            mats[(x, y)] = matrix_from_doc(scalars, m)
     try:
         return LinFunctor(source, target, object_map, mats)
     except ValueError as e:
@@ -202,9 +234,10 @@ def functor_from_doc(doc) -> LinFunctor:
     _check_envelope(doc, "functor")
     for key in ("source", "target"):
         _require(key in doc, f"functor misses {key!r}")
-    source = category_from_doc(doc["source"])
-    target = category_from_doc(doc["target"])
-    return _functor_core_from_doc(doc, source, target)
+    memos: dict = {}
+    source = category_from_doc(doc["source"], memos)
+    target = category_from_doc(doc["target"], memos)
+    return _functor_core_from_doc(doc, source, target, memos[target.field])
 
 
 # -- actions ------------------------------------------------------------------
@@ -220,10 +253,11 @@ def action_from_doc(doc) -> GroupAction:
     _check_envelope(doc, "action")
     for key in ("category", "group", "functors"):
         _require(key in doc, f"action misses {key!r}")
-    cat = category_from_doc(doc["category"])
+    memos: dict = {}
+    cat = category_from_doc(doc["category"], memos)
     grp = group_from_doc(doc["group"])
     functors = {s: _functor_core_from_doc(_object(d, f"functors[{s!r}]"),
-                                          cat, cat)
+                                          cat, cat, memos[cat.field])
                 for s, d in _object(doc["functors"], "functors").items()}
     try:
         return GroupAction(grp, functors, cat)
@@ -248,12 +282,14 @@ def grading_from_doc(doc) -> Grading:
     _check_envelope(doc, "grading")
     for key in ("category", "group", "basis", "degrees"):
         _require(key in doc, f"grading misses {key!r}")
-    cat = category_from_doc(doc["category"])
+    memos: dict = {}
+    cat = category_from_doc(doc["category"], memos)
     grp = group_from_doc(doc["group"])
+    scalars = memos[cat.field]
     basis = {}
     for x, row in _object(doc["basis"], "basis").items():
         for y, m in _object(row, f"basis[{x!r}]").items():
-            basis[(x, y)] = matrix_from_doc(cat.field, m)
+            basis[(x, y)] = matrix_from_doc(scalars, m)
     degrees = {}
     for x, row in _object(doc["degrees"], "degrees").items():
         for y, labels in _object(row, f"degrees[{x!r}]").items():
@@ -280,9 +316,9 @@ def character_from_doc(doc) -> Character:
     field = field_from_doc(doc["field"])
     grp = group_from_doc(doc["group"])
     values = _object(doc["values"], "values")
+    read = _Scalars(field).read
     try:
-        return Character(grp, field, {s: scalar_from_doc(field, v)
-                                      for s, v in values.items()})
+        return Character(grp, field, {s: read(v) for s, v in values.items()})
     except ValueError as e:
         raise FormatError(f"invalid character: {e}") from e
 

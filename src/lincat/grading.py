@@ -11,13 +11,12 @@ a change of fibre objects, homogeneous walks and their degrees, the
 connectivity of a grading, and the smash-product covering that inverts
 the induced-grading construction.
 """
-from collections import deque
 from dataclasses import dataclass, field as dcfield
 from typing import Optional
 
 from .exactlinalg import EchelonBasis, Matrix, dense, inverse
 from .groups import Group
-from .kcat import LinCat, LinComb, LinFunctor, _product, identity_functor
+from .kcat import LinCat, LinComb, LinFunctor, identity_functor
 from .covering import fibre
 from .galois import is_galois
 
@@ -41,8 +40,15 @@ class Grading:
     in the homogeneous basis of End(x); and `products`, keyed by (g, f)
     with f = (x, y, jf) the jf-th homogeneous column of hom(x,y) and
     g = (y, w, jg), the coordinates of each nonzero g∘f in the
-    homogeneous basis of hom(x,w).  These take no part in construction,
-    equality or repr, and a grading is not mutated once built."""
+    homogeneous basis of hom(x,w), in (x, y, w, jf, jg) order.  These
+    take no part in construction, equality or repr, and a grading is
+    not mutated once built.
+
+    The products cost what the nonzero structure constants cost: each
+    constant gn∘fn is added, scaled, into the composites of the columns
+    that hold gn and fn, so column pairs that compose to zero are never
+    visited.  The first product problem is the one of smallest
+    (x, y, w, jf, jg), as if every column pair were composed in order."""
     group: Group
     category: LinCat
     basis: dict[tuple[str, str], Matrix]
@@ -89,36 +95,47 @@ class Grading:
             if degs := support_degrees(coords, (x, x)) - {grp.identity}:
                 raise ValueError(f"identity of {x} meets degrees "
                                  f"{sorted(degs)}")
-        # homogeneous columns as (basis name, value) terms; their products
-        # are summed from the structure constants, inside hom(x,w)
-        cols = {pair: [[(c.hom[pair][i], a) for i, a in col.items()]
-                       for col in self.basis[pair].columns]
-                for pair in want}
-        red = c.field.reduce
+        # the columns each basis name occurs in, with its value there
+        occurs: dict[str, list[tuple[int, object]]] = {}
+        for pair in want:
+            names = c.hom[pair]
+            for j, col in enumerate(self.basis[pair].columns):
+                for i, a in col.items():
+                    occurs.setdefault(names[i], []).append((j, a))
+        # each nonzero structure constant gn∘fn = comb adds a·b·comb to
+        # g∘f for every column f holding a·fn and g holding b·gn; the sums
+        # are unreduced coordinates in the declared basis of hom(x,w)
+        pos = c.position
+        sums: dict[tuple, dict] = {}
+        for (gn, fn), comb in c.comp.items():
+            x, y = c.pair_of(fn)
+            w = c.target_of(gn)
+            terms = [(pos[n], v) for n, v in comb.items()]
+            for jg, b in occurs.get(gn, ()):
+                for jf, a in occurs.get(fn, ()):
+                    ab = a * b
+                    acc = sums.setdefault((x, y, w, jf, jg), {})
+                    for i, v in terms:
+                        acc[i] = acc.get(i, 0) + ab * v
         prods: dict[tuple[tuple, tuple], dict] = {}
-        for (x, y) in sorted(want):
-            # the nonzero pairs leaving y, sorted: leaving[y] is in that order
-            for (_, w) in dict.fromkeys(map(c.pair_of, c.leaving[y])):
-                if (x, w) not in invs:
-                    continue
-                for jf, s in enumerate(degrees[(x, y)]):
-                    f_col = cols[(x, y)][jf]
-                    for jg, t in enumerate(degrees[(y, w)]):
-                        acc = _product(c.comp, cols[(y, w)][jg], f_col, {})
-                        vec = {c.position[n]: r for n, v in acc.items()
-                               if (r := red(v))}
-                        if not vec:
-                            continue
-                        coords = invs[(x, w)](vec)
-                        prods[((y, w, jg), (x, y, jf))] = coords
-                        degs = support_degrees(coords, (x, w))
-                        ts = grp.mul(t, s)
-                        if degs - {ts}:
-                            raise ValueError(
-                                f"hom({x},{y}) column {jf} (degree {s}) "
-                                f"composed with hom({y},{w}) column {jg} "
-                                f"(degree {t}) meets degrees {sorted(degs)}"
-                                f", expected {ts}")
+        # in (x, y, w, jf, jg) order: the order the problems are named in
+        for key in sorted(sums):
+            x, y, w, jf, jg = key
+            # the inverse reduces its image, and is injective: the image
+            # is zero exactly when the sum is
+            coords = invs[(x, w)](sums[key])
+            if not coords:
+                continue
+            prods[((y, w, jg), (x, y, jf))] = coords
+            degs = support_degrees(coords, (x, w))
+            s, t = degrees[(x, y)][jf], degrees[(y, w)][jg]
+            ts = grp.mul(t, s)
+            if degs - {ts}:
+                raise ValueError(
+                    f"hom({x},{y}) column {jf} (degree {s}) "
+                    f"composed with hom({y},{w}) column {jg} "
+                    f"(degree {t}) meets degrees {sorted(degs)}"
+                    f", expected {ts}")
         self.inverses, self.identity_coords, self.products = invs, ids, prods
 
     def component_columns(self, x: str, y: str, s: str) -> list[int]:
@@ -259,11 +276,28 @@ def walk_degree(z: Grading, w: HomogeneousWalk) -> str:
     return d
 
 
+State = tuple[str, str]  # (object, group element)
+
+
 @dataclass
 class GradingConnectivity:
+    """parents maps each reached state, in discovery order, to the state
+    it was first reached from and the step taken, None at the start;
+    deepest is the first reached state, in that order, of maximal
+    depth, None when nothing is reached."""
     connected: bool
-    missing: tuple[tuple[str, str], ...]
-    walks: dict[tuple[str, str], HomogeneousWalk]
+    missing: tuple[State, ...]
+    parents: dict[State, Optional[tuple[State, HWalkStep]]]
+    deepest: Optional[State]
+
+    def walk(self, state: State) -> HomogeneousWalk:
+        """The walk of the search from the start to a reached state: one
+        of fewest steps, of degree the state's group element."""
+        steps = []
+        while (back := self.parents[state]) is not None:
+            state, step = back
+            steps.append(step)
+        return HomogeneousWalk(state[0], tuple(reversed(steps)))
 
 
 def is_connected_grading(z: Grading) -> GradingConnectivity:
@@ -276,8 +310,7 @@ def is_connected_grading(z: Grading) -> GradingConnectivity:
     c = z.category
     grp = z.group
     if not c.objects:
-        return GradingConnectivity(False, (), {})
-    states = [(o, g) for o in c.objects for g in grp.elements]
+        return GradingConnectivity(False, (), {}, None)
     # the moves out of each object: (next object, degree, step)
     moves: dict[str, list] = {o: [] for o in c.objects}
     for (x, y), labels in z.degrees.items():
@@ -285,18 +318,21 @@ def is_connected_grading(z: Grading) -> GradingConnectivity:
             moves[x].append((y, d, HWalkStep(x, y, j, 1)))
             moves[y].append((x, grp.inv(d), HWalkStep(x, y, j, -1)))
     start = (c.objects[0], grp.identity)
-    walks = {start: HomogeneousWalk(c.objects[0])}
-    queue = deque([start])
-    while queue:
-        o, g = queue.popleft()
-        here = walks[(o, g)]
-        for y, d, step in moves[o]:
-            nxt = (y, grp.mul(d, g))
-            if nxt not in walks:
-                walks[nxt] = HomogeneousWalk(here.start, here.steps + (step,))
-                queue.append(nxt)
-    missing = tuple(s for s in states if s not in walks)
-    return GradingConnectivity(not missing, missing, walks)
+    parents: dict[State, Optional[tuple[State, HWalkStep]]] = {start: None}
+    level = [start]
+    while level:
+        deepest, found = level[0], []
+        for here in level:
+            o, g = here
+            for y, d, step in moves[o]:
+                nxt = (y, grp.mul(d, g))
+                if nxt not in parents:
+                    parents[nxt] = (here, step)
+                    found.append(nxt)
+        level = found
+    missing = tuple((o, g) for o in c.objects for g in grp.elements
+                    if (o, g) not in parents)
+    return GradingConnectivity(not missing, missing, parents, deepest)
 
 
 # -- the smash covering --------------------------------------------------

@@ -542,10 +542,6 @@ class QuiverPresentation:
                 raise ValueError(f"path {'*'.join(path)} is not composable")
         return self._arrow[path[-1]].source
 
-    def path_target(self, path: tuple[str, ...]) -> str:
-        self.path_source(path)
-        return self._arrow[path[0]].target
-
 
 def path_name(path: tuple[str, ...], vertex: Optional[str] = None) -> str:
     if not path:
@@ -605,7 +601,8 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
     relations = []  # (source, target, room left for u and v, terms)
     for rel in p.relations:
         first = rel[0][1]
-        relations.append((p.path_source(first), p.path_target(first),
+        # QuiverPresentation checked that each path composes
+        relations.append((p.arrow(first[-1]).source, p.arrow(first[0]).target,
                           2 * n - max(len(path) for _, path in rel),
                           [(field.scalar(coeff), path) for coeff, path in rel]))
     basis_paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}

@@ -11,13 +11,24 @@ Grading's construction replaced: it lists every problem, where
 construction refuses with the first.  It reads the four fields of a
 grading, so it also runs on `grading_fields`, data that Grading may
 refuse; `built_grading` builds such data, or gives the refusal's text.
+
+`reference_decided` is the loop Grading's construction ran before it
+summed its products from the structure constants: it composes every
+pair of homogeneous columns of every composable (x, y, w).  It gives
+the inverses, identity coordinates and products a Grading keeps, in
+their order, or the text of the first problem.
+
+`reference_walks` is the search is_connected_grading ran before it kept
+one parent step per state: a walk per reached state, in discovery
+order, each built by extending its parent's.
 """
+from collections import deque
 from types import SimpleNamespace
 
 from lincat.exactlinalg import dense, inverse
 from lincat.fixtures import Q
-from lincat.grading import Grading
-from lincat.kcat import LinComb, compose
+from lincat.grading import Grading, HomogeneousWalk, HWalkStep
+from lincat.kcat import LinComb, _product, compose
 from lincat_reference import make_category
 
 
@@ -136,3 +147,102 @@ def reference_validate_grading(z):
                             f"with hom({y},{w}) column {jg} (degree {t}) "
                             f"meets degrees {sorted(degs)}, expected {ts}")
     return problems
+
+
+def reference_decided(z):
+    """(inverses, identity_coords, products) of z's fields as Grading
+    keeps them, or the text of Grading's refusal, by composing every
+    pair of homogeneous columns."""
+    c, grp, degrees = z.category, z.group, z.degrees
+    want = set(c.hom)
+    if set(z.basis) != want:
+        return (f"basis keys {sorted(set(z.basis) ^ want)} "
+                "do not match the nonzero hom pairs")
+    if set(degrees) != want:
+        return "degree keys do not match the nonzero hom pairs"
+    invs = {}
+    for pair in sorted(want):
+        n = len(c.hom[pair])
+        m = z.basis[pair]
+        if (m.rows, m.cols) != (n, n):
+            return (f"hom{pair}: change of basis is "
+                    f"{m.rows}x{m.cols}, expected {n}x{n}")
+        if len(degrees[pair]) != n:
+            return f"hom{pair}: {len(degrees[pair])} degree labels for {n} " \
+                "columns"
+        bad = [d for d in degrees[pair] if d not in grp.elements]
+        if bad:
+            return f"hom{pair}: unknown degree labels {bad}"
+        invs[pair] = inverse(m)
+        if invs[pair] is None:
+            return f"hom{pair}: change of basis is singular"
+
+    def support_degrees(coords, pair):
+        return {degrees[pair][j] for j in coords}
+
+    ids = {x: invs[(x, x)](c.coords(c.identities[x], x, x))
+           for x in c.objects}
+    for x, coords in ids.items():
+        if degs := support_degrees(coords, (x, x)) - {grp.identity}:
+            return f"identity of {x} meets degrees {sorted(degs)}"
+    cols = {pair: [[(c.hom[pair][i], a) for i, a in col.items()]
+                   for col in z.basis[pair].columns]
+            for pair in want}
+    red = c.field.reduce
+    prods = {}
+    for (x, y) in sorted(want):
+        for (_, w) in dict.fromkeys(map(c.pair_of, c.leaving[y])):
+            if (x, w) not in invs:
+                continue
+            for jf, s in enumerate(degrees[(x, y)]):
+                f_col = cols[(x, y)][jf]
+                for jg, t in enumerate(degrees[(y, w)]):
+                    acc = _product(c.comp, cols[(y, w)][jg], f_col, {})
+                    vec = {c.position[n]: r for n, v in acc.items()
+                           if (r := red(v))}
+                    if not vec:
+                        continue
+                    coords = invs[(x, w)](vec)
+                    prods[((y, w, jg), (x, y, jf))] = coords
+                    degs = support_degrees(coords, (x, w))
+                    ts = grp.mul(t, s)
+                    if degs - {ts}:
+                        return (f"hom({x},{y}) column {jf} (degree {s}) "
+                                f"composed with hom({y},{w}) column {jg} "
+                                f"(degree {t}) meets degrees {sorted(degs)}"
+                                f", expected {ts}")
+    return invs, ids, prods
+
+
+def decided(z):
+    """What Grading keeps of z's fields, as reference_decided gives it,
+    or the text of its refusal."""
+    got = built_grading(z)
+    if isinstance(got, str):
+        return got
+    return got.inverses, got.identity_coords, got.products
+
+
+def reference_walks(z):
+    """A walk of fewest steps from (first object, e) to each reached
+    state (object, group element), in breadth-first discovery order."""
+    c, grp = z.category, z.group
+    if not c.objects:
+        return {}
+    moves = {o: [] for o in c.objects}
+    for (x, y), labels in z.degrees.items():
+        for j, d in enumerate(labels):
+            moves[x].append((y, d, HWalkStep(x, y, j, 1)))
+            moves[y].append((x, grp.inv(d), HWalkStep(x, y, j, -1)))
+    start = (c.objects[0], grp.identity)
+    walks = {start: HomogeneousWalk(c.objects[0])}
+    queue = deque([start])
+    while queue:
+        o, g = queue.popleft()
+        here = walks[(o, g)]
+        for y, d, step in moves[o]:
+            nxt = (y, grp.mul(d, g))
+            if nxt not in walks:
+                walks[nxt] = HomogeneousWalk(here.start, here.steps + (step,))
+                queue.append(nxt)
+    return walks

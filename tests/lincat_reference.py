@@ -6,14 +6,17 @@ names; `make_category`, a LinCat builder that coerces plain numbers into
 the field; `trivial_grading`; `presentation_to_doc` and `dump_path`,
 the writer side of the presentation format; the fixtures
 `cyclic_reduction`, `disconnected_double_kronecker`, `shift_functor` and
-`shift_subgroup_action`; and `derivation_space`, the kernel of the
-Leibniz system that h1 ranks, as Derivations.
+`shift_subgroup_action`; `derivation_space`, the kernel of the
+Leibniz system that h1 ranks, as Derivations; and `rebased`, a
+category in another basis of each hom space.
 
 References: `reference_validate_derivation` checks the Leibniz rule on
-every composable basis pair by composing combinations, and
+every composable basis pair by composing combinations,
+`reference_derivation_vectors` solves the Leibniz system with a row for
+every composable basis pair, unit names included, and
 `reference_derivation_space`, `reference_inner_span` and
-`reference_inner_basis` solve the Leibniz system and span the inner
-derivations as the library once did.
+`reference_inner_basis` solve it and span the inner derivations as the
+library once did.
 They are the oracles for `_derivation_vectors`, `_inner_generators`,
 `h1` and `is_inner`.
 """
@@ -25,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 from lincat.cohomology import (Derivation, _derivation_vectors, _derivations,
                                _inner_generators, _layout, _products)
-from lincat.exactlinalg import EchelonBasis, FieldSpec, Matrix
+from lincat.exactlinalg import EchelonBasis, FieldSpec, Matrix, inverse
 from lincat.fixtures import CoverFixture, Q, cyclic_cover, kronecker
 from lincat.formats import FORMAT_VERSION, canonical_dumps
 from lincat.galois import GroupAction
@@ -149,6 +152,39 @@ def derivation_space(c: LinCat) -> list[Derivation]:
     return _derivations(c, _derivation_vectors(c))
 
 
+def rebased(c: LinCat, change: dict[tuple[str, str], Matrix]) -> LinCat:
+    """c in the basis whose j-th element of hom(x,y) is column j of
+    change[(x,y)] in the declared basis (the declared basis where change
+    has no key), named after the declared name at that place with a
+    prime.  Any c, associative or not, goes to an isomorphic structure;
+    an identity may become a combination of several names."""
+    mats = {pair: change.get(pair, Matrix.identity(c.field, len(names)))
+            for pair, names in c.hom.items()}
+    invs = {pair: inverse(m) for pair, m in mats.items()}
+    hom = {pair: tuple(n + "'" for n in names)
+           for pair, names in c.hom.items()}
+
+    def column(pair, j) -> LinComb:
+        return {c.hom[pair][i]: a for i, a in mats[pair].columns[j].items()}
+
+    def renamed(comb, x, y) -> LinComb:
+        coords = invs[(x, y)](c.coords(comb, x, y))
+        return {hom[(x, y)][i]: a for i, a in coords.items()}
+
+    comp = {}
+    for (x, y), fs in hom.items():
+        for (y2, w), gs in hom.items():
+            if y2 != y or (x, w) not in hom:
+                continue
+            for jf, f in enumerate(fs):
+                for jg, g in enumerate(gs):
+                    prod = compose(c, column((y, w), jg), column((x, y), jf))
+                    if prod:
+                        comp[(g, f)] = renamed(prod, x, w)
+    return LinCat(c.field, c.objects, hom, comp,
+                  {x: renamed(c.identities[x], x, x) for x in c.objects})
+
+
 # -- references --------------------------------------------------------------
 
 def _pair_order(c: LinCat) -> list[tuple[str, str]]:
@@ -207,7 +243,9 @@ def reference_derivation_of(c: LinCat, vec: dict) -> Derivation:
                           for pair, m in cols.items()})
 
 
-def reference_derivation_space(c: LinCat) -> list[Derivation]:
+def reference_derivation_vectors(c: LinCat) -> list[dict]:
+    """Kernel basis of the Leibniz system with a row for every composable
+    basis pair, as sparse vectors of unknowns (see _layout)."""
     offset, total = _layout(c)
     prod = _products(c)
     system = EchelonBasis(c.field.characteristic)
@@ -237,6 +275,11 @@ def reference_derivation_space(c: LinCat) -> list[Derivation]:
                     rows[r][k] = rows[r].get(k, 0) - a
             for row in rows:
                 system.add(row)
+    return system.kernel(total)
+
+
+def reference_derivation_space(c: LinCat) -> list[Derivation]:
+    offset, _ = _layout(c)
     # coordinate r of D(1_x) is a linear form in the entries of D's
     # End(x) matrix, with the coordinates of 1_x as coefficients
     kills: list[tuple[str, dict]] = []
@@ -248,7 +291,7 @@ def reference_derivation_space(c: LinCat) -> list[Derivation]:
                          for r in range(n))
     red = c.field.reduce
     out = []
-    for v in system.kernel(total):
+    for v in reference_derivation_vectors(c):
         for x, form in kills:
             if red(sum(v.get(k, 0) * s for k, s in form.items())):
                 raise ValueError("input is not a category: derivation does "

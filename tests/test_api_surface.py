@@ -10,12 +10,16 @@ the check can miss dead code but never flags reached code.
 
 Two names stay unreached on purpose: find_isomorphism and
 same_components are kept for the planned comparison of deck groups and
-of grading components."""
+of grading components.
+
+Every name that a module under src/lincat/ or tests/ imports is read in
+that module; `from __future__` imports are exempt."""
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lincat"
+TESTS = ROOT / "tests"
 ALLOWED = {"find_isomorphism", "same_components"}
 
 
@@ -51,3 +55,24 @@ def unreached() -> set[str]:
 
 def test_every_library_name_is_reached():
     assert unreached() == ALLOWED
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names that path imports and never reads, as path:line: name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.extend((node.lineno, a.asname or a.name.split(".")[0])
+                         for a in node.names)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for line, name in bound if name not in read]
+
+
+def test_every_imported_name_is_read():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert [u for p in paths for u in unused_imports(p)] == []

@@ -11,10 +11,11 @@ comes only with a false boolean verdict.  A second test renames one key
 of a category document, and a third fuzzes option values, with the same
 checks.  The examples pin inputs that once escaped run() as tracebacks.
 A fourth breaks one unit law or one composite range of a fixture
-category, which every command must refuse with exit 2.  A fifth runs the
-functor, action and grading commands on the identity covering of the
-empty category, a C2 action on it and a C2-grading of it, under the
-same contract.
+category, which every command must refuse with exit 2, as it must a
+grading, action or character file whose group is malformed.  A fifth
+runs the functor, action and grading commands on the identity covering
+of the empty category, a C2 action on it and a C2-grading of it, under
+the same contract.
 """
 import copy
 import io
@@ -318,6 +319,38 @@ def test_broken_unit_or_composite_range_exit_2(fuzzdir, case, move, entry,
         assert err.getvalue().startswith(f"error: {target}: invalid "
                                          "category: "), err.getvalue()
         assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+# a group read as written or refused: a string of elements is not the
+# group of its characters, and an identity or product must be a name
+GROUP_EDITS = [
+    (("elements",), "eg", "group elements must be a JSON array of strings"),
+    (("identity",), ["e"], "group identity must be a string"),
+    (("table", "g", "g"), ["e"], "group table entries must be strings"),
+]
+
+
+@pytest.mark.parametrize("path,value,message", GROUP_EDITS)
+@pytest.mark.parametrize("filename", ["smash-grading.json", "swap-action.json",
+                                      "smash-character.json"])
+def test_malformed_group_exit_2(fuzzdir, filename, path, value, message):
+    """Every command that reads the file's kind refuses its group with
+    exit 2 and the diagnostic naming what is malformed."""
+    doc = copy.deepcopy(DOCS[filename])
+    node = doc["group"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    target = fuzzdir / "bad-group.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    kind = DOCS[filename]["kind"]
+    for argv in COMMANDS[kind]:
+        argv = [str(target) if a == "P" else
+                str(fuzzdir / a) if a.endswith(".json") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(argv, stdout=out, stderr=err)
+        assert (code, out.getvalue()) == (2, ""), argv
+        assert err.getvalue() == f"error: {target}: {message}\n", argv
 
 
 def _empty_documents() -> dict[str, dict]:

@@ -10,7 +10,7 @@ from lincat.covering import (CoveringMorphism, aut1, check_covering,
 from lincat.fixtures import (Q, corrupted_collapse, cover_f0, cover_f1,
                              cover_f2, cyclic_cover, identity_cover, kronecker,
                              swap_functor)
-from lincat.kcat import (Arrow, LinFunctor, QuiverPresentation, functor_equal,
+from lincat.kcat import (LinFunctor, QuiverPresentation, functor_equal,
                          functor_is_isomorphism, identity_functor,
                          is_connected, present)
 from lincat_reference import cyclic_reduction, disconnected_double_kronecker

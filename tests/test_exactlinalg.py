@@ -1,5 +1,3 @@
-import itertools
-import random
 from fractions import Fraction
 
 import pytest

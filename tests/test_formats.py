@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -101,8 +102,8 @@ def test_presentation_round_trip():
 def test_walk_round_trip():
     z = grading_on_basis(kronecker().category, cyclic_group(2),
                          {"a": "e", "b": "g"})
-    walks = is_connected_grading(z).walks
-    for w in walks.values():
+    rep = is_connected_grading(z)
+    for w in map(rep.walk, rep.parents):
         assert fm.hwalk_from_doc(reload(fm.hwalk_to_doc(w))) == w
 
 
@@ -170,6 +171,67 @@ def test_bad_group_table_rejected():
     doc["table"]["g"]["g"] = "g"
     with pytest.raises(fm.FormatError):
         fm.group_from_doc(doc)
+
+
+@pytest.mark.parametrize("value", [["1"], 1, None, {"1": "1"}])
+def test_non_string_scalars_refused_before_lookup(value):
+    """A list cannot be looked up in the scalar memo; it is refused with
+    the message of any other non-string, in a combination and in a
+    matrix alike."""
+    doc = fm.category_to_doc(kronecker().category)
+    doc["identities"]["s"]["1_s"] = value
+    with pytest.raises(fm.FormatError,
+                       match=f"^scalar {re.escape(repr(value))} must be a "
+                       "string$"):
+        fm.category_from_doc(doc)
+    z = grading_on_basis(kronecker(F2).category, cyclic_group(2), {"b": "g"})
+    doc = fm.grading_to_doc(z)
+    doc["basis"]["s"]["t"][0][1] = value
+    with pytest.raises(fm.FormatError, match="must be a string$"):
+        fm.grading_from_doc(doc)
+
+
+def test_each_distinct_scalar_parsed_once_per_decode(monkeypatch):
+    """A grading document repeats "0 mod 2" and "1 mod 2"; one decode
+    parses each once, and a second decode parses them again."""
+    z = grading_on_basis(kronecker(F2).category, cyclic_group(2), {"b": "g"})
+    doc = fm.grading_to_doc(z)
+    parsed = []
+    parse = FieldSpec.parse
+    monkeypatch.setattr(FieldSpec, "parse",
+                        lambda self, text: parsed.append(text) or
+                        parse(self, text))
+    for _ in range(2):
+        assert fm.grading_from_doc(doc) == z
+    assert sorted(parsed) == ["0 mod 2", "0 mod 2", "1 mod 2", "1 mod 2"]
+
+
+@pytest.mark.parametrize("key,value,message", [
+    # a string would read as the group of its characters
+    ("elements", "eg", "group elements must be a JSON array of strings"),
+    ("elements", ["e", 1], "group elements must be a JSON array of strings"),
+    ("identity", ["e"], "group identity must be a string"),
+    ("identity", None, "group identity must be a string"),
+])
+def test_group_names_must_be_strings(key, value, message):
+    doc = fm.group_to_doc(cyclic_group(2))
+    doc[key] = value
+    with pytest.raises(fm.FormatError, match=f"^{message}$"):
+        fm.group_from_doc(doc)
+
+
+@pytest.mark.parametrize("value", [["e"], 0, None, {"e": "e"}])
+def test_group_table_entries_must_be_strings(value):
+    doc = fm.group_to_doc(cyclic_group(2))
+    doc["table"]["g"]["e"] = value
+    with pytest.raises(fm.FormatError,
+                       match="^group table entries must be strings$"):
+        fm.group_from_doc(doc)
+
+
+def test_group_round_trip():
+    g = cyclic_group(3)
+    assert fm.group_from_doc(fm.group_to_doc(g)) == g
 
 
 def test_inconsistent_category_rejected():

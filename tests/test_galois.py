@@ -2,17 +2,17 @@
 quotient, and the hom-set analysis between Galois coverings."""
 import pytest
 
-from lincat.covering import aut1, check_covering
-from lincat.fixtures import (F2, Q, cover_f0, cover_f1, cover_f2, cyclic_cover,
+from lincat.covering import aut1
+from lincat.fixtures import (Q, cover_f0, cover_f1, cover_f2, cyclic_cover,
                              identity_cover, kronecker, kronecker_double,
-                             square_cover, swap_action, swap_functor)
+                             square_cover, swap_action)
 from lincat.galois import (GroupAction, check_action, check_universal,
                            gset_analysis, hom_coverings, is_galois, quotient,
                            structure_iso)
 from lincat.groups import cyclic_group, find_isomorphism
 from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
                          functor_is_isomorphism, identity_functor,
-                         validate_category, validate_functor)
+                         validate_functor)
 from lincat_reference import shift_subgroup_action
 
 

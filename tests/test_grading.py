@@ -3,21 +3,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grading_reference import (built_grading, composite_in_a_zero_hom,
-                               grading_fields, zero_composite_path)
+                               grading_fields, reference_walks,
+                               zero_composite_path)
 
 from lincat.covering import extend_morphism, fibre
 from lincat.exactlinalg import Matrix
-from lincat.fixtures import (F2, Q, cover_f0, cover_f1, identity_cover,
-                             kronecker, square_base, square_cover)
+from lincat.fixtures import (Q, cover_f0, cover_f1, cyclic_cover,
+                             identity_cover, kronecker, square_base,
+                             square_cover)
 from lincat.galois import is_galois
 from lincat.grading import (Grading, HomogeneousWalk, HWalkStep,
                             component_span, grading_on_basis, induced_grading,
                             is_connected_grading, regrade, same_components,
                             smash, walk_degree)
 from lincat.groups import cyclic_group
-from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
+from lincat.kcat import (Arrow, LinFunctor, QuiverPresentation,
+                         functor_compose, functor_equal,
                          functor_is_isomorphism, identity_functor,
-                         is_connected, validate_category, validate_functor)
+                         is_connected, present, validate_category,
+                         validate_functor)
 from linalg_reference import from_cols
 from lincat_reference import trivial_grading
 
@@ -243,7 +247,7 @@ def test_induced_grading_is_connected():
     z = induced_grading(cover_f0().functor, {"s": "s0", "t": "t0"})
     rep = is_connected_grading(z)
     assert rep.connected
-    w = rep.walks[("t", "g1")]
+    w = rep.walk(("t", "g1"))
     assert w.start == "s" or w.end == "t"
     assert walk_degree(z, w) == "g1" and w.end == "t"
 
@@ -270,9 +274,43 @@ def test_trivial_group_grading_connected_iff_category_is():
 def test_connectivity_witnesses_are_valid_walks():
     z = degree_grading()
     rep = is_connected_grading(z)
-    for (obj, s), w in rep.walks.items():
+    for obj, s in rep.parents:
+        w = rep.walk((obj, s))
         assert w.end == obj
         assert walk_degree(z, w) == s
+
+
+def induced_at_first_fibre(fix):
+    f = fix.functor
+    return induced_grading(f, {b: fibre(f, b)[0] for b in f.target.objects})
+
+
+CONNECTIVITY_CASES = {
+    "F0": lambda: induced_at_first_fibre(cover_f0()),
+    "F1": lambda: induced_at_first_fibre(cover_f1()),
+    "cyclic_cover(5)": lambda: induced_at_first_fibre(cyclic_cover(5)),
+    "square_cover": lambda: induced_at_first_fibre(square_cover()),
+    "degree": degree_grading,
+    "trivial C2": lambda: trivial_grading(kronecker().category,
+                                          cyclic_group(2)),
+    # x -> y and x -> z: the deepest level holds two states
+    "fork": lambda: trivial_grading(present(QuiverPresentation(
+        ("x", "y", "z"), (Arrow("a", "x", "y"), Arrow("b", "x", "z")), (),
+        1), Q).category),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTIVITY_CASES))
+def test_connectivity_agrees_with_reference_walks(name):
+    """The states are reached in the order of the search that kept a
+    walk per state, each walk is that search's, and the sample that
+    `grade connected` prints, the first state of maximal depth, is the
+    one it picked."""
+    z = CONNECTIVITY_CASES[name]()
+    rep, want = is_connected_grading(z), reference_walks(z)
+    assert list(rep.parents) == list(want)
+    assert all(rep.walk(s) == w for s, w in want.items())
+    assert rep.deepest == max(want, key=lambda s: len(want[s].steps))
 
 
 # -- smash ---------------------------------------------------------------

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from lincat import formats as fm
 from lincat import registry
 from lincat.exactlinalg import FieldSpec, Matrix, inverse
-from lincat.fixtures import (F2, Q, cover_f0, cover_f2, cyclic_cover,
-                             cyclic_cover_quiver, discrete, identity_cover,
-                             kronecker, kronecker_double, loop_square_zero,
-                             square_base, square_cover, swap_functor)
+from lincat.fixtures import (Q, cover_f0, cover_f2, cyclic_cover,
+                             cyclic_cover_quiver, discrete, kronecker,
+                             kronecker_double, loop_square_zero, square_base,
+                             square_cover, swap_functor)
 from lincat.kcat import (Arrow, LinCat, LinFunctor, QuiverPresentation,
                          TruncationError, compose, functor_compose,
                          functor_equal, functor_from_arrows,

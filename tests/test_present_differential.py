@@ -71,7 +71,7 @@ def reference_present(p: QuiverPresentation, field: FieldSpec
         gens: list[dict] = []
         for rel in relations:
             u = p.path_source(rel[0][1])
-            v = p.path_target(rel[0][1])
+            v = p.arrow(rel[0][1][0]).target
             room = 2 * n - max(len(path) for _, path in rel)
             # path lists run by increasing length, so the first path too
             # long for the room left ends each loop

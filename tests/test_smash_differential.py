@@ -16,7 +16,7 @@ import pytest
 
 from grading_reference import (built_grading, grading_fields,
                                homogeneous_comb, reference_validate_grading)
-from lincat import grading, kcat
+from lincat import kcat
 from lincat.covering import fibre
 from lincat.exactlinalg import Matrix
 from lincat.fixtures import (F2, cover_f0, cover_f1, cyclic_cover, kronecker,
@@ -243,9 +243,10 @@ def test_smash_refuses_as_reference(name):
 
 def test_smash_applies_no_matrix_and_composes_nothing(monkeypatch):
     """Once the grading is built, smash only renames: a matrix applied
-    or a composite taken fails the test.  The unit laws that LinCat
-    checks on the category smash builds are its own products
-    (kcat._product), which are left alone."""
+    or a composite taken fails the test.  The grading module takes no
+    product of its own.  The unit laws that LinCat checks on the
+    category smash builds are its own products (kcat._product), which
+    are left alone."""
     def refuse(*args, **kwargs):
         raise AssertionError("smash recomputed a composite")
 
@@ -253,7 +254,6 @@ def test_smash_applies_no_matrix_and_composes_nothing(monkeypatch):
         z = VALID[name]
         expected = outcome(reference_smash, z.category, z)
         monkeypatch.setattr(Matrix, "__call__", refuse)
-        monkeypatch.setattr(grading, "_product", refuse)
         monkeypatch.setattr(kcat, "compose", refuse)
         got = outcome(smash, z.category, z)
         monkeypatch.undo()

@@ -13,7 +13,11 @@ and is_inner rank.
 
 Grading decides its axioms when it is built, so it must refuse exactly
 the data on which the grading reference lists a problem, with the first
-one's text.
+one's text.  It sums the products of its homogeneous columns from the
+nonzero structure constants; on the same data, the loop that composed
+every column pair (reference_decided) must keep the same inverses,
+identity coordinates and products, in the same order, or refuse with
+the same text.
 
 The reference category check also decides composite ranges, identities
 and unit laws, which LinCat now decides when it is built.  So the
@@ -31,14 +35,15 @@ from lincat.cohomology import (Derivation, _derivation_vectors,
                                h1)
 from lincat.covering import fibre
 from lincat.exactlinalg import FieldSpec, Matrix
-from grading_reference import (built_grading, grading_fields,
-                               reference_validate_grading)
+from grading_reference import (built_grading, decided, grading_fields,
+                               reference_decided, reference_validate_grading)
 from linalg_reference import from_rows, row_major
 from lincat.fixtures import (F2, Q, cover_f1, cyclic_cover, kronecker,
                              loop_square_zero, square_cover)
 from lincat.grading import Grading, grading_on_basis, induced_grading
 from lincat.groups import cyclic_group
-from lincat import kcat
+from lincat import formats as fm
+from lincat import kcat, registry
 from lincat.kcat import (Arrow, LinCat, QuiverPresentation, Violation,
                          _reduced, comb_str, compose, present,
                          validate_category)
@@ -276,12 +281,24 @@ def assert_derivation_agrees(d):
     return problems
 
 
+def assert_decided_agrees(z):
+    """Grading keeps what the column-pair loop computes, in its order,
+    or refuses with its text."""
+    got, want = decided(z), reference_decided(z)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got[:2] == want[:2]
+    assert list(got[2].items()) == list(want[2].items())
+
+
 def assert_grading_agrees(z):
     """Grading refuses z's fields iff the reference lists a problem,
     with the first one's text; returns the reference's problems."""
     ref = reference_validate_grading(z)
     got = built_grading(z)
     assert got == ref[0] if ref else isinstance(got, Grading), (got, ref)
+    assert_decided_agrees(z)
     return ref
 
 
@@ -354,6 +371,31 @@ def test_grading_problems_agree_on_fixtures():
     outcomes = [assert_grading_agrees(z) for z in GRADINGS]
     assert outcomes[:14] == [[]] * 14
     assert all(outcomes[14:])  # the wrong composites
+
+
+def more_gradings():
+    """Induced gradings of cyclic covers and of the square cover,
+    k[u]/(u^n) graded by path length mod m (a grading for every m: a
+    composite of powers of u is zero or their product), and the smash
+    fixture of the registry."""
+    out = [induced(cyclic_cover(n, field))
+           for n in range(1, 7) for field in (Q, F2, F3)]
+    out.append(induced(square_cover()))
+    for field in (Q, F2, F5):
+        for n, m in ((4, 2), (5, 3), (6, 6), (6, 4)):
+            c = truncated_loop(field, n)
+            grp = cyclic_group(m)
+            out.append(grading_on_basis(c, grp, {
+                name: grp.elements[len(name.split("*")) % m]
+                for name in c.basis_names() if not name.startswith("1_")}))
+    out.append(fm.grading_from_doc(
+        registry.fixture_files("smash-demo")["smash-grading.json"]))
+    return out
+
+
+def test_products_agree_on_more_gradings():
+    for z in more_gradings():
+        assert_decided_agrees(z)
 
 
 def test_composites_outside_hom_spaces_are_refused():
