@@ -261,8 +261,8 @@ def _cmd_galois_homs(args, report: Report) -> None:
     homs = hom_coverings(_load_covering(args.functor),
                          _load_covering(args.to))
     report.verdicts["morphisms"] = len(homs)
-    report.witnesses["object maps"] = [
-        _functor_witness(h)["object_map"] for h in homs]
+    report.witnesses["object maps"] = [dict(sorted(omap.items()))
+                                       for omap in homs.object_maps]
 
 
 def _cmd_galois_universal(args, report: Report) -> None:

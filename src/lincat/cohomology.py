@@ -100,12 +100,13 @@ def _derivations(c: LinCat, vecs: list[dict]) -> list[Derivation]:
     return out
 
 
-def _derivation_vectors(c: LinCat) -> list[dict]:
+def _derivation_vectors(c: LinCat, prod: Optional[dict] = None
+                        ) -> list[dict]:
     """Kernel basis of the Leibniz system, as sparse vectors of unknowns
     (see _layout): the unknowns are the entries of one square matrix
     per nonzero hom pair, and the equations are sparse rows, one per
     output coordinate of the composite g∘f of basis names, read off the
-    structure constants.
+    structure constants prod, _products(c), built here when not given.
 
     The rows of a pair (g, f) where exactly one of g, f is a unit name
     (c.unit_name: an identity that is one basis name with coefficient
@@ -117,7 +118,8 @@ def _derivation_vectors(c: LinCat) -> list[dict]:
     is a combination of those.  Associativity is not assumed, so h1
     still finds a non-associative category out."""
     offset, total = _layout(c)
-    prod = _products(c)
+    if prod is None:
+        prod = _products(c)
     units = set(c.unit_name.values())
     dim = {pair: len(names) for pair, names in c.hom.items()}
     system = EchelonBasis(c.field.characteristic)
@@ -153,10 +155,13 @@ def _derivation_vectors(c: LinCat) -> list[dict]:
     return system.kernel(total)
 
 
-def _inner_generators(c: LinCat) -> list[dict]:
-    """f ↦ u∘f − f∘u for each basis endomorphism u, flattened sparsely."""
+def _inner_generators(c: LinCat, prod: Optional[dict] = None
+                      ) -> list[dict]:
+    """f ↦ u∘f − f∘u for each basis endomorphism u, flattened sparsely;
+    prod is _products(c), built here when not given."""
     offset, _ = _layout(c)
-    prod = _products(c)
+    if prod is None:
+        prod = _products(c)
     gens = []
     for o in c.objects:
         for u in c.basis(o, o):
@@ -197,8 +202,9 @@ def h1(c: LinCat) -> H1Result:
     """dim(derivations) − dim(inner), with coset representatives taken
     from the derivation basis itself: the basis elements that raise the
     rank over the inner span and the representatives before them."""
-    ders = _derivation_vectors(c)
-    span = _span(c, _inner_generators(c))
+    prod = _products(c)
+    ders = _derivation_vectors(c, prod)
+    span = _span(c, _inner_generators(c, prod))
     inner_dim = len(span)
     reps = [v for v in ders if span.add(v)]
     if len(span) != len(ders):

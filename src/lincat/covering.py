@@ -7,32 +7,36 @@ else here rides on one rigidity fact: a morphism of coverings is
 determined by its value on a single object, so deck transformation groups
 are found by seeding one object over a fibre and propagating through star
 isomorphisms, and are multiplied by where they send that object.  Only
-generators are extended: the other elements are products, found by
-composing object maps, and the columns of any element's functor are
-read on demand from the star table.
+generators are extended, and only their object maps are kept: the other
+elements are products, found by composing object maps, and the columns
+of any element's functor are read on demand from the star table.
 
 The star block of F at a source object x towards a base object b is the
 map from the hom spaces between x and the fibre over b to the hom space
 between F(x) and b; it is kept as sparse columns, ordered by fibre
 position and then by basis position.  check_covering builds every star
-block in one pass over the nonzero hom pairs of the source and inverts
-each on its columns (a monomial block without elimination).  Its
-CoveringReport carries validate_functor's violations and the star
-table, which holds the inverse of every bijective star block as a
-Matrix.  The report is kept on the functor it was made for, so every
-caller that needs a verdict or a star block of F calls check_covering(F)
-and each functor is validated and its stars inverted once.
+block in one pass over the nonzero hom pairs of the source and decides
+its bijectivity from its columns: a block whose columns each hold one
+entry is bijective when it is square and the entries sit in distinct
+rows, and only a block with a longer column goes through
+exactlinalg.inverse.  Its CoveringReport carries validate_functor's
+violations and the star table, which keeps every bijective block and
+inverts it the first time a propagation reads it.  The report is kept on
+the functor it was made for, so every caller that needs a verdict or a
+star block of F calls check_covering(F), and each functor is validated
+once and each of its star blocks inverted at most once.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from .exactlinalg import Matrix, inverse
+from .exactlinalg import FieldSpec, Matrix, inverse
 from .groups import Group
 from .kcat import (LinComb, LinFunctor, Violation, functor_compose,
-                   functor_equal, functor_is_isomorphism, identity_functor,
+                   functor_equal, functor_is_isomorphism,
                    is_connected, validate_functor)
 
 
@@ -43,11 +47,45 @@ def fibre(f: LinFunctor, b: str) -> list[str]:
     return [x for x in f.source.objects if f.object_map[x] == b]
 
 
-# (x, b, direction) -> (inverse of the star block, and for each position
-# of the block the fibre object owning it with its block's first and last
-# position); bijective blocks only
-StarTable = dict[tuple[str, str, str],
-                 tuple[Matrix, list[tuple[str, int, int]]]]
+# the position range of one fibre object's block inside a star block:
+# (fibre object, first position, last position)
+Owner = tuple[str, int, int]
+
+
+class StarTable(Mapping):
+    """The bijective star blocks of one functor, keyed (x, b, direction).
+
+    table[key] is the inverse of the block, as a Matrix, with the owner
+    list: for each position of the block, the fibre object owning it.
+    Each block is kept as its columns and inverted by exactlinalg.inverse
+    the first time it is read; the inverse is then kept.  A block that
+    check_covering already had to invert to decide it is kept inverted."""
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.blocks: dict[tuple[str, str, str],
+                          tuple[tuple[dict, ...], list[Owner]]] = {}
+        self.read: dict[tuple[str, str, str],
+                        tuple[Matrix, list[Owner]]] = {}
+
+    def __getitem__(self, key: tuple[str, str, str]
+                    ) -> tuple[Matrix, list[Owner]]:
+        entry = self.read.get(key)
+        if entry is None:
+            block, owner = self.blocks[key]
+            n = len(block)
+            entry = self.read[key] = (
+                inverse(Matrix(self.field, n, n, block)), owner)
+        return entry
+
+    def __contains__(self, key) -> bool:
+        return key in self.blocks
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+    def __len__(self) -> int:
+        return len(self.blocks)
 
 
 @dataclass
@@ -57,7 +95,8 @@ class CoveringReport:
     surjective: bool
     failures: list[tuple[str, str, str]]  # (fibre object, base object, direction)
     violations: list[Violation]  # validate_functor's
-    stars: StarTable = field(default_factory=dict, repr=False, compare=False)
+    # the bijective star blocks, each inverted when first read
+    stars: StarTable = field(default=None, repr=False, compare=False)
 
     def message(self) -> str:
         if self.ok:
@@ -74,10 +113,10 @@ class CoveringReport:
 def check_covering(f: LinFunctor) -> CoveringReport:
     """Whether f is a covering: a k-functor (validate_functor), surjective
     on objects, with both star halves bijective block by block over each
-    fibre at every source object; with the inverse of every bijective
-    star block (the star table).  The report is made on the first call
-    and kept on f, which is never mutated (see LinFunctor): later calls
-    return the same report."""
+    fibre at every source object; with the star table, which inverts a
+    bijective star block when it is first read.  The report is made on
+    the first call and kept on f, which is never mutated (see
+    LinFunctor): later calls return the same report."""
     if f._covering is None:
         f._covering = _covering_report(f)
     return f._covering
@@ -87,30 +126,51 @@ def _covering_report(f: LinFunctor) -> CoveringReport:
     """check_covering's work.  Each nonzero hom(x,y) of the source adds
     its columns to the outgoing star of x towards F(y) and to the
     incoming star of y towards F(x); pairs run x-major in declaration
-    order, so the columns fall in fibre order."""
+    order, so the columns fall in fibre order.  A block with as many
+    columns as rows, each column a single entry, is bijective exactly
+    when those entries lie in distinct rows, and is not inverted here;
+    one with a longer column is inverted to be decided."""
     src, tgt, omap = f.source, f.target, f.object_map
     surjective = set(omap.values()) == set(tgt.objects)
     cols: dict[tuple[str, str, str], list[dict]] = {}
-    owner: dict[tuple[str, str, str], list[tuple[str, int, int]]] = {}
-    for (x, y) in src.pairs:
-        m = f.matrices[(x, y)]
+    owner: dict[tuple[str, str, str], list[Owner]] = {}
+    for (x, y), m in f.matrices.items():
         for key, e in (((x, omap[y], "out"), y), ((y, omap[x], "in"), x)):
             at = cols.setdefault(key, [])
             owner.setdefault(key, []).extend(
                 [(e, len(at), len(at) + m.cols - 1)] * m.cols)
             at.extend(m.columns)
     failures: list[tuple[str, str, str]] = []
-    stars: StarTable = {}
+    stars = StarTable(src.field)
+    hom, kept = tgt.hom, stars.blocks
     for x in src.objects:
+        bx = omap[x]
         for b in tgt.objects:
-            for key, rows in (((x, b, "out"), tgt.dim(omap[x], b)),
-                              ((x, b, "in"), tgt.dim(b, omap[x]))):
-                block = tuple(cols.get(key, ()))
-                inv = inverse(Matrix(src.field, rows, len(block), block))
-                if inv is None:
+            for key, pair in (((x, b, "out"), (bx, b)),
+                              ((x, b, "in"), (b, bx))):
+                block = cols.get(key)
+                if block is None:  # 0 x 0 unless hom(pair) is nonzero
+                    if pair in hom:
+                        failures.append(key)
+                    else:
+                        kept[key] = ((), [])
+                    continue
+                n = len(block)
+                if n != len(hom.get(pair, ())):
                     failures.append(key)
+                    continue
+                block = tuple(block)
+                if set(map(len, block)) == {1}:  # one entry per column
+                    if len(set().union(*block)) < n:
+                        failures.append(key)
+                        continue
                 else:
-                    stars[key] = (inv, owner.get(key, []))
+                    inv = inverse(Matrix(src.field, n, n, block))
+                    if inv is None:
+                        failures.append(key)
+                        continue
+                    stars.read[key] = (inv, owner[key])
+                kept[key] = (block, owner[key])
     violations = validate_functor(f)
     return CoveringReport(surjective and not failures and not violations,
                           surjective, failures, violations, stars)
@@ -153,20 +213,23 @@ class _Extension:
     built once per (F, G, J) and shared by every seed: J∘F, with each
     basis image as a sparse column, whether J∘F and G are functors
     (see extend_morphism), and the star table of G, from
-    check_covering(g).  When J is the identity, J∘F is F itself and its
-    functoriality is read from check_covering(f); otherwise J∘F is
-    validated here, since it can be a functor when J is not.  G must be
-    a covering: a visited star block that is not bijective raises
-    ValueError."""
+    check_covering(g).  J is the identity when it is None or equal to
+    it: then J∘F is F itself and its functoriality is read from
+    check_covering(f); otherwise J∘F is validated here, since it can be
+    a functor when J is not.  G must be a covering: a visited star block
+    that is not bijective raises ValueError."""
 
-    def __init__(self, f: LinFunctor, g: LinFunctor, j: LinFunctor):
+    def __init__(self, f: LinFunctor, g: LinFunctor,
+                 j: Optional[LinFunctor] = None):
         base = f.target
-        if g.target != base or j.source != base or j.target != base:
+        if g.target != base or j is not None and (j.source != base or
+                                                  j.target != base):
             raise ValueError("functors do not share the base category")
-        if any(j.object_map[x] != x for x in base.objects):
+        if j is not None and any(j.object_map[x] != x
+                                 for x in base.objects):
             raise ValueError("J must fix objects")
-        if all(col == {i: 1} for m in j.matrices.values()
-               for i, col in enumerate(m.columns)):
+        if j is None or all(col == {i: 1} for m in j.matrices.values()
+                            for i, col in enumerate(m.columns)):
             jf = f  # J is the identity
             jf_functor = not check_covering(f).violations
         elif functor_is_isomorphism(j):
@@ -182,38 +245,42 @@ class _Extension:
         self.stars = report.stars
 
     def star(self, x: str, b: str, direction: str
-             ) -> tuple[Matrix, list[tuple[str, int, int]]]:
+             ) -> tuple[Matrix, list[Owner]]:
         """The star table's entry for G's star block at x towards the
         fibre of b."""
-        entry = self.stars.get((x, b, direction))
-        if entry is None:
+        key = (x, b, direction)
+        if key not in self.stars:
             raise ValueError(
                 f"G is not a covering: star block at ({x}, {b}), "
                 f"{'outgoing' if direction == 'out' else 'incoming'} "
                 "half, is not bijective")
-        return entry
+        return self.stars[key]
 
-    def extend(self, x0: str, d0: str) -> Optional[LinFunctor]:
-        """extend_morphism(F, G, J, x0, d0) on the shared data."""
+    def walk(self, x0: str, d0: str
+             ) -> Optional[tuple[dict[str, str], dict[str, dict]]]:
+        """The object map and the column of each basis name of the unique
+        H with H(x0) = d0 and G∘H = J∘F, or None: extend_morphism's
+        propagation, with no functor built."""
         f, g = self.f, self.g
         c, d = f.source, g.source
         if x0 not in c.objects or d0 not in d.objects:
             raise ValueError("unknown seed objects")
         if g.object_map[d0] != f.object_map[x0]:
             raise ValueError(f"seed mismatch: G({d0}) != F({x0}) on the base")
+        fmap, image = f.object_map, self.image
         omap = {x0: d0}
         cols: dict[str, dict] = {}  # basis name -> column of H(name)
         queue = [x0]
         for x in queue:  # the queue grows while it is read
+            hx = omap[x]
             for direction, names, far in (("out", c.leaving[x], c.target_of),
                                           ("in", c.arriving[x], c.source_of)):
                 for n in names:
                     if n in cols:
                         continue
                     y = far(n)
-                    inv, owner = self.star(omap[x], f.object_map[y],
-                                           direction)
-                    cand = inv(self.image[n])
+                    inv, owner = self.star(hx, fmap[y], direction)
+                    cand = inv(image[n])
                     if not cand:
                         return None
                     e, first, last = owner[min(cand)]
@@ -230,13 +297,21 @@ class _Extension:
                              "the extension is not determined")
         if not self.functorial:
             return None
+        return omap, cols
+
+    def extend(self, x0: str, d0: str) -> Optional[LinFunctor]:
+        """extend_morphism(F, G, J, x0, d0) on the shared data."""
+        found = self.walk(x0, d0)
+        if found is None:
+            return None
+        omap, cols = found
         return self.functor(omap, cols.__getitem__)
 
     def column(self, omap: dict[str, str], n: str) -> dict:
         """The column of H(n) for the morphism H with object map omap:
         for n: x -> y, the inverse of G's outgoing star block at H(x)
         towards the fibre of F(y), applied to JF(n), read inside the
-        block of H(y).  One step of extend, which needs no search once
+        block of H(y).  One step of walk, which needs no search once
         H(x) and H(y) are known; H must exist."""
         x, y = self.f.source.pair_of(n)
         inv, owner = self.star(omap[x], self.f.object_map[y], "out")
@@ -245,14 +320,19 @@ class _Extension:
         return {i - first: a for i, a in cand.items()}
 
     def functor(self, omap: dict[str, str],
-                column: Callable[[str], dict]) -> LinFunctor:
+                column: Optional[Callable[[str], dict]] = None
+                ) -> LinFunctor:
         """The functor with object map omap and the given column per
-        basis name of F's source."""
+        basis name of F's source; by default each column is read from
+        the star table (see column), so omap must be the object map of
+        a morphism."""
+        if column is None:
+            column = partial(self.column, omap)
         c, d = self.f.source, self.g.source
-        mats = {(x, y): Matrix(c.field, d.dim(omap[x], omap[y]),
-                               c.dim(x, y),
-                               tuple(column(n) for n in c.hom[(x, y)]))
-                for (x, y) in c.pairs}
+        hom = d.hom
+        mats = {(x, y): Matrix(c.field, len(hom.get((omap[x], omap[y]), ())),
+                               len(names), tuple(map(column, names)))
+                for (x, y), names in c.hom.items()}
         return LinFunctor(c, d, omap, mats)
 
 
@@ -289,9 +369,10 @@ class CoveringGroup:
     multiplication table.  The table is authoritative; label() is a
     cosmetic isomorphism-type guess.
 
-    Each element is kept as its object map.  Its functor is read on
-    demand: by rigidity, the column of H(n) for n: x -> y is one star
-    inverse applied to F(n) once H(x) and H(y) are known (see
+    Each element is kept as its object map, generators included: aut1
+    builds no functor.  An element's functor is read on demand: by
+    rigidity, the column of H(n) for n: x -> y is one star inverse
+    applied to F(n) once H(x) and H(y) are known (see
     _Extension.column), so apply_name builds one column and functor()
     one whole functor, which is then kept.  A group given by its
     functors (the deck group of a quotient by a group action) keeps
@@ -314,9 +395,7 @@ class CoveringGroup:
 
     def functor(self, name: str) -> LinFunctor:
         if name not in self.built:
-            omap = self.object_maps[name]
-            self.built[name] = self.extension.functor(
-                omap, partial(self.extension.column, omap))
+            self.built[name] = self.extension.functor(self.object_maps[name])
         return self.built[name]
 
     @property
@@ -406,23 +485,24 @@ def _deck_group(f: LinFunctor) -> Optional[CoveringGroup]:
         return None
     x0 = c.objects[0]
     fib = tuple(fibre(f, f.object_map[x0]))
-    ext = _Extension(f, f, identity_functor(f.target))
-    built: dict[str, LinFunctor] = {}  # seed image -> extended generator
-    maps: dict[str, dict[str, str]] = {}  # seed image -> object map
-    for d0 in fib:  # x0 comes first and extends to the identity
+    ext = _Extension(f, f)
+    # x0 ↦ x0 extends to the identity, so it needs no walk
+    gens = [{x: x for x in c.objects}]  # object maps of the generators
+    maps = _closure(x0, gens)  # seed image -> object map
+    for d0 in fib:
         if d0 in maps:
             continue
-        h = ext.extend(x0, d0)
-        if h is not None:
-            built[d0] = h
-            maps = _closure(x0, [g.object_map for g in built.values()])
+        found = ext.walk(x0, d0)
+        if found is not None:
+            gens.append(found[0])
+            maps = _closure(x0, gens)
     name = {d0: f"g{k}" if k else "e"
             for k, d0 in enumerate(d0 for d0 in fib if d0 in maps)}
     table = {(name[d1], name[d2]): name[maps[d1][d2]]
              for d1 in name for d2 in name}
     group = Group(tuple(name.values()), "e", table)
     return CoveringGroup(f, group, {name[d0]: maps[d0] for d0 in name}, x0,
-                         fib, ext, {name[d0]: h for d0, h in built.items()})
+                         fib, ext)
 
 
 def galois_obstruction(f: LinFunctor, grp: CoveringGroup) -> Optional[str]:

@@ -122,7 +122,7 @@ class Matrix:
     with no zero stored.  Equal matrices therefore have equal columns.
     Immutable: a column dict may be shared with other matrices and is
     never written to.  Calling a matrix on a sparse vector gives its
-    image; `entries`, `row` and `apply` are dense views."""
+    image; `row` and `apply` are dense views."""
 
     field: FieldSpec
     rows: int
@@ -142,17 +142,19 @@ class Matrix:
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
         return Matrix(field, rows, cols, tuple({} for _ in range(cols)))
 
-    @property
-    def entries(self) -> tuple:
-        """The entries in row-major order."""
-        return tuple(a for i in range(self.rows) for a in self.row(i))
-
     def row(self, i: int) -> tuple:
         return tuple(col.get(i, 0) for col in self.columns)
 
     def __call__(self, vec: dict) -> dict:
         """The image of a sparse vector {column: value}, as a sparse
         vector of canonical values."""
+        if len(vec) == 1:  # a multiple of one column: nothing to sum
+            (k, a), = vec.items()
+            if a == 1:
+                return dict(self.columns[k])
+            red = self.field.reduce
+            return {i: r for i, v in self.columns[k].items()
+                    if (r := red(a * v))}
         out: dict = {}
         for k, a in vec.items():
             for i, v in self.columns[k].items():

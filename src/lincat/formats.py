@@ -94,9 +94,11 @@ class _Scalars(dict):
     """The scalars of one field that one decode call reads, by their
     string: each distinct string is parsed once, when it is first read.
     A memo is made by the decode call and goes with it, so no value is
-    kept across documents or commands.  A value that is not a string is
-    refused before the lookup, lists included, with scalar_from_doc's
-    message."""
+    kept across documents or commands.  Only strings are ever stored, so
+    looking up any other hashable value reaches __missing__ and is
+    refused there, with scalar_from_doc's message; an unhashable one
+    (a list or an object) raises TypeError, which the decoders turn into
+    the same message by reading again with `read`."""
 
     def __init__(self, field: FieldSpec):
         super().__init__()
@@ -115,21 +117,32 @@ def comb_to_doc(field: FieldSpec, comb: LinComb) -> dict:
 
 def comb_from_doc(scalars: _Scalars, doc) -> LinComb:
     _require(isinstance(doc, dict), "combination must be an object")
-    read = scalars.read
-    return {n: read(v) for n, v in doc.items()}
+    try:
+        return {n: scalars[v] for n, v in doc.items()}
+    except TypeError:  # an unhashable value: read refuses it in order
+        read = scalars.read
+        return {n: read(v) for n, v in doc.items()}
 
 def matrix_to_doc(m: Matrix) -> list:
     return [[m.field.format(a) for a in m.row(i)] for i in range(m.rows)]
 
 def matrix_from_doc(scalars: _Scalars, doc) -> Matrix:
+    """The matrix of a row list, written straight into sparse columns."""
     _require(isinstance(doc, list) and doc and
              all(isinstance(r, list) and len(r) == len(doc[0]) for r in doc),
              "matrix must be a non-empty rectangular array")
-    read = scalars.read
-    rows = [[read(a) for a in r] for r in doc]
-    return Matrix(scalars.field, len(rows), len(rows[0]),
-                  tuple({i: r[j] for i, r in enumerate(rows) if r[j]}
-                        for j in range(len(rows[0]))))
+    columns = tuple({} for _ in doc[0])
+    try:
+        for i, r in enumerate(doc):
+            for col, text in zip(columns, r):
+                if a := scalars[text]:
+                    col[i] = a
+    except TypeError:  # an unhashable value: read refuses it in order
+        for r in doc:
+            for text in r:
+                scalars.read(text)
+        raise
+    return Matrix(scalars.field, len(doc), len(columns), columns)
 
 def group_to_doc(g: Group) -> dict:
     return {"elements": list(g.elements), "identity": g.identity,
@@ -188,7 +201,9 @@ def category_from_doc(doc, memos: Optional[dict] = None) -> LinCat:
             hom[(x, y)] = _names(names, f"hom[{x!r}][{y!r}]")
     comp = {}
     for g, row in _object(doc["comp"], "comp").items():
-        for f, comb in _object(row, f"comp[{g!r}]").items():
+        if not isinstance(row, dict):
+            raise FormatError(f"comp[{g!r}] must be an object")
+        for f, comb in row.items():
             comp[(g, f)] = comb_from_doc(scalars, comb)
     idents = {x: comb_from_doc(scalars, v)
               for x, v in _object(doc["identities"], "identities").items()}
@@ -212,11 +227,15 @@ def _functor_core_from_doc(doc, source: LinCat, target: LinCat,
                            scalars: _Scalars) -> LinFunctor:
     for key in ("object_map", "matrices"):
         _require(key in doc, f"functor misses {key!r}")
-    object_map = {x: _name(y, f"object_map[{x!r}]") for x, y in
-                  _object(doc["object_map"], "object_map").items()}
+    object_map = dict(_object(doc["object_map"], "object_map"))
+    for x, y in object_map.items():
+        if not isinstance(y, str):
+            raise FormatError(f"object_map[{x!r}] must be a string")
     mats = {}
     for x, row in _object(doc["matrices"], "matrices").items():
-        for y, m in _object(row, f"matrices[{x!r}]").items():
+        if not isinstance(row, dict):
+            raise FormatError(f"matrices[{x!r}] must be an object")
+        for y, m in row.items():
             mats[(x, y)] = matrix_from_doc(scalars, m)
     try:
         return LinFunctor(source, target, object_map, mats)

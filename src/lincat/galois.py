@@ -9,6 +9,7 @@ source, so quotient structure constants can be compared literally.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -67,7 +68,7 @@ def check_action(a: GroupAction) -> Optional[str]:
     for g in gens:
         for s in grp.elements:
             sg = grp.mul(s, g)
-            if not functor_equal(functor_compose(fs[s], fs[g]), fs[sg]):
+            if not _composes_to(fs[s], fs[g], fs[sg]):
                 return f"action is not compatible: {s}·{g} ≠ {sg} on functors"
     for s in grp.elements:
         if s != grp.identity:
@@ -75,6 +76,22 @@ def check_action(a: GroupAction) -> Optional[str]:
                 if a.apply_object(s, x) == x:
                     return f"action is not free: {s}·{x} = {x}"
     return None
+
+
+def _composes_to(fs: LinFunctor, fg: LinFunctor, h: LinFunctor) -> bool:
+    """Whether fs∘fg = h, for three endofunctors of one category:
+    compared object map by object map, then block by block and column
+    by column, each column of fs∘fg made as it is compared; no
+    composite is built."""
+    gmap, smap, hmats = fg.object_map, fs.object_map, h.matrices
+    if any(smap[gmap[x]] != y for x, y in h.object_map.items()):
+        return False
+    for (x, y), m in fg.matrices.items():
+        outer = fs.block(gmap[x], gmap[y])
+        for col, want in zip(m.columns, hmats[(x, y)].columns):
+            if outer(col) != want:
+                return False
+    return True
 
 
 @dataclass
@@ -244,32 +261,66 @@ def structure_iso(f: LinFunctor) -> StructureIsoResult:
     return StructureIsoResult(qres, iso, problems)
 
 
-def hom_coverings(u: LinFunctor, f: LinFunctor) -> list[LinFunctor]:
+class HomSet(Sequence):
+    """The morphisms (H, 1) from a Galois covering U to a Galois
+    covering F, in the fibre order of their seed images: a sequence of
+    functors, each built on demand from the star table of F as
+    CoveringGroup.functor builds a deck transformation, and kept.
+    `object_maps` lists their object maps."""
+
+    def __init__(self, extension: _Extension,
+                 object_maps: list[dict[str, str]]):
+        self.extension = extension
+        self.object_maps = object_maps
+        self.built: dict[int, LinFunctor] = {}
+
+    def __len__(self) -> int:
+        return len(self.object_maps)
+
+    def __getitem__(self, i: int) -> LinFunctor:
+        i = range(len(self.object_maps))[i]  # IndexError ends iteration
+        if i not in self.built:
+            self.built[i] = self.extension.functor(self.object_maps[i])
+        return self.built[i]
+
+
+def hom_coverings(u: LinFunctor, f: LinFunctor) -> HomSet:
     """All morphisms (H, 1) from one Galois covering to another over the
-    same base, enumerated by seeding the first object across the fibre."""
+    same base, by the image of the first object u0 of U, in fibre order.
+
+    By rigidity a morphism is fixed by that image, and for a morphism H₀
+    and a deck transformation k of F, k∘H₀ is the morphism with seed
+    image k(H₀(u0)).  F being Galois, it is the quotient by its deck
+    group (see structure_iso), so each fibre of F is one orbit: either
+    the first seed of the fibre extends to some H₀ and the morphisms
+    are the k∘H₀, one per seed, or no seed extends.  So one seed is
+    extended, the others' object maps are compositions of object maps,
+    and functors are built only when read (see HomSet)."""
     return _hom_coverings(u, f)[0]
 
 
 def _hom_coverings(u: LinFunctor, f: LinFunctor
-                   ) -> tuple[list[LinFunctor], CoveringGroup]:
+                   ) -> tuple[HomSet, CoveringGroup]:
     """hom_coverings(u, f) and the deck group of u."""
     if u.target != f.target:
         raise ValueError("coverings do not share a base")
     gu = _galois_group(u)
-    _galois_group(f)
+    gf = gu if f is u else _galois_group(f)
     u0 = u.source.objects[0]
-    ext = _Extension(u, f, identity_functor(u.target))
-    out = []
-    for c0 in fibre(f, u.object_map[u0]):
-        h = ext.extend(u0, c0)
-        if h is not None:
-            out.append(h)
-    return out, gu
+    ext = _Extension(u, f)
+    fib = fibre(f, u.object_map[u0])
+    walked = ext.walk(u0, fib[0])
+    if walked is None:
+        return HomSet(ext, []), gu
+    h0 = walked[0]
+    deck = {k[fib[0]]: k for k in gf.object_maps.values()}
+    return HomSet(ext, [{x: deck[c0][y] for x, y in h0.items()}
+                        for c0 in fib]), gu
 
 
 @dataclass
 class GSetReport:
-    homs: list[LinFunctor]
+    homs: HomSet
     transitive: bool
     isotropy: tuple[str, ...]
     isotropy_normal: bool
@@ -284,16 +335,17 @@ def gset_analysis(u: LinFunctor, f: LinFunctor) -> GSetReport:
 
     The table is read from seed images: H∘h is a morphism U -> F sending
     u0 to H(h(u0)), and by rigidity it is the listed morphism with that
-    seed image.
+    seed image.  Only object maps are read: no functor is built.
     """
     homs, gu = _hom_coverings(u, f)
     if not homs:
         raise ValueError("no morphisms between the coverings; "
                          "the action is empty")
     u0 = u.source.objects[0]
-    by_seed = {h.object_map[u0]: i for i, h in enumerate(homs)}
-    action = {(i, name): by_seed[h.object_map[deck[u0]]]
-              for i, h in enumerate(homs)
+    maps = homs.object_maps
+    by_seed = {h[u0]: i for i, h in enumerate(maps)}
+    action = {(i, name): by_seed[h[deck[u0]]]
+              for i, h in enumerate(maps)
               for name, deck in gu.object_maps.items()}
     orbit = {0}
     frontier = [0]
@@ -327,13 +379,12 @@ def check_universal(u: LinFunctor, family: list[LinFunctor]
     Family members must be coverings (see extend_morphism).
     """
     _galois_group(u)
-    j = identity_functor(u.target)
     violations = []
     checked = 0
     for idx, f in enumerate(family):
         if f.target != u.target:
             raise ValueError(f"family member {idx} has a different base")
-        ext = _Extension(u, f, j)
+        ext = _Extension(u, f)
         for u0 in u.source.objects:
             for c0 in fibre(f, u.object_map[u0]):
                 checked += 1

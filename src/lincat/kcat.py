@@ -94,37 +94,44 @@ class LinCat:
             if self.hom[pair]:
                 hom[pair] = tuple(self.hom[pair])
         self.hom = hom
-        self._pair: dict[str, tuple[str, str]] = {}
-        self.position: dict[str, int] = {}
-        for pair, names in self.hom.items():
+        self._pair = pair = {}
+        self.position = position = {}
+        for p, names in hom.items():
             for i, n in enumerate(names):
-                if n in self._pair:
+                if n in pair:
                     raise ValueError(f"basis name {n!r} declared twice")
-                self._pair[n] = pair
-                self.position[n] = i
+                pair[n] = p
+                position[n] = i
         self.pairs = tuple(hom)
-        self._names = tuple(n for p in sorted(self.pairs) for n in self.hom[p])
-        self.leaving: dict[str, list[str]] = {x: [] for x in self.objects}
-        self.arriving: dict[str, list[str]] = {x: [] for x in self.objects}
-        for n in self._names:
-            x, y = self._pair[n]
-            self.leaving[x].append(n)
-            self.arriving[y].append(n)
-        pair, fld, comp = self._pair, self.field, {}
+        by_name = sorted(hom)  # the pairs in basis_names() order
+        self._names = tuple(n for p in by_name for n in hom[p])
+        self.leaving = leaving = {x: [] for x in self.objects}
+        self.arriving = arriving = {x: [] for x in self.objects}
+        for (x, y) in by_name:
+            leaving[x].extend(hom[(x, y)])
+            arriving[y].extend(hom[(x, y)])
+        # one pass over the structure constants: each term is checked
+        # and reduced, and the zero ones dropped
+        fld, comp = self.field, {}
+        red = fld.reduce
         for (g, f), comb in self.comp.items():
-            if g not in pair or f not in pair:
+            pg, pf = pair.get(g), pair.get(f)
+            if pg is None or pf is None:
                 raise ValueError(f"comp key ({g},{f}) references unknown basis names")
-            if pair[f][1] != pair[g][0]:
+            if pf[1] != pg[0]:
                 raise ValueError(f"comp key ({g},{f}) is not a composable pair")
-            want = (pair[f][0], pair[g][1])
+            want = (pf[0], pg[1])
+            kept = {}
             for n, s in comb.items():
-                if pair.get(n) != want:
-                    if n not in pair:
-                        raise ValueError(f"comp value for ({g},{f}) uses unknown name {n!r}")
-                    if fld.reduce(s):
-                        raise ValueError(f"{g}∘{f} has a term {n} outside hom{want}")
-            if comb := _reduced(fld, comb):
-                comp[(g, f)] = comb
+                if pair.get(n) == want:
+                    if a := red(s):
+                        kept[n] = a
+                elif n not in pair:
+                    raise ValueError(f"comp value for ({g},{f}) uses unknown name {n!r}")
+                elif red(s):
+                    raise ValueError(f"{g}∘{f} has a term {n} outside hom{want}")
+            if kept:
+                comp[(g, f)] = kept
         self.comp = comp
         for x in self.identities:
             if x not in at:
@@ -145,17 +152,20 @@ class LinCat:
                                   for n in i if i == {n: one}}
         # each unit law holds when u∘n = n in comp, or else when the sum
         # from the structure constants is n as summed, or once reduced
-        for n in self._names:
-            x, y = pair[n]
-            unit, want = ((n, one),), {n: one}
-            if comp.get((units.get(y), n)) != want:
-                left = _product(comp, identities[y].items(), unit, {})
-                if left != want and (left := _reduced(fld, left)) != want:
-                    raise ValueError(f"id_{y} ∘ {n} = {comb_str(fld, left)}")
-            if comp.get((n, units.get(x))) != want:
-                right = _product(comp, unit, identities[x].items(), {})
-                if right != want and (right := _reduced(fld, right)) != want:
-                    raise ValueError(f"{n} ∘ id_{x} = {comb_str(fld, right)}")
+        for (x, y) in by_name:
+            ux, uy = units.get(x), units.get(y)
+            for n in hom[(x, y)]:
+                want = {n: one}
+                if comp.get((uy, n)) != want:
+                    left = _product(comp, identities[y].items(), ((n, one),),
+                                    {})
+                    if left != want and (left := _reduced(fld, left)) != want:
+                        raise ValueError(f"id_{y} ∘ {n} = {comb_str(fld, left)}")
+                if comp.get((n, ux)) != want:
+                    right = _product(comp, ((n, one),),
+                                     identities[x].items(), {})
+                    if right != want and (right := _reduced(fld, right)) != want:
+                        raise ValueError(f"{n} ∘ id_{x} = {comb_str(fld, right)}")
 
     # -- basis bookkeeping ------------------------------------------------
     def pair_of(self, name: str) -> tuple[str, str]:
@@ -293,11 +303,23 @@ class LinFunctor:
                 raise ValueError(f"matrix for hom{pair} names an object "
                                  "outside the source")
 
+        # block shapes are read from the hom tables: rows from the target
+        # hom of the image pair, columns from the source hom
+        shom, thom = src.hom, tgt.hom
+
         def shape(pair):
-            return tgt.dim(omap[pair[0]], omap[pair[1]]), src.dim(*pair)
+            return (len(thom.get((omap[pair[0]], omap[pair[1]]), ())),
+                    len(shom.get(pair, ())))
 
         bad = [p for p, m in mats.items() if (m.rows, m.cols) != shape(p)]
-        bad += [p for p in src.pairs if p not in mats and shape(p)[0]]
+        kept = {}
+        for p, names in shom.items():  # the nonzero pairs, in order
+            m = mats.get(p)
+            if m is None:
+                if (omap[p[0]], omap[p[1]]) in thom:
+                    bad.append(p)
+                m = Matrix.zeros(src.field, 0, len(names))
+            kept[p] = m
         if bad:
             at = {x: i for i, x in enumerate(src.objects)}
             pair = min(bad, key=lambda p: (at[p[0]], at[p[1]]))
@@ -306,9 +328,7 @@ class LinFunctor:
             m, want = mats[pair], shape(pair)
             raise ValueError(f"matrix for hom{pair} is {m.rows}x{m.cols}, "
                              f"expected {want[0]}x{want[1]}")
-        self.matrices = {p: mats[p] if p in mats else
-                         Matrix.zeros(src.field, 0, src.dim(*p))
-                         for p in src.pairs}
+        self.matrices = kept
 
     def block(self, x: str, y: str) -> Matrix:
         """The matrix of hom(x,y), zero-column when hom(x,y) is zero."""

@@ -7,7 +7,8 @@ reference checks.  They are thin layers over the library's EchelonBasis
 and complement.  `eliminated_inverse` is `inverse` as it was before
 monomial matrices skipped elimination, the reference for that path.
 `from_rows`, `from_cols` and `row_major` build a Matrix from dense rows,
-dense columns or row-major entries, coercing each entry into the field."""
+dense columns or row-major entries, coercing each entry into the field;
+`entries` reads a Matrix back as its row-major entries."""
 from typing import Iterable, Optional, Sequence
 
 from lincat.exactlinalg import (EchelonBasis, FieldSpec, Matrix, complement,
@@ -40,6 +41,11 @@ def row_major(field: FieldSpec, rows: int, cols: int,
         return Matrix.zeros(field, 0, cols)
     return from_rows(field, [entries[i * cols:(i + 1) * cols]
                              for i in range(rows)])
+
+
+def entries(m: Matrix) -> tuple:
+    """The entries of m in row-major order."""
+    return tuple(a for i in range(m.rows) for a in m.row(i))
 
 
 def _echelon(field: FieldSpec, rows: Iterable[dict]) -> EchelonBasis:

@@ -5,8 +5,8 @@ Helpers: `comb_add`, `comb_scale` and `comb_eq` on combinations of basis
 names; `make_category`, a LinCat builder that coerces plain numbers into
 the field; `trivial_grading`; `presentation_to_doc` and `dump_path`,
 the writer side of the presentation format; the fixtures
-`cyclic_reduction`, `disconnected_double_kronecker`, `shift_functor` and
-`shift_subgroup_action`; `derivation_space`, the kernel of the
+`cyclic_reduction`, `twisted_cover`, `disconnected_double_kronecker`,
+`shift_functor` and `shift_subgroup_action`; `derivation_space`, the kernel of the
 Leibniz system that h1 ranks, as Derivations; and `rebased`, a
 category in another basis of each hom space.
 
@@ -18,7 +18,11 @@ every composable basis pair, unit names included, and
 `reference_inner_basis` solve it and span the inner derivations as the
 library once did.
 They are the oracles for `_derivation_vectors`, `_inner_generators`,
-`h1` and `is_inner`.
+`h1` and `is_inner`.  `reference_covering_report` builds a Matrix for
+every star block and inverts each one up front, as check_covering once
+did; `reference_hom_coverings` extends every seed of the fibre into a
+whole functor, and `reference_gset_analysis` reads its action table
+from those functors, as hom_coverings and gset_analysis once did.
 """
 from bisect import bisect_right
 from fractions import Fraction
@@ -28,15 +32,18 @@ from typing import Optional, Sequence, Union
 
 from lincat.cohomology import (Derivation, _derivation_vectors, _derivations,
                                _inner_generators, _layout, _products)
+from lincat.covering import (CoveringGroup, CoveringReport, _Extension,
+                             fibre)
 from lincat.exactlinalg import EchelonBasis, FieldSpec, Matrix, inverse
 from lincat.fixtures import CoverFixture, Q, cyclic_cover, kronecker
 from lincat.formats import FORMAT_VERSION, canonical_dumps
-from lincat.galois import GroupAction
+from lincat.galois import GSetReport, GroupAction, _galois_group
 from lincat.grading import Grading, grading_on_basis
 from lincat.groups import Group, cyclic_group
 from lincat.kcat import (Arrow, LinCat, LinComb, LinFunctor, PresentResult,
                          QuiverPresentation, _reduced, compose,
-                         functor_from_arrows, present)
+                         functor_from_arrows, identity_functor, present,
+                         validate_functor)
 
 
 # -- helpers -----------------------------------------------------------------
@@ -136,6 +143,17 @@ def cyclic_reduction(n: int, m: int, field: FieldSpec = Q
         images[f"b{i}"] = {f"b{j}": 1}
     h = functor_from_arrows(top.total, bottom.total.category, omap, images)
     return top, bottom, h
+
+
+def twisted_cover(n: int, field: FieldSpec = Q,
+                  base: Optional[PresentResult] = None) -> LinFunctor:
+    """The n-fold cyclic cover with a0 sent to a + b: a covering that is
+    not Galois for n > 1."""
+    fix = cyclic_cover(n, field, base)
+    images = {f"{c}{i}": {c: 1} for c in "ab" for i in range(n)}
+    images["a0"] = {"a": 1, "b": 1}
+    return functor_from_arrows(fix.total, fix.base.category,
+                               fix.functor.object_map, images)
 
 
 def disconnected_double_kronecker(field: FieldSpec = Q) -> PresentResult:
@@ -311,3 +329,85 @@ def reference_inner_basis(c: LinCat) -> list[Derivation]:
     """The echelon basis of reference_inner_span, as Derivations."""
     return [reference_derivation_of(c, v)
             for v in reference_inner_span(c).rows.values()]
+
+
+def reference_covering_report(f: LinFunctor) -> CoveringReport:
+    """check_covering's report as it was made when every star block was
+    inverted up front: the star table is a dict of each bijective
+    block's inverse with its owner list.  Each nonzero hom(x,y) of the
+    source adds its columns to the outgoing star of x towards F(y) and
+    to the incoming star of y towards F(x); pairs run x-major in
+    declaration order, so the columns fall in fibre order."""
+    src, tgt, omap = f.source, f.target, f.object_map
+    surjective = set(omap.values()) == set(tgt.objects)
+    cols: dict[tuple[str, str, str], list[dict]] = {}
+    owner: dict[tuple[str, str, str], list[tuple[str, int, int]]] = {}
+    for (x, y) in src.pairs:
+        m = f.matrices[(x, y)]
+        for key, e in (((x, omap[y], "out"), y), ((y, omap[x], "in"), x)):
+            at = cols.setdefault(key, [])
+            owner.setdefault(key, []).extend(
+                [(e, len(at), len(at) + m.cols - 1)] * m.cols)
+            at.extend(m.columns)
+    failures: list[tuple[str, str, str]] = []
+    stars = {}
+    for x in src.objects:
+        for b in tgt.objects:
+            for key, rows in (((x, b, "out"), tgt.dim(omap[x], b)),
+                              ((x, b, "in"), tgt.dim(b, omap[x]))):
+                block = tuple(cols.get(key, ()))
+                inv = inverse(Matrix(src.field, rows, len(block), block))
+                if inv is None:
+                    failures.append(key)
+                else:
+                    stars[key] = (inv, owner.get(key, []))
+    violations = validate_functor(f)
+    return CoveringReport(surjective and not failures and not violations,
+                          surjective, failures, violations, stars)
+
+
+def reference_hom_coverings(u: LinFunctor, f: LinFunctor
+                            ) -> tuple[list[LinFunctor], CoveringGroup]:
+    """hom_coverings(u, f) as it was made when every seed of the fibre
+    was extended into a whole functor, with the deck group of u."""
+    if u.target != f.target:
+        raise ValueError("coverings do not share a base")
+    gu = _galois_group(u)
+    _galois_group(f)
+    u0 = u.source.objects[0]
+    ext = _Extension(u, f, identity_functor(u.target))
+    out = []
+    for c0 in fibre(f, u.object_map[u0]):
+        h = ext.extend(u0, c0)
+        if h is not None:
+            out.append(h)
+    return out, gu
+
+
+def reference_gset_analysis(u: LinFunctor, f: LinFunctor) -> GSetReport:
+    """gset_analysis on the functors of reference_hom_coverings: the
+    action table is read from the seed images of whole functors."""
+    homs, gu = reference_hom_coverings(u, f)
+    if not homs:
+        raise ValueError("no morphisms between the coverings; "
+                         "the action is empty")
+    u0 = u.source.objects[0]
+    by_seed = {h.object_map[u0]: i for i, h in enumerate(homs)}
+    action = {(i, name): by_seed[h.object_map[deck[u0]]]
+              for i, h in enumerate(homs)
+              for name, deck in gu.object_maps.items()}
+    orbit = {0}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for name in gu.group.elements:
+            j = action[(i, name)]
+            if j not in orbit:
+                orbit.add(j)
+                frontier.append(j)
+    transitive = len(orbit) == len(homs)
+    isotropy = tuple(name for name in gu.group.elements
+                     if action[(0, name)] == 0)
+    normal = gu.group.is_normal(isotropy)
+    os_ok = len(homs) * len(isotropy) == gu.order()
+    return GSetReport(homs, transitive, isotropy, normal, os_ok, action)

@@ -20,7 +20,7 @@ from lincat.groups import Group, cyclic_group
 from lincat.kcat import (LinCat, LinFunctor, functor_compose, functor_equal,
                          functor_from_arrows, functor_is_isomorphism,
                          identity_functor, validate_functor)
-from linalg_reference import row_major
+from linalg_reference import entries, row_major
 from lincat_reference import shift_functor, shift_subgroup_action
 
 F3 = FieldSpec(3)
@@ -120,7 +120,7 @@ def scaled(a, s, factor=2):
     m = f.matrices[pair]
     fld = m.field
     block = row_major(fld, m.rows, m.cols,
-                      [fld.reduce(factor * v) for v in m.entries])
+                      [fld.reduce(factor * v) for v in entries(m)])
     fs = dict(a.functors)
     fs[s] = LinFunctor(f.source, f.target, f.object_map,
                        {**f.matrices, pair: block})
@@ -190,15 +190,21 @@ def test_perturbed_actions_agree(action):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_cyclic_action_composes_n_times(n, monkeypatch):
+    """F_s∘F_g = F_(s·g) is decided once per element s for the one
+    generator g, without building a composite functor."""
     a = unchecked(shift_subgroup_action(n, 1))
     calls = []
-    compose = galois.functor_compose
+    composes_to = galois._composes_to
 
-    def counted(f, g):
+    def counted(fs, fg, h):
         calls.append(1)
-        return compose(f, g)
+        return composes_to(fs, fg, h)
 
-    monkeypatch.setattr(galois, "functor_compose", counted)
+    def refuse(g, f):
+        raise AssertionError("a composite functor was built")
+
+    monkeypatch.setattr(galois, "_composes_to", counted)
+    monkeypatch.setattr(galois, "functor_compose", refuse)
     build(a)
     assert len(calls) == n  # one generator, n elements: not n²
 

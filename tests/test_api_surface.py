@@ -12,6 +12,11 @@ Two names stay unreached on purpose: find_isomorphism and
 same_components are kept for the planned comparison of deck groups and
 of grading components.
 
+Every method and property of a class in src/lincat/ is read as an
+attribute somewhere in src/lincat/ or scripts/tour.py; dunder methods,
+which Python calls by protocol, are exempt.  Attributes are matched by
+name alone, so this check too can only miss dead code.
+
 Every name that a module under src/lincat/ or tests/ imports is read in
 that module; `from __future__` imports are exempt."""
 import ast
@@ -55,6 +60,30 @@ def unreached() -> set[str]:
 
 def test_every_library_name_is_reached():
     assert unreached() == ALLOWED
+
+
+def unread_methods() -> set[str]:
+    """Class.method for each non-dunder method or property of a class in
+    src/lincat/ whose name no attribute read in src/lincat/ or
+    scripts/tour.py carries."""
+    methods, read = [], set()
+    paths = sorted(SRC.glob("*.py")) + [ROOT / "scripts" / "tour.py"]
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and path.parent == SRC:
+                methods.extend(
+                    (node.name, f.name) for f in node.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (f.name.startswith("__") and
+                             f.name.endswith("__")))
+    return {f"{cls}.{name}" for cls, name in methods if name not in read}
+
+
+def test_every_method_is_read():
+    assert unread_methods() == set()
 
 
 def unused_imports(path: Path) -> list[str]:

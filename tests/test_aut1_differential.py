@@ -15,8 +15,9 @@ only change is its last line: the new CoveringGroup takes the object
 maps and keeps the functors it is given.
 
 The last section counts extensions and built functors: on a Galois
-covering of degree n at most 1 + log2 n seeds are extended, and
-structure_iso builds no whole deck functor."""
+covering of degree n at most log2 n seeds are extended (the first
+object's own seed gives the identity without one), and structure_iso
+builds no whole deck functor."""
 from math import ceil, log2
 from typing import Optional
 
@@ -411,22 +412,23 @@ def test_gset_analysis_agrees_on_reference_groups(monkeypatch):
 # -- cost ----------------------------------------------------------------------
 
 def counted_extensions(monkeypatch) -> list[str]:
-    """The seed image of every _Extension.extend call from here on."""
+    """The seed image of every extension (_Extension.walk, which
+    _Extension.extend calls too) from here on."""
     seeds: list[str] = []
-    real = covering._Extension.extend
+    real = covering._Extension.walk
 
-    def extend(self, x0, d0):
+    def walk(self, x0, d0):
         seeds.append(d0)
         return real(self, x0, d0)
 
-    monkeypatch.setattr(covering._Extension, "extend", extend)
+    monkeypatch.setattr(covering._Extension, "walk", walk)
     return seeds
 
 
 @pytest.mark.parametrize("n", [8, 64])
 def test_only_generators_are_extended(monkeypatch, n):
     f = cyclic_cover(n).functor
-    bound = 1 + ceil(log2(n))
+    bound = ceil(log2(n))  # x0's own seed gives e and is not extended
     seeds = counted_extensions(monkeypatch)
     assert aut1(f).order() == n
     assert len(seeds) <= bound

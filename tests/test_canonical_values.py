@@ -16,6 +16,7 @@ from lincat.formats import (action_from_doc, category_from_doc,
                             grading_from_doc, presentation_from_text)
 from lincat.kcat import LinCat, LinFunctor, is_connected, present
 from lincat.registry import fixture_files, fixture_names
+from linalg_reference import entries
 
 DECODE = {"category": category_from_doc, "functor": functor_from_doc,
           "action": action_from_doc, "grading": grading_from_doc,
@@ -38,12 +39,12 @@ def category_values(c: LinCat):
             yield f"identity of {x}[{n}]", v
     for d in h1(c).representatives:
         for pair, m in d.matrices.items():
-            yield from ((f"h1 representative{pair}", v) for v in m.entries)
+            yield from ((f"h1 representative{pair}", v) for v in entries(m))
 
 
 def block_values(f: LinFunctor, what: str):
     for pair, m in f.matrices.items():
-        yield from ((f"{what} block{pair}", v) for v in m.entries)
+        yield from ((f"{what} block{pair}", v) for v in entries(m))
 
 
 def functor_values(f: LinFunctor):
@@ -71,7 +72,7 @@ def values(obj):
     elif hasattr(obj, "degrees"):  # a grading
         yield from category_values(obj.category)
         for pair, m in obj.basis.items():
-            yield from ((f"grading basis{pair}", v) for v in m.entries)
+            yield from ((f"grading basis{pair}", v) for v in entries(m))
     else:  # a character
         yield from ((f"character at {s}", v) for s, v in obj.values.items())
 

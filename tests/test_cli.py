@@ -191,6 +191,70 @@ def test_each_functor_is_validated_once(workdir, monkeypatch, argv,
     assert len(calls) == len({id(f) for f in calls}) == functors
 
 
+# -- the covering layer pays for the columns it reads ------------------------
+
+def test_cover_check_inverts_no_monomial_star_block(tmp_path, monkeypatch):
+    """The star blocks of a cyclic cover hold one entry per column: cover
+    check decides each one from its rows and inverts none."""
+    import lincat.covering as covering
+    calls = []
+
+    def counted(m, _real=covering.inverse):
+        calls.append(m)
+        return _real(m)
+    monkeypatch.setattr(covering, "inverse", counted)
+    registry.write_fixture("cyclic-cover-16", tmp_path)
+    code, out, _ = run_json(tmp_path, "cover", "check", "--functor",
+                            "cyclic-cover-16.json")
+    assert code == 0 and out["verdicts"]["covering"] is True
+    assert calls == []
+
+
+def test_aut1_builds_no_functor_until_one_is_read(monkeypatch):
+    from lincat.covering import aut1, check_covering
+    from lincat.fixtures import cyclic_cover
+    from lincat.kcat import LinFunctor
+    f = cyclic_cover(8).functor
+    check_covering(f)
+    built = []
+
+    def counted(self, _real=LinFunctor.__post_init__):
+        built.append(self)
+        return _real(self)
+    monkeypatch.setattr(LinFunctor, "__post_init__", counted)
+    grp = aut1(f)
+    assert grp.order() == 8 and built == []
+    h = grp.functor("g3")
+    assert built == [h]
+    assert grp.functor("g3") is h and built == [h]
+
+
+@pytest.mark.parametrize("n,m", [(8, 4), (8, 8)])
+def test_galois_homs_extends_one_seed(tmp_path, monkeypatch, n, m):
+    """Every walk but the deck groups' runs from U to F (two functors,
+    each decoded from its file): only one seed is extended, and no
+    morphism's functor is built, as only object maps are printed."""
+    import lincat.covering as covering
+    walks = []
+
+    def counted(self, x0, d0, _real=covering._Extension.walk):
+        if self.f is not self.g:
+            walks.append((x0, d0))
+        return _real(self, x0, d0)
+
+    def refuse(self, omap, column=None):
+        raise AssertionError("a functor was built")
+    monkeypatch.setattr(covering._Extension, "walk", counted)
+    monkeypatch.setattr(covering._Extension, "functor", refuse)
+    for k in {n, m}:
+        registry.write_fixture(f"cyclic-cover-{k}", tmp_path)
+    code, out, _ = run_json(tmp_path, "galois", "homs", "--functor",
+                            f"cyclic-cover-{n}.json", "--to",
+                            f"cyclic-cover-{m}.json")
+    assert code == 0 and out["verdicts"]["morphisms"] == m
+    assert walks == [("s0", "s0")]
+
+
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
 

@@ -2,15 +2,19 @@
 checks they replaced, kept here verbatim as references (zero blocks are
 read through LinFunctor.block, since functors store only nonzero ones).
 The library builds every star block in one pass over the nonzero hom
-pairs and inverts it on its sparse columns, and sums functoriality on
-raw values; the references rank a dense star matrix per (object, base
-object, half) and send every basis product through compose.  Both must
+pairs, decides a block whose columns hold one entry each from their
+rows, and inverts a block only when it is first read (or, with a longer
+column, to decide it); it sums functoriality on raw values.  The
+references rank a dense star matrix per (object, base object, half) and
+send every basis product through compose, and reference_covering_report
+(tests/lincat_reference.py) inverts every star block up front.  All must
 give the same CoveringReport (verdicts, failures in order, violations,
-message), on fixtures over Q, F_2, F_3 and F_5 and on
-perturbations of them."""
+message), and the star table the same inverse and owner list for every
+bijective block, read through StarTable; on fixtures over Q, F_2, F_3
+and F_5 and on perturbations of them."""
 from hypothesis import given, settings, strategies as st
 
-from lincat import registry
+from lincat import covering, registry
 from lincat.covering import CoveringReport, check_covering, fibre
 from lincat.exactlinalg import FieldSpec
 from lincat.fixtures import (Q, F2, corrupted_collapse, cover_f0, cover_f1,
@@ -18,9 +22,10 @@ from lincat.fixtures import (Q, F2, corrupted_collapse, cover_f0, cover_f1,
                              square_cover)
 from lincat.formats import action_from_doc, functor_from_doc
 from lincat.kcat import (LinFunctor, Violation, comb_str, compose,
-                         functor_from_arrows, validate_functor)
-from linalg_reference import rank, row_major
-from lincat_reference import comb_add, comb_eq, comb_scale, cyclic_reduction
+                         validate_functor)
+from linalg_reference import entries, rank, row_major
+from lincat_reference import (comb_add, comb_eq, comb_scale, cyclic_reduction,
+                              reference_covering_report, twisted_cover)
 
 F3, F5 = FieldSpec(3), FieldSpec(5)
 FIELDS = (Q, F2, F3, F5)
@@ -76,7 +81,7 @@ def reference_validate_functor(f):
         m = f.matrices[(x, y)]
         rows = tgt.hom[(f.object_map[x], f.object_map[y])]
         for j, n in enumerate(src.hom[(x, y)]):
-            image[n] = {t: a for t, a in zip(rows, m.entries[j::m.cols])
+            image[n] = {t: a for t, a in zip(rows, entries(m)[j::m.cols])
                         if a}
     for fn in src.basis_names():
         for gn in src.leaving[src.target_of(fn)]:
@@ -93,16 +98,6 @@ def reference_validate_functor(f):
 
 
 # -- inputs --------------------------------------------------------------------
-
-def twisted_cover(n, field):
-    """The n-fold cyclic cover with a0 sent to a + b: a covering that is
-    not Galois for n > 1."""
-    fix = cyclic_cover(n, field)
-    images = {f"{c}{i}": {c: 1} for c in "ab" for i in range(n)}
-    images["a0"] = {"a": 1, "b": 1}
-    return functor_from_arrows(fix.total, fix.base.category,
-                               fix.functor.object_map, images)
-
 
 def registry_functors():
     out = []
@@ -145,7 +140,21 @@ def assert_same(label, f):
         (ref.ok, ref.surjective, ref.failures, ref.violations), label
     assert report.message() == ref.message(), label
     assert validate_functor(f) == ref.violations, label
+    assert_same_report(label, report, reference_covering_report(f))
     return report
+
+
+def assert_same_report(label, report, old):
+    """report agrees with the up-front report old: verdicts, failures in
+    order, violations, message, and the star table key by key, in
+    order, with each inverse and owner list read through the table."""
+    assert (report.ok, report.surjective, report.failures,
+            report.violations) == \
+        (old.ok, old.surjective, old.failures, old.violations), label
+    assert report.message() == old.message(), label
+    assert list(report.stars) == list(old.stars), label
+    for key, (inv, owner) in old.stars.items():
+        assert report.stars[key] == (inv, owner), (label, key)
 
 
 def test_fixture_pool_is_broad():
@@ -186,6 +195,33 @@ def test_star_table_inverts_the_reference_star_matrices():
         assert set(report.stars) == bijective, label
 
 
+def test_only_blocks_with_a_longer_column_are_inverted(monkeypatch):
+    """Making a report inverts exactly the square star blocks with a
+    column of other than one entry; the twisted covers have some."""
+    calls = []
+    real = covering.inverse
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(covering, "inverse", counted)
+    longer = 0
+    for label, f in POOL:
+        want = 0
+        for x in f.source.objects:
+            for b in f.target.objects:
+                for direction in ("out", "in"):
+                    m = reference_star_matrix(f, x, b, direction)
+                    want += m.rows == m.cols and \
+                        any(len(col) != 1 for col in m.columns)
+        calls.clear()
+        covering._covering_report(f)
+        assert len(calls) == want, label
+        longer += want
+    assert longer > 0
+
+
 # -- perturbations -------------------------------------------------------------
 
 def _replace(f, pair, m):
@@ -199,11 +235,11 @@ def test_one_entry_changed(data):
     label, f = data.draw(st.sampled_from(POOL))
     pair = data.draw(st.sampled_from(sorted(f.matrices)))
     m = f.matrices[pair]
-    if not m.entries:
+    if not entries(m):
         return
-    i = data.draw(st.integers(0, len(m.entries) - 1))
+    i = data.draw(st.integers(0, len(entries(m)) - 1))
     v = f.source.field.scalar(data.draw(st.integers(-2, 4)))
-    ent = m.entries[:i] + (v,) + m.entries[i + 1:]
+    ent = entries(m)[:i] + (v,) + entries(m)[i + 1:]
     assert_same(f"{label} {pair}[{i}]={v}",
                 _replace(f, pair, row_major(m.field, m.rows, m.cols, ent)))
 
@@ -216,7 +252,7 @@ def test_unit_moved_at_one_object():
         for x in {f.source.objects[0], f.source.objects[-1]}:
             m = f.matrices[(x, x)]
             for s in {fld.zero(), fld.scalar(2)}:
-                ent = tuple(fld.reduce(s * a) for a in m.entries)
+                ent = tuple(fld.reduce(s * a) for a in entries(m))
                 g = _replace(f, (x, x), row_major(fld, m.rows, m.cols, ent))
                 found = validate_functor(g)
                 assert found == reference_validate_functor(g), (label, x, s)
@@ -231,7 +267,7 @@ def test_one_block_scaled(data):
     m = f.matrices[pair]
     fld = f.source.field
     s = fld.scalar(data.draw(st.sampled_from([0, 2, 3, -1])))
-    ent = tuple(fld.reduce(s * a) for a in m.entries)
+    ent = tuple(fld.reduce(s * a) for a in entries(m))
     assert_same(f"{label} {pair}*{s}",
                 _replace(f, pair, row_major(m.field, m.rows, m.cols, ent)))
 

@@ -173,3 +173,18 @@ def test_h1_builds_one_derivation_per_representative(monkeypatch):
         res = h1(c)
         assert res.derivation_dim > len(res.representatives) > 0
         assert len(built) == len(res.representatives)
+
+
+def test_h1_builds_the_product_table_once(monkeypatch):
+    """_derivation_vectors and _inner_generators share one _products
+    table per h1 call."""
+    tables = []
+
+    def counted(c, _real=cohomology._products):
+        tables.append(c)
+        return _real(c)
+    monkeypatch.setattr(cohomology, "_products", counted)
+    for c in (kronecker().category, square_base().category):
+        tables.clear()
+        h1(c)
+        assert tables == [c]

@@ -37,7 +37,7 @@ from lincat.covering import fibre
 from lincat.exactlinalg import FieldSpec, Matrix
 from grading_reference import (built_grading, decided, grading_fields,
                                reference_decided, reference_validate_grading)
-from linalg_reference import from_rows, row_major
+from linalg_reference import entries, from_rows, row_major
 from lincat.fixtures import (F2, Q, cover_f1, cyclic_cover, kronecker,
                              loop_square_zero, square_cover)
 from lincat.grading import Grading, grading_on_basis, induced_grading
@@ -215,13 +215,13 @@ def sound_categories():
             square_cover().base.category]
 
 
-def family(c, entries):
+def family(c, flat):
     """The family of matrices on c's nonzero hom pairs with the given
     flat entries, in the layout of the Leibniz system."""
     mats, at = {}, 0
     for pair in c.pairs:
         n = c.dim(*pair)
-        mats[pair] = row_major(c.field, n, n, entries[at:at + n * n])
+        mats[pair] = row_major(c.field, n, n, flat[at:at + n * n])
         at += n * n
     return mats
 
@@ -471,7 +471,7 @@ def test_one_changed_structure_constant(case, slot, name, value):
 def test_one_changed_derivation_entry(case, which, entry, value):
     c, ders = pick(DERIVATIONS, case)
     d = pick(ders, which)
-    flat = [a for pair in c.pairs for a in d.matrices[pair].entries]
+    flat = [a for pair in c.pairs for a in entries(d.matrices[pair])]
     flat[entry % len(flat)] = c.field.scalar(value)
     assert_derivation_agrees(Derivation(c, family(c, flat)))
 
@@ -497,7 +497,7 @@ def test_one_scaled_basis_column(case, pair, column, factor):
     m = z.basis[key]
     j = column % m.cols
     s = m.field.scalar(factor)
-    entries = [m.field.reduce(a * s) if k % m.cols == j else a
-               for k, a in enumerate(m.entries)]
+    scaled = [m.field.reduce(a * s) if k % m.cols == j else a
+              for k, a in enumerate(entries(m))]
     assert_grading_agrees(grading_fields(z, basis={
-        **z.basis, key: row_major(m.field, m.rows, m.cols, entries)}))
+        **z.basis, key: row_major(m.field, m.rows, m.cols, scaled)}))
