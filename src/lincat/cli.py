@@ -21,8 +21,8 @@ from typing import Callable, Optional, TextIO, Union
 
 from . import registry
 from .cohomology import delta, delta_injectivity_check, h1, is_inner
-from .covering import CoveringMorphism, aut1, check_covering, \
-    extend_morphism, fibre, lambda_map
+from .covering import aut1, check_covering, extend_morphism, fibre, \
+    lambda_map
 from .exactlinalg import FieldSpec
 from .formats import canonical_dumps, category_to_doc, functor_to_doc, \
     grading_to_doc, group_to_doc, hwalk_to_doc, load_value, matrix_to_doc
@@ -30,8 +30,8 @@ from .galois import gset_analysis, hom_coverings, is_galois, quotient, \
     structure_iso, check_universal
 from .grading import induced_grading, is_connected_grading, regrade, smash, \
     validate_hwalk, walk_degree
-from .kcat import LinFunctor, identity_functor, present, \
-    validate_category, validate_functor
+from .kcat import LinFunctor, present, validate_category, \
+    validate_functor
 from .pi1pres import abelianization, bounded_order, pi1_presentation
 
 Verdict = Union[bool, int, str]
@@ -201,7 +201,7 @@ def _cmd_cover_extend(args, report: Report) -> None:
                 f"{d0!r} is not in the fibre over {f.object_map[x0]!r}")
     else:
         d0 = fibre(g, f.object_map[x0])[0]
-    h = extend_morphism(f, g, identity_functor(f.target), x0, d0)
+    h = extend_morphism(f, g, None, x0, d0)
     report.verdicts["extends"] = h is not None
     report.messages.append(f"seed {x0} -> {d0}")
     if h is not None:
@@ -215,11 +215,7 @@ def _cmd_cover_lambda(args, report: Report) -> None:
     x0 = _seed_object(f)
     d0 = args.image if args.image is not None \
         else fibre(g, f.object_map[x0])[0]
-    h = extend_morphism(f, g, identity_functor(f.target), x0, d0)
-    if h is None:
-        raise InputError("no morphism between the coverings from "
-                         f"seed {x0} -> {d0}")
-    res = lambda_map(CoveringMorphism(h, identity_functor(f.target)), f, g)
+    res = lambda_map(f, g, d0)
     report.verdicts["surjective"] = res.surjective
     report.verdicts["kernel matches deck group of the morphism"] = \
         res.kernel_matches_h_group

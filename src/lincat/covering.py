@@ -36,8 +36,7 @@ from typing import Callable, Optional
 from .exactlinalg import FieldSpec, Matrix, inverse
 from .groups import Group
 from .kcat import (LinComb, LinFunctor, Violation, functor_compose,
-                   functor_equal, functor_is_isomorphism,
-                   is_connected, validate_functor)
+                   functor_is_isomorphism, is_connected, validate_functor)
 
 
 def fibre(f: LinFunctor, b: str) -> list[str]:
@@ -176,38 +175,6 @@ def _covering_report(f: LinFunctor) -> CoveringReport:
                           surjective, failures, violations, stars)
 
 
-@dataclass
-class CoveringMorphism:
-    """(H, J) with H over the fibres and J an automorphism of the base
-    fixing objects; the defining equation is G∘H = J∘F."""
-    h: LinFunctor
-    j: LinFunctor
-
-
-def validate_morphism(m: CoveringMorphism, f: LinFunctor,
-                      g: LinFunctor) -> list[str]:
-    problems = []
-    if f.target != g.target:
-        problems.append("coverings have different bases")
-        return problems
-    base = f.target
-    if m.j.source != base or m.j.target != base:
-        problems.append("J is not an endofunctor of the base")
-        return problems
-    if any(m.j.object_map[x] != x for x in base.objects):
-        problems.append("J moves objects")
-    if not functor_is_isomorphism(m.j):
-        problems.append("J is not an isomorphism")
-    if m.h.source != f.source or m.h.target != g.source:
-        problems.append("H does not run from the first covering to the second")
-        return problems
-    if check_covering(m.h).violations:
-        problems.append("H is not functorial")
-    if not functor_equal(functor_compose(g, m.h), functor_compose(m.j, f)):
-        problems.append("G∘H differs from J∘F")
-    return problems
-
-
 class _Extension:
     """What extending morphisms F -> G over J needs that no seed changes,
     built once per (F, G, J) and shared by every seed: J∘F, with each
@@ -336,9 +303,11 @@ class _Extension:
         return LinFunctor(c, d, omap, mats)
 
 
-def extend_morphism(f: LinFunctor, g: LinFunctor, j: LinFunctor,
-                    x0: str, d0: str) -> Optional[LinFunctor]:
-    """The unique H with H(x0) = d0 and G∘H = J∘F, or None.
+def extend_morphism(f: LinFunctor, g: LinFunctor,
+                    j: Optional[LinFunctor], x0: str, d0: str
+                    ) -> Optional[LinFunctor]:
+    """The unique H with H(x0) = d0 and G∘H = J∘F, or None; J = None is
+    the identity of the base.
 
     G must be a covering; every caller checks this with check_covering,
     whose report (kept on G) also supplies G's star table here.  A star
@@ -357,8 +326,8 @@ def extend_morphism(f: LinFunctor, g: LinFunctor, j: LinFunctor,
     units, with G injective on each hom space; otherwise no seed extends.
     F's and G's functoriality are read from check_covering; only J∘F
     for a J other than the identity is validated, once per (F, G, J):
-    aut1, hom_coverings and check_universal share that work across
-    seeds.
+    aut1, hom_coverings, check_universal and lambda_map share that work
+    across seeds.
     """
     return _Extension(f, g, j).extend(x0, d0)
 
@@ -415,15 +384,6 @@ class CoveringGroup:
         names = c.basis(omap[x], omap[y])
         return {names[i]: a
                 for i, a in self.extension.column(omap, n).items()}
-
-    def name_of(self, h: LinFunctor) -> Optional[str]:
-        """The element equal to h, or None.  By rigidity only the element
-        sharing h's seed image can be equal to it."""
-        seed = h.object_map.get(self.seed_object)
-        for n, omap in self.object_maps.items():
-            if omap[self.seed_object] == seed:
-                return n if functor_equal(self.functor(n), h) else None
-        return None
 
 
 def _closure(x0: str, gens: list[dict[str, str]]
@@ -528,46 +488,54 @@ class LambdaResult:
     kernel_matches_h_group: bool
     h_is_galois: bool
 
-    def ok(self) -> bool:
-        return (self.surjective and self.kernel_matches_h_group
-                and self.h_is_galois)
 
+def lambda_map(f: LinFunctor, g: LinFunctor, d0: str) -> LambdaResult:
+    """λ for the morphism H: F -> G (over J = 1) seeded at x0 ↦ d0, x0
+    the first object of F's source: for each deck transformation h of F,
+    the unique deck transformation λ(h) of G with λ(h)∘H = H∘h.  Refused
+    with ValueError, in this order: a seed that does not extend (or
+    that walk refuses), F or G not Galois, H not surjective on objects.
+    Every verdict on F, G and H is read from its check_covering report.
 
-def lambda_map(m: CoveringMorphism, f: LinFunctor,
-               g: LinFunctor) -> LambdaResult:
-    """For each deck transformation h of F, the unique deck transformation
-    λ(h) of G with λ(h)∘H = H∘h; F and G must be Galois coverings, and
-    every verdict on F, G and H is read from its check_covering report.
-
-    By rigidity no composite is formed: H∘h is a morphism F -> G with
-    seed image H(h(x0)), and G being Galois, exactly one deck
-    transformation k of G sends H(x0) there; k∘H is a morphism with the
-    same seed image, so k∘H = H∘h and λ(h) = k.
+    Rigidity does all the work, and nothing is re-verified or composed:
+    - H is the extension of its seed, so G∘H = F and H is a functor by
+      construction (see extend_morphism); its functor is built once,
+      from the walk's columns, for aut1(H).
+    - H∘h is a morphism F -> G with seed image H(h(x0)), and G being
+      Galois, exactly one deck transformation k of G sends d0 there;
+      k∘H is a morphism with the same seed image, so k∘H = H∘h and
+      λ(h) = k.
+    - The kernel and aut1(H) are both groups of deck transformations of
+      F, each fixed by its seed image, so they are equal exactly when
+      their sets of seed images are.
     """
-    problems = validate_morphism(m, f, g)
-    if problems:
-        raise ValueError("invalid covering morphism: " + "; ".join(problems))
+    if not f.source.objects:
+        raise ValueError("covering source is not connected")
+    x0 = f.source.objects[0]
+    ext = _Extension(f, g)
+    found = ext.walk(x0, d0)
+    if found is None:
+        raise ValueError("no morphism between the coverings from "
+                         f"seed {x0} -> {d0}")
     gf = aut1(f)
     gg = aut1(g)
     for cover, grp in ((f, gf), (g, gg)):
         reason = galois_obstruction(cover, grp)
         if reason is not None:
             raise ValueError(f"covering is not Galois: {reason}")
-    if set(m.h.object_map.values()) != set(g.source.objects):
+    omap, cols = found
+    if set(omap.values()) != set(g.source.objects):
         raise ValueError("H is not surjective on objects")
 
-    x0 = f.source.objects[0]
-    hx0 = m.h.object_map[x0]
-    by_seed = {k[hx0]: n for n, k in gg.object_maps.items()}
-    mapping = {n: by_seed[m.h.object_map[h[x0]]]
-               for n, h in gf.object_maps.items()}
+    by_seed = {k[d0]: n for n, k in gg.object_maps.items()}
+    mapping = {n: by_seed[omap[h[x0]]] for n, h in gf.object_maps.items()}
     surjective = set(mapping.values()) == set(gg.group.elements)
     kernel = tuple(n for n, v in mapping.items() if v == "e")
 
-    h_group = aut1(m.h)
-    kernel_ok = (len(kernel) == h_group.order() and
-                 all(h_group.name_of(gf.functor(n)) is not None
-                     for n in kernel))
-    h_galois = galois_obstruction(m.h, h_group) is None
+    h = ext.functor(omap, cols.__getitem__)
+    h_group = aut1(h)
+    kernel_ok = ({gf.object_maps[n][x0] for n in kernel} ==
+                 {k[x0] for k in h_group.object_maps.values()})
+    h_galois = galois_obstruction(h, h_group) is None
     return LambdaResult(gf, gg, mapping, surjective, kernel, h_group,
                         kernel_ok, h_galois)

@@ -301,11 +301,12 @@ def hom_coverings(u: LinFunctor, f: LinFunctor) -> HomSet:
 
 def _hom_coverings(u: LinFunctor, f: LinFunctor
                    ) -> tuple[HomSet, CoveringGroup]:
-    """hom_coverings(u, f) and the deck group of u."""
+    """hom_coverings(u, f) and the deck group of u; an f equal to u, such
+    as a second copy decoded from the same file, shares u's deck group."""
     if u.target != f.target:
         raise ValueError("coverings do not share a base")
     gu = _galois_group(u)
-    gf = gu if f is u else _galois_group(f)
+    gf = gu if f == u else _galois_group(f)
     u0 = u.source.objects[0]
     ext = _Extension(u, f)
     fib = fibre(f, u.object_map[u0])
@@ -388,6 +389,6 @@ def check_universal(u: LinFunctor, family: list[LinFunctor]
         for u0 in u.source.objects:
             for c0 in fibre(f, u.object_map[u0]):
                 checked += 1
-                if ext.extend(u0, c0) is None:
+                if ext.walk(u0, c0) is None:
                     violations.append((idx, u0, c0))
     return UniversalReport(not violations, checked, violations)

@@ -23,8 +23,14 @@ every star block and inverts each one up front, as check_covering once
 did; `reference_hom_coverings` extends every seed of the fibre into a
 whole functor, and `reference_gset_analysis` reads its action table
 from those functors, as hom_coverings and gset_analysis once did.
+`CoveringMorphism` is a pair (H, J); `reference_validate_morphism`
+checks it by composing G∘H and J∘F and comparing them, and
+`reference_lambda_map` takes a whole morphism, re-validates it and
+identifies each kernel element with an element of aut1(H) by comparing
+functors (`reference_name_of`), as lambda_map once did.
 """
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -32,8 +38,9 @@ from typing import Optional, Sequence, Union
 
 from lincat.cohomology import (Derivation, _derivation_vectors, _derivations,
                                _inner_generators, _layout, _products)
-from lincat.covering import (CoveringGroup, CoveringReport, _Extension,
-                             fibre)
+from lincat.covering import (CoveringGroup, CoveringReport, LambdaResult,
+                             _Extension, aut1, check_covering, fibre,
+                             galois_obstruction)
 from lincat.exactlinalg import EchelonBasis, FieldSpec, Matrix, inverse
 from lincat.fixtures import CoverFixture, Q, cyclic_cover, kronecker
 from lincat.formats import FORMAT_VERSION, canonical_dumps
@@ -42,7 +49,8 @@ from lincat.grading import Grading, grading_on_basis
 from lincat.groups import Group, cyclic_group
 from lincat.kcat import (Arrow, LinCat, LinComb, LinFunctor, PresentResult,
                          QuiverPresentation, _reduced, compose,
-                         functor_from_arrows, identity_functor, present,
+                         functor_compose, functor_equal, functor_from_arrows,
+                         functor_is_isomorphism, identity_functor, present,
                          validate_functor)
 
 
@@ -411,3 +419,79 @@ def reference_gset_analysis(u: LinFunctor, f: LinFunctor) -> GSetReport:
     normal = gu.group.is_normal(isotropy)
     os_ok = len(homs) * len(isotropy) == gu.order()
     return GSetReport(homs, transitive, isotropy, normal, os_ok, action)
+
+
+@dataclass
+class CoveringMorphism:
+    """(H, J) with H over the fibres and J an automorphism of the base
+    fixing objects; the defining equation is G∘H = J∘F."""
+    h: LinFunctor
+    j: LinFunctor
+
+
+def reference_validate_morphism(m: CoveringMorphism, f: LinFunctor,
+                                g: LinFunctor) -> list[str]:
+    """Every problem of m as a morphism F -> G, by whole functors."""
+    problems = []
+    if f.target != g.target:
+        problems.append("coverings have different bases")
+        return problems
+    base = f.target
+    if m.j.source != base or m.j.target != base:
+        problems.append("J is not an endofunctor of the base")
+        return problems
+    if any(m.j.object_map[x] != x for x in base.objects):
+        problems.append("J moves objects")
+    if not functor_is_isomorphism(m.j):
+        problems.append("J is not an isomorphism")
+    if m.h.source != f.source or m.h.target != g.source:
+        problems.append("H does not run from the first covering to the second")
+        return problems
+    if check_covering(m.h).violations:
+        problems.append("H is not functorial")
+    if not functor_equal(functor_compose(g, m.h), functor_compose(m.j, f)):
+        problems.append("G∘H differs from J∘F")
+    return problems
+
+
+def reference_name_of(grp: CoveringGroup, h: LinFunctor) -> Optional[str]:
+    """The element of grp equal to h, or None: only the element sharing
+    h's seed image can be equal to it, and its functor is compared."""
+    seed = h.object_map.get(grp.seed_object)
+    for n, omap in grp.object_maps.items():
+        if omap[grp.seed_object] == seed:
+            return n if functor_equal(grp.functor(n), h) else None
+    return None
+
+
+def reference_lambda_map(m: CoveringMorphism, f: LinFunctor,
+                         g: LinFunctor) -> LambdaResult:
+    """lambda_map on a whole morphism: validated first, and each kernel
+    element's functor compared with aut1(H)'s elements."""
+    problems = reference_validate_morphism(m, f, g)
+    if problems:
+        raise ValueError("invalid covering morphism: " + "; ".join(problems))
+    gf = aut1(f)
+    gg = aut1(g)
+    for cover, grp in ((f, gf), (g, gg)):
+        reason = galois_obstruction(cover, grp)
+        if reason is not None:
+            raise ValueError(f"covering is not Galois: {reason}")
+    if set(m.h.object_map.values()) != set(g.source.objects):
+        raise ValueError("H is not surjective on objects")
+
+    x0 = f.source.objects[0]
+    hx0 = m.h.object_map[x0]
+    by_seed = {k[hx0]: n for n, k in gg.object_maps.items()}
+    mapping = {n: by_seed[m.h.object_map[h[x0]]]
+               for n, h in gf.object_maps.items()}
+    surjective = set(mapping.values()) == set(gg.group.elements)
+    kernel = tuple(n for n, v in mapping.items() if v == "e")
+
+    h_group = aut1(m.h)
+    kernel_ok = (len(kernel) == h_group.order() and
+                 all(reference_name_of(h_group, gf.functor(n)) is not None
+                     for n in kernel))
+    h_galois = galois_obstruction(m.h, h_group) is None
+    return LambdaResult(gf, gg, mapping, surjective, kernel, h_group,
+                        kernel_ok, h_galois)

@@ -6,8 +6,8 @@ Everything runs from built-in fixtures.
 """
 from lincat.cohomology import characters, delta, delta_injectivity_check, \
     h1, is_inner
-from lincat.covering import CoveringMorphism, aut1, check_covering, \
-    extend_morphism, fibre, lambda_map
+from lincat.covering import aut1, check_covering, extend_morphism, fibre, \
+    lambda_map
 from lincat.exactlinalg import Matrix
 from lincat.fixtures import (F2, Q, corrupted_collapse, cover_f0, cover_f1,
                              cover_f2, cyclic_cover, discrete, kronecker,
@@ -84,9 +84,10 @@ def test_criterion_04_lambda_surjection():
     assert f.target == g.target
     x0 = f.source.objects[0]
     d0 = fibre(g, f.object_map[x0])[0]
-    h = extend_morphism(f, g, identity_functor(f.target), x0, d0)
-    assert h is not None
-    res = lambda_map(CoveringMorphism(h, identity_functor(f.target)), f, g)
+    res = lambda_map(f, g, d0)
+    h = res.h_group.covering
+    assert h.object_map[x0] == d0
+    assert functor_equal(functor_compose(g, h), f)
     assert res.surjective
     assert res.mapping == {"e": "e", "g1": "g1", "g2": "e", "g3": "g1"}
     src, tgt = res.source_group.group, res.target_group.group

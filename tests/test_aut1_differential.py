@@ -18,6 +18,7 @@ The last section counts extensions and built functors: on a Galois
 covering of degree n at most log2 n seeds are extended (the first
 object's own seed gives the identity without one), and structure_iso
 builds no whole deck functor."""
+from dataclasses import replace
 from math import ceil, log2
 from typing import Optional
 
@@ -26,8 +27,8 @@ import pytest
 import lincat.covering as covering
 import lincat.galois as galois
 from lincat import registry
-from lincat.covering import (CoveringGroup, CoveringMorphism, aut1,
-                             check_covering, fibre, lambda_map)
+from lincat.covering import (CoveringGroup, aut1, check_covering, fibre,
+                             lambda_map)
 from lincat.exactlinalg import FieldSpec, Matrix
 from lincat.fixtures import (F2, Q, cover_f0, cyclic_cover, kronecker,
                              square_cover)
@@ -373,15 +374,20 @@ def reductions():
 
 def test_lambda_map_agrees_on_reference_groups(monkeypatch):
     for f, g, h in reductions():
-        m = CoveringMorphism(h, identity_functor(f.target))
-        got = lambda_map(m, f, g)
-        want = with_reference(monkeypatch, lambda_map, m, f, g)
-        assert got.ok() and want.ok()
+        d0 = h.object_map[f.source.objects[0]]
+        got = lambda_map(f, g, d0)
+        want = with_reference(monkeypatch, lambda_map, f, g, d0)
+        for res in (got, want):
+            assert res.surjective and res.kernel_matches_h_group
+            assert res.h_is_galois
+            assert res.h_group.covering == h
         assert got.mapping == want.mapping
         assert got.kernel == want.kernel
+        # each call builds its own H from the walk
+        want_h = replace(want.h_group, covering=got.h_group.covering)
         for res, wres in ((got.source_group, want.source_group),
                           (got.target_group, want.target_group),
-                          (got.h_group, want.h_group)):
+                          (got.h_group, want_h)):
             assert_same_group(res, wres)
         assert (got.surjective, got.kernel_matches_h_group,
                 got.h_is_galois) == \

@@ -255,6 +255,62 @@ def test_galois_homs_extends_one_seed(tmp_path, monkeypatch, n, m):
     assert walks == [("s0", "s0")]
 
 
+@pytest.mark.parametrize("command", ["homs", "gset"])
+def test_equal_files_share_one_deck_group(workdir, monkeypatch, command):
+    """--functor and --to name one file, decoded twice into equal
+    functors: the deck group is built once."""
+    import lincat.covering as covering
+    import lincat.galois as galois
+    built = []
+
+    def counted(f, _real=covering._deck_group):
+        built.append(f)
+        return _real(f)
+    for module in (covering, galois):
+        monkeypatch.setattr(module, "_deck_group", counted)
+    code, out, _ = run_json(workdir, "galois", command, "--functor",
+                            "cyclic-cover-4.json", "--to",
+                            "cyclic-cover-4.json")
+    assert code == 0 and len(built) == 1
+
+
+def test_galois_universal_builds_no_functor(workdir, monkeypatch):
+    """Universality needs only whether each seed pair extends: every
+    pair is walked, and no functor is built."""
+    import lincat.covering as covering
+
+    def refuse(self, omap, column=None):
+        raise AssertionError("a functor was built")
+    monkeypatch.setattr(covering._Extension, "functor", refuse)
+    code, out, _ = run_json(workdir, "galois", "universal", "--functor",
+                            "cyclic-cover-4.json", "--family",
+                            "cyclic-cover-2.json")
+    assert code == 0
+    assert out["verdicts"] == {"universal for the family": True,
+                               "seed pairs checked": 16}
+
+
+def test_cover_lambda_composes_and_compares_no_functor(workdir,
+                                                       monkeypatch):
+    """λ is read from seed images: no module of the library composes or
+    compares functors on the way, and only H's functor is built."""
+    import sys
+
+    def refuse(*args):
+        raise AssertionError("a functor was composed or compared")
+    for name, module in list(sys.modules.items()):
+        if name == "lincat" or name.startswith("lincat."):
+            for attr in ("functor_compose", "functor_equal"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    for image in ("s0", "s1"):
+        code, out, _ = run_json(workdir, "cover", "lambda", "--functor",
+                                "cyclic-cover-4.json", "--to",
+                                "cyclic-cover-2.json", "--image", image)
+        assert code == 0
+        assert out["verdicts"]["kernel order"] == 2
+
+
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
 

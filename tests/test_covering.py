@@ -4,16 +4,17 @@ from dataclasses import replace
 
 import pytest
 
-from lincat.covering import (CoveringMorphism, aut1, check_covering,
-                             extend_morphism, fibre, galois_obstruction,
-                             lambda_map, validate_morphism)
+from lincat.covering import (aut1, check_covering, extend_morphism, fibre,
+                             galois_obstruction, lambda_map)
 from lincat.fixtures import (Q, corrupted_collapse, cover_f0, cover_f1,
-                             cover_f2, cyclic_cover, identity_cover, kronecker,
-                             swap_functor)
+                             cover_f2, cyclic_cover, discrete, identity_cover,
+                             kronecker, swap_functor)
 from lincat.kcat import (LinFunctor, QuiverPresentation, functor_equal,
                          functor_is_isomorphism, identity_functor,
                          is_connected, present)
-from lincat_reference import cyclic_reduction, disconnected_double_kronecker
+from lincat_reference import (CoveringMorphism, cyclic_reduction,
+                              disconnected_double_kronecker,
+                              reference_validate_morphism)
 
 
 # -- stars -------------------------------------------------------------------
@@ -223,7 +224,9 @@ def test_swap_is_a_self_morphism_of_the_symmetric_cover():
     fix = cover_f0()
     m = CoveringMorphism(swap_functor(fix.total),
                          identity_functor(fix.base.category))
-    assert not validate_morphism(m, fix.functor, fix.functor)
+    assert not reference_validate_morphism(m, fix.functor, fix.functor)
+    h = extend_morphism(fix.functor, fix.functor, None, "s0", "s1")
+    assert functor_equal(h, m.h)
 
 
 def test_base_change_morphism_between_the_two_galois_covers():
@@ -234,11 +237,14 @@ def test_base_change_morphism_between_the_two_galois_covers():
                              "1_s": {"1_s": 1}, "1_t": {"1_t": 1}})
     assert functor_is_isomorphism(j)
     m = CoveringMorphism(identity_functor(f0.total.category), j)
-    assert not validate_morphism(m, f0.functor, f1.functor)
+    assert not reference_validate_morphism(m, f0.functor, f1.functor)
+    assert functor_equal(
+        extend_morphism(f0.functor, f1.functor, j, "s0", "s0"), m.h)
     # without the base change the two coverings differ
     m_bad = CoveringMorphism(identity_functor(f0.total.category),
                              identity_functor(k))
-    assert validate_morphism(m_bad, f0.functor, f1.functor)
+    assert reference_validate_morphism(m_bad, f0.functor, f1.functor)
+    assert extend_morphism(f0.functor, f1.functor, None, "s0", "s0") is None
 
 
 # -- the induced map between deck groups --------------------------------------
@@ -246,8 +252,9 @@ def test_base_change_morphism_between_the_two_galois_covers():
 def test_lambda_on_the_cyclic_tower():
     top, bottom, h = cyclic_reduction(4, 2)
     m = CoveringMorphism(h, identity_functor(top.base.category))
-    assert not validate_morphism(m, top.functor, bottom.functor)
-    res = lambda_map(m, top.functor, bottom.functor)
+    assert not reference_validate_morphism(m, top.functor, bottom.functor)
+    res = lambda_map(top.functor, bottom.functor, "s0")
+    assert res.h_group.covering == h
     assert res.source_group.label() == "C4"
     assert res.target_group.label() == "C2"
     assert res.surjective
@@ -260,9 +267,8 @@ def test_lambda_on_the_cyclic_tower():
 
 def test_lambda_identity_morphism():
     fix = cover_f0()
-    m = CoveringMorphism(identity_functor(fix.total.category),
-                         identity_functor(fix.base.category))
-    res = lambda_map(m, fix.functor, fix.functor)
+    res = lambda_map(fix.functor, fix.functor, "s0")
+    assert res.h_group.covering == identity_functor(fix.total.category)
     assert res.mapping == {n: n for n in res.source_group.group.elements}
     assert res.kernel == ("e",)
 
@@ -270,21 +276,51 @@ def test_lambda_identity_morphism():
 def test_lambda_down_to_the_trivial_cover():
     fix = cover_f0()
     idk = identity_cover()
-    m = CoveringMorphism(fix.functor, identity_functor(fix.base.category))
-    res = lambda_map(m, fix.functor, idk.functor)
+    res = lambda_map(fix.functor, idk.functor, "s")
     assert res.target_group.order() == 1
     assert set(res.kernel) == set(res.source_group.group.elements)
+    assert res.h_group.covering == fix.functor
     assert res.kernel_matches_h_group  # H is the covering itself
     assert res.h_group.order() == 2
-    assert res.ok()
+    assert res.surjective and res.h_is_galois
+
+
+def test_lambda_kernel_check_compares_seed_images(monkeypatch):
+    """The kernel {e, g2} of C4 -> C2 has the order of H's deck group;
+    against a group of that order whose other element is g1, it must
+    not match."""
+    import lincat.covering as covering
+    top, bottom, _ = cyclic_reduction(4, 2)
+    real = covering.aut1
+    shifts = real(top.functor).object_maps
+
+    def wrong_h_group(f):
+        grp = real(f)
+        if f.target is not top.functor.target:  # H, into the 2-fold cover
+            grp = replace(grp, object_maps={"e": shifts["e"],
+                                            "g1": shifts["g1"]})
+        return grp
+    monkeypatch.setattr(covering, "aut1", wrong_h_group)
+    res = lambda_map(top.functor, bottom.functor, "s0")
+    assert sorted(res.kernel) == ["e", "g2"] and res.h_group.order() == 2
+    assert not res.kernel_matches_h_group
 
 
 def test_lambda_rejects_non_galois_input():
     fix = cover_f2()
-    m = CoveringMorphism(identity_functor(fix.total.category),
-                         identity_functor(fix.base.category))
-    with pytest.raises(ValueError):
-        lambda_map(m, fix.functor, fix.functor)
+    with pytest.raises(ValueError, match="^covering is not Galois"):
+        lambda_map(fix.functor, fix.functor, "s0")
+    # s0 -> s1 extends to no morphism, which is refused first
+    with pytest.raises(ValueError, match="^no morphism between the "
+                       "coverings from seed s0 -> s1$"):
+        lambda_map(fix.functor, fix.functor, "s1")
+
+
+def test_lambda_refuses_a_source_without_objects():
+    f = identity_functor(discrete(n=0).category)
+    with pytest.raises(ValueError, match="^covering source is not "
+                       "connected$"):
+        lambda_map(f, f, "o0")
 
 
 # -- fixture-matrix invariants -------------------------------------------------

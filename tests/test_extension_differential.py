@@ -2,7 +2,10 @@
 it replaced, kept here as the reference: the library inverts each star
 block of G once per (F, G, J) and reads every column of H off the star
 inverse, the reference re-solves the stars for every seed and then solves
-each column again inside its block.  Both must agree on every seed."""
+each column again inside its block.  Both must agree on every seed, and
+every extension must pass reference_validate_morphism, which composes
+G∘H and J∘F as whole functors: the library trusts an extension without
+that check.  An identity J must give what J = None gives."""
 import pytest
 
 from lincat.covering import (aut1, check_covering, extend_morphism,
@@ -14,7 +17,8 @@ from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
                          functor_from_arrows, functor_is_isomorphism,
                          identity_functor, validate_functor)
 from linalg_reference import from_cols, from_rows, solve
-from lincat_reference import cyclic_reduction
+from lincat_reference import (CoveringMorphism, cyclic_reduction,
+                              reference_validate_morphism)
 
 F3, F5 = FieldSpec(3), FieldSpec(5)
 
@@ -129,12 +133,19 @@ def assert_agree(label, f, g, j, seeds=None):
         seeds = [(x0, d0) for x0 in f.source.objects
                  for d0 in fibre(g, f.object_map[x0])]
     hits = 0
+    identity = functor_equal(j, identity_functor(j.source))
     for x0, d0 in seeds:
         new = extend_morphism(f, g, j, x0, d0)
         ref = reference_extend(f, g, j, x0, d0)
         assert (new is None) == (ref is None), (label, x0, d0)
+        if identity:
+            unset = extend_morphism(f, g, None, x0, d0)
+            assert (unset is None) == (new is None), (label, x0, d0)
+            assert new is None or functor_equal(unset, new), (label, x0, d0)
         if new is not None:
             assert functor_equal(new, ref), (label, x0, d0)
+            assert reference_validate_morphism(
+                CoveringMorphism(new, j), f, g) == [], (label, x0, d0)
             hits += 1
     return hits
 
@@ -177,7 +188,9 @@ def test_kronecker_cyclic_covers():
 
 @pytest.mark.parametrize("n,m,field", [(4, 2, F3), (6, 3, F5),
                                        (4, 2, FieldSpec(2)),
-                                       (4, 2, FieldSpec(0))], ids=str)
+                                       (4, 2, FieldSpec(0)),
+                                       (6, 3, FieldSpec(0)),
+                                       (6, 2, FieldSpec(0))], ids=str)
 def test_cyclic_reductions(n, m, field):
     top, bottom, _ = cyclic_reduction(n, m, field)
     j = identity_functor(top.base.category)

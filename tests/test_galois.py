@@ -165,9 +165,9 @@ def test_hom_coverings_self_is_the_deck_group():
     f0 = cover_f0()
     homs = hom_coverings(f0.functor, f0.functor)
     assert len(homs) == 2
-    deck = aut1(f0.functor)
+    deck = aut1(f0.functor).functors
     for h in homs:
-        assert deck.name_of(h) is not None
+        assert sum(functor_equal(h, k) for k in deck.values()) == 1
 
 
 def test_gset_tower_pair():

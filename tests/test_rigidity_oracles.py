@@ -6,7 +6,7 @@ composes and compares whole functors, which the library no longer does at
 run time."""
 import pytest
 
-from lincat.covering import CoveringMorphism, aut1, check_covering, lambda_map
+from lincat.covering import aut1, check_covering, fibre, lambda_map
 from lincat.fixtures import cover_f0, cyclic_cover, swap_action
 from lincat.galois import (GroupAction, check_action, gset_analysis, is_galois,
                            quotient)
@@ -41,19 +41,25 @@ def test_aut1_table_matches_composition(covers):
                            for x in fix.total.category.objects), (fix.name, n)
 
 
-def test_name_of_agrees_with_exhaustive_search(covers):
+def test_seed_images_agree_with_exhaustive_search(covers):
+    """Rigidity, on which lambda_map's kernel check rests: the element
+    with a deck transformation's seed image is the only element equal
+    to it."""
     for fix in covers:
         grp = aut1(fix.functor)
+        x0 = grp.seed_object
+        by_seed = {omap[x0]: n for n, omap in grp.object_maps.items()}
         for n, h in grp.functors.items():
-            assert [grp.name_of(h)] == equal_names(grp.functors, h) == [n]
+            assert [by_seed[h.object_map[x0]]] == \
+                equal_names(grp.functors, h) == [n]
     # same seed image as e, but a0 is doubled: an automorphism, no deck
-    # transformation
+    # transformation, and equal to no element
     f0 = cover_f0()
     c = f0.total.category
     doubled = LinFunctor.on_basis(
         c, c, {x: x for x in c.objects},
         {n: {n: 2 if n == "a0" else 1} for n in c.basis_names()})
-    assert aut1(f0.functor).name_of(doubled) is None
+    assert equal_names(aut1(f0.functor).functors, doubled) == []
 
 
 def actions(covers):
@@ -87,31 +93,33 @@ def test_quotient_results_pass_the_removed_sweeps(covers):
 
 
 def morphisms(covers):
-    """(label, morphism, F, G) for coverings F, G over one base."""
+    """(label, F, G) for Galois coverings F, G over one base."""
     for fix in covers:
         base = fix.base.category
-        yield (fix.name + " identity", CoveringMorphism(
-            identity_functor(fix.total.category), identity_functor(base)),
-            fix.functor, fix.functor)
-        yield (fix.name + " to the base", CoveringMorphism(
-            fix.functor, identity_functor(base)),
-            fix.functor, identity_functor(base))
+        yield fix.name + " to itself", fix.functor, fix.functor
+        yield fix.name + " to the base", fix.functor, identity_functor(base)
     for n, m in ((4, 2), (6, 3), (6, 2)):
-        top, bottom, h = cyclic_reduction(n, m)
-        yield (f"reduction {n}->{m}", CoveringMorphism(
-            h, identity_functor(top.base.category)),
-            top.functor, bottom.functor)
+        top, bottom, _ = cyclic_reduction(n, m)
+        yield f"reduction {n}->{m}", top.functor, bottom.functor
 
 
 def test_lambda_satisfies_its_defining_equation(covers):
-    for name, m, f, g in morphisms(covers):
-        res = lambda_map(m, f, g)
-        gf, gg = res.source_group.functors, res.target_group.functors
-        for n, h in gf.items():
-            rhs = functor_compose(m.h, h)
-            matches = [k for k, d in gg.items()
-                       if functor_equal(functor_compose(d, m.h), rhs)]
-            assert matches == [res.mapping[n]], (name, n)
+    """On every seed over the first object: H is a morphism, and λ(h) is
+    the only deck transformation of G with λ(h)∘H = H∘h."""
+    for name, f, g in morphisms(covers):
+        x0 = f.source.objects[0]
+        for d0 in fibre(g, f.object_map[x0]):
+            res = lambda_map(f, g, d0)
+            h0 = res.h_group.covering
+            assert h0.object_map[x0] == d0
+            assert functor_equal(functor_compose(g, h0), f), (name, d0)
+            assert validate_functor(h0) == [], (name, d0)
+            gf, gg = res.source_group.functors, res.target_group.functors
+            for n, h in gf.items():
+                rhs = functor_compose(h0, h)
+                matches = [k for k, d in gg.items()
+                           if functor_equal(functor_compose(d, h0), rhs)]
+                assert matches == [res.mapping[n]], (name, d0, n)
 
 
 def test_gset_action_table_matches_composition(covers):
