@@ -36,6 +36,9 @@ expect 0 cover lambda --functor cyclic-cover-4.json --to cyclic-cover-2.json
 expect 0 cover lambda --functor cyclic-cover-4.json --to cyclic-cover-2.json --image s1
 expect 0 galois universal --functor cyclic-cover-4.json --family cyclic-cover-2.json
 expect 0 galois gset --functor F0.json --to F0.json
+expect 0 galois gset --functor cyclic-cover-4.json --to cyclic-cover-2.json
+expect 0 galois structure --functor F0.json
+expect 2 galois structure --functor F2.json
 expect 0 grade induce --functor F0.json --out grading.json
 expect 0 grade connected --grading grading.json
 expect 0 grade smash --grading smash-grading.json --out projection.json

@@ -465,8 +465,8 @@ def _deck_group(f: LinFunctor) -> Optional[CoveringGroup]:
                          fib, ext)
 
 
-def galois_obstruction(f: LinFunctor, grp: CoveringGroup) -> Optional[str]:
-    """None if grp = aut1(f) is transitive on the seed fibre, otherwise a
+def galois_obstruction(grp: CoveringGroup) -> Optional[str]:
+    """None if the deck group grp is transitive on its seed fibre, else a
     reason string; aut1 has already refused a disconnected source."""
     if grp.order() != len(grp.seed_fibre):
         return (f"deck group of order {grp.order()} cannot be transitive on "
@@ -476,17 +476,11 @@ def galois_obstruction(f: LinFunctor, grp: CoveringGroup) -> Optional[str]:
 
 @dataclass
 class LambdaResult:
-    """The induced homomorphism between deck groups of a morphism of
-    Galois coverings, with its kernel identified as the deck group of H.
-    H is a covering: aut1(H) refuses one that is not."""
+    """λ on the names of deck transformations, with its kernel."""
     source_group: CoveringGroup
     target_group: CoveringGroup
     mapping: dict[str, str]
-    surjective: bool
     kernel: tuple[str, ...]
-    h_group: CoveringGroup
-    kernel_matches_h_group: bool
-    h_is_galois: bool
 
 
 def lambda_map(f: LinFunctor, g: LinFunctor, d0: str) -> LambdaResult:
@@ -494,48 +488,43 @@ def lambda_map(f: LinFunctor, g: LinFunctor, d0: str) -> LambdaResult:
     the first object of F's source: for each deck transformation h of F,
     the unique deck transformation λ(h) of G with λ(h)∘H = H∘h.  Refused
     with ValueError, in this order: a seed that does not extend (or
-    that walk refuses), F or G not Galois, H not surjective on objects.
-    Every verdict on F, G and H is read from its check_covering report.
+    that walk refuses), F or G not Galois.  H is only walked: G∘H = F
+    and H is a functor by construction (see extend_morphism).  H∘h is
+    the morphism with seed image H(h(x0)), and so is k∘H for the one
+    deck transformation k of G with k(d0) = H(h(x0)): λ(h) = k.  What
+    the paper proves of every such H is not recomputed:
 
-    Rigidity does all the work, and nothing is re-verified or composed:
-    - H is the extension of its seed, so G∘H = F and H is a functor by
-      construction (see extend_morphism); its functor is built once,
-      from the walk's columns, for aut1(H).
-    - H∘h is a morphism F -> G with seed image H(h(x0)), and G being
-      Galois, exactly one deck transformation k of G sends d0 there;
-      k∘H is a morphism with the same seed image, so k∘H = H∘h and
-      λ(h) = k.
-    - The kernel and aut1(H) are both groups of deck transformations of
-      F, each fixed by its seed image, so they are equal exactly when
-      their sets of seed images are.
+    (a) H is onto and star-bijective.  F's star block at x towards b is
+        G's block at H(x) after the direct sum, over d ∈ G⁻¹(b), of H's
+        blocks at x towards d.  Both F's and G's blocks are bijective,
+        so each of H's is.  So hom(H(x), d) ≠ 0 forces d into H's
+        image, and so does hom(d, H(x)) ≠ 0; G's source is connected,
+        so H is onto.
+    (b) λ is onto.  Take k in Aut(G).  By (a), k(d0) = H(x1) for some
+        x1, and F(x1) = G(k(d0)) = F(x0).  F is Galois, so some h has
+        h(x0) = x1.  Then H∘h and k∘H agree at x0, so they are equal
+        by rigidity.
+    (c) ker λ = Aut(H).  λ(h) = e exactly when H∘h = H, and every deck
+        transformation u of H is one of F: F∘u = G∘H∘u = F.
+    (d) H is Galois.  Take x1 and x2 in one fibre of H, so of F.  F is
+        Galois, so some h sends x1 to x2.  Then H∘h and H agree at x1,
+        so H∘h = H.
     """
     if not f.source.objects:
         raise ValueError("covering source is not connected")
     x0 = f.source.objects[0]
-    ext = _Extension(f, g)
-    found = ext.walk(x0, d0)
+    found = _Extension(f, g).walk(x0, d0)
     if found is None:
         raise ValueError("no morphism between the coverings from "
                          f"seed {x0} -> {d0}")
     gf = aut1(f)
     gg = aut1(g)
-    for cover, grp in ((f, gf), (g, gg)):
-        reason = galois_obstruction(cover, grp)
+    for grp in (gf, gg):
+        reason = galois_obstruction(grp)
         if reason is not None:
             raise ValueError(f"covering is not Galois: {reason}")
-    omap, cols = found
-    if set(omap.values()) != set(g.source.objects):
-        raise ValueError("H is not surjective on objects")
-
+    omap = found[0]
     by_seed = {k[d0]: n for n, k in gg.object_maps.items()}
     mapping = {n: by_seed[omap[h[x0]]] for n, h in gf.object_maps.items()}
-    surjective = set(mapping.values()) == set(gg.group.elements)
     kernel = tuple(n for n, v in mapping.items() if v == "e")
-
-    h = ext.functor(omap, cols.__getitem__)
-    h_group = aut1(h)
-    kernel_ok = ({gf.object_maps[n][x0] for n in kernel} ==
-                 {k[x0] for k in h_group.object_maps.values()})
-    h_galois = galois_obstruction(h, h_group) is None
-    return LambdaResult(gf, gg, mapping, surjective, kernel, h_group,
-                        kernel_ok, h_galois)
+    return LambdaResult(gf, gg, mapping, kernel)

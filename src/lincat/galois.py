@@ -16,9 +16,8 @@ from typing import Optional
 from .covering import (CoveringGroup, _deck_group, _Extension, fibre,
                        galois_obstruction)
 from .groups import Group
-from .kcat import (LinCat, LinComb, LinFunctor, compose, functor_compose,
-                   functor_equal, functor_is_isomorphism, identity_functor,
-                   is_connected, validate_functor)
+from .kcat import (LinCat, LinComb, LinFunctor, compose, functor_equal,
+                   identity_functor, is_connected, validate_functor)
 
 
 @dataclass
@@ -127,8 +126,7 @@ def _quotient(c: LinCat, a: GroupAction | CoveringGroup) -> QuotientResult:
     images under the action that the construction uses are read: with a
     deck group, each is one column read from the star table."""
     orbit_of: dict[str, str] = {}
-    reps: dict[str, str] = {}
-    orbit_names: list[str] = []
+    orbit_names: list[str] = []  # each orbit is named by its representative
     for x in c.objects:
         if x in orbit_of:
             continue
@@ -136,7 +134,6 @@ def _quotient(c: LinCat, a: GroupAction | CoveringGroup) -> QuotientResult:
         rep = min(orbit)
         for y in orbit:
             orbit_of[y] = rep
-        reps[rep] = rep
         orbit_names.append(rep)
     members: dict[str, list[str]] = {rep: [] for rep in orbit_names}
     for x in c.objects:
@@ -150,20 +147,18 @@ def _quotient(c: LinCat, a: GroupAction | CoveringGroup) -> QuotientResult:
 
     hom: dict[tuple[str, str], tuple[str, ...]] = {}
     for alpha in orbit_names:
-        x0 = reps[alpha]
         for beta in orbit_names:
-            names = tuple(n for y in members[beta] for n in c.basis(x0, y))
+            names = tuple(n for y in members[beta] for n in c.basis(alpha, y))
             if names:
                 hom[(alpha, beta)] = names
 
-    identities = {alpha: c.identity(reps[alpha]) for alpha in orbit_names}
+    identities = {alpha: c.identity(alpha) for alpha in orbit_names}
 
     comp: dict[tuple[str, str], LinComb] = {}
     for alpha in orbit_names:
-        x0 = reps[alpha]
         for beta in orbit_names:
             for y in members[beta]:
-                fns = c.basis(x0, y)
+                fns = c.basis(alpha, y)
                 if not fns:
                     continue
                 u = translate[(beta, y)]
@@ -194,7 +189,7 @@ def _quotient(c: LinCat, a: GroupAction | CoveringGroup) -> QuotientResult:
         deck = CoveringGroup(projection, a.group,
                              {s: h.object_map for s, h in a.functors.items()},
                              seed, fib, built=dict(a.functors))
-    return QuotientResult(q, projection, reps, deck)
+    return QuotientResult(q, projection, {r: r for r in orbit_names}, deck)
 
 
 @dataclass
@@ -213,7 +208,7 @@ def is_galois(f: LinFunctor) -> GaloisResult:
     grp = _deck_group(f)
     if grp is None:
         return GaloisResult(False, None, "source category is not connected")
-    reason = galois_obstruction(f, grp)
+    reason = galois_obstruction(grp)
     return GaloisResult(reason is None, grp, reason)
 
 
@@ -229,36 +224,31 @@ def _galois_group(f: LinFunctor) -> CoveringGroup:
 class StructureIsoResult:
     quotient_result: QuotientResult
     iso: LinFunctor  # quotient -> base
-    problems: list[str]
-
-    def ok(self) -> bool:
-        return not self.problems
 
 
 def structure_iso(f: LinFunctor) -> StructureIsoResult:
     """Factor a Galois covering through the quotient by its deck group:
     an isomorphism F' with F'∘P = F, built on orbit representatives.
+    The deck group from is_galois acts without check_action: its table
+    came from seed images, so by rigidity it matches composition, and it
+    acts freely.  The quotient reads only the columns it uses.  F' is
+    not checked, as the paper proves it is an isomorphism with F'∘P = F:
 
-    The deck group from is_galois is used as the action without
-    check_action: its table came from seed images in aut1, so by
-    rigidity it matches composition, and it acts freely on the connected
-    source.  The quotient reads only the columns of its functors that it
-    uses.  The factorization itself is verified.
+    (f) Summing dim hom(x, y) over the fibres of b and b', where
+        hom(b, b') ≠ 0, by F's outgoing and then its incoming star
+        blocks shows that the two fibres have one size; the base is
+        connected, so all fibres do.  Each fibre is a union of free
+        orbits, so for a Galois covering the fibres are the orbits, and
+        F' is bijective on objects.  On hom(α, β), F' is F's star block
+        at rep α, which is bijective.  F'∘P = F and functoriality follow
+        from F∘u = F for each deck transformation u.
     """
     qres = _quotient(f.source, _galois_group(f))
     q = qres.quotient
-    omap = {alpha: f.object_map[rep] for alpha, rep in
-            qres.orbit_representatives.items()}
+    omap = {alpha: f.object_map[alpha] for alpha in q.objects}
     iso = LinFunctor.on_basis(q, f.target, omap,
                               {n: f.apply_name(n) for n in q.basis_names()})
-    problems = []
-    if validate_functor(iso):
-        problems.append("factorization is not functorial")
-    if not functor_is_isomorphism(iso):
-        problems.append("factorization is not an isomorphism")
-    if not functor_equal(functor_compose(iso, qres.projection), f):
-        problems.append("factorization does not recover the covering")
-    return StructureIsoResult(qres, iso, problems)
+    return StructureIsoResult(qres, iso)
 
 
 class HomSet(Sequence):
@@ -322,47 +312,29 @@ def _hom_coverings(u: LinFunctor, f: LinFunctor
 @dataclass
 class GSetReport:
     homs: HomSet
-    transitive: bool
     isotropy: tuple[str, ...]
-    isotropy_normal: bool
-    orbit_stabilizer_ok: bool  # |homs| · |isotropy| = |deck group|
-    action: dict[tuple[int, str], int]  # (hom index, deck element) -> index
 
 
 def gset_analysis(u: LinFunctor, f: LinFunctor) -> GSetReport:
-    """The right action of the deck group of U on the morphisms U -> F by
-    precomposition; transitivity and normality of the isotropy subgroup
-    are decided from the action table.
+    """The morphisms U -> F, with the isotropy subgroup of the first, H₀,
+    under the deck group of U acting by precomposition: the h, in element
+    order, with H₀(h(u0)) = H₀(u0), as by rigidity H₀∘h is the morphism
+    with that seed image.  Only object maps are read.
 
-    The table is read from seed images: H∘h is a morphism U -> F sending
-    u0 to H(h(u0)), and by rigidity it is the listed morphism with that
-    seed image.  Only object maps are read: no functor is built.
+    (e) The G-set is transitive: for a morphism H₁, H₁(u0) = H₀(u1) for
+        some u1 by (a) of lambda_map, and U(u1) = U(u0), so as in (b)
+        some h has H₀∘h = H₁.  So |homs| · |isotropy| = |Aut(U)|, and
+        the isotropy of H₀ is ker λ for H₀, which is normal.
     """
     homs, gu = _hom_coverings(u, f)
     if not homs:
         raise ValueError("no morphisms between the coverings; "
                          "the action is empty")
     u0 = u.source.objects[0]
-    maps = homs.object_maps
-    by_seed = {h[u0]: i for i, h in enumerate(maps)}
-    action = {(i, name): by_seed[h[deck[u0]]]
-              for i, h in enumerate(maps)
-              for name, deck in gu.object_maps.items()}
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for name in gu.group.elements:
-            j = action[(i, name)]
-            if j not in orbit:
-                orbit.add(j)
-                frontier.append(j)
-    transitive = len(orbit) == len(homs)
+    h0 = homs.object_maps[0]
     isotropy = tuple(name for name in gu.group.elements
-                     if action[(0, name)] == 0)
-    normal = gu.group.is_normal(isotropy)
-    os_ok = len(homs) * len(isotropy) == gu.order()
-    return GSetReport(homs, transitive, isotropy, normal, os_ok, action)
+                     if h0[gu.object_maps[name][u0]] == h0[u0])
+    return GSetReport(homs, isotropy)
 
 
 @dataclass

@@ -114,11 +114,6 @@ class Group:
                 span = self.generated_subgroup(gens)
         return gens
 
-    def is_normal(self, subset: Sequence[str]) -> bool:
-        sset = set(subset)
-        return all(self.mul(self.mul(g, h), self.inv(g)) in sset
-                   for g in self.elements for h in sset)
-
     def label(self) -> str:
         """Cosmetic isomorphism-type guess from order statistics.  The
         table is the authoritative description."""

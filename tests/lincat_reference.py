@@ -22,12 +22,17 @@ They are the oracles for `_derivation_vectors`, `_inner_generators`,
 every star block and inverts each one up front, as check_covering once
 did; `reference_hom_coverings` extends every seed of the fibre into a
 whole functor, and `reference_gset_analysis` reads its action table
-from those functors, as hom_coverings and gset_analysis once did.
+from those functors and decides transitivity, normality of the
+isotropy (`is_normal`) and the orbit-stabilizer count, as
+hom_coverings and gset_analysis once did;
+`reference_structure_problems` checks structure_iso's factorization as
+structure_iso once did.
 `CoveringMorphism` is a pair (H, J); `reference_validate_morphism`
 checks it by composing G∘H and J∘F and comparing them, and
 `reference_lambda_map` takes a whole morphism, re-validates it and
 identifies each kernel element with an element of aut1(H) by comparing
-functors (`reference_name_of`), as lambda_map once did.
+functors (`reference_name_of`), and decides surjectivity, the kernel
+and whether H is Galois, as lambda_map once did.
 """
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -38,13 +43,12 @@ from typing import Optional, Sequence, Union
 
 from lincat.cohomology import (Derivation, _derivation_vectors, _derivations,
                                _inner_generators, _layout, _products)
-from lincat.covering import (CoveringGroup, CoveringReport, LambdaResult,
-                             _Extension, aut1, check_covering, fibre,
-                             galois_obstruction)
+from lincat.covering import (CoveringGroup, CoveringReport, _Extension, aut1,
+                             check_covering, fibre, galois_obstruction)
 from lincat.exactlinalg import EchelonBasis, FieldSpec, Matrix, inverse
 from lincat.fixtures import CoverFixture, Q, cyclic_cover, kronecker
 from lincat.formats import FORMAT_VERSION, canonical_dumps
-from lincat.galois import GSetReport, GroupAction, _galois_group
+from lincat.galois import GroupAction, StructureIsoResult, _galois_group
 from lincat.grading import Grading, grading_on_basis
 from lincat.groups import Group, cyclic_group
 from lincat.kcat import (Arrow, LinCat, LinComb, LinFunctor, PresentResult,
@@ -392,9 +396,30 @@ def reference_hom_coverings(u: LinFunctor, f: LinFunctor
     return out, gu
 
 
-def reference_gset_analysis(u: LinFunctor, f: LinFunctor) -> GSetReport:
+def is_normal(grp: Group, subset: Sequence[str]) -> bool:
+    """Whether subset is closed under conjugation in grp."""
+    sset = set(subset)
+    return all(grp.mul(grp.mul(g, h), grp.inv(g)) in sset
+               for g in grp.elements for h in sset)
+
+
+@dataclass
+class ReferenceGSetReport:
+    """gset_analysis's report as it was made with every verdict decided."""
+    homs: list[LinFunctor]
+    transitive: bool
+    isotropy: tuple[str, ...]
+    isotropy_normal: bool
+    orbit_stabilizer_ok: bool  # |homs| · |isotropy| = |deck group|
+    action: dict[tuple[int, str], int]  # (hom index, deck element) -> index
+
+
+def reference_gset_analysis(u: LinFunctor, f: LinFunctor
+                            ) -> ReferenceGSetReport:
     """gset_analysis on the functors of reference_hom_coverings: the
-    action table is read from the seed images of whole functors."""
+    action table is read from the seed images of whole functors, and
+    transitivity, normality of the isotropy subgroup and the
+    orbit-stabilizer count are decided from it."""
     homs, gu = reference_hom_coverings(u, f)
     if not homs:
         raise ValueError("no morphisms between the coverings; "
@@ -416,9 +441,24 @@ def reference_gset_analysis(u: LinFunctor, f: LinFunctor) -> GSetReport:
     transitive = len(orbit) == len(homs)
     isotropy = tuple(name for name in gu.group.elements
                      if action[(0, name)] == 0)
-    normal = gu.group.is_normal(isotropy)
+    normal = is_normal(gu.group, isotropy)
     os_ok = len(homs) * len(isotropy) == gu.order()
-    return GSetReport(homs, transitive, isotropy, normal, os_ok, action)
+    return ReferenceGSetReport(homs, transitive, isotropy, normal, os_ok,
+                               action)
+
+
+def reference_structure_problems(f: LinFunctor, res: StructureIsoResult
+                                 ) -> list[str]:
+    """The checks structure_iso once made of its factorization."""
+    iso, qres = res.iso, res.quotient_result
+    problems = []
+    if validate_functor(iso):
+        problems.append("factorization is not functorial")
+    if not functor_is_isomorphism(iso):
+        problems.append("factorization is not an isomorphism")
+    if not functor_equal(functor_compose(iso, qres.projection), f):
+        problems.append("factorization does not recover the covering")
+    return problems
 
 
 @dataclass
@@ -464,8 +504,22 @@ def reference_name_of(grp: CoveringGroup, h: LinFunctor) -> Optional[str]:
     return None
 
 
+@dataclass
+class ReferenceLambdaResult:
+    """λ with the kernel identified as the deck group of H, and every
+    verdict on it decided."""
+    source_group: CoveringGroup
+    target_group: CoveringGroup
+    mapping: dict[str, str]
+    surjective: bool
+    kernel: tuple[str, ...]
+    h_group: CoveringGroup
+    kernel_matches_h_group: bool
+    h_is_galois: bool
+
+
 def reference_lambda_map(m: CoveringMorphism, f: LinFunctor,
-                         g: LinFunctor) -> LambdaResult:
+                         g: LinFunctor) -> ReferenceLambdaResult:
     """lambda_map on a whole morphism: validated first, and each kernel
     element's functor compared with aut1(H)'s elements."""
     problems = reference_validate_morphism(m, f, g)
@@ -473,8 +527,8 @@ def reference_lambda_map(m: CoveringMorphism, f: LinFunctor,
         raise ValueError("invalid covering morphism: " + "; ".join(problems))
     gf = aut1(f)
     gg = aut1(g)
-    for cover, grp in ((f, gf), (g, gg)):
-        reason = galois_obstruction(cover, grp)
+    for grp in (gf, gg):
+        reason = galois_obstruction(grp)
         if reason is not None:
             raise ValueError(f"covering is not Galois: {reason}")
     if set(m.h.object_map.values()) != set(g.source.objects):
@@ -492,6 +546,6 @@ def reference_lambda_map(m: CoveringMorphism, f: LinFunctor,
     kernel_ok = (len(kernel) == h_group.order() and
                  all(reference_name_of(h_group, gf.functor(n)) is not None
                      for n in kernel))
-    h_galois = galois_obstruction(m.h, h_group) is None
-    return LambdaResult(gf, gg, mapping, surjective, kernel, h_group,
-                        kernel_ok, h_galois)
+    h_galois = galois_obstruction(h_group) is None
+    return ReferenceLambdaResult(gf, gg, mapping, surjective, kernel,
+                                 h_group, kernel_ok, h_galois)

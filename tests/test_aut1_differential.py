@@ -10,7 +10,9 @@ functors, and refuse the same inputs: a disconnected source with the
 same ValueError text, a non-covering with the message of its
 check_covering report, which decides functoriality as well.
 structure_iso, induced_grading, lambda_map and gset_analysis must
-return the same results on groups built by either.  The reference's
+return the same results on groups built by either, and so must
+reference_lambda_map and reference_gset_analysis, which decide the
+verdicts those two no longer make.  The reference's
 only change is its last line: the new CoveringGroup takes the object
 maps and keeps the functors it is given.
 
@@ -18,7 +20,6 @@ The last section counts extensions and built functors: on a Galois
 covering of degree n at most log2 n seeds are extended (the first
 object's own seed gives the identity without one), and structure_iso
 builds no whole deck functor."""
-from dataclasses import replace
 from math import ceil, log2
 from typing import Optional
 
@@ -26,6 +27,7 @@ import pytest
 
 import lincat.covering as covering
 import lincat.galois as galois
+import lincat_reference
 from lincat import registry
 from lincat.covering import (CoveringGroup, aut1, check_covering, fibre,
                              lambda_map)
@@ -40,7 +42,10 @@ from lincat.kcat import (Arrow, LinFunctor, QuiverPresentation,
                          functor_compose, functor_equal, functor_from_arrows,
                          functor_is_isomorphism, identity_functor,
                          is_connected, present, validate_functor)
-from lincat_reference import cyclic_reduction, disconnected_double_kronecker
+from lincat_reference import (CoveringMorphism, cyclic_reduction,
+                              disconnected_double_kronecker,
+                              reference_gset_analysis, reference_lambda_map,
+                              reference_structure_problems)
 
 F3 = FieldSpec(3)
 
@@ -314,9 +319,10 @@ def reference_deck_group(f: LinFunctor) -> Optional[CoveringGroup]:
 
 def with_reference(monkeypatch, run, *args):
     """run(*args) with aut1 replaced by the reference wherever it is
-    called from."""
+    called from, tests/lincat_reference.py included."""
     with monkeypatch.context() as m:
         m.setattr(covering, "aut1", reference_aut1)
+        m.setattr(lincat_reference, "aut1", reference_aut1)
         m.setattr(galois, "_deck_group", reference_deck_group)
         return outcome(run, *args)
 
@@ -334,7 +340,8 @@ def test_structure_iso_agrees_on_reference_groups(monkeypatch, name):
     if isinstance(want, str):
         assert got == want
         return
-    assert got.problems == want.problems == []
+    assert reference_structure_problems(f, got) == \
+        reference_structure_problems(f, want) == []
     assert functor_equal(got.iso, want.iso)
     q, wq = got.quotient_result, want.quotient_result
     assert q.quotient == wq.quotient
@@ -373,28 +380,30 @@ def reductions():
 
 
 def test_lambda_map_agrees_on_reference_groups(monkeypatch):
+    """lambda_map on either aut1, and the verdicts it no longer decides
+    by reference_lambda_map on either aut1, for the same morphism H."""
     for f, g, h in reductions():
         d0 = h.object_map[f.source.objects[0]]
         got = lambda_map(f, g, d0)
         want = with_reference(monkeypatch, lambda_map, f, g, d0)
-        for res in (got, want):
+        m = CoveringMorphism(h, identity_functor(f.target))
+        ref = reference_lambda_map(m, f, g)
+        want_ref = with_reference(monkeypatch, reference_lambda_map, m, f, g)
+        for res in (ref, want_ref):
             assert res.surjective and res.kernel_matches_h_group
             assert res.h_is_galois
-            assert res.h_group.covering == h
-        assert got.mapping == want.mapping
-        assert got.kernel == want.kernel
-        # each call builds its own H from the walk
-        want_h = replace(want.h_group, covering=got.h_group.covering)
+            assert res.h_group.covering is h
+        assert got.mapping == want.mapping == ref.mapping
+        assert got.kernel == want.kernel == ref.kernel
         for res, wres in ((got.source_group, want.source_group),
                           (got.target_group, want.target_group),
-                          (got.h_group, want_h)):
+                          (ref.h_group, want_ref.h_group)):
             assert_same_group(res, wres)
-        assert (got.surjective, got.kernel_matches_h_group,
-                got.h_is_galois) == \
-            (want.surjective, want.kernel_matches_h_group, want.h_is_galois)
 
 
 def test_gset_analysis_agrees_on_reference_groups(monkeypatch):
+    """gset_analysis on either aut1, and the action table and verdicts
+    it no longer makes by reference_gset_analysis on either aut1."""
     pairs = [(cyclic_cover(n).functor, cyclic_cover(m).functor)
              for n, m in ((4, 2), (6, 3), (6, 2), (3, 3), (4, 1))]
     pairs.append((CASES["S3 cover"], CASES["S3 cover"]))
@@ -408,11 +417,14 @@ def test_gset_analysis_agrees_on_reference_groups(monkeypatch):
             continue
         assert len(got.homs) == len(want.homs)
         assert all(functor_equal(a, b) for a, b in zip(got.homs, want.homs))
-        assert got.action == want.action
-        assert (got.transitive, got.isotropy, got.isotropy_normal,
-                got.orbit_stabilizer_ok) == \
-            (want.transitive, want.isotropy, want.isotropy_normal,
-             want.orbit_stabilizer_ok)
+        ref = reference_gset_analysis(u, f)
+        want_ref = with_reference(monkeypatch, reference_gset_analysis, u, f)
+        assert ref.action == want_ref.action
+        assert got.isotropy == want.isotropy == ref.isotropy == \
+            want_ref.isotropy
+        for res in (ref, want_ref):
+            assert res.transitive and res.isotropy_normal and \
+                res.orbit_stabilizer_ok
 
 
 # -- cost ----------------------------------------------------------------------
@@ -452,6 +464,7 @@ def test_structure_iso_builds_no_deck_functor(monkeypatch):
         raise AssertionError(f"the functor of {name} was built")
 
     monkeypatch.setattr(CoveringGroup, "functor", refuse)
-    res = structure_iso(cyclic_cover(16).functor)
-    assert res.ok()
+    f = cyclic_cover(16).functor
+    res = structure_iso(f)
     assert res.quotient_result.deck_group.order() == 16
+    assert reference_structure_problems(f, res) == []

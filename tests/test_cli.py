@@ -148,9 +148,9 @@ def test_exit_code_matches_boolean_verdicts(workdir, argv):
     (("galois", "universal", "--functor", "cyclic-cover-4.json",
       "--family", "cyclic-cover-2.json", "cyclic-cover-4.json"), 3),
     (("cover", "extend", "--functor", "F0.json", "--to", "F0.json"), 2),
-    # the two inputs and the morphism H between them
+    # the two inputs: the morphism H between them is only walked
     (("cover", "lambda", "--functor", "cyclic-cover-4.json",
-      "--to", "cyclic-cover-2.json"), 3),
+      "--to", "cyclic-cover-2.json"), 2),
 ], ids=lambda a: " ".join(a) if isinstance(a, tuple) else str(a))
 def test_each_covering_is_checked_once(workdir, monkeypatch, argv, checks):
     """check_covering makes one report per functor, whoever asks."""
@@ -167,9 +167,9 @@ def test_each_covering_is_checked_once(workdir, monkeypatch, argv, checks):
 
 
 @pytest.mark.parametrize("argv,functors", [
-    # the two inputs and the morphism H between them
+    # the two inputs: the morphism H between them is only walked
     (("cover", "lambda", "--functor", "cyclic-cover-4.json",
-      "--to", "cyclic-cover-2.json"), 3),
+      "--to", "cyclic-cover-2.json"), 2),
     (("galois", "homs", "--functor", "cyclic-cover-4.json",
       "--to", "cyclic-cover-2.json"), 2),
 ], ids=lambda a: " ".join(a) if isinstance(a, tuple) else str(a))
@@ -189,6 +189,70 @@ def test_each_functor_is_validated_once(workdir, monkeypatch, argv,
     code, _, _ = run(workdir, *argv)
     assert code == 0
     assert len(calls) == len({id(f) for f in calls}) == functors
+
+
+def test_cover_lambda_reports_and_builds_only_its_inputs(workdir,
+                                                        monkeypatch):
+    """cover lambda makes a covering report for each of its two inputs
+    and for nothing else, and builds no functor once they are decoded:
+    the morphism H between them is only walked."""
+    import lincat.covering as covering
+    from lincat.kcat import LinFunctor
+    events = []
+
+    def reported(f, _real=covering._covering_report):
+        events.append(("report", f))
+        return _real(f)
+
+    def built(self, _real=LinFunctor.__post_init__):
+        events.append(("functor", self))
+        return _real(self)
+
+    def decoded(path, kind, _real=cli.load_value):
+        value = _real(path, kind)
+        events.append(("decoded", value))
+        return value
+    monkeypatch.setattr(covering, "_covering_report", reported)
+    monkeypatch.setattr(LinFunctor, "__post_init__", built)
+    monkeypatch.setattr(cli, "load_value", decoded)
+    code, _, _ = run(workdir, "cover", "lambda", "--functor",
+                     "cyclic-cover-4.json", "--to", "cyclic-cover-2.json")
+    assert code == 0
+    last = max(i for i, (kind, _) in enumerate(events) if kind == "decoded")
+    assert [e for e in events[last:] if e[0] == "functor"] == []
+    inputs = [v for kind, v in events if kind == "decoded"]
+    assert [v for kind, v in events if kind == "report"] == inputs
+    assert inputs == [formats.load_value(str(workdir / name), "functor")
+                      for name in ("cyclic-cover-4.json",
+                                   "cyclic-cover-2.json")]
+
+
+def test_galois_structure_checks_no_functor_but_its_input(workdir,
+                                                          monkeypatch):
+    """galois structure validates only its input, in its covering check,
+    and neither composes functors nor decides an isomorphism: the
+    factorization is what the structure theorem says it is."""
+    import sys
+    from lincat import kcat
+    calls = {name: [] for name in ("validate_functor", "functor_compose",
+                                   "functor_is_isomorphism")}
+    for name in calls:
+        real = getattr(kcat, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name].append(args)
+            return _real(*args)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("lincat") and \
+                    getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    code, out, _ = run_json(workdir, "galois", "structure", "--functor",
+                            "cyclic-cover-4.json")
+    assert code == 0
+    assert out["verdicts"]["factors through the quotient"] is True
+    f = formats.load_value(str(workdir / "cyclic-cover-4.json"), "functor")
+    assert calls == {"validate_functor": [(f,)], "functor_compose": [],
+                     "functor_is_isomorphism": []}
 
 
 # -- the covering layer pays for the columns it reads ------------------------

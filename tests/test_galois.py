@@ -3,6 +3,7 @@ quotient, and the hom-set analysis between Galois coverings."""
 import pytest
 
 from lincat.covering import aut1
+from lincat.exactlinalg import FieldSpec
 from lincat.fixtures import (Q, cover_f0, cover_f1, cover_f2, cyclic_cover,
                              identity_cover, kronecker, kronecker_double,
                              square_cover, swap_action)
@@ -13,7 +14,9 @@ from lincat.groups import cyclic_group, find_isomorphism
 from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
                          functor_is_isomorphism, identity_functor,
                          validate_functor)
-from lincat_reference import shift_subgroup_action
+from lincat_reference import (reference_gset_analysis,
+                              reference_structure_problems,
+                              shift_subgroup_action)
 
 
 # -- actions -----------------------------------------------------------------
@@ -126,19 +129,19 @@ def test_is_galois_rejects_non_coverings():
 def test_structure_iso_on_symmetric_covers():
     for fix in (cover_f0(), cover_f1()):
         res = structure_iso(fix.functor)
-        assert res.ok(), (fix.name, res.problems)
+        assert reference_structure_problems(fix.functor, res) == [], fix.name
         assert functor_is_isomorphism(res.iso)
 
 
 def test_structure_iso_identity_cover():
     res = structure_iso(identity_cover().functor)
-    assert res.ok()
+    assert reference_structure_problems(identity_cover().functor, res) == []
     assert res.iso.object_map == {"s": "s", "t": "t"}
 
 
 def test_structure_iso_char2_cover():
     res = structure_iso(square_cover().functor)
-    assert res.ok()
+    assert reference_structure_problems(square_cover().functor, res) == []
 
 
 def test_structure_iso_rejects_non_galois():
@@ -148,7 +151,17 @@ def test_structure_iso_rejects_non_galois():
 
 def test_structure_iso_across_galois_matrix(galois_matrix):
     for fix in galois_matrix:
-        assert structure_iso(fix.functor).ok(), fix.name
+        res = structure_iso(fix.functor)
+        assert reference_structure_problems(fix.functor, res) == [], fix.name
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("field", [Q, FieldSpec(3)], ids=["Q", "F_3"])
+def test_structure_iso_factors_by_the_reference(n, field):
+    """structure_iso checks nothing: the factorization it builds passes
+    the checks it once made, on cyclic covers of degree 1 to 8."""
+    f = cyclic_cover(n, field).functor
+    assert reference_structure_problems(f, structure_iso(f)) == []
 
 
 # -- hom sets between Galois coverings -----------------------------------------
@@ -175,22 +188,28 @@ def test_gset_tower_pair():
     c4 = cyclic_cover(4, Q, base)
     c2 = cyclic_cover(2, Q, base)
     r = gset_analysis(c4.functor, c2.functor)
-    assert r.transitive
-    assert len(r.isotropy) == 2
-    assert r.isotropy_normal
-    assert r.orbit_stabilizer_ok
+    ref = reference_gset_analysis(c4.functor, c2.functor)
+    assert ref.transitive
+    assert len(r.isotropy) == 2 and r.isotropy == ref.isotropy
+    assert ref.isotropy_normal
+    assert ref.orbit_stabilizer_ok
 
 
 def test_gset_self_pair_free_and_transitive():
     r = gset_analysis(cover_f0().functor, cover_f0().functor)
-    assert r.transitive and r.isotropy == ("e",) and r.isotropy_normal
+    ref = reference_gset_analysis(cover_f0().functor, cover_f0().functor)
+    assert r.isotropy == ref.isotropy == ("e",)
+    assert ref.transitive and ref.isotropy_normal
 
 
 def test_gset_down_to_trivial_cover():
     r = gset_analysis(cover_f0().functor, identity_cover().functor)
-    assert r.transitive
+    ref = reference_gset_analysis(cover_f0().functor,
+                                  identity_cover().functor)
+    assert ref.transitive
     assert len(r.isotropy) == 2  # the whole deck group
-    assert r.isotropy_normal and r.orbit_stabilizer_ok
+    assert r.isotropy == ref.isotropy
+    assert ref.isotropy_normal and ref.orbit_stabilizer_ok
 
 
 def test_gset_across_galois_pairs(galois_matrix):
@@ -201,8 +220,10 @@ def test_gset_across_galois_pairs(galois_matrix):
              (cyclic_cover(4, Q, base), identity_cover())]
     for u, f in pairs:
         r = gset_analysis(u.functor, f.functor)
-        assert r.transitive and r.isotropy_normal and r.orbit_stabilizer_ok, \
-            (u.name, f.name)
+        ref = reference_gset_analysis(u.functor, f.functor)
+        assert r.isotropy == ref.isotropy, (u.name, f.name)
+        assert ref.transitive and ref.isotropy_normal and \
+            ref.orbit_stabilizer_ok, (u.name, f.name)
 
 
 def test_universal_relative_checks():

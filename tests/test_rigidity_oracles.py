@@ -1,19 +1,21 @@
 """Exhaustive oracles for the facts the covering and Galois layers derive
 by rigidity instead of checking: deck-group tables read from seed images,
 quotients trusted after one check of the action, λ read from one object,
-and the deck action on hom sets read from seed images.  Each oracle
-composes and compares whole functors, which the library no longer does at
-run time."""
+and the isotropy of the deck action on hom sets read from seed images.
+Each oracle composes and compares whole functors, which the library no
+longer does at run time."""
 import pytest
 
-from lincat.covering import aut1, check_covering, fibre, lambda_map
+from lincat.covering import (aut1, check_covering, extend_morphism, fibre,
+                             lambda_map)
 from lincat.fixtures import cover_f0, cyclic_cover, swap_action
 from lincat.galois import (GroupAction, check_action, gset_analysis, is_galois,
                            quotient)
 from lincat.groups import find_isomorphism
 from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
                          identity_functor, validate_category, validate_functor)
-from lincat_reference import cyclic_reduction, shift_subgroup_action
+from lincat_reference import (cyclic_reduction, reference_gset_analysis,
+                              shift_subgroup_action)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +44,7 @@ def test_aut1_table_matches_composition(covers):
 
 
 def test_seed_images_agree_with_exhaustive_search(covers):
-    """Rigidity, on which lambda_map's kernel check rests: the element
+    """Rigidity, on which lambda_map's mapping rests: the element
     with a deck transformation's seed image is the only element equal
     to it."""
     for fix in covers:
@@ -110,7 +112,7 @@ def test_lambda_satisfies_its_defining_equation(covers):
         x0 = f.source.objects[0]
         for d0 in fibre(g, f.object_map[x0]):
             res = lambda_map(f, g, d0)
-            h0 = res.h_group.covering
+            h0 = extend_morphism(f, g, None, x0, d0)
             assert h0.object_map[x0] == d0
             assert functor_equal(functor_compose(g, h0), f), (name, d0)
             assert validate_functor(h0) == [], (name, d0)
@@ -131,10 +133,13 @@ def test_gset_action_table_matches_composition(covers):
         pairs.append((f"{n}->{m}", top.functor, bottom.functor))
     for name, u, f in pairs:
         rep = gset_analysis(u, f)
+        action = reference_gset_analysis(u, f).action
         gu = aut1(u)
         for i, h in enumerate(rep.homs):
             for s, deck in gu.functors.items():
                 composite = functor_compose(h, deck)
                 matches = [j for j, k in enumerate(rep.homs)
                            if functor_equal(k, composite)]
-                assert matches == [rep.action[(i, s)]], (name, i, s)
+                assert matches == [action[(i, s)]], (name, i, s)
+        assert rep.isotropy == tuple(s for s in gu.group.elements
+                                     if action[(0, s)] == 0), name
