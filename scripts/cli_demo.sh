@@ -32,8 +32,10 @@ expect 2 galois check --functor corrupted.json
 expect 2 galois homs --functor F0.json --to corrupted.json
 expect 0 galois quotient --action swap-action.json --out quotient.json
 expect 0 h1 --cat quotient.json
+expect 0 cover extend --functor cyclic-cover-4.json --to cyclic-cover-2.json
 expect 0 cover lambda --functor cyclic-cover-4.json --to cyclic-cover-2.json
 expect 0 cover lambda --functor cyclic-cover-4.json --to cyclic-cover-2.json --image s1
+expect 2 cover lambda --functor cyclic-cover-4.json --to cyclic-cover-2.json --image zz
 expect 0 galois universal --functor cyclic-cover-4.json --family cyclic-cover-2.json
 expect 0 galois gset --functor F0.json --to F0.json
 expect 0 galois gset --functor cyclic-cover-4.json --to cyclic-cover-2.json

@@ -50,9 +50,11 @@ def main() -> None:
             galois.append(fix)
 
     section("quotient of the swapped double cover")
-    q = quotient(swap_action())
+    action = swap_action()
+    q = quotient(action)
     print("objects:", q.quotient.objects)
-    print("deck group of the projection:", q.deck_group.label())
+    # the acting group is the deck group of the projection (see quotient)
+    print("deck group of the projection:", action.group.label())
 
     section("induced gradings and smash products")
     for fix in galois:

@@ -113,11 +113,26 @@ def _load_covering(path: str) -> LinFunctor:
     return f
 
 
-def _seed_object(f: LinFunctor) -> str:
-    """The first object of the source of the covering f."""
-    if not f.source.objects:
-        raise InputError("the covering has no objects to seed")
-    return f.source.objects[0]
+def _seed(f: LinFunctor, g: LinFunctor, x0: Optional[str],
+          d0: Optional[str]) -> tuple[str, str]:
+    """The seed x0 ↦ d0 of a morphism between the coverings f and g
+    over one base: x0 defaults to the first object of f's source, d0 to
+    the first object of g's source over F(x0)."""
+    if f.target != g.target:
+        raise InputError("the two coverings have different bases")
+    if x0 is None:
+        if not f.source.objects:
+            raise InputError("the covering has no objects to seed")
+        x0 = f.source.objects[0]
+    elif x0 not in f.source.objects:
+        raise InputError(f"unknown object {x0!r}")
+    over = fibre(g, f.object_map[x0])
+    if d0 is None:
+        return x0, over[0]
+    if d0 not in over:
+        raise InputError(
+            f"{d0!r} is not in the fibre over {f.object_map[x0]!r}")
+    return x0, d0
 
 
 def _write_doc(path: Optional[str], doc: Callable[[], dict],
@@ -189,18 +204,7 @@ def _cmd_cover_aut1(args, report: Report) -> None:
 
 def _cmd_cover_extend(args, report: Report) -> None:
     f, g = _load_covering(args.functor), _load_covering(args.to)
-    if f.target != g.target:
-        raise InputError("the two coverings have different bases")
-    x0 = args.object if args.object is not None else _seed_object(f)
-    if x0 not in f.source.objects:
-        raise InputError(f"unknown object {x0!r}")
-    if args.image is not None:
-        d0 = args.image
-        if d0 not in fibre(g, f.object_map[x0]):
-            raise InputError(
-                f"{d0!r} is not in the fibre over {f.object_map[x0]!r}")
-    else:
-        d0 = fibre(g, f.object_map[x0])[0]
+    x0, d0 = _seed(f, g, args.object, args.image)
     h = extend_morphism(f, g, None, x0, d0)
     report.verdicts["extends"] = h is not None
     report.messages.append(f"seed {x0} -> {d0}")
@@ -210,12 +214,7 @@ def _cmd_cover_extend(args, report: Report) -> None:
 
 def _cmd_cover_lambda(args, report: Report) -> None:
     f, g = _load_covering(args.functor), _load_covering(args.to)
-    if f.target != g.target:
-        raise InputError("the two coverings have different bases")
-    x0 = _seed_object(f)
-    d0 = args.image if args.image is not None \
-        else fibre(g, f.object_map[x0])[0]
-    res = lambda_map(f, g, d0)
+    res = lambda_map(f, g, _seed(f, g, None, args.image)[1])
     # theorems (b)-(d) in lambda_map's docstring
     report.verdicts["surjective"] = True
     report.verdicts["kernel matches deck group of the morphism"] = True
@@ -239,10 +238,12 @@ def _cmd_galois_check(args, report: Report) -> None:
 def _cmd_galois_quotient(args, report: Report) -> None:
     action = load_value(args.action, "action")
     res = quotient(action)
+    # the acting group is the deck group (see quotient), and each orbit
+    # is named by its representative
     report.verdicts["objects"] = len(res.quotient.objects)
-    report.verdicts["projection deck group"] = res.deck_group.label()
-    report.witnesses["orbit representatives"] = dict(
-        sorted(res.orbit_representatives.items()))
+    report.verdicts["projection deck group"] = action.group.label()
+    report.witnesses["orbit representatives"] = {
+        r: r for r in sorted(res.quotient.objects)}
     _write_doc(args.out, lambda: category_to_doc(res.quotient), report)
 
 

@@ -9,7 +9,7 @@ are found by seeding one object over a fibre and propagating through star
 isomorphisms, and are multiplied by where they send that object.  Only
 generators are extended, and only their object maps are kept: the other
 elements are products, found by composing object maps, and the columns
-of any element's functor are read on demand from the star table.
+of any morphism's functor are read on demand from the star table.
 
 The star block of F at a source object x towards a base object b is the
 map from the hom spaces between x and the fibre over b to the hom space
@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 from .exactlinalg import FieldSpec, Matrix, inverse
 from .groups import Group
@@ -184,7 +184,9 @@ class _Extension:
     it: then J∘F is F itself and its functoriality is read from
     check_covering(f); otherwise J∘F is validated here, since it can be
     a functor when J is not.  G must be a covering: a visited star block
-    that is not bijective raises ValueError."""
+    that is not bijective raises ValueError.  walk finds a morphism's
+    object map; its columns are read only by column, from the star
+    table, when functor() builds it or a CoveringGroup reads one."""
 
     def __init__(self, f: LinFunctor, g: LinFunctor,
                  j: Optional[LinFunctor] = None):
@@ -223,11 +225,10 @@ class _Extension:
                 "half, is not bijective")
         return self.stars[key]
 
-    def walk(self, x0: str, d0: str
-             ) -> Optional[tuple[dict[str, str], dict[str, dict]]]:
-        """The object map and the column of each basis name of the unique
-        H with H(x0) = d0 and G∘H = J∘F, or None: extend_morphism's
-        propagation, with no functor built."""
+    def walk(self, x0: str, d0: str) -> Optional[dict[str, str]]:
+        """The object map of the unique H with H(x0) = d0 and
+        G∘H = J∘F, or None: extend_morphism's propagation, which reads
+        every column of H once and keeps none (see column)."""
         f, g = self.f, self.g
         c, d = f.source, g.source
         if x0 not in c.objects or d0 not in d.objects:
@@ -236,21 +237,21 @@ class _Extension:
             raise ValueError(f"seed mismatch: G({d0}) != F({x0}) on the base")
         fmap, image = f.object_map, self.image
         omap = {x0: d0}
-        cols: dict[str, dict] = {}  # basis name -> column of H(name)
+        placed: set[str] = set()  # basis names whose column was read
         queue = [x0]
         for x in queue:  # the queue grows while it is read
             hx = omap[x]
             for direction, names, far in (("out", c.leaving[x], c.target_of),
                                           ("in", c.arriving[x], c.source_of)):
                 for n in names:
-                    if n in cols:
+                    if n in placed:
                         continue
                     y = far(n)
                     inv, owner = self.star(hx, fmap[y], direction)
                     cand = inv(image[n])
                     if not cand:
                         return None
-                    e, first, last = owner[min(cand)]
+                    e, _, last = owner[min(cand)]
                     if max(cand) > last:
                         return None  # spread over several blocks
                     if y not in omap:
@@ -258,43 +259,31 @@ class _Extension:
                         queue.append(y)
                     elif omap[y] != e:
                         return None
-                    cols[n] = {i - first: a for i, a in cand.items()}
+                    placed.add(n)
         if len(omap) != len(c.objects):
             raise ValueError("source category is not connected; "
                              "the extension is not determined")
         if not self.functorial:
             return None
-        return omap, cols
-
-    def extend(self, x0: str, d0: str) -> Optional[LinFunctor]:
-        """extend_morphism(F, G, J, x0, d0) on the shared data."""
-        found = self.walk(x0, d0)
-        if found is None:
-            return None
-        omap, cols = found
-        return self.functor(omap, cols.__getitem__)
+        return omap
 
     def column(self, omap: dict[str, str], n: str) -> dict:
         """The column of H(n) for the morphism H with object map omap:
         for n: x -> y, the inverse of G's outgoing star block at H(x)
         towards the fibre of F(y), applied to JF(n), read inside the
-        block of H(y).  One step of walk, which needs no search once
-        H(x) and H(y) are known; H must exist."""
+        block of H(y).  It is the column walk found for n, from either
+        end: G is injective on each star, so H(n) is the only preimage
+        of JF(n) there.  H must exist."""
         x, y = self.f.source.pair_of(n)
         inv, owner = self.star(omap[x], self.f.object_map[y], "out")
         cand = inv(self.image[n])
         first = owner[min(cand)][1]
         return {i - first: a for i, a in cand.items()}
 
-    def functor(self, omap: dict[str, str],
-                column: Optional[Callable[[str], dict]] = None
-                ) -> LinFunctor:
-        """The functor with object map omap and the given column per
-        basis name of F's source; by default each column is read from
-        the star table (see column), so omap must be the object map of
-        a morphism."""
-        if column is None:
-            column = partial(self.column, omap)
+    def functor(self, omap: dict[str, str]) -> LinFunctor:
+        """The morphism with object map omap, a map that walk returned,
+        each column read from the star table (see column)."""
+        column = partial(self.column, omap)
         c, d = self.f.source, self.g.source
         hom = d.hom
         mats = {(x, y): Matrix(c.field, len(hom.get((omap[x], omap[y]), ())),
@@ -320,7 +309,9 @@ def extend_morphism(f: LinFunctor, g: LinFunctor,
     star inverse applied to JF(n).  It must lie in a single fibre block,
     which names the neighbour's image; a spread or a conflict with an
     earlier assignment means no H exists.  Propagation from x0 thus
-    fixes every object and every matrix column of the only candidate.
+    fixes every object and every matrix column of the only candidate;
+    it keeps the object map (_Extension.walk), and the columns are read
+    again from the star table when H is built (_Extension.functor).
     When G and J∘F are functors it is a morphism: G∘H = J∘F holds column
     by column, and G(H(g∘f)) = JF(g)∘JF(f) = G(H(g)∘H(f)), likewise for
     units, with G injective on each hom space; otherwise no seed extends.
@@ -329,7 +320,9 @@ def extend_morphism(f: LinFunctor, g: LinFunctor,
     aut1, hom_coverings, check_universal and lambda_map share that work
     across seeds.
     """
-    return _Extension(f, g, j).extend(x0, d0)
+    ext = _Extension(f, g, j)
+    omap = ext.walk(x0, d0)
+    return None if omap is None else ext.functor(omap)
 
 
 @dataclass
@@ -339,22 +332,18 @@ class CoveringGroup:
     cosmetic isomorphism-type guess.
 
     Each element is kept as its object map, generators included: aut1
-    builds no functor.  An element's functor is read on demand: by
-    rigidity, the column of H(n) for n: x -> y is one star inverse
-    applied to F(n) once H(x) and H(y) are known (see
-    _Extension.column), so apply_name builds one column and functor()
-    one whole functor, which is then kept.  A group given by its
-    functors (the deck group of a quotient by a group action) keeps
-    them and reads nothing from a star table."""
+    builds no functor.  By rigidity, the column of H(n) for n: x -> y is
+    one star inverse applied to F(n) once H(x) and H(y) are known (see
+    _Extension.column), so apply_name reads one column from the star
+    table of the covering, and functor() builds one whole functor,
+    which is then kept."""
     covering: LinFunctor
     group: Group
     object_maps: dict[str, dict[str, str]]
-    seed_object: str
     seed_fibre: tuple[str, ...]
-    extension: Optional[_Extension] = field(default=None, repr=False,
-                                            compare=False)
-    built: dict[str, LinFunctor] = field(default_factory=dict, repr=False,
-                                         compare=False)
+    extension: _Extension = field(repr=False, compare=False)
+    built: dict[str, LinFunctor] = field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
 
     def order(self) -> int:
         return self.group.order()
@@ -367,18 +356,11 @@ class CoveringGroup:
             self.built[name] = self.extension.functor(self.object_maps[name])
         return self.built[name]
 
-    @property
-    def functors(self) -> dict[str, LinFunctor]:
-        """Every element's functor, in element order."""
-        return {n: self.functor(n) for n in self.group.elements}
-
     def apply_object(self, name: str, x: str) -> str:
         return self.object_maps[name][x]
 
     def apply_name(self, name: str, n: str) -> LinComb:
         """The image of the basis morphism n under the element name."""
-        if name in self.built:
-            return self.built[name].apply_name(n)
         c, omap = self.covering.source, self.object_maps[name]
         x, y = c.pair_of(n)
         names = c.basis(omap[x], omap[y])
@@ -452,17 +434,17 @@ def _deck_group(f: LinFunctor) -> Optional[CoveringGroup]:
     for d0 in fib:
         if d0 in maps:
             continue
-        found = ext.walk(x0, d0)
-        if found is not None:
-            gens.append(found[0])
+        omap = ext.walk(x0, d0)
+        if omap is not None:
+            gens.append(omap)
             maps = _closure(x0, gens)
     name = {d0: f"g{k}" if k else "e"
             for k, d0 in enumerate(d0 for d0 in fib if d0 in maps)}
     table = {(name[d1], name[d2]): name[maps[d1][d2]]
              for d1 in name for d2 in name}
     group = Group(tuple(name.values()), "e", table)
-    return CoveringGroup(f, group, {name[d0]: maps[d0] for d0 in name}, x0,
-                         fib, ext)
+    return CoveringGroup(f, group, {name[d0]: maps[d0] for d0 in name}, fib,
+                         ext)
 
 
 def galois_obstruction(grp: CoveringGroup) -> Optional[str]:
@@ -513,8 +495,8 @@ def lambda_map(f: LinFunctor, g: LinFunctor, d0: str) -> LambdaResult:
     if not f.source.objects:
         raise ValueError("covering source is not connected")
     x0 = f.source.objects[0]
-    found = _Extension(f, g).walk(x0, d0)
-    if found is None:
+    omap = _Extension(f, g).walk(x0, d0)
+    if omap is None:
         raise ValueError("no morphism between the coverings from "
                          f"seed {x0} -> {d0}")
     gf = aut1(f)
@@ -523,7 +505,6 @@ def lambda_map(f: LinFunctor, g: LinFunctor, d0: str) -> LambdaResult:
         reason = galois_obstruction(grp)
         if reason is not None:
             raise ValueError(f"covering is not Galois: {reason}")
-    omap = found[0]
     by_seed = {k[d0]: n for n, k in gg.object_maps.items()}
     mapping = {n: by_seed[omap[h[x0]]] for n, h in gf.object_maps.items()}
     kernel = tuple(n for n, v in mapping.items() if v == "e")

@@ -10,7 +10,7 @@ source, so quotient structure constants can be compared literally.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .covering import (CoveringGroup, _deck_group, _Extension, fibre,
@@ -97,8 +97,6 @@ def _composes_to(fs: LinFunctor, fg: LinFunctor, h: LinFunctor) -> bool:
 class QuotientResult:
     quotient: LinCat
     projection: LinFunctor
-    orbit_representatives: dict[str, str]
-    deck_group: CoveringGroup
 
 
 def quotient(a: GroupAction) -> QuotientResult:
@@ -108,8 +106,8 @@ def quotient(a: GroupAction) -> QuotientResult:
     which also serves as the representative.  hom(α, β) is spanned by the
     source bases of hom(rep(α), y) over all y in β, inheriting names.
 
-    The action was decided when it was built, and the acting group and
-    functors are returned as the deck group of the projection P: each
+    The action was decided when it was built, and the acting group is
+    the deck group of the projection P, which is not rebuilt: each
     P∘s = P, so every s is a deck transformation; the images of the
     first object run over its orbit, which is its whole fibre; and by
     rigidity a deck transformation is fixed by that image, so there are
@@ -178,18 +176,7 @@ def _quotient(c: LinCat, a: GroupAction | CoveringGroup) -> QuotientResult:
         u_inv = a.group.inv(translate[(orbit_of[x], x)])
         for n in c.leaving[x]:
             back[n] = a.apply_name(u_inv, n)
-    projection = LinFunctor.on_basis(c, q, omap, back)
-
-    seed = c.objects[0]
-    fib = tuple(fibre(projection, orbit_of[seed]))
-    if isinstance(a, CoveringGroup):  # the same automorphisms of c
-        deck = replace(a, covering=projection, seed_object=seed,
-                       seed_fibre=fib)
-    else:
-        deck = CoveringGroup(projection, a.group,
-                             {s: h.object_map for s, h in a.functors.items()},
-                             seed, fib, built=dict(a.functors))
-    return QuotientResult(q, projection, {r: r for r in orbit_names}, deck)
+    return QuotientResult(q, LinFunctor.on_basis(c, q, omap, back))
 
 
 @dataclass
@@ -300,10 +287,9 @@ def _hom_coverings(u: LinFunctor, f: LinFunctor
     u0 = u.source.objects[0]
     ext = _Extension(u, f)
     fib = fibre(f, u.object_map[u0])
-    walked = ext.walk(u0, fib[0])
-    if walked is None:
+    h0 = ext.walk(u0, fib[0])
+    if h0 is None:
         return HomSet(ext, []), gu
-    h0 = walked[0]
     deck = {k[fib[0]]: k for k in gf.object_maps.values()}
     return HomSet(ext, [{x: deck[c0][y] for x, y in h0.items()}
                         for c0 in fib]), gu

@@ -2,8 +2,9 @@
 references.
 
 Helpers: `comb_add`, `comb_scale` and `comb_eq` on combinations of basis
-names; `make_category`, a LinCat builder that coerces plain numbers into
-the field; `trivial_grading`; `presentation_to_doc` and `dump_path`,
+names; `deck_functors`, every functor of a deck group; `make_category`,
+a LinCat builder that coerces plain numbers into the field;
+`trivial_grading`; `presentation_to_doc` and `dump_path`,
 the writer side of the presentation format; the fixtures
 `cyclic_reduction`, `twisted_cover`, `disconnected_double_kronecker`,
 `shift_functor` and `shift_subgroup_action`; `derivation_space`, the kernel of the
@@ -43,8 +44,9 @@ from typing import Optional, Sequence, Union
 
 from lincat.cohomology import (Derivation, _derivation_vectors, _derivations,
                                _inner_generators, _layout, _products)
-from lincat.covering import (CoveringGroup, CoveringReport, _Extension, aut1,
-                             check_covering, fibre, galois_obstruction)
+from lincat.covering import (CoveringGroup, CoveringReport, aut1,
+                             check_covering, extend_morphism, fibre,
+                             galois_obstruction)
 from lincat.exactlinalg import EchelonBasis, FieldSpec, Matrix, inverse
 from lincat.fixtures import CoverFixture, Q, cyclic_cover, kronecker
 from lincat.formats import FORMAT_VERSION, canonical_dumps
@@ -74,6 +76,11 @@ def comb_scale(field: FieldSpec, s, a: LinComb) -> LinComb:
 def comb_eq(a: LinComb, b: LinComb) -> bool:
     return {n: s for n, s in a.items() if s} == \
         {n: s for n, s in b.items() if s}
+
+
+def deck_functors(grp: CoveringGroup) -> dict[str, LinFunctor]:
+    """Every element's functor, in element order."""
+    return {n: grp.functor(n) for n in grp.group.elements}
 
 
 def make_category(field: FieldSpec, objects: Sequence[str],
@@ -387,10 +394,9 @@ def reference_hom_coverings(u: LinFunctor, f: LinFunctor
     gu = _galois_group(u)
     _galois_group(f)
     u0 = u.source.objects[0]
-    ext = _Extension(u, f, identity_functor(u.target))
     out = []
     for c0 in fibre(f, u.object_map[u0]):
-        h = ext.extend(u0, c0)
+        h = extend_morphism(u, f, identity_functor(u.target), u0, c0)
         if h is not None:
             out.append(h)
     return out, gu
@@ -497,9 +503,10 @@ def reference_validate_morphism(m: CoveringMorphism, f: LinFunctor,
 def reference_name_of(grp: CoveringGroup, h: LinFunctor) -> Optional[str]:
     """The element of grp equal to h, or None: only the element sharing
     h's seed image can be equal to it, and its functor is compared."""
-    seed = h.object_map.get(grp.seed_object)
+    x0 = grp.covering.source.objects[0]
+    seed = h.object_map.get(x0)
     for n, omap in grp.object_maps.items():
-        if omap[grp.seed_object] == seed:
+        if omap[x0] == seed:
             return n if functor_equal(grp.functor(n), h) else None
     return None
 

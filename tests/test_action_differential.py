@@ -22,7 +22,8 @@ from lincat.kcat import (LinCat, LinFunctor, functor_compose, functor_equal,
                          functor_from_arrows, functor_is_isomorphism,
                          identity_functor, validate_functor)
 from linalg_reference import entries, row_major
-from lincat_reference import shift_functor, shift_subgroup_action
+from lincat_reference import (deck_functors, shift_functor,
+                              shift_subgroup_action)
 
 F3 = FieldSpec(3)
 
@@ -101,7 +102,7 @@ def valid_actions():
     for fix in (cover_f0(), cover_f1(), identity_cover(), cyclic_cover(3),
                 square_cover()):
         grp = aut1(fix.functor)
-        yield f"deck-{fix.name}", Unchecked(grp.group, grp.functors,
+        yield f"deck-{fix.name}", Unchecked(grp.group, deck_functors(grp),
                                             grp.covering.source)
 
 

@@ -17,6 +17,12 @@ attribute somewhere in src/lincat/ or scripts/tour.py; dunder methods,
 which Python calls by protocol, are exempt.  Attributes are matched by
 name alone, so this check too can only miss dead code.
 
+Every field of a dataclass in src/lincat/ is read as an attribute there
+or in scripts/tour.py, except the fields of KEPT_FIELDS.  Matching by
+name can miss a field that no one reads when another class reads a
+field of the same name: a CoveringGroup.functors would have passed on
+the reads of GroupAction.functors.
+
 Every name that a module under src/lincat/ or tests/ imports is read in
 that module; `from __future__` imports are exempt."""
 import ast
@@ -26,6 +32,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lincat"
 TESTS = ROOT / "tests"
 ALLOWED = {"find_isomorphism", "same_components"}
+# fields that the library fills and only the tests read, kept on purpose
+KEPT_FIELDS = {
+    # the representatives that ROADMAP item 6's h1 witness will print
+    "H1Result.representatives",
+    # the deck groups that λ maps between, for callers to name elements by
+    "LambdaResult.source_group",
+    "LambdaResult.target_group",
+    # the quotient and projection that the isomorphism factors through
+    "StructureIsoResult.quotient_result",
+    # the components that is_connected decides connectivity from
+    "ConnectivityReport.components",
+    # the presented total category that a fixture's covering starts from
+    "CoverFixture.total",
+}
 
 
 def named(node: ast.AST) -> set[str]:
@@ -84,6 +104,34 @@ def unread_methods() -> set[str]:
 
 def test_every_method_is_read():
     assert unread_methods() == set()
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" or
+               isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and
+               d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def unread_fields() -> set[str]:
+    """Class.field for each field of a dataclass in src/lincat/ whose
+    name no attribute read in src/lincat/ or scripts/tour.py carries."""
+    fields, read = [], set()
+    paths = sorted(SRC.glob("*.py")) + [ROOT / "scripts" / "tour.py"]
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and path.parent == SRC \
+                    and is_dataclass(node):
+                fields.extend((node.name, f.target.id) for f in node.body
+                              if isinstance(f, ast.AnnAssign) and
+                              isinstance(f.target, ast.Name))
+    return {f"{cls}.{name}" for cls, name in fields if name not in read}
+
+
+def test_every_field_is_read():
+    assert unread_fields() == KEPT_FIELDS
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -12,14 +12,16 @@ check_covering report, which decides functoriality as well.
 structure_iso, induced_grading, lambda_map and gset_analysis must
 return the same results on groups built by either, and so must
 reference_lambda_map and reference_gset_analysis, which decide the
-verdicts those two no longer make.  The reference's
-only change is its last line: the new CoveringGroup takes the object
-maps and keeps the functors it is given.
+verdicts those two no longer make.  The reference returns its own
+ReferenceDeckGroup, which keeps every element's functor and reads each
+image from it, where a CoveringGroup keeps object maps and reads
+columns from the star table.
 
 The last section counts extensions and built functors: on a Galois
 covering of degree n at most log2 n seeds are extended (the first
 object's own seed gives the identity without one), and structure_iso
 builds no whole deck functor."""
+from dataclasses import dataclass
 from math import ceil, log2
 from typing import Optional
 
@@ -38,12 +40,12 @@ from lincat.formats import functor_from_doc
 from lincat.galois import gset_analysis, is_galois, structure_iso
 from lincat.grading import grading_on_basis, induced_grading, smash
 from lincat.groups import Group
-from lincat.kcat import (Arrow, LinFunctor, QuiverPresentation,
+from lincat.kcat import (Arrow, LinComb, LinFunctor, QuiverPresentation,
                          functor_compose, functor_equal, functor_from_arrows,
                          functor_is_isomorphism, identity_functor,
                          is_connected, present, validate_functor)
 from lincat_reference import (CoveringMorphism, cyclic_reduction,
-                              disconnected_double_kronecker,
+                              deck_functors, disconnected_double_kronecker,
                               reference_gset_analysis, reference_lambda_map,
                               reference_structure_problems)
 
@@ -130,7 +132,31 @@ class ReferenceExtension:
         return LinFunctor(c, d, omap, mats)
 
 
-def reference_aut1(f: LinFunctor) -> CoveringGroup:
+@dataclass
+class ReferenceDeckGroup:
+    """reference_aut1's deck group: every element's functor, built and
+    kept, with the part of CoveringGroup that the library's consumers
+    read, each image read from the functors."""
+    covering: LinFunctor
+    group: Group
+    object_maps: dict[str, dict[str, str]]
+    seed_fibre: tuple[str, ...]
+    functors: dict[str, LinFunctor]
+
+    def order(self) -> int:
+        return self.group.order()
+
+    def functor(self, name: str) -> LinFunctor:
+        return self.functors[name]
+
+    def apply_object(self, name: str, x: str) -> str:
+        return self.object_maps[name][x]
+
+    def apply_name(self, name: str, n: str) -> LinComb:
+        return self.functors[name].apply_name(n)
+
+
+def reference_aut1(f: LinFunctor) -> ReferenceDeckGroup:
     """All deck transformations of a covering with connected source,
     found by seeding the first object x0 over its fibre.  f must be a
     covering (see extend_morphism); the star table and whether f is a
@@ -162,9 +188,9 @@ def reference_aut1(f: LinFunctor) -> CoveringGroup:
     table = {(n1, n2): by_seed[h1.object_map[h2.object_map[x0]]]
              for n1, h1 in functors.items() for n2, h2 in functors.items()}
     group = Group(tuple(functors), "e", table)
-    return CoveringGroup(f, group,
-                         {n: h.object_map for n, h in functors.items()},
-                         x0, fib, built=functors)
+    return ReferenceDeckGroup(f, group,
+                              {n: h.object_map for n, h in functors.items()},
+                              fib, functors)
 
 
 # -- inputs --------------------------------------------------------------------
@@ -256,20 +282,17 @@ def outcome(run, *args):
         return str(e)
 
 
-def assert_same_group(got: CoveringGroup, want: CoveringGroup) -> None:
+def assert_same_group(got: CoveringGroup, want: ReferenceDeckGroup) -> None:
     assert got.covering is want.covering
     assert got.group.elements == want.group.elements
     assert got.group.identity == want.group.identity
     assert got.group.table == want.group.table
-    assert got.seed_object == want.seed_object
     assert got.seed_fibre == want.seed_fibre
     assert got.object_maps == want.object_maps
-    for name in want.group.elements:
-        h = want.functor(name)
+    for name, h in want.functors.items():
         for n in h.source.basis_names():
             assert got.apply_name(name, n) == h.apply_name(n), (name, n)
         assert functor_equal(got.functor(name), h), name
-    assert list(got.functors) == list(want.functors)
 
 
 # -- aut1 ----------------------------------------------------------------------
@@ -309,7 +332,7 @@ def test_the_cases_reach_every_kind_of_result():
 
 # -- consumers, on groups built by aut1 and by the reference -------------------
 
-def reference_deck_group(f: LinFunctor) -> Optional[CoveringGroup]:
+def reference_deck_group(f: LinFunctor) -> Optional[ReferenceDeckGroup]:
     """covering._deck_group, which is_galois calls, on the reference:
     None for a disconnected source."""
     if not is_connected(f.source).connected:
@@ -348,13 +371,15 @@ def test_structure_iso_agrees_on_reference_groups(monkeypatch, name):
     assert q.quotient.objects == wq.quotient.objects
     assert q.quotient.hom == wq.quotient.hom
     assert functor_equal(q.projection, wq.projection)
-    assert q.orbit_representatives == wq.orbit_representatives
-    assert q.deck_group.covering is q.projection
-    assert q.deck_group.seed_fibre == wq.deck_group.seed_fibre
-    assert q.deck_group.group.table == wq.deck_group.group.table
-    assert q.deck_group.object_maps == wq.deck_group.object_maps
-    for s, h in wq.deck_group.functors.items():
-        assert functor_equal(q.deck_group.functor(s), h)
+    # the acting group is the deck group of the projection: aut1 finds
+    # |G| elements, and exactly one has the object map of each s
+    grp, deck = aut1(f), aut1(q.projection)
+    assert deck.order() == grp.order()
+    fs = deck_functors(deck)
+    for s, h in deck_functors(grp).items():
+        same = [t for t, omap in deck.object_maps.items()
+                if omap == h.object_map]
+        assert len(same) == 1 and functor_equal(fs[same[0]], h), s
 
 
 @pytest.mark.parametrize("name", GALOIS + ["F2.json", "twisted(5, 2)"])
@@ -431,7 +456,7 @@ def test_gset_analysis_agrees_on_reference_groups(monkeypatch):
 
 def counted_extensions(monkeypatch) -> list[str]:
     """The seed image of every extension (_Extension.walk, which
-    _Extension.extend calls too) from here on."""
+    extend_morphism calls too) from here on."""
     seeds: list[str] = []
     real = covering._Extension.walk
 
@@ -466,5 +491,5 @@ def test_structure_iso_builds_no_deck_functor(monkeypatch):
     monkeypatch.setattr(CoveringGroup, "functor", refuse)
     f = cyclic_cover(16).functor
     res = structure_iso(f)
-    assert res.quotient_result.deck_group.order() == 16
+    assert aut1(res.quotient_result.projection).order() == 16
     assert reference_structure_problems(f, res) == []

@@ -17,6 +17,7 @@ from lincat.formats import (action_from_doc, category_from_doc,
 from lincat.kcat import LinCat, LinFunctor, is_connected, present
 from lincat.registry import fixture_files, fixture_names
 from linalg_reference import entries
+from lincat_reference import deck_functors
 
 DECODE = {"category": category_from_doc, "functor": functor_from_doc,
           "action": action_from_doc, "grading": grading_from_doc,
@@ -54,7 +55,7 @@ def functor_values(f: LinFunctor):
         for col in inv.columns:
             yield from ((f"star inverse{key}", v) for v in col.values())
     if report.ok and is_connected(f.source).connected:
-        for s, h in aut1(f).functors.items():
+        for s, h in deck_functors(aut1(f)).items():
             yield from block_values(h, f"aut1 {s}")
 
 

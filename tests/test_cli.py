@@ -306,7 +306,7 @@ def test_galois_homs_extends_one_seed(tmp_path, monkeypatch, n, m):
             walks.append((x0, d0))
         return _real(self, x0, d0)
 
-    def refuse(self, omap, column=None):
+    def refuse(self, omap):
         raise AssertionError("a functor was built")
     monkeypatch.setattr(covering._Extension, "walk", counted)
     monkeypatch.setattr(covering._Extension, "functor", refuse)
@@ -343,7 +343,7 @@ def test_galois_universal_builds_no_functor(workdir, monkeypatch):
     pair is walked, and no functor is built."""
     import lincat.covering as covering
 
-    def refuse(self, omap, column=None):
+    def refuse(self, omap):
         raise AssertionError("a functor was built")
     monkeypatch.setattr(covering._Extension, "functor", refuse)
     code, out, _ = run_json(workdir, "galois", "universal", "--functor",
@@ -927,7 +927,19 @@ def test_lambda_bad_seed_exit_2(workdir):
                          "--to", "F0.json", "--image", "t0")
     assert code == 2
     assert out == ""
-    assert "seed mismatch" in err
+    assert err == "error: 't0' is not in the fibre over 's'\n"
+
+
+@pytest.mark.parametrize("command", ["extend", "lambda"])
+def test_seed_outside_the_fibre_has_one_diagnostic(workdir, command):
+    """cover extend and cover lambda check a seed image the same way: an
+    object that the second covering does not have is not in the fibre."""
+    code, out, err = run(workdir, "cover", command, "--functor",
+                         "cyclic-cover-4.json", "--to", "cyclic-cover-2.json",
+                         "--image", "zz")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 'zz' is not in the fibre over 's'\n"
 
 
 def test_json_error_rendering(workdir):

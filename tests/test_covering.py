@@ -13,7 +13,7 @@ from lincat.kcat import (LinFunctor, QuiverPresentation, functor_equal,
                          functor_is_isomorphism, identity_functor,
                          is_connected, present)
 from lincat_reference import (CoveringMorphism, cyclic_reduction,
-                              disconnected_double_kronecker,
+                              deck_functors, disconnected_double_kronecker,
                               reference_lambda_map,
                               reference_validate_morphism)
 
@@ -201,7 +201,7 @@ def test_a_report_is_made_once_per_functor():
 
 def test_aut1_elements_fix_no_object():
     g = aut1(cover_f0().functor)
-    for name, h in g.functors.items():
+    for name, h in deck_functors(g).items():
         if name != "e":
             assert all(h.object_map[x] != x for x in h.source.objects)
 

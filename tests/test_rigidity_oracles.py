@@ -14,8 +14,8 @@ from lincat.galois import (GroupAction, check_action, gset_analysis, is_galois,
 from lincat.groups import find_isomorphism
 from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
                          identity_functor, validate_category, validate_functor)
-from lincat_reference import (cyclic_reduction, reference_gset_analysis,
-                              shift_subgroup_action)
+from lincat_reference import (cyclic_reduction, deck_functors,
+                              reference_gset_analysis, shift_subgroup_action)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ def equal_names(functors: dict, h) -> list:
 def test_aut1_table_matches_composition(covers):
     for fix in covers:
         grp = aut1(fix.functor)
-        fs = grp.functors
+        fs = deck_functors(grp)
         assert functor_equal(fs["e"], identity_functor(fix.total.category))
         for n1, h1 in fs.items():
             for n2, h2 in fs.items():
@@ -49,11 +49,11 @@ def test_seed_images_agree_with_exhaustive_search(covers):
     to it."""
     for fix in covers:
         grp = aut1(fix.functor)
-        x0 = grp.seed_object
+        fs = deck_functors(grp)
+        x0 = fix.total.category.objects[0]
         by_seed = {omap[x0]: n for n, omap in grp.object_maps.items()}
-        for n, h in grp.functors.items():
-            assert [by_seed[h.object_map[x0]]] == \
-                equal_names(grp.functors, h) == [n]
+        for n, h in fs.items():
+            assert [by_seed[h.object_map[x0]]] == equal_names(fs, h) == [n]
     # same seed image as e, but a0 is doubled: an automorphism, no deck
     # transformation, and equal to no element
     f0 = cover_f0()
@@ -61,7 +61,7 @@ def test_seed_images_agree_with_exhaustive_search(covers):
     doubled = LinFunctor.on_basis(
         c, c, {x: x for x in c.objects},
         {n: {n: 2 if n == "a0" else 1} for n in c.basis_names()})
-    assert equal_names(aut1(f0.functor).functors, doubled) == []
+    assert equal_names(deck_functors(aut1(f0.functor)), doubled) == []
 
 
 def actions(covers):
@@ -70,7 +70,7 @@ def actions(covers):
     yield "shift 4/2", shift_subgroup_action(4, 2)
     for fix in covers:
         grp = aut1(fix.functor)
-        yield fix.name, GroupAction(grp.group, grp.functors,
+        yield fix.name, GroupAction(grp.group, deck_functors(grp),
                                     grp.covering.source)
 
 
@@ -85,13 +85,19 @@ def test_quotient_results_pass_the_removed_sweeps(covers):
         assert is_galois(p).galois, name
         deck = aut1(p)
         assert find_isomorphism(act.group, deck.group) is not None, name
-        # the returned deck group is the acting group, and its functors are
-        # exactly the deck transformations aut1 finds
-        assert qres.deck_group.group is act.group
-        assert qres.deck_group.seed_fibre == deck.seed_fibre, name
-        for s, h in qres.deck_group.functors.items():
+        # the acting group is the deck group: aut1 finds |G| elements, the
+        # orbit of the first object is its fibre, and each F_s is exactly
+        # one deck transformation, by its object map and as a functor
+        assert deck.order() == act.group.order(), name
+        x0 = act.category.objects[0]
+        assert set(deck.seed_fibre) == {
+            h.object_map[x0] for h in act.functors.values()}, name
+        fs = deck_functors(deck)
+        for s, h in act.functors.items():
             assert functor_equal(functor_compose(p, h), p), (name, s)
-            assert len(equal_names(deck.functors, h)) == 1, (name, s)
+            same = [t for t, omap in deck.object_maps.items()
+                    if omap == h.object_map]
+            assert len(same) == 1 and equal_names(fs, h) == same, (name, s)
 
 
 def morphisms(covers):
@@ -116,7 +122,8 @@ def test_lambda_satisfies_its_defining_equation(covers):
             assert h0.object_map[x0] == d0
             assert functor_equal(functor_compose(g, h0), f), (name, d0)
             assert validate_functor(h0) == [], (name, d0)
-            gf, gg = res.source_group.functors, res.target_group.functors
+            gf = deck_functors(res.source_group)
+            gg = deck_functors(res.target_group)
             for n, h in gf.items():
                 rhs = functor_compose(h0, h)
                 matches = [k for k, d in gg.items()
@@ -136,7 +143,7 @@ def test_gset_action_table_matches_composition(covers):
         action = reference_gset_analysis(u, f).action
         gu = aut1(u)
         for i, h in enumerate(rep.homs):
-            for s, deck in gu.functors.items():
+            for s, deck in deck_functors(gu).items():
                 composite = functor_compose(h, deck)
                 matches = [j for j, k in enumerate(rep.homs)
                            if functor_equal(k, composite)]
