@@ -33,6 +33,8 @@ expect 2 galois homs --functor F0.json --to corrupted.json
 expect 0 galois quotient --action swap-action.json --out quotient.json
 expect 0 h1 --cat quotient.json
 expect 0 cover extend --functor cyclic-cover-4.json --to cyclic-cover-2.json
+expect 0 cover extend --functor cyclic-cover-4.json --to cyclic-cover-4.json --object t1 --image t2
+expect 1 cover extend --functor F0.json --to F1.json
 expect 0 cover lambda --functor cyclic-cover-4.json --to cyclic-cover-2.json
 expect 0 cover lambda --functor cyclic-cover-4.json --to cyclic-cover-2.json --image s1
 expect 2 cover lambda --functor cyclic-cover-4.json --to cyclic-cover-2.json --image zz

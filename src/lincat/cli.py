@@ -80,8 +80,8 @@ class InputError(ValueError):
     """Bad input found by a handler; run() reports it with exit 2."""
 
 
-def _functor_witness(f: LinFunctor) -> dict:
-    return {"object_map": dict(sorted(f.object_map.items()))}
+def _object_map_witness(omap: dict[str, str]) -> dict:
+    return {"object_map": dict(sorted(omap.items()))}
 
 
 def _pairs_to_nested(d: dict) -> dict:
@@ -205,11 +205,11 @@ def _cmd_cover_aut1(args, report: Report) -> None:
 def _cmd_cover_extend(args, report: Report) -> None:
     f, g = _load_covering(args.functor), _load_covering(args.to)
     x0, d0 = _seed(f, g, args.object, args.image)
-    h = extend_morphism(f, g, None, x0, d0)
+    h = extend_morphism(f, g, x0, d0)
     report.verdicts["extends"] = h is not None
     report.messages.append(f"seed {x0} -> {d0}")
     if h is not None:
-        report.witnesses["morphism"] = _functor_witness(h)
+        report.witnesses["morphism"] = _object_map_witness(h)
 
 
 def _cmd_cover_lambda(args, report: Report) -> None:
@@ -251,7 +251,7 @@ def _cmd_galois_structure(args, report: Report) -> None:
     res = structure_iso(load_value(args.functor, "functor"))
     # theorem (f) in structure_iso's docstring
     report.verdicts["factors through the quotient"] = True
-    report.witnesses["isomorphism"] = _functor_witness(res.iso)
+    report.witnesses["isomorphism"] = _object_map_witness(res.iso.object_map)
 
 
 def _cmd_galois_homs(args, report: Report) -> None:
@@ -259,7 +259,7 @@ def _cmd_galois_homs(args, report: Report) -> None:
                          _load_covering(args.to))
     report.verdicts["morphisms"] = len(homs)
     report.witnesses["object maps"] = [dict(sorted(omap.items()))
-                                       for omap in homs.object_maps]
+                                       for omap in homs]
 
 
 def _cmd_galois_universal(args, report: Report) -> None:

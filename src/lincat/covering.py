@@ -8,8 +8,8 @@ determined by its value on a single object, so deck transformation groups
 are found by seeding one object over a fibre and propagating through star
 isomorphisms, and are multiplied by where they send that object.  Only
 generators are extended, and only their object maps are kept: the other
-elements are products, found by composing object maps, and the columns
-of any morphism's functor are read on demand from the star table.
+elements are products, found by composing object maps.  A morphism is
+held as its object map; a column of it is read from the star table.
 
 The star block of F at a source object x towards a base object b is the
 map from the hom spaces between x and the fibre over b to the hom space
@@ -30,13 +30,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 from .exactlinalg import FieldSpec, Matrix, inverse
 from .groups import Group
-from .kcat import (LinComb, LinFunctor, Violation, functor_compose,
-                   functor_is_isomorphism, is_connected, validate_functor)
+from .kcat import (LinComb, LinFunctor, Violation, is_connected,
+                   validate_functor)
 
 
 def fibre(f: LinFunctor, b: str) -> list[str]:
@@ -176,40 +175,23 @@ def _covering_report(f: LinFunctor) -> CoveringReport:
 
 
 class _Extension:
-    """What extending morphisms F -> G over J needs that no seed changes,
-    built once per (F, G, J) and shared by every seed: J∘F, with each
-    basis image as a sparse column, whether J∘F and G are functors
-    (see extend_morphism), and the star table of G, from
-    check_covering(g).  J is the identity when it is None or equal to
-    it: then J∘F is F itself and its functoriality is read from
-    check_covering(f); otherwise J∘F is validated here, since it can be
-    a functor when J is not.  G must be a covering: a visited star block
-    that is not bijective raises ValueError.  walk finds a morphism's
-    object map; its columns are read only by column, from the star
-    table, when functor() builds it or a CoveringGroup reads one."""
+    """What extending morphisms F -> G needs that no seed changes, built
+    once per (F, G) and shared by every seed: each basis image F(n) as a
+    sparse column, whether F and G are functors (read from
+    check_covering, see extend_morphism), and the star table of G, from
+    check_covering(g).  G must be a covering: a visited star block that
+    is not bijective raises ValueError.  walk finds a morphism's object
+    map, and column reads one column of it from the star table, for
+    CoveringGroup.apply_name."""
 
-    def __init__(self, f: LinFunctor, g: LinFunctor,
-                 j: Optional[LinFunctor] = None):
-        base = f.target
-        if g.target != base or j is not None and (j.source != base or
-                                                  j.target != base):
+    def __init__(self, f: LinFunctor, g: LinFunctor):
+        if g.target != f.target:
             raise ValueError("functors do not share the base category")
-        if j is not None and any(j.object_map[x] != x
-                                 for x in base.objects):
-            raise ValueError("J must fix objects")
-        if j is None or all(col == {i: 1} for m in j.matrices.values()
-                            for i, col in enumerate(m.columns)):
-            jf = f  # J is the identity
-            jf_functor = not check_covering(f).violations
-        elif functor_is_isomorphism(j):
-            jf = functor_compose(j, f)
-            jf_functor = not validate_functor(jf)
-        else:
-            raise ValueError("J must be an isomorphism")
         self.f, self.g = f, g
         report = check_covering(g)
-        self.functorial = jf_functor and not report.violations
-        self.image = {n: col for pair, m in jf.matrices.items()
+        self.functorial = (not check_covering(f).violations
+                           and not report.violations)
+        self.image = {n: col for pair, m in f.matrices.items()
                       for n, col in zip(f.source.hom[pair], m.columns)}
         self.stars = report.stars
 
@@ -226,9 +208,9 @@ class _Extension:
         return self.stars[key]
 
     def walk(self, x0: str, d0: str) -> Optional[dict[str, str]]:
-        """The object map of the unique H with H(x0) = d0 and
-        G∘H = J∘F, or None: extend_morphism's propagation, which reads
-        every column of H once and keeps none (see column)."""
+        """The object map of the unique H with H(x0) = d0 and G∘H = F,
+        or None: extend_morphism's propagation, which reads every column
+        of H once and keeps none (see column)."""
         f, g = self.f, self.g
         c, d = f.source, g.source
         if x0 not in c.objects or d0 not in d.objects:
@@ -270,33 +252,21 @@ class _Extension:
     def column(self, omap: dict[str, str], n: str) -> dict:
         """The column of H(n) for the morphism H with object map omap:
         for n: x -> y, the inverse of G's outgoing star block at H(x)
-        towards the fibre of F(y), applied to JF(n), read inside the
+        towards the fibre of F(y), applied to F(n), read inside the
         block of H(y).  It is the column walk found for n, from either
         end: G is injective on each star, so H(n) is the only preimage
-        of JF(n) there.  H must exist."""
+        of F(n) there.  H must exist."""
         x, y = self.f.source.pair_of(n)
         inv, owner = self.star(omap[x], self.f.object_map[y], "out")
         cand = inv(self.image[n])
         first = owner[min(cand)][1]
         return {i - first: a for i, a in cand.items()}
 
-    def functor(self, omap: dict[str, str]) -> LinFunctor:
-        """The morphism with object map omap, a map that walk returned,
-        each column read from the star table (see column)."""
-        column = partial(self.column, omap)
-        c, d = self.f.source, self.g.source
-        hom = d.hom
-        mats = {(x, y): Matrix(c.field, len(hom.get((omap[x], omap[y]), ())),
-                               len(names), tuple(map(column, names)))
-                for (x, y), names in c.hom.items()}
-        return LinFunctor(c, d, omap, mats)
 
-
-def extend_morphism(f: LinFunctor, g: LinFunctor,
-                    j: Optional[LinFunctor], x0: str, d0: str
-                    ) -> Optional[LinFunctor]:
-    """The unique H with H(x0) = d0 and G∘H = J∘F, or None; J = None is
-    the identity of the base.
+def extend_morphism(f: LinFunctor, g: LinFunctor, x0: str, d0: str
+                    ) -> Optional[dict[str, str]]:
+    """The object map of the unique morphism (H, 1): F -> G with
+    H(x0) = d0, that is G∘H = F, or None.
 
     G must be a covering; every caller checks this with check_covering,
     whose report (kept on G) also supplies G's star table here.  A star
@@ -306,23 +276,25 @@ def extend_morphism(f: LinFunctor, g: LinFunctor,
     Rigidity: once H(x) is known, a basis morphism n out of or into x
     has H(n) inside G's star block at H(x) towards the fibre of the
     neighbour's image, and G maps that block bijectively, so H(n) is the
-    star inverse applied to JF(n).  It must lie in a single fibre block,
+    star inverse applied to F(n).  It must lie in a single fibre block,
     which names the neighbour's image; a spread or a conflict with an
     earlier assignment means no H exists.  Propagation from x0 thus
-    fixes every object and every matrix column of the only candidate;
-    it keeps the object map (_Extension.walk), and the columns are read
-    again from the star table when H is built (_Extension.functor).
-    When G and J∘F are functors it is a morphism: G∘H = J∘F holds column
-    by column, and G(H(g∘f)) = JF(g)∘JF(f) = G(H(g)∘H(f)), likewise for
-    units, with G injective on each hom space; otherwise no seed extends.
-    F's and G's functoriality are read from check_covering; only J∘F
-    for a J other than the identity is validated, once per (F, G, J):
-    aut1, hom_coverings, check_universal and lambda_map share that work
-    across seeds.
+    fixes every object and every matrix column of the only candidate
+    (_Extension.walk).  When F and G are functors it is a morphism:
+    G∘H = F holds column by column, and G(H(g∘f)) = F(g)∘F(f) =
+    G(H(g)∘H(f)), likewise for units, with G injective on each hom
+    space; otherwise no seed extends.  Both verdicts are read from
+    check_covering.
+
+    The library never needs H as a functor.  By rigidity two morphisms
+    that agree at one object are equal, so morphisms compose, compare
+    and act on each other as their object maps do: deck groups, λ, the
+    G-set of morphisms and universality are all decided on object maps.
+    A column of H, when one is read (CoveringGroup.apply_name), is one
+    star inverse applied to F(n), given H's object map
+    (_Extension.column).
     """
-    ext = _Extension(f, g, j)
-    omap = ext.walk(x0, d0)
-    return None if omap is None else ext.functor(omap)
+    return _Extension(f, g).walk(x0, d0)
 
 
 @dataclass
@@ -332,29 +304,21 @@ class CoveringGroup:
     cosmetic isomorphism-type guess.
 
     Each element is kept as its object map, generators included: aut1
-    builds no functor.  By rigidity, the column of H(n) for n: x -> y is
-    one star inverse applied to F(n) once H(x) and H(y) are known (see
-    _Extension.column), so apply_name reads one column from the star
-    table of the covering, and functor() builds one whole functor,
-    which is then kept."""
+    builds no functor (see extend_morphism).  By rigidity, the column of
+    H(n) for n: x -> y is one star inverse applied to F(n) once H(x)
+    and H(y) are known (see _Extension.column), so apply_name reads one
+    column from the star table of the covering."""
     covering: LinFunctor
     group: Group
     object_maps: dict[str, dict[str, str]]
     seed_fibre: tuple[str, ...]
     extension: _Extension = field(repr=False, compare=False)
-    built: dict[str, LinFunctor] = field(default_factory=dict, init=False,
-                                         repr=False, compare=False)
 
     def order(self) -> int:
         return self.group.order()
 
     def label(self) -> str:
         return self.group.label()
-
-    def functor(self, name: str) -> LinFunctor:
-        if name not in self.built:
-            self.built[name] = self.extension.functor(self.object_maps[name])
-        return self.built[name]
 
     def apply_object(self, name: str, x: str) -> str:
         return self.object_maps[name][x]
@@ -406,9 +370,8 @@ def aut1(f: LinFunctor) -> CoveringGroup:
     transformation with that seed image.  Each new generator at least
     doubles the group, so on a Galois covering at most 1 + log2 |fibre|
     seeds are extended.
-    Elements are named e, g1, g2, … by seed image in fibre order; their
-    functors are read on demand (see CoveringGroup).  No functor is
-    composed or compared.
+    Elements are named e, g1, g2, … by seed image in fibre order.  No
+    functor is built, composed or compared (see CoveringGroup).
     """
     grp = _deck_group(f)
     if grp is None:
@@ -466,7 +429,7 @@ class LambdaResult:
 
 
 def lambda_map(f: LinFunctor, g: LinFunctor, d0: str) -> LambdaResult:
-    """λ for the morphism H: F -> G (over J = 1) seeded at x0 ↦ d0, x0
+    """λ for the morphism (H, 1): F -> G seeded at x0 ↦ d0, x0
     the first object of F's source: for each deck transformation h of F,
     the unique deck transformation λ(h) of G with λ(h)∘H = H∘h.  Refused
     with ValueError, in this order: a seed that does not extend (or

@@ -9,7 +9,6 @@ source, so quotient structure constants can be compared literally.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -238,30 +237,7 @@ def structure_iso(f: LinFunctor) -> StructureIsoResult:
     return StructureIsoResult(qres, iso)
 
 
-class HomSet(Sequence):
-    """The morphisms (H, 1) from a Galois covering U to a Galois
-    covering F, in the fibre order of their seed images: a sequence of
-    functors, each built on demand from the star table of F as
-    CoveringGroup.functor builds a deck transformation, and kept.
-    `object_maps` lists their object maps."""
-
-    def __init__(self, extension: _Extension,
-                 object_maps: list[dict[str, str]]):
-        self.extension = extension
-        self.object_maps = object_maps
-        self.built: dict[int, LinFunctor] = {}
-
-    def __len__(self) -> int:
-        return len(self.object_maps)
-
-    def __getitem__(self, i: int) -> LinFunctor:
-        i = range(len(self.object_maps))[i]  # IndexError ends iteration
-        if i not in self.built:
-            self.built[i] = self.extension.functor(self.object_maps[i])
-        return self.built[i]
-
-
-def hom_coverings(u: LinFunctor, f: LinFunctor) -> HomSet:
+def hom_coverings(u: LinFunctor, f: LinFunctor) -> list[dict[str, str]]:
     """All morphisms (H, 1) from one Galois covering to another over the
     same base, by the image of the first object u0 of U, in fibre order.
 
@@ -271,13 +247,13 @@ def hom_coverings(u: LinFunctor, f: LinFunctor) -> HomSet:
     group (see structure_iso), so each fibre of F is one orbit: either
     the first seed of the fibre extends to some H₀ and the morphisms
     are the k∘H₀, one per seed, or no seed extends.  So one seed is
-    extended, the others' object maps are compositions of object maps,
-    and functors are built only when read (see HomSet)."""
+    extended, and the others' object maps are compositions of object
+    maps.  Each morphism is its object map (see extend_morphism)."""
     return _hom_coverings(u, f)[0]
 
 
 def _hom_coverings(u: LinFunctor, f: LinFunctor
-                   ) -> tuple[HomSet, CoveringGroup]:
+                   ) -> tuple[list[dict[str, str]], CoveringGroup]:
     """hom_coverings(u, f) and the deck group of u; an f equal to u, such
     as a second copy decoded from the same file, shares u's deck group."""
     if u.target != f.target:
@@ -285,19 +261,17 @@ def _hom_coverings(u: LinFunctor, f: LinFunctor
     gu = _galois_group(u)
     gf = gu if f == u else _galois_group(f)
     u0 = u.source.objects[0]
-    ext = _Extension(u, f)
     fib = fibre(f, u.object_map[u0])
-    h0 = ext.walk(u0, fib[0])
+    h0 = _Extension(u, f).walk(u0, fib[0])
     if h0 is None:
-        return HomSet(ext, []), gu
+        return [], gu
     deck = {k[fib[0]]: k for k in gf.object_maps.values()}
-    return HomSet(ext, [{x: deck[c0][y] for x, y in h0.items()}
-                        for c0 in fib]), gu
+    return [{x: deck[c0][y] for x, y in h0.items()} for c0 in fib], gu
 
 
 @dataclass
 class GSetReport:
-    homs: HomSet
+    homs: list[dict[str, str]]  # object maps, as hom_coverings gives them
     isotropy: tuple[str, ...]
 
 
@@ -317,7 +291,7 @@ def gset_analysis(u: LinFunctor, f: LinFunctor) -> GSetReport:
         raise ValueError("no morphisms between the coverings; "
                          "the action is empty")
     u0 = u.source.objects[0]
-    h0 = homs.object_maps[0]
+    h0 = homs[0]
     isotropy = tuple(name for name in gu.group.elements
                      if h0[gu.object_maps[name][u0]] == h0[u0])
     return GSetReport(homs, isotropy)

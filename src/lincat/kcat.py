@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dcfield
 from fractions import Fraction
 from typing import Optional
 
-from .exactlinalg import FieldSpec, Matrix, complement, inverse
+from .exactlinalg import FieldSpec, Matrix, complement
 
 # morphism = finitely supported combination of basis names with field
 # elements as coefficients (see FieldSpec), zero coeffs dropped
@@ -377,30 +377,9 @@ def identity_functor(c: LinCat) -> LinFunctor:
                        for pair in c.pairs})
 
 
-def functor_compose(g: LinFunctor, f: LinFunctor) -> LinFunctor:
-    """g ∘ f."""
-    if f.target != g.source:
-        raise ValueError("functors not composable: middle categories differ")
-    omap = {x: g.object_map[f.object_map[x]] for x in f.source.objects}
-    mats = {(x, y): g.block(f.object_map[x], f.object_map[y]) @ m
-            for (x, y), m in f.matrices.items()}
-    return LinFunctor(f.source, g.target, omap, mats)
-
-
 def functor_equal(f: LinFunctor, g: LinFunctor) -> bool:
     return (f.source == g.source and f.target == g.target
             and f.object_map == g.object_map and f.matrices == g.matrices)
-
-
-def functor_is_isomorphism(f: LinFunctor) -> bool:
-    """Bijective on objects and invertible on every hom space.  An
-    invertible block on each nonzero source pair sends the nonzero pairs
-    injectively to nonzero target pairs, so with as many of them on both
-    sides every zero source pair has a zero image."""
-    images = {f.object_map[x] for x in f.source.objects}
-    return (len(images) == len(f.source.objects) == len(f.target.objects)
-            and len(f.source.pairs) == len(f.target.pairs)
-            and all(inverse(m) is not None for m in f.matrices.values()))
 
 
 def validate_functor(f: LinFunctor) -> list[Violation]:

@@ -2,7 +2,10 @@
 references.
 
 Helpers: `comb_add`, `comb_scale` and `comb_eq` on combinations of basis
-names; `deck_functors`, every functor of a deck group; `make_category`,
+names; `functor_compose` and `functor_is_isomorphism` on whole functors;
+`morphism_functor`, a morphism of coverings built as a functor from its
+object map, and `deck_functors`, every functor of a deck group, built
+the same way; `make_category`,
 a LinCat builder that coerces plain numbers into the field;
 `trivial_grading`; `presentation_to_doc` and `dump_path`,
 the writer side of the presentation format; the fixtures
@@ -44,8 +47,8 @@ from typing import Optional, Sequence, Union
 
 from lincat.cohomology import (Derivation, _derivation_vectors, _derivations,
                                _inner_generators, _layout, _products)
-from lincat.covering import (CoveringGroup, CoveringReport, aut1,
-                             check_covering, extend_morphism, fibre,
+from lincat.covering import (CoveringGroup, CoveringReport, _Extension,
+                             aut1, check_covering, extend_morphism, fibre,
                              galois_obstruction)
 from lincat.exactlinalg import EchelonBasis, FieldSpec, Matrix, inverse
 from lincat.fixtures import CoverFixture, Q, cyclic_cover, kronecker
@@ -54,10 +57,8 @@ from lincat.galois import GroupAction, StructureIsoResult, _galois_group
 from lincat.grading import Grading, grading_on_basis
 from lincat.groups import Group, cyclic_group
 from lincat.kcat import (Arrow, LinCat, LinComb, LinFunctor, PresentResult,
-                         QuiverPresentation, _reduced, compose,
-                         functor_compose, functor_equal, functor_from_arrows,
-                         functor_is_isomorphism, identity_functor, present,
-                         validate_functor)
+                         QuiverPresentation, _reduced, compose, functor_equal,
+                         functor_from_arrows, present, validate_functor)
 
 
 # -- helpers -----------------------------------------------------------------
@@ -78,9 +79,45 @@ def comb_eq(a: LinComb, b: LinComb) -> bool:
         {n: s for n, s in b.items() if s}
 
 
+def functor_compose(g: LinFunctor, f: LinFunctor) -> LinFunctor:
+    """g ∘ f."""
+    if f.target != g.source:
+        raise ValueError("functors not composable: middle categories differ")
+    omap = {x: g.object_map[f.object_map[x]] for x in f.source.objects}
+    mats = {(x, y): g.block(f.object_map[x], f.object_map[y]) @ m
+            for (x, y), m in f.matrices.items()}
+    return LinFunctor(f.source, g.target, omap, mats)
+
+
+def functor_is_isomorphism(f: LinFunctor) -> bool:
+    """Bijective on objects and invertible on every hom space.  An
+    invertible block on each nonzero source pair sends the nonzero pairs
+    injectively to nonzero target pairs, so with as many of them on both
+    sides every zero source pair has a zero image."""
+    images = {f.object_map[x] for x in f.source.objects}
+    return (len(images) == len(f.source.objects) == len(f.target.objects)
+            and len(f.source.pairs) == len(f.target.pairs)
+            and all(inverse(m) is not None for m in f.matrices.values()))
+
+
+def morphism_functor(f: LinFunctor, g: LinFunctor,
+                     omap: dict[str, str]) -> LinFunctor:
+    """The morphism (H, 1): F -> G with object map omap, a map that
+    extend_morphism returned, as a functor: each column read from G's
+    star table by _Extension.column."""
+    ext = _Extension(f, g)
+    c, d = f.source, g.source
+    mats = {(x, y): Matrix(c.field, d.dim(omap[x], omap[y]), len(names),
+                           tuple(ext.column(omap, n) for n in names))
+            for (x, y), names in c.hom.items()}
+    return LinFunctor(c, d, omap, mats)
+
+
 def deck_functors(grp: CoveringGroup) -> dict[str, LinFunctor]:
     """Every element's functor, in element order."""
-    return {n: grp.functor(n) for n in grp.group.elements}
+    f = grp.covering
+    return {n: morphism_functor(f, f, grp.object_maps[n])
+            for n in grp.group.elements}
 
 
 def make_category(field: FieldSpec, objects: Sequence[str],
@@ -396,9 +433,9 @@ def reference_hom_coverings(u: LinFunctor, f: LinFunctor
     u0 = u.source.objects[0]
     out = []
     for c0 in fibre(f, u.object_map[u0]):
-        h = extend_morphism(u, f, identity_functor(u.target), u0, c0)
-        if h is not None:
-            out.append(h)
+        omap = extend_morphism(u, f, u0, c0)
+        if omap is not None:
+            out.append(morphism_functor(u, f, omap))
     return out, gu
 
 
@@ -503,11 +540,13 @@ def reference_validate_morphism(m: CoveringMorphism, f: LinFunctor,
 def reference_name_of(grp: CoveringGroup, h: LinFunctor) -> Optional[str]:
     """The element of grp equal to h, or None: only the element sharing
     h's seed image can be equal to it, and its functor is compared."""
-    x0 = grp.covering.source.objects[0]
+    f = grp.covering
+    x0 = f.source.objects[0]
     seed = h.object_map.get(x0)
     for n, omap in grp.object_maps.items():
         if omap[x0] == seed:
-            return n if functor_equal(grp.functor(n), h) else None
+            same = functor_equal(morphism_functor(f, f, omap), h)
+            return n if same else None
     return None
 
 
@@ -551,8 +590,8 @@ def reference_lambda_map(m: CoveringMorphism, f: LinFunctor,
 
     h_group = aut1(m.h)
     kernel_ok = (len(kernel) == h_group.order() and
-                 all(reference_name_of(h_group, gf.functor(n)) is not None
-                     for n in kernel))
+                 all(reference_name_of(h_group, morphism_functor(
+                     f, f, gf.object_maps[n])) is not None for n in kernel))
     h_galois = galois_obstruction(h_group) is None
     return ReferenceLambdaResult(gf, gg, mapping, surjective, kernel,
                                  h_group, kernel_ok, h_galois)

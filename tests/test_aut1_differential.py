@@ -1,15 +1,16 @@
 """Differential test of aut1 against the all-seed version it replaced,
 kept here as the reference together with the _Extension it used (which
-composed J with F and compared G with J∘F even when J is the
-identity, and decided functoriality itself).  The library extends only the seeds that the elements found
-so far do not reach, closes their object maps under composition and
-reads deck functors on demand from the star table; the reference
-extends every seed of the fibre and keeps every functor.  Both must
-give the same element names, table, seed fibre, object maps and
-functors, and refuse the same inputs: a disconnected source with the
-same ValueError text, a non-covering with the message of its
-check_covering report, which decides functoriality as well.
-structure_iso, induced_grading, lambda_map and gset_analysis must
+composed J with F and compared G with J∘F even when J is the identity,
+and decided functoriality itself).  The library extends only the seeds
+that the elements found so far do not reach, closes their object maps
+under composition and reads a column of a deck transformation from the
+star table when one is asked for; the reference extends every seed of
+the fibre and keeps every functor.  Both must give the same element
+names, table, seed fibre, object maps and functors (the library's built
+from its object maps by deck_functors), and refuse the same inputs: a
+disconnected source with the same ValueError text, a non-covering with
+the message of its check_covering report, which decides functoriality
+as well.  structure_iso, induced_grading, lambda_map and gset_analysis must
 return the same results on groups built by either, and so must
 reference_lambda_map and reference_gset_analysis, which decide the
 verdicts those two no longer make.  The reference returns its own
@@ -41,11 +42,11 @@ from lincat.galois import gset_analysis, is_galois, structure_iso
 from lincat.grading import grading_on_basis, induced_grading, smash
 from lincat.groups import Group
 from lincat.kcat import (Arrow, LinComb, LinFunctor, QuiverPresentation,
-                         functor_compose, functor_equal, functor_from_arrows,
-                         functor_is_isomorphism, identity_functor,
+                         functor_equal, functor_from_arrows, identity_functor,
                          is_connected, present, validate_functor)
 from lincat_reference import (CoveringMorphism, cyclic_reduction,
                               deck_functors, disconnected_double_kronecker,
+                              functor_compose, functor_is_isomorphism,
                               reference_gset_analysis, reference_lambda_map,
                               reference_structure_problems)
 
@@ -145,9 +146,6 @@ class ReferenceDeckGroup:
 
     def order(self) -> int:
         return self.group.order()
-
-    def functor(self, name: str) -> LinFunctor:
-        return self.functors[name]
 
     def apply_object(self, name: str, x: str) -> str:
         return self.object_maps[name][x]
@@ -289,10 +287,11 @@ def assert_same_group(got: CoveringGroup, want: ReferenceDeckGroup) -> None:
     assert got.group.table == want.group.table
     assert got.seed_fibre == want.seed_fibre
     assert got.object_maps == want.object_maps
+    built = deck_functors(got)
     for name, h in want.functors.items():
         for n in h.source.basis_names():
             assert got.apply_name(name, n) == h.apply_name(n), (name, n)
-        assert functor_equal(got.functor(name), h), name
+        assert functor_equal(built[name], h), name
 
 
 # -- aut1 ----------------------------------------------------------------------
@@ -440,8 +439,7 @@ def test_gset_analysis_agrees_on_reference_groups(monkeypatch):
         if isinstance(want, str):
             assert got == want
             continue
-        assert len(got.homs) == len(want.homs)
-        assert all(functor_equal(a, b) for a, b in zip(got.homs, want.homs))
+        assert got.homs == want.homs
         ref = reference_gset_analysis(u, f)
         want_ref = with_reference(monkeypatch, reference_gset_analysis, u, f)
         assert ref.action == want_ref.action
@@ -485,11 +483,18 @@ def test_only_generators_are_extended(monkeypatch, n):
 
 
 def test_structure_iso_builds_no_deck_functor(monkeypatch):
-    def refuse(self, name):
-        raise AssertionError(f"the functor of {name} was built")
+    """The only functors structure_iso builds are the projection and
+    the factorization: the deck group's images are read column by
+    column."""
+    built = []
 
-    monkeypatch.setattr(CoveringGroup, "functor", refuse)
+    def counted(self, _real=LinFunctor.__post_init__):
+        built.append(self)
+        return _real(self)
     f = cyclic_cover(16).functor
-    res = structure_iso(f)
+    with monkeypatch.context() as m:
+        m.setattr(LinFunctor, "__post_init__", counted)
+        res = structure_iso(f)
+    assert built == [res.quotient_result.projection, res.iso]
     assert aut1(res.quotient_result.projection).order() == 16
     assert reference_structure_problems(f, res) == []

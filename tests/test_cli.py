@@ -191,18 +191,11 @@ def test_each_functor_is_validated_once(workdir, monkeypatch, argv,
     assert len(calls) == len({id(f) for f in calls}) == functors
 
 
-def test_cover_lambda_reports_and_builds_only_its_inputs(workdir,
-                                                        monkeypatch):
-    """cover lambda makes a covering report for each of its two inputs
-    and for nothing else, and builds no functor once they are decoded:
-    the morphism H between them is only walked."""
-    import lincat.covering as covering
+def record_builds(monkeypatch) -> list:
+    """From here on, ("decoded", value) for each input file the CLI
+    decodes and ("functor", f) for each LinFunctor built, in order."""
     from lincat.kcat import LinFunctor
     events = []
-
-    def reported(f, _real=covering._covering_report):
-        events.append(("report", f))
-        return _real(f)
 
     def built(self, _real=LinFunctor.__post_init__):
         events.append(("functor", self))
@@ -212,14 +205,34 @@ def test_cover_lambda_reports_and_builds_only_its_inputs(workdir,
         value = _real(path, kind)
         events.append(("decoded", value))
         return value
-    monkeypatch.setattr(covering, "_covering_report", reported)
     monkeypatch.setattr(LinFunctor, "__post_init__", built)
     monkeypatch.setattr(cli, "load_value", decoded)
+    return events
+
+
+def built_after_decoding(events: list) -> list:
+    """The functors of record_builds' events built after the last input
+    was decoded."""
+    last = max(i for i, (kind, _) in enumerate(events) if kind == "decoded")
+    return [v for kind, v in events[last:] if kind == "functor"]
+
+
+def test_cover_lambda_reports_and_builds_only_its_inputs(workdir,
+                                                        monkeypatch):
+    """cover lambda makes a covering report for each of its two inputs
+    and for nothing else, and builds no functor once they are decoded:
+    the morphism H between them is only walked."""
+    import lincat.covering as covering
+    events = record_builds(monkeypatch)
+
+    def reported(f, _real=covering._covering_report):
+        events.append(("report", f))
+        return _real(f)
+    monkeypatch.setattr(covering, "_covering_report", reported)
     code, _, _ = run(workdir, "cover", "lambda", "--functor",
                      "cyclic-cover-4.json", "--to", "cyclic-cover-2.json")
     assert code == 0
-    last = max(i for i, (kind, _) in enumerate(events) if kind == "decoded")
-    assert [e for e in events[last:] if e[0] == "functor"] == []
+    assert built_after_decoding(events) == []
     inputs = [v for kind, v in events if kind == "decoded"]
     assert [v for kind, v in events if kind == "report"] == inputs
     assert inputs == [formats.load_value(str(workdir / name), "functor")
@@ -230,29 +243,30 @@ def test_cover_lambda_reports_and_builds_only_its_inputs(workdir,
 def test_galois_structure_checks_no_functor_but_its_input(workdir,
                                                           monkeypatch):
     """galois structure validates only its input, in its covering check,
-    and neither composes functors nor decides an isomorphism: the
-    factorization is what the structure theorem says it is."""
+    and builds only the projection and the factorization, composing no
+    functor: the factorization is what the structure theorem says it
+    is."""
     import sys
     from lincat import kcat
-    calls = {name: [] for name in ("validate_functor", "functor_compose",
-                                   "functor_is_isomorphism")}
-    for name in calls:
-        real = getattr(kcat, name)
+    real, calls = kcat.validate_functor, []
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name].append(args)
-            return _real(*args)
-        for mod_name, module in list(sys.modules.items()):
-            if mod_name.startswith("lincat") and \
-                    getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counted)
+    def counted(f):
+        calls.append(f)
+        return real(f)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lincat") and \
+                getattr(module, "validate_functor", None) is real:
+            monkeypatch.setattr(module, "validate_functor", counted)
+    events = record_builds(monkeypatch)
     code, out, _ = run_json(workdir, "galois", "structure", "--functor",
                             "cyclic-cover-4.json")
     assert code == 0
     assert out["verdicts"]["factors through the quotient"] is True
+    projection, iso = built_after_decoding(events)
     f = formats.load_value(str(workdir / "cyclic-cover-4.json"), "functor")
-    assert calls == {"validate_functor": [(f,)], "functor_compose": [],
-                     "functor_is_isomorphism": []}
+    assert calls == [f]
+    assert projection.source == f.source and iso.target == f.target
+    assert projection.target == iso.source != f.source
 
 
 # -- the covering layer pays for the columns it reads ------------------------
@@ -275,9 +289,13 @@ def test_cover_check_inverts_no_monomial_star_block(tmp_path, monkeypatch):
 
 
 def test_aut1_builds_no_functor_until_one_is_read(monkeypatch):
+    """A deck group is its object maps: neither aut1 nor a column read
+    through apply_name builds a functor; a test that wants one builds
+    it from the object map."""
     from lincat.covering import aut1, check_covering
     from lincat.fixtures import cyclic_cover
     from lincat.kcat import LinFunctor
+    from lincat_reference import morphism_functor
     f = cyclic_cover(8).functor
     check_covering(f)
     built = []
@@ -288,16 +306,17 @@ def test_aut1_builds_no_functor_until_one_is_read(monkeypatch):
     monkeypatch.setattr(LinFunctor, "__post_init__", counted)
     grp = aut1(f)
     assert grp.order() == 8 and built == []
-    h = grp.functor("g3")
-    assert built == [h]
-    assert grp.functor("g3") is h and built == [h]
+    assert grp.apply_name("g3", "a0") == {"a3": 1} and built == []
+    h = morphism_functor(f, f, grp.object_maps["g3"])
+    assert built == [h] and h.apply_name("a0") == {"a3": 1}
 
 
 @pytest.mark.parametrize("n,m", [(8, 4), (8, 8)])
 def test_galois_homs_extends_one_seed(tmp_path, monkeypatch, n, m):
     """Every walk but the deck groups' runs from U to F (two functors,
     each decoded from its file): only one seed is extended, and no
-    morphism's functor is built, as only object maps are printed."""
+    functor is built once the inputs are decoded, as only object maps
+    are printed."""
     import lincat.covering as covering
     walks = []
 
@@ -305,11 +324,8 @@ def test_galois_homs_extends_one_seed(tmp_path, monkeypatch, n, m):
         if self.f is not self.g:
             walks.append((x0, d0))
         return _real(self, x0, d0)
-
-    def refuse(self, omap):
-        raise AssertionError("a functor was built")
     monkeypatch.setattr(covering._Extension, "walk", counted)
-    monkeypatch.setattr(covering._Extension, "functor", refuse)
+    events = record_builds(monkeypatch)
     for k in {n, m}:
         registry.write_fixture(f"cyclic-cover-{k}", tmp_path)
     code, out, _ = run_json(tmp_path, "galois", "homs", "--functor",
@@ -317,6 +333,7 @@ def test_galois_homs_extends_one_seed(tmp_path, monkeypatch, n, m):
                             f"cyclic-cover-{m}.json")
     assert code == 0 and out["verdicts"]["morphisms"] == m
     assert walks == [("s0", "s0")]
+    assert built_after_decoding(events) == []
 
 
 @pytest.mark.parametrize("command", ["homs", "gset"])
@@ -340,24 +357,37 @@ def test_equal_files_share_one_deck_group(workdir, monkeypatch, command):
 
 def test_galois_universal_builds_no_functor(workdir, monkeypatch):
     """Universality needs only whether each seed pair extends: every
-    pair is walked, and no functor is built."""
-    import lincat.covering as covering
-
-    def refuse(self, omap):
-        raise AssertionError("a functor was built")
-    monkeypatch.setattr(covering._Extension, "functor", refuse)
+    pair is walked, and no functor is built once the inputs are
+    decoded."""
+    events = record_builds(monkeypatch)
     code, out, _ = run_json(workdir, "galois", "universal", "--functor",
                             "cyclic-cover-4.json", "--family",
                             "cyclic-cover-2.json")
     assert code == 0
     assert out["verdicts"] == {"universal for the family": True,
                                "seed pairs checked": 16}
+    assert built_after_decoding(events) == []
+
+
+@pytest.mark.parametrize("to,seed", [
+    ("cyclic-cover-2.json", ()),
+    ("cyclic-cover-4.json", ("--object", "t1", "--image", "t2")),
+], ids=["default", "object-image"])
+def test_cover_extend_builds_no_functor(workdir, monkeypatch, to, seed):
+    """cover extend prints H's object map, which the walk finds: no
+    functor is built once the two inputs are decoded."""
+    events = record_builds(monkeypatch)
+    code, out, _ = run_json(workdir, "cover", "extend", "--functor",
+                            "cyclic-cover-4.json", "--to", to, *seed)
+    assert code == 0 and out["verdicts"]["extends"] is True
+    assert len(out["witnesses"]["morphism"]["object_map"]) == 8
+    assert built_after_decoding(events) == []
 
 
 def test_cover_lambda_composes_and_compares_no_functor(workdir,
                                                        monkeypatch):
     """λ is read from seed images: no module of the library composes or
-    compares functors on the way, and only H's functor is built."""
+    compares functors on the way."""
     import sys
 
     def refuse(*args):

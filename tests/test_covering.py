@@ -10,11 +10,11 @@ from lincat.fixtures import (Q, corrupted_collapse, cover_f0, cover_f1,
                              cover_f2, cyclic_cover, discrete, identity_cover,
                              kronecker, swap_functor)
 from lincat.kcat import (LinFunctor, QuiverPresentation, functor_equal,
-                         functor_is_isomorphism, identity_functor,
-                         is_connected, present)
+                         identity_functor, is_connected, present)
 from lincat_reference import (CoveringMorphism, cyclic_reduction,
                               deck_functors, disconnected_double_kronecker,
-                              reference_lambda_map,
+                              functor_compose, functor_is_isomorphism,
+                              morphism_functor, reference_lambda_map,
                               reference_validate_morphism)
 
 
@@ -80,32 +80,30 @@ def test_fibres():
 
 def test_extend_finds_the_swap_for_the_symmetric_cover():
     fix = cover_f0()
-    j = identity_functor(fix.base.category)
-    h = extend_morphism(fix.functor, fix.functor, j, "s0", "s1")
+    h = extend_morphism(fix.functor, fix.functor, "s0", "s1")
     assert h is not None
-    assert functor_equal(h, swap_functor(fix.total))
+    assert functor_equal(morphism_functor(fix.functor, fix.functor, h),
+                         swap_functor(fix.total))
 
 
 def test_extend_fails_for_the_asymmetric_cover():
     fix = cover_f2()
-    j = identity_functor(fix.base.category)
-    assert extend_morphism(fix.functor, fix.functor, j, "s0", "s1") is None
+    assert extend_morphism(fix.functor, fix.functor, "s0", "s1") is None
 
 
 def test_extend_identity_seed_gives_identity():
     for fix in (cover_f0(), cover_f2(), cyclic_cover(3)):
-        j = identity_functor(fix.base.category)
-        h = extend_morphism(fix.functor, fix.functor, j, fix.total.category.objects[0],
-                            fix.total.category.objects[0])
+        x0 = fix.total.category.objects[0]
+        h = extend_morphism(fix.functor, fix.functor, x0, x0)
         assert h is not None
-        assert functor_equal(h, identity_functor(fix.total.category))
+        assert functor_equal(morphism_functor(fix.functor, fix.functor, h),
+                             identity_functor(fix.total.category))
 
 
 def test_extend_rejects_bad_seed():
     fix = cover_f0()
-    j = identity_functor(fix.base.category)
     with pytest.raises(ValueError):
-        extend_morphism(fix.functor, fix.functor, j, "s0", "t1")
+        extend_morphism(fix.functor, fix.functor, "s0", "t1")
 
 
 def test_extend_requires_connected_source():
@@ -118,19 +116,21 @@ def test_extend_requires_connected_source():
          "1_s": {"1_s": 1}, "1_t": {"1_t": 1},
          "1_s'": {"1_s": 1}, "1_t'": {"1_t": 1}})
     with pytest.raises(ValueError):
-        extend_morphism(f, f, identity_functor(k.category), "s", "s")
+        extend_morphism(f, f, "s", "s")
 
 
 def test_extend_is_deterministic(covering_matrix):
     for fix in covering_matrix:
-        j = identity_functor(fix.base.category)
+        f = fix.functor
         x0 = fix.total.category.objects[0]
-        for d0 in fibre(fix.functor, fix.functor.object_map[x0]):
-            h1 = extend_morphism(fix.functor, fix.functor, j, x0, d0)
-            h2 = extend_morphism(fix.functor, fix.functor, j, x0, d0)
+        for d0 in fibre(f, f.object_map[x0]):
+            h1 = extend_morphism(f, f, x0, d0)
+            h2 = extend_morphism(f, f, x0, d0)
             assert (h1 is None) == (h2 is None)
             if h1 is not None:
-                assert functor_equal(h1, h2)
+                assert h1 == h2
+                assert functor_equal(morphism_functor(f, f, h1),
+                                     morphism_functor(f, f, h2))
 
 
 # -- deck groups --------------------------------------------------------------
@@ -165,11 +165,10 @@ def test_aut1_cyclic_covers(galois_matrix):
 def test_aut1_checks_functoriality_once_whatever_the_fibre(monkeypatch):
     import lincat.covering as covering
     calls = {}
-    for name in ("validate_functor", "functor_compose"):
-        def counted(*args, _name=name, _real=getattr(covering, name)):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _real(*args)
-        monkeypatch.setattr(covering, name, counted)
+    def counted(*args, _real=covering.validate_functor):
+        calls["validate_functor"] = calls.get("validate_functor", 0) + 1
+        return _real(*args)
+    monkeypatch.setattr(covering, "validate_functor", counted)
     counts = []
     for n in (2, 4, 8):
         calls.clear()
@@ -226,8 +225,8 @@ def test_swap_is_a_self_morphism_of_the_symmetric_cover():
     m = CoveringMorphism(swap_functor(fix.total),
                          identity_functor(fix.base.category))
     assert not reference_validate_morphism(m, fix.functor, fix.functor)
-    h = extend_morphism(fix.functor, fix.functor, None, "s0", "s1")
-    assert functor_equal(h, m.h)
+    h = extend_morphism(fix.functor, fix.functor, "s0", "s1")
+    assert functor_equal(morphism_functor(fix.functor, fix.functor, h), m.h)
 
 
 def test_base_change_morphism_between_the_two_galois_covers():
@@ -239,13 +238,18 @@ def test_base_change_morphism_between_the_two_galois_covers():
     assert functor_is_isomorphism(j)
     m = CoveringMorphism(identity_functor(f0.total.category), j)
     assert not reference_validate_morphism(m, f0.functor, f1.functor)
-    assert functor_equal(
-        extend_morphism(f0.functor, f1.functor, j, "s0", "s0"), m.h)
+    # a morphism over J is a morphism over the identity from J∘F0
+    jf = functor_compose(j, f0.functor)
+    h = morphism_functor(jf, f1.functor,
+                         extend_morphism(jf, f1.functor, "s0", "s0"))
+    assert functor_equal(h, m.h)
+    assert not reference_validate_morphism(CoveringMorphism(h, j),
+                                           f0.functor, f1.functor)
     # without the base change the two coverings differ
     m_bad = CoveringMorphism(identity_functor(f0.total.category),
                              identity_functor(k))
     assert reference_validate_morphism(m_bad, f0.functor, f1.functor)
-    assert extend_morphism(f0.functor, f1.functor, None, "s0", "s0") is None
+    assert extend_morphism(f0.functor, f1.functor, "s0", "s0") is None
 
 
 # -- the induced map between deck groups --------------------------------------
@@ -253,8 +257,9 @@ def test_base_change_morphism_between_the_two_galois_covers():
 def reference_lambda(f, g, d0):
     """reference_lambda_map on the morphism (H, 1) with H(x0) = d0, x0
     the first object of F's source, which lambda_map(f, g, d0) walks."""
-    h = extend_morphism(f, g, None, f.source.objects[0], d0)
-    m = CoveringMorphism(h, identity_functor(f.target))
+    h = extend_morphism(f, g, f.source.objects[0], d0)
+    m = CoveringMorphism(morphism_functor(f, g, h),
+                         identity_functor(f.target))
     return reference_lambda_map(m, f, g)
 
 

@@ -11,10 +11,11 @@ from lincat.galois import (GroupAction, check_action, check_universal,
                            gset_analysis, hom_coverings, is_galois, quotient,
                            structure_iso)
 from lincat.groups import cyclic_group, find_isomorphism
-from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
-                         functor_is_isomorphism, identity_functor,
+from lincat.kcat import (LinFunctor, functor_equal, identity_functor,
                          validate_functor)
-from lincat_reference import (deck_functors, reference_gset_analysis,
+from lincat_reference import (deck_functors, functor_compose,
+                              functor_is_isomorphism, morphism_functor,
+                              reference_gset_analysis,
                               reference_structure_problems,
                               shift_subgroup_action)
 
@@ -175,11 +176,12 @@ def test_hom_coverings_down_the_tower():
 
 
 def test_hom_coverings_self_is_the_deck_group():
-    f0 = cover_f0()
-    homs = hom_coverings(f0.functor, f0.functor)
+    f = cover_f0().functor
+    homs = hom_coverings(f, f)
     assert len(homs) == 2
-    deck = deck_functors(aut1(f0.functor))
-    for h in homs:
+    deck = deck_functors(aut1(f))
+    for omap in homs:
+        h = morphism_functor(f, f, omap)
         assert sum(functor_equal(h, k) for k in deck.values()) == 1
 
 

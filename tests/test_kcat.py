@@ -16,13 +16,12 @@ from lincat.fixtures import (Q, cover_f0, cover_f2, cyclic_cover,
                              kronecker_double, loop_square_zero, square_base,
                              square_cover, swap_functor)
 from lincat.kcat import (Arrow, LinCat, LinFunctor, QuiverPresentation,
-                         TruncationError, compose, functor_compose,
-                         functor_equal, functor_from_arrows,
-                         functor_is_isomorphism, identity_functor,
-                         is_connected, present, validate_category,
-                         validate_functor)
+                         TruncationError, compose, functor_equal,
+                         functor_from_arrows, identity_functor, is_connected,
+                         present, validate_category, validate_functor)
 from linalg_reference import from_rows
 from lincat_reference import (comb_eq, disconnected_double_kronecker,
+                              functor_compose, functor_is_isomorphism,
                               make_category)
 
 

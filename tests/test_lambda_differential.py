@@ -1,13 +1,13 @@
 """Differential test of lambda_map against the version it replaced, kept
 in tests/lincat_reference.py as reference_lambda_map: the library walks
 the seed once, builds no functor and decides nothing about H; the
-reference takes the whole morphism (H, 1) built by extend_morphism,
-re-validates G∘H = J∘F by composing functors, decides whether λ is
-onto and H Galois, and compares each kernel element's functor with an
-element of aut1(H).  Both must agree on every seed d0 of G's source:
-the same mapping, kernel and deck groups, or the same refusal; and the
-reference must find λ onto, its kernel the deck group of H and H
-Galois on every morphism."""
+reference takes the whole morphism (H, 1), built from the object map
+that extend_morphism returns, re-validates G∘H = J∘F by composing
+functors, decides whether λ is onto and H Galois, and compares each
+kernel element's functor with an element of aut1(H).  Both must agree on
+every seed d0 of G's source: the same mapping, kernel and deck groups,
+or the same refusal; and the reference must find λ onto, its kernel the
+deck group of H and H Galois on every morphism."""
 import pytest
 
 from lincat.covering import CoveringGroup, extend_morphism, lambda_map
@@ -16,7 +16,7 @@ from lincat.fixtures import (Q, cover_f0, cover_f1, cover_f2, cyclic_cover,
                              identity_cover, square_cover)
 from lincat.kcat import LinFunctor, identity_functor
 from lincat_reference import (CoveringMorphism, cyclic_reduction,
-                              reference_lambda_map)
+                              morphism_functor, reference_lambda_map)
 
 F3 = FieldSpec(3)
 
@@ -25,11 +25,12 @@ def reference(f: LinFunctor, g: LinFunctor, d0: str):
     """The result for the seed x0 ↦ d0 as the command line once made it:
     extend, refuse a seed that does not extend, then λ of the morphism."""
     x0 = f.source.objects[0]
-    h = extend_morphism(f, g, identity_functor(f.target), x0, d0)
+    h = extend_morphism(f, g, x0, d0)
     if h is None:
         raise ValueError("no morphism between the coverings from "
                          f"seed {x0} -> {d0}")
-    m = CoveringMorphism(h, identity_functor(f.target))
+    m = CoveringMorphism(morphism_functor(f, g, h),
+                         identity_functor(f.target))
     return reference_lambda_map(m, f, g)
 
 

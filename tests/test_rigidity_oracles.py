@@ -12,9 +12,10 @@ from lincat.fixtures import cover_f0, cyclic_cover, swap_action
 from lincat.galois import (GroupAction, check_action, gset_analysis, is_galois,
                            quotient)
 from lincat.groups import find_isomorphism
-from lincat.kcat import (LinFunctor, functor_compose, functor_equal,
-                         identity_functor, validate_category, validate_functor)
+from lincat.kcat import (LinFunctor, functor_equal, identity_functor,
+                         validate_category, validate_functor)
 from lincat_reference import (cyclic_reduction, deck_functors,
+                              functor_compose, morphism_functor,
                               reference_gset_analysis, shift_subgroup_action)
 
 
@@ -118,8 +119,9 @@ def test_lambda_satisfies_its_defining_equation(covers):
         x0 = f.source.objects[0]
         for d0 in fibre(g, f.object_map[x0]):
             res = lambda_map(f, g, d0)
-            h0 = extend_morphism(f, g, None, x0, d0)
-            assert h0.object_map[x0] == d0
+            omap = extend_morphism(f, g, x0, d0)
+            assert omap[x0] == d0
+            h0 = morphism_functor(f, g, omap)
             assert functor_equal(functor_compose(g, h0), f), (name, d0)
             assert validate_functor(h0) == [], (name, d0)
             gf = deck_functors(res.source_group)
@@ -142,10 +144,11 @@ def test_gset_action_table_matches_composition(covers):
         rep = gset_analysis(u, f)
         action = reference_gset_analysis(u, f).action
         gu = aut1(u)
-        for i, h in enumerate(rep.homs):
+        homs = [morphism_functor(u, f, omap) for omap in rep.homs]
+        for i, h in enumerate(homs):
             for s, deck in deck_functors(gu).items():
                 composite = functor_compose(h, deck)
-                matches = [j for j, k in enumerate(rep.homs)
+                matches = [j for j, k in enumerate(homs)
                            if functor_equal(k, composite)]
                 assert matches == [action[(i, s)]], (name, i, s)
         assert rep.isotropy == tuple(s for s in gu.group.elements
