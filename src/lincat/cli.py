@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dcfield
 from typing import Callable, Optional, TextIO, Union
 
 from . import registry
-from .cohomology import delta, delta_injectivity_check, h1, is_inner
+from .cohomology import delta, delta_injectivity_check, delta_is_inner, h1
 from .covering import aut1, check_covering, extend_morphism, fibre, \
     lambda_map
 from .exactlinalg import FieldSpec
@@ -356,7 +356,7 @@ def _cmd_delta(args, report: Report) -> None:
     z = load_value(args.grading, "grading")
     chi = load_value(args.character, "character")
     d = delta(z.category, z, chi)
-    inner = is_inner(d)
+    inner = delta_is_inner(z.category, z, chi)
     report.verdicts["derivation"] = True
     report.verdicts["inner"] = "yes" if inner else "no"
     report.witnesses["matrices"] = _pairs_to_nested(

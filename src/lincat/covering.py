@@ -381,7 +381,15 @@ def aut1(f: LinFunctor) -> CoveringGroup:
 
 def _deck_group(f: LinFunctor) -> Optional[CoveringGroup]:
     """aut1(f), or None when the source of the covering f is not
-    connected."""
+    connected.
+
+    Its table is a group by construction, so no axiom is checked: the
+    entry of (d1, d2) names the object map maps[d1]∘maps[d2], by its
+    seed image maps[d1][d2], and maps holds every product of the
+    generators.  So the table is the composition table of a finite set
+    of bijections of the objects closed under composition, which holds
+    the identity map (e) and the inverse of each map, a power of it;
+    rigidity makes the seed image name each map once."""
     report = check_covering(f)
     if not report.ok:
         raise ValueError(f"not a covering: {report.message()}")
@@ -405,7 +413,7 @@ def _deck_group(f: LinFunctor) -> Optional[CoveringGroup]:
             for k, d0 in enumerate(d0 for d0 in fib if d0 in maps)}
     table = {(name[d1], name[d2]): name[maps[d1][d2]]
              for d1 in name for d2 in name}
-    group = Group(tuple(name.values()), "e", table)
+    group = Group.by_construction(tuple(name.values()), "e", table)
     return CoveringGroup(f, group, {name[d0]: maps[d0] for d0 in name}, fib,
                          ext)
 

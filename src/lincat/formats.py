@@ -473,36 +473,41 @@ def canonical_dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def load_doc(path: Union[str, Path]) -> dict:
-    p = Path(path)
+def _read_text(p: Path) -> str:
     try:
-        text = p.read_text(encoding="utf-8")
+        return p.read_text(encoding="utf-8")
     except OSError as e:
         raise FormatError(f"{p}: {e}") from e
+
+
+def _json_doc(p: Path, text: str) -> dict:
+    """The JSON document text, read from p."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(
             f"{p}: line {e.lineno} column {e.colno}: {e.msg}") from e
-    return doc
+
+
+def load_doc(path: Union[str, Path]) -> dict:
+    p = Path(path)
+    return _json_doc(p, _read_text(p))
 
 
 def load_value(path: Union[str, Path], kind: str):
     """Load and decode a document of the given kind.  Presentation files
     may use the text DSL instead of JSON; they are detected by a leading
-    non-brace character."""
+    non-brace character, and read once either way."""
     p = Path(path)
-    if kind == "presentation":
+    if kind != "presentation":
+        doc = load_doc(p)
+    elif (text := _read_text(p)).lstrip().startswith("{"):
+        doc = _json_doc(p, text)
+    else:
         try:
-            text = p.read_text(encoding="utf-8")
-        except OSError as e:
+            return presentation_from_text(text)
+        except FormatError as e:
             raise FormatError(f"{p}: {e}") from e
-        if not text.lstrip().startswith("{"):
-            try:
-                return presentation_from_text(text)
-            except FormatError as e:
-                raise FormatError(f"{p}: {e}") from e
-    doc = load_doc(p)
     try:
         return _FROM_DOC[kind](doc)
     except FormatError as e:

@@ -47,7 +47,9 @@ class Grading:
     The products cost what the nonzero structure constants cost: each
     constant gn∘fn is added, scaled, into the composites of the columns
     that hold gn and fn, so column pairs that compose to zero are never
-    visited.  The first product problem is the one of smallest
+    visited.  When every block is monomial, as an identity block is,
+    each constant is one product, read off in one pass with no inverse
+    applied.  The first product problem is the one of smallest
     (x, y, w, jf, jg), as if every column pair were composed in order."""
     group: Group
     category: LinCat
@@ -85,61 +87,108 @@ class Grading:
             invs[pair] = inverse(m)
             if invs[pair] is None:
                 raise ValueError(f"hom{pair}: change of basis is singular")
-
-        def support_degrees(coords, pair) -> set:
-            return {degrees[pair][j] for j in coords}
-
         ids = {x: invs[(x, x)](c.coords(c.identities[x], x, x))
                for x in c.objects}
         for x, coords in ids.items():
-            if degs := support_degrees(coords, (x, x)) - {grp.identity}:
+            degs = {degrees[(x, x)][j] for j in coords} - {grp.identity}
+            if degs:
                 raise ValueError(f"identity of {x} meets degrees "
                                  f"{sorted(degs)}")
-        # the columns each basis name occurs in, with its value there
-        occurs: dict[str, list[tuple[int, object]]] = {}
-        for pair in want:
-            names = c.hom[pair]
-            for j, col in enumerate(self.basis[pair].columns):
-                for i, a in col.items():
-                    occurs.setdefault(names[i], []).append((j, a))
-        # each nonzero structure constant gn∘fn = comb adds a·b·comb to
-        # g∘f for every column f holding a·fn and g holding b·gn; the sums
-        # are unreduced coordinates in the declared basis of hom(x,w)
-        pos = c.position
-        sums: dict[tuple, dict] = {}
-        for (gn, fn), comb in c.comp.items():
-            x, y = c.pair_of(fn)
-            w = c.target_of(gn)
-            terms = [(pos[n], v) for n, v in comb.items()]
-            for jg, b in occurs.get(gn, ()):
-                for jf, a in occurs.get(fn, ()):
-                    ab = a * b
-                    acc = sums.setdefault((x, y, w, jf, jg), {})
-                    for i, v in terms:
-                        acc[i] = acc.get(i, 0) + ab * v
-        prods: dict[tuple[tuple, tuple], dict] = {}
-        # in (x, y, w, jf, jg) order: the order the problems are named in
-        for key in sorted(sums):
-            x, y, w, jf, jg = key
-            # the inverse reduces its image, and is injective: the image
-            # is zero exactly when the sum is
-            coords = invs[(x, w)](sums[key])
-            if not coords:
-                continue
-            prods[((y, w, jg), (x, y, jf))] = coords
-            degs = support_degrees(coords, (x, w))
-            s, t = degrees[(x, y)][jf], degrees[(y, w)][jg]
-            ts = grp.mul(t, s)
-            if degs - {ts}:
-                raise ValueError(
-                    f"hom({x},{y}) column {jf} (degree {s}) "
-                    f"composed with hom({y},{w}) column {jg} "
-                    f"(degree {t}) meets degrees {sorted(degs)}"
-                    f", expected {ts}")
+        prods = _monomial_products(c, grp, self.basis, degrees, invs)
+        if prods is None:
+            prods = _summed_products(c, grp, self.basis, degrees, invs)
         self.inverses, self.identity_coords, self.products = invs, ids, prods
 
     def component_columns(self, x: str, y: str, s: str) -> list[int]:
         return [j for j, d in enumerate(self.degrees[(x, y)]) if d == s]
+
+
+def _monomial_products(c: LinCat, grp: Group, basis: dict,
+                       degrees: dict, invs: dict) -> Optional[dict]:
+    """A Grading's products when every change-of-basis block is
+    monomial, with one entry per column, and every product is
+    homogeneous; None otherwise, for _summed_products to decide.
+
+    An invertible monomial block holds each basis name n of its pair in
+    one column j(n), as a_n·n.  The columns holding gn and fn compose to
+    a_g·a_f·(gn∘fn), whose term v·n is a_g·a_f·v·a_n⁻¹ times column
+    j(n), a nonzero coordinate: that product is homogeneous iff every
+    such n has the degree deg(gn)·deg(fn), and distinct structure
+    constants are distinct column pairs.  a_n⁻¹ is read off the kept
+    inverse, whose column for n is a_n⁻¹ at row j(n)."""
+    red = c.field.reduce
+    at: dict[str, tuple] = {}  # n -> (pair, j(n), degree, a_n, a_n⁻¹)
+    for pair, m in basis.items():
+        names, labels, inv = c.hom[pair], degrees[pair], invs[pair].columns
+        for j, col in enumerate(m.columns):
+            if len(col) != 1:
+                return None
+            (i, a), = col.items()
+            at[names[i]] = (pair, j, labels[j], a, inv[i][j])
+    found = []
+    for (gn, fn), comb in c.comp.items():
+        (y, w), jg, t, b, _ = at[gn]
+        (x, _), jf, s, a, _ = at[fn]
+        ts, ab = grp.mul(t, s), a * b
+        coords = {}
+        for n, v in comb.items():
+            _, j, d, _, a_inv = at[n]
+            if d != ts:
+                return None
+            coords[j] = red(ab * v * a_inv)
+        found.append(((x, y, w, jf, jg), coords))
+    # in (x, y, w, jf, jg) order, as _summed_products fills them
+    found.sort(key=lambda item: item[0])
+    return {((y, w, jg), (x, y, jf)): coords
+            for (x, y, w, jf, jg), coords in found}
+
+
+def _summed_products(c: LinCat, grp: Group, basis: dict, degrees: dict,
+                     invs: dict) -> dict:
+    """A Grading's products, or ValueError naming the first product
+    problem, in (x, y, w, jf, jg) order, on any invertible blocks."""
+    # the columns each basis name occurs in, with its value there
+    occurs: dict[str, list[tuple[int, object]]] = {}
+    for pair, m in basis.items():
+        names = c.hom[pair]
+        for j, col in enumerate(m.columns):
+            for i, a in col.items():
+                occurs.setdefault(names[i], []).append((j, a))
+    # each nonzero structure constant gn∘fn = comb adds a·b·comb to
+    # g∘f for every column f holding a·fn and g holding b·gn; the sums
+    # are unreduced coordinates in the declared basis of hom(x,w)
+    pos = c.position
+    sums: dict[tuple, dict] = {}
+    for (gn, fn), comb in c.comp.items():
+        x, y = c.pair_of(fn)
+        w = c.target_of(gn)
+        terms = [(pos[n], v) for n, v in comb.items()]
+        for jg, b in occurs.get(gn, ()):
+            for jf, a in occurs.get(fn, ()):
+                ab = a * b
+                acc = sums.setdefault((x, y, w, jf, jg), {})
+                for i, v in terms:
+                    acc[i] = acc.get(i, 0) + ab * v
+    prods: dict[tuple[tuple, tuple], dict] = {}
+    # in (x, y, w, jf, jg) order: the order the problems are named in
+    for key in sorted(sums):
+        x, y, w, jf, jg = key
+        # the inverse reduces its image, and is injective: the image
+        # is zero exactly when the sum is
+        coords = invs[(x, w)](sums[key])
+        if not coords:
+            continue
+        prods[((y, w, jg), (x, y, jf))] = coords
+        degs = {degrees[(x, w)][j] for j in coords}
+        s, t = degrees[(x, y)][jf], degrees[(y, w)][jg]
+        ts = grp.mul(t, s)
+        if degs - {ts}:
+            raise ValueError(
+                f"hom({x},{y}) column {jf} (degree {s}) "
+                f"composed with hom({y},{w}) column {jg} "
+                f"(degree {t}) meets degrees {sorted(degs)}"
+                f", expected {ts}")
+    return prods
 
 
 def grading_on_basis(c: LinCat, group: Group,

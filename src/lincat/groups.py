@@ -18,23 +18,38 @@ class Group:
     table: dict[tuple[str, str], str]  # (s, t) -> s * t
 
     def __post_init__(self):
-        self._index = {e: i for i, e in enumerate(self.elements)}
         problems = self.check()
         if problems:
             raise ValueError("not a group table: " + "; ".join(problems))
-        self._inv = {s: t for s in self.elements for t in self.elements
-                     if self.table[(s, t)] == self.identity}
+        self._inv = self._inverses()
+
+    @classmethod
+    def by_construction(cls, elements: tuple[str, ...], identity: str,
+                        table: dict[tuple[str, str], str]) -> "Group":
+        """The group of a table that is one by construction, built
+        without check(): the caller states why, as for a composition
+        table of bijections closed under composition.  Tables read from
+        outside the program go through Group(...), which checks."""
+        grp = cls.__new__(cls)
+        grp.elements, grp.identity, grp.table = elements, identity, table
+        grp._inv = grp._inverses()
+        return grp
+
+    def _inverses(self) -> dict[str, str]:
+        return {s: t for s in self.elements for t in self.elements
+                if self.table[(s, t)] == self.identity}
 
     def check(self) -> list[str]:
         problems = []
-        if len(set(self.elements)) != len(self.elements):
+        named = set(self.elements)
+        if len(named) != len(self.elements):
             problems.append("duplicate element names")
-        if self.identity not in self._index:
+        if self.identity not in named:
             problems.append("identity not among elements")
             return problems
         for s in self.elements:
             for t in self.elements:
-                if self.table.get((s, t)) not in self._index:
+                if self.table.get((s, t)) not in named:
                     problems.append(f"missing or foreign product {s}*{t}")
                     return problems
         for s in self.elements:
@@ -138,9 +153,10 @@ def cyclic_group(n: int, prefix: str = "g") -> Group:
     if n < 1:
         raise ValueError("order must be positive")
     names = ["e"] + [prefix if i == 1 else f"{prefix}{i}" for i in range(1, n)]
+    # addition mod n: a group by construction
     table = {(names[i], names[j]): names[(i + j) % n]
              for i in range(n) for j in range(n)}
-    return Group(tuple(names), "e", table)
+    return Group.by_construction(tuple(names), "e", table)
 
 
 def _extend_iso(g1: Group, g2: Group, gens: list[str],

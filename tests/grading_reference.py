@@ -6,6 +6,9 @@ it.  `zero_composite_path` builds x -> y -> z with b∘a = 0, and
 `composite_in_a_zero_hom` the same data with b∘a = a, which LinCat
 refuses.
 
+`graded_nakayama` builds the C_n-graded cyclic Nakayama categories
+that the benchmark's cohomology workload runs delta and delta-inj on.
+
 `reference_validate_grading` is the comb-based grading check that
 Grading's construction replaced: it lists every problem, where
 construction refuses with the first.  It reads the four fields of a
@@ -18,17 +21,26 @@ pair of homogeneous columns of every composable (x, y, w).  It gives
 the inverses, identity coordinates and products a Grading keeps, in
 their order, or the text of the first problem.
 
+`reference_grading` is Grading's construction as it was before
+monomial blocks got their own path: it sums every product from the
+structure constants and applies the inverse blocks to the sums, for
+any blocks.  It gives what `reference_decided` gives.
+
 `reference_walks` is the search is_connected_grading ran before it kept
 one parent step per state: a walk per reached state, in discovery
 order, each built by extending its parent's.
 """
 from collections import deque
+from fractions import Fraction
 from types import SimpleNamespace
 
-from lincat.exactlinalg import dense, inverse
+from lincat.exactlinalg import FieldSpec, dense, inverse
 from lincat.fixtures import Q
-from lincat.grading import Grading, HomogeneousWalk, HWalkStep
-from lincat.kcat import LinComb, _product, compose
+from lincat.grading import (Grading, HomogeneousWalk, HWalkStep,
+                            grading_on_basis)
+from lincat.groups import cyclic_group
+from lincat.kcat import (Arrow, LinComb, QuiverPresentation, _product,
+                         compose, present)
 from lincat_reference import make_category
 
 
@@ -214,6 +226,78 @@ def reference_decided(z):
     return invs, ids, prods
 
 
+def reference_grading(z):
+    """(inverses, identity_coords, products) of z's fields as Grading
+    keeps them, or the text of Grading's refusal, by summing each
+    product of homogeneous columns from the structure constants."""
+    c, grp, degrees = z.category, z.group, z.degrees
+    want = set(c.hom)
+    if set(z.basis) != want:
+        return (f"basis keys {sorted(set(z.basis) ^ want)} "
+                "do not match the nonzero hom pairs")
+    if set(degrees) != want:
+        return "degree keys do not match the nonzero hom pairs"
+    invs = {}
+    for pair in sorted(want):
+        n = len(c.hom[pair])
+        m = z.basis[pair]
+        if (m.rows, m.cols) != (n, n):
+            return (f"hom{pair}: change of basis is "
+                    f"{m.rows}x{m.cols}, expected {n}x{n}")
+        if len(degrees[pair]) != n:
+            return f"hom{pair}: {len(degrees[pair])} degree labels for {n} " \
+                "columns"
+        bad = [d for d in degrees[pair] if d not in grp.elements]
+        if bad:
+            return f"hom{pair}: unknown degree labels {bad}"
+        invs[pair] = inverse(m)
+        if invs[pair] is None:
+            return f"hom{pair}: change of basis is singular"
+
+    def support_degrees(coords, pair):
+        return {degrees[pair][j] for j in coords}
+
+    ids = {x: invs[(x, x)](c.coords(c.identities[x], x, x))
+           for x in c.objects}
+    for x, coords in ids.items():
+        if degs := support_degrees(coords, (x, x)) - {grp.identity}:
+            return f"identity of {x} meets degrees {sorted(degs)}"
+    occurs = {}
+    for pair in want:
+        names = c.hom[pair]
+        for j, col in enumerate(z.basis[pair].columns):
+            for i, a in col.items():
+                occurs.setdefault(names[i], []).append((j, a))
+    pos = c.position
+    sums = {}
+    for (gn, fn), comb in c.comp.items():
+        x, y = c.pair_of(fn)
+        w = c.target_of(gn)
+        terms = [(pos[n], v) for n, v in comb.items()]
+        for jg, b in occurs.get(gn, ()):
+            for jf, a in occurs.get(fn, ()):
+                ab = a * b
+                acc = sums.setdefault((x, y, w, jf, jg), {})
+                for i, v in terms:
+                    acc[i] = acc.get(i, 0) + ab * v
+    prods = {}
+    for key in sorted(sums):
+        x, y, w, jf, jg = key
+        coords = invs[(x, w)](sums[key])
+        if not coords:
+            continue
+        prods[((y, w, jg), (x, y, jf))] = coords
+        degs = support_degrees(coords, (x, w))
+        s, t = degrees[(x, y)][jf], degrees[(y, w)][jg]
+        ts = grp.mul(t, s)
+        if degs - {ts}:
+            return (f"hom({x},{y}) column {jf} (degree {s}) "
+                    f"composed with hom({y},{w}) column {jg} "
+                    f"(degree {t}) meets degrees {sorted(degs)}"
+                    f", expected {ts}")
+    return invs, ids, prods
+
+
 def decided(z):
     """What Grading keeps of z's fields, as reference_decided gives it,
     or the text of its refusal."""
@@ -221,6 +305,24 @@ def decided(z):
     if isinstance(got, str):
         return got
     return got.inverses, got.identity_coords, got.products
+
+
+def graded_nakayama(m, length, n, p):
+    """The cyclic quiver x0 -> ... -> x(m-1) -> x0 modulo the paths of
+    length `length`, over F_p, graded by C_n: a path has the degree
+    g^k when it passes the arrow x(m-1) -> x0 k times."""
+    arrows = tuple(Arrow(f"u{i}", f"x{i}", f"x{(i + 1) % m}")
+                   for i in range(m))
+    zero_paths = tuple(((Fraction(1), tuple(f"u{(i + s) % m}" for s in
+                                            reversed(range(length)))),)
+                       for i in range(m))
+    q = QuiverPresentation(tuple(f"x{i}" for i in range(m)), arrows,
+                           zero_paths, length - 1)
+    c = present(q, FieldSpec(p)).category
+    grp = cyclic_group(n)
+    degree = {name: grp.elements[name.split("*").count(f"u{m - 1}") % n]
+              for name in c.basis_names()}
+    return c, grading_on_basis(c, grp, degree)
 
 
 def reference_walks(z):

@@ -498,3 +498,23 @@ def test_structure_iso_builds_no_deck_functor(monkeypatch):
     assert built == [res.quotient_result.projection, res.iso]
     assert aut1(res.quotient_result.projection).order() == 16
     assert reference_structure_problems(f, res) == []
+
+
+def test_aut1_of_a_prebuilt_cover_checks_no_group_axiom(monkeypatch):
+    """A deck group's table is a group by construction (see
+    covering._deck_group), so aut1 checks no axiom; the tables pass the
+    check all the same, with the same inverses."""
+    covers = [cyclic_cover(n).functor for n in (2, 5, 16)] + \
+        [square_cover().functor, cover_f0().functor]
+    calls = []
+    for name in ("check", "_light"):
+        monkeypatch.setattr(Group, name,
+                            lambda self, name=name: calls.append(name))
+    groups = [aut1(f).group for f in covers]
+    assert calls == []
+    monkeypatch.undo()
+    assert [g.order() for g in groups] == [2, 5, 16, 2, 2]
+    for g in groups:
+        checked = Group(g.elements, g.identity, g.table)
+        assert [g.inv(s) for s in g.elements] == \
+            [checked.inv(s) for s in g.elements]

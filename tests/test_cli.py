@@ -987,6 +987,18 @@ def _edited(workdir, tmp_path, name, edit):
     return str(path)
 
 
+def test_bad_group_table_exit_2(workdir, tmp_path):
+    """Group tables read from a file keep the full axiom check, which
+    deck groups and cyclic groups skip."""
+    path = _edited(workdir, tmp_path, "smash-grading.json",
+                   lambda d: d["group"]["table"]["g"].update(g="g"))
+    line = (f"error: {path}: invalid group: not a group table: g is not "
+            "invertible\n")
+    for command in (("delta-inj",), ("validate",), ("grade", "connected")):
+        assert run(workdir, *command, "--grading", path) == (2, "", line), \
+            command
+
+
 def test_h1_on_non_category_exit_2(workdir, tmp_path):
     def break_unit(d):
         d["comp"]["1_y"]["a"]["a"] = "0 mod 2"

@@ -1,6 +1,5 @@
 """Derivation spaces, H1, additive characters, and the Euler embedding."""
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +17,7 @@ from lincat.grading import grading_on_basis, induced_grading, regrade, smash
 from lincat.exactlinalg import EchelonBasis, FieldSpec
 from lincat.groups import Group, cyclic_group
 from lincat.kcat import Arrow, QuiverPresentation, compose, present
+from grading_reference import graded_nakayama
 from linalg_reference import entries, from_cols, rank
 from lincat_reference import (comb_add, comb_eq, comb_scale, derivation_space,
                               make_category, reference_inner_basis,
@@ -274,24 +274,6 @@ def test_delta_and_smash_invert_each_block_once(monkeypatch):
     assert len(calls) == len(z.basis)
 
 
-def graded_nakayama(m, length, n, p):
-    """The cyclic quiver x0 -> ... -> x(m-1) -> x0 modulo the paths of
-    length `length`, over F_p, graded by C_n: a path has the degree
-    g^k when it passes the arrow x(m-1) -> x0 k times."""
-    arrows = tuple(Arrow(f"u{i}", f"x{i}", f"x{(i + 1) % m}")
-                   for i in range(m))
-    zero_paths = tuple(((Fraction(1), tuple(f"u{(i + s) % m}" for s in
-                                            reversed(range(length)))),)
-                       for i in range(m))
-    q = QuiverPresentation(tuple(f"x{i}" for i in range(m)), arrows,
-                           zero_paths, length - 1)
-    c = present(q, FieldSpec(p)).category
-    grp = cyclic_group(n)
-    degree = {name: grp.elements[name.split("*").count(f"u{m - 1}") % n]
-              for name in c.basis_names()}
-    return c, grading_on_basis(c, grp, degree)
-
-
 def test_delta_satisfies_leibniz_without_a_check():
     """δ(χ) is a derivation for every basis character χ, as δ's
     docstring argues: delta no longer verifies it."""
@@ -312,10 +294,37 @@ def test_delta_satisfies_leibniz_without_a_check():
             assert reference_validate_derivation(delta(c, z, chi)) == []
 
 
+def test_injectivity_check_builds_no_inner_span_character_or_delta(
+        monkeypatch):
+    """The check is the paper's theorem: past its two refusals it
+    computes nothing."""
+    from lincat import cohomology
+    cases = [kf2_grading(), three_arrow_kronecker_grading(3),
+             graded_nakayama(3, 3, 3, 3), graded_nakayama(4, 4, 4, 2)]
+    calls = []
+    for name in ("_inner_generators", "characters", "delta"):
+        monkeypatch.setattr(cohomology, name,
+                            lambda *args, name=name: calls.append(name))
+    for c, z in cases:
+        assert delta_injectivity_check(c, z)
+    assert calls == []
+
+
 def test_injectivity_check_refuses_disconnected_grading():
     kf2, _ = kf2_grading()
     with pytest.raises(ValueError, match="not connected"):
         delta_injectivity_check(kf2, trivial_grading(kf2, cyclic_group(2)))
+
+
+def test_injectivity_check_refuses_a_grading_of_another_category():
+    # over F_2, as the parent's δ refused it; over Q too, where no
+    # character was ever built to refuse it
+    for field in (F2, Q):
+        k = kronecker(field).category
+        z = grading_on_basis(k, cyclic_group(2), {"a": "e", "b": "g"})
+        with pytest.raises(ValueError, match="^grading does not belong to "
+                           "the category$"):
+            delta_injectivity_check(discrete(field).category, z)
 
 
 def test_injectivity_across_char_p_galois_fixtures():
@@ -372,6 +381,10 @@ def test_injectivity_check_agrees_with_exhaustive_combinations():
         f = fix.functor
         cases.append((f.target, induced_grading(
             f, {b: fibre(f, b)[0] for b in f.target.objects})))
+    # (m, L, n, p) of the benchmark's delta-inj inputs
+    cases += [graded_nakayama(*size) for size in
+              ((2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 2), (5, 3, 5, 5),
+               (6, 2, 6, 3), (7, 2, 7, 7))]
     for c, z in cases:
         assert delta_injectivity_check(c, z) == \
             no_nonzero_character_is_inner(c, z)

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -458,6 +459,32 @@ def test_load_value_sniffs_text_presentations(tmp_path):
     q.write_text(fm.canonical_dumps(
         presentation_to_doc(square_base_quiver())))
     assert fm.load_value(q, "presentation") == square_base_quiver()
+
+
+def test_load_value_opens_a_presentation_file_once(tmp_path, monkeypatch):
+    as_json = tmp_path / "pres.json"
+    as_json.write_text(fm.canonical_dumps(
+        presentation_to_doc(square_base_quiver())))
+    as_text = tmp_path / "pres.txt"
+    as_text.write_text(GDLP_TEXT)
+    opened = []
+    real_open = Path.open
+
+    def counted(self, *args, **kwargs):
+        opened.append(self)
+        return real_open(self, *args, **kwargs)
+    monkeypatch.setattr(Path, "open", counted)
+    for path in (as_json, as_text):
+        assert fm.load_value(path, "presentation") == square_base_quiver()
+    assert opened == [as_json, as_text]
+
+
+def test_malformed_json_presentation_names_line_and_column(tmp_path):
+    p = tmp_path / "pres.json"
+    p.write_text('{"kind": "presentation",\n "vertices": [}')
+    with pytest.raises(fm.FormatError) as err:
+        fm.load_value(p, "presentation")
+    assert str(err.value) == f"{p}: line 2 column 15: Expecting value"
 
 
 # -- fixture registry -----------------------------------------------------------

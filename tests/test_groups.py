@@ -145,10 +145,24 @@ def test_light_matches_the_cubic_scan(data):
 def test_light_makes_far_fewer_products(monkeypatch):
     calls = []
     real = Group.mul
+    c64 = cyclic_group(64)
 
     def counted(self, s, t):
         calls.append(1)
         return real(self, s, t)
     monkeypatch.setattr(Group, "mul", counted)
-    cyclic_group(64)
+    Group(c64.elements, c64.identity, c64.table)
     assert len(calls) < 64 ** 3 // 8
+
+
+def test_cyclic_groups_are_groups_by_construction(monkeypatch):
+    """cyclic_group checks no axiom, and its table passes the check
+    with the same inverses."""
+    monkeypatch.setattr(Group, "check", lambda self: pytest.fail("checked"))
+    groups = [cyclic_group(n) for n in range(1, 13)]
+    monkeypatch.undo()
+    for g in groups:
+        checked = Group(g.elements, g.identity, g.table)
+        assert g == checked
+        assert [g.inv(s) for s in g.elements] == \
+            [checked.inv(s) for s in g.elements]
