@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dcfield
 from fractions import Fraction
 from typing import Optional
 
-from .exactlinalg import FieldSpec, Matrix, complement
+from .exactlinalg import EchelonBasis, FieldSpec, Matrix, complement
 
 # morphism = finitely supported combination of basis names with field
 # elements as coefficients (see FieldSpec), zero coeffs dropped
@@ -526,7 +526,10 @@ class QuiverPresentation:
                 ends.add((self.path_source(path), self._arrow[path[0]].target))
             if len(ends) > 1:
                 raise ValueError(f"relation mixes non-parallel paths: {sorted(ends)}")
-            norm_rels.append(terms)
+            # a term with coefficient zero is no term, and a relation
+            # with no other term is zero, which relates nothing
+            if terms := tuple(t for t in terms if t[0]):
+                norm_rels.append(terms)
         self.relations = tuple(norm_rels)
         if self.length_bound < 1:
             raise ValueError("length bound must be >= 1")
@@ -579,42 +582,104 @@ def _enumerate_paths(p: QuiverPresentation, maxlen: int
 def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
     """Compile a quiver with relations into a category.
 
-    Hom spaces are spanned by paths of length <= N modulo the span of
-    {u·r·v : r a relation, all terms of length <= 2N}.  Soundness of the
-    cut at N requires every path of length in (N, 2N] to lie in that span;
-    this is checked and TruncationError reports the first witness, pairs
-    taken in vertex-major order.  The surviving basis is greedy
-    path-monomial: shortest paths first, then declaration order.  A
-    relation coefficient whose denominator p divides raises
-    ZeroDivisionError naming it.
+    Hom spaces are spanned by the paths of length <= N modulo the
+    relation ideal I.  The bound N is accepted when every path of length
+    N+1 is shown to lie in I; then every longer path does too (it ends
+    in one), so the category does not depend on N, and a product longer
+    than N is zero.  Otherwise TruncationError names the first path of
+    length in (N, 2N] not shown to lie in I, pairs taken in vertex-major
+    order and paths in the order below: for homogeneous relations a path
+    outside I, for others one outside the span that `_eliminate` checks,
+    which may refuse a bound that I admits.  A relation coefficient
+    whose denominator p divides raises ZeroDivisionError naming it;
+    terms that vanish in the field are dropped before anything else is
+    read off a relation.
 
-    The cost follows the paths that exist, not the pairs of objects:
-    only pairs joined by a path of length <= 2N are eliminated and
-    checked, each basis path is composed only with the basis paths
-    leaving its target, and `basis_paths` lists the nonzero homs only.
+    Paths are ordered by length, then lexicographically in the order
+    they apply their arrows, by declaration index.  The basis of each
+    hom is greedy in that order: its standard paths, those that are not
+    the largest term of an element of I.  A structure constant is the
+    normal form of a product, its unique expression in standard paths.
+
+    When every relation is homogeneous (all its terms of one length), I
+    is graded and is compiled by a Gröbner basis in that order, built up
+    to degree N+1 (and up to 2N only to name a witness): normal forms
+    come from rewriting, and N is accepted iff no standard path has
+    length N+1.  Any other presentation is decided by elimination over
+    all paths of length <= 2N, with `_eliminate`.
+    """
+    n = p.length_bound
+    relations = []  # dicts path -> field element, zero terms dropped
+    for rel in p.relations:
+        terms: dict = {}
+        for coeff, path in rel:
+            terms[path] = terms.get(path, 0) + field.scalar(coeff)
+        if terms := _reduced(field, terms):
+            relations.append(terms)
+    if all(len({len(t) for t in r}) == 1 for r in relations):
+        basis_paths, product = _rewrite(p, field, relations)
+    else:
+        basis_paths, product = _eliminate(p, field, relations)
+    hom = {pair: tuple(path_name(t, pair[0]) for t in ts)
+           for pair, ts in basis_paths.items()}
+
+    one = field.one()
+    identities = {x: {path_name((), x): one} for x in p.vertices}
+    leaving: dict[str, list] = {x: [] for x in p.vertices}
+    for (y, z), g_list in basis_paths.items():
+        leaving[y].append((z, list(zip(g_list, hom[(y, z)]))))
+    comp: dict[tuple[str, str], LinComb] = {}
+    for (x, y), f_list in basis_paths.items():
+        f_named = list(zip(f_list, hom[(x, y)]))
+        for z, g_named in leaving[y]:
+            for ft, f in f_named:
+                room = n - len(ft)
+                for gt, g in g_named:
+                    # a basis path is its own normal form, and a path
+                    # longer than N lies in the ideal, as N was accepted
+                    if not gt:
+                        comp[(g, f)] = {f: one}
+                    elif not ft:
+                        comp[(g, f)] = {g: one}
+                    elif len(gt) <= room and (gf := product(gt, ft, (x, z))):
+                        comp[(g, f)] = gf
+
+    return PresentResult(LinCat(field, p.vertices, hom, comp, identities),
+                         basis_paths)
+
+
+def _eliminate(p: QuiverPresentation, field: FieldSpec, relations: list):
+    """present by elimination: the span S of the u·r·v whose terms all
+    have length <= 2N, in the paths of length <= 2N of each pair that a
+    path joins, and a greedy complement of S.  N is accepted iff every
+    path of length in (N, 2N] lies in S.  Then every path longer than N
+    lies in I, so for each u·r·v with |u| + |v| + (shortest term of r)
+    <= N, its terms of length <= 2N lie in I as well; they are added to
+    S when some relation's lengths spread by more than N, the only case
+    where S misses one of them.  Returns the basis paths of each nonzero
+    hom, in vertex-major order, and product(g, f, pair): the product g∘f
+    of two basis paths, as a combination of the basis names of hom(pair).
     """
     n = p.length_bound
     paths = _enumerate_paths(p, 2 * n)
     at = {x: i for i, x in enumerate(p.vertices)}
     pairs = sorted(paths, key=lambda pair: (at[pair[0]], at[pair[1]]))
-    relations = []  # (source, target, room left for u and v, terms)
-    for rel in p.relations:
-        first = rel[0][1]
+    rels = []  # (source, target, shortest, longest term length, terms)
+    for terms in relations:
+        first = next(iter(terms))
+        lengths = [len(path) for path in terms]
         # QuiverPresentation checked that each path composes
-        relations.append((p.arrow(first[-1]).source, p.arrow(first[0]).target,
-                          2 * n - max(len(path) for _, path in rel),
-                          [(field.scalar(coeff), path) for coeff, path in rel]))
-    basis_paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-    projections: dict[tuple[str, str], list[dict]] = {}
-    index: dict[tuple[str, str], dict[tuple[str, ...], int]] = {}
+        rels.append((p.arrow(first[-1]).source, p.arrow(first[0]).target,
+                     min(lengths), max(lengths), terms.items()))
+    index = {pair: {t: i for i, t in enumerate(plist)}
+             for pair, plist in paths.items()}
 
-    for pair in pairs:
+    def solve(pair, accepted):
         x, y = pair
-        plist = paths[pair]
-        dim = len(plist)
-        idx = index[pair] = {t: i for i, t in enumerate(plist)}
+        idx = index[pair]
         gens: list[dict] = []
-        for u, v, room, terms in relations:
+        for u, v, lo, hi, terms in rels:
+            room = max(2 * n - hi, n - lo) if accepted else 2 * n - hi
             mids = paths.get((x, u), ())
             # path lists run by increasing length, so the first path too
             # long for the room left ends each loop
@@ -622,46 +687,251 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
                 if len(left) > room:
                     break
                 for mid in mids:
-                    if len(left) + len(mid) > room:
+                    k = len(left) + len(mid)
+                    if k > room:
                         break
                     vec: dict = {}
-                    for coeff, path in terms:
-                        j = idx[left + path + mid]
-                        vec[j] = vec.get(j, 0) + coeff
+                    for path, coeff in terms:
+                        if k + len(path) <= 2 * n:
+                            vec[idx[left + path + mid]] = coeff
                     gens.append(vec)
         # shortest paths first, then declaration order
-        reps, project = complement(field.characteristic, dim, gens,
-                                   range(dim))
-        for t in plist:
+        dim = len(paths[pair])
+        return complement(field.characteristic, dim, gens, range(dim))
+
+    solved = {}
+    for pair in pairs:
+        reps, project = solved[pair] = solve(pair, False)
+        for t in paths[pair]:
             # a path lies in the span iff it projects to zero
-            if len(t) > n and project[idx[t]]:
+            if len(t) > n and project[index[pair][t]]:
                 raise TruncationError(t, n)
-        if reps:
-            basis_paths[pair] = [plist[j] for j in reps]
-        projections[pair] = project
+    if any(hi - lo > n for _, _, lo, hi, _ in rels):
+        solved = {pair: solve(pair, True) for pair in pairs}
+    basis_paths = {pair: [paths[pair][j] for j in reps]
+                   for pair, (reps, _) in solved.items() if reps}
+    names = {pair: [path_name(t, pair[0]) for t in ts]
+             for pair, ts in basis_paths.items()}
 
-    hom = {pair: tuple(path_name(t, pair[0]) for t in ts)
-           for pair, ts in basis_paths.items()}
+    def product(g, f, pair):
+        coords = solved[pair][1][index[pair][g + f]]
+        return {names[pair][i]: a for i, a in sorted(coords.items())}
 
-    def comb_of_path(t: tuple[str, ...], pair: tuple[str, str]) -> LinComb:
-        coords = projections[pair][index[pair][t]]
-        return {hom[pair][i]: a for i, a in sorted(coords.items())}
+    return basis_paths, product
 
-    identities = {x: comb_of_path((), (x, x)) for x in p.vertices}
+
+def _rewrite(p: QuiverPresentation, field: FieldSpec, relations: list):
+    """present by a Gröbner basis, for homogeneous relations.  In a
+    graded ideal, degree N+1 decides the bound: the bound is accepted
+    iff no path of length N+1 is standard.  Only a refusal builds the
+    basis on to degree 2N, for the first standard path longer than N in
+    the first pair that has one; in a pair, the first path of a length
+    that lies outside I is the smallest standard path of that length.
+    Returns the basis paths of each nonzero hom, in vertex-major order,
+    and product(g, f, pair): the product g∘f of two basis paths of length
+    >= 1, as a combination of the basis names of hom(pair), memoized by
+    its word."""
+    n = p.length_bound
+    number = {a.name: i for i, a in enumerate(p.arrows)}
+    gb = _GroebnerBasis(field, [
+        {tuple(number[a] for a in reversed(path)): c for path, c in r.items()}
+        for r in relations])
     leaving: dict[str, list] = {x: [] for x in p.vertices}
-    for (y, z), g_list in basis_paths.items():
-        leaving[y].append((z, g_list))
-    comp: dict[tuple[str, str], LinComb] = {}
-    for (x, y), f_list in basis_paths.items():
-        for z, g_list in leaving[y]:
-            for ft in f_list:
-                for gt in g_list:
-                    comb = comb_of_path(gt + ft, (x, z))
-                    if comb:
-                        comp[(path_name(gt, y), path_name(ft, x))] = comb
+    for i, a in enumerate(p.arrows):
+        leaving[a.source].append((i, a.name, a.target))
 
-    return PresentResult(LinCat(field, p.vertices, hom, comp, identities),
-                         basis_paths)
+    # for each vertex x, the standard words leaving x in path order, as
+    # (word, path, target), and where its longest ones start
+    trees = {x: [((), (), x)] for x in p.vertices}
+    level = {x: 0 for x in p.vertices}
+
+    def grow(shortest, longest):
+        """Add the standard words of lengths shortest..longest to the
+        trees.  They are closed under prefixes, so the words of each
+        length are those one shorter extended by an arrow, when no
+        leading word ends the result."""
+        gb.extend(longest)
+        rules = gb.rules
+        for length in range(shortest, longest + 1):
+            ends = [k for k in gb.lengths if k <= length]
+            for x, tree in trees.items():
+                start, level[x] = level[x], len(tree)
+                for w, path, y in tree[start:level[x]]:
+                    for i, a, z in leaving[y]:
+                        s = w + (i,)
+                        for k in ends:
+                            if s[-k:] in rules:
+                                break
+                        else:
+                            tree.append((s, (a,) + path, z))
+
+    at = {x: i for i, x in enumerate(p.vertices)}
+    grow(1, n + 1)
+    if any(len(tree[-1][0]) > n for tree in trees.values()):
+        grow(n + 2, 2 * n)
+        for tree in trees.values():
+            first: dict = {}  # target -> its first path longer than N
+            for w, path, y in tree:
+                if len(w) > n:
+                    first.setdefault(y, path)
+            if first:
+                raise TruncationError(first[min(first, key=at.get)], n)
+    basis_paths: dict[tuple[str, str], list] = {}
+    position, word = {}, {}
+    for x, tree in trees.items():
+        for w, path, y in sorted(tree, key=lambda entry: at[entry[2]]):
+            ts = basis_paths.setdefault((x, y), [])
+            position[w] = len(ts)
+            word[path] = w
+            ts.append(path)
+    # normal forms by word, and products by their word, which is not empty
+    memo = {w: {w: 1} for w in position}
+    name = {w: path_name(path) for path, w in word.items() if w}
+    known = {w: {basis_name: 1} for w, basis_name in name.items()}
+    red = field.reduce
+
+    def product(g, f, pair):
+        w = word[f] + word[g]
+        if w not in known:
+            # the normal form of w is that of (the normal form of w
+            # without its last arrow)·(that arrow), so each product is
+            # one step from its longest prefix met before, f at worst
+            k = len(w)
+            while w[:k] not in memo:
+                k -= 1
+            nf = memo[w[:k]]
+            for j in range(k, len(w)):
+                a, acc = w[j:j + 1], {}
+                for s, c in nf.items():
+                    for t, b in (memo.get(s + a)
+                                 or gb.normal_form(s + a, memo)).items():
+                        acc[t] = acc.get(t, 0) + c * b
+                nf = memo[w[:j + 1]] = {t: r for t, c in acc.items()
+                                        if (r := red(c))}
+            known[w] = {name[s]: nf[s] for s in sorted(nf, key=position.get)}
+        return known[w]
+
+    return basis_paths, product
+
+
+class _GroebnerBasis:
+    """A reduced Gröbner basis of a graded ideal of a path algebra, built
+    degree by degree up to a bound and extended on demand.
+
+    A word is a path as the tuple of its arrows' declaration indices in
+    the order they apply, so tuples of one length compare as present
+    orders paths.  `rules` maps each leading word of the basis to its
+    tail: the leading word is congruent to the tail modulo the ideal,
+    and the tail is a combination of smaller standard words (E. L.
+    Green, "Noncommutative Gröbner bases, and projective resolutions",
+    1999).  Degree d takes the relations of degree d and the overlaps of
+    two leading words (a proper suffix of one is a prefix of the other)
+    that span d arrows, rewritten by the rules of lower degree, and
+    reduces them against each other.  By the diamond lemma (G. M.
+    Bergman, Adv. Math. 29, 1978) the rules of degree <= d then rewrite
+    each word of length <= d to its normal form."""
+
+    def __init__(self, field: FieldSpec, relations: list[dict]):
+        self.field = field
+        self.rules: dict[tuple[int, ...], dict] = {}
+        self.lengths: list[int] = []  # of the leading words, increasing
+        self.degree = 0  # the rules of every degree up to this one are in
+        # degree -> relations (dicts word -> value) and overlaps (leading
+        # word, leading word, length of the common part)
+        self.pending: dict[int, list] = {}
+        for r in relations:
+            self.pending.setdefault(len(next(iter(r))), []).append(r)
+
+    def extend(self, top: int) -> None:
+        """Add the rules of every degree up to top."""
+        rules, red = self.rules, self.field.reduce
+        for d in range(self.degree + 1, top + 1):
+            if d not in self.pending:
+                continue
+            memo: dict = {}  # normal forms by the rules of lower degree
+            vecs = []
+            for item in self.pending.pop(d):
+                if type(item) is tuple:  # overlap: lead1 = p·s, lead2 = s·q
+                    lead1, lead2, k = item
+                    p, q = lead1[:-k], lead2[k:]
+                    item = {t + q: a for t, a in rules[lead1].items()}
+                    for t, a in rules[lead2].items():
+                        item[p + t] = item.get(p + t, 0) - a
+                vec: dict = {}
+                for w, a in item.items():
+                    for s, b in self.normal_form(w, memo).items():
+                        vec[s] = vec.get(s, 0) + a * b
+                if vec := {s: r for s, a in vec.items() if (r := red(a))}:
+                    vecs.append(vec)
+            if all(len(vec) == 1 for vec in vecs):
+                # monomials: each word is a leading word with no tail
+                new = list(dict.fromkeys(s for vec in vecs for s in vec))
+                rules.update((s, {}) for s in new)
+            else:
+                # larger words get smaller columns, so each pivot is the
+                # leading word of its row
+                words = sorted({s for vec in vecs for s in vec}, reverse=True)
+                column = {s: j for j, s in enumerate(words)}
+                e = EchelonBasis(self.field.characteristic)
+                for vec in vecs:
+                    e.add({column[s]: a for s, a in vec.items()})
+                new = [words[j] for j in sorted(e.rows)]
+                for j in sorted(e.rows):
+                    rules[words[j]] = {words[i]: a
+                                       for i, a in e.tail(j).items()}
+            if new:
+                self.lengths.append(d)
+            # the overlaps of each ordered pair of leading words, one of
+            # them new; those of two monomials are zero
+            fresh = set(new)
+            for a in rules:
+                for b in rules if a in fresh else new:
+                    if rules[a] or rules[b]:
+                        for k in range(1, min(len(a), len(b))):
+                            if a[-k:] == b[:k]:
+                                self.pending.setdefault(
+                                    len(a) + len(b) - k, []).append((a, b, k))
+        self.degree = max(self.degree, top)
+
+    def _rewrite_once(self, w: tuple[int, ...]) -> Optional[list]:
+        """w rewritten once, at its leftmost shortest leading word, as
+        (word, value) terms; None when w is standard."""
+        rules = self.rules
+        for i in range(len(w)):
+            for k in self.lengths:
+                if i + k > len(w):
+                    break
+                tail = rules.get(w[i:i + k])
+                if tail is not None:
+                    return [(w[:i] + t + w[i + k:], a) for t, a in tail.items()]
+        return None
+
+    def normal_form(self, word: tuple[int, ...], memo: dict) -> dict:
+        """word as a combination of standard words, rewriting the leftmost
+        shortest leading word first; memo keeps the normal form of each
+        word met on the way.  A stack, not recursion: a chain of rewrites
+        may be as long as the words of one length are many."""
+        red = self.field.reduce
+        rewritten: dict = {}  # word -> its rewrites, while they wait
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in memo:
+                stack.pop()
+            elif w in rewritten:  # its rewrites, pushed above it, are done
+                acc: dict = {}
+                for s, a in rewritten.pop(w):
+                    for t, b in memo[s].items():
+                        acc[t] = acc.get(t, 0) + a * b
+                memo[w] = {t: r for t, c in acc.items() if (r := red(c))}
+                stack.pop()
+            elif (kids := self._rewrite_once(w)) is None:
+                memo[w] = {w: 1}
+                stack.pop()
+            else:
+                rewritten[w] = kids
+                stack.extend(s for s, _ in kids if s not in memo)
+        return memo[word]
 
 
 def functor_from_arrows(src: PresentResult, target: LinCat,

@@ -502,6 +502,74 @@ def test_present_cube_zero_loop():
     assert validate_category(c) == []
 
 
+def total_dimension(text: str, field: FieldSpec = Q) -> int:
+    c = present(fm.presentation_from_text(text), field).category
+    return sum(c.dim(*pair) for pair in c.pairs)
+
+
+LOOP = "vertices x\narrow a: x -> x\n"
+TWO_LOOPS = LOOP + "arrow b: x -> x\n"
+
+
+@pytest.mark.parametrize("bound", [2, 3, 5])
+def test_a_relation_longer_than_twice_the_bound_still_relates(bound):
+    # a = a^5 = a^2 * a^3 = 0, so only the identity is left; bound 2 used
+    # to drop a^5 - a, whose longest term exceeds 2N, and kept 1, a, a^2
+    text = LOOP + f"rel a*a*a*a*a - a\nrel a*a*a\nbound {bound}\n"
+    assert total_dimension(text) == 1
+    assert total_dimension(text, FieldSpec(3)) == 1
+
+
+@pytest.mark.parametrize("bound", [1, 2, 4])
+def test_the_short_part_of_a_long_relation_is_kept(bound):
+    # b = a^5 = a^3 * a^2 = 0 and a survives: the relations reduce to
+    # a^2, ab, ba, b^2 and b, so the basis is 1, a at every bound
+    text = TWO_LOOPS + ("rel a*a*a*a*a - b\nrel a*a\nrel a*b\nrel b*a\n"
+                        f"rel b*b\nbound {bound}\n")
+    res = present(fm.presentation_from_text(text), Q)
+    assert res.basis_paths == {("x", "x"): [(), ("a",)]}
+
+
+def test_a_term_that_vanishes_in_the_field_is_dropped():
+    # 5 a^4 + a^2 is a^2 over F_5: bound 1 is exact, basis 1, a
+    f5 = FieldSpec(5)
+    vanishing = present(fm.presentation_from_text(
+        LOOP + "rel 5 a*a*a*a + a*a\nbound 1\n"), f5)
+    plain = present(fm.presentation_from_text(
+        LOOP + "rel a*a\nbound 1\n"), f5)
+    assert vanishing.category == plain.category
+    assert vanishing.basis_paths == {("x", "x"): [(), ("a",)]}
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec(3)])
+@pytest.mark.parametrize("n,bound", [(4, 7), (6, 11)])
+def test_commuting_truncated_polynomials_oracle(n, bound, field):
+    # k[u,v]/(uv - vu, u^n, v^n): n^2 monomials u^i v^j, i, j < n; a
+    # product of two of them is the monomial of the summed counts, with
+    # coefficient 1, and zero exactly when a count reaches n
+    text = ("vertices x\narrow u: x -> x\narrow v: x -> x\n"
+            f"rel u*v - v*u\nrel {'*'.join('u' * n)}\n"
+            f"rel {'*'.join('v' * n)}\nbound {bound}\n")
+    c = present(fm.presentation_from_text(text), field).category
+    names = c.basis("x", "x")
+    assert len(names) == n * n
+
+    def counts(name):
+        return (0, 0) if name == "1_x" else (name.count("u"), name.count("v"))
+
+    assert sorted(map(counts, names)) == [(i, j) for i in range(n)
+                                          for j in range(n)]
+    for g in names:
+        for f in names:
+            i, j = map(sum, zip(counts(g), counts(f)))
+            gf = c.comp.get((g, f), {})
+            if i >= n or j >= n:
+                assert gf == {}, (g, f)
+            else:
+                [(h, one)] = gf.items()
+                assert one == 1 and counts(h) == (i, j), (g, f)
+
+
 def test_presented_categories_always_validate():
     for res in (kronecker(), kronecker_double(), square_base(),
                 square_cover().total, cyclic_cover(3).total,

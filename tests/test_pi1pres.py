@@ -76,6 +76,17 @@ def test_monomial_relations_never_change_the_group():
         pi1_presentation(stripped, "x").group
 
 
+def test_a_term_with_coefficient_zero_is_no_term():
+    # rel 0 a - b is the monomial relation b: it identifies no two
+    # paths, so both loops stay free generators
+    q = QuiverPresentation(("x",), (Arrow("a", "x", "x"), Arrow("b", "x", "x")),
+                           (((Fraction(0), ("a",)), (Fraction(-1), ("b",))),), 1)
+    assert q.relations == (((Fraction(-1), ("b",)),),)
+    r = pi1_presentation(q, "x")
+    assert r.group.relators == ()
+    assert abelianization(r.group) == [0, 0]
+
+
 def test_pi1_rejects_disconnected_quiver():
     q = QuiverPresentation(("u", "v"), (), (), 1)
     with pytest.raises(ValueError, match="connected"):

@@ -1,12 +1,21 @@
-"""Differential test of present against the version it replaced, kept
-here as the reference: the library enumerates paths only for the pairs
-some path joins and composes each basis path only with the homs leaving
-its target; the reference builds a path list, a complement and a
-truncation check for every pair of objects, and pairs every hom with
-every hom.  Pairs no path joins have zero homs either way, so both must
-give the same bases, structure constants, identities and insertion
-orders, and raise the same exception with the same message (the
-TruncationError witness included)."""
+"""Differential test of present against the elimination it replaced,
+kept here as the reference.  The library compiles a presentation whose
+relations are homogeneous by a Gröbner basis, and eliminates only for
+the others, over the paths of the pairs that some path joins; the
+reference builds a path list, a complement and a truncation check for
+every pair of objects, and pairs every hom with every hom.  Both order
+paths by length, then by the declaration index of the arrows in the
+order they apply, so on the inputs where the reference is exact they
+must give the same bases, structure constants, identities and
+insertion orders, and raise the same exception with the same message
+(the TruncationError witness included).
+
+The reference is exact unless a relation's term lengths spread by more
+than the bound, or a term of a relation of mixed lengths vanishes in
+the field: it then sets a relation's room from a term it should not
+read.  The library fixes both; test_kcat.py pins those cases by hand,
+and test_an_accepted_bound_does_not_change_the_result checks them here
+against the library itself."""
 import random
 from fractions import Fraction
 
@@ -20,7 +29,7 @@ from lincat.kcat import (Arrow, LinCat, LinComb, PresentResult,
                          present)
 from lincat.registry import fixture_files
 
-Q, F3, F5 = FieldSpec(0), FieldSpec(3), FieldSpec(5)
+Q, F2, F3, F5 = FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(5)
 
 
 def reference_enumerate_paths(p: QuiverPresentation, maxlen: int
@@ -251,3 +260,96 @@ def test_refusals_are_compared():
         (1, ("c1_0", "r0_0")), (Fraction(1, 3), ("r0_1", "c0_0"))),), 2)
     assert outcome(present, third, F3)[0] is ZeroDivisionError
     assert_agree(third, (Q, F3))
+
+
+def random_presentation(seed):
+    """A seeded presentation on 1-4 vertices and 1-4 arrows, loops
+    allowed, with 1-5 relations among the paths of length <= bound + 1:
+    monomials, homogeneous binomials with fractional coefficients, and
+    binomials whose lengths differ by less than the bound, so by at most
+    the bound one below.  The coefficients of the last kind vanish and
+    lose their inverse in none of Q, F_2, F_3 and F_5."""
+    rng = random.Random(seed)
+    vs = tuple(f"x{i}" for i in range(rng.randint(1, 4)))
+    arrows = tuple(Arrow(f"a{i}", rng.choice(vs), rng.choice(vs))
+                   for i in range(rng.randint(1, 4)))
+    bound = rng.randint(1, 3)
+    free = reference_enumerate_paths(
+        QuiverPresentation(vs, arrows, (), bound), bound + 1)
+    parallel = [ts for ts in ([t for t in ts if t] for ts in free.values())
+                if ts]
+    rels = []
+    for _ in range(rng.randint(1, 5)):
+        ts = rng.choice(parallel)
+        first = rng.choice(ts)
+        c = Fraction(rng.choice([1, 2, 3, 4, 6]), rng.choice([1, 1, 1, 2, 3]))
+        other = [t for t in ts if 0 < abs(len(t) - len(first)) < bound]
+        kind = rng.random()
+        if kind < 0.3:
+            rels.append(rel((c, first)))
+        elif kind < 0.75 or not other:
+            same = [t for t in ts if len(t) == len(first)]
+            rels.append(rel((1, first), (-c, rng.choice(same))))
+        else:
+            c = Fraction(rng.choice([1, 7, 11]), rng.choice([1, 7, 13]))
+            rels.append(rel((1, first), (rng.choice([c, -c]),
+                                         rng.choice(other))))
+    return QuiverPresentation(vs, arrows, tuple(rels), bound)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_random_presentations(chunk):
+    for seed in range(50 * chunk, 50 * chunk + 50):
+        assert_agree(random_presentation(seed), (Q, F2, F3, F5))
+
+
+def test_random_presentations_cover_every_outcome():
+    seen = set()
+    for seed in range(200):
+        p = random_presentation(seed)
+        graded = all(len({len(t) for _, t in r}) == 1 for r in p.relations)
+        for field in (Q, F3):
+            o = outcome(present, p, field)
+            seen.add((graded, o[0] if isinstance(o[0], type) else "ok"))
+    assert seen == {(g, o) for g in (True, False) for o in (
+        "ok", TruncationError, ZeroDivisionError)}
+
+
+def long_relations(seed):
+    """A seeded presentation at bound 1 whose relations have 1-3 terms
+    of any length up to 4, so that their spread may exceed the bound."""
+    rng = random.Random(seed)
+    vs = tuple(f"x{i}" for i in range(rng.randint(1, 3)))
+    arrows = tuple(Arrow(f"a{i}", rng.choice(vs), rng.choice(vs))
+                   for i in range(rng.randint(1, 2)))
+    free = reference_enumerate_paths(QuiverPresentation(vs, arrows, (), 1), 4)
+    parallel = [ts for ts in ([t for t in ts if t] for ts in free.values())
+                if ts]
+    rels = []
+    for _ in range(rng.randint(1, 5)):
+        ts = rng.choice(parallel)
+        picked = dict.fromkeys(rng.choice(ts)
+                               for _ in range(rng.randint(1, 3)))
+        rels.append(rel(*[(Fraction(rng.choice([1, -1, 2, 3]),
+                                    rng.choice([1, 1, 2])), t)
+                          for t in picked]))
+    return QuiverPresentation(vs, arrows, tuple(rels), 1)
+
+
+def test_an_accepted_bound_does_not_change_the_result():
+    # once every path of length N+1 lies in the ideal, so does every
+    # longer one: the category is the same at every accepted bound, and
+    # every larger bound is accepted
+    compared = 0
+    for seed in range(60):
+        p = long_relations(seed)
+        for field in (Q, F3):
+            accepted = None
+            for bound in range(1, 5):
+                o = outcome(present, with_bound(p, bound), field)
+                if accepted is not None:
+                    assert o == accepted, (seed, field, bound)
+                    compared += 1
+                elif o[0] not in (TruncationError, ZeroDivisionError):
+                    accepted = o
+    assert compared > 150
