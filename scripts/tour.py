@@ -5,7 +5,7 @@ Usage: python scripts/tour.py [--max-cosets N]
 """
 import argparse
 
-from lincat.cohomology import characters, delta, h1, is_inner
+from lincat.cohomology import characters, delta_is_inner, h1
 from lincat.covering import aut1, check_covering, fibre
 from lincat.fixtures import (F2, corrupted_collapse, cover_f0, cover_f1,
                              cover_f2, cyclic_cover, discrete, identity_cover,
@@ -78,8 +78,8 @@ def main() -> None:
     f = cover_f0(F2).functor
     z = induced_grading(f, {b: fibre(f, b)[0] for b in f.target.objects})
     chi = characters(z.group, F2)[0]
-    d = delta(f.target, z, chi)
-    print("delta of the nontrivial character is inner:", is_inner(d))
+    print("delta of the nontrivial character is inner:",
+          delta_is_inner(f.target, z, chi))
 
     section("presentation groups of the same algebra")
     for label, pres in [("R  (commuting squares)", square_base_quiver()),

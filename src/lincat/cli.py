@@ -4,9 +4,10 @@ Every subcommand loads JSON documents (see docs/formats.md), runs one
 library operation, and prints a Report.  The text and JSON renderings
 carry the same verdicts; the exit code is 0 when every boolean verdict
 is true, 1 when one is false, and 2 on malformed or precondition-
-violating input or an output path that cannot be written: run() turns
-every ValueError and OSError a handler raises into a one-line diagnostic
-on stderr, and lets any other exception propagate as a bug.
+violating input, an output path that cannot be written, or a command
+that runs out of memory: run() turns every ValueError, OSError and
+MemoryError a handler raises into a one-line diagnostic on stderr, and
+lets any other exception propagate as a bug.
 LINCAT_COLOR ∈ {auto, always, never} controls ANSI color in the text
 rendering.
 """
@@ -561,13 +562,18 @@ def run(argv: Optional[list[str]] = None,
     argv_echo = argv if argv is not None else sys.argv[1:]
     report = Report(command="lincat " + " ".join(argv_echo))
     start = time.perf_counter()
+    problem = None
     try:
         args.handler(args, report)
     except (ValueError, OSError) as e:
+        problem = str(e)
+    except MemoryError:  # reported once the command's frames are freed
+        problem = "out of memory"
+    if problem is not None:
         if args.json:
-            err.write(canonical_dumps({"error": str(e)}))
+            err.write(canonical_dumps({"error": problem}))
         else:
-            err.write(f"error: {e}\n")
+            err.write(f"error: {problem}\n")
         return 2
     report.elapsed = time.perf_counter() - start
     if args.json:

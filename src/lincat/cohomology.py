@@ -74,18 +74,6 @@ def _products(c: LinCat) -> dict[tuple[str, str], list[tuple[int, object]]]:
             for key, comb in c.comp.items()}
 
 
-def _sparse_derivation(c: LinCat, d: Derivation) -> dict:
-    """The entries of d as one sparse vector of unknowns (see _layout)."""
-    offset, _ = _layout(c)
-    out = {}
-    for pair, at in offset.items():
-        n = c.dim(*pair)
-        for j, col in enumerate(d.matrices[pair].columns):
-            for i, a in col.items():
-                out[at + i * n + j] = a
-    return out
-
-
 def _derivations(c: LinCat, vecs: list[dict]) -> list[Derivation]:
     """The derivations whose entries are the sparse vectors of unknowns
     vecs, of canonical nonzero values (see _layout)."""
@@ -216,11 +204,6 @@ def h1(c: LinCat) -> H1Result:
                          "outside the derivation space")
     return H1Result(len(ders) - inner_dim, len(ders), inner_dim,
                     _derivations(c, reps))
-
-
-def is_inner(d: Derivation) -> bool:
-    c = d.category
-    return _sparse_derivation(c, d) in _span(c, _inner_generators(c))
 
 
 # -- characters ------------------------------------------------------------

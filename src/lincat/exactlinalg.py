@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def _q(a):
@@ -352,42 +352,6 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     return Matrix(m.field, n, n,
                   tuple({j - n: a for j, a in e.rows[i].items() if j >= n}
                         for i in range(n)))
-
-
-def complement(characteristic: int, dim: int, subspace: Iterable[dict],
-               preferred: Sequence[int]) -> tuple[list[int], list[dict]]:
-    """Greedy unit-vector complement of span(subspace) in k^dim, on raw
-    sparse rows.
-
-    Returns the chosen coordinates R, in `preferred` order, and the
-    projection k^dim -> k^R that kills the subspace, as the image of each
-    unit vector (a sparse row over positions in R).  The units are those
-    a greedy pass in `preferred` order would keep; they are the free
-    columns of the subspace's rref taken with the columns outside
-    `preferred` first and `preferred` reversed (the complement of a greedy
-    basis of a matroid is a greedy basis of its dual, in reverse order).
-    The pivot row of a non-chosen column j says e_j + sum c_r e_r lies in
-    the subspace, so e_j projects to -c.
-    """
-    order = list(dict.fromkeys(preferred))
-    taken = set(order)
-    elim = [j for j in range(dim) if j not in taken] + order[::-1]
-    label = {j: k for k, j in enumerate(elim)}
-    e = EchelonBasis(characteristic)
-    for v in subspace:
-        e.add({label[j]: a for j, a in v.items()})
-    chosen = [j for j in order if label[j] not in e.rows]
-    if len(chosen) + len(e) != dim:
-        raise ValueError("preferred order does not complete a basis")
-    at = {label[j]: i for i, j in enumerate(chosen)}
-    images = []
-    for j in range(dim):
-        k = label[j]
-        if k in at:
-            images.append({at[k]: e.one})
-        else:
-            images.append({at[c]: a for c, a in e.tail(k).items()})
-    return chosen, images
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> list[int]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dcfield
 from fractions import Fraction
 from typing import Optional
 
-from .exactlinalg import EchelonBasis, FieldSpec, Matrix, complement
+from .exactlinalg import EchelonBasis, FieldSpec, Matrix
 
 # morphism = finitely supported combination of basis names with field
 # elements as coefficients (see FieldSpec), zero coeffs dropped
@@ -523,7 +523,7 @@ class QuiverPresentation:
             for coeff, path in terms:
                 if not path:
                     raise ValueError("relation paths must have length >= 1")
-                ends.add((self.path_source(path), self._arrow[path[0]].target))
+                ends.add((self.path_source(path), self.arrow(path[0]).target))
             if len(ends) > 1:
                 raise ValueError(f"relation mixes non-parallel paths: {sorted(ends)}")
             # a term with coefficient zero is no term, and a relation
@@ -540,9 +540,9 @@ class QuiverPresentation:
     def path_source(self, path: tuple[str, ...]) -> str:
         # composition order: the rightmost arrow is applied first
         for left, right in zip(path, path[1:]):
-            if self._arrow[left].source != self._arrow[right].target:
+            if self.arrow(left).source != self.arrow(right).target:
                 raise ValueError(f"path {'*'.join(path)} is not composable")
-        return self._arrow[path[-1]].source
+        return self.arrow(path[-1]).source
 
 
 def path_name(path: tuple[str, ...], vertex: Optional[str] = None) -> str:
@@ -559,54 +559,40 @@ class PresentResult:
     basis_paths: dict[tuple[str, str], list[tuple[str, ...]]]
 
 
-def _enumerate_paths(p: QuiverPresentation, maxlen: int
-                     ) -> dict[tuple[str, str], list[tuple[str, ...]]]:
-    """The paths of length <= maxlen from x to y, keyed by (x, y) for the
-    pairs some path joins only.  Each list runs by increasing length;
-    within a length, shorter paths are extended in turn by the arrows
-    leaving their target, in declaration order."""
-    leaving: dict[str, list[Arrow]] = {x: [] for x in p.vertices}
-    for a in p.arrows:
-        leaving[a.source].append(a)
-    out: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-    cur = [((), x, x) for x in p.vertices]
-    for length in range(maxlen + 1):
-        if length:
-            cur = [((a.name,) + t, x, a.target)
-                   for t, x, y in cur for a in leaving[y]]
-        for t, x, y in cur:
-            out.setdefault((x, y), []).append(t)
-    return out
-
-
 def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
     """Compile a quiver with relations into a category.
 
     Hom spaces are spanned by the paths of length <= N modulo the
-    relation ideal I.  The bound N is accepted when every path of length
-    N+1 is shown to lie in I; then every longer path does too (it ends
-    in one), so the category does not depend on N, and a product longer
-    than N is zero.  Otherwise TruncationError names the first path of
-    length in (N, 2N] not shown to lie in I, pairs taken in vertex-major
-    order and paths in the order below: for homogeneous relations a path
-    outside I, for others one outside the span that `_eliminate` checks,
-    which may refuse a bound that I admits.  A relation coefficient
-    whose denominator p divides raises ZeroDivisionError naming it;
-    terms that vanish in the field are dropped before anything else is
-    read off a relation.
+    relation ideal I.  Paths are ordered by length, then
+    lexicographically in the order they apply their arrows, by
+    declaration index.  A relation coefficient whose denominator p
+    divides raises ZeroDivisionError naming it; terms that vanish in the
+    field are dropped before anything else is read off a relation.
 
-    Paths are ordered by length, then lexicographically in the order
-    they apply their arrows, by declaration index.  The basis of each
-    hom is greedy in that order: its standard paths, those that are not
-    the largest term of an element of I.  A structure constant is the
-    normal form of a product, its unique expression in standard paths.
+    I is compiled by a Gröbner basis in that order (`_GroebnerBasis`):
+    rules lead → tail with lead − tail in I.  A path is standard when no
+    leading word occurs in it.  The normal form of a path is that of its
+    last arrow applied to the normal form of the rest, rewritten until
+    only standard paths are left.  The basis of each hom is its standard
+    paths of length <= N; a structure constant is the normal form of a
+    product.
 
-    When every relation is homogeneous (all its terms of one length), I
-    is graded and is compiled by a Gröbner basis in that order, built up
-    to degree N+1 (and up to 2N only to name a witness): normal forms
-    come from rewriting, and N is accepted iff no standard path has
-    length N+1.  Any other presentation is decided by elimination over
-    all paths of length <= 2N, with `_eliminate`.
+    N is accepted iff every path of length N+1 has normal form 0.  The
+    rules are built to degree N+1, and on to 2N (every relation, and
+    overlaps up to length 2N) only when that fails.  A refusal raises
+    TruncationError naming the first path of length in (N, 2N] whose
+    normal form is not 0, in the first pair, vertex-major, that has one:
+    for homogeneous relations a path outside I, as the rules then decide
+    I up to degree 2N.
+
+    An accepted N is a theorem.  The paths of length N+1 rewrite to 0 by
+    rules in I, so I holds every path longer than N: a product longer
+    than N is zero, and every larger bound gives this category.  The
+    standard paths of length <= N span kQ/I, as every rule lies in I.
+    They are independent: with the paths of length N+1 as rules of tail
+    0, `_GroebnerBasis.close` resolves every ambiguity, so by the
+    diamond lemma they are a basis of kQ/I.  Normal forms are then
+    unique, which lets `product` build one from its prefixes.
     """
     n = p.length_bound
     relations = []  # dicts path -> field element, zero terms dropped
@@ -616,10 +602,7 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
             terms[path] = terms.get(path, 0) + field.scalar(coeff)
         if terms := _reduced(field, terms):
             relations.append(terms)
-    if all(len({len(t) for t in r}) == 1 for r in relations):
-        basis_paths, product = _rewrite(p, field, relations)
-    else:
-        basis_paths, product = _eliminate(p, field, relations)
+    basis_paths, product = _rewrite(p, field, relations)
     hom = {pair: tuple(path_name(t, pair[0]) for t in ts)
            for pair, ts in basis_paths.items()}
 
@@ -648,147 +631,101 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
                          basis_paths)
 
 
-def _eliminate(p: QuiverPresentation, field: FieldSpec, relations: list):
-    """present by elimination: the span S of the u·r·v whose terms all
-    have length <= 2N, in the paths of length <= 2N of each pair that a
-    path joins, and a greedy complement of S.  N is accepted iff every
-    path of length in (N, 2N] lies in S.  Then every path longer than N
-    lies in I, so for each u·r·v with |u| + |v| + (shortest term of r)
-    <= N, its terms of length <= 2N lie in I as well; they are added to
-    S when some relation's lengths spread by more than N, the only case
-    where S misses one of them.  Returns the basis paths of each nonzero
-    hom, in vertex-major order, and product(g, f, pair): the product g∘f
-    of two basis paths, as a combination of the basis names of hom(pair).
-    """
-    n = p.length_bound
-    paths = _enumerate_paths(p, 2 * n)
-    at = {x: i for i, x in enumerate(p.vertices)}
-    pairs = sorted(paths, key=lambda pair: (at[pair[0]], at[pair[1]]))
-    rels = []  # (source, target, shortest, longest term length, terms)
-    for terms in relations:
-        first = next(iter(terms))
-        lengths = [len(path) for path in terms]
-        # QuiverPresentation checked that each path composes
-        rels.append((p.arrow(first[-1]).source, p.arrow(first[0]).target,
-                     min(lengths), max(lengths), terms.items()))
-    index = {pair: {t: i for i, t in enumerate(plist)}
-             for pair, plist in paths.items()}
-
-    def solve(pair, accepted):
-        x, y = pair
-        idx = index[pair]
-        gens: list[dict] = []
-        for u, v, lo, hi, terms in rels:
-            room = max(2 * n - hi, n - lo) if accepted else 2 * n - hi
-            mids = paths.get((x, u), ())
-            # path lists run by increasing length, so the first path too
-            # long for the room left ends each loop
-            for left in paths.get((v, y), ()):
-                if len(left) > room:
-                    break
-                for mid in mids:
-                    k = len(left) + len(mid)
-                    if k > room:
-                        break
-                    vec: dict = {}
-                    for path, coeff in terms:
-                        if k + len(path) <= 2 * n:
-                            vec[idx[left + path + mid]] = coeff
-                    gens.append(vec)
-        # shortest paths first, then declaration order
-        dim = len(paths[pair])
-        return complement(field.characteristic, dim, gens, range(dim))
-
-    solved = {}
-    for pair in pairs:
-        reps, project = solved[pair] = solve(pair, False)
-        for t in paths[pair]:
-            # a path lies in the span iff it projects to zero
-            if len(t) > n and project[index[pair][t]]:
-                raise TruncationError(t, n)
-    if any(hi - lo > n for _, _, lo, hi, _ in rels):
-        solved = {pair: solve(pair, True) for pair in pairs}
-    basis_paths = {pair: [paths[pair][j] for j in reps]
-                   for pair, (reps, _) in solved.items() if reps}
-    names = {pair: [path_name(t, pair[0]) for t in ts]
-             for pair, ts in basis_paths.items()}
-
-    def product(g, f, pair):
-        coords = solved[pair][1][index[pair][g + f]]
-        return {names[pair][i]: a for i, a in sorted(coords.items())}
-
-    return basis_paths, product
-
-
 def _rewrite(p: QuiverPresentation, field: FieldSpec, relations: list):
-    """present by a Gröbner basis, for homogeneous relations.  In a
-    graded ideal, degree N+1 decides the bound: the bound is accepted
-    iff no path of length N+1 is standard.  Only a refusal builds the
-    basis on to degree 2N, for the first standard path longer than N in
-    the first pair that has one; in a pair, the first path of a length
-    that lies outside I is the smallest standard path of that length.
-    Returns the basis paths of each nonzero hom, in vertex-major order,
-    and product(g, f, pair): the product g∘f of two basis paths of length
-    >= 1, as a combination of the basis names of hom(pair), memoized by
-    its word."""
+    """present's decision, basis and products, by the Gröbner basis of
+    the relations.  Returns the basis paths of each nonzero hom, in
+    vertex-major order, and product(g, f, pair): the product g∘f of two
+    basis paths of length >= 1, as a combination of the basis names of
+    hom(pair), memoized by its word."""
     n = p.length_bound
     number = {a.name: i for i, a in enumerate(p.arrows)}
     gb = _GroebnerBasis(field, [
         {tuple(number[a] for a in reversed(path)): c for path, c in r.items()}
-        for r in relations])
+        for r in relations], [(a.source, a.target) for a in p.arrows], 2 * n)
+    names = [a.name for a in p.arrows]
     leaving: dict[str, list] = {x: [] for x in p.vertices}
     for i, a in enumerate(p.arrows):
-        leaving[a.source].append((i, a.name, a.target))
+        leaving[a.source].append((i, a.target))
+    red = field.reduce
 
-    # for each vertex x, the standard words leaving x in path order, as
-    # (word, path, target), and where its longest ones start
-    trees = {x: [((), (), x)] for x in p.vertices}
-    level = {x: 0 for x in p.vertices}
+    def standard(t):  # t is a standard word and an arrow: test suffixes
+        for k in gb.lengths:
+            if k > len(t):
+                break
+            if t[-k:] in gb.rules:
+                return False
+        return True
 
-    def grow(shortest, longest):
-        """Add the standard words of lengths shortest..longest to the
-        trees.  They are closed under prefixes, so the words of each
-        length are those one shorter extended by an arrow, when no
-        leading word ends the result."""
-        gb.extend(longest)
-        rules = gb.rules
-        for length in range(shortest, longest + 1):
-            ends = [k for k in gb.lengths if k <= length]
-            for x, tree in trees.items():
-                start, level[x] = level[x], len(tree)
-                for w, path, y in tree[start:level[x]]:
-                    for i, a, z in leaving[y]:
-                        s = w + (i,)
-                        for k in ends:
-                            if s[-k:] in rules:
-                                break
-                        else:
-                            tree.append((s, (a,) + path, z))
+    # levels[k]: for each source and nonzero normal form (up to a factor
+    # if it has one term) the first path of length k with it, as (source,
+    # word, target, normal form or None if standard).  Each extends the
+    # first path of another normal form.  When no rule's tail is shorter
+    # than its lead, normal forms keep their length, so a path that is
+    # not standard is never the first nonzero one of its pair and length.
+    levels = [[(x, (), x, None) for x in p.vertices]]
+
+    def walk(top):
+        falls = any(len(t) < len(lead) for lead, tail in gb.rules.items()
+                    for t in tail)
+        while len(levels) <= top and levels[-1]:
+            seen, nxt = set(), []
+            for x, w, y, nf in levels[-1]:
+                for i, z in leaving[y]:
+                    t = w + (i,)
+                    if nf is None and standard(t):
+                        seen.add(t)
+                        nxt.append((x, t, z, None))
+                    elif falls:
+                        acc: dict = {}
+                        for s, c in (nf or {w: 1}).items():
+                            for u, b in gb.normal_form(s + (i,)).items():
+                                acc[u] = acc.get(u, 0) + c * b
+                        acc = {u: r for u, a in acc.items() if (r := red(a))}
+                        key = next(iter(acc)) if len(acc) == 1 else \
+                            frozenset(acc.items())
+                        if acc and key not in seen:
+                            seen.add(key)
+                            nxt.append((x, t, z, acc))
+            levels.append(nxt)
+
+    def rules_within(k):  # the rules that rewrite words of length <= k
+        return {w: tail for w, tail in gb.rules.items() if len(w) <= k}
 
     at = {x: i for i, x in enumerate(p.vertices)}
-    grow(1, n + 1)
-    if any(len(tree[-1][0]) > n for tree in trees.values()):
-        grow(n + 2, 2 * n)
-        for tree in trees.values():
-            first: dict = {}  # target -> its first path longer than N
-            for w, path, y in tree:
-                if len(w) > n:
-                    first.setdefault(y, path)
-            if first:
-                raise TruncationError(first[min(first, key=at.get)], n)
+    gb.extend(n + 1)
+    walk(n + 1)
+    if len(levels) > n + 1 and levels[n + 1]:
+        before = rules_within(n + 1)
+        gb.extend()
+        if rules_within(n + 1) != before:
+            del levels[1:]
+        walk(2 * n)
+        longer = [(at[x], at[y], len(w), w) for level in levels[n + 1:]
+                  for x, w, y, _ in level]
+        if longer:
+            w = min(longer)[3]  # in the first pair, the first in path order
+            raise TruncationError(tuple(names[i] for i in reversed(w)), n)
+    before = rules_within(n)
+    gb.close(n)
+    if rules_within(n) != before:
+        del levels[1:]
+        walk(n)
     basis_paths: dict[tuple[str, str], list] = {}
     position, word = {}, {}
-    for x, tree in trees.items():
-        for w, path, y in sorted(tree, key=lambda entry: at[entry[2]]):
+    for x, w, y, nf in sorted((entry for level in levels[:n + 1]
+                               for entry in level),
+                              key=lambda entry: (at[entry[0]], at[entry[2]])):
+        if nf is None:
+            path = tuple(names[i] for i in reversed(w))
             ts = basis_paths.setdefault((x, y), [])
             position[w] = len(ts)
             word[path] = w
             ts.append(path)
-    # normal forms by word, and products by their word, which is not empty
-    memo = {w: {w: 1} for w in position}
+    # products by their word, which is not empty; normal forms are unique
     name = {w: path_name(path) for path, w in word.items() if w}
     known = {w: {basis_name: 1} for w, basis_name in name.items()}
-    red = field.reduce
+    memo = gb.memo
+    memo.update((w, {w: 1}) for w in name)
 
     def product(g, f, pair):
         w = word[f] + word[g]
@@ -804,7 +741,7 @@ def _rewrite(p: QuiverPresentation, field: FieldSpec, relations: list):
                 a, acc = w[j:j + 1], {}
                 for s, c in nf.items():
                     for t, b in (memo.get(s + a)
-                                 or gb.normal_form(s + a, memo)).items():
+                                 or gb.normal_form(s + a)).items():
                         acc[t] = acc.get(t, 0) + c * b
                 nf = memo[w[:j + 1]] = {t: r for t, c in acc.items()
                                         if (r := red(c))}
@@ -815,87 +752,158 @@ def _rewrite(p: QuiverPresentation, field: FieldSpec, relations: list):
 
 
 class _GroebnerBasis:
-    """A reduced Gröbner basis of a graded ideal of a path algebra, built
-    degree by degree up to a bound and extended on demand.
+    """A Gröbner basis of the ideal I of a path algebra that some
+    relations generate, on a worklist bounded in length.
 
     A word is a path as the tuple of its arrows' declaration indices in
-    the order they apply, so tuples of one length compare as present
-    orders paths.  `rules` maps each leading word of the basis to its
-    tail: the leading word is congruent to the tail modulo the ideal,
-    and the tail is a combination of smaller standard words (E. L.
-    Green, "Noncommutative Gröbner bases, and projective resolutions",
-    1999).  Degree d takes the relations of degree d and the overlaps of
+    the order they apply, ordered by length, then as tuples.  `rules`
+    maps each leading word to its tail, smaller words with lead − tail
+    in I (E. L. Green, "Noncommutative Gröbner bases, and projective
+    resolutions", 1999).  The worklist holds relations, and overlaps of
     two leading words (a proper suffix of one is a prefix of the other)
-    that span d arrows, rewritten by the rules of lower degree, and
-    reduces them against each other.  By the diamond lemma (G. M.
-    Bergman, Adv. Math. 29, 1978) the rules of degree <= d then rewrite
-    each word of length <= d to its normal form."""
+    up to length `reach`.  The items of the lowest degree (longest word)
+    are rewritten and reduced against each other; each pivot row is a
+    new rule.  When relations mix lengths, a rule can be shorter than
+    its items (degree fall), and a rule whose leading word contains a
+    new one goes back on the list.  For homogeneous relations, once
+    degree d is worked off, the rules rewrite each element of I of
+    degree <= d to 0 (diamond lemma, G. M. Bergman, Adv. Math. 29,
+    1978).  `bound`, set by `close`, makes longer words zero.
+    """
 
-    def __init__(self, field: FieldSpec, relations: list[dict]):
+    def __init__(self, field: FieldSpec, relations: list[dict],
+                 ends: list[tuple[str, str]], reach: int):
         self.field = field
+        self.ends = ends  # the source and target of each arrow
+        self.reach = reach
+        self.bound: Optional[int] = None
         self.rules: dict[tuple[int, ...], dict] = {}
         self.lengths: list[int] = []  # of the leading words, increasing
-        self.degree = 0  # the rules of every degree up to this one are in
+        self.memo: dict = {}  # normal forms by the rules as they stand
         # degree -> relations (dicts word -> value) and overlaps (leading
         # word, leading word, length of the common part)
         self.pending: dict[int, list] = {}
         for r in relations:
-            self.pending.setdefault(len(next(iter(r))), []).append(r)
+            self._queue(r)
 
-    def extend(self, top: int) -> None:
-        """Add the rules of every degree up to top."""
-        rules, red = self.rules, self.field.reduce
-        for d in range(self.degree + 1, top + 1):
-            if d not in self.pending:
-                continue
-            memo: dict = {}  # normal forms by the rules of lower degree
+    def _queue(self, relation: dict) -> None:
+        if self.bound is not None:
+            relation = {w: a for w, a in relation.items()
+                        if len(w) <= self.bound}
+        if relation:
+            self.pending.setdefault(max(map(len, relation)), []).append(
+                relation)
+
+    def extend(self, top: Optional[int] = None) -> None:
+        """Work off the items of degree up to top, or all of them."""
+        rules, red, pending = self.rules, self.field.reduce, self.pending
+        while pending and (top is None or min(pending) <= top):
             vecs = []
-            for item in self.pending.pop(d):
+            for item in pending.pop(min(pending)):
                 if type(item) is tuple:  # overlap: lead1 = p·s, lead2 = s·q
                     lead1, lead2, k = item
+                    if lead1 not in rules or lead2 not in rules:
+                        continue  # it went back on the list
                     p, q = lead1[:-k], lead2[k:]
                     item = {t + q: a for t, a in rules[lead1].items()}
                     for t, a in rules[lead2].items():
                         item[p + t] = item.get(p + t, 0) - a
                 vec: dict = {}
                 for w, a in item.items():
-                    for s, b in self.normal_form(w, memo).items():
+                    for s, b in self.normal_form(w).items():
                         vec[s] = vec.get(s, 0) + a * b
                 if vec := {s: r for s, a in vec.items() if (r := red(a))}:
                     vecs.append(vec)
-            if all(len(vec) == 1 for vec in vecs):
-                # monomials: each word is a leading word with no tail
-                new = list(dict.fromkeys(s for vec in vecs for s in vec))
-                rules.update((s, {}) for s in new)
-            else:
-                # larger words get smaller columns, so each pivot is the
-                # leading word of its row
-                words = sorted({s for vec in vecs for s in vec}, reverse=True)
-                column = {s: j for j, s in enumerate(words)}
-                e = EchelonBasis(self.field.characteristic)
-                for vec in vecs:
-                    e.add({column[s]: a for s, a in vec.items()})
-                new = [words[j] for j in sorted(e.rows)]
-                for j in sorted(e.rows):
-                    rules[words[j]] = {words[i]: a
-                                       for i, a in e.tail(j).items()}
-            if new:
-                self.lengths.append(d)
-            # the overlaps of each ordered pair of leading words, one of
-            # them new; those of two monomials are zero
-            fresh = set(new)
-            for a in rules:
-                for b in rules if a in fresh else new:
-                    if rules[a] or rules[b]:
-                        for k in range(1, min(len(a), len(b))):
-                            if a[-k:] == b[:k]:
-                                self.pending.setdefault(
-                                    len(a) + len(b) - k, []).append((a, b, k))
-        self.degree = max(self.degree, top)
+            if vecs:
+                self._add(vecs)
+
+    def _add(self, vecs: list[dict]) -> None:
+        """Add the rules that rewritten items, none of them 0, give."""
+        rules = self.rules
+        if all(len(vec) == 1 for vec in vecs):
+            # monomials: each word is a leading word with no tail
+            new = list(dict.fromkeys(s for vec in vecs for s in vec))
+            rules.update((s, {}) for s in new)
+        else:
+            # larger words get smaller columns, so each pivot is the
+            # leading word of its row
+            words = sorted({s for vec in vecs for s in vec},
+                           key=lambda w: (len(w), w), reverse=True)
+            column = {s: j for j, s in enumerate(words)}
+            e = EchelonBasis(self.field.characteristic)
+            for vec in vecs:
+                e.add({column[s]: a for s, a in vec.items()})
+            new = [words[j] for j in sorted(e.rows)]
+            for j in sorted(e.rows):
+                rules[words[j]] = {words[i]: a
+                                   for i, a in e.tail(j).items()}
+        # the normal form of a word shorter than every new leading word
+        # keeps its value
+        short = min(map(len, new))
+        self.memo = {w: nf for w, nf in self.memo.items() if len(w) < short}
+        fresh, sizes = set(new), {len(s) for s in new}
+        # a rule whose leading word contains a new one goes back on the list
+        for lead in [w for w in rules if len(w) > short and any(
+                w[i:i + k] in fresh for k in sizes if k < len(w)
+                for i in range(len(w) - k + 1))]:
+            relation = {t: -a for t, a in rules.pop(lead).items()}
+            relation[lead] = 1
+            self._queue(relation)
+        self.lengths = sorted({len(w) for w in rules})
+        new = [s for s in new if s in rules]
+        fresh = set(new)
+        # the overlaps of each ordered pair of leading words, one of them
+        # new; those of two monomials are zero
+        for a in rules:
+            for b in rules if a in fresh else new:
+                if rules[a] or rules[b]:
+                    for k in range(max(1, len(a) + len(b) - self.reach),
+                                   min(len(a), len(b))):
+                        if a[-k:] == b[:k]:
+                            self.pending.setdefault(
+                                len(a) + len(b) - k, []).append((a, b, k))
+        if self.bound is not None:
+            for s in new:
+                self._implied(s)
+
+    def _implied(self, lead: tuple[int, ...]) -> None:
+        """Queue u·tail·v for the rule at lead and every u, v with
+        |u·lead·v| = max(bound + 1, |lead|): u·lead·v is zero then.  A
+        tail that keeps the lead's length implies nothing."""
+        tail, ends, k = self.rules[lead], self.ends, len(lead)
+        m = max(0, self.bound + 1 - k)
+        if all(len(t) + m > self.bound for t in tail):
+            return
+        around = {(0, lead)}  # (|v|, u·lead·v as a word)
+        for _ in range(m):
+            around = {c for j, w in around for c in [
+                (j + 1, (i,) + w) for i, e in enumerate(ends)
+                if e[1] == ends[w[0]][0]] + [
+                (j, w + (i,)) for i, e in enumerate(ends)
+                if e[0] == ends[w[-1]][1]]}
+        for j, w in sorted(around):
+            self._queue({w[:j] + t + w[j + k:]: a for t, a in tail.items()})
+
+    def close(self, bound: int) -> None:
+        """Make every word longer than bound zero, once every word of
+        length bound + 1 is known to lie in I, and work off the relations
+        still waiting and what each rule implies.  A longer overlap is a
+        zero word whose rewrites are implied: overlaps stop at bound."""
+        waiting = [item for items in self.pending.values() for item in items
+                   if type(item) is dict]
+        self.pending, self.bound, self.reach = {}, bound, bound
+        for r in waiting:
+            self._queue(r)
+        for lead in list(self.rules):
+            self._implied(lead)
+        self.extend()
 
     def _rewrite_once(self, w: tuple[int, ...]) -> Optional[list]:
         """w rewritten once, at its leftmost shortest leading word, as
-        (word, value) terms; None when w is standard."""
+        (word, value) terms, or to 0 when it is longer than `bound`;
+        None when w is standard."""
+        if self.bound is not None and len(w) > self.bound:
+            return []
         rules = self.rules
         for i in range(len(w)):
             for k in self.lengths:
@@ -906,12 +914,12 @@ class _GroebnerBasis:
                     return [(w[:i] + t + w[i + k:], a) for t, a in tail.items()]
         return None
 
-    def normal_form(self, word: tuple[int, ...], memo: dict) -> dict:
+    def normal_form(self, word: tuple[int, ...]) -> dict:
         """word as a combination of standard words, rewriting the leftmost
-        shortest leading word first; memo keeps the normal form of each
+        shortest leading word first; `memo` keeps the normal form of each
         word met on the way.  A stack, not recursion: a chain of rewrites
         may be as long as the words of one length are many."""
-        red = self.field.reduce
+        memo, red = self.memo, self.field.reduce
         rewritten: dict = {}  # word -> its rewrites, while they wait
         stack = [word]
         while stack:

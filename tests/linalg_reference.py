@@ -4,15 +4,16 @@ test_extension_differential.py, `column_space_basis` and `quotient_basis`
 for the greedy definitions of test_exactlinalg_sympy.py, `rref`, `rank`
 and `kernel_basis` for the sympy comparisons and the rank-based
 reference checks.  They are thin layers over the library's EchelonBasis
-and complement.  `eliminated_inverse` is `inverse` as it was before
+and over `complement`, a greedy complement of a span with the projection
+that kills it, which the elimination references of present use too.
+`eliminated_inverse` is `inverse` as it was before
 monomial matrices skipped elimination, the reference for that path.
 `from_rows`, `from_cols` and `row_major` build a Matrix from dense rows,
 dense columns or row-major entries, coercing each entry into the field;
 `entries` reads a Matrix back as its row-major entries."""
 from typing import Iterable, Optional, Sequence
 
-from lincat.exactlinalg import (EchelonBasis, FieldSpec, Matrix, complement,
-                                dense)
+from lincat.exactlinalg import EchelonBasis, FieldSpec, Matrix, dense
 
 
 def from_rows(field: FieldSpec, rows: Sequence[Sequence]) -> Matrix:
@@ -118,6 +119,42 @@ def column_space_basis(field: FieldSpec, vectors: Iterable[Sequence],
         if e.add(_sparse(field, v)):
             kept.append(list(v))
     return kept
+
+
+def complement(characteristic: int, dim: int, subspace: Iterable[dict],
+               preferred: Sequence[int]) -> tuple[list[int], list[dict]]:
+    """Greedy unit-vector complement of span(subspace) in k^dim, on raw
+    sparse rows.
+
+    Returns the chosen coordinates R, in `preferred` order, and the
+    projection k^dim -> k^R that kills the subspace, as the image of each
+    unit vector (a sparse row over positions in R).  The units are those
+    a greedy pass in `preferred` order would keep; they are the free
+    columns of the subspace's rref taken with the columns outside
+    `preferred` first and `preferred` reversed (the complement of a greedy
+    basis of a matroid is a greedy basis of its dual, in reverse order).
+    The pivot row of a non-chosen column j says e_j + sum c_r e_r lies in
+    the subspace, so e_j projects to -c.
+    """
+    order = list(dict.fromkeys(preferred))
+    taken = set(order)
+    elim = [j for j in range(dim) if j not in taken] + order[::-1]
+    label = {j: k for k, j in enumerate(elim)}
+    e = EchelonBasis(characteristic)
+    for v in subspace:
+        e.add({label[j]: a for j, a in v.items()})
+    chosen = [j for j in order if label[j] not in e.rows]
+    if len(chosen) + len(e) != dim:
+        raise ValueError("preferred order does not complete a basis")
+    at = {label[j]: i for i, j in enumerate(chosen)}
+    images = []
+    for j in range(dim):
+        k = label[j]
+        if k in at:
+            images.append({at[k]: e.one})
+        else:
+            images.append({at[c]: a for c, a in e.tail(k).items()})
+    return chosen, images
 
 
 def quotient_basis(field: FieldSpec, ambient_dim: int,

@@ -21,8 +21,9 @@ every composable basis pair, unit names included, and
 `reference_derivation_space`, `reference_inner_span` and
 `reference_inner_basis` solve it and span the inner derivations as the
 library once did.
-They are the oracles for `_derivation_vectors`, `_inner_generators`,
-`h1` and `is_inner`.  `reference_covering_report` builds a Matrix for
+They are the oracles for `_derivation_vectors`, `_inner_generators` and
+`h1`.  `is_inner` decides whether a derivation is inner by membership in
+that span: the oracle for `delta_is_inner`.  `reference_covering_report` builds a Matrix for
 every star block and inverts each one up front, as check_covering once
 did; `reference_hom_coverings` extends every seed of the fibre into a
 whole functor, and `reference_gset_analysis` reads its action table
@@ -385,6 +386,12 @@ def reference_inner_basis(c: LinCat) -> list[Derivation]:
     """The echelon basis of reference_inner_span, as Derivations."""
     return [reference_derivation_of(c, v)
             for v in reference_inner_span(c).rows.values()]
+
+
+def is_inner(d: Derivation) -> bool:
+    """Whether d lies in the span of the inner derivations."""
+    c = d.category
+    return reference_sparse_derivation(c, d) in reference_inner_span(c)
 
 
 def reference_covering_report(f: LinFunctor) -> CoveringReport:

@@ -5,7 +5,7 @@ failure shows up as the usual pytest failure line for that criterion.
 Everything runs from built-in fixtures.
 """
 from lincat.cohomology import characters, delta, delta_injectivity_check, \
-    h1, is_inner
+    h1
 from lincat.covering import aut1, check_covering, extend_morphism, fibre, \
     lambda_map
 from lincat.exactlinalg import Matrix
@@ -21,7 +21,8 @@ from lincat.kcat import LinFunctor, functor_equal, identity_functor, \
     is_connected, validate_functor
 from lincat.pi1pres import abelianization, bounded_order, pi1_presentation
 from lincat_reference import (CoveringMorphism, functor_compose,
-                              functor_is_isomorphism, morphism_functor,
+                              functor_is_isomorphism, is_inner,
+                              morphism_functor,
                               reference_gset_analysis, reference_lambda_map,
                               reference_structure_problems,
                               reference_validate_derivation,

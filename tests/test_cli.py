@@ -2,8 +2,13 @@ import copy
 import hashlib
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +18,7 @@ from lincat import cli, formats, registry
 from lincat_reference import (disconnected_double_kronecker, dump_path,
                               presentation_to_doc, trivial_grading)
 
+ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_SETS = ("kronecker", "kronecker-double", "F0", "F1", "F2",
                 "gdlp-base", "gdlp-C1", "smash-demo", "corrupted", "empty",
                 "cyclic-cover-2", "cyclic-cover-4")
@@ -1123,6 +1129,37 @@ def test_unwritable_output_exit_2(workdir, tmp_path):
                          "--dir", str(workdir / "F0.json"))
     assert code == 2 and out == ""
     assert "File exists" in json.loads(err)["error"]
+
+
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path):
+    # two free loops at bound 10: naming the witness walks every path of
+    # length <= 20, more than 400 MB of address space hold.  The limit is
+    # set in the child only, so the test cannot take the host's memory
+    loops = tmp_path / "loops.txt"
+    loops.write_text("vertices x\narrow a: x -> x\narrow b: x -> x\n"
+                     "bound 10\n")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20,) * 2)
+
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "lincat.cli", "present", "--presentation",
+         str(loops)], capture_output=True, text=True, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert time.perf_counter() - start < 10
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (2, "", "error: out of memory\n")
+
+
+def test_out_of_memory_under_json_is_an_error_document(workdir, monkeypatch):
+    def exhausted(*_):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "present", exhausted)
+    code, out, err = run(workdir, "--json", "present", "--presentation",
+                         "gdlp-R.txt")
+    assert (code, out, json.loads(err)) == (2, "", {"error": "out of memory"})
 
 
 @pytest.mark.parametrize("command,name,edit,fragment", [

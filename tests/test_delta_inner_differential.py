@@ -15,8 +15,7 @@ import pytest
 
 from grading_reference import graded_nakayama
 from lincat import registry
-from lincat.cohomology import (Character, characters, delta, delta_is_inner,
-                               is_inner)
+from lincat.cohomology import Character, characters, delta, delta_is_inner
 from lincat.covering import fibre
 from lincat.exactlinalg import FieldSpec
 from lincat.fixtures import (F2, cover_f0, cover_f1, cyclic_cover, kronecker,
@@ -25,7 +24,7 @@ from lincat.formats import grading_from_doc
 from lincat.grading import (grading_on_basis, induced_grading,
                             is_connected_grading, regrade)
 from lincat.groups import cyclic_group
-from lincat_reference import make_category
+from lincat_reference import is_inner, make_category
 from test_cohomology import elementary_abelian
 
 F3 = FieldSpec(3)

@@ -17,7 +17,7 @@ from lincat import cohomology
 from lincat import formats as fm
 from lincat import registry
 from lincat.cohomology import (Derivation, H1Result, _derivation_vectors,
-                               _sparse_derivation, _span, h1)
+                               _span, h1)
 from lincat.exactlinalg import EchelonBasis, FieldSpec, Matrix
 from lincat.fixtures import cyclic_cover, kronecker, square_base
 from lincat.kcat import Arrow, LinCat, QuiverPresentation, present
@@ -148,14 +148,14 @@ def test_in_derivation_space_agrees_with_reference(name):
     kernel = _span(c, _derivation_vectors(c))
     # each basis derivation, and one entry of it moved off its place
     for d in ders:
-        assert _sparse_derivation(c, d) in kernel
+        assert reference_sparse_derivation(c, d) in kernel
         for pair, m in d.matrices.items():
             if m.rows > 1 and any(m.columns):
                 moved = dict(d.matrices)
                 moved[pair] = Matrix(m.field, m.rows, m.cols,
                                      m.columns[1:] + m.columns[:1])
                 off = Derivation(c, moved)
-                assert (_sparse_derivation(c, off) in kernel) == \
+                assert (reference_sparse_derivation(c, off) in kernel) == \
                     (reference_sparse_derivation(c, off) in e)
 
 

@@ -530,6 +530,42 @@ def test_the_short_part_of_a_long_relation_is_kept(bound):
     assert res.basis_paths == {("x", "x"): [(), ("a",)]}
 
 
+@pytest.mark.parametrize("field", [Q, FieldSpec(3)])
+def test_a_rule_of_lower_degree_decides_every_bound(field):
+    # a = (a*a + a) - a*a lies in I, so I = (a, b*b) and the basis is
+    # 1_x, b at every bound.  Elimination over the paths of length <= 2N
+    # refused every bound, naming (b*a)^N: b*a = b*(a*a + a) - b*a*a
+    # needs a term longer than 2N
+    text = TWO_LOOPS + "rel a*a\nrel a*a + a\nrel b*b\nbound {}\n"
+    results = [present(fm.presentation_from_text(text.format(bound)), field)
+               for bound in range(1, 5)]
+    for res in results:
+        assert res.basis_paths == {("x", "x"): [(), ("b",)]}
+        assert res.category == results[0].category
+
+
+def test_a_relation_read_after_acceptance_is_closed_under_the_bound():
+    # a^4 alone accepts bound 3; only then is a^5 + a^3 + a^2 read, as
+    # a^3 + a^2, a rule a^3 -> -a^2 shorter than its relation.  As a^4
+    # is zero, a*(a^3 + a^2) = a^3 lies in I, and so does a^2: the basis
+    # is 1_x, a, not 1_x, a, a*a
+    text = LOOP + "rel a*a*a*a\nrel a*a*a*a*a + a*a*a + a*a\nbound 3\n"
+    for field in (Q, FieldSpec(3)):
+        res = present(fm.presentation_from_text(text), field)
+        assert res.basis_paths == {("x", "x"): [(), ("a",)]}
+
+
+@pytest.mark.parametrize("bound", range(1, 7))
+def test_a_cube_equal_to_its_root_is_refused_at_every_bound(bound):
+    # k[a]/(a^3 - a) is 3-dimensional and a^(N+1) is a or a^2, never 0.
+    # The rule a^3 -> a leaves no standard path of length 3, yet a*a*a
+    # has normal form a: acceptance asks for normal form 0
+    with pytest.raises(TruncationError) as exc:
+        present(fm.presentation_from_text(
+            LOOP + f"rel a*a*a - a\nbound {bound}\n"), Q)
+    assert exc.value.witness == ("a",) * (bound + 1)
+
+
 def test_a_term_that_vanishes_in_the_field_is_dropped():
     # 5 a^4 + a^2 is a^2 over F_5: bound 1 is exact, basis 1, a
     f5 = FieldSpec(5)

@@ -1,4 +1,4 @@
-"""Differential test of the Leibniz system that h1 and is_inner rank.
+"""Differential test of the Leibniz system that h1 ranks.
 
 `_derivation_vectors` leaves out the rows of a pair (g, f) where exactly
 one of g, f is a unit name; `reference_derivation_vectors` (in

@@ -1,33 +1,43 @@
 """Differential test of present against the elimination it replaced,
-kept here as the reference.  The library compiles a presentation whose
-relations are homogeneous by a Gröbner basis, and eliminates only for
-the others, over the paths of the pairs that some path joins; the
-reference builds a path list, a complement and a truncation check for
-every pair of objects, and pairs every hom with every hom.  Both order
-paths by length, then by the declaration index of the arrows in the
-order they apply, so on the inputs where the reference is exact they
-must give the same bases, structure constants, identities and
-insertion orders, and raise the same exception with the same message
-(the TruncationError witness included).
+kept here as the reference.  The library compiles every presentation by
+a Gröbner basis; the reference builds a path list, a complement and a
+truncation check for every pair of objects, and pairs every hom with
+every hom.  Both order paths by length, then by the declaration index of
+the arrows in the order they apply, so on the inputs where the
+reference is exact they give the same bases, structure constants,
+identities and insertion orders, and raise the same exception with the
+same message (the TruncationError witness included) -- with one
+exception, which `assert_agree` checks instead of equality.
 
-The reference is exact unless a relation's term lengths spread by more
-than the bound, or a term of a relation of mixed lengths vanishes in
-the field: it then sets a relation's room from a term it should not
-read.  The library fixes both; test_kcat.py pins those cases by hand,
-and test_an_accepted_bound_does_not_change_the_result checks them here
+The reference decides a bound N from the span of the u·r·v whose terms
+all have length <= 2N.  When the relations mix lengths, the library's
+rules can reach an element of I that needs longer u·r·v (a rewrite
+that lowers the degree), or use a relation longer than 2N.  So where
+the reference refuses an inhomogeneous presentation, the library may
+accept, or name a later witness.  Neither is taken on trust:
+`certified_present` rebuilds an acceptance by linear algebra alone, and
+`in_ideal` shows that the reference's witness lies in I.
+
+The reference is also inexact when a relation's term lengths spread by
+more than the bound, or a term of a relation of mixed lengths vanishes
+in the field: it then sets a relation's room from a term it should not
+read.  test_kcat.py pins those cases by hand, and
+test_an_accepted_bound_does_not_change_the_result checks them here
 against the library itself."""
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
 from lincat import fixtures as fx
-from lincat.exactlinalg import FieldSpec, complement
+from lincat.exactlinalg import EchelonBasis, FieldSpec
 from lincat.formats import presentation_from_text
 from lincat.kcat import (Arrow, LinCat, LinComb, PresentResult,
                          QuiverPresentation, TruncationError, path_name,
                          present)
 from lincat.registry import fixture_files
+from linalg_reference import complement
 
 Q, F2, F3, F5 = FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(5)
 
@@ -129,6 +139,118 @@ def reference_present(p: QuiverPresentation, field: FieldSpec
                                in basis_paths.items() if rep_list})
 
 
+def relation_multiples(p: QuiverPresentation, field: FieldSpec,
+                       paths: dict, pair: tuple[str, str], room) -> list:
+    """The u·r·v from pair[0] to pair[1] for each relation r, its terms
+    that vanish in the field dropped, and each u, v with |u| + |v| <=
+    room(lengths of r's terms), as sparse vectors over the index of
+    paths[pair]; terms that paths[pair] does not list are dropped."""
+    idx = {t: i for i, t in enumerate(paths[pair])}
+    x, y = pair
+    out = []
+    for r in p.relations:
+        terms: dict = {}
+        for coeff, path in r:
+            terms[path] = terms.get(path, 0) + field.scalar(coeff)
+        terms = {t: a for t, a in terms.items() if field.reduce(a)}
+        if not terms:
+            continue
+        first = next(iter(terms))
+        src, tgt = p.path_source(first), p.arrow(first[0]).target
+        k = room([len(t) for t in terms])
+        # path lists run by increasing length
+        for left in paths[(tgt, y)]:
+            if len(left) > k:
+                break
+            for mid in paths[(x, src)]:
+                if len(left) + len(mid) > k:
+                    break
+                out.append({idx[left + t + mid]: a for t, a in terms.items()
+                            if left + t + mid in idx})
+    return out
+
+
+def span_within(p: QuiverPresentation, field: FieldSpec, paths: dict,
+                pair: tuple[str, str], top: int) -> EchelonBasis:
+    """The span of the u·r·v from pair[0] to pair[1] whose terms all have
+    length <= top, over the index of paths[pair]."""
+    e = EchelonBasis(field.characteristic)
+    for vec in relation_multiples(p, field, paths, pair,
+                                  lambda lengths: top - max(lengths)):
+        e.add(vec)
+    return e
+
+
+def in_ideal(p: QuiverPresentation, field: FieldSpec,
+             path: tuple[str, ...]) -> bool:
+    """Whether, for some L in 2N..4N, path lies in the span of the u·r·v
+    whose terms all have length <= L: a certificate that path lies in
+    I."""
+    n = p.length_bound
+    pair = (p.path_source(path), p.arrow(path[0]).target)
+    for top in range(2 * n, 4 * n + 1):
+        paths = reference_enumerate_paths(p, top)
+        if {paths[pair].index(path): 1} in span_within(p, field, paths, pair,
+                                                       top):
+            return True
+    return False
+
+
+def certifies(p: QuiverPresentation, field: FieldSpec, top: int) -> bool:
+    """Whether every path of length N+1 lies in the span of the u·r·v
+    whose terms all have length <= top."""
+    paths = reference_enumerate_paths(p, top)
+    for pair, plist in paths.items():
+        e = span_within(p, field, paths, pair, top)
+        if any(len(t) == p.length_bound + 1 and {j: 1} not in e
+               for j, t in enumerate(plist)):
+            return False
+    return True
+
+
+def certified_present(p: QuiverPresentation, field: FieldSpec
+                      ) -> Optional[PresentResult]:
+    """present by linear algebra alone, or None when no span certifies
+    the bound.  The certificate is an L in 2N..4N such that every path
+    of length N+1 lies in the span of the u·r·v whose terms all have
+    length <= L, so J^(N+1) ⊆ I.  Then I ∩ kQ≤N is spanned by the parts
+    of length <= N of the u·r·v with |u| + |v| + (shortest term of r)
+    <= N, and the category is kQ≤N modulo that span, with the greedy
+    complement basis in path order, assembled as reference_present
+    assembles it."""
+    n = p.length_bound
+    if not any(certifies(p, field, top) for top in range(2 * n, 4 * n + 1)):
+        return None
+    paths = reference_enumerate_paths(p, n)
+    basis_paths, projections = {}, {}
+    for pair, plist in paths.items():
+        gens = relation_multiples(p, field, paths, pair,
+                                  lambda lengths: n - min(lengths))
+        reps, projections[pair] = complement(
+            field.characteristic, len(plist), gens, range(len(plist)))
+        basis_paths[pair] = [plist[j] for j in reps]
+    hom = {pair: tuple(path_name(t, pair[0]) for t in ts)
+           for pair, ts in basis_paths.items()}
+
+    def comb_of_path(t, pair):
+        if len(t) > n:
+            return {}
+        coords = projections[pair][paths[pair].index(t)]
+        return {hom[pair][i]: a for i, a in sorted(coords.items())}
+
+    comp = {}
+    for (x, y), f_list in basis_paths.items():
+        for (y2, z), g_list in basis_paths.items():
+            if y2 == y:
+                for ft in f_list:
+                    for gt in g_list:
+                        if comb := comb_of_path(gt + ft, (x, z)):
+                            comp[(path_name(gt, y), path_name(ft, x))] = comb
+    identities = {x: comb_of_path((), (x, x)) for x in p.vertices}
+    return PresentResult(LinCat(field, p.vertices, hom, comp, identities),
+                         {pair: ts for pair, ts in basis_paths.items() if ts})
+
+
 def outcome(build, p, field):
     try:
         res = build(p, field)
@@ -145,13 +267,50 @@ def with_bound(p, bound):
     return QuiverPresentation(p.vertices, p.arrows, p.relations, bound)
 
 
+def graded(p: QuiverPresentation) -> bool:
+    return all(len({len(t) for _, t in r}) == 1 for r in p.relations)
+
+
+def path_order(p: QuiverPresentation, path: tuple[str, ...]) -> tuple:
+    """The place of path in present's witness order: its pair,
+    vertex-major, then its length, then its arrows' declaration indices
+    in the order they apply."""
+    at = {x: i for i, x in enumerate(p.vertices)}
+    number = {a.name: i for i, a in enumerate(p.arrows)}
+    return (at[p.path_source(path)], at[p.arrow(path[0]).target],
+            len(path), tuple(number[a] for a in reversed(path)))
+
+
 def assert_agree(p, fields=(Q, F5)):
-    """Agreement at the presentation's bound and at one less."""
-    for bound in {p.length_bound, max(1, p.length_bound - 1)}:
+    """Agreement at the presentation's bound and at one less.  Where the
+    reference refuses an inhomogeneous presentation, the library may
+    instead accept, with the result that certified_present rebuilds (or,
+    when no span certifies it, with its own result at the next two
+    bounds), or refuse with a later witness, the reference's being in I.
+    Returns those cases as (bound, field, what the library did)."""
+    moved = []
+    for bound in sorted({p.length_bound, max(1, p.length_bound - 1)}):
         q = with_bound(p, bound)
         for field in fields:
-            assert outcome(present, q, field) == \
-                outcome(reference_present, q, field), (bound, field)
+            got, want = outcome(present, q, field), \
+                outcome(reference_present, q, field)
+            if got == want:
+                continue
+            assert not graded(q) and want[0] is TruncationError, \
+                (bound, field)
+            if got[0] is TruncationError:
+                assert path_order(q, want[2]) < path_order(q, got[2])
+                assert in_ideal(q, field, want[2]), (bound, field)
+                moved.append((bound, str(field), got[2]))
+            elif (certified := certified_present(q, field)) is not None:
+                assert got == outcome(lambda *_: certified, q, field)
+                moved.append((bound, str(field), "accepted"))
+            else:
+                for larger in (bound + 1, bound + 2):
+                    assert outcome(present, with_bound(p, larger), field) \
+                        == got, (bound, field, larger)
+                moved.append((bound, str(field), "accepted, uncertified"))
+    return moved
 
 
 def rel(*terms):
@@ -247,7 +406,7 @@ def test_nakayama(n, length):
 
 def test_kuv_and_dihedral():
     for p in [kuv_quiver()] + [dihedral_quiver(n) for n in (1, 2, 3, 5)]:
-        assert_agree(p, (Q, F3, F5))
+        assert assert_agree(p, (Q, F3, F5)) == []
 
 
 def test_refusals_are_compared():
@@ -297,10 +456,29 @@ def random_presentation(seed):
     return QuiverPresentation(vs, arrows, tuple(rels), bound)
 
 
+# the seeds of random_presentation whose reference refusal the library
+# does not repeat, with assert_agree's (bound, field, what the library
+# did); every one of them is inhomogeneous
+MOVED = {
+    3: [(1, f, ("a0", "a0")) for f in ("Q", "F_2", "F_3", "F_5")],
+    100: [(2, f, ("a0", "a1", "a1")) for f in ("Q", "F_5")],
+    110: [(2, f, "accepted") for f in ("Q", "F_2", "F_3", "F_5")],
+    121: [(2, "Q", ("a1", "a1", "a0")), (2, "F_2", ("a1", "a0", "a1")),
+          (2, "F_3", ("a1", "a1", "a0")), (2, "F_5", ("a1", "a1", "a0"))],
+    169: [(1, f, "accepted") for f in ("Q", "F_3", "F_5")],
+    176: [(1, f, "accepted") for f in ("Q", "F_3")],
+    185: [(2, "F_2", ("a1", "a1", "a1"))] + [
+        (3, f, ("a1", "a1", "a1", "a1")) for f in ("Q", "F_2", "F_5")],
+    186: [(1, f, ("a1", "a2")) for f in ("Q", "F_5")],
+    193: [(1, f, "accepted") for f in ("Q", "F_3", "F_5")],
+}
+
+
 @pytest.mark.parametrize("chunk", range(4))
 def test_random_presentations(chunk):
     for seed in range(50 * chunk, 50 * chunk + 50):
-        assert_agree(random_presentation(seed), (Q, F2, F3, F5))
+        assert assert_agree(random_presentation(seed), (Q, F2, F3, F5)) \
+            == MOVED.get(seed, []), seed
 
 
 def test_random_presentations_cover_every_outcome():

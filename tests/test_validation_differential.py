@@ -9,7 +9,7 @@ Derivation.apply and vector.  The category checks must return the same
 problem lists, in the same order, and refuse the same inputs with the
 same message.  A family of matrices passes the reference derivation
 check exactly when it lies in the span of the Leibniz kernel that h1
-and is_inner rank.
+ranks.
 
 Grading decides its axioms when it is built, so it must refuse exactly
 the data on which the grading reference lists a problem, with the first
@@ -30,9 +30,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from lincat.cohomology import (Derivation, _derivation_vectors,
-                               _sparse_derivation, _span, characters, delta,
-                               h1)
+from lincat.cohomology import (Derivation, _derivation_vectors, _span,
+                               characters, delta, h1)
 from lincat.covering import fibre
 from lincat.exactlinalg import FieldSpec, Matrix
 from grading_reference import (built_grading, decided, grading_fields,
@@ -49,6 +48,7 @@ from lincat.kcat import (Arrow, LinCat, QuiverPresentation, Violation,
                          validate_category)
 from lincat_reference import (comb_eq, derivation_space,
                               reference_inner_basis,
+                              reference_sparse_derivation,
                               reference_validate_derivation, trivial_grading)
 
 F3, F5 = FieldSpec(3), FieldSpec(5)
@@ -267,10 +267,11 @@ def induced(fix):
 
 
 def in_leibniz_kernel(d):
-    """d, flattened, lies in the span of the Leibniz kernel that h1 and
-    is_inner rank (_derivation_vectors)."""
+    """d, flattened, lies in the span of the Leibniz kernel that h1
+    ranks (_derivation_vectors)."""
     c = d.category
-    return _sparse_derivation(c, d) in _span(c, _derivation_vectors(c))
+    return reference_sparse_derivation(c, d) in _span(
+        c, _derivation_vectors(c))
 
 
 def assert_derivation_agrees(d):
