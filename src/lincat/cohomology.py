@@ -20,7 +20,7 @@ from typing import Optional
 
 from .exactlinalg import EchelonBasis, FieldSpec, Matrix
 from .groups import Group
-from .kcat import LinCat, LinComb
+from .kcat import LinCat
 from .grading import Grading, is_connected_grading
 
 
@@ -30,28 +30,6 @@ class Derivation:
     hom(x,y); pairs of dimension zero are omitted."""
     category: LinCat
     matrices: dict[tuple[str, str], Matrix]
-
-    def apply(self, comb: LinComb) -> LinComb:
-        c = self.category
-        pair = c.comb_pair(comb)
-        if pair is None:
-            return {}
-        image = self.matrices[pair]({c.position[n]: s
-                                     for n, s in comb.items() if s})
-        return {c.hom[pair][i]: a for i, a in image.items()}
-
-    def apply_name(self, n: str) -> LinComb:
-        return self.apply({n: self.category.field.one()})
-
-    def __add__(self, other: "Derivation") -> "Derivation":
-        return Derivation(self.category,
-                          {p: m + other.matrices[p]
-                           for p, m in self.matrices.items()})
-
-    def __sub__(self, other: "Derivation") -> "Derivation":
-        return Derivation(self.category,
-                          {p: m - other.matrices[p]
-                           for p, m in self.matrices.items()})
 
 
 def _layout(c: LinCat) -> tuple[dict[tuple[str, str], int], int]:

@@ -15,24 +15,21 @@ The star block of F at a source object x towards a base object b is the
 map from the hom spaces between x and the fibre over b to the hom space
 between F(x) and b; it is kept as sparse columns, ordered by fibre
 position and then by basis position.  check_covering builds every star
-block in one pass over the nonzero hom pairs of the source and decides
-its bijectivity from its columns: a block whose columns each hold one
-entry is bijective when it is square and the entries sit in distinct
-rows, and only a block with a longer column goes through
-exactlinalg.inverse.  Its CoveringReport carries validate_functor's
-violations and the star table, which keeps every bijective block and
-inverts it the first time a propagation reads it.  The report is kept on
-the functor it was made for, so every caller that needs a verdict or a
-star block of F calls check_covering(F), and each functor is validated
-once and each of its star blocks inverted at most once.
+block that holds columns in one pass over the nonzero hom pairs of the
+source and decides each with one exactlinalg.inverse; a block with no
+columns is bijective exactly when its base hom is zero.  Its
+CoveringReport carries validate_functor's violations and the star
+table: the inverse of every bijective block that holds columns.  The
+report is kept on the functor it was made for, so every caller that
+needs a verdict or a star block of F calls check_covering(F), and each
+functor is validated once and each of its star blocks inverted once.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactlinalg import FieldSpec, Matrix, inverse
+from .exactlinalg import Matrix, inverse
 from .groups import Group
 from .kcat import (LinComb, LinFunctor, Violation, is_connected,
                    validate_functor)
@@ -50,42 +47,6 @@ def fibre(f: LinFunctor, b: str) -> list[str]:
 Owner = tuple[str, int, int]
 
 
-class StarTable(Mapping):
-    """The bijective star blocks of one functor, keyed (x, b, direction).
-
-    table[key] is the inverse of the block, as a Matrix, with the owner
-    list: for each position of the block, the fibre object owning it.
-    Each block is kept as its columns and inverted by exactlinalg.inverse
-    the first time it is read; the inverse is then kept.  A block that
-    check_covering already had to invert to decide it is kept inverted."""
-
-    def __init__(self, field: FieldSpec):
-        self.field = field
-        self.blocks: dict[tuple[str, str, str],
-                          tuple[tuple[dict, ...], list[Owner]]] = {}
-        self.read: dict[tuple[str, str, str],
-                        tuple[Matrix, list[Owner]]] = {}
-
-    def __getitem__(self, key: tuple[str, str, str]
-                    ) -> tuple[Matrix, list[Owner]]:
-        entry = self.read.get(key)
-        if entry is None:
-            block, owner = self.blocks[key]
-            n = len(block)
-            entry = self.read[key] = (
-                inverse(Matrix(self.field, n, n, block)), owner)
-        return entry
-
-    def __contains__(self, key) -> bool:
-        return key in self.blocks
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
 @dataclass
 class CoveringReport:
     """check_covering's verdict, with its star table."""
@@ -93,8 +54,10 @@ class CoveringReport:
     surjective: bool
     failures: list[tuple[str, str, str]]  # (fibre object, base object, direction)
     violations: list[Violation]  # validate_functor's
-    # the bijective star blocks, each inverted when first read
-    stars: StarTable = field(default=None, repr=False, compare=False)
+    # (x, b, direction) -> (inverse, owner) for each bijective star block
+    # that holds columns
+    stars: dict[tuple[str, str, str], tuple[Matrix, list[Owner]]] = field(
+        default=None, repr=False, compare=False)
 
     def message(self) -> str:
         if self.ok:
@@ -111,8 +74,8 @@ class CoveringReport:
 def check_covering(f: LinFunctor) -> CoveringReport:
     """Whether f is a covering: a k-functor (validate_functor), surjective
     on objects, with both star halves bijective block by block over each
-    fibre at every source object; with the star table, which inverts a
-    bijective star block when it is first read.  The report is made on
+    fibre at every source object; with the star table of the inverses
+    of the bijective blocks that hold columns.  The report is made on
     the first call and kept on f, which is never mutated (see
     LinFunctor): later calls return the same report."""
     if f._covering is None:
@@ -124,10 +87,13 @@ def _covering_report(f: LinFunctor) -> CoveringReport:
     """check_covering's work.  Each nonzero hom(x,y) of the source adds
     its columns to the outgoing star of x towards F(y) and to the
     incoming star of y towards F(x); pairs run x-major in declaration
-    order, so the columns fall in fibre order.  A block with as many
-    columns as rows, each column a single entry, is bijective exactly
-    when those entries lie in distinct rows, and is not inverted here;
-    one with a longer column is inverted to be decided."""
+    order, so the columns fall in fibre order.  A block that holds
+    columns is bijective exactly when its base hom has as many basis
+    names and exactlinalg.inverse inverts it.  A block with no
+    columns is bijective exactly when its base hom is zero, so only the
+    blocks towards the neighbours of F(x) in the base are looked for.
+    Failures are listed by source object, then base object, in
+    declaration order, the outgoing half first."""
     src, tgt, omap = f.source, f.target, f.object_map
     surjective = set(omap.values()) == set(tgt.objects)
     cols: dict[tuple[str, str, str], list[dict]] = {}
@@ -139,36 +105,29 @@ def _covering_report(f: LinFunctor) -> CoveringReport:
                 [(e, len(at), len(at) + m.cols - 1)] * m.cols)
             at.extend(m.columns)
     failures: list[tuple[str, str, str]] = []
-    stars = StarTable(src.field)
-    hom, kept = tgt.hom, stars.blocks
+    stars: dict[tuple[str, str, str], tuple[Matrix, list[Owner]]] = {}
+    for key, block in cols.items():
+        x, b, direction = key
+        n = tgt.dim(omap[x], b) if direction == "out" else tgt.dim(b, omap[x])
+        inv = (inverse(Matrix(src.field, n, n, tuple(block)))
+               if len(block) == n else None)
+        if inv is None:
+            failures.append(key)
+        else:
+            stars[key] = (inv, owner[key])
+    near: dict[str, list[tuple[str, str]]] = {b: [] for b in tgt.objects}
+    for b0, b1 in tgt.hom:
+        near[b0].append((b1, "out"))
+        near[b1].append((b0, "in"))
     for x in src.objects:
-        bx = omap[x]
-        for b in tgt.objects:
-            for key, pair in (((x, b, "out"), (bx, b)),
-                              ((x, b, "in"), (b, bx))):
-                block = cols.get(key)
-                if block is None:  # 0 x 0 unless hom(pair) is nonzero
-                    if pair in hom:
-                        failures.append(key)
-                    else:
-                        kept[key] = ((), [])
-                    continue
-                n = len(block)
-                if n != len(hom.get(pair, ())):
-                    failures.append(key)
-                    continue
-                block = tuple(block)
-                if set(map(len, block)) == {1}:  # one entry per column
-                    if len(set().union(*block)) < n:
-                        failures.append(key)
-                        continue
-                else:
-                    inv = inverse(Matrix(src.field, n, n, block))
-                    if inv is None:
-                        failures.append(key)
-                        continue
-                    stars.read[key] = (inv, owner[key])
-                kept[key] = (block, owner[key])
+        for b, direction in near[omap[x]]:
+            if (x, b, direction) not in cols:
+                failures.append((x, b, direction))
+    if failures:
+        at_src = {x: i for i, x in enumerate(src.objects)}
+        at_tgt = {b: i for i, b in enumerate(tgt.objects)}
+        failures.sort(key=lambda k: (at_src[k[0]], at_tgt[k[1]],
+                                     k[2] != "out"))
     violations = validate_functor(f)
     return CoveringReport(surjective and not failures and not violations,
                           surjective, failures, violations, stars)
@@ -193,19 +152,23 @@ class _Extension:
                            and not report.violations)
         self.image = {n: col for pair, m in f.matrices.items()
                       for n, col in zip(f.source.hom[pair], m.columns)}
-        self.stars = report.stars
+        self.stars, self.failed = report.stars, set(report.failures)
+        self.empty = (Matrix(g.source.field, 0, 0, ()), [])
 
     def star(self, x: str, b: str, direction: str
              ) -> tuple[Matrix, list[Owner]]:
         """The star table's entry for G's star block at x towards the
-        fibre of b."""
+        fibre of b; a bijective block with no columns is 0×0."""
         key = (x, b, direction)
-        if key not in self.stars:
+        entry = self.stars.get(key)
+        if entry is not None:
+            return entry
+        if key in self.failed:
             raise ValueError(
                 f"G is not a covering: star block at ({x}, {b}), "
                 f"{'outgoing' if direction == 'out' else 'incoming'} "
                 "half, is not bijective")
-        return self.stars[key]
+        return self.empty
 
     def walk(self, x0: str, d0: str) -> Optional[dict[str, str]]:
         """The object map of the unique H with H(x0) = d0 and G∘H = F,

@@ -8,8 +8,8 @@ in [0, p).  No floating point anywhere.
 
 Every linear map the library handles (functor blocks, the inverses of
 star blocks, the change of basis of a grading, derivations) is one type,
-Matrix, kept as sparse columns; products, sums and inverses work on
-those columns directly.  Elimination works on sparse rows in
+Matrix, kept as sparse columns; products and inverses work on those
+columns directly.  Elimination works on sparse rows in
 EchelonBasis.
 """
 from __future__ import annotations
@@ -122,7 +122,7 @@ class Matrix:
     with no zero stored.  Equal matrices therefore have equal columns.
     Immutable: a column dict may be shared with other matrices and is
     never written to.  Calling a matrix on a sparse vector gives its
-    image; `row` and `apply` are dense views."""
+    image; `row` is a dense view."""
 
     field: FieldSpec
     rows: int
@@ -163,21 +163,6 @@ class Matrix:
         red = self.field.reduce
         return {i: r for i, w in out.items() if (r := red(w))}
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        # column j of the sum is [self | other] applied to e_j + e_(cols+j)
-        both, n = self.hstack(other), self.cols
-        return Matrix(self.field, self.rows, n,
-                      tuple(both({j: 1, n + j: 1}) for j in range(n)))
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(self({j: -1}) for j in range(self.cols)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
@@ -189,13 +174,6 @@ class Matrix:
             raise ValueError("row mismatch")
         return Matrix(self.field, self.rows, self.cols + other.cols,
                       self.columns + other.columns)
-
-    def apply(self, vec: Sequence) -> list:
-        """Matrix times a dense column vector."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return dense(self.field, self({j: a for j, a in enumerate(vec) if a}),
-                     self.rows)
 
 
 # -- elimination on raw values ---------------------------------------------
@@ -327,26 +305,34 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     """The inverse of a square matrix, or None if it is not square or is
     singular.
 
-    A matrix with at most one nonzero entry per column (a monomial one,
-    0×0 included, or a singular one) is inverted without elimination:
-    it is invertible iff its columns hit n distinct rows, and column j
-    = a·e_i makes column i of the inverse (1/a)·e_j.  Otherwise column j
-    of m is row j of its transpose A, so [A | 1] reduces to [1 | A⁻¹],
-    and row i of A⁻¹ is column i of the inverse."""
+    One pass over the columns: while each holds one entry, column j =
+    a·e_i makes column i of the inverse (1/a)·e_j, and a zero column or a
+    second column in row i is singular; so a monomial matrix, 0×0
+    included, is inverted without elimination.  From the first longer
+    column on, column j of m is row j of its transpose A, so [A | 1]
+    reduces to [1 | A⁻¹], whose rows of the monomial columns are
+    already reduced, and row i of A⁻¹ is column i of the inverse."""
     n = m.cols
     if m.rows != n:
         return None
-    if all(len(col) <= 1 for col in m.columns):
-        at = {i: (j, a) for j, col in enumerate(m.columns)
-              for i, a in col.items()}
-        if len(at) < n:
+    p, cols = m.field.characteristic, m.columns
+    at: dict[int, tuple] = {}  # row i -> (j, 1/a) for column j = a·e_i
+    for j, col in enumerate(cols):
+        if len(col) != 1:
+            if not col:
+                return None
+            break
+        (i, a), = col.items()
+        if i in at:
             return None
-        p = m.field.characteristic
+        at[i] = (j, _reciprocal(p, a))
+    else:
         return Matrix(m.field, n, n, tuple(
-            {j: _reciprocal(p, a)} for j, a in (at[i] for i in range(n))))
-    e = EchelonBasis(m.field.characteristic)
-    for j, col in enumerate(m.columns):
-        e.add({**col, n + j: e.one})
+            {j: r} for j, r in (at[i] for i in range(n))))
+    e = EchelonBasis(p)
+    e.rows.update((i, {i: e.one, n + j: r}) for i, (j, r) in at.items())
+    for j in range(len(at), n):
+        e.add({**cols[j], n + j: e.one})
     if any(i not in e.rows for i in range(n)):
         return None
     return Matrix(m.field, n, n,

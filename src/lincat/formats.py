@@ -409,9 +409,10 @@ def presentation_from_text(text: str) -> QuiverPresentation:
                     raise FormatError(
                         f"line {ln}: cannot read relation near "
                         f"{rest[pos:pos + 20]!r}")
+                if terms and not m.group(1):
+                    raise FormatError(f"line {ln}: expected + or - before "
+                                      f"{m.group(0).strip()!r}")
                 sign = -1 if m.group(1) == "-" else 1
-                if terms == [] and m.group(1) == "-":
-                    sign = -1
                 try:
                     coeff = Fraction(m.group(2).strip()) if m.group(2) \
                         else Fraction(1)

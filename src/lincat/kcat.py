@@ -523,6 +523,11 @@ class QuiverPresentation:
             for coeff, path in terms:
                 if not path:
                     raise ValueError("relation paths must have length >= 1")
+                for name in path:
+                    if name not in self._arrow:
+                        raise ValueError(
+                            f"relation path {'*'.join(path)!r} names "
+                            f"undeclared arrow {name!r}")
                 ends.add((self.path_source(path), self.arrow(path[0]).target))
             if len(ends) > 1:
                 raise ValueError(f"relation mixes non-parallel paths: {sorted(ends)}")

@@ -38,6 +38,7 @@ from lincat.exactlinalg import FieldSpec, dense, inverse
 from lincat.fixtures import Q
 from lincat.grading import (Grading, HomogeneousWalk, HWalkStep,
                             grading_on_basis)
+from linalg_reference import apply_dense
 from lincat.groups import cyclic_group
 from lincat.kcat import (Arrow, LinComb, QuiverPresentation, _product,
                          compose, present)
@@ -132,8 +133,9 @@ def reference_validate_grading(z):
         pair = (x, x)
         if pair not in invs:
             continue
-        coords = invs[pair].apply(dense(c.field, c.coords(c.identity(x), x, x),
-                                        c.dim(x, x)))
+        coords = apply_dense(invs[pair],
+                             dense(c.field, c.coords(c.identity(x), x, x),
+                                   c.dim(x, x)))
         degs = support_degrees(coords, pair)
         if degs - {grp.identity}:
             problems.append(f"identity of {x} meets degrees "
@@ -149,8 +151,8 @@ def reference_validate_grading(z):
                     prod = compose(c, g_comb, f_comb)
                     if not prod:
                         continue
-                    coords = invs[(x, w)].apply(
-                        dense(c.field, c.coords(prod, x, w), c.dim(x, w)))
+                    coords = apply_dense(invs[(x, w)], dense(
+                        c.field, c.coords(prod, x, w), c.dim(x, w)))
                     degs = support_degrees(coords, (x, w))
                     ts = grp.mul(t, s)
                     if degs - {ts}:

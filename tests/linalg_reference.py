@@ -10,7 +10,9 @@ that kills it, which the elimination references of present use too.
 monomial matrices skipped elimination, the reference for that path.
 `from_rows`, `from_cols` and `row_major` build a Matrix from dense rows,
 dense columns or row-major entries, coercing each entry into the field;
-`entries` reads a Matrix back as its row-major entries."""
+`entries` reads a Matrix back as its row-major entries.  `matrix_add`,
+`matrix_neg`, `matrix_sub` and `apply_dense` (a Matrix times a dense
+vector) are Matrix operations that only the tests use."""
 from typing import Iterable, Optional, Sequence
 
 from lincat.exactlinalg import EchelonBasis, FieldSpec, Matrix, dense
@@ -47,6 +49,31 @@ def row_major(field: FieldSpec, rows: int, cols: int,
 def entries(m: Matrix) -> tuple:
     """The entries of m in row-major order."""
     return tuple(a for i in range(m.rows) for a in m.row(i))
+
+
+def matrix_add(a: Matrix, b: Matrix) -> Matrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    # column j of the sum is [a | b] applied to e_j + e_(cols+j)
+    both, n = a.hstack(b), a.cols
+    return Matrix(a.field, a.rows, n,
+                  tuple(both({j: 1, n + j: 1}) for j in range(n)))
+
+
+def matrix_neg(a: Matrix) -> Matrix:
+    return Matrix(a.field, a.rows, a.cols,
+                  tuple(a({j: -1}) for j in range(a.cols)))
+
+
+def matrix_sub(a: Matrix, b: Matrix) -> Matrix:
+    return matrix_add(a, matrix_neg(b))
+
+
+def apply_dense(m: Matrix, vec: Sequence) -> list:
+    """m times a dense column vector."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length mismatch")
+    return dense(m.field, m({j: a for j, a in enumerate(vec) if a}), m.rows)
 
 
 def _echelon(field: FieldSpec, rows: Iterable[dict]) -> EchelonBasis:

@@ -11,8 +11,9 @@ a LinCat builder that coerces plain numbers into the field;
 the writer side of the presentation format; the fixtures
 `cyclic_reduction`, `twisted_cover`, `disconnected_double_kronecker`,
 `shift_functor` and `shift_subgroup_action`; `derivation_space`, the kernel of the
-Leibniz system that h1 ranks, as Derivations; and `rebased`, a
-category in another basis of each hom space.
+Leibniz system that h1 ranks, as Derivations; `derivation_apply`,
+`derivation_apply_name` and `derivation_sub` on Derivations; and
+`rebased`, a category in another basis of each hom space.
 
 References: `reference_validate_derivation` checks the Leibniz rule on
 every composable basis pair by composing combinations,
@@ -60,6 +61,7 @@ from lincat.groups import Group, cyclic_group
 from lincat.kcat import (Arrow, LinCat, LinComb, LinFunctor, PresentResult,
                          QuiverPresentation, _reduced, compose, functor_equal,
                          functor_from_arrows, present, validate_functor)
+from linalg_reference import matrix_sub
 
 
 # -- helpers -----------------------------------------------------------------
@@ -227,6 +229,25 @@ def derivation_space(c: LinCat) -> list[Derivation]:
     return _derivations(c, _derivation_vectors(c))
 
 
+def derivation_apply(d: Derivation, comb: LinComb) -> LinComb:
+    """The image of a combination under d."""
+    c = d.category
+    pair = c.comb_pair(comb)
+    if pair is None:
+        return {}
+    image = d.matrices[pair]({c.position[n]: s for n, s in comb.items() if s})
+    return {c.hom[pair][i]: a for i, a in image.items()}
+
+
+def derivation_apply_name(d: Derivation, n: str) -> LinComb:
+    return derivation_apply(d, {n: d.category.field.one()})
+
+
+def derivation_sub(d: Derivation, e: Derivation) -> Derivation:
+    return Derivation(d.category, {p: matrix_sub(m, e.matrices[p])
+                                   for p, m in d.matrices.items()})
+
+
 def rebased(c: LinCat, change: dict[tuple[str, str], Matrix]) -> LinCat:
     """c in the basis whose j-th element of hom(x,y) is column j of
     change[(x,y)] in the declared basis (the declared basis where change
@@ -286,10 +307,10 @@ def reference_validate_derivation(d: Derivation) -> list[str]:
             y2, w = c.pair_of(g)
             if y2 != y:
                 continue
-            lhs = d.apply(compose(c, {g: one}, {f: one})) or {}
-            rhs_comb = comb_add(c.field,
-                                compose(c, {g: one}, d.apply_name(f)),
-                                compose(c, d.apply_name(g), {f: one}))
+            lhs = derivation_apply(d, compose(c, {g: one}, {f: one})) or {}
+            rhs_comb = comb_add(
+                c.field, compose(c, {g: one}, derivation_apply_name(d, f)),
+                compose(c, derivation_apply_name(d, g), {f: one}))
             if not comb_eq(lhs, rhs_comb):
                 problems.append(f"Leibniz fails on ({g}, {f})")
     return problems

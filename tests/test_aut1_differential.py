@@ -47,8 +47,10 @@ from lincat.kcat import (Arrow, LinComb, LinFunctor, QuiverPresentation,
 from lincat_reference import (CoveringMorphism, cyclic_reduction,
                               deck_functors, disconnected_double_kronecker,
                               functor_compose, functor_is_isomorphism,
+                              reference_covering_report,
                               reference_gset_analysis, reference_lambda_map,
-                              reference_structure_problems)
+                              reference_structure_problems,
+                              shift_subgroup_action)
 
 F3 = FieldSpec(3)
 
@@ -309,6 +311,21 @@ def test_aut1_agrees_with_reference(name):
             assert got == want
         else:
             assert_same_group(got, want)
+
+
+def test_aut1_over_a_large_base():
+    """The projection of cyclic_cover(128)'s total by the order-2 shift
+    has 256 objects over 128, and all but 1,024 of its 65,536 star
+    blocks are 0x0: the report is ok, its table holds exactly the
+    others, and aut1 agrees with the reference."""
+    f = galois.quotient(shift_subgroup_action(128, 64)).projection
+    report = check_covering(f)
+    assert report.ok
+    old = reference_covering_report(f)
+    assert len(old.stars) == 65536
+    nonzero = {key for key, (inv, _) in old.stars.items() if inv.rows}
+    assert set(report.stars) == nonzero and len(nonzero) == 1024
+    assert_same_group(aut1(f), reference_aut1(f))
 
 
 def test_the_cases_reach_every_kind_of_result():

@@ -277,21 +277,22 @@ def test_galois_structure_checks_no_functor_but_its_input(workdir,
 
 # -- the covering layer pays for the columns it reads ------------------------
 
-def test_cover_check_inverts_no_monomial_star_block(tmp_path, monkeypatch):
+def test_cover_check_on_a_cyclic_cover_builds_no_echelon_basis(
+        tmp_path, monkeypatch):
     """The star blocks of a cyclic cover hold one entry per column: cover
-    check decides each one from its rows and inverts none."""
-    import lincat.covering as covering
-    calls = []
+    check inverts each one without elimination."""
+    import lincat.exactlinalg as exactlinalg
+    built = []
 
-    def counted(m, _real=covering.inverse):
-        calls.append(m)
-        return _real(m)
-    monkeypatch.setattr(covering, "inverse", counted)
+    def counted(*args, _real=exactlinalg.EchelonBasis):
+        built.append(args)
+        return _real(*args)
+    monkeypatch.setattr(exactlinalg, "EchelonBasis", counted)
     registry.write_fixture("cyclic-cover-16", tmp_path)
     code, out, _ = run_json(tmp_path, "cover", "check", "--functor",
                             "cyclic-cover-16.json")
     assert code == 0 and out["verdicts"]["covering"] is True
-    assert calls == []
+    assert built == []
 
 
 def test_aut1_builds_no_functor_until_one_is_read(monkeypatch):

@@ -9,10 +9,12 @@ cli.run(["--json", ...]).  Whatever the input, no exception escapes
 run(), the exit code is 0, 1 or 2, no traceback is printed, and exit 1
 comes only with a false boolean verdict.  A second test renames one key
 of a category document, and a third fuzzes option values, with the same
-checks.  The examples pin inputs that once escaped run() as tracebacks.
-A fourth breaks one unit law or one composite range of a fixture
+checks; a fourth runs text-form presentations built from a small token
+grammar, in text mode, where exit 2 prints one diagnostic line.  The
+examples pin inputs that once escaped run() as tracebacks.
+A fifth breaks one unit law or one composite range of a fixture
 category, which every command must refuse with exit 2, as it must a
-grading, action or character file whose group is malformed.  A fifth
+grading, action or character file whose group is malformed.  A sixth
 runs the functor, action and grading commands on the identity covering
 of the empty category, a C2 action on it and a C2-grading of it, under
 the same contract.
@@ -223,6 +225,61 @@ def test_mutated_documents_keep_the_exit_code_contract(fuzzdir, mutation):
     for argv in COMMANDS[original["kind"]]:
         _check_contract(fuzzdir, [str(target) if a == "P" else
                                   base if a == "BASE" else a for a in argv])
+
+
+# the text form: a, b: x -> y and c: y -> z; a relation term is a sign,
+# a coefficient and a path of declared and undeclared names, empty ones
+# and number-glued ones such as 2a, joined by runs of `*` or by nothing
+TEXT_QUIVER = "vertices x y z\narrow a: x -> y\narrow b: x -> y\n" \
+    "arrow c: y -> z\n"
+TEXT_SIGNS = ["", "+ ", "- ", "+", "-"]
+TEXT_COEFFS = ["", "2 ", "-1 ", "1/2 ", "0 ", "1/0 "]
+TEXT_NAMES = ["a", "b", "c", "a", "b", "c", "z", "2a", ""]
+TEXT_JOINS = ["*", "*", "*", "**", ""]
+
+
+@st.composite
+def text_presentations(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 2))):
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            names = draw(st.lists(st.sampled_from(TEXT_NAMES), min_size=1,
+                                  max_size=3))
+            path = names[0] + "".join(draw(st.sampled_from(TEXT_JOINS)) + n
+                                      for n in names[1:])
+            terms.append(draw(st.sampled_from(TEXT_SIGNS)) +
+                         draw(st.sampled_from(TEXT_COEFFS)) + path)
+        lines.append("rel " + " ".join(terms))
+    return TEXT_QUIVER + "\n".join(lines) + \
+        f"\nbound {draw(st.integers(1, 3))}\n"
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=text_presentations())
+# undeclared arrows, once a KeyError escaping run()
+@example(text=TEXT_QUIVER + "rel a*z\nbound 2\n")
+@example(text=TEXT_QUIVER + "rel 2a\nbound 2\n")
+@example(text=TEXT_QUIVER + "rel c*\nbound 2\n")
+@example(text=TEXT_QUIVER + "rel c**a\nbound 2\n")
+# a later term with no sign, once read as +
+@example(text=TEXT_QUIVER + "rel c*a c*b\nbound 2\n")
+def test_text_presentations_keep_the_exit_code_contract(fuzzdir, text):
+    """present, pi1 and validate on a text-form presentation exit 0, 1
+    or 2, with one diagnostic line on exit 2, and print no traceback."""
+    target = fuzzdir / "text.txt"
+    target.write_text(text, encoding="utf-8")
+    for argv in (["present", "--presentation", str(target)],
+                 ["pi1", "--presentation", str(target), "--base", "x"],
+                 ["validate", "--presentation", str(target)]):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(argv, stdout=out, stderr=err)
+        shown = f"{text}{argv}: exit {code}\n{out.getvalue()}{err.getvalue()}"
+        assert code in (0, 1, 2), shown
+        assert "Traceback" not in out.getvalue() + err.getvalue(), shown
+        if code == 2:
+            assert err.getvalue().count("\n") == 1, shown
 
 
 CATEGORY_DOCS = sorted(f for f, d in DOCS.items() if d["kind"] == "category")

@@ -1,28 +1,29 @@
 """Differential test of check_covering and validate_functor against the
 checks they replaced, kept here verbatim as references (zero blocks are
 read through LinFunctor.block, since functors store only nonzero ones).
-The library builds every star block in one pass over the nonzero hom
-pairs, decides a block whose columns hold one entry each from their
-rows, and inverts a block only when it is first read (or, with a longer
-column, to decide it); it sums functoriality on raw values.  The
-references rank a dense star matrix per (object, base object, half) and
-send every basis product through compose, and reference_covering_report
-(tests/lincat_reference.py) inverts every star block up front.  All must
-give the same CoveringReport (verdicts, failures in order, violations,
-message), and the star table the same inverse and owner list for every
-bijective block, read through StarTable; on fixtures over Q, F_2, F_3
-and F_5 and on perturbations of them."""
+The library builds every star block that holds columns in one pass over
+the nonzero hom pairs and inverts each once, and finds the blocks with
+no columns that fail from the base's nonzero homs; it sums
+functoriality on raw values.  The references rank a dense star matrix
+per (object, base object, half) and send every basis product through
+compose, and reference_covering_report (tests/lincat_reference.py)
+inverts every star block, 0x0 ones included.  All must give the same
+CoveringReport (verdicts, failures in order, violations, message), and
+the star table the same inverse and owner list for every bijective
+block with rows, where the library keeps no 0x0 entry; on fixtures over
+Q, F_2, F_3 and F_5 and on perturbations of them."""
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lincat import covering, registry
-from lincat.covering import CoveringReport, check_covering, fibre
-from lincat.exactlinalg import FieldSpec
+from lincat.covering import CoveringReport, aut1, check_covering, fibre
+from lincat.exactlinalg import FieldSpec, Matrix
 from lincat.fixtures import (Q, F2, corrupted_collapse, cover_f0, cover_f1,
                              cover_f2, cyclic_cover, identity_cover,
                              square_cover)
 from lincat.formats import action_from_doc, functor_from_doc
 from lincat.kcat import (LinFunctor, Violation, comb_str, compose,
-                         validate_functor)
+                         is_connected, validate_functor)
 from linalg_reference import entries, rank, row_major
 from lincat_reference import (comb_add, comb_eq, comb_scale, cyclic_reduction,
                               reference_covering_report, twisted_cover)
@@ -144,17 +145,21 @@ def assert_same(label, f):
     return report
 
 
+def nonzero_stars(old):
+    """The entries of the up-front report old's star table whose inverse
+    has rows: the library keeps no 0x0 entry."""
+    return {key: entry for key, entry in old.stars.items() if entry[0].rows}
+
+
 def assert_same_report(label, report, old):
     """report agrees with the up-front report old: verdicts, failures in
-    order, violations, message, and the star table key by key, in
-    order, with each inverse and owner list read through the table."""
+    order, violations, message, and the star table, with each inverse
+    and owner list, as a dict of the entries of old's with rows."""
     assert (report.ok, report.surjective, report.failures,
             report.violations) == \
         (old.ok, old.surjective, old.failures, old.violations), label
     assert report.message() == old.message(), label
-    assert list(report.stars) == list(old.stars), label
-    for key, (inv, owner) in old.stars.items():
-        assert report.stars[key] == (inv, owner), (label, key)
+    assert report.stars == nonzero_stars(old), label
 
 
 def test_fixture_pool_is_broad():
@@ -170,15 +175,16 @@ def test_every_fixture_agrees():
 
 
 def test_star_table_inverts_the_reference_star_matrices():
-    """Every bijective star block, 0x0 ones included, has an inverse
-    that undoes the reference star matrix column by column, and each
-    position names the fibre object of its block."""
+    """Every bijective star block with rows has an inverse that undoes
+    the reference star matrix column by column, and each position names
+    the fibre object of its block; every other bijective block is
+    0x0."""
     for label, f in POOL:
         report = check_covering(f)
         one = f.source.field.one()
         for (x, b, direction), (inv, owner) in report.stars.items():
             m = reference_star_matrix(f, x, b, direction)
-            assert m.rows == m.cols, label
+            assert m.rows == m.cols > 0, label
             for j, col in enumerate(m.columns):
                 assert inv(col) == {j: one}, (label, x, b, direction)
             at = 0
@@ -192,12 +198,17 @@ def test_star_table_inverts_the_reference_star_matrices():
         bijective = {(x, b, d) for x in f.source.objects
                      for b in f.target.objects for d in ("out", "in")
                      if (x, b, d) not in report.failures}
-        assert set(report.stars) == bijective, label
+        empty = bijective - set(report.stars)
+        assert set(report.stars) <= bijective, label
+        for key in empty:
+            m = reference_star_matrix(f, *key)
+            assert m.rows == m.cols == 0, (label, key)
 
 
-def test_only_blocks_with_a_longer_column_are_inverted(monkeypatch):
-    """Making a report inverts exactly the square star blocks with a
-    column of other than one entry; the twisted covers have some."""
+def test_each_star_block_with_columns_is_inverted_once(monkeypatch):
+    """Making a report inverts each star block that holds columns and is
+    as long as its base hom, once, and aut1 inverts nothing more; the
+    twisted covers have blocks with a longer column."""
     calls = []
     real = covering.inverse
 
@@ -213,13 +224,33 @@ def test_only_blocks_with_a_longer_column_are_inverted(monkeypatch):
             for b in f.target.objects:
                 for direction in ("out", "in"):
                     m = reference_star_matrix(f, x, b, direction)
-                    want += m.rows == m.cols and \
-                        any(len(col) != 1 for col in m.columns)
+                    if m.cols and m.rows == m.cols:
+                        want += 1
+                        longer += any(len(col) != 1 for col in m.columns)
+        # a copy of f, which holds no report yet
+        fresh = LinFunctor(f.source, f.target, dict(f.object_map), f.matrices)
         calls.clear()
-        covering._covering_report(f)
+        report = check_covering(fresh)
         assert len(calls) == want, label
-        longer += want
+        if report.ok and is_connected(fresh.source).connected:
+            aut1(fresh)
+            assert len(calls) == want, label
     assert longer > 0
+
+
+def test_zero_star_blocks_read_as_0x0():
+    """_Extension.star answers every 0x0 key of the up-front table with
+    one 0x0 entry, and refuses every failed key as not bijective."""
+    for label, f in POOL:
+        report = check_covering(f)
+        ext = covering._Extension(f, f)
+        empty = Matrix(f.source.field, 0, 0, ())
+        for key, (inv, _) in reference_covering_report(f).stars.items():
+            if not inv.rows:
+                assert ext.star(*key) == (empty, []), (label, key)
+        for key in report.failures:
+            with pytest.raises(ValueError, match="is not bijective"):
+                ext.star(*key)
 
 
 # -- perturbations -------------------------------------------------------------

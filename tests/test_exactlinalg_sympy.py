@@ -21,8 +21,9 @@ from lincat.exactlinalg import (  # noqa: E402
     EchelonBasis, FieldSpec, Matrix, dense, inverse, smith_normal_form,
 )
 from linalg_reference import (  # noqa: E402
-    column_space_basis, eliminated_inverse, entries, from_cols, from_rows,
-    kernel_basis, quotient_basis, rank, rref, solve,
+    apply_dense, column_space_basis, eliminated_inverse, entries, from_cols,
+    from_rows, kernel_basis, matrix_add, matrix_neg, matrix_sub,
+    quotient_basis, rank, rref, solve,
 )
 
 PRIMES = (0, 2, 3, 5, 7)
@@ -232,7 +233,8 @@ def test_monomial_inverse_needs_no_elimination(monkeypatch):
 @settings(max_examples=100)
 @given(field_and_rows(), st.data())
 def test_matrix_arithmetic(case, data):
-    # @, apply, + and - reduce mod p explicitly; sympy's GF(p) is the oracle
+    # @, apply_dense, matrix_add, matrix_sub and matrix_neg reduce mod p
+    # explicitly; sympy's GF(p) is the oracle
     field, rows = case
     p, r, c = field.characteristic, len(rows), len(rows[0])
     _, same_shape = data.draw(field_and_rows(rows=r, cols=c, p=p))
@@ -243,19 +245,20 @@ def test_matrix_arithmetic(case, data):
     sb = to_sympy(field, same_shape, c)
     sd = to_sympy(field, right, d.cols)
     assert matrix_values(a @ d) == sympy_values(field, sa * sd)
-    assert matrix_values(a + b) == sympy_values(field, sa + sb)
-    assert matrix_values(a - b) == sympy_values(field, sa - sb)
-    assert matrix_values(-a) == sympy_values(field, -sa)
+    total, diff, neg = matrix_add(a, b), matrix_sub(a, b), matrix_neg(a)
+    assert matrix_values(total) == sympy_values(field, sa + sb)
+    assert matrix_values(diff) == sympy_values(field, sa - sb)
+    assert matrix_values(neg) == sympy_values(field, -sa)
     column = [v for (v,) in vec]
-    assert values(a.apply(column)) == \
+    assert values(apply_dense(a, column)) == \
         [v for (v,) in sympy_values(field, sa * to_sympy(field, vec, 1))]
     wide = a.hstack(b)
     assert matrix_values(wide) == [x + y for x, y in zip(rows, same_shape)]
     by_cols = from_cols(field, list(zip(*rows)))
-    for m in (a, b, d, by_cols, a @ d, a + b, a - b, -a, wide):
+    for m in (a, b, d, by_cols, a @ d, total, diff, neg, wide):
         assert_stored_form(m)
-    for x, y in ((a, b), (a, by_cols), (a - b, Matrix.zeros(field, r, c)),
-                 (a + b, b + a), (a @ d, d), (wide, a)):
+    for x, y in ((a, b), (a, by_cols), (diff, Matrix.zeros(field, r, c)),
+                 (total, matrix_add(b, a)), (a @ d, d), (wide, a)):
         assert_equality_is_entrywise(x, y)
 
 
@@ -433,8 +436,8 @@ def test_kernel_results_are_canonical_over_q(r, c, data):
             [v for (v,) in sympy_values(field, sq.inv() * column)]
         assert all(map(canonical, entries(m @ inv)))
         assert m @ inv == Matrix.identity(field, r)
-    total = m @ m + m
+    total = matrix_add(m @ m, m)
     assert all(map(canonical, entries(total)))
     assert_stored_form(total)
-    assert_stored_form(m.hstack(m) - m.hstack(total))
+    assert_stored_form(matrix_sub(m.hstack(m), m.hstack(total)))
     assert matrix_values(total) == sympy_values(field, sq * sq + sq)

@@ -296,6 +296,10 @@ def test_category_decoder_type_checks(edit, fragment):
     (lambda d: d.update(length_bound=1.9), "length_bound must be an integer"),
     (lambda d: d["relations"][0][0].update(coeff=0.1),
      "coeff must be a string"),
+    # once a KeyError, reported as "bad presentation: 'z'"
+    (lambda d: d["relations"][0][0].update(path=["g", "z"]),
+     "^invalid presentation: relation path 'g\\*z' names undeclared "
+     "arrow 'z'$"),
 ])
 def test_presentation_decoder_type_checks(edit, fragment):
     doc = presentation_to_doc(square_base_quiver())
@@ -445,6 +449,20 @@ def test_text_form_comments_and_blank_lines():
     ("vertices x\narrow a: x -> x\nbound zero", "bound"),
     ("vertices x\narrow a: x -> x\nrel 1/0 a*a\nbound 2",
      "line 3: zero denominator"),
+    # a later term needs its sign
+    ("vertices x\narrow a: x -> x\narrow b: x -> x\nrel a b\nbound 1",
+     "^line 4: expected \\+ or - before 'b'$"),
+    ("vertices x\narrow a: x -> x\narrow b: x -> x\nrel -a 2 b\nbound 1",
+     "^line 4: expected \\+ or - before '2 b'$"),
+    # a path of declared arrows only
+    ("vertices x\narrow a: x -> x\nrel a*z\nbound 2",
+     "relation path 'a\\*z' names undeclared arrow 'z'$"),
+    ("vertices x\narrow a: x -> x\nrel 2a\nbound 2",
+     "relation path '2a' names undeclared arrow '2a'$"),
+    ("vertices x\narrow a: x -> x\nrel a*\nbound 2",
+     "relation path 'a\\*' names undeclared arrow ''$"),
+    ("vertices x\narrow a: x -> x\nrel a**a\nbound 2",
+     "relation path 'a\\*\\*a' names undeclared arrow ''$"),
 ])
 def test_text_form_errors(text, fragment):
     with pytest.raises(fm.FormatError, match=fragment):
