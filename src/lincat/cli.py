@@ -252,7 +252,7 @@ def _cmd_galois_structure(args, report: Report) -> None:
     res = structure_iso(load_value(args.functor, "functor"))
     # theorem (f) in structure_iso's docstring
     report.verdicts["factors through the quotient"] = True
-    report.witnesses["isomorphism"] = _object_map_witness(res.iso.object_map)
+    report.witnesses["isomorphism"] = _object_map_witness(res)
 
 
 def _cmd_galois_homs(args, report: Report) -> None:

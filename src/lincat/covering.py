@@ -9,7 +9,7 @@ are found by seeding one object over a fibre and propagating through star
 isomorphisms, and are multiplied by where they send that object.  Only
 generators are extended, and only their object maps are kept: the other
 elements are products, found by composing object maps.  A morphism is
-held as its object map; a column of it is read from the star table.
+held as its object map alone; walk keeps none of its columns.
 
 The star block of F at a source object x towards a base object b is the
 map from the hom spaces between x and the fibre over b to the hom space
@@ -31,8 +31,7 @@ from typing import Optional
 
 from .exactlinalg import Matrix, inverse
 from .groups import Group
-from .kcat import (LinComb, LinFunctor, Violation, is_connected,
-                   validate_functor)
+from .kcat import LinFunctor, Violation, is_connected, validate_functor
 
 
 def fibre(f: LinFunctor, b: str) -> list[str]:
@@ -140,8 +139,7 @@ class _Extension:
     check_covering, see extend_morphism), and the star table of G, from
     check_covering(g).  G must be a covering: a visited star block that
     is not bijective raises ValueError.  walk finds a morphism's object
-    map, and column reads one column of it from the star table, for
-    CoveringGroup.apply_name."""
+    map."""
 
     def __init__(self, f: LinFunctor, g: LinFunctor):
         if g.target != f.target:
@@ -173,7 +171,7 @@ class _Extension:
     def walk(self, x0: str, d0: str) -> Optional[dict[str, str]]:
         """The object map of the unique H with H(x0) = d0 and G∘H = F,
         or None: extend_morphism's propagation, which reads every column
-        of H once and keeps none (see column)."""
+        of H once and keeps none."""
         f, g = self.f, self.g
         c, d = f.source, g.source
         if x0 not in c.objects or d0 not in d.objects:
@@ -212,19 +210,6 @@ class _Extension:
             return None
         return omap
 
-    def column(self, omap: dict[str, str], n: str) -> dict:
-        """The column of H(n) for the morphism H with object map omap:
-        for n: x -> y, the inverse of G's outgoing star block at H(x)
-        towards the fibre of F(y), applied to F(n), read inside the
-        block of H(y).  It is the column walk found for n, from either
-        end: G is injective on each star, so H(n) is the only preimage
-        of F(n) there.  H must exist."""
-        x, y = self.f.source.pair_of(n)
-        inv, owner = self.star(omap[x], self.f.object_map[y], "out")
-        cand = inv(self.image[n])
-        first = owner[min(cand)][1]
-        return {i - first: a for i, a in cand.items()}
-
 
 def extend_morphism(f: LinFunctor, g: LinFunctor, x0: str, d0: str
                     ) -> Optional[dict[str, str]]:
@@ -252,10 +237,8 @@ def extend_morphism(f: LinFunctor, g: LinFunctor, x0: str, d0: str
     The library never needs H as a functor.  By rigidity two morphisms
     that agree at one object are equal, so morphisms compose, compare
     and act on each other as their object maps do: deck groups, λ, the
-    G-set of morphisms and universality are all decided on object maps.
-    A column of H, when one is read (CoveringGroup.apply_name), is one
-    star inverse applied to F(n), given H's object map
-    (_Extension.column).
+    G-set of morphisms, universality and the factorization through the
+    quotient are all decided on object maps.
     """
     return _Extension(f, g).walk(x0, d0)
 
@@ -267,32 +250,16 @@ class CoveringGroup:
     cosmetic isomorphism-type guess.
 
     Each element is kept as its object map, generators included: aut1
-    builds no functor (see extend_morphism).  By rigidity, the column of
-    H(n) for n: x -> y is one star inverse applied to F(n) once H(x)
-    and H(y) are known (see _Extension.column), so apply_name reads one
-    column from the star table of the covering."""
-    covering: LinFunctor
+    builds no functor (see extend_morphism)."""
     group: Group
     object_maps: dict[str, dict[str, str]]
     seed_fibre: tuple[str, ...]
-    extension: _Extension = field(repr=False, compare=False)
 
     def order(self) -> int:
         return self.group.order()
 
     def label(self) -> str:
         return self.group.label()
-
-    def apply_object(self, name: str, x: str) -> str:
-        return self.object_maps[name][x]
-
-    def apply_name(self, name: str, n: str) -> LinComb:
-        """The image of the basis morphism n under the element name."""
-        c, omap = self.covering.source, self.object_maps[name]
-        x, y = c.pair_of(n)
-        names = c.basis(omap[x], omap[y])
-        return {names[i]: a
-                for i, a in self.extension.column(omap, n).items()}
 
 
 def _closure(x0: str, gens: list[dict[str, str]]
@@ -377,8 +344,7 @@ def _deck_group(f: LinFunctor) -> Optional[CoveringGroup]:
     table = {(name[d1], name[d2]): name[maps[d1][d2]]
              for d1 in name for d2 in name}
     group = Group.by_construction(tuple(name.values()), "e", table)
-    return CoveringGroup(f, group, {name[d0]: maps[d0] for d0 in name}, fib,
-                         ext)
+    return CoveringGroup(group, {name[d0]: maps[d0] for d0 in name}, fib)
 
 
 def galois_obstruction(grp: CoveringGroup) -> Optional[str]:

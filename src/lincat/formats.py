@@ -366,7 +366,7 @@ def presentation_from_doc(doc) -> QuiverPresentation:
 
 
 _ARROW_RE = re.compile(r"^arrow\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")
-_TERM_RE = re.compile(r"^\s*([+-])?\s*((?:-?\d+(?:/\d+)?)\s+)?([\w*']+)\s*")
+_TERM_RE = re.compile(r"^\s*([+-])?\s*((?:\d+(?:/\d+)?)\s+)?([\w*']+)\s*")
 
 def presentation_from_text(text: str) -> QuiverPresentation:
     """Compact text form, one declaration per line:
@@ -376,8 +376,9 @@ def presentation_from_text(text: str) -> QuiverPresentation:
         rel g*a - d*b
         bound 2
 
-    A relation term is an optional rational coefficient followed by a
-    path `g*a` read left to right as g∘a; `#` starts a comment."""
+    A relation term is an optional sign, then an optional unsigned
+    rational coefficient, then a path `g*a` read left to right as g∘a;
+    `#` starts a comment."""
     vertices: list[str] = []
     arrows: list[Arrow] = []
     relations: list = []

@@ -6,6 +6,9 @@ representative of α to every member of β, and composition translates the
 middle object back into representative position by the unique group
 element that freeness provides.  Basis names are inherited from the
 source, so quotient structure constants can be compared literally.
+
+A Galois covering is analysed on the object maps of its deck group
+alone, structure_iso included: no column of a covering morphism is read.
 """
 from __future__ import annotations
 
@@ -35,9 +38,6 @@ class GroupAction:
 
     def apply_object(self, s: str, x: str) -> str:
         return self.functors[s].object_map[x]
-
-    def apply_name(self, s: str, n: str) -> LinComb:
-        return self.functors[s].apply_name(n)
 
 
 def check_action(a: GroupAction) -> Optional[str]:
@@ -112,16 +112,9 @@ def quotient(a: GroupAction) -> QuotientResult:
     rigidity a deck transformation is fixed by that image, so there are
     no others.  P is thus a Galois covering.
     """
-    if not is_connected(a.category).connected:
+    c, fs = a.category, a.functors
+    if not is_connected(c).connected:
         raise ValueError("quotient requires a connected category")
-    return _quotient(a.category, a)
-
-
-def _quotient(c: LinCat, a: GroupAction | CoveringGroup) -> QuotientResult:
-    """quotient() for a free action on the connected category c, given
-    as a GroupAction or as the deck group of a covering of c.  Only the
-    images under the action that the construction uses are read: with a
-    deck group, each is one column read from the star table."""
     orbit_of: dict[str, str] = {}
     orbit_names: list[str] = []  # each orbit is named by its representative
     for x in c.objects:
@@ -158,8 +151,8 @@ def _quotient(c: LinCat, a: GroupAction | CoveringGroup) -> QuotientResult:
                 fns = c.basis(alpha, y)
                 if not fns:
                     continue
-                u = translate[(beta, y)]
-                images = [(gn, a.apply_name(u, gn)) for gamma in orbit_names
+                fu = fs[translate[(beta, y)]]
+                images = [(gn, fu.apply_name(gn)) for gamma in orbit_names
                           for gn in hom.get((beta, gamma), ())]
                 for fn in fns:
                     for gn, gu in images:
@@ -172,9 +165,9 @@ def _quotient(c: LinCat, a: GroupAction | CoveringGroup) -> QuotientResult:
     omap = {x: orbit_of[x] for x in c.objects}
     back: dict[str, LinComb] = {}  # n out of x goes to u⁻¹·n, u·rep = x
     for x in c.objects:
-        u_inv = a.group.inv(translate[(orbit_of[x], x)])
+        fu_inv = fs[a.group.inv(translate[(orbit_of[x], x)])]
         for n in c.leaving[x]:
-            back[n] = a.apply_name(u_inv, n)
+            back[n] = fu_inv.apply_name(n)
     return QuotientResult(q, LinFunctor.on_basis(c, q, omap, back))
 
 
@@ -206,19 +199,14 @@ def _galois_group(f: LinFunctor) -> CoveringGroup:
     return gal.group
 
 
-@dataclass
-class StructureIsoResult:
-    quotient_result: QuotientResult
-    iso: LinFunctor  # quotient -> base
-
-
-def structure_iso(f: LinFunctor) -> StructureIsoResult:
-    """Factor a Galois covering through the quotient by its deck group:
-    an isomorphism F' with F'∘P = F, built on orbit representatives.
-    The deck group from is_galois acts without check_action: its table
-    came from seed images, so by rigidity it matches composition, and it
-    acts freely.  The quotient reads only the columns it uses.  F' is
-    not checked, as the paper proves it is an isomorphism with F'∘P = F:
+def structure_iso(f: LinFunctor) -> dict[str, str]:
+    """The object map of the isomorphism F' with F'∘P = F, P the
+    projection onto the quotient of F's source by its deck group
+    (see quotient): the orbit {k(x) : k} of x is named by its least
+    member, as quotient names orbits, and goes to F(x); orbits come in
+    the order of their first members in the source.  No category or
+    functor is built.  F' is not checked, as the paper proves that it
+    is an isomorphism with F'∘P = F:
 
     (f) Summing dim hom(x, y) over the fibres of b and b', where
         hom(b, b') ≠ 0, by F's outgoing and then its incoming star
@@ -229,12 +217,15 @@ def structure_iso(f: LinFunctor) -> StructureIsoResult:
         at rep α, which is bijective.  F'∘P = F and functoriality follow
         from F∘u = F for each deck transformation u.
     """
-    qres = _quotient(f.source, _galois_group(f))
-    q = qres.quotient
-    omap = {alpha: f.object_map[alpha] for alpha in q.objects}
-    iso = LinFunctor.on_basis(q, f.target, omap,
-                              {n: f.apply_name(n) for n in q.basis_names()})
-    return StructureIsoResult(qres, iso)
+    maps = _galois_group(f).object_maps.values()
+    omap: dict[str, str] = {}
+    named: set[str] = set()  # the members of the orbits named so far
+    for x in f.source.objects:
+        if x not in named:
+            orbit = {k[x] for k in maps}
+            named |= orbit
+            omap[min(orbit)] = f.object_map[x]
+    return omap
 
 
 def hom_coverings(u: LinFunctor, f: LinFunctor) -> list[dict[str, str]]:

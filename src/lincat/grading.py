@@ -228,7 +228,7 @@ def induced_grading(f: LinFunctor, fibre_choice: dict[str, str]) -> Grading:
         block = None
         labels: list[str] = []
         for s in grp.group.elements:
-            sxc = grp.apply_object(s, fibre_choice[c])
+            sxc = grp.object_maps[s][fibre_choice[c]]
             m = f.block(xb, sxc)
             block = m if block is None else block.hstack(m)
             labels.extend([s] * m.cols)
@@ -326,17 +326,18 @@ def walk_degree(z: Grading, w: HomogeneousWalk) -> str:
 
 
 State = tuple[str, str]  # (object, group element)
+Move = tuple[str, str, int, int]  # an HWalkStep's fields: src, tgt, index, sign
 
 
 @dataclass
 class GradingConnectivity:
     """parents maps each reached state, in discovery order, to the state
-    it was first reached from and the step taken, None at the start;
+    it was first reached from and the move taken, None at the start;
     deepest is the first reached state, in that order, of maximal
     depth, None when nothing is reached."""
     connected: bool
     missing: tuple[State, ...]
-    parents: dict[State, Optional[tuple[State, HWalkStep]]]
+    parents: dict[State, Optional[tuple[State, Move]]]
     deepest: Optional[State]
 
     def walk(self, state: State) -> HomogeneousWalk:
@@ -344,8 +345,8 @@ class GradingConnectivity:
         of fewest steps, of degree the state's group element."""
         steps = []
         while (back := self.parents[state]) is not None:
-            state, step = back
-            steps.append(step)
+            state, move = back
+            steps.append(HWalkStep(*move))
         return HomogeneousWalk(state[0], tuple(reversed(steps)))
 
 
@@ -355,28 +356,28 @@ def is_connected_grading(z: Grading) -> GradingConnectivity:
     iff every (c, s) is reachable from (b, e).  The transition relation
     is symmetric, so one search from the first object decides the
     condition for every start object.  The empty category is not
-    connected, so no grading of it is."""
+    connected, so no grading of it is.  Only walk makes HWalkSteps."""
     c = z.category
     grp = z.group
     if not c.objects:
         return GradingConnectivity(False, (), {}, None)
-    # the moves out of each object: (next object, degree, step)
+    # the moves out of each object: (next object, degree, move)
     moves: dict[str, list] = {o: [] for o in c.objects}
     for (x, y), labels in z.degrees.items():
         for j, d in enumerate(labels):
-            moves[x].append((y, d, HWalkStep(x, y, j, 1)))
-            moves[y].append((x, grp.inv(d), HWalkStep(x, y, j, -1)))
+            moves[x].append((y, d, (x, y, j, 1)))
+            moves[y].append((x, grp.inv(d), (x, y, j, -1)))
     start = (c.objects[0], grp.identity)
-    parents: dict[State, Optional[tuple[State, HWalkStep]]] = {start: None}
+    parents: dict[State, Optional[tuple[State, Move]]] = {start: None}
     level = [start]
     while level:
         deepest, found = level[0], []
         for here in level:
             o, g = here
-            for y, d, step in moves[o]:
+            for y, d, move in moves[o]:
                 nxt = (y, grp.mul(d, g))
                 if nxt not in parents:
-                    parents[nxt] = (here, step)
+                    parents[nxt] = (here, move)
                     found.append(nxt)
         level = found
     missing = tuple((o, g) for o in c.objects for g in grp.elements

@@ -148,11 +148,11 @@ class Group:
         return f"nonabelian of order {n}"
 
 
-def cyclic_group(n: int, prefix: str = "g") -> Group:
+def cyclic_group(n: int) -> Group:
     """C_n with elements e, g, g2, ..., g{n-1}."""
     if n < 1:
         raise ValueError("order must be positive")
-    names = ["e"] + [prefix if i == 1 else f"{prefix}{i}" for i in range(1, n)]
+    names = ["e"] + ["g" if i == 1 else f"g{i}" for i in range(1, n)]
     # addition mod n: a group by construction
     table = {(names[i], names[j]): names[(i + j) % n]
              for i in range(n) for j in range(n)}

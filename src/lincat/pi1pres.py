@@ -58,7 +58,6 @@ def free_reduce(w: Word) -> Word:
 @dataclass
 class Pi1Result:
     group: FPGroup
-    base: str
     tree: tuple[str, ...]
     warnings: tuple[str, ...]
 
@@ -116,7 +115,7 @@ def pi1_presentation(p: QuiverPresentation, b0: str) -> Pi1Result:
         warnings.append("supplied relations are k-linearly dependent")
 
     grp = FPGroup(tuple(a.name for a in p.arrows), tuple(relators))
-    return Pi1Result(grp, b0, tuple(tree), tuple(warnings))
+    return Pi1Result(grp, tuple(tree), tuple(warnings))
 
 
 def _exponent_rows(g: FPGroup) -> list[list[int]]:

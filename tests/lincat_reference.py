@@ -31,8 +31,9 @@ whole functor, and `reference_gset_analysis` reads its action table
 from those functors and decides transitivity, normality of the
 isotropy (`is_normal`) and the orbit-stabilizer count, as
 hom_coverings and gset_analysis once did;
-`reference_structure_problems` checks structure_iso's factorization as
-structure_iso once did.
+`reference_structure_iso` builds the factorization through the quotient
+that structure_iso once built, and `reference_structure_problems`
+checks it as structure_iso once did.
 `CoveringMorphism` is a pair (H, J); `reference_validate_morphism`
 checks it by composing G∘H and J∘F and comparing them, and
 `reference_lambda_map` takes a whole morphism, re-validates it and
@@ -49,13 +50,14 @@ from typing import Optional, Sequence, Union
 
 from lincat.cohomology import (Derivation, _derivation_vectors, _derivations,
                                _inner_generators, _layout, _products)
-from lincat.covering import (CoveringGroup, CoveringReport, _Extension,
-                             aut1, check_covering, extend_morphism, fibre,
+from lincat.covering import (CoveringGroup, CoveringReport, aut1,
+                             check_covering, extend_morphism, fibre,
                              galois_obstruction)
 from lincat.exactlinalg import EchelonBasis, FieldSpec, Matrix, inverse
 from lincat.fixtures import CoverFixture, Q, cyclic_cover, kronecker
 from lincat.formats import FORMAT_VERSION, canonical_dumps
-from lincat.galois import GroupAction, StructureIsoResult, _galois_group
+from lincat.galois import (GroupAction, QuotientResult, _galois_group,
+                           quotient)
 from lincat.grading import Grading, grading_on_basis
 from lincat.groups import Group, cyclic_group
 from lincat.kcat import (Arrow, LinCat, LinComb, LinFunctor, PresentResult,
@@ -106,19 +108,30 @@ def functor_is_isomorphism(f: LinFunctor) -> bool:
 def morphism_functor(f: LinFunctor, g: LinFunctor,
                      omap: dict[str, str]) -> LinFunctor:
     """The morphism (H, 1): F -> G with object map omap, a map that
-    extend_morphism returned, as a functor: each column read from G's
-    star table by _Extension.column."""
-    ext = _Extension(f, g)
+    extend_morphism returned, as a functor.  For n: x -> y, the column
+    of H(n) is the inverse of G's outgoing star block at H(x) towards
+    the fibre of F(y), read from G's star table, applied to F(n) and
+    read inside the block of H(y): G is injective on each star, so H(n)
+    is the only preimage of F(n) there."""
+    stars = check_covering(g).stars
     c, d = f.source, g.source
-    mats = {(x, y): Matrix(c.field, d.dim(omap[x], omap[y]), len(names),
-                           tuple(ext.column(omap, n) for n in names))
-            for (x, y), names in c.hom.items()}
+    mats = {}
+    for (x, y), m in f.matrices.items():
+        inv, owner = stars[(omap[x], f.object_map[y], "out")]
+        cols = []
+        for col in m.columns:
+            cand = inv(col)
+            first = owner[min(cand)][1]
+            cols.append({i - first: a for i, a in cand.items()})
+        mats[(x, y)] = Matrix(c.field, d.dim(omap[x], omap[y]), m.cols,
+                              tuple(cols))
     return LinFunctor(c, d, omap, mats)
 
 
-def deck_functors(grp: CoveringGroup) -> dict[str, LinFunctor]:
-    """Every element's functor, in element order."""
-    f = grp.covering
+def deck_functors(f: LinFunctor, grp: CoveringGroup
+                  ) -> dict[str, LinFunctor]:
+    """Every element's functor, in element order, for the deck group grp
+    of the covering f."""
     return {n: morphism_functor(f, f, grp.object_maps[n])
             for n in grp.group.elements}
 
@@ -518,7 +531,29 @@ def reference_gset_analysis(u: LinFunctor, f: LinFunctor
                                action)
 
 
-def reference_structure_problems(f: LinFunctor, res: StructureIsoResult
+@dataclass
+class ReferenceFactorization:
+    """F = F'∘P through the quotient by the deck group, as structure_iso
+    once built it."""
+    quotient_result: QuotientResult
+    iso: LinFunctor  # F': quotient -> base
+
+
+def reference_structure_iso(f: LinFunctor) -> ReferenceFactorization:
+    """structure_iso as it was made when it built the factorization: the
+    quotient of f's source by the deck group, acting by its functors, and
+    F' on the quotient's basis names, each a name of f's source, read
+    from f.  ValueError refuses a covering that is not Galois."""
+    grp = _galois_group(f)
+    qres = quotient(GroupAction(grp.group, deck_functors(f, grp), f.source))
+    q = qres.quotient
+    omap = {alpha: f.object_map[alpha] for alpha in q.objects}
+    iso = LinFunctor.on_basis(q, f.target, omap,
+                              {n: f.apply_name(n) for n in q.basis_names()})
+    return ReferenceFactorization(qres, iso)
+
+
+def reference_structure_problems(f: LinFunctor, res: ReferenceFactorization
                                  ) -> list[str]:
     """The checks structure_iso once made of its factorization."""
     iso, qres = res.iso, res.quotient_result
@@ -565,10 +600,11 @@ def reference_validate_morphism(m: CoveringMorphism, f: LinFunctor,
     return problems
 
 
-def reference_name_of(grp: CoveringGroup, h: LinFunctor) -> Optional[str]:
-    """The element of grp equal to h, or None: only the element sharing
-    h's seed image can be equal to it, and its functor is compared."""
-    f = grp.covering
+def reference_name_of(f: LinFunctor, grp: CoveringGroup, h: LinFunctor
+                      ) -> Optional[str]:
+    """The element of grp, the deck group of f, equal to h, or None: only
+    the element sharing h's seed image can be equal to it, and its
+    functor is compared."""
     x0 = f.source.objects[0]
     seed = h.object_map.get(x0)
     for n, omap in grp.object_maps.items():
@@ -618,7 +654,7 @@ def reference_lambda_map(m: CoveringMorphism, f: LinFunctor,
 
     h_group = aut1(m.h)
     kernel_ok = (len(kernel) == h_group.order() and
-                 all(reference_name_of(h_group, morphism_functor(
+                 all(reference_name_of(m.h, h_group, morphism_functor(
                      f, f, gf.object_maps[n])) is not None for n in kernel))
     h_galois = galois_obstruction(h_group) is None
     return ReferenceLambdaResult(gf, gg, mapping, surjective, kernel,

@@ -102,8 +102,8 @@ def valid_actions():
     for fix in (cover_f0(), cover_f1(), identity_cover(), cyclic_cover(3),
                 square_cover()):
         grp = aut1(fix.functor)
-        yield f"deck-{fix.name}", Unchecked(grp.group, deck_functors(grp),
-                                            grp.covering.source)
+        yield f"deck-{fix.name}", Unchecked(
+            grp.group, deck_functors(fix.functor, grp), fix.functor.source)
 
 
 def exchanged(a, s, t):

@@ -2,26 +2,25 @@
 kept here as the reference together with the _Extension it used (which
 composed J with F and compared G with J∘F even when J is the identity,
 and decided functoriality itself).  The library extends only the seeds
-that the elements found so far do not reach, closes their object maps
-under composition and reads a column of a deck transformation from the
-star table when one is asked for; the reference extends every seed of
-the fibre and keeps every functor.  Both must give the same element
-names, table, seed fibre, object maps and functors (the library's built
-from its object maps by deck_functors), and refuse the same inputs: a
+that the elements found so far do not reach and closes their object
+maps under composition; the reference extends every seed of the fibre
+and keeps every functor.  Both must give the same element names, table,
+seed fibre, object maps and functors (the library's built from its
+object maps by deck_functors), and refuse the same inputs: a
 disconnected source with the same ValueError text, a non-covering with
 the message of its check_covering report, which decides functoriality
 as well.  structure_iso, induced_grading, lambda_map and gset_analysis must
 return the same results on groups built by either, and so must
-reference_lambda_map and reference_gset_analysis, which decide the
-verdicts those two no longer make.  The reference returns its own
-ReferenceDeckGroup, which keeps every element's functor and reads each
-image from it, where a CoveringGroup keeps object maps and reads
-columns from the star table.
+reference_structure_iso, reference_lambda_map and
+reference_gset_analysis, which build what those no longer build and
+decide the verdicts they no longer make.  The reference returns its own
+ReferenceDeckGroup, which keeps every element's functor, where a
+CoveringGroup keeps object maps only.
 
 The last section counts extensions and built functors: on a Galois
 covering of degree n at most log2 n seeds are extended (the first
 object's own seed gives the identity without one), and structure_iso
-builds no whole deck functor."""
+builds no functor and no category."""
 from dataclasses import dataclass
 from math import ceil, log2
 from typing import Optional
@@ -41,7 +40,7 @@ from lincat.formats import functor_from_doc
 from lincat.galois import gset_analysis, is_galois, structure_iso
 from lincat.grading import grading_on_basis, induced_grading, smash
 from lincat.groups import Group
-from lincat.kcat import (Arrow, LinComb, LinFunctor, QuiverPresentation,
+from lincat.kcat import (Arrow, LinCat, LinFunctor, QuiverPresentation,
                          functor_equal, functor_from_arrows, identity_functor,
                          is_connected, present, validate_functor)
 from lincat_reference import (CoveringMorphism, cyclic_reduction,
@@ -49,6 +48,7 @@ from lincat_reference import (CoveringMorphism, cyclic_reduction,
                               functor_compose, functor_is_isomorphism,
                               reference_covering_report,
                               reference_gset_analysis, reference_lambda_map,
+                              reference_structure_iso,
                               reference_structure_problems,
                               shift_subgroup_action)
 
@@ -138,8 +138,8 @@ class ReferenceExtension:
 @dataclass
 class ReferenceDeckGroup:
     """reference_aut1's deck group: every element's functor, built and
-    kept, with the part of CoveringGroup that the library's consumers
-    read, each image read from the functors."""
+    kept, with the covering and the part of CoveringGroup that the
+    library's consumers read."""
     covering: LinFunctor
     group: Group
     object_maps: dict[str, dict[str, str]]
@@ -148,12 +148,6 @@ class ReferenceDeckGroup:
 
     def order(self) -> int:
         return self.group.order()
-
-    def apply_object(self, name: str, x: str) -> str:
-        return self.object_maps[name][x]
-
-    def apply_name(self, name: str, n: str) -> LinComb:
-        return self.functors[name].apply_name(n)
 
 
 def reference_aut1(f: LinFunctor) -> ReferenceDeckGroup:
@@ -283,16 +277,13 @@ def outcome(run, *args):
 
 
 def assert_same_group(got: CoveringGroup, want: ReferenceDeckGroup) -> None:
-    assert got.covering is want.covering
     assert got.group.elements == want.group.elements
     assert got.group.identity == want.group.identity
     assert got.group.table == want.group.table
     assert got.seed_fibre == want.seed_fibre
     assert got.object_maps == want.object_maps
-    built = deck_functors(got)
+    built = deck_functors(want.covering, got)
     for name, h in want.functors.items():
-        for n in h.source.basis_names():
-            assert got.apply_name(name, n) == h.apply_name(n), (name, n)
         assert functor_equal(built[name], h), name
 
 
@@ -373,16 +364,23 @@ GALOIS = ["F0.json", "F1.json", "gdlp-C1.json", "cyclic_cover(1)",
 
 @pytest.mark.parametrize("name", GALOIS + ["F2.json", "twisted(5, 2)"])
 def test_structure_iso_agrees_on_reference_groups(monkeypatch, name):
+    """structure_iso on either aut1 gives the object map of the
+    reference factorization on either aut1, which passes the checks
+    structure_iso once made; a refusal is the same on all four."""
     f = CASES[name]
     got = outcome(structure_iso, f)
     want = with_reference(monkeypatch, structure_iso, f)
+    ref = outcome(reference_structure_iso, f)
+    want_ref = with_reference(monkeypatch, reference_structure_iso, f)
     if isinstance(want, str):
-        assert got == want
+        assert got == ref == want_ref == want
         return
-    assert reference_structure_problems(f, got) == \
-        reference_structure_problems(f, want) == []
-    assert functor_equal(got.iso, want.iso)
-    q, wq = got.quotient_result, want.quotient_result
+    assert list(got.items()) == list(want.items()) == \
+        list(ref.iso.object_map.items())
+    assert reference_structure_problems(f, ref) == \
+        reference_structure_problems(f, want_ref) == []
+    assert functor_equal(ref.iso, want_ref.iso)
+    q, wq = ref.quotient_result, want_ref.quotient_result
     assert q.quotient == wq.quotient
     assert q.quotient.objects == wq.quotient.objects
     assert q.quotient.hom == wq.quotient.hom
@@ -391,8 +389,8 @@ def test_structure_iso_agrees_on_reference_groups(monkeypatch, name):
     # |G| elements, and exactly one has the object map of each s
     grp, deck = aut1(f), aut1(q.projection)
     assert deck.order() == grp.order()
-    fs = deck_functors(deck)
-    for s, h in deck_functors(grp).items():
+    fs = deck_functors(q.projection, deck)
+    for s, h in deck_functors(f, grp).items():
         same = [t for t, omap in deck.object_maps.items()
                 if omap == h.object_map]
         assert len(same) == 1 and functor_equal(fs[same[0]], h), s
@@ -433,7 +431,7 @@ def test_lambda_map_agrees_on_reference_groups(monkeypatch):
         for res in (ref, want_ref):
             assert res.surjective and res.kernel_matches_h_group
             assert res.h_is_galois
-            assert res.h_group.covering is h
+            assert res.h_group.object_maps == aut1(h).object_maps
         assert got.mapping == want.mapping == ref.mapping
         assert got.kernel == want.kernel == ref.kernel
         for res, wres in ((got.source_group, want.source_group),
@@ -499,22 +497,25 @@ def test_only_generators_are_extended(monkeypatch, n):
     assert len(seeds) <= by_is_galois
 
 
-def test_structure_iso_builds_no_deck_functor(monkeypatch):
-    """The only functors structure_iso builds are the projection and
-    the factorization: the deck group's images are read column by
-    column."""
+def test_structure_iso_builds_no_functor(monkeypatch):
+    """structure_iso builds no functor and no category: the object map
+    of the factorization is read from the deck group's object maps.  It
+    is the object map of the reference factorization, whose projection
+    has the whole deck group."""
     built = []
-
-    def counted(self, _real=LinFunctor.__post_init__):
-        built.append(self)
-        return _real(self)
     f = cyclic_cover(16).functor
     with monkeypatch.context() as m:
-        m.setattr(LinFunctor, "__post_init__", counted)
-        res = structure_iso(f)
-    assert built == [res.quotient_result.projection, res.iso]
-    assert aut1(res.quotient_result.projection).order() == 16
-    assert reference_structure_problems(f, res) == []
+        for cls in (LinFunctor, LinCat):
+            def counted(self, _real=cls.__post_init__):
+                built.append(self)
+                return _real(self)
+            m.setattr(cls, "__post_init__", counted)
+        omap = structure_iso(f)
+    assert built == []
+    ref = reference_structure_iso(f)
+    assert list(omap.items()) == list(ref.iso.object_map.items())
+    assert aut1(ref.quotient_result.projection).order() == 16
+    assert reference_structure_problems(f, ref) == []
 
 
 def test_aut1_of_a_prebuilt_cover_checks_no_group_axiom(monkeypatch):

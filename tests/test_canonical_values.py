@@ -55,7 +55,7 @@ def functor_values(f: LinFunctor):
         for col in inv.columns:
             yield from ((f"star inverse{key}", v) for v in col.values())
     if report.ok and is_connected(f.source).connected:
-        for s, h in deck_functors(aut1(f)).items():
+        for s, h in deck_functors(f, aut1(f)).items():
             yield from block_values(h, f"aut1 {s}")
 
 

@@ -454,6 +454,11 @@ def test_text_form_comments_and_blank_lines():
      "^line 4: expected \\+ or - before 'b'$"),
     ("vertices x\narrow a: x -> x\narrow b: x -> x\nrel -a 2 b\nbound 1",
      "^line 4: expected \\+ or - before '2 b'$"),
+    # the sign comes before an unsigned coefficient
+    ("vertices x\narrow a: x -> x\narrow b: x -> x\nrel a - -2 b\nbound 1",
+     "^line 4: cannot read relation near '- -2 b'$"),
+    ("vertices x\narrow a: x -> x\narrow b: x -> x\nrel a + -2 b\nbound 1",
+     "^line 4: cannot read relation near '\\+ -2 b'$"),
     # a path of declared arrows only
     ("vertices x\narrow a: x -> x\nrel a*z\nbound 2",
      "relation path 'a\\*z' names undeclared arrow 'z'$"),

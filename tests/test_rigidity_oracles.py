@@ -32,7 +32,7 @@ def equal_names(functors: dict, h) -> list:
 def test_aut1_table_matches_composition(covers):
     for fix in covers:
         grp = aut1(fix.functor)
-        fs = deck_functors(grp)
+        fs = deck_functors(fix.functor, grp)
         assert functor_equal(fs["e"], identity_functor(fix.total.category))
         for n1, h1 in fs.items():
             for n2, h2 in fs.items():
@@ -50,7 +50,7 @@ def test_seed_images_agree_with_exhaustive_search(covers):
     to it."""
     for fix in covers:
         grp = aut1(fix.functor)
-        fs = deck_functors(grp)
+        fs = deck_functors(fix.functor, grp)
         x0 = fix.total.category.objects[0]
         by_seed = {omap[x0]: n for n, omap in grp.object_maps.items()}
         for n, h in fs.items():
@@ -62,7 +62,7 @@ def test_seed_images_agree_with_exhaustive_search(covers):
     doubled = LinFunctor.on_basis(
         c, c, {x: x for x in c.objects},
         {n: {n: 2 if n == "a0" else 1} for n in c.basis_names()})
-    assert equal_names(deck_functors(aut1(f0.functor)), doubled) == []
+    assert equal_names(deck_functors(f0.functor, aut1(f0.functor)), doubled) == []
 
 
 def actions(covers):
@@ -71,8 +71,9 @@ def actions(covers):
     yield "shift 4/2", shift_subgroup_action(4, 2)
     for fix in covers:
         grp = aut1(fix.functor)
-        yield fix.name, GroupAction(grp.group, deck_functors(grp),
-                                    grp.covering.source)
+        yield fix.name, GroupAction(grp.group,
+                                    deck_functors(fix.functor, grp),
+                                    fix.functor.source)
 
 
 def test_quotient_results_pass_the_removed_sweeps(covers):
@@ -93,7 +94,7 @@ def test_quotient_results_pass_the_removed_sweeps(covers):
         x0 = act.category.objects[0]
         assert set(deck.seed_fibre) == {
             h.object_map[x0] for h in act.functors.values()}, name
-        fs = deck_functors(deck)
+        fs = deck_functors(p, deck)
         for s, h in act.functors.items():
             assert functor_equal(functor_compose(p, h), p), (name, s)
             same = [t for t, omap in deck.object_maps.items()
@@ -124,8 +125,8 @@ def test_lambda_satisfies_its_defining_equation(covers):
             h0 = morphism_functor(f, g, omap)
             assert functor_equal(functor_compose(g, h0), f), (name, d0)
             assert validate_functor(h0) == [], (name, d0)
-            gf = deck_functors(res.source_group)
-            gg = deck_functors(res.target_group)
+            gf = deck_functors(f, res.source_group)
+            gg = deck_functors(g, res.target_group)
             for n, h in gf.items():
                 rhs = functor_compose(h0, h)
                 matches = [k for k, d in gg.items()
@@ -146,7 +147,7 @@ def test_gset_action_table_matches_composition(covers):
         gu = aut1(u)
         homs = [morphism_functor(u, f, omap) for omap in rep.homs]
         for i, h in enumerate(homs):
-            for s, deck in deck_functors(gu).items():
+            for s, deck in deck_functors(u, gu).items():
                 composite = functor_compose(h, deck)
                 matches = [j for j, k in enumerate(homs)
                            if functor_equal(k, composite)]
