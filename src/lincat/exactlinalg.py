@@ -9,13 +9,15 @@ in [0, p).  No floating point anywhere.
 Every linear map the library handles (functor blocks, the inverses of
 star blocks, the change of basis of a grading, derivations) is one type,
 Matrix, kept as sparse columns; products and inverses work on those
-columns directly.  Elimination works on sparse rows in
-EchelonBasis.
+columns directly.  Elimination works on sparse rows in EchelonBasis,
+which over Q keeps each row as a primitive integer vector and so
+eliminates with ints alone; its `rows` reads the canonical rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 
@@ -31,14 +33,38 @@ def _reciprocal(p: int, a):
     return pow(a, -1, p) if p else _q(Fraction(1) / a)
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly
+# below this bound, the least strong pseudoprime to all of them
+# (J. Sorenson and J. Webster, Math. Comp. 86, 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
+    """Trial division below 43², deterministic Miller-Rabin above; a
+    ValueError from _PRIME_BOUND on, where the bases do not decide."""
+    if n < 1849:
+        d = 2
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 1
+        return n >= 2
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"characteristic {n} is too large: primality is "
+                         f"decided only below {_PRIME_BOUND}")
+    d, s = n - 1, 0  # a base dividing n fails the test below
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
     return True
 
 
@@ -177,85 +203,122 @@ class Matrix:
 
 
 # -- elimination on raw values ---------------------------------------------
-#
-# Sparse rows are dicts {column: raw value}: field elements as FieldSpec
-# describes them, reduced on entry into an EchelonBasis.
 
 
 def _field_ops(p: int):
-    """Raw-value operations of characteristic p, chosen once per basis:
-    (normalize, axpy, scale, inverse, one)."""
+    """The operations of characteristic p on EchelonBasis's stored rows,
+    chosen once per basis: (entry, eliminate, primitive, divide).
+    `entry` makes a vector of field values a stored-form vector;
+    `eliminate(v, c, row)` makes v zero at the pivot c of a stored row,
+    in place, by v <- d*v - a*row; `primitive(v, c)` scales v in place to
+    the stored row with pivot c; `divide(row, d)` is row / d in
+    canonical field values, a new dict."""
     if p:
-        def normalize(vec):
+        def entry(vec):
             return {c: a % p for c, a in vec.items() if a % p}
 
-        def axpy(v, f, row):
-            # v -= f * row in place; f and row's values are nonzero mod p,
-            # so a zero result means the column was present in v
-            for c, a in row.items():
-                w = (v.get(c, 0) - f * a) % p
+        def eliminate(v, c, row):
+            # row is monic, so d = 1 and a = v[c]; a and row's values are
+            # nonzero mod p, so a zero result means the column was in v
+            f = v[c]
+            for k, a in row.items():
+                w = (v.get(k, 0) - f * a) % p
                 if w:
-                    v[c] = w
+                    v[k] = w
                 else:
-                    del v[c]
+                    del v[k]
 
-        def scale(row, s):
-            return {c: a * s % p for c, a in row.items()}
+        def primitive(v, c):
+            if v[c] != 1:
+                s = pow(v[c], -1, p)
+                for k in v:
+                    v[k] = v[k] * s % p
 
-        def inverse(a):
-            return pow(a, -1, p)
+        def divide(row, d):
+            if d == 1:
+                return dict(row)
+            s = pow(d, -1, p)
+            return {k: a * s % p for k, a in row.items()}
 
-        return normalize, axpy, scale, inverse, 1
+        return entry, eliminate, primitive, divide
 
-    def normalize(vec):
-        return {c: _q(a) for c, a in vec.items() if a}
+    def entry(vec):
+        v = {c: a for c, a in vec.items() if a}
+        for a in v.values():
+            if type(a) is not int:
+                # ints and Fractions both carry numerator and denominator
+                m = lcm(*[a.denominator for a in v.values()])
+                return {c: a.numerator * (m // a.denominator)
+                        for c, a in v.items()}
+        return v
 
-    def axpy(v, f, row):
-        for c, a in row.items():
-            w = v.get(c, 0) - f * a
+    def eliminate(v, c, row):
+        a, d = v[c], row[c]  # d > 0
+        if d != 1:
+            g = gcd(a, d)
+            a, d = a // g, d // g
+            if d != 1:
+                for k in v:
+                    v[k] *= d
+        for k, b in row.items():
+            w = v.get(k, 0) - a * b
             if w:
-                v[c] = _q(w)
+                v[k] = w
             else:
-                del v[c]
+                del v[k]
 
-    def scale(row, s):
-        return {c: _q(a * s) for c, a in row.items()}
+    def primitive(v, c):
+        g = gcd(*v.values())
+        if v[c] < 0:
+            g = -g
+        if g != 1:
+            for k in v:
+                v[k] //= g
 
-    def inverse(a):
-        return _q(Fraction(1) / a)
+    def divide(row, d):
+        if d == 1:
+            return dict(row)
+        return {k: a // d if a % d == 0 else Fraction(a, d)
+                for k, a in row.items()}
 
-    return normalize, axpy, scale, inverse, 1
+    return entry, eliminate, primitive, divide
 
 
 class EchelonBasis:
     """Reduced row echelon basis of a growing subspace of k^n.
 
-    Vectors are sparse rows {column: raw value}; values may be any ints
-    (or Fractions over Q) and are reduced on entry.  Every stored row has
-    its smallest column as its pivot, value 1 there, and 0 at every other
-    row's pivot, so the rows sorted by pivot are the reduced row echelon
-    form of the span.  Adding a vector reduces it against the rows whose
-    pivots it touches, O(rank * n), and keeps a nonzero remainder.
+    Vectors are sparse rows {column: value}; values may be any ints (or
+    Fractions over Q) and are reduced on entry.  Every stored row has
+    its smallest column as its pivot and 0 at every other row's pivot,
+    so the rows sorted by pivot, each divided by its pivot value, are
+    the reduced row echelon form of the span; `rows` reads that form.
+    Over F_p a row is kept monic.  Over Q it is kept as a primitive
+    integer vector with a positive pivot, so elimination runs on ints
+    alone, v <- d*v - a*row and the content divided out (fraction-free
+    Gauss-Jordan elimination, E. H. Bareiss, Math. Comp. 22, 1968), and
+    a Fraction is made only when a row is read.  Adding a vector reduces
+    it against the rows whose pivots it touches, O(rank * n), and keeps
+    a nonzero remainder.
     """
 
     def __init__(self, characteristic: int):
-        self.rows: dict[int, dict] = {}
-        (self.normalize, self._axpy, self._scale, self._inverse,
-         self.one) = _field_ops(characteristic)
+        self._rows: dict[int, dict] = {}
+        (self._entry, self._eliminate, self._primitive,
+         self._divide) = _field_ops(characteristic)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def reduce(self, vec: dict) -> dict:
-        """The remainder of `vec` modulo the span, as a new dict."""
-        v = self.normalize(vec)
-        rows = self.rows
+        """A nonzero multiple of the remainder of `vec` modulo the span,
+        or {} when vec lies in it, as a new dict.  Over Q it is an
+        integer vector, not the remainder itself."""
+        v = self._entry(vec)
+        rows = self._rows
         # a pivot row is zero at every other pivot, so subtracting it adds
         # no pivot column to v that the list below misses
         for c in [c for c in v if c in rows]:
-            f = v.get(c)
-            if f:
-                self._axpy(v, f, rows[c])
+            self._eliminate(v, c, rows[c])
         return v
 
     def add(self, vec: dict) -> bool:
@@ -264,21 +327,36 @@ class EchelonBasis:
         if not v:
             return False
         pivot = min(v)
-        v = self._scale(v, self._inverse(v[pivot]))
-        for row in self.rows.values():
-            f = row.get(pivot)
-            if f:
-                self._axpy(row, f, v)
-        self.rows[pivot] = v
+        self._primitive(v, pivot)
+        for c, row in self._rows.items():
+            if pivot in row:
+                self._eliminate(row, pivot, v)
+                self._primitive(row, c)
+        self._rows[pivot] = v
         return True
+
+    def _put(self, vec: dict, pivot: int) -> None:
+        """Insert `vec` with this pivot, its smallest column, unreduced:
+        no column of it may be a pivot, nor its pivot another row's
+        column."""
+        v = self._entry(vec)
+        self._primitive(v, pivot)
+        self._rows[pivot] = v
 
     def __contains__(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
+    def rows(self) -> dict[int, dict]:
+        """The reduced row echelon form, {pivot: row} by increasing
+        pivot: each row in canonical field values, 1 at its pivot."""
+        rows = self._rows
+        return {c: self._divide(rows[c], rows[c][c]) for c in sorted(rows)}
+
     def tail(self, pivot: int) -> dict:
         """Minus the pivot row off its pivot: e_pivot is congruent to this
         modulo the span, and its columns are free columns."""
-        row = self._scale(self.rows[pivot], -self.one)
+        row = self._rows[pivot]
+        row = self._divide(row, -row[pivot])
         del row[pivot]
         return row
 
@@ -286,8 +364,8 @@ class EchelonBasis:
         """Null space basis of the stored rows, one vector per free
         column in increasing order: 1 there, the pivot rows' tails at
         the pivots."""
-        free = {j: {j: self.one} for j in range(ncols) if j not in self.rows}
-        for pivot in self.rows:
+        free = {j: {j: 1} for j in range(ncols) if j not in self._rows}
+        for pivot in self._rows:
             for j, a in self.tail(pivot).items():
                 free[j][pivot] = a
         return list(free.values())
@@ -316,7 +394,7 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     if m.rows != n:
         return None
     p, cols = m.field.characteristic, m.columns
-    at: dict[int, tuple] = {}  # row i -> (j, 1/a) for column j = a·e_i
+    at: dict[int, tuple] = {}  # row i -> (j, a) for column j = a·e_i
     for j, col in enumerate(cols):
         if len(col) != 1:
             if not col:
@@ -325,18 +403,20 @@ def inverse(m: Matrix) -> Optional[Matrix]:
         (i, a), = col.items()
         if i in at:
             return None
-        at[i] = (j, _reciprocal(p, a))
+        at[i] = (j, a)
     else:
         return Matrix(m.field, n, n, tuple(
-            {j: r} for j, r in (at[i] for i in range(n))))
+            {j: _reciprocal(p, a)} for j, a in (at[i] for i in range(n))))
     e = EchelonBasis(p)
-    e.rows.update((i, {i: e.one, n + j: r}) for i, (j, r) in at.items())
+    for i, (j, a) in at.items():
+        e._put({i: a, n + j: 1}, i)
     for j in range(len(at), n):
-        e.add({**cols[j], n + j: e.one})
-    if any(i not in e.rows for i in range(n)):
+        e.add({**cols[j], n + j: 1})
+    rows = e.rows()
+    if any(i not in rows for i in range(n)):
         return None
     return Matrix(m.field, n, n,
-                  tuple({j - n: a for j, a in e.rows[i].items() if j >= n}
+                  tuple({j - n: a for j, a in rows[i].items() if j >= n}
                         for i in range(n)))
 
 

@@ -489,6 +489,8 @@ def _json_doc(p: Path, text: str) -> dict:
     except json.JSONDecodeError as e:
         raise FormatError(
             f"{p}: line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise FormatError(f"{p}: JSON nested too deeply to read") from None
 
 
 def load_doc(path: Union[str, Path]) -> dict:

@@ -479,8 +479,8 @@ def component_span(z: Grading, x: str, y: str, s: str) -> tuple:
     e = EchelonBasis(c.field.characteristic)
     for j in z.component_columns(x, y, s):
         e.add(z.basis[(x, y)].columns[j])
-    return tuple(tuple(dense(c.field, e.rows[p], c.dim(x, y)))
-                 for p in sorted(e.rows))
+    return tuple(tuple(dense(c.field, row, c.dim(x, y)))
+                 for row in e.rows().values())
 
 
 def same_components(z1: Grading, z2: Grading,

@@ -824,7 +824,7 @@ class _GroebnerBasis:
 
     def _add(self, vecs: list[dict]) -> None:
         """Add the rules that rewritten items, none of them 0, give."""
-        rules = self.rules
+        rules, red = self.rules, self.field.reduce
         if all(len(vec) == 1 for vec in vecs):
             # monomials: each word is a leading word with no tail
             new = list(dict.fromkeys(s for vec in vecs for s in vec))
@@ -838,10 +838,11 @@ class _GroebnerBasis:
             e = EchelonBasis(self.field.characteristic)
             for vec in vecs:
                 e.add({column[s]: a for s, a in vec.items()})
-            new = [words[j] for j in sorted(e.rows)]
-            for j in sorted(e.rows):
-                rules[words[j]] = {words[i]: a
-                                   for i, a in e.tail(j).items()}
+            rows = e.rows()
+            new = [words[j] for j in rows]
+            for j, row in rows.items():
+                rules[words[j]] = {words[i]: red(-a)
+                                   for i, a in row.items() if i != j}
         # the normal form of a word shorter than every new leading word
         # keeps its value
         short = min(map(len, new))

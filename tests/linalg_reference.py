@@ -12,7 +12,13 @@ monomial matrices skipped elimination, the reference for that path.
 dense columns or row-major entries, coercing each entry into the field;
 `entries` reads a Matrix back as its row-major entries.  `matrix_add`,
 `matrix_neg`, `matrix_sub` and `apply_dense` (a Matrix times a dense
-vector) are Matrix operations that only the tests use."""
+vector) are Matrix operations that only the tests use.
+`ReferenceEchelonBasis` is EchelonBasis as it was before rational rows
+became primitive integer vectors: every stored row is the canonical row
+itself, in int or Fraction values over Q, and `rows` is that dict.
+`typed` pairs each value of a nested result with its type, so that an
+int and an equal Fraction no longer compare equal."""
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from lincat.exactlinalg import EchelonBasis, FieldSpec, Matrix, dense
@@ -94,11 +100,11 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     Pivots are the leftmost columns the rows reach (the form is unique).
     Returns (rref matrix, pivot column indices, rank).
     """
-    e = _echelon(m.field, _sparse_rows(m))
-    pivots = sorted(e.rows)
+    rows = _echelon(m.field, _sparse_rows(m)).rows()
+    pivots = list(rows)
     ent: list = []
-    for p in pivots:
-        ent.extend(dense(m.field, e.rows[p], m.cols))
+    for row in rows.values():
+        ent.extend(dense(m.field, row, m.cols))
     ent.extend([m.field.zero()] * ((m.rows - len(pivots)) * m.cols))
     return row_major(m.field, m.rows, m.cols, ent), pivots, len(pivots)
 
@@ -128,9 +134,10 @@ def solve(m: Matrix, rhs: Sequence) -> Optional[list]:
         if s:
             row[n] = s
         e.add(row)
-    if n in e.rows:
+    rows = e.rows()
+    if n in rows:
         return None
-    return dense(m.field, {p: row[n] for p, row in e.rows.items()
+    return dense(m.field, {p: row[n] for p, row in rows.items()
                            if n in row}, n)
 
 
@@ -170,7 +177,8 @@ def complement(characteristic: int, dim: int, subspace: Iterable[dict],
     e = EchelonBasis(characteristic)
     for v in subspace:
         e.add({label[j]: a for j, a in v.items()})
-    chosen = [j for j in order if label[j] not in e.rows]
+    rows = e.rows()
+    chosen = [j for j in order if label[j] not in rows]
     if len(chosen) + len(e) != dim:
         raise ValueError("preferred order does not complete a basis")
     at = {label[j]: i for i, j in enumerate(chosen)}
@@ -178,7 +186,7 @@ def complement(characteristic: int, dim: int, subspace: Iterable[dict],
     for j in range(dim):
         k = label[j]
         if k in at:
-            images.append({at[k]: e.one})
+            images.append({at[k]: 1})
         else:
             images.append({at[c]: a for c, a in e.tail(k).items()})
     return chosen, images
@@ -218,9 +226,114 @@ def eliminated_inverse(m: Matrix) -> Optional[Matrix]:
         return None
     e = EchelonBasis(m.field.characteristic)
     for j, col in enumerate(m.columns):
-        e.add({**col, n + j: e.one})
-    if any(i not in e.rows for i in range(n)):
+        e.add({**col, n + j: 1})
+    rows = e.rows()
+    if any(i not in rows for i in range(n)):
         return None
     return Matrix(m.field, n, n,
-                  tuple({j - n: a for j, a in e.rows[i].items() if j >= n}
+                  tuple({j - n: a for j, a in rows[i].items() if j >= n}
                         for i in range(n)))
+
+
+def typed(x):
+    """x with every scalar paired with its type, through dicts, lists
+    and tuples."""
+    if isinstance(x, dict):
+        return {k: typed(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [typed(v) for v in x]
+    return type(x).__name__, x
+
+
+def _q(a):
+    return a.numerator if a.denominator == 1 else a
+
+
+def _reference_field_ops(p: int):
+    if p:
+        def normalize(vec):
+            return {c: a % p for c, a in vec.items() if a % p}
+
+        def axpy(v, f, row):
+            for c, a in row.items():
+                w = (v.get(c, 0) - f * a) % p
+                if w:
+                    v[c] = w
+                else:
+                    del v[c]
+
+        def scale(row, s):
+            return {c: a * s % p for c, a in row.items()}
+
+        def inverse(a):
+            return pow(a, -1, p)
+
+        return normalize, axpy, scale, inverse, 1
+
+    def normalize(vec):
+        return {c: _q(a) for c, a in vec.items() if a}
+
+    def axpy(v, f, row):
+        for c, a in row.items():
+            w = v.get(c, 0) - f * a
+            if w:
+                v[c] = _q(w)
+            else:
+                del v[c]
+
+    def scale(row, s):
+        return {c: _q(a * s) for c, a in row.items()}
+
+    def inverse(a):
+        return _q(Fraction(1) / a)
+
+    return normalize, axpy, scale, inverse, 1
+
+
+class ReferenceEchelonBasis:
+    """Reduced row echelon basis with each row stored as its canonical
+    row: smallest column the pivot, value 1 there, 0 at every other
+    row's pivot."""
+
+    def __init__(self, characteristic: int):
+        self.rows: dict[int, dict] = {}
+        (self.normalize, self._axpy, self._scale, self._inverse,
+         self.one) = _reference_field_ops(characteristic)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: dict) -> dict:
+        """The remainder of `vec` modulo the span, as a new dict."""
+        v = self.normalize(vec)
+        rows = self.rows
+        for c in [c for c in v if c in rows]:
+            f = v.get(c)
+            if f:
+                self._axpy(v, f, rows[c])
+        return v
+
+    def add(self, vec: dict) -> bool:
+        v = self.reduce(vec)
+        if not v:
+            return False
+        pivot = min(v)
+        v = self._scale(v, self._inverse(v[pivot]))
+        for row in self.rows.values():
+            f = row.get(pivot)
+            if f:
+                self._axpy(row, f, v)
+        self.rows[pivot] = v
+        return True
+
+    def tail(self, pivot: int) -> dict:
+        row = self._scale(self.rows[pivot], -self.one)
+        del row[pivot]
+        return row
+
+    def kernel(self, ncols: int) -> list[dict]:
+        free = {j: {j: self.one} for j in range(ncols) if j not in self.rows}
+        for pivot in self.rows:
+            for j, a in self.tail(pivot).items():
+                free[j][pivot] = a
+        return list(free.values())

@@ -419,7 +419,7 @@ def reference_inner_span(c: LinCat) -> EchelonBasis:
 def reference_inner_basis(c: LinCat) -> list[Derivation]:
     """The echelon basis of reference_inner_span, as Derivations."""
     return [reference_derivation_of(c, v)
-            for v in reference_inner_span(c).rows.values()]
+            for v in reference_inner_span(c).rows().values()]
 
 
 def is_inner(d: Derivation) -> bool:

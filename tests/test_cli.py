@@ -626,6 +626,43 @@ def test_malformed_json_exit_2(workdir, tmp_path):
     assert re.search(r"line \d+ column \d+", err)
 
 
+def test_deeply_nested_json_exit_2(workdir, tmp_path):
+    # the JSON decoder recursed past the interpreter's limit, and the
+    # RecursionError escaped run() as a traceback with exit 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(workdir, "h1", "--cat", str(deep))
+    assert (code, out) == (2, "")
+    assert err == f"error: {deep}: JSON nested too deeply to read\n"
+
+
+def test_large_characteristic_is_decided_in_seconds(workdir, tmp_path):
+    # primality was decided by trial division, which did not finish for
+    # the Mersenne prime 2^61 - 1
+    start = time.perf_counter()
+    code, out, _ = run(workdir, "present", "--presentation",
+                       "kronecker-quiver.txt", "--field", str(2 ** 61 - 1))
+    assert code == 0 and "total dimension = 4" in out
+    doc = json.loads((workdir / "kronecker.json").read_text(encoding="utf-8"))
+    doc["field"]["characteristic"] = 2 ** 61 - 1
+    path = tmp_path / "large.json"
+    dump_path(path, doc)
+    assert run(workdir, "h1", "--cat", str(path))[0] == 0
+    assert time.perf_counter() - start < 5
+    # 2^61 + 1 is divisible by 3; 2^89 - 1 is prime, but past the bound
+    # where Miller-Rabin with the bases up to 41 is exact
+    for p, fragment in ((2 ** 61 + 1, "must be 0 or a prime"),
+                        (2 ** 89 - 1, "is too large")):
+        code, out, err = run(workdir, "present", "--presentation",
+                             "kronecker-quiver.txt", "--field", str(p))
+        assert (code, out) == (2, "") and fragment in err
+        doc["field"]["characteristic"] = p
+        dump_path(path, doc)
+        code, out, err = run(workdir, "h1", "--cat", str(path))
+        assert (code, out) == (2, "") and fragment in err
+        assert len(err.splitlines()) == 1
+
+
 def test_missing_file_exit_2(workdir):
     code, _, err = run(workdir, "h1", "--cat", "missing.json")
     assert code == 2

@@ -265,6 +265,8 @@ def text_presentations(draw):
 @example(text=TEXT_QUIVER + "rel c**a\nbound 2\n")
 # a later term with no sign, once read as +
 @example(text=TEXT_QUIVER + "rel c*a c*b\nbound 2\n")
+# JSON nested past the recursion limit, once a RecursionError escaping run()
+@example(text='{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}")
 def test_text_presentations_keep_the_exit_code_contract(fuzzdir, text):
     """present, pi1 and validate on a text-form presentation exit 0, 1
     or 2, with one diagnostic line on exit 2, and print no traceback."""

@@ -87,7 +87,7 @@ def test_inner_derivations_have_reduced_residues():
         c = kronecker(FieldSpec(p)).category
         span = _span(c, _inner_generators(c))
         assert len(span) == 1
-        assert all(0 <= s < p for row in span.rows.values()
+        assert all(0 <= s < p for row in span.rows().values()
                    for s in row.values())
 
 

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lincat.exactlinalg import (FieldSpec, Matrix, dense, inverse,
-                                smith_normal_form)
+from lincat.exactlinalg import (FieldSpec, Matrix, _is_prime, dense,
+                                inverse, smith_normal_form)
 from linalg_reference import (apply_dense, from_rows, kernel_basis,
                               quotient_basis, rank, rref, solve)
 
@@ -30,6 +31,19 @@ class TestFieldSpec:
     def test_accepts_zero_and_primes(self):
         for p in (0, 2, 3, 5, 7, 11):
             FieldSpec(p)
+
+    def test_primality_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+        assert [n for n in range(10 ** 5) if _is_prime(n) != trial(n)] == []
+
+    def test_refuses_characteristic_past_the_exact_bound(self):
+        # 3317044064679887385961981 is the least strong pseudoprime to
+        # every prime base up to 41; 2^89 - 1 is prime
+        FieldSpec(2 ** 61 - 1)
+        for p in (3317044064679887385961981, 2 ** 89 - 1):
+            with pytest.raises(ValueError, match="too large"):
+                FieldSpec(p)
 
     def test_scalar_coercion_mod_p(self):
         assert F5.scalar(7) == 2

@@ -7,6 +7,8 @@ against elimination; the Smith form, also with planted unit rows,
 against sympy's invariant factors over ZZ; and the greedy bases against
 the greedy-by-rank definition kept here as the reference.
 """
+import cProfile
+import pstats
 from fractions import Fraction
 
 import pytest
@@ -18,12 +20,14 @@ from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from lincat.exactlinalg import (  # noqa: E402
-    EchelonBasis, FieldSpec, Matrix, dense, inverse, smith_normal_form,
+    _PRIME_BOUND, EchelonBasis, FieldSpec, Matrix, _is_prime, dense,
+    inverse, smith_normal_form,
 )
 from linalg_reference import (  # noqa: E402
-    apply_dense, column_space_basis, eliminated_inverse, entries, from_cols,
-    from_rows, kernel_basis, matrix_add, matrix_neg, matrix_sub,
-    quotient_basis, rank, rref, solve,
+    ReferenceEchelonBasis, apply_dense, column_space_basis,
+    eliminated_inverse, entries, from_cols, from_rows, kernel_basis,
+    matrix_add, matrix_neg, matrix_sub, quotient_basis, rank, rref, solve,
+    typed,
 )
 
 PRIMES = (0, 2, 3, 5, 7)
@@ -375,34 +379,49 @@ def canonical(v):
     return type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
-raw_rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+# values as EchelonBasis takes them over Q: ints, Fractions, integral
+# ones such as Fraction(2, 1) among them, and large numerators and
+# denominators
+raw_rational = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+              st.integers(1, 10 ** 20)))
 
 
 @settings(max_examples=100, derandomize=True)
 @given(st.integers(1, 5), st.integers(1, 5), st.data())
 def test_kernel_results_are_canonical_over_q(r, c, data):
     """EchelonBasis, Matrix and inverse over Q keep values
-    canonical, also when fed integral Fractions, and agree with sympy."""
+    canonical, also when fed integral Fractions, and agree with sympy;
+    EchelonBasis's rows, kernel and tails are those of the reference."""
     field = FieldSpec(0)
-    # raw Fractions, Fraction(2, 1) among them, as EchelonBasis accepts
+    # raw ints and Fractions, Fraction(2, 1) among them, as EchelonBasis
+    # accepts
     rows = data.draw(st.lists(st.lists(raw_rational, min_size=c, max_size=c),
                               min_size=r, max_size=r))
-    e = EchelonBasis(0)
+    e, reference = EchelonBasis(0), ReferenceEchelonBasis(0)
     for row in rows:
-        e.add({j: a for j, a in enumerate(row) if a})
+        vec = {j: a for j, a in enumerate(row) if a}
+        assert e.add(vec) == reference.add(vec)
     sm = to_sympy(field, rows, c)
     ref, pivots = sm.rref()
-    assert sorted(e.rows) == list(pivots)
+    got = e.rows()
+    assert list(got) == list(pivots)
     want = sympy_values(field, ref)
     for i, p in enumerate(pivots):
-        assert all(map(canonical, e.rows[p].values()))
-        assert dense(field, e.rows[p], c) == want[i]
+        assert all(map(canonical, got[p].values()))
+        assert dense(field, got[p], c) == want[i]
     kernel = e.kernel(c)
     assert len(kernel) == c - len(pivots)
     for vec in kernel:
         assert all(map(canonical, vec.values()))
         column = to_sympy(field, [[v] for v in dense(field, vec, c)], 1)
         assert (sm * column).is_zero_matrix
+    assert typed(got) == typed(dict(sorted(reference.rows.items())))
+    assert typed(kernel) == typed(reference.kernel(c))
+    for p in pivots:
+        assert typed(e.tail(p)) == typed(reference.tail(p))
 
     square = data.draw(st.lists(st.lists(raw_rational, min_size=r,
                                          max_size=r), min_size=r, max_size=r))
@@ -441,3 +460,103 @@ def test_kernel_results_are_canonical_over_q(r, c, data):
     assert_stored_form(total)
     assert_stored_form(matrix_sub(m.hstack(m), m.hstack(total)))
     assert matrix_values(total) == sympy_values(field, sq * sq + sq)
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Sparse vectors of raw values, zeros included, with repeats and
+    multiples of earlier vectors (negative ones among them) mixed in."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 6))
+    entry = raw_rational if p == 0 else st.integers(-2 * p, 2 * p)
+    vecs = draw(st.lists(st.dictionaries(st.integers(0, n - 1), entry,
+                                         max_size=n), min_size=1, max_size=8))
+    scales = [1, -1, 2, Fraction(-3, 7)] if p == 0 else [1, -1, 2]
+    for _ in range(draw(st.integers(0, 3))):
+        s = draw(st.sampled_from(scales))
+        copy = {k: a * s for k, a in draw(st.sampled_from(vecs)).items()}
+        vecs.insert(draw(st.integers(0, len(vecs))), copy)
+    return p, n, vecs
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(echelon_inputs())
+def test_echelon_basis_agrees_with_reference(case):
+    """Vector by vector, add answers as the reference does and reduce
+    returns a nonzero multiple of the reference's remainder; the rows,
+    the kernel and every tail equal the reference's, value types
+    included, and the rows are sympy's reduced row echelon form."""
+    p, n, vecs = case
+    field = FieldSpec(p)
+    e, reference = EchelonBasis(p), ReferenceEchelonBasis(p)
+    for vec in vecs:
+        got, want = e.reduce(vec), reference.reduce(vec)
+        assert set(got) == set(want)
+        if want:  # got = s * want with s = got[c] / want[c]
+            c = min(want)
+            assert all(field.reduce(a * want[c] - got[c] * want[k]) == 0
+                       for k, a in got.items())
+        assert e.add(vec) == reference.add(vec)
+        assert vec in e
+    rows = e.rows()
+    assert typed(rows) == typed(dict(sorted(reference.rows.items())))
+    assert typed(e.kernel(n)) == typed(reference.kernel(n))
+    for c in rows:
+        assert typed(e.tail(c)) == typed(reference.tail(c))
+    sm = to_sympy(field, [dense(field, {k: field.scalar(a)
+                                        for k, a in vec.items()}, n)
+                          for vec in vecs], n)
+    ref, pivots = sm.rref()
+    assert list(rows) == list(pivots)
+    assert [dense(field, row, n) for row in rows.values()] == \
+        sympy_values(field, ref)[:len(pivots)]
+
+
+def _fraction_functions(run) -> set[str]:
+    """The functions of the fractions module that run() calls."""
+    profile = cProfile.Profile()
+    profile.runcall(run)
+    return {name for path, _, name in pstats.Stats(profile).stats
+            if path.endswith("fractions.py")}
+
+
+def test_reduce_and_add_make_no_fraction_over_q():
+    """Over Q, entry into the basis reads each input value's truth,
+    numerator and denominator, and everything after runs on ints: reduce
+    and add do no Fraction arithmetic and make no Fraction, and only
+    reading a row makes one."""
+    vecs = [{0: Fraction(1, 2), 1: 3, 3: Fraction(-5, 6)},
+            {0: 2, 1: Fraction(7, 3), 2: Fraction(2, 1)},
+            {1: Fraction(-1, 4), 2: 5, 3: 1},
+            # the sum of the first two
+            {0: Fraction(5, 2), 1: Fraction(16, 3), 2: 2, 3: Fraction(-5, 6)}]
+    e = EchelonBasis(0)
+
+    def fill():
+        for vec in vecs:
+            e.reduce(vec)
+            e.add(vec)
+    assert _fraction_functions(fill) <= {"__bool__", "numerator",
+                                         "denominator"}
+    assert len(e) == 3
+    assert "__new__" in _fraction_functions(e.rows)
+
+
+# composites that fool Miller-Rabin on some bases: strong pseudoprimes to
+# the bases 2-7, 2-23 and 2-37, and Carmichael numbers
+PSEUDOPRIMES = (3215031751, 3825123056546413051, 318665857834031151167461,
+                561, 41041, 825265)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.one_of(
+    st.integers(1849, _PRIME_BOUND - 1),
+    st.integers(1849, 10 ** 12),
+    # primes, and products of two primes
+    st.integers(1849, _PRIME_BOUND - 1).map(sympy.nextprime).filter(
+        lambda n: n < _PRIME_BOUND),
+    st.tuples(st.integers(2, 10 ** 12), st.integers(2, 10 ** 12)).map(
+        lambda ab: sympy.nextprime(ab[0]) * sympy.nextprime(ab[1])),
+    st.sampled_from(PSEUDOPRIMES + (2 ** 61 - 1, _PRIME_BOUND - 1))))
+def test_primality_agrees_with_sympy(n):
+    assert _is_prime(n) == sympy.isprime(n)

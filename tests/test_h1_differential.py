@@ -24,6 +24,7 @@ from lincat.kcat import Arrow, LinCat, QuiverPresentation, present
 from lincat_reference import (make_category, reference_derivation_space,
                               reference_inner_span,
                               reference_sparse_derivation)
+from linalg_reference import ReferenceEchelonBasis, typed
 
 Q = FieldSpec(0)
 
@@ -132,6 +133,40 @@ def test_h1_agrees_with_reference(name):
         assert mine.category is c
         assert mine.matrices == theirs.matrices
         assert list(mine.matrices) == list(theirs.matrices)
+
+
+@pytest.mark.parametrize("name", sorted(CATEGORIES))
+def test_leibniz_elimination_agrees_with_reference(name, monkeypatch):
+    """Every echelon basis h1 builds (the Leibniz system, the inner span
+    and the ranking of the derivations against it) answers each add as
+    the Fraction-based reference does, and ends with the reference's
+    rows, kernel and tails, value types included."""
+    built = []
+
+    class Checked(EchelonBasis):
+        def __init__(self, characteristic):
+            super().__init__(characteristic)
+            self.reference = ReferenceEchelonBasis(characteristic)
+            built.append(self)
+
+        def add(self, vec):
+            got = super().add(vec)
+            assert got == self.reference.add(vec)
+            return got
+
+        def kernel(self, ncols):
+            got = super().kernel(ncols)
+            assert typed(got) == typed(self.reference.kernel(ncols))
+            return got
+
+    monkeypatch.setattr(cohomology, "EchelonBasis", Checked)
+    outcome(h1, CATEGORIES[name])
+    assert built
+    for e in built:
+        rows = e.rows()
+        assert typed(rows) == typed(dict(sorted(e.reference.rows.items())))
+        for c in rows:
+            assert typed(e.tail(c)) == typed(e.reference.tail(c))
 
 
 @pytest.mark.parametrize("name", ["kronecker.json", "k[u]/(u^4) over 2",
