@@ -8,8 +8,10 @@ text form (`arrow a: x -> y`, `rel g*a - d*b`), read left to right with
 `g*a` meaning g∘a.
 """
 import json
+import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring as _quoted
 from pathlib import Path
 from typing import Optional, Union
 
@@ -97,8 +99,8 @@ class _Scalars(dict):
     kept across documents or commands.  Only strings are ever stored, so
     looking up any other hashable value reaches __missing__ and is
     refused there, with scalar_from_doc's message; an unhashable one
-    (a list or an object) raises TypeError, which the decoders turn into
-    the same message by reading again with `read`."""
+    (a list or an object) raises TypeError, which `read` turns into the
+    same message."""
 
     def __init__(self, field: FieldSpec):
         super().__init__()
@@ -109,19 +111,14 @@ class _Scalars(dict):
         return value
 
     def read(self, text):
-        _require(isinstance(text, str), f"scalar {text!r} must be a string")
-        return self[text]
+        """The canonical value of a scalar string."""
+        try:
+            return self[text]
+        except TypeError:
+            raise FormatError(f"scalar {text!r} must be a string") from None
 
 def comb_to_doc(field: FieldSpec, comb: LinComb) -> dict:
     return {n: field.format(a) for n, a in sorted(comb.items())}
-
-def comb_from_doc(scalars: _Scalars, doc) -> LinComb:
-    _require(isinstance(doc, dict), "combination must be an object")
-    try:
-        return {n: scalars[v] for n, v in doc.items()}
-    except TypeError:  # an unhashable value: read refuses it in order
-        read = scalars.read
-        return {n: read(v) for n, v in doc.items()}
 
 def matrix_to_doc(m: Matrix) -> list:
     return [[m.field.format(a) for a in m.row(i)] for i in range(m.rows)]
@@ -186,7 +183,10 @@ def category_to_doc(c: LinCat) -> dict:
 
 def category_from_doc(doc, memos: Optional[dict] = None) -> LinCat:
     """memos holds the scalar memos of the decode call this one is part
-    of, by field; a call of its own has its own."""
+    of, by field; a call of its own has its own.  The document's shape
+    is checked as it is read; LinCat.checked then reads, types and
+    keeps each term in one pass (see LinCat), each scalar parsed once
+    by the memo."""
     _check_envelope(doc, "category")
     for key in ("field", "objects", "hom", "comp", "identities"):
         _require(key in doc, f"category misses {key!r}")
@@ -199,16 +199,28 @@ def category_from_doc(doc, memos: Optional[dict] = None) -> LinCat:
     for x, row in _object(doc["hom"], "hom").items():
         for y, names in _object(row, f"hom[{x!r}]").items():
             hom[(x, y)] = _names(names, f"hom[{x!r}][{y!r}]")
-    comp = {}
-    for g, row in _object(doc["comp"], "comp").items():
-        if not isinstance(row, dict):
-            raise FormatError(f"comp[{g!r}] must be an object")
-        for f, comb in row.items():
-            comp[(g, f)] = comb_from_doc(scalars, comb)
-    idents = {x: comb_from_doc(scalars, v)
-              for x, v in _object(doc["identities"], "identities").items()}
+    rows = _object(doc["comp"], "comp")
+    for g, row in rows.items():
+        _require(isinstance(row, dict), f"comp[{g!r}] must be an object")
+        for comb in row.values():
+            _require(isinstance(comb, dict), "combination must be an object")
+    idents = _object(doc["identities"], "identities")
+    for comb in idents.values():
+        _require(isinstance(comb, dict), "combination must be an object")
+
+    def comp_items():
+        return (((g, f), comb) for g, row in rows.items()
+                for f, comb in row.items())
+
     try:
-        return LinCat(field, objects, hom, comp, idents)
+        try:
+            return LinCat.checked(field, objects, hom, comp_items(), idents,
+                                  scalars.__getitem__)
+        except TypeError:  # an unhashable scalar: read refuses it in order
+            return LinCat.checked(field, objects, hom, comp_items(), idents,
+                                  scalars.read)
+    except FormatError:
+        raise
     except ValueError as e:
         raise FormatError(f"invalid category: {e}") from e
 
@@ -365,6 +377,7 @@ def presentation_from_doc(doc) -> QuiverPresentation:
         raise FormatError(f"invalid presentation: {e}") from e
 
 
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 _ARROW_RE = re.compile(r"^arrow\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")
 _TERM_RE = re.compile(r"^\s*([+-])?\s*((?:\d+(?:/\d+)?)\s+)?([\w*']+)\s*")
 
@@ -413,15 +426,14 @@ def presentation_from_text(text: str) -> QuiverPresentation:
                 if terms and not m.group(1):
                     raise FormatError(f"line {ln}: expected + or - before "
                                       f"{m.group(0).strip()!r}")
-                sign = -1 if m.group(1) == "-" else 1
-                try:
-                    coeff = Fraction(m.group(2).strip()) if m.group(2) \
-                        else Fraction(1)
+                sign, digits = m.group(1) or "", m.group(2)
+                try:  # one Fraction per written coefficient, sign included
+                    coeff = Fraction(sign + digits) if digits else \
+                        _MINUS_ONE if sign == "-" else _ONE
                 except ZeroDivisionError as e:
                     raise FormatError(f"line {ln}: zero denominator in "
-                                      f"{m.group(2).strip()!r}") from e
-                path = tuple(m.group(3).split("*"))
-                terms.append((sign * coeff, path))
+                                      f"{digits.strip()!r}") from e
+                terms.append((coeff, tuple(m.group(3).split("*"))))
                 pos += m.end()
             relations.append(tuple(terms))
             continue
@@ -472,7 +484,59 @@ _FROM_DOC = {
 
 
 def canonical_dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """doc as json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=False) writes it, and a newline, in one pass over the
+    types that documents and reports hold: dicts with string keys,
+    lists and tuples, strings, ints, bools, None and finite floats.
+    Anything else raises TypeError (a non-finite float ValueError):
+    nothing is stringified.  json.dumps with an indent runs its
+    pure-Python encoder; this one is specialised and about twice as
+    fast."""
+    out: list[str] = []
+    _encode(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(o, newline: str, put) -> None:
+    """Write o through put, its nested lines starting with newline and
+    two more spaces; a string or int member is written in place."""
+    t = type(o)
+    if t is dict or t is list or t is tuple:
+        if not o:
+            put("{}" if t is dict else "[]")
+            return
+        inner = newline + "  "
+        sep = ("{" if t is dict else "[") + inner
+        for k in sorted(o) if t is dict else o:
+            if t is dict:
+                if type(k) is not str:
+                    raise TypeError(f"key {k!r} is not a string")
+                put(sep + _quoted(k) + ": ")
+                v = o[k]
+            else:
+                put(sep)
+                v = k
+            sep = "," + inner
+            if type(v) is str:
+                put(_quoted(v))
+            elif type(v) is int:
+                put(int.__repr__(v))
+            else:
+                _encode(v, inner, put)
+        put(newline + ("}" if t is dict else "]"))
+    elif t is str:
+        put(_quoted(o))
+    elif o is None or t is bool:
+        put("null" if o is None else "true" if o else "false")
+    elif t is int:
+        put(int.__repr__(o))
+    elif t is float and math.isfinite(o):
+        put(float.__repr__(o))
+    elif t is float:
+        raise ValueError(f"{o!r} is not a JSON number")
+    else:
+        raise TypeError(f"cannot encode {t.__name__} {o!r}")
 
 
 def _read_text(p: Path) -> str:

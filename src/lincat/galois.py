@@ -111,6 +111,13 @@ def quotient(a: GroupAction) -> QuotientResult:
     first object run over its orbit, which is its whole fibre; and by
     rigidity a deck transformation is fixed by that image, so there are
     no others.  P is thus a Galois covering.
+
+    The quotient is built by LinCat.by_construction: its objects are
+    distinct objects of C; its homs are nonzero and in orbit-major
+    order, each source basis name in one of them; the identity of α is
+    C's, in End(rep α); and each structure constant is a composite in C,
+    reduced and nonzero, of F_u(g) ∈ hom(y, u·z) after f ∈ hom(rep α, y),
+    so in hom(α, γ) for z in γ.  The unit laws are C's, as F_u(id) = id.
     """
     c, fs = a.category, a.functors
     if not is_connected(c).connected:
@@ -160,7 +167,8 @@ def quotient(a: GroupAction) -> QuotientResult:
                         if result:
                             comp[(gn, fn)] = result
 
-    q = LinCat(c.field, tuple(orbit_names), hom, comp, identities)
+    q = LinCat.by_construction(c.field, tuple(orbit_names), hom, comp,
+                               identities)
 
     omap = {x: orbit_of[x] for x in c.objects}
     back: dict[str, LinComb] = {}  # n out of x goes to u⁻¹·n, u·rep = x

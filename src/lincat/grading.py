@@ -16,7 +16,8 @@ from typing import Optional
 
 from .exactlinalg import EchelonBasis, Matrix, dense, inverse
 from .groups import Group
-from .kcat import LinCat, LinComb, LinFunctor, identity_functor
+from .kcat import (LinCat, LinComb, LinFunctor, distinct_names,
+                   identity_functor)
 from .covering import fibre
 from .galois import is_galois
 
@@ -412,7 +413,16 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
     Its structure constants are those of the grading in its homogeneous
     basis, which building the grading computed: every nonzero product
     of two homogeneous columns and every identity, renamed here into
-    the copy of each source object.  No composite is recomputed."""
+    the copy of each source object.  No composite is recomputed.
+
+    The category is built by LinCat.by_construction.  Its homs are
+    put in object-major order, and its names are checked to be
+    distinct, as they are made from the names of the input; the rest
+    holds by the grading's axioms.  A product of columns of degrees s
+    and t has degree t·s, so its copy from (x,g) lies in the hom from
+    (x,g) to (w, t·s·g); the identity of x has degree e, so its copy
+    lies in End((x,g)), and is nonzero; both are kept reduced and
+    nonzero.  The unit laws are b's, read in the homogeneous basis."""
     if z.category is not b and z.category != b:
         raise ValueError("grading does not belong to the category")
     grp = z.group
@@ -458,7 +468,14 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
     identities = {oname(x, g): rename(x, x, z.identity_coords[x], g)
                   for x in b.objects for g in grp.elements}
 
-    cat = LinCat(b.field, tuple(object_pairs), hom, comp, identities)
+    if len(object_pairs) < len(b.objects) * grp.order():
+        raise ValueError("duplicate object names")
+    at = {o: i for i, o in enumerate(object_pairs)}
+    hom = {p: tuple(hom[p])
+           for p in sorted(hom, key=lambda p: (at[p[0]], at[p[1]]))}
+    distinct_names(hom)
+    cat = LinCat.by_construction(b.field, tuple(object_pairs), hom, comp,
+                                 identities)
     mats = {(xg, yh): Matrix(b.field, b.dim(object_pairs[xg][0],
                                             object_pairs[yh][0]),
                              len(cs), tuple(cs))

@@ -9,9 +9,15 @@ object-major order, and `dim(x, y)` and `basis(x, y)` serve the zero ones.
 
 A category is typed and unital when it is built: every composite of
 basis names lies in hom(source f, target g), and every identity is a
-nonzero two-sided unit; LinCat refuses anything else with ValueError.
-Associativity is left to validate_category, which callers run on
-demand.
+nonzero two-sided unit.  Each of these facts is checked once, by
+`LinCat._check`: `LinCat(...)` runs it for API callers and tests, and
+`LinCat.checked(...)` for the decoder, which reads each coefficient of
+a document in the same pass; both refuse anything else with ValueError.
+The library's own builders (present, smash, quotient, the registry's
+empty category) make categories that are typed and unital by their
+construction, and build them with `LinCat.by_construction`, which
+checks nothing.  Associativity is left to validate_category, which
+callers run on demand.
 
 A category also indexes its composable pairs when it is built: `pairs`
 lists the keys of `hom`, `leaving[x]`/`arriving[x]` the basis names
@@ -73,8 +79,41 @@ class Violation:
         return f"{self.kind} at {self.where}: {self.detail}"
 
 
+def distinct_names(hom: dict) -> None:
+    """Refuse a basis name that hom declares twice, naming the first
+    repeat in the order of hom."""
+    seen: set = set()
+    for names in hom.values():
+        for n in names:
+            if n in seen:
+                raise ValueError(f"basis name {n!r} declared twice")
+            seen.add(n)
+
+
 @dataclass
 class LinCat:
+    """A finite k-linear category by structure constants.
+
+    `LinCat(...)` and `LinCat.checked(...)` check what they are given, once
+    each, in one function (`_check`), in this order: distinct objects,
+    hom pairs on declared objects, distinct basis names, then per
+    structure constant its key and the typing of each term, then the
+    identities, then both unit laws of every basis name.  The first
+    problem is refused with ValueError.  Each coefficient is read once,
+    through `read`, into its canonical field value, and the zero terms
+    are dropped: `LinCat(...)` reads with `field.reduce`, and the
+    decoder (formats.category_from_doc) with the scalar memo of its
+    document, so a decoded term is parsed, typed and kept in one pass.
+
+    `LinCat.by_construction(...)` checks nothing and only fills the
+    derived tables.  Its callers are the library's builders whose
+    output is a category by their own argument (present, smash,
+    quotient, the empty category of the registry): each says in its
+    docstring why its fields are in the form `_check` leaves them in
+    (nonzero homs in object-major order as tuples, composites typed,
+    identities nonzero two-sided units, canonical nonzero values).
+    Fields read from outside the program go through the checked
+    constructors."""
     field: FieldSpec
     objects: tuple[str, ...]
     hom: dict[tuple[str, str], tuple[str, ...]]
@@ -82,24 +121,40 @@ class LinCat:
     identities: dict[str, LinComb]
 
     def __post_init__(self):
-        self.objects = tuple(self.objects)
-        if len(set(self.objects)) != len(self.objects):
-            raise ValueError("duplicate object names")
-        at = {x: i for i, x in enumerate(self.objects)}
-        for (x, y) in self.hom:
-            if x not in at or y not in at:
-                raise ValueError(f"hom pair ({x},{y}) references unknown objects")
-        hom = {}
-        for pair in sorted(self.hom, key=lambda p: (at[p[0]], at[p[1]])):
-            if self.hom[pair]:
-                hom[pair] = tuple(self.hom[pair])
-        self.hom = hom
+        self._check(self.comp.items(), self.identities, self.field.reduce)
+
+    @classmethod
+    def checked(cls, field: FieldSpec, objects, hom: dict, comp_items,
+                identities: dict, read) -> "LinCat":
+        """The checked category whose structure constants are the
+        ((g, f), combination) pairs of comp_items, each coefficient of
+        those and of the identities read by read into its canonical
+        value (see `_check`)."""
+        c = cls.__new__(cls)
+        c.field, c.objects, c.hom = field, objects, hom
+        c._check(comp_items, identities, read)
+        return c
+
+    @classmethod
+    def by_construction(cls, field: FieldSpec, objects: tuple[str, ...],
+                        hom: dict, comp: dict, identities: dict) -> "LinCat":
+        """The category of fields that are one by construction, kept as
+        given, with its derived tables and no check: the caller states
+        why (see the class docstring)."""
+        c = cls.__new__(cls)
+        c.field, c.objects, c.hom = field, objects, hom
+        c.comp, c.identities = comp, identities
+        c._index()
+        c._units()
+        return c
+
+    def _index(self) -> None:
+        """The tables derived from the hom spaces."""
+        hom = self.hom
         self._pair = pair = {}
         self.position = position = {}
         for p, names in hom.items():
             for i, n in enumerate(names):
-                if n in pair:
-                    raise ValueError(f"basis name {n!r} declared twice")
                 pair[n] = p
                 position[n] = i
         self.pairs = tuple(hom)
@@ -110,11 +165,33 @@ class LinCat:
         for (x, y) in by_name:
             leaving[x].extend(hom[(x, y)])
             arriving[y].extend(hom[(x, y)])
-        # one pass over the structure constants: each term is checked
-        # and reduced, and the zero ones dropped
-        fld, comp = self.field, {}
-        red = fld.reduce
-        for (g, f), comb in self.comp.items():
+
+    def _units(self) -> None:
+        one = self.field.one()
+        self.unit_name = {x: n for x, i in self.identities.items()
+                          for n in i if i == {n: one}}
+
+    def _check(self, comp_items, identities: dict, read) -> None:
+        """Check the fields, with the structure constants given as
+        comp_items, and keep them in canonical form (see the class
+        docstring)."""
+        self.objects = tuple(self.objects)
+        if len(set(self.objects)) != len(self.objects):
+            raise ValueError("duplicate object names")
+        at = {x: i for i, x in enumerate(self.objects)}
+        for (x, y) in self.hom:
+            if x not in at or y not in at:
+                raise ValueError(f"hom pair ({x},{y}) references unknown objects")
+        self.hom = hom = {p: tuple(self.hom[p]) for p in sorted(
+            self.hom, key=lambda p: (at[p[0]], at[p[1]])) if self.hom[p]}
+        self._index()
+        pair = self._pair
+        if len(pair) < len(self._names):
+            distinct_names(hom)
+        # one pass over the structure constants: each term is read,
+        # typed and kept, the zero ones dropped
+        self.comp = comp = {}
+        for (g, f), comb in comp_items:
             pg, pf = pair.get(g), pair.get(f)
             if pg is None or pf is None:
                 raise ValueError(f"comp key ({g},{f}) references unknown basis names")
@@ -124,46 +201,41 @@ class LinCat:
             kept = {}
             for n, s in comb.items():
                 if pair.get(n) == want:
-                    if a := red(s):
+                    if a := read(s):
                         kept[n] = a
                 elif n not in pair:
                     raise ValueError(f"comp value for ({g},{f}) uses unknown name {n!r}")
-                elif red(s):
+                elif read(s):
                     raise ValueError(f"{g}∘{f} has a term {n} outside hom{want}")
             if kept:
                 comp[(g, f)] = kept
-        self.comp = comp
-        for x in self.identities:
+        for x in identities:
             if x not in at:
                 raise ValueError(f"identity declared for unknown object {x}")
-        identities = {}
+        self.identities = ids = {}
         for x in self.objects:
-            if x not in self.identities:
+            if x not in identities:
                 raise ValueError(f"no identity declared for object {x}")
-            for n in self.identities[x]:
+            for n in identities[x]:
                 if pair.get(n) != (x, x):
                     raise ValueError(f"identity of {x} uses {n!r} outside End({x})")
-            identities[x] = _reduced(fld, self.identities[x])
-            if not identities[x]:
+            ids[x] = {n: a for n, s in identities[x].items() if (a := read(s))}
+            if not ids[x]:
                 raise ValueError(f"identity of {x} is zero")
-        self.identities = identities
-        one = fld.one()
-        self.unit_name = units = {x: n for x, i in identities.items()
-                                  for n in i if i == {n: one}}
+        self._units()
         # each unit law holds when u∘n = n in comp, or else when the sum
         # from the structure constants is n as summed, or once reduced
-        for (x, y) in by_name:
+        fld, one, units = self.field, self.field.one(), self.unit_name
+        for (x, y), names in sorted(hom.items()):
             ux, uy = units.get(x), units.get(y)
-            for n in hom[(x, y)]:
+            for n in names:
                 want = {n: one}
                 if comp.get((uy, n)) != want:
-                    left = _product(comp, identities[y].items(), ((n, one),),
-                                    {})
+                    left = _product(comp, ids[y].items(), ((n, one),), {})
                     if left != want and (left := _reduced(fld, left)) != want:
                         raise ValueError(f"id_{y} ∘ {n} = {comb_str(fld, left)}")
                 if comp.get((n, ux)) != want:
-                    right = _product(comp, ((n, one),),
-                                     identities[x].items(), {})
+                    right = _product(comp, ((n, one),), ids[x].items(), {})
                     if right != want and (right := _reduced(fld, right)) != want:
                         raise ValueError(f"{n} ∘ id_{x} = {comb_str(fld, right)}")
 
@@ -509,14 +581,16 @@ class QuiverPresentation:
                 raise ValueError(f"arrow {a.name} references an undeclared vertex")
             if not a.name:
                 raise ValueError("empty arrow name")
-            if "*" in a.name or any(ch.isspace() for ch in a.name):
+            if "*" in a.name or a.name.split() != [a.name]:  # a space
                 raise ValueError(f"arrow name {a.name!r} may not contain '*' or spaces")
             if a.name[0].isdigit() or a.name[0] in "+-":
                 raise ValueError(f"arrow name {a.name!r} may not start like a number")
         self._arrow = {a.name: a for a in self.arrows}
         norm_rels = []
         for rel in self.relations:
-            terms = tuple((Fraction(coeff), tuple(path)) for coeff, path in rel)
+            # a coefficient read as a Fraction is kept as it is
+            terms = tuple((c if type(c) is Fraction else Fraction(c),
+                           tuple(path)) for c, path in rel)
             if not terms:
                 raise ValueError("empty relation")
             ends = set()
@@ -598,6 +672,15 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
     0, `_GroebnerBasis.close` resolves every ambiguity, so by the
     diamond lemma they are a basis of kQ/I.  Normal forms are then
     unique, which lets `product` build one from its prefixes.
+
+    The category is built by LinCat.by_construction, as it is one in
+    the form LinCat's check leaves: the homs with a basis path, in
+    vertex-major order; distinct basis names, as a name spells its path
+    (no arrow name holds '*' or starts like a number, so none is a
+    1_x); each structure constant the reduced nonzero normal form of a
+    path from x to z, a combination of the basis paths of hom(x, z);
+    each identity the empty path 1_x, which composes as a two-sided
+    unit (the first two cases of the loop below).
     """
     n = p.length_bound
     relations = []  # dicts path -> field element, zero terms dropped
@@ -632,8 +715,8 @@ def present(p: QuiverPresentation, field: FieldSpec) -> PresentResult:
                     elif len(gt) <= room and (gf := product(gt, ft, (x, z))):
                         comp[(g, f)] = gf
 
-    return PresentResult(LinCat(field, p.vertices, hom, comp, identities),
-                         basis_paths)
+    return PresentResult(LinCat.by_construction(field, p.vertices, hom, comp,
+                                                identities), basis_paths)
 
 
 def _rewrite(p: QuiverPresentation, field: FieldSpec, relations: list):
