@@ -386,10 +386,11 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     One pass over the columns: while each holds one entry, column j =
     a·e_i makes column i of the inverse (1/a)·e_j, and a zero column or a
     second column in row i is singular; so a monomial matrix, 0×0
-    included, is inverted without elimination.  From the first longer
-    column on, column j of m is row j of its transpose A, so [A | 1]
-    reduces to [1 | A⁻¹], whose rows of the monomial columns are
-    already reduced, and row i of A⁻¹ is column i of the inverse."""
+    included, is inverted without elimination, and the identity is its
+    own inverse.  From the first longer column on, column j of m is row
+    j of its transpose A, so [A | 1] reduces to [1 | A⁻¹], whose rows of
+    the monomial columns are already reduced, and row i of A⁻¹ is column
+    i of the inverse."""
     n = m.cols
     if m.rows != n:
         return None
@@ -405,6 +406,9 @@ def inverse(m: Matrix) -> Optional[Matrix]:
             return None
         at[i] = (j, a)
     else:
+        if all(i == j and a == 1 and type(a) is int
+               for i, (j, a) in at.items()):
+            return m  # the identity, as no one writes to a Matrix
         return Matrix(m.field, n, n, tuple(
             {j: _reciprocal(p, a)} for j, a in (at[i] for i in range(n))))
     e = EchelonBasis(p)

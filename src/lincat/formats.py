@@ -49,17 +49,27 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _names(value, what: str) -> tuple:
+def _where(what: str, keys: tuple) -> str:
+    """The name of what[k1][k2]..., spelt only for a refusal."""
+    return what + "".join(f"[{k!r}]" for k in keys)
+
+
+def _names(value, what: str, *keys) -> tuple:
     """A JSON array of strings, as a tuple; anything else is refused (a
     string would otherwise read as a list of its characters)."""
-    _require(isinstance(value, list) and
-             all(isinstance(v, str) for v in value),
-             f"{what} must be a JSON array of strings")
-    return tuple(value)
+    if isinstance(value, list):
+        try:
+            "".join(value)  # refuses a member that is not a string
+        except TypeError:
+            pass
+        else:
+            return tuple(value)
+    raise FormatError(f"{_where(what, keys)} must be a JSON array of strings")
 
 
-def _object(value, what: str) -> dict:
-    _require(isinstance(value, dict), f"{what} must be an object")
+def _object(value, what: str, *keys) -> dict:
+    if not isinstance(value, dict):
+        raise FormatError(f"{_where(what, keys)} must be an object")
     return value
 
 
@@ -197,16 +207,17 @@ def category_from_doc(doc, memos: Optional[dict] = None) -> LinCat:
     objects = _names(doc["objects"], "objects")
     hom = {}
     for x, row in _object(doc["hom"], "hom").items():
-        for y, names in _object(row, f"hom[{x!r}]").items():
-            hom[(x, y)] = _names(names, f"hom[{x!r}][{y!r}]")
+        for y, names in _object(row, "hom", x).items():
+            hom[(x, y)] = _names(names, "hom", x, y)
     rows = _object(doc["comp"], "comp")
     for g, row in rows.items():
-        _require(isinstance(row, dict), f"comp[{g!r}] must be an object")
-        for comb in row.values():
-            _require(isinstance(comb, dict), "combination must be an object")
+        for comb in _object(row, "comp", g).values():
+            if not isinstance(comb, dict):
+                raise FormatError("combination must be an object")
     idents = _object(doc["identities"], "identities")
     for comb in idents.values():
-        _require(isinstance(comb, dict), "combination must be an object")
+        if not isinstance(comb, dict):
+            raise FormatError("combination must be an object")
 
     def comp_items():
         return (((g, f), comb) for g, row in rows.items()
@@ -287,7 +298,7 @@ def action_from_doc(doc) -> GroupAction:
     memos: dict = {}
     cat = category_from_doc(doc["category"], memos)
     grp = group_from_doc(doc["group"])
-    functors = {s: _functor_core_from_doc(_object(d, f"functors[{s!r}]"),
+    functors = {s: _functor_core_from_doc(_object(d, "functors", s),
                                           cat, cat, memos[cat.field])
                 for s, d in _object(doc["functors"], "functors").items()}
     try:
@@ -319,12 +330,12 @@ def grading_from_doc(doc) -> Grading:
     scalars = memos[cat.field]
     basis = {}
     for x, row in _object(doc["basis"], "basis").items():
-        for y, m in _object(row, f"basis[{x!r}]").items():
+        for y, m in _object(row, "basis", x).items():
             basis[(x, y)] = matrix_from_doc(scalars, m)
     degrees = {}
     for x, row in _object(doc["degrees"], "degrees").items():
-        for y, labels in _object(row, f"degrees[{x!r}]").items():
-            degrees[(x, y)] = _names(labels, f"degrees[{x!r}][{y!r}]")
+        for y, labels in _object(row, "degrees", x).items():
+            degrees[(x, y)] = _names(labels, "degrees", x, y)
     try:
         return Grading(grp, cat, basis, degrees)
     except ValueError as e:

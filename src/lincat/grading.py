@@ -43,7 +43,10 @@ class Grading:
     g = (y, w, jg), the coordinates of each nonzero g∘f in the
     homogeneous basis of hom(x,w), in (x, y, w, jf, jg) order.  These
     take no part in construction, equality or repr, and a grading is
-    not mutated once built.
+    not mutated once built.  Grading.by_construction takes them as given
+    and checks nothing: its one caller, regrade, keeps the blocks of a
+    grading and so its tables.  A grading read from a document, or built
+    from a covering or from degrees, is checked.
 
     The products cost what the nonzero structure constants cost: each
     constant gn∘fn is added, scaled, into the composites of the columns
@@ -100,6 +103,20 @@ class Grading:
             prods = _summed_products(c, grp, self.basis, degrees, invs)
         self.inverses, self.identity_coords, self.products = invs, ids, prods
 
+    @classmethod
+    def by_construction(cls, group: Group, category: LinCat, basis: dict,
+                        degrees: dict, inverses: dict, identity_coords: dict,
+                        products: dict) -> "Grading":
+        """The grading of fields that are one by construction, with the
+        tables that deciding it would compute, and no check: the caller
+        states why."""
+        z = cls.__new__(cls)
+        z.group, z.category, z.basis, z.degrees = group, category, basis, \
+            degrees
+        z.inverses, z.identity_coords, z.products = \
+            inverses, identity_coords, products
+        return z
+
     def component_columns(self, x: str, y: str, s: str) -> list[int]:
         return [j for j, d in enumerate(self.degrees[(x, y)]) if d == s]
 
@@ -126,20 +143,22 @@ def _monomial_products(c: LinCat, grp: Group, basis: dict,
                 return None
             (i, a), = col.items()
             at[names[i]] = (pair, j, labels[j], a, inv[i][j])
-    found = []
+    found, mul = [], grp.table
     for (gn, fn), comb in c.comp.items():
         (y, w), jg, t, b, _ = at[gn]
         (x, _), jf, s, a, _ = at[fn]
-        ts, ab = grp.mul(t, s), a * b
+        ts, ab = mul[(t, s)], a * b
         coords = {}
         for n, v in comb.items():
             _, j, d, _, a_inv = at[n]
             if d != ts:
                 return None
-            coords[j] = red(ab * v * a_inv)
+            # v is canonical: a unit block needs no product
+            coords[j] = v if ab == a_inv == 1 else red(ab * v * a_inv)
         found.append(((x, y, w, jf, jg), coords))
-    # in (x, y, w, jf, jg) order, as _summed_products fills them
-    found.sort(key=lambda item: item[0])
+    # in (x, y, w, jf, jg) order, as _summed_products fills them; the
+    # keys are distinct, so no two coordinate dicts are compared
+    found.sort()
     return {((y, w, jg), (x, y, jf)): coords
             for (x, y, w, jf, jg), coords in found}
 
@@ -240,7 +259,14 @@ def induced_grading(f: LinFunctor, fibre_choice: dict[str, str]) -> Grading:
 
 def regrade(z: Grading, t: dict[str, str]) -> Grading:
     """Same homogeneous basis; the label s of a (b -> c)-element becomes
-    t_c·s·t_b⁻¹."""
+    t_c·s·t_b⁻¹.
+
+    The result is a grading by construction, built with
+    Grading.by_construction: each label is a group element; the identity
+    of x keeps degree t_x·e·t_x⁻¹ = e; a product of columns of degrees s
+    (b -> c) and t (c -> d) lies in degree t·s, which becomes
+    t_d·t·s·t_b⁻¹ = (t_d·t·t_c⁻¹)·(t_c·s·t_b⁻¹); and the blocks are z's,
+    so are their inverses, identity coordinates and products."""
     grp = z.group
     for x in t:
         if x not in z.category.leaving:  # keyed by the objects
@@ -254,7 +280,8 @@ def regrade(z: Grading, t: dict[str, str]) -> Grading:
         tb_inv = grp.inv(t[b])
         degrees[(b, c)] = tuple(grp.mul(t[c], grp.mul(s, tb_inv))
                                 for s in labels)
-    return Grading(grp, z.category, dict(z.basis), degrees)
+    return Grading.by_construction(grp, z.category, dict(z.basis), degrees,
+                                   z.inverses, z.identity_coords, z.products)
 
 
 # -- homogeneous walks ---------------------------------------------------

@@ -581,7 +581,7 @@ class QuiverPresentation:
                 raise ValueError(f"arrow {a.name} references an undeclared vertex")
             if not a.name:
                 raise ValueError("empty arrow name")
-            if "*" in a.name or a.name.split() != [a.name]:  # a space
+            if "*" in a.name or a.name.split() != [a.name]:  # whitespace
                 raise ValueError(f"arrow name {a.name!r} may not contain '*' or spaces")
             if a.name[0].isdigit() or a.name[0] in "+-":
                 raise ValueError(f"arrow name {a.name!r} may not start like a number")

@@ -3,8 +3,10 @@ smash, quotient and the registry's empty category) make exactly what the
 checked constructor makes of the same fields: LinCat(...) accepts them
 and keeps every field and derived table equal, in insertion order, with
 values of the same types (an int wherever a value over Q is integral).
-The inputs are the fixtures, cyclic_cover(1..8), and presentations and
-gradings with non-integral values over Q."""
+Likewise regrade, which builds with Grading.by_construction, makes what
+Grading(...) makes of its fields.  The inputs are the fixtures,
+cyclic_cover(1..8), and presentations and gradings with non-integral
+values over Q."""
 from fractions import Fraction
 
 import pytest
@@ -184,3 +186,20 @@ def test_the_registry_empty_category_is_the_checked_one():
     c = fm.category_from_doc(doc)
     assert c == LinCat(Q, (), {}, {}, {})
     assert_checked_agrees(c)
+
+
+@pytest.mark.parametrize("name", sorted(GRADINGS))
+def test_regrade_builds_what_the_check_keeps(name):
+    """regrade keeps the blocks, so the tables that Grading computes from
+    them, in order, and the relabelled degrees pass the check."""
+    z = GRADINGS[name]
+    grp = z.group
+    shift = {x: grp.elements[i % grp.order()]
+             for i, x in enumerate(z.category.objects, 2)}
+    trusted = regrade(z, shift)
+    checked = Grading(grp, z.category, trusted.basis, trusted.degrees)
+    assert trusted == checked
+    for table in ("basis", "degrees", "inverses", "identity_coords",
+                  "products"):
+        mine, theirs = getattr(trusted, table), getattr(checked, table)
+        assert list(mine.items()) == list(theirs.items()), table

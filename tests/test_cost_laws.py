@@ -6,6 +6,7 @@ counted with monkeypatch wrappers, one table row per law.
 | decoding a functor document | fixtures, cyclic covers | LinCat._check, LinCats built | 2 and 2 |
 | present, smash, quotient | fixtures, cyclic covers | LinCat._check | 0 |
 | grading_from_doc | induced and declared gradings | grading.inverse | one per block |
+| regrade | the same gradings | grading.inverse | 0 |
 | presentation_from_text | relations with and without coefficients | Fraction.__new__ | one per written coefficient |
 
 A LinCat is built once its tables are indexed (LinCat._index), whether
@@ -22,7 +23,8 @@ from lincat.fixtures import (F2, Q, cover_f1, cyclic_cover,
                              loop_square_zero, square_base_quiver,
                              square_cover, swap_action)
 from lincat.galois import quotient
-from lincat.grading import grading_on_basis, induced_grading, smash
+from lincat.grading import (grading_on_basis, induced_grading, regrade,
+                            smash)
 from lincat.groups import cyclic_group
 from lincat.kcat import LinCat, present
 from lincat_reference import shift_subgroup_action
@@ -133,3 +135,11 @@ def test_text_form_makes_one_fraction_per_written_coefficient(
     p = fm.presentation_from_text(text)
     assert len(made) == written
     assert all(type(c) is Fraction for rel in p.relations for c, _ in rel)
+
+
+@pytest.mark.parametrize("name", sorted(GRADINGS))
+def test_regrade_inverts_no_block(monkeypatch, name):
+    z = GRADINGS[name]
+    inverted = counter(monkeypatch, gr, "inverse")
+    regrade(z, {x: z.group.elements[-1] for x in z.category.objects})
+    assert inverted == []
