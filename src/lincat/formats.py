@@ -212,12 +212,10 @@ def category_from_doc(doc, memos: Optional[dict] = None) -> LinCat:
     rows = _object(doc["comp"], "comp")
     for g, row in rows.items():
         for comb in _object(row, "comp", g).values():
-            if not isinstance(comb, dict):
-                raise FormatError("combination must be an object")
+            _object(comb, "combination")
     idents = _object(doc["identities"], "identities")
     for comb in idents.values():
-        if not isinstance(comb, dict):
-            raise FormatError("combination must be an object")
+        _object(comb, "combination")
 
     def comp_items():
         return (((g, f), comb) for g, row in rows.items()

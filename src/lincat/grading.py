@@ -17,7 +17,7 @@ from typing import Optional
 from .exactlinalg import EchelonBasis, Matrix, dense, inverse
 from .groups import Group
 from .kcat import (LinCat, LinComb, LinFunctor, distinct_names,
-                   identity_functor)
+                   identity_functor, object_major)
 from .covering import fibre
 from .galois import is_galois
 
@@ -443,8 +443,9 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
     the copy of each source object.  No composite is recomputed.
 
     The category is built by LinCat.by_construction.  Its homs are
-    put in object-major order, and its names are checked to be
-    distinct, as they are made from the names of the input; the rest
+    put in object-major order, and its object and basis names are
+    checked to be distinct, as they are made from the names of the
+    input (object_major, distinct_names); the rest
     holds by the grading's axioms.  A product of columns of degrees s
     and t has degree t·s, so its copy from (x,g) lies in the hom from
     (x,g) to (w, t·s·g); the identity of x has degree e, so its copy
@@ -495,14 +496,10 @@ def smash(b: LinCat, z: Grading) -> SmashResult:
     identities = {oname(x, g): rename(x, x, z.identity_coords[x], g)
                   for x in b.objects for g in grp.elements}
 
-    if len(object_pairs) < len(b.objects) * grp.order():
-        raise ValueError("duplicate object names")
-    at = {o: i for i, o in enumerate(object_pairs)}
-    hom = {p: tuple(hom[p])
-           for p in sorted(hom, key=lambda p: (at[p[0]], at[p[1]]))}
+    objects = tuple(oname(x, g) for x in b.objects for g in grp.elements)
+    hom = object_major(objects, hom)
     distinct_names(hom)
-    cat = LinCat.by_construction(b.field, tuple(object_pairs), hom, comp,
-                                 identities)
+    cat = LinCat.by_construction(b.field, objects, hom, comp, identities)
     mats = {(xg, yh): Matrix(b.field, b.dim(object_pairs[xg][0],
                                             object_pairs[yh][0]),
                              len(cs), tuple(cs))

@@ -9,15 +9,13 @@ object-major order, and `dim(x, y)` and `basis(x, y)` serve the zero ones.
 
 A category is typed and unital when it is built: every composite of
 basis names lies in hom(source f, target g), and every identity is a
-nonzero two-sided unit.  Each of these facts is checked once, by
-`LinCat._check`: `LinCat(...)` runs it for API callers and tests, and
-`LinCat.checked(...)` for the decoder, which reads each coefficient of
-a document in the same pass; both refuse anything else with ValueError.
-The library's own builders (present, smash, quotient, the registry's
-empty category) make categories that are typed and unital by their
-construction, and build them with `LinCat.by_construction`, which
-checks nothing.  Associativity is left to validate_category, which
-callers run on demand.
+nonzero two-sided unit.  `LinCat._check` checks these facts once:
+`LinCat(...)` runs it for API callers and `LinCat.checked(...)` for the
+decoder, and both refuse anything else with ValueError.  Only the
+library's builders (present, smash, quotient, the registry's empty
+category) call `LinCat.by_construction`, which checks nothing.
+Associativity is left to validate_category, which callers run on
+demand.
 
 A category also indexes its composable pairs when it is built: `pairs`
 lists the keys of `hom`, `leaving[x]`/`arriving[x]` the basis names
@@ -77,6 +75,20 @@ class Violation:
 
     def __str__(self):
         return f"{self.kind} at {self.where}: {self.detail}"
+
+
+def object_major(objects: tuple, hom: dict) -> dict:
+    """The nonzero spaces of hom as tuples, in object-major order by
+    objects; refuses an object named twice and a pair on an undeclared
+    object."""
+    if len(set(objects)) != len(objects):
+        raise ValueError("duplicate object names")
+    at = {x: i for i, x in enumerate(objects)}
+    for (x, y) in hom:
+        if x not in at or y not in at:
+            raise ValueError(f"hom pair ({x},{y}) references unknown objects")
+    return {p: tuple(hom[p]) for p in sorted(
+        hom, key=lambda p: (at[p[0]], at[p[1]])) if hom[p]}
 
 
 def distinct_names(hom: dict) -> None:
@@ -176,14 +188,7 @@ class LinCat:
         comp_items, and keep them in canonical form (see the class
         docstring)."""
         self.objects = tuple(self.objects)
-        if len(set(self.objects)) != len(self.objects):
-            raise ValueError("duplicate object names")
-        at = {x: i for i, x in enumerate(self.objects)}
-        for (x, y) in self.hom:
-            if x not in at or y not in at:
-                raise ValueError(f"hom pair ({x},{y}) references unknown objects")
-        self.hom = hom = {p: tuple(self.hom[p]) for p in sorted(
-            self.hom, key=lambda p: (at[p[0]], at[p[1]])) if self.hom[p]}
+        self.hom = hom = object_major(self.objects, self.hom)
         self._index()
         pair = self._pair
         if len(pair) < len(self._names):
@@ -210,7 +215,7 @@ class LinCat:
             if kept:
                 comp[(g, f)] = kept
         for x in identities:
-            if x not in at:
+            if x not in self.leaving:  # keyed by the objects
                 raise ValueError(f"identity declared for unknown object {x}")
         self.identities = ids = {}
         for x in self.objects:
