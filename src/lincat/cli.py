@@ -10,6 +10,14 @@ MemoryError a handler raises into a one-line diagnostic on stderr, and
 lets any other exception propagate as a bug.
 LINCAT_COLOR ∈ {auto, always, never} controls ANSI color in the text
 rendering.
+
+Command lines are parsed in one pass over a table built, at the first
+run(), from the argparse parser.  argparse itself parses `fixtures`,
+`galois universal` and any line the table cannot decide exactly: -h, an
+unknown or abbreviated option, --opt=value, "--", a value that starts
+with "-" or that its option's type refuses, a missing required option,
+--json elsewhere than first.  So help, usage and refusal texts are
+argparse's own.
 """
 import argparse
 import functools
@@ -543,6 +551,73 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache  # built at the first run(), from the parser above
+def _parse_table() -> tuple[dict, dict]:
+    """The top parser's flags by option string, and a trie of command
+    words whose leaves hold a command's Namespace defaults, its actions
+    by option string and its required actions; a leaf is None when the
+    command has an action other than a store or append option taking one
+    value (a positional, nargs, choices or a flag)."""
+    top = _build_parser()
+    flags = {s: a for a in top._actions
+             if isinstance(a, argparse._StoreConstAction)
+             for s in a.option_strings}
+
+    def node(parser, base):
+        own = {a.dest: a.default for a in parser._actions
+               if argparse.SUPPRESS not in (a.dest, a.default)}
+        base = {**base, **parser._defaults, **own}
+        for a in parser._actions:
+            if isinstance(a, argparse._SubParsersAction):
+                return {word: node(child, {**base, a.dest: word})
+                        for word, child in a._name_parser_map.items()}
+        options = {}
+        for a in parser._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            if type(a) not in (argparse._StoreAction,
+                               argparse._AppendAction) \
+                    or not a.option_strings or a.nargs is not None \
+                    or a.choices is not None:
+                return None
+            options.update(dict.fromkeys(a.option_strings, a))
+        return base, options, {a for a in options.values() if a.required}
+    return flags, node(top, {})
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The Namespace that _build_parser().parse_args(argv) returns: from
+    the table when it decides argv (see the module docstring), else from
+    argparse, which then prints any help, usage or error text."""
+    flags, leaf = _parse_table()
+    flag = flags.get(argv[0]) if argv else None
+    i = 0 if flag is None else 1
+    while type(leaf) is dict and i < len(argv):
+        leaf = leaf.get(argv[i])
+        i += 1
+    if type(leaf) is tuple and (len(argv) - i) % 2 == 0:
+        base, options, required = leaf
+        ns, seen = dict(base), set()
+        for k in range(i, len(argv), 2):
+            a, value = options.get(argv[k]), argv[k + 1]
+            if a is None or value[:1] == "-":
+                break
+            if a.type is not None:
+                try:
+                    value = a.type(value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    break
+            ns[a.dest] = [*(ns.get(a.dest) or ()), value] \
+                if type(a) is argparse._AppendAction else value
+            seen.add(a)
+        else:
+            if required <= seen:
+                if flag is not None:
+                    ns[flag.dest] = flag.const
+                return argparse.Namespace(**ns)
+    return _build_parser().parse_args(argv)
+
+
 def _use_color(stream: TextIO) -> bool:
     mode = os.environ.get("LINCAT_COLOR", "auto")
     if mode == "always":
@@ -557,10 +632,10 @@ def run(argv: Optional[list[str]] = None,
         stderr: Optional[TextIO] = None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    argv_echo = argv if argv is not None else sys.argv[1:]
-    report = Report(command="lincat " + " ".join(argv_echo))
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    report = Report(command="lincat " + " ".join(argv))
     start = time.perf_counter()
     problem = None
     try:

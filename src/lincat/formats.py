@@ -551,7 +551,7 @@ def _encode(o, newline: str, put) -> None:
 def _read_text(p: Path) -> str:
     try:
         return p.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"{p}: {e}") from e
 
 

@@ -1023,6 +1023,19 @@ def test_json_error_rendering(workdir):
     assert json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv", [["h1", "--cat"],
+                                  ["pi1", "--base", "x", "--presentation"]])
+def test_a_file_that_is_not_utf8_is_refused_by_name(tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    problem = (f"{path}: 'utf-8' codec can't decode byte 0xff in position "
+               "0: invalid start byte")
+    code, out, err = run(tmp_path, *argv, "bad.json")
+    assert (code, out, err) == (2, "", f"error: {problem}\n")
+    code, out, err = run(tmp_path, "--json", *argv, "bad.json")
+    assert (code, out, json.loads(err)) == (2, "", {"error": problem})
+
+
 def _edited(workdir, tmp_path, name, edit):
     doc = json.loads((workdir / name).read_text(encoding="utf-8"))
     edit(doc)

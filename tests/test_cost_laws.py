@@ -8,13 +8,18 @@ counted with monkeypatch wrappers, one table row per law.
 | grading_from_doc | induced and declared gradings | grading.inverse | one per block |
 | regrade | the same gradings | grading.inverse | 0 |
 | presentation_from_text | relations with and without coefficients | Fraction.__new__ | one per written coefficient |
+| cli.run | the benchmark's command lines at seed 7 | ArgumentParser.parse_known_args | 0 |
+| cli.run | refused command lines, fixtures, galois universal | parse_known_args of the top parser | 1 |
 
 A LinCat is built once its tables are indexed (LinCat._index), whether
 it is checked or trusted."""
+import argparse
+import io
 from fractions import Fraction
 
 import pytest
 
+from lincat import cli, registry
 from lincat import formats as fm
 from lincat import grading as gr
 from lincat.covering import fibre
@@ -28,15 +33,17 @@ from lincat.grading import (grading_on_basis, induced_grading, regrade,
 from lincat.groups import cyclic_group
 from lincat.kcat import LinCat, present
 from lincat_reference import shift_subgroup_action
+from test_cli_parse import benchmark_argvs
 
 
 def counter(monkeypatch, owner, name) -> list:
-    """From here on, one entry per call of owner.name."""
+    """From here on, one entry per call of owner.name: its positional
+    arguments."""
     calls = []
     real = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return real(*args, **kwargs)
     monkeypatch.setattr(owner, name, counted)
     return calls
@@ -143,3 +150,36 @@ def test_regrade_inverts_no_block(monkeypatch, name):
     inverted = counter(monkeypatch, gr, "inverse")
     regrade(z, {x: z.group.elements[-1] for x in z.category.objects})
     assert inverted == []
+
+
+def test_benchmark_command_lines_make_no_argparse_call(monkeypatch,
+                                                       tmp_path):
+    argvs = benchmark_argvs(tmp_path)
+    parsed = counter(monkeypatch, argparse.ArgumentParser,
+                     "parse_known_args")
+    for argv in argvs:
+        cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    assert (len(argvs), parsed) == (319, [])
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["cover", "nope"], 2), (["h1"], 2),
+    (["present", "--presentation", "p.txt", "--field", "x"], 2),
+    (["fixtures", "--list"], 0),
+    (["fixtures", "kronecker", "--dir", "DIR"], 0),
+    (["galois", "universal", "--functor", "cyclic-cover-4.json",
+      "--family", "cyclic-cover-2.json"], 0)])
+def test_a_command_line_the_table_leaves_enters_the_parser_once(
+        monkeypatch, tmp_path, argv, code):
+    for name in ("cyclic-cover-2", "cyclic-cover-4"):
+        registry.write_fixture(name, tmp_path)
+    argv = [str(tmp_path / a) if a.endswith(".json") else
+            str(tmp_path) if a == "DIR" else a for a in argv]
+    parsed = counter(monkeypatch, argparse.ArgumentParser,
+                     "parse_known_args")
+    try:
+        got = cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    except SystemExit as e:  # argparse refused the command line
+        got = e.code
+    entries = [args[0] for args in parsed].count(cli._build_parser())
+    assert (got, entries) == (code, 1)
