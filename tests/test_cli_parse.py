@@ -8,7 +8,6 @@ abbreviation, --opt=value and awkward values; every job of the three
 benchmark workloads at seed 7; every command of tests/golden/cli.json;
 the option fuzz's command lines; and -h at each level."""
 import contextlib
-import importlib.util
 import io
 import json
 from pathlib import Path
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lincat import cli
+from test_bench_outputs import bench_outputs
 from test_cli_fuzz import OPTION_COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,10 +91,6 @@ def test_token_soups_parse_as_argparse_does(argv):
 def benchmark_argvs(directory: Path) -> list[list[str]]:
     """Every job's argv of the three workloads at seed 7, their inputs
     written under directory by perfbench/generate.py."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_outputs", ROOT / "scripts" / "bench_outputs.py")
-    bench_outputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_outputs)
     generate, _ = bench_outputs._import()
     return [job.argv for w in generate.WORKLOADS
             for job in generate.build(w, bench_outputs.SEED, directory / w)]
